@@ -468,8 +468,16 @@ pub struct SweepRequest {
     pub deadline_ms: Option<u64>,
 }
 
+/// Most points one `sweep` line may expand to. A spec past it — or one
+/// whose `patterns x loads x seeds` product overflows — is rejected
+/// with a typed `error` line before anything is allocated; a larger
+/// campaign is several sweeps (the admission queue is far smaller than
+/// this anyway, so the excess would only be shed).
+pub const MAX_SWEEP_POINTS: u64 = 1 << 16;
+
 impl SweepRequest {
-    /// Points the sweep expands to (`patterns x loads x seeds`).
+    /// Points the sweep expands to (`patterns x loads x seeds`),
+    /// saturating at `u64::MAX`.
     pub fn expanded_len(&self) -> u64 {
         (self.patterns.len() as u64)
             .saturating_mul(self.loads.len() as u64)
@@ -477,7 +485,8 @@ impl SweepRequest {
     }
 
     /// Reject grids that cannot expand: empty axes, non-finite or
-    /// negative loads, zero replicates.
+    /// negative loads, zero replicates, more than
+    /// [`MAX_SWEEP_POINTS`] points.
     pub fn validate_spec(&self) -> Result<(), String> {
         if self.patterns.is_empty() {
             return Err("sweep needs at least one pattern".into());
@@ -491,6 +500,14 @@ impl SweepRequest {
         if self.seeds == 0 {
             return Err("sweep needs at least one seed replicate".into());
         }
+        if self.expanded_len() > MAX_SWEEP_POINTS {
+            return Err(format!(
+                "sweep expands to more than {MAX_SWEEP_POINTS} points ({} patterns x {} loads x {} seeds)",
+                self.patterns.len(),
+                self.loads.len(),
+                self.seeds
+            ));
+        }
         Ok(())
     }
 
@@ -501,7 +518,8 @@ impl SweepRequest {
     /// so a client submitting these exact points individually gets
     /// bit-identical response lines.
     pub fn expand(&self) -> Vec<PointRequest> {
-        let mut points = Vec::with_capacity(self.expanded_len() as usize);
+        // a hint only: an unvalidated spec must not size the allocation
+        let mut points = Vec::with_capacity(self.expanded_len().min(MAX_SWEEP_POINTS) as usize);
         let mut i = 0u64;
         for &pattern in &self.patterns {
             for &load in &self.loads {
@@ -1282,6 +1300,16 @@ mod tests {
         assert!(s.validate_spec().is_err());
         let mut s = sweep();
         s.seeds = 0;
+        assert!(s.validate_spec().is_err());
+        // the largest grid that fits, one past it, and a product that
+        // overflows u64
+        let cells = (sweep().patterns.len() * sweep().loads.len()) as u64;
+        let mut s = sweep();
+        s.seeds = MAX_SWEEP_POINTS / cells;
+        assert!(s.validate_spec().is_ok());
+        s.seeds += 1;
+        assert!(s.validate_spec().unwrap_err().contains("expands to more than"));
+        s.seeds = u64::MAX;
         assert!(s.validate_spec().is_err());
     }
 

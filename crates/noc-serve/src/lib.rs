@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod pool;
 mod retry;
 mod service;
 pub mod socket;
@@ -50,8 +51,9 @@ pub struct ServeConfig {
     /// Admission queue capacity in points; beyond it, points are shed
     /// or answered degraded. Must be >= 1.
     pub queue_capacity: usize,
-    /// Simulator worker threads; `0` means auto
-    /// ([`noc_exp::serve_workers`]).
+    /// Simulator worker threads in the service's one evaluation pool —
+    /// a process-wide bound, however many clients submit work; `0`
+    /// means auto ([`noc_exp::serve_workers`]).
     pub workers: usize,
     /// Retry policy for `Panicked`/`Diverged` points.
     pub retry: RetryPolicy,

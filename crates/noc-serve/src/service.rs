@@ -11,17 +11,24 @@
 //!
 //! **Concurrency model.** The queue, per-batch sequence counters,
 //! result cache, and draining flag live under one mutex that is held
-//! only for queue surgery and cache lookups — never across an
-//! evaluation or a write to a client. Evaluation runs lock-free in
-//! chunks of `workers` points through [`noc_exp::run_grid_with`]; the
-//! WAL serializes internally ([`noc_exp::Wal`] appends are single
-//! `write(2)` calls on an `O_APPEND` descriptor); counters are
-//! atomics. Two clients racing the same `(config digest, seed)` key
-//! may both evaluate it, but the simulator is a pure function of the
-//! key, so both compute — and both journal — the *same bytes*; the
-//! cache insert and WAL "last record wins" replay are idempotent.
-//! That is the whole correctness argument, and
-//! `tests/concurrent.rs` checks it against a serial reference.
+//! only for queue surgery and cache lookups/inserts — never across an
+//! evaluation or a write to a client. Every simulation in the process
+//! runs on the service's one [`Pool`] of `workers` long-lived threads,
+//! so `workers` bounds concurrent evaluations however many connections
+//! submit batches. A `run` answers its cache hits on the calling thread
+//! with no thread hop, submits the rest to the pool, and emits results
+//! through a per-batch reorder buffer: a line goes out as soon as every
+//! lower sequence number has gone out, so the bytes stay in submission
+//! order while streaming point by point. The WAL serializes internally
+//! ([`noc_exp::Wal`] appends are single `write(2)` calls on an
+//! `O_APPEND` descriptor); counters are atomics. Two clients racing the
+//! same `(config digest, seed)` key may both evaluate it, but the
+//! simulator is a pure function of the key, so both compute — and both
+//! journal — the *same bytes*; the cache insert and WAL "last record
+//! wins" replay are idempotent. That is the whole correctness argument,
+//! and `tests/concurrent.rs` checks it against a serial reference. The
+//! same argument covers the result cache's bound ([`CACHE_CAP`]): an
+//! evicted key simply re-simulates to the bytes it had before.
 //!
 //! Each evaluated outcome is appended to the WAL *before* its result
 //! line is emitted, so any answer a client has seen is durable (modulo
@@ -30,8 +37,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use noc_analytic::{AnalyticModel, Confidence};
@@ -39,11 +47,13 @@ use noc_eval::serve::{
     parse_request, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest, ServeResponse,
     ServeResult, SweepRequest,
 };
-use noc_exp::{run_grid_with, serve_workers, Wal};
+use noc_exp::robust::panic_message;
+use noc_exp::{serve_workers, Wal};
 use noc_openloop::measure_budgeted;
 use noc_sim::error::ConfigError;
 use noc_traffic::SizeKind;
 
+use crate::pool::Pool;
 use crate::retry::{run_with_retry, Retried, RetryError, RetryPolicy};
 use crate::ServeConfig;
 
@@ -53,6 +63,11 @@ const META_KEY_PREFIX: char = '@';
 
 /// WAL key for the status record a socket-mode final drain journals.
 const STATUS_KEY: &str = "@status";
+
+/// Results the in-memory cache holds before the oldest-inserted one is
+/// evicted (a few tens of MB at the bound). The WAL stays the durable
+/// index; an evicted key re-simulates to the same bytes.
+const CACHE_CAP: usize = 1 << 18;
 
 #[derive(Default)]
 struct Counters {
@@ -76,13 +91,18 @@ fn cacheable(outcome: &ServeOutcome) -> bool {
     matches!(outcome, ServeOutcome::Ok { .. } | ServeOutcome::Timeout { wall: false, .. })
 }
 
-/// Per-`run` evaluation context: the effective retry policy plus the
-/// wall-clock deadline (absolute, and the raw millisecond value for
-/// reporting), shared by every point in the batch.
-struct EvalCtx<'a> {
-    policy: &'a RetryPolicy,
+/// Per-`run` evaluation context, shared by every job of the batch: the
+/// effective retry policy, the wall-clock deadline (absolute, and the
+/// raw millisecond value for reporting), and whether the submitter has
+/// stopped listening.
+struct BatchCtx {
+    policy: RetryPolicy,
     deadline: Option<Instant>,
     deadline_ms: Option<u64>,
+    /// Set when the batch's stream failed mid-emit (the client hung
+    /// up): jobs still queued skip their evaluation instead of holding
+    /// the pool for a reader that is gone.
+    abandoned: AtomicBool,
 }
 
 /// Outcome-kind counts for one batch or sweep (what `sweep-done`
@@ -120,33 +140,77 @@ impl Tally {
     }
 }
 
+/// The result cache: at most `cap` outcomes, oldest-inserted evicted
+/// first. Re-inserting a present key keeps its age (the bytes are the
+/// same by the purity argument in the module docs).
+struct ResultCache {
+    map: HashMap<String, ServeOutcome>,
+    order: VecDeque<String>,
+    cap: usize,
+}
+
+impl ResultCache {
+    fn new(cap: usize) -> Self {
+        Self { map: HashMap::new(), order: VecDeque::new(), cap }
+    }
+
+    fn insert(&mut self, key: String, outcome: ServeOutcome) {
+        if let Some(present) = self.map.get_mut(&key) {
+            *present = outcome;
+            return;
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, outcome);
+        if self.order.len() > self.cap {
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// The mutable service state one mutex guards (see module docs).
 struct ServeState {
     queue: VecDeque<(u64, PointRequest)>,
     next_seq: HashMap<String, u64>,
-    cache: HashMap<String, ServeOutcome>,
+    cache: ResultCache,
     draining: bool,
 }
 
-/// The long-running evaluation service (see module docs).
-pub struct Service {
+/// Everything the connection threads and the pool workers share.
+struct Shared {
     cfg: ServeConfig,
-    workers: usize,
     state: Mutex<ServeState>,
     wal: Option<Wal>,
     counters: Counters,
     chaos_left: AtomicU64,
 }
 
+/// The analytic model an admission decision consults, built at most
+/// once per `(net, pattern, packet size)` group: outer `None` is "not
+/// built yet", inner `None` is "the model does not cover this config".
+type ModelMemo = Option<Option<AnalyticModel>>;
+
+/// The long-running evaluation service (see module docs).
+pub struct Service {
+    shared: Arc<Shared>,
+    pool: Pool,
+    workers: usize,
+}
+
 impl Service {
-    /// Build a service: validate the config, spawn nothing (workers are
-    /// per-batch), and — when a WAL path is configured — replay every
-    /// durable record into the result cache so finished points survive
-    /// a kill.
+    /// Build a service: validate the config, start the `workers`
+    /// evaluation threads (joined when the service is dropped), and —
+    /// when a WAL path is configured — replay every durable record into
+    /// the result cache so finished points survive a kill.
     pub fn new(cfg: ServeConfig) -> io::Result<Self> {
+        Self::with_cache_cap(cfg, CACHE_CAP)
+    }
+
+    fn with_cache_cap(cfg: ServeConfig, cache_cap: usize) -> io::Result<Self> {
         cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let workers = if cfg.workers == 0 { serve_workers() } else { cfg.workers };
-        let mut cache = HashMap::new();
+        let mut cache = ResultCache::new(cache_cap);
         let wal = match &cfg.wal {
             Some(path) => {
                 let (wal, replay) = Wal::open(path)?;
@@ -163,9 +227,7 @@ impl Service {
                         continue;
                     }
                     match ServeOutcome::parse(&frag) {
-                        Ok(o) => {
-                            cache.insert(key, o);
-                        }
+                        Ok(o) => cache.insert(key, o),
                         Err(e) => eprintln!("noc-serve: unreadable WAL record for {key}: {e}"),
                     }
                 }
@@ -174,8 +236,7 @@ impl Service {
             None => None,
         };
         let chaos_left = AtomicU64::new(cfg.chaos);
-        Ok(Self {
-            workers,
+        let shared = Shared {
             state: Mutex::new(ServeState {
                 queue: VecDeque::new(),
                 next_seq: HashMap::new(),
@@ -186,69 +247,81 @@ impl Service {
             counters: Counters::default(),
             chaos_left,
             cfg,
-        })
+        };
+        Ok(Self { shared: Arc::new(shared), pool: Pool::new(workers), workers })
     }
 
-    /// Lock the mutable state, tolerating poison: the guarded sections
-    /// never unwind mid-invariant (evaluation panics are caught on the
-    /// worker side of [`run_with_retry`], outside this lock).
-    fn st(&self) -> MutexGuard<'_, ServeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Worker threads a `run` fans out across.
+    /// Worker threads in the evaluation pool: the process-wide bound on
+    /// concurrent simulations.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Client-connection bound for socket mode (`--max-clients`).
     pub fn max_clients(&self) -> usize {
-        self.cfg.max_clients
+        self.shared.cfg.max_clients
     }
 
     /// Results currently answerable from cache (WAL replay + this
     /// process's evaluations).
     pub fn cached_results(&self) -> usize {
-        self.st().cache.len()
+        self.shared.st().cache.map.len()
     }
 
     /// A connection was accepted; returns the new live-client count.
     pub fn client_connected(&self) -> u64 {
-        self.counters.clients.fetch_add(1, Ordering::SeqCst) + 1
+        self.shared.counters.clients.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// A connection closed.
     pub fn client_disconnected(&self) {
-        self.counters.clients.fetch_sub(1, Ordering::SeqCst);
+        self.shared.counters.clients.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// A connection was turned away at the `--max-clients` bound;
     /// returns the live-client count it saw.
     pub fn client_rejected(&self) -> u64 {
-        self.counters.busy.fetch_add(1, Ordering::SeqCst);
-        self.counters.clients.load(Ordering::SeqCst)
+        self.shared.counters.busy.fetch_add(1, Ordering::SeqCst);
+        self.shared.counters.clients.load(Ordering::SeqCst)
     }
 
     /// Handle one request line, writing responses to `out` (flushed per
     /// line). Returns `false` when the line was a `shutdown` request
     /// and the service has finished draining.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
+        self.handle_line_noting(line, out).map(|(alive, _)| alive)
+    }
+
+    /// [`Service::handle_line`], also reporting the batch a `point` or
+    /// `sweep` line admitted work into — what a socket connection
+    /// remembers so a TERM drain can flush its own batches — without
+    /// the caller parsing the line a second time.
+    pub(crate) fn handle_line_noting(
+        &self,
+        line: &str,
+        out: &mut dyn Write,
+    ) -> io::Result<(bool, Option<String>)> {
         let line = line.trim();
         if line.is_empty() {
-            return Ok(true);
+            return Ok((true, None));
         }
+        let mut touched = None;
         match parse_request(line) {
             Err(reason) => self.emit(out, &ServeResponse::Error { reason })?,
             Ok(ServeRequest::Point(p)) => {
-                self.admit(*p, out)?;
+                touched = Some(p.batch.clone());
+                self.admit(*p, &mut None, out)?;
             }
-            Ok(ServeRequest::Sweep(sw)) => self.run_sweep(&sw, out)?,
+            Ok(ServeRequest::Sweep(sw)) => {
+                touched = Some(sw.batch.clone());
+                self.run_sweep(&sw, out)?;
+            }
             Ok(ServeRequest::Run { batch, max_attempts, deadline_ms }) => {
                 self.run_batch(&batch, max_attempts, deadline_ms, out)?;
             }
             Ok(ServeRequest::Cancel { batch }) => {
                 let dropped = {
-                    let mut st = self.st();
+                    let mut st = self.shared.st();
                     let before = st.queue.len();
                     st.queue.retain(|(_, p)| p.batch != batch);
                     (before - st.queue.len()) as u64
@@ -258,26 +331,34 @@ impl Service {
             Ok(ServeRequest::Health) => self.emit(out, &ServeResponse::Health(self.snapshot()))?,
             Ok(ServeRequest::Shutdown) => {
                 self.shutdown(out)?;
-                return Ok(false);
+                return Ok((false, None));
             }
         }
-        Ok(true)
+        Ok((true, touched))
     }
 
     /// Admission control: typed rejection for invalid configs, the
-    /// analytic admission prune (opt-in), load shedding (or the
-    /// degraded analytic answer) when the queue is full, shedding while
-    /// draining — and silence (until `run`) when the point is accepted.
-    /// Returns the outcome answered immediately, `None` if queued.
-    fn admit(&self, p: PointRequest, out: &mut dyn Write) -> io::Result<Option<ServeOutcome>> {
+    /// analytic admission prune (opt-in; `model` memoizes the analytic
+    /// model across the points of one sweep pattern), load shedding (or
+    /// the degraded analytic answer) when the queue is full, shedding
+    /// while draining — and silence (until `run`) when the point is
+    /// accepted. Returns the outcome answered immediately, `None` if
+    /// queued.
+    fn admit(
+        &self,
+        p: PointRequest,
+        model: &mut ModelMemo,
+        out: &mut dyn Write,
+    ) -> io::Result<Option<ServeOutcome>> {
+        let sh = &self.shared;
         // everything derivable from the point alone happens before the
         // lock; only queue surgery holds it
         let verdict = match validate_point(&p) {
             Err(e) => Some(ServeOutcome::Invalid { reason: e.to_string() }),
-            Ok(()) => self.admission_prune(&p),
+            Ok(()) => admission_prune(&p, model),
         };
         let (seq, answer) = {
-            let mut st = self.st();
+            let mut st = sh.st();
             let seq = {
                 let c = st.next_seq.entry(p.batch.clone()).or_insert(0);
                 let seq = *c;
@@ -290,7 +371,7 @@ impl Service {
                 })
             } else if let Some(v) = verdict {
                 Some(v)
-            } else if st.queue.len() >= self.cfg.queue_capacity {
+            } else if st.queue.len() >= sh.cfg.queue_capacity {
                 Some(self.overflow_answer(&p, st.queue.len()))
             } else {
                 st.queue.push_back((seq, p.clone()));
@@ -301,10 +382,10 @@ impl Service {
         let Some(outcome) = answer else { return Ok(None) };
         match &outcome {
             ServeOutcome::Shed { .. } => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                sh.counters.shed.fetch_add(1, Ordering::Relaxed);
             }
             ServeOutcome::Degraded { .. } => {
-                self.counters.degraded.fetch_add(1, Ordering::Relaxed);
+                sh.counters.degraded.fetch_add(1, Ordering::Relaxed);
             }
             _ => {}
         }
@@ -316,61 +397,18 @@ impl Service {
     /// client opted in and the model covers the config, else a typed
     /// shed with the capacity in the reason.
     fn overflow_answer(&self, p: &PointRequest, queued: usize) -> ServeOutcome {
+        let capacity = self.shared.cfg.queue_capacity;
         if p.allow_degraded {
-            if let Some(o) = self.degraded_answer(p) {
+            if let Some(o) = degraded_answer(p) {
                 return o;
             }
             return ServeOutcome::Shed {
                 reason: format!(
-                    "queue full (capacity {}) and no analytic fallback for this configuration",
-                    self.cfg.queue_capacity
+                    "queue full (capacity {capacity}) and no analytic fallback for this configuration"
                 ),
             };
         }
-        ServeOutcome::Shed {
-            reason: format!("queue full ({} queued, capacity {})", queued, self.cfg.queue_capacity),
-        }
-    }
-
-    /// Analytic admission control: when the point opted in and the
-    /// model (at usable confidence) puts the requested load at or past
-    /// effective saturation, answer the closed-form prediction now
-    /// instead of spending a cycle budget discovering divergence.
-    ///
-    /// Pure-accelerator guarantee: interception depends only on the
-    /// point itself (never on queue state), and a point *not*
-    /// intercepted takes the identical path it would have taken with
-    /// the flag off — so enabling the flag can only turn answers into
-    /// `degraded` ones, never alter a non-degraded answer
-    /// (property-tested in `tests/sweep_equiv.rs`). Mirroring
-    /// `noc_analytic::sweep_pruned`, [`Confidence::Low`] disables the
-    /// prune entirely.
-    fn admission_prune(&self, p: &PointRequest) -> Option<ServeOutcome> {
-        if !p.analytic_admission {
-            return None;
-        }
-        let size = SizeKind::Fixed(p.packet_size.min(u16::MAX as u64) as u16);
-        let m = AnalyticModel::of(&p.net, p.pattern, size).ok()?;
-        if matches!(m.confidence, Confidence::Low) || p.load < m.effective_saturation {
-            return None;
-        }
-        Some(ServeOutcome::Degraded {
-            predicted_latency: m.latency_at(p.load),
-            predicted_saturation: m.effective_saturation,
-            stable: false,
-        })
-    }
-
-    /// The degradation ladder's last rung before shedding: a static
-    /// analytic prediction, tagged `degraded` on the wire.
-    fn degraded_answer(&self, p: &PointRequest) -> Option<ServeOutcome> {
-        let size = SizeKind::Fixed(p.packet_size.min(u16::MAX as u64) as u16);
-        let m = AnalyticModel::of(&p.net, p.pattern, size).ok()?;
-        Some(ServeOutcome::Degraded {
-            predicted_latency: m.latency_at(p.load),
-            predicted_saturation: m.effective_saturation,
-            stable: p.load < m.effective_saturation,
-        })
+        ServeOutcome::Shed { reason: format!("queue full ({queued} queued, capacity {capacity})") }
     }
 
     /// Expand a sweep spec server-side: admit every expanded point (in
@@ -382,9 +420,16 @@ impl Service {
             return self.emit(out, &ServeResponse::Error { reason: format!("sweep: {reason}") });
         }
         let mut tally = Tally::default();
-        for p in sw.expand() {
-            if let Some(outcome) = self.admit(p, out)? {
-                tally.count(&outcome);
+        // patterns are the outermost axis and the only one the analytic
+        // model depends on: one model serves each pattern's run of points
+        let per_pattern = (sw.expanded_len() / sw.patterns.len() as u64) as usize;
+        let mut points = sw.expand().into_iter();
+        for _ in &sw.patterns {
+            let mut model: ModelMemo = None;
+            for p in points.by_ref().take(per_pattern) {
+                if let Some(outcome) = self.admit(p, &mut model, out)? {
+                    tally.count(&outcome);
+                }
             }
         }
         tally.merge(self.run_batch(&sw.batch, sw.max_attempts, sw.deadline_ms, out)?);
@@ -403,11 +448,11 @@ impl Service {
     }
 
     /// Evaluate every queued point of `batch` and emit results in
-    /// submission order, then a `batch-done` marker. Evaluation fans
-    /// out `workers` wide in chunks, so result lines stream out as the
-    /// batch progresses rather than all at the end; the state lock is
-    /// held only to extract the batch and to insert cache entries,
-    /// never across evaluation or client IO.
+    /// submission order, then a `batch-done` marker. Cache hits are
+    /// answered here, on the calling thread; the rest go to the pool and
+    /// come back through the reorder buffer in [`Self::emit_in_order`].
+    /// The state lock is held only to extract the batch and look its
+    /// keys up, never across evaluation or client IO.
     fn run_batch(
         &self,
         batch: &str,
@@ -415,58 +460,66 @@ impl Service {
         deadline_ms: Option<u64>,
         out: &mut dyn Write,
     ) -> io::Result<Tally> {
+        let sh = &self.shared;
         let items: Vec<(u64, PointRequest, String, Option<ServeOutcome>)> = {
-            let mut st = self.st();
-            let mut mine = Vec::new();
-            let mut rest = VecDeque::with_capacity(st.queue.len());
-            for (seq, p) in st.queue.drain(..) {
-                if p.batch == batch {
-                    mine.push((seq, p));
-                } else {
-                    rest.push_back((seq, p));
-                }
-            }
+            let mut st = sh.st();
+            let (mine, rest): (VecDeque<_>, VecDeque<_>) =
+                std::mem::take(&mut st.queue).into_iter().partition(|(_, p)| p.batch == batch);
             st.queue = rest;
             mine.into_iter()
                 .map(|(seq, p)| {
                     let key = p.key();
-                    let cached = st.cache.get(&key).cloned();
+                    let cached = st.cache.map.get(&key).cloned();
                     (seq, p, key, cached)
                 })
                 .collect()
         };
 
-        let mut policy = self.cfg.retry.clone();
+        let mut policy = sh.cfg.retry.clone();
         if let Some(a) = max_attempts {
             policy.max_attempts = a.max(1);
         }
-        let ctx = EvalCtx {
-            policy: &policy,
+        let ctx = Arc::new(BatchCtx {
+            policy,
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             deadline_ms,
-        };
+            abandoned: AtomicBool::new(false),
+        });
 
-        let mut tally = Tally::default();
-        for chunk in items.chunks(self.workers.max(1)) {
-            let results: Vec<ServeResult> =
-                run_grid_with(chunk, self.workers, |_, (seq, p, key, cached)| {
-                    self.eval_point(*seq, p, key, cached.as_ref(), &ctx)
-                });
-            {
-                let mut st = self.st();
-                for r in &results {
-                    if !r.cached && cacheable(&r.outcome) {
-                        st.cache.insert(r.key.clone(), r.outcome.clone());
-                    }
+        let (reply, arrivals) = mpsc::channel::<(usize, ServeResult)>();
+        let mut slots: Vec<Option<ServeResult>> = Vec::with_capacity(items.len());
+        for (slot, (seq, p, key, cached)) in items.into_iter().enumerate() {
+            match cached {
+                Some(outcome) => {
+                    sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    slots.push(Some(ServeResult {
+                        batch: p.batch,
+                        point: seq,
+                        key,
+                        cached: true,
+                        attempts: 0,
+                        outcome,
+                    }));
+                }
+                None => {
+                    slots.push(None);
+                    let (sh, ctx, reply) = (Arc::clone(sh), Arc::clone(&ctx), reply.clone());
+                    self.pool.submit(move || {
+                        if !ctx.abandoned.load(Ordering::SeqCst) {
+                            // the receiver is gone only if the batch was
+                            // abandoned after this check: nothing to tell
+                            let _ = reply.send((slot, sh.eval_job(seq, &p, key, &ctx)));
+                        }
+                    });
                 }
             }
-            for r in results {
-                tally.count(&r.outcome);
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                self.emit(out, &ServeResponse::Result(r))?;
-            }
         }
-        if let Some(w) = &self.wal {
+        drop(reply);
+        let tally = self.emit_in_order(slots, &arrivals, out).inspect_err(|_| {
+            ctx.abandoned.store(true, Ordering::SeqCst);
+        })?;
+
+        if let Some(w) = &sh.wal {
             w.commit()?;
         }
         self.emit(
@@ -480,31 +533,175 @@ impl Service {
         Ok(tally)
     }
 
-    /// Evaluate (or replay) one point. Runs on a worker thread; every
-    /// failure mode funnels into a typed outcome.
-    fn eval_point(
+    /// The per-batch reorder buffer: `slots[i]` is point `i`'s result
+    /// once known (cache hits start filled), and a result line goes out
+    /// as soon as every lower slot has gone out — so a slow first point
+    /// holds back the bytes behind it, never the workers.
+    fn emit_in_order(
         &self,
-        seq: u64,
-        p: &PointRequest,
-        key: &str,
-        cached: Option<&ServeOutcome>,
-        ctx: &EvalCtx<'_>,
-    ) -> ServeResult {
-        let result = |cached, attempts, outcome| ServeResult {
-            batch: p.batch.clone(),
-            point: seq,
-            key: key.to_string(),
-            cached,
-            attempts,
-            outcome,
-        };
-        if let Some(outcome) = cached {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return result(true, 0, outcome.clone());
+        mut slots: Vec<Option<ServeResult>>,
+        arrivals: &mpsc::Receiver<(usize, ServeResult)>,
+        out: &mut dyn Write,
+    ) -> io::Result<Tally> {
+        let mut tally = Tally::default();
+        let mut next = 0;
+        while next < slots.len() {
+            let Some(r) = slots[next].take() else {
+                // every job sends exactly one result (`eval_job` turns
+                // even an unwind into one), so the channel closing early
+                // would be a pool bug; fail the batch, not the server
+                let (slot, r) = arrivals
+                    .recv()
+                    .map_err(|_| io::Error::other("evaluation pool dropped a queued point"))?;
+                slots[slot] = Some(r);
+                continue;
+            };
+            tally.count(&r.outcome);
+            self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            self.emit(out, &ServeResponse::Result(r))?;
+            next += 1;
         }
+        Ok(tally)
+    }
+
+    /// Graceful drain: evaluate everything still queued (every batch,
+    /// admission order), flush the WAL, and emit the final `status`
+    /// record. New points arriving after this are shed.
+    pub fn shutdown(&self, out: &mut dyn Write) -> io::Result<()> {
+        self.drain(None, out)
+    }
+
+    /// Drain: set the draining flag, evaluate queued points — every
+    /// batch in admission order when `batches` is `None`, else exactly
+    /// the named batches (a socket connection drains its own batches
+    /// to its own stream on `SIGTERM`) — then emit a `status` record.
+    /// Concurrent drains are safe: the queue mutex hands each batch to
+    /// exactly one drainer.
+    pub fn drain(&self, batches: Option<&[String]>, out: &mut dyn Write) -> io::Result<()> {
+        self.shared.st().draining = true;
+        match batches {
+            Some(bs) => {
+                for b in bs {
+                    self.run_batch(b, None, None, out)?;
+                }
+            }
+            None => loop {
+                let Some(batch) = self.shared.st().queue.front().map(|(_, p)| p.batch.clone())
+                else {
+                    break;
+                };
+                self.run_batch(&batch, None, None, out)?;
+            },
+        }
+        if let Some(w) = &self.shared.wal {
+            w.commit()?;
+        }
+        self.emit(out, &ServeResponse::Status(self.snapshot()))
+    }
+
+    /// The socket listener's final drain, after the last connection is
+    /// gone: evaluate orphaned points (clients that disconnected with
+    /// work queued), emit the status record to `out` (stderr in the
+    /// binary — an operator must see what the drain completed, so it
+    /// never goes to a sink), and journal a copy of the status into
+    /// the WAL when one is configured.
+    pub fn drain_to_operator(&self, out: &mut dyn Write) -> io::Result<()> {
+        self.drain(None, out)?;
+        if let Some(w) = &self.shared.wal {
+            w.append(STATUS_KEY, &ServeResponse::Status(self.snapshot()).to_json())?;
+            w.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Current queue/worker/counter snapshot (the `health` answer).
+    pub fn snapshot(&self) -> HealthSnapshot {
+        let sh = &self.shared;
+        let (queue_depth, draining) = {
+            let st = sh.st();
+            (st.queue.len() as u64, st.draining)
+        };
+        let c = &sh.counters;
+        HealthSnapshot {
+            queue_depth,
+            queue_capacity: sh.cfg.queue_capacity as u64,
+            workers: self.workers as u64,
+            completed: c.completed.load(Ordering::Relaxed),
+            cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            shed: c.shed.load(Ordering::Relaxed),
+            degraded: c.degraded.load(Ordering::Relaxed),
+            retries: c.retries.load(Ordering::Relaxed),
+            timeouts: c.timeouts.load(Ordering::Relaxed),
+            panics: c.panics.load(Ordering::Relaxed),
+            wal_records: sh.wal.as_ref().map(|w| w.records()).unwrap_or(0),
+            clients: c.clients.load(Ordering::SeqCst),
+            busy: c.busy.load(Ordering::SeqCst),
+            draining,
+        }
+    }
+
+    fn answer(
+        &self,
+        out: &mut dyn Write,
+        p: &PointRequest,
+        seq: u64,
+        outcome: ServeOutcome,
+    ) -> io::Result<()> {
+        self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.emit(
+            out,
+            &ServeResponse::Result(ServeResult {
+                batch: p.batch.clone(),
+                point: seq,
+                key: p.key(),
+                cached: false,
+                attempts: 0,
+                outcome,
+            }),
+        )
+    }
+
+    fn emit(&self, out: &mut dyn Write, resp: &ServeResponse) -> io::Result<()> {
+        writeln!(out, "{}", resp.to_json())?;
+        out.flush()
+    }
+}
+
+impl Shared {
+    /// Lock the mutable state, tolerating poison: the guarded sections
+    /// never unwind mid-invariant (evaluation panics are caught on the
+    /// worker side of [`run_with_retry`], outside this lock).
+    fn st(&self) -> MutexGuard<'_, ServeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One pool job: evaluate a point, and turn a panic that escapes
+    /// the retry guard (nothing in `eval_point` should raise one) into
+    /// the same typed `Panicked` result an exhausted retry gives, so
+    /// the submitter always hears back.
+    fn eval_job(&self, seq: u64, p: &PointRequest, key: String, ctx: &BatchCtx) -> ServeResult {
+        catch_unwind(AssertUnwindSafe(|| self.eval_point(seq, p, &key, ctx))).unwrap_or_else(
+            |payload| {
+                self.counters.panics.fetch_add(1, Ordering::Relaxed);
+                ServeResult {
+                    batch: p.batch.clone(),
+                    point: seq,
+                    key,
+                    cached: false,
+                    attempts: 1,
+                    outcome: ServeOutcome::Panicked { message: panic_message(payload.as_ref()) },
+                }
+            },
+        )
+    }
+
+    /// Evaluate one uncached point on a pool worker: every failure mode
+    /// funnels into a typed outcome, and a cacheable outcome is
+    /// journaled, then cached, before it is handed back to be emitted.
+    fn eval_point(&self, seq: u64, p: &PointRequest, key: &str, ctx: &BatchCtx) -> ServeResult {
         let budget = p.budget.unwrap_or(self.cfg.default_budget);
         let cfg = p.open_loop();
-        let evaluated = run_with_retry(ctx.policy, p.net.seed, ctx.deadline, |_attempt| {
+        let evaluated = run_with_retry(&ctx.policy, p.net.seed, ctx.deadline, |_attempt| {
             self.maybe_chaos_panic(key);
             match measure_budgeted(&cfg, budget) {
                 Ok(Ok(r)) => Ok(Ok(r)),
@@ -555,8 +752,16 @@ impl Service {
                     eprintln!("noc-serve: WAL append failed for {key}: {e}");
                 }
             }
+            self.st().cache.insert(key.to_string(), outcome.clone());
         }
-        result(false, attempts, outcome)
+        ServeResult {
+            batch: p.batch.clone(),
+            point: seq,
+            key: key.to_string(),
+            cached: false,
+            attempts,
+            outcome,
+        }
     }
 
     /// Chaos injection: panic on the first `cfg.chaos` evaluation
@@ -571,106 +776,54 @@ impl Service {
             panic!("chaos: injected evaluation fault for {key}");
         }
     }
+}
 
-    /// Graceful drain: evaluate everything still queued (every batch,
-    /// admission order), flush the WAL, and emit the final `status`
-    /// record. New points arriving after this are shed.
-    pub fn shutdown(&self, out: &mut dyn Write) -> io::Result<()> {
-        self.drain(None, out)
-    }
+/// The analytic model's packet-size argument for a point.
+fn model_size(p: &PointRequest) -> SizeKind {
+    SizeKind::Fixed(p.packet_size.min(u16::MAX as u64) as u16)
+}
 
-    /// Drain: set the draining flag, evaluate queued points — every
-    /// batch in admission order when `batches` is `None`, else exactly
-    /// the named batches (a socket connection drains its own batches
-    /// to its own stream on `SIGTERM`) — then emit a `status` record.
-    /// Concurrent drains are safe: the queue mutex hands each batch to
-    /// exactly one drainer.
-    pub fn drain(&self, batches: Option<&[String]>, out: &mut dyn Write) -> io::Result<()> {
-        self.st().draining = true;
-        match batches {
-            Some(bs) => {
-                for b in bs {
-                    self.run_batch(b, None, None, out)?;
-                }
-            }
-            None => loop {
-                let Some(batch) = self.st().queue.front().map(|(_, p)| p.batch.clone()) else {
-                    break;
-                };
-                self.run_batch(&batch, None, None, out)?;
-            },
-        }
-        if let Some(w) = &self.wal {
-            w.commit()?;
-        }
-        self.emit(out, &ServeResponse::Status(self.snapshot()))
+/// Analytic admission control: when the point opted in and the model
+/// (at usable confidence) puts the requested load at or past effective
+/// saturation, answer the closed-form prediction now instead of
+/// spending a cycle budget discovering divergence. The model depends on
+/// the network (not its seed), the pattern and the packet size — never
+/// on the load — so a sweep builds it once per pattern through `memo`;
+/// a bare `point` line passes an empty memo and builds its own.
+///
+/// Pure-accelerator guarantee: interception depends only on the point
+/// itself (never on queue state), and a point *not* intercepted takes
+/// the identical path it would have taken with the flag off — so
+/// enabling the flag can only turn answers into `degraded` ones, never
+/// alter a non-degraded answer (property-tested in
+/// `tests/sweep_equiv.rs`). Mirroring `noc_analytic::sweep_pruned`,
+/// [`Confidence::Low`] disables the prune entirely.
+fn admission_prune(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcome> {
+    if !p.analytic_admission {
+        return None;
     }
+    let m = memo
+        .get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok())
+        .as_ref()?;
+    if matches!(m.confidence, Confidence::Low) || p.load < m.effective_saturation {
+        return None;
+    }
+    Some(ServeOutcome::Degraded {
+        predicted_latency: m.latency_at(p.load),
+        predicted_saturation: m.effective_saturation,
+        stable: false,
+    })
+}
 
-    /// The socket listener's final drain, after the last connection is
-    /// gone: evaluate orphaned points (clients that disconnected with
-    /// work queued), emit the status record to `out` (stderr in the
-    /// binary — an operator must see what the drain completed, so it
-    /// never goes to a sink), and journal a copy of the status into
-    /// the WAL when one is configured.
-    pub fn drain_to_operator(&self, out: &mut dyn Write) -> io::Result<()> {
-        self.drain(None, out)?;
-        if let Some(w) = &self.wal {
-            w.append(STATUS_KEY, &ServeResponse::Status(self.snapshot()).to_json())?;
-            w.commit()?;
-        }
-        Ok(())
-    }
-
-    /// Current queue/worker/counter snapshot (the `health` answer).
-    pub fn snapshot(&self) -> HealthSnapshot {
-        let (queue_depth, draining) = {
-            let st = self.st();
-            (st.queue.len() as u64, st.draining)
-        };
-        let c = &self.counters;
-        HealthSnapshot {
-            queue_depth,
-            queue_capacity: self.cfg.queue_capacity as u64,
-            workers: self.workers as u64,
-            completed: c.completed.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-            panics: c.panics.load(Ordering::Relaxed),
-            wal_records: self.wal.as_ref().map(|w| w.records()).unwrap_or(0),
-            clients: c.clients.load(Ordering::SeqCst),
-            busy: c.busy.load(Ordering::SeqCst),
-            draining,
-        }
-    }
-
-    fn answer(
-        &self,
-        out: &mut dyn Write,
-        p: &PointRequest,
-        seq: u64,
-        outcome: ServeOutcome,
-    ) -> io::Result<()> {
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.emit(
-            out,
-            &ServeResponse::Result(ServeResult {
-                batch: p.batch.clone(),
-                point: seq,
-                key: p.key(),
-                cached: false,
-                attempts: 0,
-                outcome,
-            }),
-        )
-    }
-
-    fn emit(&self, out: &mut dyn Write, resp: &ServeResponse) -> io::Result<()> {
-        writeln!(out, "{}", resp.to_json())?;
-        out.flush()
-    }
+/// The degradation ladder's last rung before shedding: a static
+/// analytic prediction, tagged `degraded` on the wire.
+fn degraded_answer(p: &PointRequest) -> Option<ServeOutcome> {
+    let m = AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok()?;
+    Some(ServeOutcome::Degraded {
+        predicted_latency: m.latency_at(p.load),
+        predicted_saturation: m.effective_saturation,
+        stable: p.load < m.effective_saturation,
+    })
 }
 
 /// Admission-time validation: everything the evaluator would reject is
@@ -701,4 +854,71 @@ fn validate_point(p: &PointRequest) -> Result<(), ConfigError> {
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_eval::serve::parse_response;
+    use noc_sim::config::{NetConfig, TopologyKind};
+    use noc_traffic::PatternKind;
+
+    fn point(seed: u64) -> PointRequest {
+        PointRequest {
+            batch: "b".into(),
+            net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }).with_seed(seed),
+            pattern: PatternKind::Uniform,
+            packet_size: 1,
+            load: 0.1,
+            warmup: 100,
+            measure: 300,
+            drain_max: 5_000,
+            budget: None,
+            allow_degraded: false,
+            analytic_admission: false,
+        }
+    }
+
+    /// Submit and run `seeds` as one batch; `(key, cached, canonical
+    /// outcome)` per result line, in order.
+    fn run(svc: &Service, seeds: &[u64]) -> Vec<(String, bool, String)> {
+        let mut buf = Vec::new();
+        for &s in seeds {
+            svc.handle_line(&ServeRequest::Point(Box::new(point(s))).to_json(), &mut buf).unwrap();
+        }
+        let run = ServeRequest::Run { batch: "b".into(), max_attempts: None, deadline_ms: None };
+        svc.handle_line(&run.to_json(), &mut buf).unwrap();
+        String::from_utf8(buf)
+            .unwrap()
+            .lines()
+            .filter_map(|l| match parse_response(l).expect(l) {
+                ServeResponse::Result(r) => Some((r.key, r.cached, r.outcome.canonical())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_evicted_key_re_simulates_to_the_same_bytes() {
+        let wal = std::env::temp_dir().join(format!("noc_serve_evict_{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&wal);
+        // one worker, so insertion order is submission order
+        let cfg = ServeConfig { workers: 1, wal: Some(wal.clone()), ..ServeConfig::default() };
+        let svc = Service::with_cache_cap(cfg.clone(), 2).unwrap();
+        let first = run(&svc, &[1, 2, 3]);
+        assert!(first.iter().all(|(_, cached, _)| !cached));
+        assert_eq!(svc.cached_results(), 2, "the third insert evicted the oldest");
+        // seed 3 is still resident; seed 1 was evicted and runs again
+        let again = run(&svc, &[3, 1]);
+        assert_eq!(again[0], (first[2].0.clone(), true, first[2].2.clone()));
+        assert_eq!(again[1], (first[0].0.clone(), false, first[0].2.clone()));
+        assert_eq!(svc.cached_results(), 2);
+        drop(svc);
+        // the journal now holds seed 1 twice; replay is last-record-wins
+        // under the same bound, and answers the same bytes
+        let resumed = Service::with_cache_cap(cfg, 2).unwrap();
+        assert_eq!(resumed.cached_results(), 2);
+        assert_eq!(run(&resumed, &[1]), vec![(first[0].0.clone(), true, first[0].2.clone())]);
+        let _ = std::fs::remove_file(&wal);
+    }
 }

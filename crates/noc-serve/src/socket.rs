@@ -31,7 +31,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use noc_eval::serve::{parse_request, ServeRequest, ServeResponse};
+use noc_eval::serve::ServeResponse;
 
 use crate::Service;
 
@@ -123,32 +123,20 @@ fn handle_connection(
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()), // client hung up
             Ok(_) => {
-                note_batch(&line, &mut batches);
-                if !service.handle_line(&line, &mut out)? {
+                let (alive, touched) = service.handle_line_noting(&line, &mut out)?;
+                if !alive {
                     stop.store(true, Ordering::SeqCst);
                     return Ok(());
+                }
+                if let Some(b) = touched {
+                    if !batches.contains(&b) {
+                        batches.push(b);
+                    }
                 }
                 line.clear();
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
             Err(_) => return Ok(()),
-        }
-    }
-}
-
-/// Record the batch a `point`/`sweep` line names, so a TERM drain can
-/// flush this connection's work to this connection. Unparseable lines
-/// are ignored here — [`Service::handle_line`] answers them with the
-/// typed error.
-fn note_batch(line: &str, batches: &mut Vec<String>) {
-    let batch = match parse_request(line.trim()) {
-        Ok(ServeRequest::Point(p)) => Some(p.batch),
-        Ok(ServeRequest::Sweep(s)) => Some(s.batch),
-        _ => None,
-    };
-    if let Some(b) = batch {
-        if !batches.contains(&b) {
-            batches.push(b);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! In-process tests of the full request path: admission, backpressure,
 //! degraded answers, deadlines, retry, WAL kill-resume, cancellation,
-//! and graceful drain.
+//! graceful drain, and the evaluation pool's ordering and lifetime.
 
 use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
+    SweepRequest,
 };
 use noc_serve::{RetryPolicy, ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
@@ -382,4 +383,148 @@ fn malformed_lines_get_typed_error_responses() {
     let errors: Vec<_> = text.lines().map(|l| parse_response(l).unwrap()).collect();
     assert_eq!(errors.len(), 2);
     assert!(errors.iter().all(|e| matches!(e, ServeResponse::Error { .. })));
+}
+
+#[test]
+fn an_oversized_sweep_gets_a_typed_error_and_the_service_keeps_serving() {
+    let mut svc = Service::new(quick_cfg()).unwrap();
+    let sweep = |seeds: u64| {
+        ServeRequest::Sweep(Box::new(SweepRequest {
+            batch: "big".into(),
+            net: point("big", 1, 0.1).net,
+            patterns: vec![PatternKind::Uniform],
+            loads: vec![0.1],
+            seeds,
+            packet_size: 1,
+            warmup: 200,
+            measure: 500,
+            drain_max: 5_000,
+            budget: None,
+            allow_degraded: false,
+            analytic_admission: false,
+            max_attempts: None,
+            deadline_ms: None,
+        }))
+    };
+    // the roadmap's crasher: the expansion would overflow `with_capacity`
+    let (resps, alive) = drive(&mut svc, &[sweep(4_000_000_000_000_000_000), sweep(2)]);
+    assert!(alive);
+    let ServeResponse::Error { reason } = &resps[0] else {
+        panic!("expected a typed error, got {:?}", resps[0])
+    };
+    assert!(reason.contains("expands to more than"), "{reason}");
+    assert_eq!(results(&resps).len(), 2, "the next sweep is answered normally");
+    assert!(matches!(resps.last(), Some(ServeResponse::SweepDone { expanded: 2, ok: 2, .. })));
+    assert_eq!(svc.snapshot().queue_depth, 0, "nothing of the rejected sweep was queued");
+}
+
+/// Collects a response stream, and at every flushed line for a freshly
+/// evaluated point checks that the point's WAL record is already on
+/// disk.
+struct JournaledFirst {
+    bytes: Vec<u8>,
+    wal: std::path::PathBuf,
+}
+
+impl std::io::Write for JournaledFirst {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let text = std::str::from_utf8(&self.bytes).unwrap();
+        let line = text.trim_end().rsplit('\n').next().unwrap();
+        if let Ok(ServeResponse::Result(r)) = parse_response(line) {
+            if !r.cached {
+                let journal = std::fs::read_to_string(&self.wal).unwrap();
+                assert!(
+                    journal.contains(&format!("{}\t", r.key)),
+                    "point {} was emitted before its WAL record",
+                    r.point
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn slow_first_point_ahead_of_cache_hits_streams_identically_at_any_worker_count() {
+    // near saturation with a long window: many times the work of the rest
+    let slow = PointRequest { measure: 20_000, ..point("b", 900, 0.4) };
+    let fast: Vec<_> = (0..4).map(|i| point("b", 901 + i, 0.1)).collect();
+    let late = point("b", 990, 0.12);
+    let streams: Vec<Vec<u8>> = [1, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let wal = tmp(&format!("reorder{workers}.wal"));
+            let mut svc =
+                Service::new(ServeConfig { workers, wal: Some(wal.clone()), ..quick_cfg() })
+                    .unwrap();
+            assert_eq!(svc.workers(), workers);
+            // answer the fast points once, so the batch under test finds
+            // them in the cache
+            let warm: Vec<ServeRequest> = fast
+                .iter()
+                .map(|p| {
+                    ServeRequest::Point(Box::new(PointRequest {
+                        batch: "warm".into(),
+                        ..p.clone()
+                    }))
+                })
+                .chain([run_req("warm")])
+                .collect();
+            drive(&mut svc, &warm);
+            let mut out = JournaledFirst { bytes: Vec::new(), wal: wal.clone() };
+            for p in [&slow].into_iter().chain(&fast).chain([&late]) {
+                svc.handle_line(&ServeRequest::Point(Box::new(p.clone())).to_json(), &mut out)
+                    .unwrap();
+            }
+            svc.handle_line(&run_req("b").to_json(), &mut out).unwrap();
+            let _ = std::fs::remove_file(&wal);
+            out.bytes
+        })
+        .collect();
+    let text = String::from_utf8(streams[0].clone()).unwrap();
+    let rs = results(&text.lines().map(|l| parse_response(l).expect(l)).collect::<Vec<_>>());
+    let seqs: Vec<u64> = rs.iter().map(|r| r.point).collect();
+    assert_eq!(seqs, [0, 1, 2, 3, 4, 5], "results leave in submission order");
+    let cached: Vec<bool> = rs.iter().map(|r| r.cached).collect();
+    assert_eq!(cached, [false, true, true, true, true, false]);
+    assert!(text.lines().last().unwrap().contains("batch-done"));
+    assert_eq!(streams[0], streams[1], "1 worker vs 2");
+    assert_eq!(streams[0], streams[2], "1 worker vs 4");
+}
+
+/// A stream whose reader is gone.
+struct HungUp;
+
+impl std::io::Write for HungUp {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn dropping_a_service_with_jobs_still_queued_joins_cleanly() {
+    for round in 0..50u64 {
+        let svc = Service::new(ServeConfig { workers: 1, ..quick_cfg() }).unwrap();
+        if round % 2 == 0 {
+            // the first result line fails to send while the one worker
+            // still has three of the batch's jobs queued behind it
+            for i in 0..4 {
+                let p = point("b", 2_000 + 4 * round + i, 0.1);
+                svc.handle_line(&ServeRequest::Point(Box::new(p)).to_json(), &mut HungUp).unwrap();
+            }
+            let err = svc.handle_line(&run_req("b").to_json(), &mut HungUp).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        }
+        // the drop joins the pool: returning at all is the assertion
+        drop(svc);
+    }
 }
