@@ -87,21 +87,14 @@ fn main() {
 
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_scalability.json".into());
     if !path.is_empty() {
-        let mut out = String::from("{\n  \"schema\": \"noc-eval/scalability/v1\",\n");
-        out.push_str(&format!(
-            "  \"points\": {},\n  \"host_parallelism\": {},\n  \"identical_results\": {},\n  \"entries\": [\n",
-            points.len(),
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            identical
-        ));
-        for (i, (t, wall, speedup)) in entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {t}, \"wall_s\": {wall:.4}, \"speedup_vs_serial\": {speedup:.3}}}{}\n",
-                if i + 1 < entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        match std::fs::write(&path, out) {
+        let report = noc_bench::ScalabilityReport {
+            points: points.len(),
+            host_parallelism: std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get),
+            identical_results: identical,
+            entries,
+        };
+        match std::fs::write(&path, report.to_json()) {
             Ok(()) => println!("wrote {path}"),
             Err(err) => eprintln!("could not write {path}: {err}"),
         }

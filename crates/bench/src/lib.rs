@@ -17,3 +17,36 @@ pub fn effort_from_args() -> Effort {
         Effort::paper()
     })
 }
+
+/// Thread-scaling report (`BENCH_scalability.json`, schema
+/// `noc-eval/scalability/v1`) as the `scalability` bin measures it.
+#[derive(Debug, Clone)]
+pub struct ScalabilityReport {
+    /// Grid points timed at every thread count.
+    pub points: usize,
+    /// Hardware threads the host reported.
+    pub host_parallelism: usize,
+    /// Whether every thread count reproduced the serial results.
+    pub identical_results: bool,
+    /// `(threads, wall seconds, speedup vs serial)` in run order.
+    pub entries: Vec<(usize, f64, f64)>,
+}
+
+impl ScalabilityReport {
+    /// Serialize to the `BENCH_scalability.json` schema.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n  \"schema\": \"noc-eval/scalability/v1\",\n");
+        out.push_str(&format!(
+            "  \"points\": {},\n  \"host_parallelism\": {},\n  \"identical_results\": {},\n  \"entries\": [\n",
+            self.points, self.host_parallelism, self.identical_results
+        ));
+        for (i, (t, wall, speedup)) in self.entries.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"threads\": {t}, \"wall_s\": {wall:.4}, \"speedup_vs_serial\": {speedup:.3}}}{}\n",
+                if i + 1 < self.entries.len() { "," } else { "" }
+            ));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+}

@@ -1,0 +1,516 @@
+//! Golden wire bytes for every schema this crate emits.
+//!
+//! Each case pins the literal text one value serializes to, so "the
+//! bytes did not change" is a fact that holds across commits rather
+//! than an in-tree round trip: a refactor of the emitters or parsers
+//! must leave this file untouched and still pass it. Lines are also fed
+//! back through the parsers, which pins that files and WAL records
+//! written by an earlier revision still read as the same values.
+
+use noc_eval::analytic::{analytic_to_json, parse_analytic_json, AnalyticPoint, AnalyticStudy};
+use noc_eval::figures::{
+    metrics_to_json, parse_metrics_json, parse_resilience_json, resilience_to_json,
+    ResilienceCurve, ResilienceFigure, SimSpeedReport, SpeedBaseline, SpeedEntry,
+};
+use noc_eval::serve::{
+    parse_request, parse_response, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest,
+    ServeResponse, ServeResult, SweepRequest,
+};
+use noc_fault::ResiliencePoint;
+use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
+use noc_sim::{ChannelMetrics, MetricsSnapshot, RouterMetrics};
+use noc_stats::{OnlineStats, Ratio, TimeSeries};
+use noc_traffic::PatternKind;
+
+/// Quotes, a backslash, a solidus, every short escape, control bytes
+/// that only have a `\u` form, a two-byte and a four-byte code point.
+const NASTY: &str = "q\"b\\s/n\nr\rt\tb\u{8}f\u{c}c\u{1}é😀";
+
+fn point() -> PointRequest {
+    PointRequest {
+        batch: NASTY.into(),
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }).with_seed(42),
+        pattern: PatternKind::Uniform,
+        packet_size: 1,
+        load: 0.2,
+        warmup: 1_000,
+        measure: 3_000,
+        drain_max: 20_000,
+        budget: Some(200_000),
+        allow_degraded: true,
+        analytic_admission: false,
+    }
+}
+
+fn sweep() -> SweepRequest {
+    SweepRequest {
+        batch: "sw".into(),
+        net: NetConfig::baseline().with_topology(TopologyKind::Torus2D { k: 8 }).with_seed(99),
+        patterns: vec![PatternKind::Uniform, PatternKind::Hotspot { node: 5, frac: 0.25 }],
+        loads: vec![0.05, 0.1, 1e-7],
+        seeds: 2,
+        packet_size: 4,
+        warmup: 500,
+        measure: 1_000,
+        drain_max: 10_000,
+        budget: Some(100_000),
+        allow_degraded: true,
+        analytic_admission: true,
+        max_attempts: Some(2),
+        deadline_ms: Some(1_500),
+    }
+}
+
+/// `value` emits exactly `want`, and `want` parses back to a request
+/// that emits the same bytes again.
+fn pin_request(value: &ServeRequest, want: &str) {
+    assert_eq!(value.to_json(), want);
+    let back = parse_request(want).unwrap_or_else(|e| panic!("{want}: {e}"));
+    assert_eq!(back.to_json(), want, "parse then emit is the identity");
+}
+
+#[test]
+fn request_lines_are_pinned() {
+    pin_request(
+        &ServeRequest::Point(Box::new(point())),
+        r#"{"schema": "noc-eval/serve/v1", "req": "point", "batch": "q\"b\\s/n\nr\rt\tb\u0008f\u000cc\u0001é😀", "topology": "mesh4", "routing": "dor", "arb": "rr", "vcs": 2, "vc_buf": 4, "router_delay": 1, "pattern": "uniform", "packet_size": 1, "load": 0.2, "warmup": 1000, "measure": 3000, "drain_max": 20000, "seed": 42, "budget": 200000, "allow_degraded": true, "analytic_admission": false}"#,
+    );
+    let mut p = point();
+    p.batch = "b".into();
+    p.net = NetConfig {
+        topology: TopologyKind::FoldedTorus2D { k: 4 },
+        routing: RoutingKind::MinAdaptive,
+        arbitration: Arbitration::AgeBased,
+        vcs: 4,
+        vc_buf: 16,
+        router_delay: 8,
+        seed: u64::MAX,
+        ..NetConfig::baseline()
+    };
+    p.pattern = PatternKind::Hotspot { node: 5, frac: 0.25 };
+    p.load = 5e-324;
+    p.budget = None;
+    p.allow_degraded = false;
+    p.analytic_admission = true;
+    pin_request(
+        &ServeRequest::Point(Box::new(p)),
+        r#"{"schema": "noc-eval/serve/v1", "req": "point", "batch": "b", "topology": "ftorus4", "routing": "ma", "arb": "age", "vcs": 4, "vc_buf": 16, "router_delay": 8, "pattern": "hotspot:5:0.25", "packet_size": 1, "load": 5e-324, "warmup": 1000, "measure": 3000, "drain_max": 20000, "seed": 18446744073709551615, "allow_degraded": false, "analytic_admission": true}"#,
+    );
+    pin_request(
+        &ServeRequest::Sweep(Box::new(sweep())),
+        r#"{"schema": "noc-eval/serve/v1", "req": "sweep", "batch": "sw", "topology": "torus8", "routing": "dor", "arb": "rr", "vcs": 2, "vc_buf": 4, "router_delay": 1, "patterns": ["uniform", "hotspot:5:0.25"], "loads": [0.05, 0.1, 1e-7], "seeds": 2, "packet_size": 4, "warmup": 500, "measure": 1000, "drain_max": 10000, "seed": 99, "budget": 100000, "allow_degraded": true, "analytic_admission": true, "max_attempts": 2, "deadline_ms": 1500}"#,
+    );
+    let mut s = sweep();
+    s.net.topology = TopologyKind::Ring { n: 64 };
+    s.net.routing = RoutingKind::Valiant;
+    s.patterns = vec![PatternKind::BitComplement];
+    s.loads = vec![0.3];
+    s.budget = None;
+    s.allow_degraded = false;
+    s.analytic_admission = false;
+    s.max_attempts = None;
+    s.deadline_ms = None;
+    pin_request(
+        &ServeRequest::Sweep(Box::new(s)),
+        r#"{"schema": "noc-eval/serve/v1", "req": "sweep", "batch": "sw", "topology": "ring64", "routing": "val", "arb": "rr", "vcs": 2, "vc_buf": 4, "router_delay": 1, "patterns": ["bitcomp"], "loads": [0.3], "seeds": 2, "packet_size": 4, "warmup": 500, "measure": 1000, "drain_max": 10000, "seed": 99, "allow_degraded": false, "analytic_admission": false}"#,
+    );
+    pin_request(
+        &ServeRequest::Run {
+            batch: "b\"1".into(),
+            max_attempts: Some(u32::MAX),
+            deadline_ms: Some(u64::MAX),
+        },
+        r#"{"schema": "noc-eval/serve/v1", "req": "run", "batch": "b\"1", "max_attempts": 4294967295, "deadline_ms": 18446744073709551615}"#,
+    );
+    pin_request(
+        &ServeRequest::Run { batch: "b1".into(), max_attempts: None, deadline_ms: None },
+        r#"{"schema": "noc-eval/serve/v1", "req": "run", "batch": "b1"}"#,
+    );
+    pin_request(
+        &ServeRequest::Cancel { batch: "b1".into() },
+        r#"{"schema": "noc-eval/serve/v1", "req": "cancel", "batch": "b1"}"#,
+    );
+    pin_request(&ServeRequest::Health, r#"{"schema": "noc-eval/serve/v1", "req": "health"}"#);
+    pin_request(&ServeRequest::Shutdown, r#"{"schema": "noc-eval/serve/v1", "req": "shutdown"}"#);
+}
+
+/// `value` emits exactly `want`, and `want` parses back to `value`.
+fn pin_response(value: &ServeResponse, want: &str) {
+    assert_eq!(value.to_json(), want);
+    let back = parse_response(want).unwrap_or_else(|e| panic!("{want}: {e}"));
+    assert_eq!(&back, value, "{want}");
+}
+
+/// A result line around `outcome`: the canonical fragment is embedded
+/// verbatim, and on its own (the WAL payload) it parses back to the
+/// same outcome and the same bytes.
+fn pin_result(outcome: ServeOutcome, canonical: &str) {
+    assert_eq!(outcome.canonical(), canonical);
+    let back = ServeOutcome::parse(canonical).unwrap_or_else(|e| panic!("{canonical}: {e}"));
+    assert_eq!(back.canonical(), canonical, "a WAL record replays to the bytes it was written as");
+    let result = ServeResult {
+        batch: "b1".into(),
+        point: u64::MAX,
+        key: "00000000000000ff:0000000000000001".into(),
+        cached: false,
+        attempts: 2,
+        outcome,
+    };
+    let want = format!(
+        "{{\"schema\": \"noc-eval/serve/v1\", \"resp\": \"result\", \"batch\": \"b1\", \
+         \"point\": 18446744073709551615, \"key\": \"00000000000000ff:0000000000000001\", \
+         \"cached\": false, \"attempts\": 2, {canonical}}}"
+    );
+    // compare bit patterns through the canonical bytes: -0.0 == 0.0
+    // under PartialEq, the emitted text tells them apart
+    assert_eq!(result.to_json(), want);
+    let ServeResponse::Result(back) = parse_response(&want).unwrap() else {
+        panic!("expected a result for {want}")
+    };
+    assert_eq!(back.to_json(), want);
+}
+
+#[test]
+fn result_lines_are_pinned_for_every_outcome() {
+    pin_result(
+        ServeOutcome::Ok {
+            avg_latency: 5e-324, // the smallest subnormal
+            throughput: -0.0,
+            stable: true,
+            measured: u64::MAX,
+            cycles: 9_007_199_254_740_993, // 2^53 + 1
+        },
+        r#""outcome": "ok", "avg_latency": 5e-324, "throughput": -0.0, "stable": true, "measured": 18446744073709551615, "cycles": 9007199254740993"#,
+    );
+    pin_result(
+        ServeOutcome::Ok {
+            avg_latency: 17.208333333333332,
+            throughput: 0.1 + 0.2,
+            stable: false,
+            measured: 15_990,
+            cycles: 1_287,
+        },
+        r#""outcome": "ok", "avg_latency": 17.208333333333332, "throughput": 0.30000000000000004, "stable": false, "measured": 15990, "cycles": 1287"#,
+    );
+    pin_result(
+        ServeOutcome::Degraded {
+            predicted_latency: None,
+            predicted_saturation: 0.3125,
+            stable: false,
+        },
+        r#""outcome": "degraded", "degraded": true, "predicted_latency": null, "predicted_saturation": 0.3125, "stable": false"#,
+    );
+    pin_result(
+        ServeOutcome::Degraded {
+            predicted_latency: Some(1.7976931348623157e308),
+            predicted_saturation: 1e-6,
+            stable: true,
+        },
+        r#""outcome": "degraded", "degraded": true, "predicted_latency": 1.7976931348623157e308, "predicted_saturation": 1e-6, "stable": true"#,
+    );
+    pin_result(
+        ServeOutcome::Timeout { budget: u64::MAX, wall: true },
+        r#""outcome": "timeout", "budget": 18446744073709551615, "wall": true"#,
+    );
+    pin_result(
+        ServeOutcome::Shed { reason: NASTY.into() },
+        r#""outcome": "shed", "reason": "q\"b\\s/n\nr\rt\tb\u0008f\u000cc\u0001é😀""#,
+    );
+    pin_result(
+        ServeOutcome::Panicked { message: "index out of bounds: \u{0}\u{1f}".into() },
+        r#""outcome": "panicked", "message": "index out of bounds: \u0000\u001f""#,
+    );
+    pin_result(
+        ServeOutcome::Invalid { reason: "vc_buf: must be >= 1 flit".into() },
+        r#""outcome": "invalid", "reason": "vc_buf: must be >= 1 flit""#,
+    );
+}
+
+fn health() -> HealthSnapshot {
+    HealthSnapshot {
+        queue_depth: 3,
+        queue_capacity: 256,
+        workers: 4,
+        completed: u64::MAX,
+        cache_hits: 20,
+        shed: 2,
+        degraded: 1,
+        retries: 5,
+        timeouts: 1,
+        panics: 1,
+        wal_records: 99,
+        clients: 3,
+        busy: 1,
+        draining: true,
+    }
+}
+
+#[test]
+fn control_responses_are_pinned() {
+    pin_response(
+        &ServeResponse::BatchDone { batch: "b\"1".into(), points: 8, ok: 6 },
+        r#"{"schema": "noc-eval/serve/v1", "resp": "batch-done", "batch": "b\"1", "points": 8, "ok": 6}"#,
+    );
+    pin_response(
+        &ServeResponse::SweepDone {
+            batch: "sw".into(),
+            expanded: 12,
+            ok: 8,
+            degraded: 2,
+            shed: 1,
+            invalid: 1,
+            timeout: 0,
+        },
+        r#"{"schema": "noc-eval/serve/v1", "resp": "sweep-done", "batch": "sw", "expanded": 12, "ok": 8, "degraded": 2, "shed": 1, "invalid": 1, "timeout": 0}"#,
+    );
+    pin_response(
+        &ServeResponse::Cancelled { batch: "b1".into(), dropped: 5 },
+        r#"{"schema": "noc-eval/serve/v1", "resp": "cancelled", "batch": "b1", "dropped": 5}"#,
+    );
+    pin_response(
+        &ServeResponse::Busy { active: 8, max: 8 },
+        r#"{"schema": "noc-eval/serve/v1", "resp": "busy", "active": 8, "max": 8}"#,
+    );
+    pin_response(
+        &ServeResponse::Health(health()),
+        r#"{"schema": "noc-eval/serve/v1", "resp": "health", "queue_depth": 3, "queue_capacity": 256, "workers": 4, "completed": 18446744073709551615, "cache_hits": 20, "shed": 2, "degraded": 1, "retries": 5, "timeouts": 1, "panics": 1, "wal_records": 99, "clients": 3, "busy": 1, "draining": true}"#,
+    );
+    pin_response(
+        &ServeResponse::Status(HealthSnapshot { draining: false, ..health() }),
+        r#"{"schema": "noc-eval/serve/v1", "resp": "status", "queue_depth": 3, "queue_capacity": 256, "workers": 4, "completed": 18446744073709551615, "cache_hits": 20, "shed": 2, "degraded": 1, "retries": 5, "timeouts": 1, "panics": 1, "wal_records": 99, "clients": 3, "busy": 1, "draining": false}"#,
+    );
+    pin_response(
+        &ServeResponse::Error { reason: NASTY.into() },
+        r#"{"schema": "noc-eval/serve/v1", "resp": "error", "reason": "q\"b\\s/n\nr\rt\tb\u0008f\u000cc\u0001é😀"}"#,
+    );
+    // a status line journaled before `clients`/`busy` existed still reads
+    let old = r#"{"schema": "noc-eval/serve/v1", "resp": "status", "queue_depth": 0, "queue_capacity": 4, "workers": 1, "completed": 2, "cache_hits": 0, "shed": 0, "degraded": 0, "retries": 0, "timeouts": 0, "panics": 0, "wal_records": 2, "draining": true}"#;
+    let ServeResponse::Status(h) = parse_response(old).unwrap() else { panic!("status") };
+    assert_eq!((h.clients, h.busy, h.completed, h.draining), (0, 0, 2, true));
+}
+
+fn series(bin: u64, weights: &[(u64, f64)]) -> TimeSeries {
+    let mut s = TimeSeries::new(bin);
+    for &(cycle, w) in weights {
+        s.push(cycle, w);
+    }
+    s
+}
+
+fn occupancy(samples: &[f64]) -> OnlineStats {
+    let mut o = OnlineStats::new();
+    for &x in samples {
+        o.push(x);
+    }
+    o
+}
+
+#[test]
+fn metrics_document_is_pinned() {
+    let snap = MetricsSnapshot {
+        bin_width: 4,
+        cycles: 8,
+        channels: vec![
+            ChannelMetrics {
+                src: 0,
+                port: 1,
+                dst: 1,
+                total: 5,
+                flits: series(4, &[(0, 1.0), (1, 1.0), (5, 3.0)]),
+            },
+            ChannelMetrics { src: 1, port: 2, dst: 0, total: 0, flits: TimeSeries::new(4) },
+        ],
+        routers: vec![
+            RouterMetrics {
+                id: 0,
+                occupancy: occupancy(&[0.0, 1.0, 2.0]),
+                credit_stalls: 7,
+                sa_conflicts: 2,
+                va_blocked: 1,
+            },
+            RouterMetrics {
+                id: 1,
+                occupancy: OnlineStats::new(),
+                credit_stalls: 0,
+                sa_conflicts: 0,
+                va_blocked: 0,
+            },
+        ],
+        occupancy: TimeSeries::new(4),
+        injected: TimeSeries::new(4),
+        credit_stalls: TimeSeries::new(4),
+        sa_conflicts: TimeSeries::new(4),
+        flits_injected: 6,
+        link_flits: 5,
+    };
+    let want = r#"{
+  "schema": "noc-eval/metrics/v1",
+  "bin_width": 4,
+  "cycles": 8,
+  "flits_injected": 6,
+  "link_flits": 5,
+  "channels": [
+    {"src": 0, "port": 1, "dst": 1, "total": 5, "peak_rate": 0.7500, "peak_at": 4, "rates": [0.5000, 0.7500]},
+    {"src": 1, "port": 2, "dst": 0, "total": 0, "peak_rate": 0.0000, "peak_at": 0, "rates": []}
+  ],
+  "routers": [
+    {"id": 0, "mean_occupancy": 1.0000, "max_occupancy": 2.0, "credit_stalls": 7, "sa_conflicts": 2, "va_blocked": 1},
+    {"id": 1, "mean_occupancy": 0.0000, "max_occupancy": 0.0, "credit_stalls": 0, "sa_conflicts": 0, "va_blocked": 0}
+  ]
+}
+"#;
+    assert_eq!(metrics_to_json(&snap), want);
+    let parsed = parse_metrics_json(want).unwrap();
+    assert_eq!(
+        (parsed.bin_width, parsed.cycles, parsed.flits_injected, parsed.link_flits),
+        (4, 8, 6, 5)
+    );
+    assert_eq!(parsed.channels, vec![(0, 1, 1, 5), (1, 2, 0, 0)]);
+}
+
+#[test]
+fn analytic_document_is_pinned() {
+    let point = |label: &str, certified: bool, predicted: f64| AnalyticPoint {
+        label: label.into(),
+        certified,
+        ideal: 0.5,
+        predicted,
+        measured_lo: 0.37,
+        measured_hi: 0.39,
+        rel_err: 0.0123456789,
+    };
+    let study = AnalyticStudy {
+        latency_cap: 300.0,
+        points: vec![point("mesh4/uniform", true, 0.395), point("torus8/tornado", false, 0.1)],
+        r: Some(0.98765432),
+        max_rel_err: 0.0123456789,
+        mean_rel_err: 0.01,
+    };
+    let want = r#"{
+  "schema": "noc-eval/analytic/v1",
+  "latency_cap": 300,
+  "r": 0.987654,
+  "max_rel_err": 0.012346,
+  "mean_rel_err": 0.010000,
+  "points": [
+    {"label": "mesh4/uniform", "certified": true, "ideal": 0.500000, "predicted": 0.395000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346},
+    {"label": "torus8/tornado", "certified": false, "ideal": 0.500000, "predicted": 0.100000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346}
+  ]
+}
+"#;
+    assert_eq!(analytic_to_json(&study), want);
+    let parsed = parse_analytic_json(want).unwrap();
+    assert_eq!(parsed.latency_cap, 300.0);
+    assert_eq!(parsed.r, Some(0.987654));
+    assert_eq!((parsed.max_rel_err, parsed.mean_rel_err), (0.012346, 0.01));
+    let rows: Vec<_> =
+        parsed.points.iter().map(|p| (&*p.label, p.certified, p.predicted)).collect();
+    assert_eq!(rows, vec![("mesh4/uniform", true, 0.395), ("torus8/tornado", false, 0.1)]);
+
+    let no_r = AnalyticStudy { r: None, points: vec![point("one", true, 0.25)], ..study };
+    let want = r#"{
+  "schema": "noc-eval/analytic/v1",
+  "latency_cap": 300,
+  "r": null,
+  "max_rel_err": 0.012346,
+  "mean_rel_err": 0.010000,
+  "points": [
+    {"label": "one", "certified": true, "ideal": 0.500000, "predicted": 0.250000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346}
+  ]
+}
+"#;
+    assert_eq!(analytic_to_json(&no_r), want);
+    assert_eq!(parse_analytic_json(want).unwrap().r, None);
+}
+
+#[test]
+fn resilience_document_is_pinned() {
+    let point = |mtbf: u64, num: u64| ResiliencePoint {
+        mtbf,
+        mttr: mtbf / 8,
+        availability: 0.987654321,
+        delivered: Ratio::new(num, 1_000),
+        retransmissions: 12,
+        abandoned: 0,
+        link_replays: 3,
+        replay_drops: 1,
+        epochs: 6,
+        recovery_cycles: 250,
+        avg_latency: 21.23456,
+        digest: u64::MAX,
+        cycles: 4_000,
+    };
+    let fig = ResilienceFigure {
+        curves: vec![
+            ResilienceCurve {
+                mode: "none".into(),
+                points: vec![point(400, 990), point(800, 1_000)],
+                failed_points: 0,
+            },
+            ResilienceCurve { mode: "e2e".into(), points: vec![], failed_points: 2 },
+        ],
+        axis: vec![(400, 50), (800, 100)],
+    };
+    let want = r#"{
+  "schema": "noc-eval/resilience/v1",
+  "axis_points": 2,
+  "curves": [
+    {"mode": "none", "failed_points": 0, "points": [
+      {"mtbf": 400, "mttr": 50, "availability": 0.987654, "delivered_num": 990, "delivered_den": 1000, "retransmissions": 12, "link_replays": 3, "replay_drops": 1, "epochs": 6, "recovery_cycles": 250, "avg_latency": 21.2346, "digest": 18446744073709551615, "cycles": 4000},
+      {"mtbf": 800, "mttr": 100, "availability": 0.987654, "delivered_num": 1000, "delivered_den": 1000, "retransmissions": 12, "link_replays": 3, "replay_drops": 1, "epochs": 6, "recovery_cycles": 250, "avg_latency": 21.2346, "digest": 18446744073709551615, "cycles": 4000}
+    ]},
+    {"mode": "e2e", "failed_points": 2, "points": [
+    ]}
+  ]
+}
+"#;
+    assert_eq!(resilience_to_json(&fig), want);
+    let parsed = parse_resilience_json(want).unwrap();
+    assert_eq!(
+        parsed.points,
+        vec![
+            ("none".to_string(), 400, 0.987654, 0.99, 250),
+            ("none".to_string(), 800, 0.987654, 1.0, 250)
+        ]
+    );
+}
+
+#[test]
+fn sim_speed_document_is_pinned() {
+    let report = SimSpeedReport {
+        threads: 4,
+        entries: vec![
+            SpeedEntry {
+                name: "openloop_mesh8".into(),
+                cycles: 24_000,
+                wall_s: 0.5,
+                cycles_per_sec: 48_000.0,
+            },
+            SpeedEntry {
+                name: "untracked".into(),
+                cycles: 7,
+                wall_s: 0.00012,
+                cycles_per_sec: 58_333.333,
+            },
+        ],
+    };
+    let want = r#"{
+  "schema": "noc-eval/sim-speed/v1",
+  "threads": 4,
+  "entries": [
+    {"name": "openloop_mesh8", "cycles": 24000, "wall_s": 0.5000, "cycles_per_sec": 48000, "baseline_cycles_per_sec": 27400, "speedup_vs_baseline": 1.752},
+    {"name": "untracked", "cycles": 7, "wall_s": 0.0001, "cycles_per_sec": 58333, "baseline_cycles_per_sec": null, "speedup_vs_baseline": null}
+  ]
+}
+"#;
+    assert_eq!(report.to_json(), want);
+    // the only public reader of this schema is the file baseline
+    let dir = std::env::temp_dir().join(format!("noc_eval_wire_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("BENCH_sim_speed.json");
+    std::fs::write(&path, want).unwrap();
+    let baseline = SpeedBaseline::load(path.to_str().unwrap());
+    assert_eq!(baseline.lookup("openloop_mesh8"), Some(48_000.0));
+    assert_eq!(baseline.lookup("untracked"), Some(58_333.0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
