@@ -7,6 +7,7 @@
 //! Every binary accepts an effort argument: `quick` (seconds, CI-sized)
 //! or `paper` (the default; the full reproduction scale).
 
+use noc_eval::json::{rows, Obj};
 use noc_eval::Effort;
 
 /// Parse the effort from `argv[1]`, defaulting to `paper`.
@@ -35,18 +36,18 @@ pub struct ScalabilityReport {
 impl ScalabilityReport {
     /// Serialize to the `BENCH_scalability.json` schema.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"noc-eval/scalability/v1\",\n");
-        out.push_str(&format!(
-            "  \"points\": {},\n  \"host_parallelism\": {},\n  \"identical_results\": {},\n  \"entries\": [\n",
-            self.points, self.host_parallelism, self.identical_results
-        ));
-        for (i, (t, wall, speedup)) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"threads\": {t}, \"wall_s\": {wall:.4}, \"speedup_vs_serial\": {speedup:.3}}}{}\n",
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let entries = self.entries.iter().map(|&(threads, wall, speedup)| {
+            Obj::new().val("threads", threads).fixed("wall_s", wall, 4).fixed(
+                "speedup_vs_serial",
+                speedup,
+                3,
+            )
+        });
+        Obj::document("noc-eval/scalability/v1")
+            .val("points", self.points)
+            .val("host_parallelism", self.host_parallelism)
+            .val("identical_results", self.identical_results)
+            .val("entries", rows(2, entries))
+            .finish()
     }
 }

@@ -4,8 +4,7 @@
 //! throughput with `noc-analytic`, measure it with `noc-openloop`'s
 //! bisection search, and report per-case relative errors plus the
 //! Pearson correlation. Results export to the `noc-eval/analytic/v1`
-//! JSON schema (hand-rolled emission, tolerant line-scanning parse —
-//! the same discipline as `noc-eval/metrics/v1`).
+//! JSON schema through the shared codec in [`crate::json`].
 
 use noc_analytic::AnalyticModel;
 use noc_openloop::{saturation_throughput, OpenLoopConfig, SweepPoint};
@@ -16,7 +15,7 @@ use noc_traffic::{PatternKind, SizeKind};
 use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
-use crate::figures::extract_num;
+use crate::json::{rows, Obj, Record};
 
 /// Schema tag emitted and required by this module.
 pub const ANALYTIC_SCHEMA: &str = "noc-eval/analytic/v1";
@@ -153,80 +152,49 @@ impl AnalyticStudy {
 /// Serialize a study to the `noc-eval/analytic/v1` schema: one point
 /// record per line so the parser (and grep) can scan line by line.
 pub fn analytic_to_json(s: &AnalyticStudy) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{ANALYTIC_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"latency_cap\": {},\n", s.latency_cap));
-    out.push_str(&format!(
-        "  \"r\": {},\n",
-        s.r.map(|r| format!("{r:.6}")).unwrap_or_else(|| "null".into())
-    ));
-    out.push_str(&format!("  \"max_rel_err\": {:.6},\n", s.max_rel_err));
-    out.push_str(&format!("  \"mean_rel_err\": {:.6},\n", s.mean_rel_err));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in s.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"certified\": {}, \"ideal\": {:.6}, \
-             \"predicted\": {:.6}, \"measured_lo\": {:.6}, \"measured_hi\": {:.6}, \
-             \"rel_err\": {:.6}}}{}\n",
-            p.label,
-            p.certified,
-            p.ideal,
-            p.predicted,
-            p.measured_lo,
-            p.measured_hi,
-            p.rel_err,
-            if i + 1 == s.points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let points = s.points.iter().map(|p| {
+        Obj::new()
+            .str("label", &p.label)
+            .val("certified", p.certified)
+            .fixed("ideal", p.ideal, 6)
+            .fixed("predicted", p.predicted, 6)
+            .fixed("measured_lo", p.measured_lo, 6)
+            .fixed("measured_hi", p.measured_hi, 6)
+            .fixed("rel_err", p.rel_err, 6)
+    });
+    Obj::document(ANALYTIC_SCHEMA)
+        .val("latency_cap", s.latency_cap)
+        .val("r", s.r.map_or("null".into(), |r| format!("{r:.6}")))
+        .fixed("max_rel_err", s.max_rel_err, 6)
+        .fixed("mean_rel_err", s.mean_rel_err, 6)
+        .val("points", rows(2, points))
+        .finish()
 }
 
-/// Extract a quoted string field from a JSON-ish line.
-fn extract_str<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    rest.split('"').next()
-}
-
-/// Tolerant parse of the `noc-eval/analytic/v1` schema: requires the
-/// schema header, then scans line by line. Returns an error string on
-/// any structural problem, never a panic.
+/// Parse the `noc-eval/analytic/v1` schema. Any structural problem —
+/// a foreign schema tag, a malformed line, a missing or mistyped
+/// field, no point records — is an error string, never a panic.
 pub fn parse_analytic_json(text: &str) -> Result<AnalyticStudy, String> {
-    if !text.contains(&format!("\"schema\": \"{ANALYTIC_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {ANALYTIC_SCHEMA})"));
-    }
-    let top = |key: &str| -> Result<f64, String> {
-        text.lines()
-            .filter(|l| !l.contains("\"label\""))
-            .find_map(|l| extract_num(l, &format!("\"{key}\": ")))
-            .ok_or_else(|| format!("missing top-level field \"{key}\""))
+    let doc = Record::parse(text)?;
+    doc.expect_schema(ANALYTIC_SCHEMA)?;
+    let point = |row: &Record<'_>| {
+        Ok(AnalyticPoint {
+            label: row.req("label")?,
+            certified: row.req("certified")?,
+            ideal: row.req("ideal")?,
+            predicted: row.req("predicted")?,
+            measured_lo: row.req("measured_lo")?,
+            measured_hi: row.req("measured_hi")?,
+            rel_err: row.req("rel_err")?,
+        })
     };
-    let latency_cap = top("latency_cap")?;
-    let max_rel_err = top("max_rel_err")?;
-    let mean_rel_err = top("mean_rel_err")?;
-    let r =
-        text.lines().filter(|l| !l.contains("\"label\"")).find_map(|l| extract_num(l, "\"r\": "));
-    let mut points = Vec::new();
-    for line in text.lines() {
-        let Some(label) = extract_str(line, "\"label\": \"") else { continue };
-        let num = |key: &str| {
-            extract_num(line, &format!("\"{key}\": "))
-                .ok_or_else(|| format!("malformed point record ({key}): {}", line.trim()))
-        };
-        points.push(AnalyticPoint {
-            label: label.to_string(),
-            certified: line.contains("\"certified\": true"),
-            ideal: num("ideal")?,
-            predicted: num("predicted")?,
-            measured_lo: num("measured_lo")?,
-            measured_hi: num("measured_hi")?,
-            rel_err: num("rel_err")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("schema header found but no point records parsed".into());
-    }
-    Ok(AnalyticStudy { latency_cap, points, r, max_rel_err, mean_rel_err })
+    Ok(AnalyticStudy {
+        latency_cap: doc.req("latency_cap")?,
+        points: doc.records("points")?.iter().map(point).collect::<Result<_, String>>()?,
+        r: doc.opt("r")?,
+        max_rel_err: doc.req("max_rel_err")?,
+        mean_rel_err: doc.req("mean_rel_err")?,
+    })
 }
 
 /// Overlay the model's predicted latency-load curve on measured sweep

@@ -2,11 +2,10 @@
 //! `noc-eval/metrics/v1` JSON schema, ASCII link-saturation heatmaps and
 //! timelines, and the transpose-vs-uniform showcase figure.
 //!
-//! The JSON follows the same discipline as `BENCH_sim_speed.json`: a
-//! schema-versioned header, one record per line, hand-rolled emission
-//! (the in-tree serde_json shim does not serialize), and a tolerant
-//! line-scanning parse that degrades with a reason instead of
-//! panicking.
+//! The JSON has the same shape as `BENCH_sim_speed.json` — a
+//! schema-versioned header, then one record per line — written and
+//! read through the shared codec in [`crate::json`]; a file that does
+//! not parse degrades with a reason instead of panicking.
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::NetConfig;
@@ -14,8 +13,8 @@ use noc_sim::{ChannelMetrics, MetricsSnapshot};
 use noc_traffic::PatternKind;
 use serde::{Deserialize, Serialize};
 
-use super::system::extract_num;
 use crate::effort::Effort;
+use crate::json::{rows, Obj, Record};
 
 /// Schema tag emitted and required by this module.
 pub const METRICS_SCHEMA: &str = "noc-eval/metrics/v1";
@@ -24,48 +23,37 @@ pub const METRICS_SCHEMA: &str = "noc-eval/metrics/v1";
 /// channel record per line, one router record per line, so the parser
 /// (and humans with grep) can scan it line by line.
 pub fn metrics_to_json(s: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{METRICS_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"bin_width\": {},\n", s.bin_width));
-    out.push_str(&format!("  \"cycles\": {},\n", s.cycles));
-    out.push_str(&format!("  \"flits_injected\": {},\n", s.flits_injected));
-    out.push_str(&format!("  \"link_flits\": {},\n", s.link_flits));
-    out.push_str("  \"channels\": [\n");
-    for (i, c) in s.channels.iter().enumerate() {
+    let channels = s.channels.iter().map(|c| {
         let (peak, peak_at) = c.peak();
-        let bins: Vec<String> = c.flits.rates().iter().map(|&(_, r)| format!("{:.4}", r)).collect();
-        out.push_str(&format!(
-            "    {{\"src\": {}, \"port\": {}, \"dst\": {}, \"total\": {}, \
-             \"peak_rate\": {:.4}, \"peak_at\": {}, \"rates\": [{}]}}{}\n",
-            c.src,
-            c.port,
-            c.dst,
-            c.total,
-            peak,
-            peak_at,
-            bins.join(", "),
-            if i + 1 == s.channels.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"routers\": [\n");
-    for (i, r) in s.routers.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": {}, \"mean_occupancy\": {:.4}, \"max_occupancy\": {:.1}, \
-             \"credit_stalls\": {}, \"sa_conflicts\": {}, \"va_blocked\": {}}}{}\n",
-            r.id,
-            r.occupancy.mean(),
-            r.occupancy.max().unwrap_or(0.0),
-            r.credit_stalls,
-            r.sa_conflicts,
-            r.va_blocked,
-            if i + 1 == s.routers.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Obj::new()
+            .val("src", c.src)
+            .val("port", c.port)
+            .val("dst", c.dst)
+            .val("total", c.total)
+            .fixed("peak_rate", peak, 4)
+            .val("peak_at", peak_at)
+            .arr("rates", c.flits.rates().iter().map(|&(_, r)| format!("{r:.4}")))
+    });
+    let routers = s.routers.iter().map(|r| {
+        Obj::new()
+            .val("id", r.id)
+            .fixed("mean_occupancy", r.occupancy.mean(), 4)
+            .fixed("max_occupancy", r.occupancy.max().unwrap_or(0.0), 1)
+            .val("credit_stalls", r.credit_stalls)
+            .val("sa_conflicts", r.sa_conflicts)
+            .val("va_blocked", r.va_blocked)
+    });
+    Obj::document(METRICS_SCHEMA)
+        .val("bin_width", s.bin_width)
+        .val("cycles", s.cycles)
+        .val("flits_injected", s.flits_injected)
+        .val("link_flits", s.link_flits)
+        .val("channels", rows(2, channels))
+        .val("routers", rows(2, routers))
+        .finish()
 }
 
-/// The subset of a metrics file the tolerant parser recovers — enough
+/// The subset of a metrics file the parser recovers — enough
 /// to validate conservation and find the hot channels.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParsedMetrics {
@@ -81,40 +69,20 @@ pub struct ParsedMetrics {
     pub channels: Vec<(usize, usize, usize, u64)>,
 }
 
-/// Tolerant parse of the `noc-eval/metrics/v1` schema: requires the
-/// schema header, then scans for key-value pairs line by line. Unknown
-/// surrounding fields are ignored; any structural problem returns an
-/// error string, never a panic.
+/// Parse the `noc-eval/metrics/v1` schema. Unknown fields are ignored;
+/// any structural problem returns an error string, never a panic.
 pub fn parse_metrics_json(text: &str) -> Result<ParsedMetrics, String> {
-    if !text.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {METRICS_SCHEMA})"));
-    }
-    let top = |key: &str| -> Result<u64, String> {
-        text.lines()
-            .find_map(|l| extract_num(l, &format!("\"{key}\": ")))
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("missing top-level field \"{key}\""))
-    };
-    let bin_width = top("bin_width")?;
-    let cycles = top("cycles")?;
-    let flits_injected = top("flits_injected")?;
-    let link_flits = top("link_flits")?;
-    let mut channels = Vec::new();
-    for line in text.lines() {
-        let Some(src) = extract_num(line, "\"src\": ") else { continue };
-        let (Some(port), Some(dst), Some(total)) = (
-            extract_num(line, "\"port\": "),
-            extract_num(line, "\"dst\": "),
-            extract_num(line, "\"total\": "),
-        ) else {
-            return Err(format!("malformed channel record: {}", line.trim()));
-        };
-        channels.push((src as usize, port as usize, dst as usize, total as u64));
-    }
-    if channels.is_empty() {
-        return Err("schema header found but no channel records parsed".into());
-    }
-    Ok(ParsedMetrics { bin_width, cycles, flits_injected, link_flits, channels })
+    let doc = Record::parse(text)?;
+    doc.expect_schema(METRICS_SCHEMA)?;
+    let channel =
+        |c: &Record<'_>| Ok((c.req("src")?, c.req("port")?, c.req("dst")?, c.req("total")?));
+    Ok(ParsedMetrics {
+        bin_width: doc.req("bin_width")?,
+        cycles: doc.req("cycles")?,
+        flits_injected: doc.req("flits_injected")?,
+        link_flits: doc.req("link_flits")?,
+        channels: doc.records("channels")?.iter().map(channel).collect::<Result<_, String>>()?,
+    })
 }
 
 /// Parse and check conservation: the per-channel totals must sum to the

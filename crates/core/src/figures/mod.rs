@@ -13,8 +13,6 @@ mod openloop;
 mod resilience;
 mod system;
 
-pub(crate) use system::extract_num;
-
 pub use closedloop::*;
 pub use correlation::*;
 pub use extensions::*;

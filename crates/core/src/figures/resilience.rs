@@ -3,11 +3,9 @@
 //! with one curve per [`RecoveryMode`] — so the link-level-retry vs.
 //! end-to-end-retransmission trade-off is a single picture.
 //!
-//! Export follows the `noc-eval/metrics/v1` discipline: a
-//! schema-versioned header (`noc-eval/resilience/v1`), one point
-//! record per line, hand-rolled emission (the in-tree serde_json shim
-//! does not serialize), and a tolerant line-scanning parse that
-//! degrades with a reason instead of panicking.
+//! Export has the `noc-eval/metrics/v1` shape: a schema-versioned
+//! header (`noc-eval/resilience/v1`), then one point record per line,
+//! through the shared codec in [`crate::json`].
 
 use noc_exp::PointOutcome;
 use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
@@ -15,9 +13,9 @@ use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
 use serde::{Deserialize, Serialize};
 
-use super::system::extract_num;
 use super::{render_curves, Curve};
 use crate::effort::Effort;
+use crate::json::{rows, Obj, Record};
 
 /// Schema tag emitted and required by this module.
 pub const RESILIENCE_SCHEMA: &str = "noc-eval/resilience/v1";
@@ -155,45 +153,35 @@ impl ResilienceFigure {
 /// point record per line so the parser (and humans with grep) can scan
 /// it line by line.
 pub fn resilience_to_json(fig: &ResilienceFigure) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{RESILIENCE_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"axis_points\": {},\n", fig.axis.len()));
-    out.push_str("  \"curves\": [\n");
-    for (ci, c) in fig.curves.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"failed_points\": {}, \"points\": [\n",
-            c.mode, c.failed_points
-        ));
-        for (i, p) in c.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"mtbf\": {}, \"mttr\": {}, \"availability\": {:.6}, \
-                 \"delivered_num\": {}, \"delivered_den\": {}, \"retransmissions\": {}, \
-                 \"link_replays\": {}, \"replay_drops\": {}, \"epochs\": {}, \
-                 \"recovery_cycles\": {}, \"avg_latency\": {:.4}, \"digest\": {}, \
-                 \"cycles\": {}}}{}\n",
-                p.mtbf,
-                p.mttr,
-                p.availability,
-                p.delivered.num,
-                p.delivered.den,
-                p.retransmissions,
-                p.link_replays,
-                p.replay_drops,
-                p.epochs,
-                p.recovery_cycles,
-                p.avg_latency,
-                p.digest,
-                p.cycles,
-                if i + 1 == c.points.len() { "" } else { "," },
-            ));
-        }
-        out.push_str(&format!("    ]}}{}\n", if ci + 1 == fig.curves.len() { "" } else { "," }));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let curves = fig.curves.iter().map(|c| {
+        let points = c.points.iter().map(|p| {
+            Obj::new()
+                .val("mtbf", p.mtbf)
+                .val("mttr", p.mttr)
+                .fixed("availability", p.availability, 6)
+                .val("delivered_num", p.delivered.num)
+                .val("delivered_den", p.delivered.den)
+                .val("retransmissions", p.retransmissions)
+                .val("link_replays", p.link_replays)
+                .val("replay_drops", p.replay_drops)
+                .val("epochs", p.epochs)
+                .val("recovery_cycles", p.recovery_cycles)
+                .fixed("avg_latency", p.avg_latency, 4)
+                .val("digest", p.digest)
+                .val("cycles", p.cycles)
+        });
+        Obj::new()
+            .str("mode", &c.mode)
+            .val("failed_points", c.failed_points)
+            .val("points", rows(4, points))
+    });
+    Obj::document(RESILIENCE_SCHEMA)
+        .val("axis_points", fig.axis.len())
+        .val("curves", rows(2, curves))
+        .finish()
 }
 
-/// The subset of a resilience file the tolerant parser recovers.
+/// The subset of a resilience file the parser recovers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParsedResilience {
     /// `(mode, mtbf, availability, delivered fraction, recovery_cycles)`
@@ -201,34 +189,21 @@ pub struct ParsedResilience {
     pub points: Vec<(String, u64, f64, f64, u64)>,
 }
 
-/// Tolerant parse of the `noc-eval/resilience/v1` schema: requires the
-/// schema header, then scans line by line. Any structural problem
+/// Parse the `noc-eval/resilience/v1` schema. Any structural problem
 /// returns an error string, never a panic.
 pub fn parse_resilience_json(text: &str) -> Result<ParsedResilience, String> {
-    if !text.contains(&format!("\"schema\": \"{RESILIENCE_SCHEMA}\"")) {
-        return Err(format!("unrecognized schema (expected {RESILIENCE_SCHEMA})"));
-    }
-    let mut mode = String::new();
+    let doc = Record::parse(text)?;
+    doc.expect_schema(RESILIENCE_SCHEMA)?;
     let mut points = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.trim().strip_prefix("{\"mode\": \"") {
-            mode = rest.chars().take_while(|&c| c != '"').collect();
-            continue;
+    for curve in doc.records("curves")? {
+        let mode: String = curve.req("mode")?;
+        for p in curve.req::<Vec<Record<'_>>>("points")? {
+            let (num, den): (u64, u64) = (p.req("delivered_num")?, p.req("delivered_den")?);
+            let delivered = if den == 0 { 1.0 } else { num as f64 / den as f64 };
+            let (mtbf, avail, recovery) =
+                (p.req("mtbf")?, p.req("availability")?, p.req("recovery_cycles")?);
+            points.push((mode.clone(), mtbf, avail, delivered, recovery));
         }
-        let Some(mtbf) = extract_num(line, "\"mtbf\": ") else { continue };
-        let (Some(avail), Some(num), Some(den), Some(recovery)) = (
-            extract_num(line, "\"availability\": "),
-            extract_num(line, "\"delivered_num\": "),
-            extract_num(line, "\"delivered_den\": "),
-            extract_num(line, "\"recovery_cycles\": "),
-        ) else {
-            return Err(format!("malformed point record: {}", line.trim()));
-        };
-        if mode.is_empty() {
-            return Err("point record before any curve header".into());
-        }
-        let delivered = if den == 0.0 { 1.0 } else { num / den };
-        points.push((mode.clone(), mtbf as u64, avail, delivered, recovery as u64));
     }
     if points.is_empty() {
         return Err("schema header found but no point records parsed".into());

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use super::correlation::validation_cmp;
 use crate::effort::Effort;
+use crate::json::{rows, Obj, Record};
 
 /// Fig 12: example corner-to-corner routes under DOR and VAL on the
 /// 8x8 mesh for the transpose-critical pair.
@@ -322,6 +323,9 @@ pub fn table4() -> String {
     out
 }
 
+/// Schema tag of `BENCH_sim_speed.json`.
+const SIM_SPEED_SCHEMA: &str = "noc-eval/sim-speed/v1";
+
 /// One engine-speed measurement: a named workload, how many cycles it
 /// simulated, and how long that took.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -511,25 +515,13 @@ impl SpeedBaseline {
         }
     }
 
-    /// Tolerant parse of the `noc-eval/sim-speed/v1` schema: scan for
-    /// `"name"`/`"cycles_per_sec"` key-value pairs rather than fully
-    /// deserializing, so unknown surrounding fields are ignored. (The
-    /// in-tree serde_json shim does not deserialize; the schema is flat
-    /// enough that scanning is exact for files we ourselves wrote.)
+    /// Parse the `noc-eval/sim-speed/v1` schema down to the
+    /// `(name, cycles_per_sec)` pairs; other fields are ignored.
     fn parse(text: &str) -> Result<Vec<(String, f64)>, String> {
-        if !text.contains("\"schema\": \"noc-eval/sim-speed/v1\"") {
-            return Err("unrecognized schema (expected noc-eval/sim-speed/v1)".into());
-        }
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let Some(name) = extract_str(line, "\"name\": \"") else { continue };
-            let Some(cps) = extract_num(line, "\"cycles_per_sec\": ") else { continue };
-            entries.push((name, cps));
-        }
-        if entries.is_empty() {
-            return Err("schema header found but no entries parsed".into());
-        }
-        Ok(entries)
+        let doc = Record::parse(text)?;
+        doc.expect_schema(SIM_SPEED_SCHEMA)?;
+        let entry = |e: &Record<'_>| Ok((e.req("name")?, e.req("cycles_per_sec")?));
+        doc.records("entries")?.iter().map(entry).collect()
     }
 
     /// Baseline cycles/sec for `name` under this source, if tracked.
@@ -555,20 +547,6 @@ impl SpeedBaseline {
             SpeedBaseline::Missing { why } => format!("no baseline ({why})"),
         }
     }
-}
-
-/// `prefix`-keyed quoted string value on `line`, if present.
-pub(crate) fn extract_str(line: &str, prefix: &str) -> Option<String> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// `prefix`-keyed number on `line`, if present and parseable.
-pub(crate) fn extract_num(line: &str, prefix: &str) -> Option<f64> {
-    let rest = &line[line.find(prefix)? + prefix.len()..];
-    let end =
-        rest.find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 impl SimSpeedReport {
@@ -602,28 +580,23 @@ impl SimSpeedReport {
         out
     }
 
-    /// Serialize to the `BENCH_sim_speed.json` schema. Hand-rolled
-    /// (the in-tree serde_json shim does not serialize); every value is
-    /// plain numbers/strings so the format is trivially stable.
+    /// Serialize to the `BENCH_sim_speed.json` schema.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"noc-eval/sim-speed/v1\",\n");
-        out.push_str(&format!("  \"threads\": {},\n  \"entries\": [\n", self.threads));
-        for (i, e) in self.entries.iter().enumerate() {
+        let entries = self.entries.iter().map(|e| {
             let base = Self::baseline(&e.name);
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cycles\": {}, \"wall_s\": {:.4}, \"cycles_per_sec\": {:.0}, \"baseline_cycles_per_sec\": {}, \"speedup_vs_baseline\": {}}}{}\n",
-                e.name,
-                e.cycles,
-                e.wall_s,
-                e.cycles_per_sec,
-                base.map(|b| format!("{b:.0}")).unwrap_or_else(|| "null".into()),
-                base.map(|b| format!("{:.3}", e.cycles_per_sec / b))
-                    .unwrap_or_else(|| "null".into()),
-                if i + 1 < self.entries.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+            let speedup = base.map(|b| format!("{:.3}", e.cycles_per_sec / b));
+            Obj::new()
+                .str("name", &e.name)
+                .val("cycles", e.cycles)
+                .fixed("wall_s", e.wall_s, 4)
+                .fixed("cycles_per_sec", e.cycles_per_sec, 0)
+                .val("baseline_cycles_per_sec", base.map_or("null".into(), |b| format!("{b:.0}")))
+                .val("speedup_vs_baseline", speedup.unwrap_or("null".into()))
+        });
+        Obj::document(SIM_SPEED_SCHEMA)
+            .val("threads", self.threads)
+            .val("entries", rows(2, entries))
+            .finish()
     }
 }
 

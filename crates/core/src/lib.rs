@@ -21,8 +21,10 @@
 //!   `noc-eval/analytic/v1` JSON, plus predicted-vs-measured overlays
 //!   and static channel-load heatmaps.
 //! * [`serve`] — the `noc-eval/serve/v1` line protocol spoken by the
-//!   long-running evaluation service (`noc-serve`): typed requests,
-//!   outcome ladder, and a tolerant escape-aware parser.
+//!   long-running evaluation service (`noc-serve`): typed requests and
+//!   the outcome ladder.
+//! * [`json`] — the one codec every schema above is written and read
+//!   through.
 
 #![warn(missing_docs)]
 
@@ -31,6 +33,7 @@ pub mod bridge;
 pub mod correlate;
 pub mod effort;
 pub mod figures;
+pub mod json;
 pub mod plot;
 pub mod report;
 pub mod serve;

@@ -1,6 +1,6 @@
-//! The `noc-eval/serve/v1` line protocol: schema types, hand-rolled
-//! emission, and a tolerant escape-aware parser for the long-running
-//! evaluation service (`noc-serve`).
+//! The `noc-eval/serve/v1` line protocol: schema types for the
+//! long-running evaluation service (`noc-serve`), emitted and parsed
+//! through the shared codec in [`crate::json`].
 //!
 //! One JSON object per line in both directions. Requests carry a
 //! `"req"` discriminator (`point`, `sweep`, `run`, `cancel`, `health`,
@@ -27,143 +27,59 @@
 //!   to the originally computed one. Floats are emitted with Rust's
 //!   shortest round-trip formatting (`{:?}`), which parses back to the
 //!   same bits.
-//! * **Tolerant, escape-aware parsing.** Unlike the older line-scanning
-//!   parsers in this crate, string fields here (shed reasons, panic
-//!   messages) can contain quotes, backslashes, and control characters;
-//!   [`parse_request`]/[`parse_response`] decode the full JSON escape
-//!   set and degrade to a typed `Err(String)` on anything malformed —
-//!   never a panic, never a silent drop.
+//! * **One reader, typed failures.** Every line is tokenised once by
+//!   [`crate::json::Record`]; string fields (shed reasons, panic
+//!   messages) may contain quotes, backslashes, and control characters;
+//!   unknown fields are ignored. Anything malformed — and any integer
+//!   that does not fit the field it is read into, any duplicated key,
+//!   any value of the wrong type — is a typed `Err(String)` naming the
+//!   field: never a panic, never a silent wrap or drop.
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_traffic::{PatternKind, SizeKind};
 use serde::{Deserialize, Serialize};
 
+use crate::json::{Obj, Record};
+
 /// Schema tag carried by every `noc-eval/serve/v1` line.
 pub const SERVE_SCHEMA: &str = "noc-eval/serve/v1";
 
-// ---------------------------------------------------------------------------
-// JSON primitives: escape-aware emission and field extraction
-// ---------------------------------------------------------------------------
-
-/// Escape a string for embedding in a JSON line: quotes, backslashes,
-/// and control characters (the older `extract_str` parsers in this
-/// crate cannot survive any of these; this module's decoder can).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The members every line starts with: the schema tag and the `req` or
+/// `resp` discriminator.
+fn line_head(role: &str, kind: &str) -> Obj {
+    Obj::new().str("schema", SERVE_SCHEMA).str(role, kind)
 }
 
-/// Position the cursor just past `"key":` (with optional spaces),
-/// returning the value text that follows. Matches the *first*
-/// occurrence, so emitters must not duplicate keys within a line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    for pat in [format!("\"{key}\": "), format!("\"{key}\":")] {
-        if let Some(i) = line.find(&pat) {
-            return Some(line[i + pat.len()..].trim_start());
-        }
-    }
-    None
+/// Decode a wire name under `key` with `parse`.
+fn named<T>(rec: &Record<'_>, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+    let name: String = rec.req(key)?;
+    parse(&name).ok_or_else(|| format!("unknown {key} {name:?}"))
 }
 
-/// Extract a numeric field (integer, float, or exponent notation).
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = field(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && !matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The network members `point` and `sweep` lines share.
+fn net_members(o: Obj, net: &NetConfig) -> Obj {
+    o.str("topology", &topology_name(net.topology))
+        .str("routing", routing_name(net.routing))
+        .str("arb", arb_name(net.arbitration))
+        .val("vcs", net.vcs)
+        .val("vc_buf", net.vc_buf)
+        .val("router_delay", net.router_delay)
 }
 
-/// Extract an unsigned integer field at full 64-bit precision (an
-/// `f64` round-trip would corrupt digests and seeds above 2^53).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = field(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract a boolean field.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = field(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extract and unescape a string field. Handles the full JSON escape
-/// set (`\" \\ \/ \n \r \t \b \f \uXXXX`); returns `None` on an
-/// unterminated or malformed literal.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = field(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{0008}'),
-                'f' => out.push('\u{000c}'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if hex.len() != 4 {
-                        return None;
-                    }
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract the bracketed element list of a JSON array field. Arrays in
-/// this schema hold only numbers or plain (escape-free) wire names, so
-/// a comma split inside the brackets is exact.
-fn field_array<'a>(line: &'a str, key: &str) -> Option<Vec<&'a str>> {
-    let rest = field(line, key)?.strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    Some(body.split(',').map(str::trim).collect())
-}
-
-/// Extract an array of numbers (`"loads": [0.05, 0.1]`).
-fn field_f64_array(line: &str, key: &str) -> Option<Vec<f64>> {
-    field_array(line, key)?.into_iter().map(|s| s.parse().ok()).collect()
-}
-
-/// Extract an array of quoted wire names (`"patterns": ["uniform"]`).
-fn field_str_array(line: &str, key: &str) -> Option<Vec<String>> {
-    field_array(line, key)?
-        .into_iter()
-        .map(|s| Some(s.strip_prefix('"')?.strip_suffix('"')?.to_string()))
-        .collect()
+/// Inverse of [`net_members`] plus the `seed` member: the narrow
+/// fields are range-checked, not cast.
+fn parse_net(rec: &Record<'_>) -> Result<NetConfig, String> {
+    Ok(NetConfig {
+        topology: named(rec, "topology", parse_topology)?,
+        routing: named(rec, "routing", parse_routing)?,
+        arbitration: named(rec, "arb", parse_arb)?,
+        vcs: rec.req("vcs")?,
+        vc_buf: rec.req("vc_buf")?,
+        router_delay: rec.req("router_delay")?,
+        seed: rec.req("seed")?,
+        ..NetConfig::baseline()
+    })
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -359,69 +275,33 @@ impl PointRequest {
 
     /// Emit the request as one `noc-eval/serve/v1` line.
     pub fn to_json(&self) -> String {
-        let budget = self.budget.map(|b| format!("\"budget\": {b}, ")).unwrap_or_default();
-        format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"point\", \"batch\": \"{}\", \
-             \"topology\": \"{}\", \"routing\": \"{}\", \"arb\": \"{}\", \"vcs\": {}, \
-             \"vc_buf\": {}, \"router_delay\": {}, \"pattern\": \"{}\", \
-             \"packet_size\": {}, \"load\": {:?}, \"warmup\": {}, \"measure\": {}, \
-             \"drain_max\": {}, \"seed\": {}, {budget}\"allow_degraded\": {}, \
-             \"analytic_admission\": {}}}",
-            json_escape(&self.batch),
-            topology_name(self.net.topology),
-            routing_name(self.net.routing),
-            arb_name(self.net.arbitration),
-            self.net.vcs,
-            self.net.vc_buf,
-            self.net.router_delay,
-            pattern_name(self.pattern),
-            self.packet_size,
-            self.load,
-            self.warmup,
-            self.measure,
-            self.drain_max,
-            self.net.seed,
-            self.allow_degraded,
-            self.analytic_admission,
-        )
+        net_members(line_head("req", "point").str("batch", &self.batch), &self.net)
+            .str("pattern", &pattern_name(self.pattern))
+            .val("packet_size", self.packet_size)
+            .f64("load", self.load)
+            .val("warmup", self.warmup)
+            .val("measure", self.measure)
+            .val("drain_max", self.drain_max)
+            .val("seed", self.net.seed)
+            .opt("budget", self.budget)
+            .val("allow_degraded", self.allow_degraded)
+            .val("analytic_admission", self.analytic_admission)
+            .object()
     }
 
-    fn parse(line: &str) -> Result<Self, String> {
-        let s = |key: &str| {
-            field_str(line, key).ok_or_else(|| format!("point request missing \"{key}\""))
-        };
-        let u = |key: &str| {
-            field_u64(line, key).ok_or_else(|| format!("point request missing \"{key}\""))
-        };
-        let topology = s("topology")?;
-        let routing = s("routing")?;
-        let arb = s("arb")?;
-        let pattern = s("pattern")?;
-        let net = NetConfig {
-            topology: parse_topology(&topology)
-                .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-            routing: parse_routing(&routing)
-                .ok_or_else(|| format!("unknown routing {routing:?}"))?,
-            arbitration: parse_arb(&arb).ok_or_else(|| format!("unknown arbitration {arb:?}"))?,
-            vcs: u("vcs")? as usize,
-            vc_buf: u("vc_buf")? as usize,
-            router_delay: u("router_delay")? as u32,
-            seed: u("seed")?,
-            ..NetConfig::baseline()
-        };
+    fn from_record(rec: &Record<'_>) -> Result<Self, String> {
         Ok(Self {
-            batch: s("batch")?,
-            net,
-            pattern: parse_pattern(&pattern)
-                .ok_or_else(|| format!("unknown pattern {pattern:?}"))?,
-            packet_size: u("packet_size")?,
-            load: field_f64(line, "load").ok_or("point request missing \"load\"")?,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
-            drain_max: u("drain_max")?,
-            budget: field_u64(line, "budget"),
-            allow_degraded: field_bool(line, "allow_degraded").unwrap_or(false),
-            analytic_admission: field_bool(line, "analytic_admission").unwrap_or(false),
+            batch: rec.req("batch")?,
+            net: parse_net(rec)?,
+            pattern: named(rec, "pattern", parse_pattern)?,
+            packet_size: rec.req("packet_size")?,
+            load: rec.req("load")?,
+            warmup: rec.req("warmup")?,
+            measure: rec.req("measure")?,
+            drain_max: rec.req("drain_max")?,
+            budget: rec.opt("budget")?,
+            allow_degraded: rec.opt("allow_degraded")?.unwrap_or(false),
+            analytic_admission: rec.opt("analytic_admission")?.unwrap_or(false),
         })
     }
 }
@@ -474,6 +354,14 @@ pub struct SweepRequest {
 /// campaign is several sweeps (the admission queue is far smaller than
 /// this anyway, so the excess would only be shed).
 pub const MAX_SWEEP_POINTS: u64 = 1 << 16;
+
+/// Longest request line either transport reads; a longer one (or one
+/// that is not UTF-8) is answered with a typed `error` and dropped
+/// unread. 4 MiB admits every legal line: the largest is a sweep whose
+/// [`MAX_SWEEP_POINTS`] points are all patterns, at up to 56 bytes each
+/// (`"hotspot:<20-digit node>:<23-char fraction>", `) 3.5 MiB, which
+/// leaves 512 KiB for the other fields.
+pub const MAX_LINE_BYTES: usize = 1 << 22;
 
 impl SweepRequest {
     /// Points the sweep expands to (`patterns x loads x seeds`),
@@ -548,87 +436,45 @@ impl SweepRequest {
 
     /// Emit the request as one `noc-eval/serve/v1` line.
     pub fn to_json(&self) -> String {
-        let patterns =
-            self.patterns.iter().map(|p| format!("\"{}\"", pattern_name(*p))).collect::<Vec<_>>();
-        let loads = self.loads.iter().map(|l| format!("{l:?}")).collect::<Vec<_>>();
-        let budget = self.budget.map(|b| format!("\"budget\": {b}, ")).unwrap_or_default();
-        let mut extra = String::new();
-        if let Some(a) = self.max_attempts {
-            extra.push_str(&format!(", \"max_attempts\": {a}"));
-        }
-        if let Some(d) = self.deadline_ms {
-            extra.push_str(&format!(", \"deadline_ms\": {d}"));
-        }
-        format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"sweep\", \"batch\": \"{}\", \
-             \"topology\": \"{}\", \"routing\": \"{}\", \"arb\": \"{}\", \"vcs\": {}, \
-             \"vc_buf\": {}, \"router_delay\": {}, \"patterns\": [{}], \"loads\": [{}], \
-             \"seeds\": {}, \"packet_size\": {}, \"warmup\": {}, \"measure\": {}, \
-             \"drain_max\": {}, \"seed\": {}, {budget}\"allow_degraded\": {}, \
-             \"analytic_admission\": {}{extra}}}",
-            json_escape(&self.batch),
-            topology_name(self.net.topology),
-            routing_name(self.net.routing),
-            arb_name(self.net.arbitration),
-            self.net.vcs,
-            self.net.vc_buf,
-            self.net.router_delay,
-            patterns.join(", "),
-            loads.join(", "),
-            self.seeds,
-            self.packet_size,
-            self.warmup,
-            self.measure,
-            self.drain_max,
-            self.net.seed,
-            self.allow_degraded,
-            self.analytic_admission,
-        )
+        let patterns = self.patterns.iter().map(|p| format!("\"{}\"", pattern_name(*p)));
+        net_members(line_head("req", "sweep").str("batch", &self.batch), &self.net)
+            .arr("patterns", patterns)
+            .arr("loads", self.loads.iter().map(|l| format!("{l:?}")))
+            .val("seeds", self.seeds)
+            .val("packet_size", self.packet_size)
+            .val("warmup", self.warmup)
+            .val("measure", self.measure)
+            .val("drain_max", self.drain_max)
+            .val("seed", self.net.seed)
+            .opt("budget", self.budget)
+            .val("allow_degraded", self.allow_degraded)
+            .val("analytic_admission", self.analytic_admission)
+            .opt("max_attempts", self.max_attempts)
+            .opt("deadline_ms", self.deadline_ms)
+            .object()
     }
 
-    fn parse(line: &str) -> Result<Self, String> {
-        let s = |key: &str| {
-            field_str(line, key).ok_or_else(|| format!("sweep request missing \"{key}\""))
-        };
-        let u = |key: &str| {
-            field_u64(line, key).ok_or_else(|| format!("sweep request missing \"{key}\""))
-        };
-        let topology = s("topology")?;
-        let routing = s("routing")?;
-        let arb = s("arb")?;
-        let net = NetConfig {
-            topology: parse_topology(&topology)
-                .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-            routing: parse_routing(&routing)
-                .ok_or_else(|| format!("unknown routing {routing:?}"))?,
-            arbitration: parse_arb(&arb).ok_or_else(|| format!("unknown arbitration {arb:?}"))?,
-            vcs: u("vcs")? as usize,
-            vc_buf: u("vc_buf")? as usize,
-            router_delay: u("router_delay")? as u32,
-            seed: u("seed")?,
-            ..NetConfig::baseline()
-        };
-        let pattern_names =
-            field_str_array(line, "patterns").ok_or("sweep request missing \"patterns\"")?;
-        let patterns = pattern_names
+    fn from_record(rec: &Record<'_>) -> Result<Self, String> {
+        let names: Vec<String> = rec.req("patterns")?;
+        let patterns = names
             .iter()
             .map(|p| parse_pattern(p).ok_or_else(|| format!("unknown pattern {p:?}")))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            batch: s("batch")?,
-            net,
+            batch: rec.req("batch")?,
+            net: parse_net(rec)?,
             patterns,
-            loads: field_f64_array(line, "loads").ok_or("sweep request missing \"loads\"")?,
-            seeds: u("seeds")?,
-            packet_size: u("packet_size")?,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
-            drain_max: u("drain_max")?,
-            budget: field_u64(line, "budget"),
-            allow_degraded: field_bool(line, "allow_degraded").unwrap_or(false),
-            analytic_admission: field_bool(line, "analytic_admission").unwrap_or(false),
-            max_attempts: field_u64(line, "max_attempts").map(|a| a as u32),
-            deadline_ms: field_u64(line, "deadline_ms"),
+            loads: rec.req("loads")?,
+            seeds: rec.req("seeds")?,
+            packet_size: rec.req("packet_size")?,
+            warmup: rec.req("warmup")?,
+            measure: rec.req("measure")?,
+            drain_max: rec.req("drain_max")?,
+            budget: rec.opt("budget")?,
+            allow_degraded: rec.opt("allow_degraded")?.unwrap_or(false),
+            analytic_admission: rec.opt("analytic_admission")?.unwrap_or(false),
+            max_attempts: rec.opt("max_attempts")?,
+            deadline_ms: rec.opt("deadline_ms")?,
         })
     }
 }
@@ -669,57 +515,41 @@ impl ServeRequest {
         match self {
             ServeRequest::Point(p) => p.to_json(),
             ServeRequest::Sweep(s) => s.to_json(),
-            ServeRequest::Run { batch, max_attempts, deadline_ms } => {
-                let mut extra = String::new();
-                if let Some(a) = max_attempts {
-                    extra.push_str(&format!(", \"max_attempts\": {a}"));
-                }
-                if let Some(d) = deadline_ms {
-                    extra.push_str(&format!(", \"deadline_ms\": {d}"));
-                }
-                format!(
-                    "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"run\", \
-                     \"batch\": \"{}\"{extra}}}",
-                    json_escape(batch)
-                )
+            ServeRequest::Run { batch, max_attempts, deadline_ms } => line_head("req", "run")
+                .str("batch", batch)
+                .opt("max_attempts", *max_attempts)
+                .opt("deadline_ms", *deadline_ms)
+                .object(),
+            ServeRequest::Cancel { batch } => {
+                line_head("req", "cancel").str("batch", batch).object()
             }
-            ServeRequest::Cancel { batch } => format!(
-                "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"cancel\", \"batch\": \"{}\"}}",
-                json_escape(batch)
-            ),
-            ServeRequest::Health => {
-                format!("{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"health\"}}")
-            }
-            ServeRequest::Shutdown => {
-                format!("{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"shutdown\"}}")
-            }
+            ServeRequest::Health => line_head("req", "health").object(),
+            ServeRequest::Shutdown => line_head("req", "shutdown").object(),
         }
     }
 }
 
-/// Parse one request line. Tolerant: unknown fields are ignored,
-/// malformed lines return a typed error (which the service answers
-/// with an `error` response), never a panic.
+/// Parse one request line, tokenising it once. Unknown fields are
+/// ignored; a malformed line, a duplicated key, or a field of the wrong
+/// type or range returns a typed error naming it (which the service
+/// answers with an `error` response), never a panic.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
-    if !line.contains(SERVE_SCHEMA) {
-        return Err(format!("unrecognized schema (expected {SERVE_SCHEMA})"));
-    }
-    let req = field_str(line, "req").ok_or("missing \"req\" discriminator")?;
-    match req.as_str() {
-        "point" => Ok(ServeRequest::Point(Box::new(PointRequest::parse(line)?))),
-        "sweep" => Ok(ServeRequest::Sweep(Box::new(SweepRequest::parse(line)?))),
-        "run" => Ok(ServeRequest::Run {
-            batch: field_str(line, "batch").ok_or("run request missing \"batch\"")?,
-            max_attempts: field_u64(line, "max_attempts").map(|a| a as u32),
-            deadline_ms: field_u64(line, "deadline_ms"),
-        }),
-        "cancel" => Ok(ServeRequest::Cancel {
-            batch: field_str(line, "batch").ok_or("cancel request missing \"batch\"")?,
-        }),
-        "health" => Ok(ServeRequest::Health),
-        "shutdown" => Ok(ServeRequest::Shutdown),
-        other => Err(format!("unknown request kind {other:?}")),
-    }
+    let rec = Record::parse(line)?;
+    rec.expect_schema(SERVE_SCHEMA)?;
+    let kind: String = rec.req("req")?;
+    Ok(match kind.as_str() {
+        "point" => ServeRequest::Point(Box::new(PointRequest::from_record(&rec)?)),
+        "sweep" => ServeRequest::Sweep(Box::new(SweepRequest::from_record(&rec)?)),
+        "run" => ServeRequest::Run {
+            batch: rec.req("batch")?,
+            max_attempts: rec.opt("max_attempts")?,
+            deadline_ms: rec.opt("deadline_ms")?,
+        },
+        "cancel" => ServeRequest::Cancel { batch: rec.req("batch")? },
+        "health" => ServeRequest::Health,
+        "shutdown" => ServeRequest::Shutdown,
+        other => return Err(format!("unknown request kind {other:?}")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -802,70 +632,61 @@ impl ServeOutcome {
     /// service WAL, so cached replays are bit-identical to the original
     /// computation. Floats use shortest round-trip formatting.
     pub fn canonical(&self) -> String {
+        self.members(Obj::new()).fragment()
+    }
+
+    fn members(&self, o: Obj) -> Obj {
+        let o = o.str("outcome", self.kind());
         match self {
-            ServeOutcome::Ok { avg_latency, throughput, stable, measured, cycles } => format!(
-                "\"outcome\": \"ok\", \"avg_latency\": {avg_latency:?}, \
-                 \"throughput\": {throughput:?}, \"stable\": {stable}, \
-                 \"measured\": {measured}, \"cycles\": {cycles}"
-            ),
+            ServeOutcome::Ok { avg_latency, throughput, stable, measured, cycles } => o
+                .f64("avg_latency", *avg_latency)
+                .f64("throughput", *throughput)
+                .val("stable", stable)
+                .val("measured", measured)
+                .val("cycles", cycles),
             ServeOutcome::Degraded { predicted_latency, predicted_saturation, stable } => {
-                let lat =
-                    predicted_latency.map(|l| format!("{l:?}")).unwrap_or_else(|| "null".into());
-                format!(
-                    "\"outcome\": \"degraded\", \"degraded\": true, \
-                     \"predicted_latency\": {lat}, \
-                     \"predicted_saturation\": {predicted_saturation:?}, \"stable\": {stable}"
-                )
+                let latency = predicted_latency.map_or("null".into(), |l| format!("{l:?}"));
+                o.val("degraded", true)
+                    .val("predicted_latency", latency)
+                    .f64("predicted_saturation", *predicted_saturation)
+                    .val("stable", stable)
             }
-            ServeOutcome::Timeout { budget, wall } => {
-                format!("\"outcome\": \"timeout\", \"budget\": {budget}, \"wall\": {wall}")
+            ServeOutcome::Timeout { budget, wall } => o.val("budget", budget).val("wall", wall),
+            ServeOutcome::Shed { reason } | ServeOutcome::Invalid { reason } => {
+                o.str("reason", reason)
             }
-            ServeOutcome::Shed { reason } => {
-                format!("\"outcome\": \"shed\", \"reason\": \"{}\"", json_escape(reason))
-            }
-            ServeOutcome::Panicked { message } => {
-                format!("\"outcome\": \"panicked\", \"message\": \"{}\"", json_escape(message))
-            }
-            ServeOutcome::Invalid { reason } => {
-                format!("\"outcome\": \"invalid\", \"reason\": \"{}\"", json_escape(reason))
-            }
+            ServeOutcome::Panicked { message } => o.str("message", message),
         }
     }
 
     /// Parse an outcome from a line (or bare canonical fragment).
     pub fn parse(line: &str) -> Result<Self, String> {
-        let kind = field_str(line, "outcome").ok_or("missing \"outcome\" discriminator")?;
-        let f = |key: &str| {
-            field_f64(line, key).ok_or_else(|| format!("{kind} outcome missing \"{key}\""))
-        };
-        let u = |key: &str| {
-            field_u64(line, key).ok_or_else(|| format!("{kind} outcome missing \"{key}\""))
-        };
-        let b = |key: &str| {
-            field_bool(line, key).ok_or_else(|| format!("{kind} outcome missing \"{key}\""))
-        };
-        let s = |key: &str| {
-            field_str(line, key).ok_or_else(|| format!("{kind} outcome missing \"{key}\""))
-        };
-        match kind.as_str() {
-            "ok" => Ok(ServeOutcome::Ok {
-                avg_latency: f("avg_latency")?,
-                throughput: f("throughput")?,
-                stable: b("stable")?,
-                measured: u("measured")?,
-                cycles: u("cycles")?,
-            }),
-            "degraded" => Ok(ServeOutcome::Degraded {
-                predicted_latency: field_f64(line, "predicted_latency"),
-                predicted_saturation: f("predicted_saturation")?,
-                stable: b("stable")?,
-            }),
-            "timeout" => Ok(ServeOutcome::Timeout { budget: u("budget")?, wall: b("wall")? }),
-            "shed" => Ok(ServeOutcome::Shed { reason: s("reason")? }),
-            "panicked" => Ok(ServeOutcome::Panicked { message: s("message")? }),
-            "invalid" => Ok(ServeOutcome::Invalid { reason: s("reason")? }),
-            other => Err(format!("unknown outcome kind {other:?}")),
-        }
+        Self::from_record(&Record::parse(line)?)
+    }
+
+    fn from_record(rec: &Record<'_>) -> Result<Self, String> {
+        let kind: String = rec.req("outcome")?;
+        Ok(match kind.as_str() {
+            "ok" => ServeOutcome::Ok {
+                avg_latency: rec.req("avg_latency")?,
+                throughput: rec.req("throughput")?,
+                stable: rec.req("stable")?,
+                measured: rec.req("measured")?,
+                cycles: rec.req("cycles")?,
+            },
+            "degraded" => ServeOutcome::Degraded {
+                predicted_latency: rec.opt("predicted_latency")?,
+                predicted_saturation: rec.req("predicted_saturation")?,
+                stable: rec.req("stable")?,
+            },
+            "timeout" => {
+                ServeOutcome::Timeout { budget: rec.req("budget")?, wall: rec.req("wall")? }
+            }
+            "shed" => ServeOutcome::Shed { reason: rec.req("reason")? },
+            "panicked" => ServeOutcome::Panicked { message: rec.req("message")? },
+            "invalid" => ServeOutcome::Invalid { reason: rec.req("reason")? },
+            other => return Err(format!("unknown outcome kind {other:?}")),
+        })
     }
 }
 
@@ -894,26 +715,23 @@ impl ServeResult {
     /// Emit the result as one `noc-eval/serve/v1` line; the outcome
     /// portion is [`ServeOutcome::canonical`], byte-for-byte.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"result\", \"batch\": \"{}\", \
-             \"point\": {}, \"key\": \"{}\", \"cached\": {}, \"attempts\": {}, {}}}",
-            json_escape(&self.batch),
-            self.point,
-            self.key,
-            self.cached,
-            self.attempts,
-            self.outcome.canonical(),
-        )
+        let head = line_head("resp", "result")
+            .str("batch", &self.batch)
+            .val("point", self.point)
+            .str("key", &self.key)
+            .val("cached", self.cached)
+            .val("attempts", self.attempts);
+        self.outcome.members(head).object()
     }
 
-    fn parse(line: &str) -> Result<Self, String> {
+    fn from_record(rec: &Record<'_>) -> Result<Self, String> {
         Ok(Self {
-            batch: field_str(line, "batch").ok_or("result missing \"batch\"")?,
-            point: field_u64(line, "point").ok_or("result missing \"point\"")?,
-            key: field_str(line, "key").ok_or("result missing \"key\"")?,
-            cached: field_bool(line, "cached").ok_or("result missing \"cached\"")?,
-            attempts: field_u64(line, "attempts").ok_or("result missing \"attempts\"")? as u32,
-            outcome: ServeOutcome::parse(line)?,
+            batch: rec.req("batch")?,
+            point: rec.req("point")?,
+            key: rec.req("key")?,
+            cached: rec.req("cached")?,
+            attempts: rec.req("attempts")?,
+            outcome: ServeOutcome::from_record(rec)?,
         })
     }
 }
@@ -955,49 +773,43 @@ pub struct HealthSnapshot {
 
 impl HealthSnapshot {
     fn emit(&self, resp: &str) -> String {
-        format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"{resp}\", \"queue_depth\": {}, \
-             \"queue_capacity\": {}, \"workers\": {}, \"completed\": {}, \"cache_hits\": {}, \
-             \"shed\": {}, \"degraded\": {}, \"retries\": {}, \"timeouts\": {}, \
-             \"panics\": {}, \"wal_records\": {}, \"clients\": {}, \"busy\": {}, \
-             \"draining\": {}}}",
-            self.queue_depth,
-            self.queue_capacity,
-            self.workers,
-            self.completed,
-            self.cache_hits,
-            self.shed,
-            self.degraded,
-            self.retries,
-            self.timeouts,
-            self.panics,
-            self.wal_records,
-            self.clients,
-            self.busy,
-            self.draining,
-        )
+        line_head("resp", resp)
+            .val("queue_depth", self.queue_depth)
+            .val("queue_capacity", self.queue_capacity)
+            .val("workers", self.workers)
+            .val("completed", self.completed)
+            .val("cache_hits", self.cache_hits)
+            .val("shed", self.shed)
+            .val("degraded", self.degraded)
+            .val("retries", self.retries)
+            .val("timeouts", self.timeouts)
+            .val("panics", self.panics)
+            .val("wal_records", self.wal_records)
+            .val("clients", self.clients)
+            .val("busy", self.busy)
+            .val("draining", self.draining)
+            .object()
     }
 
-    fn parse(line: &str) -> Result<Self, String> {
-        let u = |key: &str| field_u64(line, key).ok_or_else(|| format!("health missing \"{key}\""));
+    fn from_record(rec: &Record<'_>) -> Result<Self, String> {
         Ok(Self {
-            queue_depth: u("queue_depth")?,
-            queue_capacity: u("queue_capacity")?,
-            workers: u("workers")?,
-            completed: u("completed")?,
-            cache_hits: u("cache_hits")?,
-            shed: u("shed")?,
-            degraded: u("degraded")?,
-            retries: u("retries")?,
-            timeouts: u("timeouts")?,
-            panics: u("panics")?,
-            wal_records: u("wal_records")?,
+            queue_depth: rec.req("queue_depth")?,
+            queue_capacity: rec.req("queue_capacity")?,
+            workers: rec.req("workers")?,
+            completed: rec.req("completed")?,
+            cache_hits: rec.req("cache_hits")?,
+            shed: rec.req("shed")?,
+            degraded: rec.req("degraded")?,
+            retries: rec.req("retries")?,
+            timeouts: rec.req("timeouts")?,
+            panics: rec.req("panics")?,
+            wal_records: rec.req("wal_records")?,
             // absent on pre-sweep snapshots: default 0 keeps old
             // status lines (e.g. a WAL-journaled drain record from a
             // previous binary) readable
-            clients: field_u64(line, "clients").unwrap_or(0),
-            busy: field_u64(line, "busy").unwrap_or(0),
-            draining: field_bool(line, "draining").ok_or("health missing \"draining\"")?,
+            clients: rec.opt("clients")?.unwrap_or(0),
+            busy: rec.opt("busy")?.unwrap_or(0),
+            draining: rec.req("draining")?,
         })
     }
 }
@@ -1067,82 +879,67 @@ impl ServeResponse {
     pub fn to_json(&self) -> String {
         match self {
             ServeResponse::Result(r) => r.to_json(),
-            ServeResponse::BatchDone { batch, points, ok } => format!(
-                "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"batch-done\", \
-                 \"batch\": \"{}\", \"points\": {points}, \"ok\": {ok}}}",
-                json_escape(batch)
-            ),
+            ServeResponse::BatchDone { batch, points, ok } => line_head("resp", "batch-done")
+                .str("batch", batch)
+                .val("points", points)
+                .val("ok", ok)
+                .object(),
             ServeResponse::SweepDone { batch, expanded, ok, degraded, shed, invalid, timeout } => {
-                format!(
-                    "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"sweep-done\", \
-                     \"batch\": \"{}\", \"expanded\": {expanded}, \"ok\": {ok}, \
-                     \"degraded\": {degraded}, \"shed\": {shed}, \"invalid\": {invalid}, \
-                     \"timeout\": {timeout}}}",
-                    json_escape(batch)
-                )
+                line_head("resp", "sweep-done")
+                    .str("batch", batch)
+                    .val("expanded", expanded)
+                    .val("ok", ok)
+                    .val("degraded", degraded)
+                    .val("shed", shed)
+                    .val("invalid", invalid)
+                    .val("timeout", timeout)
+                    .object()
             }
-            ServeResponse::Cancelled { batch, dropped } => format!(
-                "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"cancelled\", \
-                 \"batch\": \"{}\", \"dropped\": {dropped}}}",
-                json_escape(batch)
-            ),
-            ServeResponse::Busy { active, max } => format!(
-                "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"busy\", \
-                 \"active\": {active}, \"max\": {max}}}"
-            ),
+            ServeResponse::Cancelled { batch, dropped } => {
+                line_head("resp", "cancelled").str("batch", batch).val("dropped", dropped).object()
+            }
+            ServeResponse::Busy { active, max } => {
+                line_head("resp", "busy").val("active", active).val("max", max).object()
+            }
             ServeResponse::Health(h) => h.emit("health"),
             ServeResponse::Status(h) => h.emit("status"),
-            ServeResponse::Error { reason } => format!(
-                "{{\"schema\": \"{SERVE_SCHEMA}\", \"resp\": \"error\", \"reason\": \"{}\"}}",
-                json_escape(reason)
-            ),
+            ServeResponse::Error { reason } => {
+                line_head("resp", "error").str("reason", reason).object()
+            }
         }
     }
 }
 
-/// Parse one response line (same tolerance contract as
-/// [`parse_request`]).
+/// Parse one response line (same contract as [`parse_request`]).
 pub fn parse_response(line: &str) -> Result<ServeResponse, String> {
-    if !line.contains(SERVE_SCHEMA) {
-        return Err(format!("unrecognized schema (expected {SERVE_SCHEMA})"));
-    }
-    let resp = field_str(line, "resp").ok_or("missing \"resp\" discriminator")?;
-    match resp.as_str() {
-        "result" => Ok(ServeResponse::Result(ServeResult::parse(line)?)),
-        "batch-done" => Ok(ServeResponse::BatchDone {
-            batch: field_str(line, "batch").ok_or("batch-done missing \"batch\"")?,
-            points: field_u64(line, "points").ok_or("batch-done missing \"points\"")?,
-            ok: field_u64(line, "ok").ok_or("batch-done missing \"ok\"")?,
-        }),
-        "sweep-done" => {
-            let u = |key: &str| {
-                field_u64(line, key).ok_or_else(|| format!("sweep-done missing \"{key}\""))
-            };
-            Ok(ServeResponse::SweepDone {
-                batch: field_str(line, "batch").ok_or("sweep-done missing \"batch\"")?,
-                expanded: u("expanded")?,
-                ok: u("ok")?,
-                degraded: u("degraded")?,
-                shed: u("shed")?,
-                invalid: u("invalid")?,
-                timeout: u("timeout")?,
-            })
+    let rec = Record::parse(line)?;
+    rec.expect_schema(SERVE_SCHEMA)?;
+    let kind: String = rec.req("resp")?;
+    Ok(match kind.as_str() {
+        "result" => ServeResponse::Result(ServeResult::from_record(&rec)?),
+        "batch-done" => ServeResponse::BatchDone {
+            batch: rec.req("batch")?,
+            points: rec.req("points")?,
+            ok: rec.req("ok")?,
+        },
+        "sweep-done" => ServeResponse::SweepDone {
+            batch: rec.req("batch")?,
+            expanded: rec.req("expanded")?,
+            ok: rec.req("ok")?,
+            degraded: rec.req("degraded")?,
+            shed: rec.req("shed")?,
+            invalid: rec.req("invalid")?,
+            timeout: rec.req("timeout")?,
+        },
+        "cancelled" => {
+            ServeResponse::Cancelled { batch: rec.req("batch")?, dropped: rec.req("dropped")? }
         }
-        "cancelled" => Ok(ServeResponse::Cancelled {
-            batch: field_str(line, "batch").ok_or("cancelled missing \"batch\"")?,
-            dropped: field_u64(line, "dropped").ok_or("cancelled missing \"dropped\"")?,
-        }),
-        "busy" => Ok(ServeResponse::Busy {
-            active: field_u64(line, "active").ok_or("busy missing \"active\"")?,
-            max: field_u64(line, "max").ok_or("busy missing \"max\"")?,
-        }),
-        "health" => Ok(ServeResponse::Health(HealthSnapshot::parse(line)?)),
-        "status" => Ok(ServeResponse::Status(HealthSnapshot::parse(line)?)),
-        "error" => {
-            Ok(ServeResponse::Error { reason: field_str(line, "reason").unwrap_or_default() })
-        }
-        other => Err(format!("unknown response kind {other:?}")),
-    }
+        "busy" => ServeResponse::Busy { active: rec.req("active")?, max: rec.req("max")? },
+        "health" => ServeResponse::Health(HealthSnapshot::from_record(&rec)?),
+        "status" => ServeResponse::Status(HealthSnapshot::from_record(&rec)?),
+        "error" => ServeResponse::Error { reason: rec.opt("reason")?.unwrap_or_default() },
+        other => return Err(format!("unknown response kind {other:?}")),
+    })
 }
 
 #[cfg(test)]
@@ -1472,6 +1269,62 @@ mod tests {
             "{{\"schema\": \"{SERVE_SCHEMA}\", \"req\": \"cancel\", \"batch\": \"tor"
         ))
         .is_err());
+    }
+
+    /// A valid point line with `"key": old` replaced by `"key": new`.
+    fn doctored(key: &str, old: &str, new: &str) -> String {
+        let (from, to) = (format!("\"{key}\": {old}"), format!("\"{key}\": {new}"));
+        let line = point(7, 0.1).to_json();
+        assert!(line.contains(&from), "{line} lacks {from}");
+        line.replace(&from, &to)
+    }
+
+    #[test]
+    fn narrowed_and_mistyped_fields_are_typed_errors_naming_the_field() {
+        for (key, old, new, why) in [
+            ("router_delay", "1", "4294967297", "out of range for u32"), // used to wrap to 1
+            ("vcs", "2", "3.7", "expected an unsigned integer"),         // used to truncate to 3
+            ("vcs", "2", "-2", "expected an unsigned integer"),
+            ("vc_buf", "4", "18446744073709551616", "out of range"),
+            ("seed", "7", "\"7\"", "expected an unsigned integer"), // used to read as "missing"
+            ("load", "0.1", "true", "expected a finite number"),
+            ("load", "0.1", "1e999", "expected a finite number"),
+            ("allow_degraded", "true", "1", "expected true or false"),
+            ("budget", "200000", "[1]", "expected an unsigned integer"),
+        ] {
+            let err = parse_request(&doctored(key, old, new)).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")) && err.contains(why), "{key}: {err}");
+        }
+        // a duplicated key used to keep the first value silently
+        let twice = point(7, 0.1).to_json().replace("\"seed\": 7", "\"seed\": 7, \"seed\": 8");
+        let err = parse_request(&twice).unwrap_err();
+        assert!(err.contains("duplicate key \"seed\""), "{err}");
+        // 2^32 used to become Some(0); u32::MAX itself still fits
+        let run = |attempts: &str| {
+            let line =
+                ServeRequest::Run { batch: "b".into(), max_attempts: Some(1), deadline_ms: None };
+            parse_request(&line.to_json().replace("\"max_attempts\": 1", attempts))
+        };
+        let err = run("\"max_attempts\": 4294967296").unwrap_err();
+        assert!(err.contains("\"max_attempts\"") && err.contains("out of range"), "{err}");
+        assert!(matches!(
+            run("\"max_attempts\": 4294967295"),
+            Ok(ServeRequest::Run { max_attempts: Some(u32::MAX), .. })
+        ));
+        // `attempts` on a result line narrows the same way
+        let result = ServeResult {
+            batch: "b".into(),
+            point: 0,
+            key: "k".into(),
+            cached: false,
+            attempts: 1,
+            outcome: ServeOutcome::Timeout { budget: 1, wall: false },
+        };
+        let line = result.to_json().replace("\"attempts\": 1", "\"attempts\": 4294967296");
+        assert!(parse_response(&line).unwrap_err().contains("\"attempts\""));
+        // an exponent is a number, but not an integer
+        let sweep = sweep().to_json().replace("\"seeds\": 2", "\"seeds\": 4e18");
+        assert!(parse_request(&sweep).unwrap_err().contains("\"seeds\""));
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! budget runs out (the engine cannot preempt a stuck simulation from
 //! outside — budget checks belong in the point's own stepping loop).
 //!
-//! [`run_grid_journal`] adds a line-oriented journal file: every
-//! finished point is appended (and flushed) as it completes, and a
-//! rerun against the same file replays recorded outcomes instead of
-//! re-evaluating them — resuming a partially completed grid after a
-//! crash or an interrupt. Corrupt or half-written lines are skipped, so
-//! a torn final line from a killed process just re-runs that point.
+//! [`run_grid_journal`] adds a resumable journal: every finished point
+//! is appended to a [`Wal`] keyed by its grid index, and a rerun
+//! against the same file replays recorded outcomes instead of
+//! re-evaluating them. Durability (single-write appends, batched
+//! fsync, torn-tail truncation) is the WAL's.
 //!
 //! Panics escaping a worker still print the default panic-hook message
 //! to stderr before being caught; that noise is deliberate (silencing
@@ -24,12 +23,11 @@
 //! concurrent tests).
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 
-use crate::run_grid;
+use crate::{run_grid, Wal};
 
 /// Cooperative divergence marker: the point's evaluation loop exhausted
 /// its cycle budget without converging.
@@ -91,6 +89,16 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Run one point's evaluation, turning a panic or a cooperative
+/// give-up into its [`PointOutcome`].
+fn isolate<R>(eval: impl FnOnce() -> Result<R, Diverged>) -> PointOutcome<R> {
+    match catch_unwind(AssertUnwindSafe(eval)) {
+        Ok(Ok(r)) => PointOutcome::Ok(r),
+        Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
+        Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
+    }
+}
+
 /// Evaluate every grid point like [`run_grid`], but isolate failures:
 /// a panicking point yields [`PointOutcome::Panicked`], a point whose
 /// evaluator returns `Err(Diverged)` yields [`PointOutcome::Diverged`],
@@ -105,11 +113,7 @@ where
 {
     let progress = crate::Progress::from_env("grid", points.len());
     let out = run_grid(points, |i, p| {
-        let outcome = match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
-            Ok(Ok(r)) => PointOutcome::Ok(r),
-            Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
-            Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
-        };
+        let outcome = isolate(|| eval(i, p));
         progress.point_done();
         outcome
     });
@@ -123,94 +127,58 @@ where
 /// should return `None` from `decode` on schema mismatch — the point is
 /// then re-evaluated instead of resuming with garbage.
 pub trait PointCodec<R> {
-    /// Encode a result as a single-line payload (newlines/tabs are
-    /// escaped by the journal, not the codec).
+    /// Encode a result as text (the journal escapes newlines and tabs,
+    /// not the codec).
     fn encode(&self, r: &R) -> String;
     /// Decode a payload; `None` re-runs the point.
     fn decode(&self, s: &str) -> Option<R>;
 }
 
-/// Escape a payload for the one-line-per-record journal format (shared
-/// with the keyed service WAL in [`crate::wal`]).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]; `None` on a malformed escape.
-pub(crate) fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Parse one journal line into `(index, outcome)`; `None` skips it.
-fn parse_line<R, C: PointCodec<R>>(line: &str, codec: &C) -> Option<(usize, PointOutcome<R>)> {
-    let mut parts = line.splitn(3, '\t');
-    let index: usize = parts.next()?.parse().ok()?;
-    let kind = parts.next()?;
-    let payload = unescape(parts.next()?)?;
+/// Decode one journal record — key `index`, payload `kind<TAB>body` —
+/// into `(index, outcome)`; `None` skips it.
+fn parse_record<R, C: PointCodec<R>>(
+    key: &str,
+    payload: &str,
+    codec: &C,
+) -> Option<(usize, PointOutcome<R>)> {
+    let (kind, body) = payload.split_once('\t')?;
     let outcome = match kind {
-        "ok" => PointOutcome::Ok(codec.decode(&payload)?),
-        "panicked" => PointOutcome::Panicked { message: payload },
-        "diverged" => PointOutcome::Diverged { budget: payload.parse().ok()? },
+        "ok" => PointOutcome::Ok(codec.decode(body)?),
+        "panicked" => PointOutcome::Panicked { message: body.to_string() },
+        "diverged" => PointOutcome::Diverged { budget: body.parse().ok()? },
         _ => return None,
     };
-    Some((index, outcome))
+    Some((key.parse().ok()?, outcome))
 }
 
-/// Render one journal line (without the trailing newline).
-fn render_line<R, C: PointCodec<R>>(i: usize, outcome: &PointOutcome<R>, codec: &C) -> String {
+/// Render one outcome as a journal payload.
+fn render_payload<R, C: PointCodec<R>>(outcome: &PointOutcome<R>, codec: &C) -> String {
     match outcome {
-        PointOutcome::Ok(r) => format!("{i}\tok\t{}", escape(&codec.encode(r))),
-        PointOutcome::Panicked { message } => format!("{i}\tpanicked\t{}", escape(message)),
-        PointOutcome::Diverged { budget } => format!("{i}\tdiverged\t{budget}"),
+        PointOutcome::Ok(r) => format!("ok\t{}", codec.encode(r)),
+        PointOutcome::Panicked { message } => format!("panicked\t{message}"),
+        PointOutcome::Diverged { budget } => format!("diverged\t{budget}"),
     }
 }
-
-/// Appends between `fsync`s while a journaled grid runs; the final
-/// record batch is always synced before [`run_grid_journal`] returns.
-const JOURNAL_SYNC_BATCH: usize = 64;
 
 /// [`run_grid_robust`] with a resumable journal at `path`.
 ///
 /// Outcomes already recorded in the journal (of **any** kind — a
 /// recorded panic is not retried; delete the journal to retry) are
 /// replayed without re-evaluation; the rest run through the robust
-/// grid, and each is appended to the journal and flushed as soon as it
-/// completes, with an `fsync` every `JOURNAL_SYNC_BATCH` (64) records and
-/// once at the end of the grid, so even a machine crash loses at most
-/// one batch of finished points.
+/// grid, and each is appended to the journal — a [`Wal`] keyed by point
+/// index — as soon as it completes, with the WAL's batched `fsync` and
+/// a final [`Wal::commit`], so even a machine crash loses at most one
+/// batch of finished points.
 ///
-/// A **torn final record** — a line without a trailing newline, the
-/// signature of a process killed mid-append — is explicitly tolerated:
-/// the partial record is dropped and its point re-runs. Complete lines
-/// that fail to parse (unknown schema, bit rot, an index beyond this
-/// grid) are likewise skipped and their points re-run.
+/// A **torn final record** (the signature of a process killed
+/// mid-append) is truncated away when the journal is opened and its
+/// point re-runs. Complete records that do not decode (unknown schema,
+/// bit rot, an index beyond this grid) are skipped and their points
+/// re-run; where an index was recorded twice, the last record wins.
 ///
 /// # Errors
-/// Only on journal I/O failure (open/append); evaluation failures are
-/// values, per [`run_grid_robust`].
+/// Only on journal I/O failure (open/append/sync); evaluation failures
+/// are values, per [`run_grid_robust`].
 pub fn run_grid_journal<T, R, F, C>(
     points: &[T],
     path: &Path,
@@ -223,64 +191,31 @@ where
     C: PointCodec<R> + Sync,
     F: Fn(usize, &T) -> Result<R, Diverged> + Sync,
 {
-    let mut recorded: HashMap<usize, PointOutcome<R>> = HashMap::new();
-    if path.exists() {
-        // the torn tail (if any) has already been dropped here; it is
-        // an expected crash artifact, not corruption
-        let (lines, _torn) = crate::wal::read_lines_tolerant(path)?;
-        for line in lines {
-            if let Some((i, outcome)) = parse_line(&line, codec) {
-                if i < points.len() {
-                    recorded.insert(i, outcome);
-                }
-            }
-        }
-    }
-    struct JournalWriter {
-        file: std::fs::File,
-        unsynced: usize,
-    }
-    let writer = Mutex::new(JournalWriter {
-        file: std::fs::OpenOptions::new().create(true).append(true).open(path)?,
-        unsynced: 0,
-    });
+    let (wal, replay) = Wal::open(path)?;
+    let recorded: HashMap<usize, PointOutcome<R>> = replay
+        .records
+        .iter()
+        .filter_map(|(key, payload)| parse_record(key, payload, codec))
+        .filter(|&(i, _)| i < points.len())
+        .collect();
     let recorded = Mutex::new(recorded);
     let progress = crate::Progress::from_env("journal grid", points.len());
     let outcomes = run_grid(points, |i, p| {
-        if let Some(prior) =
-            recorded.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&i)
-        {
-            progress.point_done();
-            return Ok(prior);
-        }
-        let outcome = match catch_unwind(AssertUnwindSafe(|| eval(i, p))) {
-            Ok(Ok(r)) => PointOutcome::Ok(r),
-            Ok(Err(d)) => PointOutcome::Diverged { budget: d.budget },
-            Err(payload) => PointOutcome::Panicked { message: panic_message(payload.as_ref()) },
-        };
-        let line = render_line(i, &outcome, codec);
-        {
-            let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            // one write call per record: a crash can only tear the tail
-            w.file.write_all(format!("{line}\n").as_bytes())?;
-            w.unsynced += 1;
-            if w.unsynced >= JOURNAL_SYNC_BATCH {
-                w.file.sync_data()?;
-                w.unsynced = 0;
+        let prior = recorded.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&i);
+        let outcome = match prior {
+            Some(prior) => prior,
+            None => {
+                let outcome = isolate(|| eval(i, p));
+                wal.append(&i.to_string(), &render_payload(&outcome, codec))?;
+                outcome
             }
-        }
+        };
         progress.point_done();
         Ok(outcome)
     });
     progress.finish();
-    {
-        // final batch boundary: everything acknowledged is on disk
-        let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if w.unsynced > 0 {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-        }
-    }
+    // final batch boundary: everything acknowledged is on disk
+    wal.commit()?;
     outcomes.into_iter().collect()
 }
 
@@ -323,15 +258,6 @@ mod tests {
                 _ => assert_eq!(o, &PointOutcome::Ok(i as u64 * 10)),
             }
         }
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash", "\\t\\n\\\\"] {
-            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
-        }
-        assert_eq!(unescape("bad\\x"), None, "unknown escape is rejected");
-        assert_eq!(unescape("trailing\\"), None, "truncated escape is rejected");
     }
 
     #[test]
@@ -386,9 +312,32 @@ mod tests {
             Ok(p)
         })
         .unwrap();
-        assert_eq!(evals2.load(Ordering::Relaxed), 1, "torn bytes still on disk tear one line");
-        assert_eq!(again[0], PointOutcome::Ok(100));
-        assert_eq!(again[1], PointOutcome::Ok(200));
+        assert_eq!(evals2.load(Ordering::Relaxed), 0, "the torn bytes were truncated away");
+        assert_eq!(again, out);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_appended_after_a_torn_tail_is_not_glued_onto_it() {
+        let dir = std::env::temp_dir().join(format!("noc_exp_journal_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("glued.journal");
+        // 20 points; records for all but 3 and 15, then a record torn
+        // after its first byte. Appending point 3's record onto that
+        // "1" would spell a second, wrong record for point 13.
+        let mut journal: String = (0..20)
+            .filter(|i| ![3, 15].contains(i))
+            .map(|i| format!("{i}\tok\t{}\n", i * 10))
+            .collect();
+        journal.push('1');
+        std::fs::write(&path, journal).unwrap();
+        let points: Vec<u64> = (0..20).collect();
+        let expect: Vec<_> = points.iter().map(|p| PointOutcome::Ok(p * 10)).collect();
+        for resume in 0..3 {
+            let out = run_grid_journal(&points, &path, &U64Codec, |_, &p| Ok(p * 10)).unwrap();
+            assert_eq!(out[13], PointOutcome::Ok(130), "resume {resume}");
+            assert_eq!(out, expect, "resume {resume}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -397,12 +346,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("noc_exp_journal_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.journal");
-        // a valid record for point 1, a garbage index, and a torn line
-        // missing its payload field
-        std::fs::write(&path, "1\tok\t999\nzz\tok\t5\n3\tok\n").unwrap();
+        // a valid record for point 1, a garbage index, a line missing
+        // its payload field, and a record as the pre-WAL journal wrote
+        // it (raw tab after the kind, payload escaped once)
+        let old = "2\tpanicked\tline one\\nline\\ttwo\n";
+        std::fs::write(&path, format!("1\tok\t999\nzz\tok\t5\n3\tok\n{old}")).unwrap();
         let points: Vec<u64> = (0..4).collect();
         let out = run_grid_journal(&points, &path, &U64Codec, |_, &p| Ok(p + 1)).unwrap();
         assert_eq!(out[1], PointOutcome::Ok(999), "valid record replays");
+        assert_eq!(out[2], PointOutcome::Panicked { message: "line one\nline\ttwo".into() });
         assert_eq!(out[0], PointOutcome::Ok(1), "unrecorded point evaluates");
         assert_eq!(out[3], PointOutcome::Ok(4), "corrupt record re-runs its point");
         let _ = std::fs::remove_file(&path);

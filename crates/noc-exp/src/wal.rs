@@ -1,10 +1,8 @@
 //! Keyed write-ahead journal for long-running services.
 //!
-//! [`crate::run_grid_journal`]'s journal is indexed by grid position —
-//! right for one grid, useless for a service that answers arbitrary
-//! interleaved requests. [`Wal`] generalizes it to an append-only,
-//! *keyed* record log with the durability properties a crash-tolerant
-//! service needs:
+//! The workspace's one durability primitive: an append-only, *keyed*
+//! record log. The evaluation service keys it by `(config digest,
+//! seed)`; [`crate::run_grid_journal`] keys it by grid index.
 //!
 //! * **Atomic append** — each record is one `write(2)` of one complete
 //!   line to an `O_APPEND` descriptor, so concurrent appenders (the
@@ -21,8 +19,8 @@
 //!   boundary), bounding what a *machine* crash can lose without paying
 //!   a disk round-trip per record.
 //!
-//! Records are `(key, payload)` string pairs, tab-separated with the
-//! same escaping as the grid journal; replay returns them in append
+//! Records are `(key, payload)` string pairs, tab-separated, with
+//! backslash, tab and newline escaped; replay returns them in append
 //! order so "last record wins" deduplication is the caller's one-liner
 //! ([`WalReplay::into_map`]).
 
@@ -30,8 +28,6 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-
-use crate::robust::{escape, unescape};
 
 /// Appends between automatic `fsync`s: a machine crash loses at most
 /// this many acknowledged records (a process crash loses none past the
@@ -60,20 +56,28 @@ impl WalReplay {
     }
 }
 
-/// Read a line-oriented journal tolerantly: all complete lines, plus
-/// whether a torn (newline-less) final record was present and dropped.
-/// Non-UTF8 bytes are replaced, which makes the affected line fail its
-/// record parse and be skipped — never a panic.
-pub(crate) fn read_lines_tolerant(path: &Path) -> std::io::Result<(Vec<String>, bool)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let torn = !text.is_empty() && !text.ends_with('\n');
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    if torn {
-        lines.pop();
+/// Escape a key or payload for the one-line-per-record format.
+fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('\t', "\\t").replace('\n', "\\n")
+}
+
+/// Inverse of [`escape`]; `None` on a malformed escape.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next()? {
+            '\\' => out.push('\\'),
+            't' => out.push('\t'),
+            'n' => out.push('\n'),
+            _ => return None,
+        }
     }
-    Ok((lines, torn))
+    Some(out)
 }
 
 struct WalInner {
@@ -188,6 +192,15 @@ mod tests {
         let p = dir.join(name);
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    #[test]
+    fn escape_round_trips() {
+        for s in ["", "plain", "tab\there", "line\nbreak", "back\\slash", "\\t\\n\\\\"] {
+            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
+        }
+        assert_eq!(unescape("bad\\x"), None, "unknown escape is rejected");
+        assert_eq!(unescape("trailing\\"), None, "truncated escape is rejected");
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! from the journal instead of recomputing. Idle loops poll the TERM
 //! flag every 50 ms.
 
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use noc_serve::lines::{Framed, RequestLines};
 use noc_serve::{ServeConfig, Service};
 
 /// Set from the signal handler; polled (with `load`, never `swap` —
@@ -160,14 +161,17 @@ fn main() {
 }
 
 /// stdin/stdout mode. A reader thread feeds a channel so the main loop
-/// can poll the TERM flag every 50 ms even while stdin is idle.
+/// can poll the TERM flag every 50 ms even while stdin is idle. A line
+/// the framing refuses (over-long, not UTF-8) is answered with a typed
+/// `error` and skipped.
 fn serve_stdio(service: &Service) -> std::io::Result<()> {
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Framed>();
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in BufReader::new(stdin.lock()).lines() {
-            let Ok(line) = line else { return };
-            if tx.send(line).is_err() {
+        let mut lines = RequestLines::new(BufReader::new(std::io::stdin().lock()));
+        while let Ok(framed) = lines.next_line() {
+            // EOF (or a read error) hangs up the channel: the main
+            // loop drains exactly as on SIGTERM
+            if framed == Framed::Eof || tx.send(framed).is_err() {
                 return;
             }
         }
@@ -179,16 +183,14 @@ fn serve_stdio(service: &Service) -> std::io::Result<()> {
             return service.shutdown(&mut out);
         }
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(line) => {
+            Ok(Framed::Line(line)) => {
                 if !service.handle_line(&line, &mut out)? {
                     return Ok(());
                 }
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // EOF: drain exactly like SIGTERM
-                return service.shutdown(&mut out);
-            }
+            Ok(Framed::Refused(reason)) => service.refuse_line(reason, &mut out)?,
+            Ok(Framed::Eof) | Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => return service.shutdown(&mut out),
         }
     }
 }

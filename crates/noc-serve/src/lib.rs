@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod lines;
 mod pool;
 mod retry;
 mod service;

@@ -292,6 +292,12 @@ impl Service {
         self.handle_line_noting(line, out).map(|(alive, _)| alive)
     }
 
+    /// Answer a line the transport refused to hand over (over-long, not
+    /// UTF-8) with the one typed `error` response it is owed.
+    pub fn refuse_line(&self, reason: String, out: &mut dyn Write) -> io::Result<()> {
+        self.emit(out, &ServeResponse::Error { reason })
+    }
+
     /// [`Service::handle_line`], also reporting the batch a `point` or
     /// `sweep` line admitted work into — what a socket connection
     /// remembers so a TERM drain can flush its own batches — without

@@ -25,7 +25,7 @@
 
 #![cfg(unix)]
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,6 +33,7 @@ use std::time::Duration;
 
 use noc_eval::serve::ServeResponse;
 
+use crate::lines::{Framed, RequestLines};
 use crate::Service;
 
 /// How often idle loops poll the TERM flag (both the accept loop and
@@ -100,7 +101,9 @@ fn reject(service: &Service, stream: UnixStream) {
 /// One connection's line loop: read with a [`TERM_POLL`] timeout so
 /// the TERM flag stays responsive mid-connection (partial bytes stay
 /// buffered across timeouts), remember which batches this client
-/// touched, and on TERM drain exactly those batches back to it.
+/// touched, and on TERM drain exactly those batches back to it. A line
+/// the framing refuses (over-long, not UTF-8) gets its one typed
+/// `error` response and the connection is closed.
 fn handle_connection(
     service: &Service,
     stream: UnixStream,
@@ -109,9 +112,8 @@ fn handle_connection(
 ) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(TERM_POLL))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut lines = RequestLines::new(BufReader::new(stream.try_clone()?));
     let mut out = stream;
-    let mut line = String::new();
     let mut batches: Vec<String> = Vec::new();
     loop {
         if term.load(Ordering::SeqCst) {
@@ -120,9 +122,10 @@ fn handle_connection(
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {
+        match lines.next_line() {
+            Ok(Framed::Eof) => return Ok(()), // client hung up
+            Ok(Framed::Refused(reason)) => return service.refuse_line(reason, &mut out),
+            Ok(Framed::Line(line)) => {
                 let (alive, touched) = service.handle_line_noting(&line, &mut out)?;
                 if !alive {
                     stop.store(true, Ordering::SeqCst);
@@ -133,7 +136,6 @@ fn handle_connection(
                         batches.push(b);
                     }
                 }
-                line.clear();
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
             Err(_) => return Ok(()),

@@ -302,3 +302,45 @@ fn term_drains_queued_points_to_the_live_connection() {
         server.join().unwrap().unwrap();
     });
 }
+
+/// A line the framing refuses — one that never ends, or one that is
+/// not UTF-8 — costs its sender exactly one typed `error` response and
+/// the connection; the server keeps serving everyone else.
+#[test]
+fn unreadable_lines_get_one_error_then_the_connection_closes() {
+    let sock = tmp("hostile.sock");
+    let svc = Service::new(quick_cfg()).unwrap();
+    let term = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let server = {
+            let (svc, sock, term) = (&svc, &sock, &term);
+            scope.spawn(move || socket::serve(svc, sock, term))
+        };
+        let bound = noc_eval::serve::MAX_LINE_BYTES;
+        let hostile: [(&str, Vec<u8>); 2] = [
+            ("longer than", vec![b'x'; bound + (1 << 16)]), // no newline, ever
+            ("UTF-8", b"{\"req\": \"\xff\xfe\"}\n".to_vec()),
+        ];
+        for (why, bytes) in hostile {
+            let stream = connect(&sock);
+            let mut out = stream.try_clone().unwrap();
+            // the server may hang up before the last bytes are written
+            let writer = scope.spawn(move || drop(out.write_all(&bytes)));
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let ServeResponse::Error { reason } = parse_response(line.trim()).expect(&line) else {
+                panic!("expected a typed error, got {line}")
+            };
+            assert!(reason.contains(why), "{reason}");
+            line.clear();
+            // a reset (unread bytes were pending) is as good as EOF
+            assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "then the connection closes");
+            writer.join().unwrap();
+        }
+        let resps = client_session(&sock, "after", &[point("after", 9, 0.1)]);
+        assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 1, ok: 1, .. })));
+        term.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
+    });
+}

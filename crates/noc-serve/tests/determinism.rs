@@ -1,11 +1,12 @@
 //! Property tests for the robustness layer's determinism contract:
 //! a `Panicked`-then-retried point is bit-identical to a clean
 //! first-try run (same derived seed), and typed shed/timeout/panic
-//! outcomes survive the serve/v1 schema's tolerant parser verbatim.
+//! outcomes survive the serve/v1 schema's parser verbatim; and no text
+//! a client can send costs the service more than one typed response.
 
-use noc_eval::serve::{parse_response, ServeOutcome, ServeResponse, ServeResult};
+use noc_eval::serve::{parse_response, ServeOutcome, ServeRequest, ServeResponse, ServeResult};
 use noc_openloop::{measure, measure_budgeted, OpenLoopConfig};
-use noc_serve::{run_with_retry, RetryPolicy};
+use noc_serve::{run_with_retry, RetryPolicy, ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use proptest::prelude::*;
 
@@ -94,5 +95,37 @@ proptest! {
         // the canonical fragment regenerates byte-for-byte, which is
         // what makes WAL replay bit-identical
         prop_assert_eq!(back.outcome.canonical(), outcome.canonical());
+    }
+
+    /// Hostile input: arbitrary text, and a valid request with one byte
+    /// flipped, inserted or deleted, never panics the service and is
+    /// answered with exactly one response line that `parse_response`
+    /// accepts (nothing at all for a blank line).
+    #[test]
+    fn any_line_gets_exactly_one_typed_response(
+        raw in prop::collection::vec(0u8..=255u8, 0..64),
+        at in 0usize..1000,
+        how in 0u32..4,
+    ) {
+        let cancel = ServeRequest::Cancel { batch: "b\"\\1".into() }.to_json().into_bytes();
+        let health = ServeRequest::Health.to_json().into_bytes();
+        let mut bytes = if at % 2 == 0 { cancel } else { health };
+        let (at, byte) = (at % bytes.len(), raw.first().copied().unwrap_or(b'"'));
+        match how {
+            0 => bytes = raw.clone(),
+            1 => bytes[at] = byte,
+            2 => bytes.insert(at, byte),
+            _ => drop(bytes.remove(at)),
+        }
+        let line = nasty_string(&bytes);
+        let svc = Service::new(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+        let mut out = Vec::new();
+        prop_assert!(svc.handle_line(&line, &mut out).unwrap(), "only `shutdown` ends the loop");
+        let text = String::from_utf8(out).unwrap();
+        let want = if line.trim().is_empty() { 0 } else { 1 };
+        prop_assert_eq!(text.lines().count(), want, "{:?} -> {:?}", line, text);
+        for resp in text.lines() {
+            prop_assert!(parse_response(resp).is_ok(), "{:?} -> {:?}", line, resp);
+        }
     }
 }

@@ -379,10 +379,42 @@ fn malformed_lines_get_typed_error_responses() {
         .handle_line("{\"schema\": \"noc-eval/serve/v1\", \"req\": \"warp\"}", &mut buf)
         .unwrap());
     assert!(svc.handle_line("", &mut buf).unwrap(), "blank lines are ignored");
+    // values the old scanners wrapped, truncated or half-read: each is
+    // now refused by name
+    let good = ServeRequest::Point(Box::new(point("b", 1, 0.1))).to_json();
+    let run = ServeRequest::Run { batch: "b".into(), max_attempts: Some(1), deadline_ms: None };
+    let hostile = [
+        (good.replace("\"router_delay\": 1", "\"router_delay\": 4294967297"), "router_delay"),
+        (good.replace("\"vcs\": 2", "\"vcs\": 3.7"), "vcs"),
+        (good.replace("\"seed\": 1", "\"seed\": 1, \"seed\": 2"), "seed"),
+        (
+            run.to_json().replace("\"max_attempts\": 1", "\"max_attempts\": 4294967296"),
+            "max_attempts",
+        ),
+    ];
+    for (line, _) in &hostile {
+        assert_ne!(line, &good, "the probe must differ from the valid line");
+        assert!(svc.handle_line(line, &mut buf).unwrap());
+    }
     let text = String::from_utf8(buf).unwrap();
-    let errors: Vec<_> = text.lines().map(|l| parse_response(l).unwrap()).collect();
-    assert_eq!(errors.len(), 2);
-    assert!(errors.iter().all(|e| matches!(e, ServeResponse::Error { .. })));
+    let reasons: Vec<String> = text
+        .lines()
+        .map(|l| match parse_response(l).unwrap() {
+            ServeResponse::Error { reason } => reason,
+            other => panic!("expected a typed error, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(reasons.len(), 2 + hostile.len(), "one error per bad line");
+    for ((_, field), reason) in hostile.iter().zip(&reasons[2..]) {
+        assert!(reason.contains(&format!("\"{field}\"")), "{field}: {reason}");
+    }
+    assert_eq!(svc.snapshot().queue_depth, 0, "none of them was admitted");
+    // and the service keeps serving
+    let mut svc = svc;
+    let (resps, alive) =
+        drive(&mut svc, &[ServeRequest::Point(Box::new(point("b", 1, 0.1))), run_req("b")]);
+    assert!(alive);
+    assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 1, ok: 1, .. })));
 }
 
 #[test]

@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Hostile-input smoke for the evaluation service: pipe lines no client
+# should send into the real noc-serve on stdio, then `shutdown`, and
+# require exit 0 with exactly one typed `error` response per hostile
+# line. The lines are scripts/hostile_lines.txt (not UTF-8, a
+# router_delay that does not fit u32, a duplicated key, `seeds: 4e18`,
+# a sweep past MAX_SWEEP_POINTS) preceded by one line longer than
+# MAX_LINE_BYTES, which is generated here rather than checked in.
+#
+# Usage: scripts/serve_hostile.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo build --release -p noc-serve
+
+fixture=scripts/hostile_lines.txt
+want=$(( $(grep -c '' "$fixture") + 1 ))
+out="$(
+  {
+    head -c 5000000 /dev/zero | tr '\0' 'x'
+    echo
+    cat "$fixture"
+    echo '{"schema": "noc-eval/serve/v1", "req": "shutdown"}'
+  } | "${CARGO_TARGET_DIR:-target}/release/noc-serve"
+)"
+got="$(grep -c '"resp": "error"' <<<"$out" || true)"
+if [ "$got" != "$want" ]; then
+  echo "serve_hostile: $want hostile lines drew $got error responses:" >&2
+  cut -c1-200 <<<"$out" >&2
+  exit 1
+fi
+if ! tail -n 1 <<<"$out" | grep -q '"resp": "status"'; then
+  echo "serve_hostile: the stream did not end with the shutdown status record" >&2
+  exit 1
+fi
+echo "serve_hostile: $got/$want hostile lines answered with typed errors; clean shutdown"

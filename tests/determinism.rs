@@ -1,8 +1,8 @@
 //! Regression test for the experiment engine's core guarantee:
 //! parallel execution is **bit-identical** to serial execution.
 //!
-//! Results are compared through their `Debug` form (the in-tree
-//! serde_json shim does not serialize), which covers every field —
+//! Results are compared through their `Debug` form, which covers every
+//! field —
 //! including all f64 statistics, whose exact bits would differ if any
 //! point saw a different seed or evaluation order mattered.
 //!
