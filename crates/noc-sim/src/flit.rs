@@ -2,8 +2,12 @@
 //!
 //! A [`Packet`] is the unit of the workload (one request or reply); it is
 //! broken into [`Flit`]s, the unit of flow control. Flits carry only an
-//! index into the [`PacketSlab`] plus a sequence number, keeping the hot
-//! per-cycle data two words wide.
+//! index into the [`PacketSlab`], a sequence number, the target VC and a
+//! tail bit — 8 bytes — so the per-cycle data stays one word wide. The
+//! slab itself is split by temperature: what VC allocation reads and
+//! writes at every hop (destination, class, routing state) sits in a
+//! dense array of 24-byte [`RouteRec`]s, the rest of the [`Packet`]
+//! (identity and timestamps, read at injection and delivery) beside it.
 
 use crate::routing::RouteState;
 
@@ -61,8 +65,6 @@ pub struct Packet {
     /// Cycle the head flit entered the network (left the source queue);
     /// `u64::MAX` until injection.
     pub inject: Cycle,
-    /// Routing state (phase, intermediate, dateline bit).
-    pub route: RouteState,
     /// Opaque workload tag (e.g. request id for reply matching).
     pub payload: u64,
 }
@@ -104,7 +106,6 @@ impl Clone for Packet {
             class: self.class,
             birth: self.birth,
             inject: self.inject,
-            route: self.route,
             payload: self.payload,
         }
     }
@@ -147,10 +148,27 @@ pub struct PacketSpec {
     pub payload: u64,
 }
 
+/// What VC allocation needs of a packet at every hop, packed so the
+/// allocator's random slab access touches 24 bytes instead of a whole
+/// [`Packet`].
+#[derive(Debug, Clone, Copy)]
+pub struct RouteRec {
+    /// Destination node.
+    pub dst: u32,
+    /// Message class.
+    pub class: MsgClass,
+    /// Routing state (phase, intermediate, dateline bit), advanced at
+    /// every granted hop.
+    pub route: RouteState,
+}
+
 /// Dense slab of live packets with index reuse.
 #[derive(Debug, Default)]
 pub struct PacketSlab {
     slots: Vec<Option<Packet>>,
+    /// Routing records, parallel to `slots` (stale where the slot is
+    /// free).
+    routes: Vec<RouteRec>,
     free: Vec<PacketId>,
     next_uid: u64,
     live: usize,
@@ -162,22 +180,40 @@ impl PacketSlab {
         Self::default()
     }
 
-    /// Insert a packet, assigning its `uid`; returns the slab id.
-    pub fn insert(&mut self, mut pkt: Packet) -> PacketId {
+    /// Insert a packet with its initial routing state, assigning its
+    /// `uid`; returns the slab id.
+    pub fn insert(&mut self, mut pkt: Packet, route: RouteState) -> PacketId {
         pkt.uid = self.next_uid;
         self.next_uid += 1;
         self.live += 1;
+        let rec = RouteRec { dst: pkt.dst as u32, class: pkt.class, route };
         match self.free.pop() {
             Some(id) => {
                 debug_assert!(self.slots[id as usize].is_none());
                 self.slots[id as usize] = Some(pkt);
+                self.routes[id as usize] = rec;
                 id
             }
             None => {
                 self.slots.push(Some(pkt));
+                self.routes.push(rec);
                 (self.slots.len() - 1) as PacketId
             }
         }
+    }
+
+    /// Routing record of a live packet.
+    #[inline]
+    pub fn route(&self, id: PacketId) -> &RouteRec {
+        debug_assert!(self.slots[id as usize].is_some(), "dangling packet id");
+        &self.routes[id as usize]
+    }
+
+    /// Mutable routing record of a live packet.
+    #[inline]
+    pub fn route_mut(&mut self, id: PacketId) -> &mut RouteRec {
+        debug_assert!(self.slots[id as usize].is_some(), "dangling packet id");
+        &mut self.routes[id as usize]
     }
 
     /// Borrow a live packet.
@@ -220,24 +256,18 @@ mod tests {
     use super::*;
 
     fn mk(src: usize, dst: usize) -> Packet {
-        Packet {
-            uid: 0,
-            src,
-            dst,
-            size: 1,
-            class: 0,
-            birth: 0,
-            inject: u64::MAX,
-            route: RouteState::direct(),
-            payload: 0,
-        }
+        Packet { uid: 0, src, dst, size: 1, class: 0, birth: 0, inject: u64::MAX, payload: 0 }
+    }
+
+    fn insert(slab: &mut PacketSlab, pkt: Packet) -> PacketId {
+        slab.insert(pkt, RouteState::direct())
     }
 
     #[test]
     fn insert_get_remove() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(mk(0, 1));
-        let b = slab.insert(mk(2, 3));
+        let a = insert(&mut slab, mk(0, 1));
+        let b = insert(&mut slab, mk(2, 3));
         assert_eq!(slab.live(), 2);
         assert_eq!(slab.get(a).dst, 1);
         assert_eq!(slab.get(b).src, 2);
@@ -249,10 +279,10 @@ mod tests {
     #[test]
     fn ids_are_reused_but_uids_are_not() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(mk(0, 1));
+        let a = insert(&mut slab, mk(0, 1));
         let uid_a = slab.get(a).uid;
         slab.remove(a);
-        let b = slab.insert(mk(4, 5));
+        let b = insert(&mut slab, mk(4, 5));
         assert_eq!(a, b, "slot should be reused");
         assert_ne!(uid_a, slab.get(b).uid, "uid must be fresh");
         assert_eq!(slab.total_created(), 2);
@@ -262,7 +292,7 @@ mod tests {
     #[should_panic]
     fn get_after_remove_panics() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(mk(0, 1));
+        let a = insert(&mut slab, mk(0, 1));
         slab.remove(a);
         slab.get(a);
     }
@@ -271,7 +301,7 @@ mod tests {
     #[should_panic]
     fn double_remove_panics() {
         let mut slab = PacketSlab::new();
-        let a = slab.insert(mk(0, 1));
+        let a = insert(&mut slab, mk(0, 1));
         slab.remove(a);
         slab.remove(a);
     }
@@ -285,7 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn flit_is_small() {
+    fn hot_records_are_small() {
         assert!(std::mem::size_of::<Flit>() <= 8);
+        assert!(std::mem::size_of::<RouteRec>() <= 24);
+    }
+
+    #[test]
+    fn route_record_follows_the_slot() {
+        let mut slab = PacketSlab::new();
+        let a = slab.insert(mk(0, 7), RouteState::via(3));
+        assert_eq!((slab.route(a).dst, slab.route(a).route.intermediate), (7, 3));
+        slab.route_mut(a).route.phase = 1;
+        assert_eq!(slab.route(a).route.phase, 1);
+        slab.remove(a);
+        let b = insert(&mut slab, mk(1, 2));
+        assert_eq!(a, b);
+        assert_eq!((slab.route(b).dst, slab.route(b).route.phase), (2, 1));
+        assert_eq!(slab.route(b).route.intermediate, usize::MAX, "record rewritten on reuse");
     }
 }

@@ -100,13 +100,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::error::{ConfigError, SimError};
-use crate::flit::{Cycle, Packet, PacketId, PacketSlab, PacketSpec};
+use crate::flit::{Cycle, Packet, PacketId, PacketSpec};
 use crate::rng::SimRng;
-use crate::router::{RouterMut, SaWin};
+use crate::router::SaWin;
 use crate::routing::PortSet;
 use crate::topology::Topology;
 
-use super::{NetStats, Network};
+use super::{Engine, Network};
 
 /// One timed fault or repair, applied at the start of its cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -517,18 +517,16 @@ impl FaultState {
     /// pushed onto the link. Returns `Ok(Some(ready))` when the flit
     /// forwards; `ready` is the link-exit cycle, which under link-level
     /// retry may include replay delay and the FIFO lag of earlier
-    /// replays on the same channel. `link` carries the channel's
-    /// `(delay, in-flight flits)` when it exists; for a nonexistent
-    /// channel the verdict is `Forward` at the nominal time and the
-    /// caller raises its usual dead-port error.
-    #[allow(clippy::too_many_arguments)]
+    /// replays on the same channel. `li` is the channel router `r` is
+    /// switching `w` onto and `base` the cycle the flit leaves the
+    /// router; for a nonexistent channel the verdict is `Forward` at
+    /// the nominal time and the caller raises its usual dead-port
+    /// error.
     pub(super) fn on_link_entry(
         &mut self,
-        stats: &mut NetStats,
-        packets: &mut PacketSlab,
-        router: &mut RouterMut<'_>,
+        eng: &mut Engine,
+        r: usize,
         li: usize,
-        link: Option<(Cycle, usize)>,
         base: Cycle,
         w: &SaWin,
     ) -> Result<Option<Cycle>, SimError> {
@@ -571,14 +569,15 @@ impl FaultState {
             }
         };
         if !doomed {
-            let Some((delay, in_flight)) = link else { return Ok(Some(base)) };
-            let mut ready = base + delay;
+            let Some(link) = eng.links[li].as_ref() else { return Ok(Some(base)) };
+            let in_flight = link.in_flight;
+            let mut ready = base + link.delay as Cycle;
             if let Some(lr) = self.plan.link_retry {
                 // the sender retains every in-flight flit until acked;
                 // occupancy is the retry-buffer fill level
                 let occupancy = in_flight as u64 + 1;
                 self.stats.replay_buf_peak = self.stats.replay_buf_peak.max(occupancy);
-                if lr.buf_depth > 0 && in_flight >= lr.buf_depth as usize {
+                if lr.buf_depth > 0 && in_flight >= lr.buf_depth {
                     self.stats.replay_buf_stalls += 1;
                     ready += lr.replay_rtt;
                 }
@@ -593,19 +592,19 @@ impl FaultState {
         }
         if w.flit.seq == 0 {
             self.stats.packets_dropped += 1;
-            if !w.is_tail {
+            if !w.flit.tail {
                 self.dooming.insert(pid, li as u32);
             }
         }
-        if w.is_tail {
+        if w.flit.tail {
             // tail is last in flit order: the whole packet is accounted
             self.dooming.remove(&pid);
             self.xfer_of.remove(&pid);
-            packets.remove(pid);
+            eng.packets.remove(pid);
         }
-        stats.flits_dropped += 1;
+        eng.stats.flits_dropped += 1;
         // refund the output-VC credit switch allocation just consumed
-        router.credit(w.out_port as usize, w.out_vc as usize)?;
+        eng.routers.router_mut(r).credit(w.out_port as usize, w.out_vc as usize)?;
         Ok(None)
     }
 
@@ -688,15 +687,15 @@ impl Network {
                 }
             }
         }
-        plan.events.sort_by_key(FaultEvent::cycle); // stable: ties keep plan order
+        plan.events.sort_by_cached_key(FaultEvent::cycle); // stable: ties keep plan order
         let rng = SimRng::new(plan.corrupt_seed);
         let link_lag =
-            if plan.link_retry.is_some() { vec![0; self.links.len()] } else { Vec::new() };
+            if plan.link_retry.is_some() { vec![0; self.eng.links.len()] } else { Vec::new() };
         self.fault = Some(Box::new(FaultState {
             plan,
             next_event: 0,
-            dead_link: vec![false; self.links.len()],
-            link_failed: vec![false; self.links.len()],
+            dead_link: vec![false; self.eng.links.len()],
+            link_failed: vec![false; self.eng.links.len()],
             dead_router: vec![false; n],
             dead_links_count: 0,
             dead_routers_count: 0,
@@ -772,7 +771,7 @@ impl Network {
             match ev {
                 FaultEvent::LinkFail { router, port, .. } => {
                     let li = self.link_idx(router, port);
-                    if self.links[li].is_some() {
+                    if self.eng.links[li].is_some() {
                         let f = self.fault.as_mut().expect("fault state present");
                         if !f.link_failed[li] {
                             f.link_failed[li] = true;
@@ -783,7 +782,7 @@ impl Network {
                 }
                 FaultEvent::LinkRepair { router, port, .. } => {
                     let li = self.link_idx(router, port);
-                    if self.links[li].is_some() {
+                    if self.eng.links[li].is_some() {
                         let f = self.fault.as_mut().expect("fault state present");
                         if f.link_failed[li] {
                             f.link_failed[li] = false;
@@ -821,8 +820,8 @@ impl Network {
     /// Re-derive channel `li`'s effective liveness from its cause
     /// ledger (own failure, endpoint routers); true when it flipped.
     fn fault_recompute_link(&mut self, li: usize) -> bool {
-        let Some(link) = self.links[li].as_ref() else { return false };
-        let src = li / (self.topo.num_ports() - 1);
+        let Some(link) = self.eng.links[li].as_ref() else { return false };
+        let src = li / self.eng.ports1;
         let dst = link.dst_router;
         let f = self.fault.as_mut().expect("fault state present");
         let dead = f.link_failed[li] || f.dead_router[src] || f.dead_router[dst];
@@ -854,9 +853,8 @@ impl Network {
         for p in 1..ports {
             let li = self.link_idx(router, p);
             self.fault_recompute_link(li);
-            let ui = self.up_link[li];
-            if ui != u32::MAX {
-                self.fault_recompute_link(ui as usize);
+            if let Some(ui) = self.eng.up_link(li) {
+                self.fault_recompute_link(ui);
             }
         }
         // will this router come back? if so, its open transfers stay
@@ -873,9 +871,9 @@ impl Network {
         // router is still scheduled — then somebody IS left to
         // retransmit them, and the ledger keeps them open
         for c in 0..self.cfg.classes {
-            while let Some(pid) = self.nis[router].class_q[c].pop_front() {
+            while let Some(pid) = self.eng.nis[router].class_q[c].pop_front() {
                 self.inj_backlog -= 1;
-                self.packets.remove(pid);
+                self.eng.packets.remove(pid);
                 let f = self.fault.as_mut().expect("fault state present");
                 f.stats.packets_dropped += 1;
                 if let Some(x) = f.xfer_of.remove(&pid) {
@@ -905,9 +903,8 @@ impl Network {
         for p in 1..ports {
             let li = self.link_idx(router, p);
             self.fault_recompute_link(li);
-            let ui = self.up_link[li];
-            if ui != u32::MAX {
-                self.fault_recompute_link(ui as usize);
+            if let Some(ui) = self.eng.up_link(li) {
+                self.fault_recompute_link(ui);
             }
         }
         true
@@ -972,7 +969,7 @@ impl Network {
             }
             // retransmit: a fresh packet carrying the same spec
             let route = self.routing.init(self.topo.as_ref(), node, spec.dst, &mut self.rng);
-            let pid = self.packets.insert(Packet {
+            let pkt = Packet {
                 uid: 0,
                 src: node,
                 dst: spec.dst,
@@ -980,12 +977,12 @@ impl Network {
                 class: spec.class,
                 birth: t,
                 inject: u64::MAX,
-                route,
                 payload: spec.payload,
-            });
-            self.nis[node].class_q[spec.class as usize].push_back(pid);
+            };
+            let pid = self.eng.packets.insert(pkt, route);
+            self.eng.nis[node].class_q[spec.class as usize].push_back(pid);
             self.inj_backlog += 1;
-            super::bit_set(&mut self.ni_work, node);
+            super::bit_set(&mut self.eng.ni_work, node);
             let f = self.fault.as_mut().expect("fault state present");
             f.xfer_of.insert(pid, xfer);
             f.stats.retransmissions += 1;
@@ -1010,7 +1007,7 @@ impl Network {
         spec: PacketSpec,
         t: Cycle,
     ) {
-        let uid = self.packets.get(pid).uid;
+        let uid = self.eng.packets.get(pid).uid;
         let f = self.fault.as_mut().expect("fault state present");
         f.stats.transfers_started += 1;
         f.xfer_of.insert(pid, uid);
@@ -1053,7 +1050,7 @@ impl Network {
         let Some(f) = self.fault.as_ref() else { return Ok(()) };
         let ports1 = self.topo.num_ports() - 1;
         let mut dead_links = 0usize;
-        for (li, link) in self.links.iter().enumerate() {
+        for (li, link) in self.eng.links.iter().enumerate() {
             let Some(link) = link.as_ref() else {
                 if f.dead_link[li] || f.link_failed[li] {
                     return Err(SimError::Invariant {

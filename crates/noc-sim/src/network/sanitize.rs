@@ -7,7 +7,9 @@
 //!
 //! - **Flit conservation** — every injected flit is either buffered in
 //!   a router, in flight on a link, queued for ejection, or already
-//!   ejected; nothing is duplicated or dropped.
+//!   ejected; nothing is duplicated or dropped. In-flight flits are
+//!   recounted from the timing wheel's slots and overflow list, and
+//!   each link's in-flight counter must agree with that recount.
 //! - **Credit conservation** — for every (channel, VC): credits held
 //!   upstream + credits in flight + flits in flight + flits buffered
 //!   downstream always equals the configured buffer depth. The same
@@ -16,6 +18,11 @@
 //!   packet appear as consecutive sequence numbers, a new packet starts
 //!   only after the previous packet's tail, and an un-allocated VC
 //!   always has a head flit at its front.
+//! - **Wheel filing** — every in-flight event sits in the slot of its
+//!   own arrival cycle, no slot at or before the current cycle holds
+//!   anything, the overflow list holds only events beyond the horizon
+//!   (none within it is left behind after arrivals), and per link the
+//!   arrival order is non-decreasing in time.
 //! - **Allocation consistency** — an active input VC and the output VC
 //!   it claimed agree on the owning packet, and no output VC is
 //!   claimed by two inputs.
@@ -101,6 +108,7 @@ impl Network {
         self.check_flit_conservation(t)?;
         self.check_credit_conservation(t)?;
         self.check_framing(t)?;
+        self.check_wheel(t)?;
         self.check_allocation_consistency(t)?;
         self.sanitize_fault_consistency(t)?;
         self.check_watchdog(t)?;
@@ -111,14 +119,35 @@ impl Network {
     /// Injected flits = ejected + buffered + in flight + awaiting
     /// ejection.
     fn check_flit_conservation(&mut self, t: Cycle) -> Result<(), SimError> {
-        let buffered: u64 =
-            (0..self.routers.len()).map(|r| self.routers.router(r).buffered_flits() as u64).sum();
-        let in_flight: u64 = self.links.iter().flatten().map(|l| l.in_flight() as u64).sum();
-        let ejecting: u64 = self.nis.iter().map(|ni| ni.eject_q.len() as u64).sum();
-        let accounted =
-            self.stats.flits_ejected + buffered + in_flight + ejecting + self.stats.flits_dropped;
+        let buffered: u64 = (0..self.eng.routers.len())
+            .map(|r| self.eng.routers.router(r).buffered_flits() as u64)
+            .sum();
+        // in-flight flits, recounted per link from the wheel itself
+        let mut on_link = vec![0u32; self.eng.links.len()];
+        for (_, ev) in self.eng.wheel.iter_flits() {
+            on_link[ev.link as usize] += 1;
+        }
+        let in_flight: u64 = on_link.iter().map(|&c| c as u64).sum();
+        for (li, (&counted, link)) in on_link.iter().zip(&self.eng.links).enumerate() {
+            let held = link.as_ref().map_or(0, |l| l.in_flight);
+            if counted != held {
+                return Err(SimError::Invariant {
+                    cycle: t,
+                    check: "flit conservation",
+                    detail: format!(
+                        "link {li}: in-flight counter says {held}, the wheel holds {counted}"
+                    ),
+                });
+            }
+        }
+        let ejecting: u64 = self.eng.nis.iter().map(|ni| ni.eject_q.len() as u64).sum();
+        let accounted = self.eng.stats.flits_ejected
+            + buffered
+            + in_flight
+            + ejecting
+            + self.eng.stats.flits_dropped;
         self.san.stats.conservation_checks += 1;
-        if accounted != self.stats.flits_injected {
+        if accounted != self.eng.stats.flits_injected {
             return Err(SimError::Invariant {
                 cycle: t,
                 check: "flit conservation",
@@ -126,7 +155,9 @@ impl Network {
                     "{} flits injected but {accounted} accounted for \
                      ({} ejected + {buffered} buffered + {in_flight} on links + \
                      {ejecting} awaiting ejection + {} dropped by faults)",
-                    self.stats.flits_injected, self.stats.flits_ejected, self.stats.flits_dropped
+                    self.eng.stats.flits_injected,
+                    self.eng.stats.flits_ejected,
+                    self.eng.stats.flits_dropped
                 ),
             });
         }
@@ -140,18 +171,24 @@ impl Network {
         let vc_buf = self.cfg.vc_buf as u64;
         let vcs = self.cfg.vcs;
         let ports = self.topo.num_ports();
-        for r in 0..self.routers.len() {
+        // one pass over the wheel: (credits, flits) in flight per (link, VC)
+        let mut flying = vec![(0u64, 0u64); self.eng.links.len() * vcs];
+        for (_, ev) in self.eng.wheel.iter_credits() {
+            let li = self.link_idx(ev.src_router as usize, ev.src_port as usize);
+            flying[li * vcs + ev.vc as usize].0 += 1;
+        }
+        for (_, ev) in self.eng.wheel.iter_flits() {
+            flying[ev.link as usize * vcs + ev.flit.vc as usize].1 += 1;
+        }
+        for r in 0..self.eng.routers.len() {
             for p in 1..ports {
                 let li = self.link_idx(r, p);
-                let Some(link) = self.links[li].as_ref() else { continue };
+                let Some(link) = self.eng.links[li].as_ref() else { continue };
                 let (dr, dp) = (link.dst_router, link.dst_port);
                 for v in 0..vcs {
-                    let held = self.routers.router(r).out_vc(p, v).credits as u64;
-                    let credits_in_flight =
-                        link.iter_credits().filter(|&&(_, cv)| cv as usize == v).count() as u64;
-                    let flits_in_flight =
-                        link.iter_flits().filter(|&&(_, f)| f.vc as usize == v).count() as u64;
-                    let downstream = self.routers.router(dr).q_len(dp, v) as u64;
+                    let held = self.eng.routers.router(r).out_vc(p, v).credits as u64;
+                    let (credits_in_flight, flits_in_flight) = flying[li * vcs + v];
+                    let downstream = self.eng.routers.router(dr).q_len(dp, v) as u64;
                     let total = held + credits_in_flight + flits_in_flight + downstream;
                     self.san.stats.credit_checks += 1;
                     if total != vc_buf {
@@ -171,11 +208,11 @@ impl Network {
             }
             // injection channel: NI -> router local input port
             for v in 0..vcs {
-                let ni = &self.nis[r];
+                let ni = &self.eng.nis[r];
                 let held = ni.inj_credits[v] as u64;
                 let credits_in_flight =
                     ni.credit_q.iter().filter(|&&(_, cv)| cv as usize == v).count() as u64;
-                let buffered = self.routers.router(r).q_len(LOCAL_PORT, v) as u64;
+                let buffered = self.eng.routers.router(r).q_len(LOCAL_PORT, v) as u64;
                 let total = held + credits_in_flight + buffered;
                 self.san.stats.credit_checks += 1;
                 if total != vc_buf {
@@ -199,8 +236,8 @@ impl Network {
     /// un-allocated VCs start with a head flit.
     fn check_framing(&mut self, t: Cycle) -> Result<(), SimError> {
         // router input buffers
-        for ri in 0..self.routers.len() {
-            let r = self.routers.router(ri);
+        for ri in 0..self.eng.routers.len() {
+            let r = self.eng.routers.router(ri);
             for p in 0..r.ports() {
                 for v in 0..r.vcs() {
                     let ivc = r.input(p, v);
@@ -227,22 +264,63 @@ impl Network {
                 }
             }
         }
-        // links and ejection queues carry interleaved VCs: check per VC
+        // links and ejection queues carry interleaved VCs: check per VC.
+        // One pass over the wheel sorts its flits into (link, VC) lanes,
+        // each in arrival order.
         let vcs = self.cfg.vcs;
-        for (i, link) in self.links.iter().enumerate() {
-            let Some(link) = link.as_ref() else { continue };
-            for v in 0..vcs {
+        let mut lanes: Vec<Vec<&Flit>> = vec![Vec::new(); self.eng.links.len() * vcs];
+        for (_, ev) in self.eng.wheel.iter_flits() {
+            lanes[ev.link as usize * vcs + ev.flit.vc as usize].push(&ev.flit);
+        }
+        for (lane, flits) in lanes.iter().enumerate() {
+            if self.eng.links[lane / vcs].is_some() {
                 self.san.stats.framing_checks += 1;
-                let flits = link.iter_flits().map(|(_, f)| f).filter(|f| f.vc as usize == v);
-                self.check_queue_framing(t, flits, &format!("link {i} VC {v}"))?;
+            }
+            if !flits.is_empty() {
+                let where_ = format!("link {} VC {}", lane / vcs, lane % vcs);
+                self.check_queue_framing(t, flits.iter().copied(), &where_)?;
             }
         }
-        for (n, ni) in self.nis.iter().enumerate() {
+        for (n, ni) in self.eng.nis.iter().enumerate() {
             for v in 0..vcs {
                 self.san.stats.framing_checks += 1;
                 let flits = ni.eject_q.iter().map(|(_, f)| f).filter(|f| f.vc as usize == v);
                 self.check_queue_framing(t, flits, &format!("node {n} eject VC {v}"))?;
             }
+        }
+        Ok(())
+    }
+
+    /// Wheel filing: slot events sit under their own arrival cycle, in
+    /// the future and inside the horizon; overflow events lie beyond
+    /// it; per link, arrival order never goes back in time.
+    fn check_wheel(&mut self, t: Cycle) -> Result<(), SimError> {
+        let wheel = &self.eng.wheel;
+        let (now, horizon) = (wheel.drained(), wheel.horizon());
+        let mut last = vec![(0, 0); self.eng.links.len()]; // (credit, flit) ready per link
+        let credits = wheel.iter_credits().map(|(slot, ev)| {
+            let li = self.link_idx(ev.src_router as usize, ev.src_port as usize);
+            (slot, ev.ready, li, false)
+        });
+        let flits = wheel.iter_flits().map(|(slot, ev)| (slot, ev.ready, ev.link as usize, true));
+        for (slot, ready, li, is_flit) in credits.chain(flits) {
+            let what = if is_flit { "flit" } else { "credit" };
+            let filed_ok = match slot {
+                Some(c) => c == ready && c > now,
+                None => ready > horizon,
+            };
+            let prev = if is_flit { &mut last[li].1 } else { &mut last[li].0 };
+            if !filed_ok || ready < *prev {
+                return Err(SimError::Invariant {
+                    cycle: t,
+                    check: "wheel filing",
+                    detail: format!(
+                        "{what} of link {li} due at {ready} is filed under {slot:?} after one \
+                         due at {prev} (now {now}, horizon {horizon}; None = overflow)"
+                    ),
+                });
+            }
+            *prev = ready;
         }
         Ok(())
     }
@@ -261,7 +339,7 @@ impl Network {
                     f.seq == p.seq + 1
                 } else {
                     // packet switch: previous must be a tail, next a head
-                    let prev_size = self.packets.get(p.pkt).size;
+                    let prev_size = self.eng.packets.get(p.pkt).size;
                     p.seq as usize == prev_size as usize - 1 && f.seq == 0
                 };
                 if !ok {
@@ -283,8 +361,8 @@ impl Network {
     /// Active input VCs and the output VCs they claimed must agree on
     /// the owning packet, one input per output VC.
     fn check_allocation_consistency(&mut self, t: Cycle) -> Result<(), SimError> {
-        for ri in 0..self.routers.len() {
-            let r = self.routers.router(ri);
+        for ri in 0..self.eng.routers.len() {
+            let r = self.eng.routers.router(ri);
             let mut claimed: HashSet<(usize, usize)> = HashSet::new();
             for p in 0..r.ports() {
                 for v in 0..r.vcs() {
@@ -325,13 +403,13 @@ impl Network {
     fn check_watchdog(&mut self, t: Cycle) -> Result<(), SimError> {
         let pipe = self.pipeline_stats();
         let sig = (
-            self.stats.flits_injected,
-            self.stats.flits_ejected,
-            self.stats.packets_delivered,
+            self.eng.stats.flits_injected,
+            self.eng.stats.flits_ejected,
+            self.eng.stats.packets_delivered,
             pipe.sa_grants,
-            self.stats.flits_dropped,
+            self.eng.stats.flits_dropped,
         );
-        if sig != self.san.last_sig || self.packets.live() == 0 {
+        if sig != self.san.last_sig || self.eng.packets.live() == 0 {
             self.san.last_sig = sig;
             self.san.last_progress = t;
             self.san.stats.idle_cycles = 0;
@@ -354,10 +432,10 @@ impl Network {
     fn wait_for_chain(&self) -> String {
         let mut best = String::new();
         let mut best_is_cycle = false;
-        for start_r in 0..self.routers.len() {
-            for p in 0..self.routers.ports() {
-                for v in 0..self.routers.vcs() {
-                    let ivc = self.routers.router(start_r).input(p, v);
+        for start_r in 0..self.eng.routers.len() {
+            for p in 0..self.eng.routers.ports() {
+                for v in 0..self.eng.routers.vcs() {
+                    let ivc = self.eng.routers.router(start_r).input(p, v);
                     if ivc.state != VcState::Active || ivc.is_empty() {
                         continue;
                     }
@@ -388,7 +466,7 @@ impl Network {
                 let _ = writeln!(out, "  router {r} in[{p}][{v}]  <- cycle closes here");
                 return (out, true);
             }
-            let ivc = self.routers.router(r).input(p, v);
+            let ivc = self.eng.routers.router(r).input(p, v);
             if ivc.state != VcState::Active {
                 let _ = writeln!(
                     out,
@@ -399,7 +477,7 @@ impl Network {
                 return (out, false);
             }
             let (op, ov) = (ivc.out_port as usize, ivc.out_vc as usize);
-            let credits = self.routers.router(r).out_vc(op, ov).credits;
+            let credits = self.eng.routers.router(r).out_vc(op, ov).credits;
             let _ = writeln!(
                 out,
                 "  router {r} in[{p}][{v}] (pkt {}, qlen {}) -> out[{op}][{ov}] \

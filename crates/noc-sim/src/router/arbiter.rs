@@ -1,56 +1,34 @@
 //! Arbitration primitives shared by VC and switch allocation.
+//!
+//! Requesters are the set bits of a mask (bit `i` = position `i` in the
+//! arbiter's input space: an input VC, an input port), so both policies
+//! run in registers with no candidate list to build.
 
-use crate::config::Arbitration;
+/// Round-robin winner: the first set bit of `mask` at or after the
+/// rotating pointer `ptr`, wrapping around.
+#[inline]
+pub fn round_robin(mask: u64, ptr: u32) -> usize {
+    debug_assert!(mask != 0 && ptr < 64);
+    let at_or_after = mask & (u64::MAX << ptr);
+    (if at_or_after != 0 { at_or_after } else { mask }).trailing_zeros() as usize
+}
 
-/// Choose one winner among `cands`, where each candidate is
-/// `(index, age)` with `index` its position in the arbiter's input space
-/// (e.g. input-port number) and `age` the birth cycle of the packet it
-/// carries (smaller = older).
-///
-/// * `RoundRobin`: the first candidate at or after the rotating pointer
-///   `ptr` (wrapping over `space`) wins.
-/// * `AgeBased`: the candidate with the smallest age wins; ties break by
-///   lowest index for determinism.
-///
-/// Returns the winning candidate's position within `cands`.
-pub fn arbitrate(
-    policy: Arbitration,
-    cands: &[(usize, u64)],
-    ptr: usize,
-    space: usize,
-) -> Option<usize> {
-    if cands.is_empty() {
-        return None;
-    }
-    match policy {
-        Arbitration::RoundRobin => {
-            // `idx` and `ptr` are both < `space`, so the wrap-around
-            // distance fits in one conditional subtract (integer division
-            // is too slow for this innermost loop)
-            debug_assert!(space > 0 && ptr < space);
-            let mut best: Option<(usize, usize)> = None; // (distance from ptr, pos)
-            for (pos, &(idx, _)) in cands.iter().enumerate() {
-                debug_assert!(idx < space);
-                let mut dist = idx + space - ptr;
-                if dist >= space {
-                    dist -= space;
-                }
-                if best.is_none_or(|(bd, _)| dist < bd) {
-                    best = Some((dist, pos));
-                }
-            }
-            best.map(|(_, pos)| pos)
-        }
-        Arbitration::AgeBased => {
-            let mut best: Option<(u64, usize, usize)> = None; // (age, idx, pos)
-            for (pos, &(idx, age)) in cands.iter().enumerate() {
-                if best.is_none_or(|(ba, bi, _)| (age, idx) < (ba, bi)) {
-                    best = Some((age, idx, pos));
-                }
-            }
-            best.map(|(_, _, pos)| pos)
+/// Age-based winner: the set bit of `mask` whose packet is oldest
+/// (smallest `age`, the birth cycle); ties break by lowest index for
+/// determinism.
+#[inline]
+pub fn oldest(mut mask: u64, age: impl Fn(usize) -> u64) -> usize {
+    let mut best: Option<(u64, usize)> = None;
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let a = age(i);
+        // ascending scan + strict `<` keeps the lowest index on ties
+        if best.is_none_or(|(b, _)| a < b) {
+            best = Some((a, i));
         }
     }
+    best.expect("arbitration over an empty request mask").1
 }
 
 #[cfg(test)]
@@ -59,44 +37,39 @@ mod tests {
 
     #[test]
     fn round_robin_picks_at_or_after_pointer() {
-        let cands = [(0, 10), (2, 5), (5, 1)];
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &cands, 0, 8), Some(0));
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &cands, 1, 8), Some(1));
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &cands, 2, 8), Some(1));
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &cands, 3, 8), Some(2));
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &cands, 6, 8), Some(0), "wraps");
+        let mask = 0b10_0101; // requesters 0, 2, 5
+        assert_eq!(round_robin(mask, 0), 0);
+        assert_eq!(round_robin(mask, 1), 2);
+        assert_eq!(round_robin(mask, 2), 2);
+        assert_eq!(round_robin(mask, 3), 5);
+        assert_eq!(round_robin(mask, 6), 0, "wraps");
+        assert_eq!(round_robin(1 << 63, 63), 63);
     }
 
     #[test]
     fn age_based_picks_oldest() {
-        let cands = [(0, 10), (2, 5), (5, 7)];
-        assert_eq!(arbitrate(Arbitration::AgeBased, &cands, 3, 8), Some(1));
+        let ages = [10, 0, 5, 0, 0, 7];
+        assert_eq!(oldest(0b10_0101, |i| ages[i]), 2);
     }
 
     #[test]
     fn age_ties_break_by_index() {
-        let cands = [(4, 5), (2, 5)];
-        assert_eq!(arbitrate(Arbitration::AgeBased, &cands, 0, 8), Some(1));
-    }
-
-    #[test]
-    fn empty_candidates() {
-        assert_eq!(arbitrate(Arbitration::RoundRobin, &[], 0, 8), None);
-        assert_eq!(arbitrate(Arbitration::AgeBased, &[], 0, 8), None);
+        assert_eq!(oldest(0b1_0100, |_| 5), 2);
+        assert_eq!(oldest(0b1_0100, |_| u64::MAX), 2, "even at the maximum age");
     }
 
     #[test]
     fn round_robin_alternates_when_pointer_follows_winner() {
         // with the standard "pointer = winner + 1" update, two persistent
         // requesters alternate grants
-        let cands = [(1, 0), (3, 0)];
+        let mask = 0b1010;
         let mut ptr = 0;
-        let mut wins = [0usize; 2];
+        let mut wins = [0usize; 4];
         for _ in 0..8 {
-            let w = arbitrate(Arbitration::RoundRobin, &cands, ptr, 8).unwrap();
+            let w = round_robin(mask, ptr);
             wins[w] += 1;
-            ptr = (cands[w].0 + 1) % 8;
+            ptr = (w as u32 + 1) % 8;
         }
-        assert_eq!(wins, [4, 4]);
+        assert_eq!(wins, [0, 4, 0, 4]);
     }
 }

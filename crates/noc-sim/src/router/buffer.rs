@@ -21,7 +21,7 @@ pub enum VcState {
 }
 
 /// One input VC: ring-buffer cursor into the router's flit store plus
-/// allocation state. 12 bytes, `Copy`-cheap, no heap.
+/// allocation state. 12 bytes, no heap.
 #[derive(Debug)]
 pub struct InputVc {
     /// Ring index of the front flit within this VC's `vc_buf` slots.

@@ -30,14 +30,14 @@
 //! and the metrics collector can scan 64 routers per cache line. The
 //! per-router view types [`RouterMut`] / [`RouterRef`] carry the router
 //! id plus a slab borrow and expose the same method API a standalone
-//! router struct would. Arbitration scratch buffers are shared by the
-//! whole slab — one allocation for the network instead of three per
-//! router.
+//! router struct would. Both allocators arbitrate over bitmasks of
+//! requesters (see [`round_robin`] / [`oldest`]), so a router visit
+//! builds no candidate list and needs no scratch memory.
 
 mod arbiter;
 mod buffer;
 
-pub use arbiter::arbitrate;
+pub use arbiter::{oldest, round_robin};
 pub use buffer::{InputVc, OutputVc, VcState};
 
 use crate::config::Arbitration;
@@ -46,6 +46,10 @@ use crate::flit::{Flit, PacketSlab, NO_PACKET};
 use crate::network::fault::SurvivorTable;
 use crate::routing::{PortSet, RouteLut, Routing, VcBook};
 use crate::topology::{Topology, LOCAL_PORT};
+
+/// Most ports a router may have: `2 * MAX_DIMS + 1 = 9` today; the
+/// switch allocator's per-output request masks are `u16`.
+const MAX_PORTS: usize = 16;
 
 /// A switch-allocation winner: one flit leaving the router this cycle.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +64,6 @@ pub struct SaWin {
     pub in_vc: u8,
     /// The departing flit (with `vc` rewritten to `out_vc`).
     pub flit: Flit,
-    /// True when this is the packet's tail flit.
-    pub is_tail: bool,
 }
 
 /// Per-router pipeline event counters, for bottleneck analysis: when a
@@ -131,24 +133,15 @@ pub struct RouterSlab {
     /// Flits buffered per router (O(1) idle checks and occupancy
     /// sampling sweep a dense array).
     occupancy: Vec<u32>,
-    /// Input VCs waiting for VC allocation, per router.
-    va_wait: Vec<u32>,
-    /// Input VCs in `Active` state, per router.
-    active: Vec<u32>,
-    /// Bitmask twin of `va_wait`: bit `port * vcs + vc` is set iff that
-    /// input VC awaits allocation. Lets the allocator visit only
-    /// waiting VCs instead of scanning all `ports * vcs` each cycle.
+    /// Bit `port * vcs + vc` is set iff that input VC awaits VC
+    /// allocation (idle with a head flit at its front): the allocator's
+    /// request mask.
     wants_mask: Vec<u64>,
-    /// Bitmask twin of `active`: bit `port * vcs + vc` is set iff that
-    /// input VC is in `Active` state (switch-allocation bidders).
+    /// Bit `port * vcs + vc` is set iff that input VC is in `Active`
+    /// state (the switch-allocation bidders).
     active_mask: Vec<u64>,
     /// Pipeline event counters, per router.
     pipeline: Vec<PipelineStats>,
-    /// Allocator scratch, shared by every router (only one router runs
-    /// its pipeline at a time).
-    scratch_eligible: Vec<(usize, u64)>,
-    scratch_requests: Vec<(usize, usize, u64)>,
-    scratch_cands: Vec<(usize, u64)>,
 }
 
 impl RouterSlab {
@@ -164,6 +157,7 @@ impl RouterSlab {
             ports * vcs <= 64,
             "ports * vcs must be <= 64 (input-VC worklists are u64 bitmasks)"
         );
+        assert!(ports <= MAX_PORTS, "at most {MAX_PORTS} ports (switch request masks are u16)");
         let pv = ports * vcs;
         let inputs = (0..n * pv).map(|_| InputVc::new()).collect();
         let flit_buf = vec![Flit { pkt: NO_PACKET, seq: 0, vc: 0, tail: false }; n * pv * vc_buf];
@@ -186,14 +180,9 @@ impl RouterSlab {
             sa_in_ptr: vec![0; n * ports],
             va_ptr: vec![0; n],
             occupancy: vec![0; n],
-            va_wait: vec![0; n],
-            active: vec![0; n],
             wants_mask: vec![0; n],
             active_mask: vec![0; n],
             pipeline: vec![PipelineStats::default(); n],
-            scratch_eligible: Vec::new(),
-            scratch_requests: Vec::new(),
-            scratch_cands: Vec::new(),
         }
     }
 
@@ -494,7 +483,6 @@ impl RouterMut<'_> {
         // a packet head, so this deposit creates an allocation request
         if vc.state == VcState::Idle && vc.is_empty() {
             debug_assert_eq!(flit.seq, 0, "body flit into empty idle VC");
-            self.slab.va_wait[self.r] += 1;
             self.slab.wants_mask[self.r] |= 1 << flat;
         }
         self.q_push_flat(flat, flit);
@@ -576,7 +564,12 @@ impl RouterMut<'_> {
         None
     }
 
-    /// Stage 1: VC allocation (includes route computation).
+    /// Stage 1: VC allocation (includes route computation). Waiting
+    /// input VCs are served in priority order and granted greedily
+    /// (later grants see earlier claims, so no output VC is
+    /// double-allocated): round-robin serves the bits of `wants_mask`
+    /// at or above the rotating pointer, then those below; age-based
+    /// serves oldest packet first.
     ///
     /// # Errors
     /// [`SimError::MissingFlit`] if allocation state disagrees with
@@ -586,80 +579,45 @@ impl RouterMut<'_> {
         ctx: &RouterCtx<'_>,
         packets: &mut PacketSlab,
     ) -> Result<(), SimError> {
-        let vcs = self.slab.vcs;
-        let space = self.slab.ports * vcs;
         let r = self.r;
-
-        // no VC is waiting for allocation (all buffered flits belong to
-        // already-allocated packets): just advance the rotating pointer
-        if self.slab.va_wait[r] == 0 {
-            let p = self.slab.va_ptr[r] as usize;
-            self.slab.va_ptr[r] = if p + 1 >= space.max(1) { 0 } else { (p + 1) as u32 };
-            return Ok(());
+        let space = (self.slab.ports * self.slab.vcs) as u32;
+        let ptr = self.slab.va_ptr[r];
+        self.slab.va_ptr[r] = if ptr + 1 >= space { 0 } else { ptr + 1 };
+        let wants = self.slab.wants_mask[r];
+        if wants == 0 {
+            return Ok(()); // every buffered flit belongs to an allocated packet
         }
-
-        // gather eligible input VCs as (flat index, packet age); ages
-        // only matter to the age-based policy, so round-robin skips the
-        // packet-slab lookup entirely (a likely cache miss per VC)
-        let age_based = matches!(ctx.arb, Arbitration::AgeBased);
-        let base = self.slab.io(r, 0);
-        let vc_buf = self.slab.vc_buf;
-        let mut eligible = std::mem::take(&mut self.slab.scratch_eligible);
-        eligible.clear();
-        // visit only the waiting VCs (bit i of `wants_mask` ⇔
-        // `inputs[base + i].wants_allocation()`), in the same ascending
-        // order as a full scan
-        let mut wm = self.slab.wants_mask[r];
-        while wm != 0 {
-            let flat = wm.trailing_zeros() as usize;
-            wm &= wm - 1;
-            let ivc = &self.slab.inputs[base + flat];
-            debug_assert!(ivc.wants_allocation());
-            let age = if age_based {
-                let head = self.slab.flit_buf[(base + flat) * vc_buf + ivc.head as usize];
-                packets.get(head.pkt).birth
-            } else {
-                0
-            };
-            eligible.push((flat, age));
-        }
-        if eligible.is_empty() {
-            self.slab.scratch_eligible = eligible;
-            let p = self.slab.va_ptr[r] as usize;
-            self.slab.va_ptr[r] = if p + 1 >= space.max(1) { 0 } else { (p + 1) as u32 };
-            return Ok(());
-        }
-        // order by priority, then grant greedily (later grants see
-        // earlier claims, so no output VC is double-allocated); a lone
-        // requester (the common case at low load) needs no ordering
-        if eligible.len() > 1 {
-            match ctx.arb {
-                Arbitration::RoundRobin => {
-                    let ptr = self.slab.va_ptr[r] as usize;
-                    eligible.sort_by_key(|&(idx, _)| {
-                        let d = idx + space - ptr;
-                        if d >= space {
-                            d - space
-                        } else {
-                            d
-                        }
-                    });
+        match ctx.arb {
+            Arbitration::RoundRobin => {
+                let at_or_after = wants & (u64::MAX << ptr);
+                for mut m in [at_or_after, wants ^ at_or_after] {
+                    while m != 0 {
+                        let flat = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        self.try_allocate_one(ctx, packets, flat)?;
+                    }
                 }
-                Arbitration::AgeBased => {
-                    eligible.sort_by_key(|&(idx, age)| (age, idx));
+            }
+            Arbitration::AgeBased => {
+                // ages are only fetched here: round-robin never touches
+                // the packet slab to order its requesters
+                let mut birth = [0u64; 64];
+                let mut m = wants;
+                while m != 0 {
+                    let flat = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    if let Some(head) = self.slab.q_front_flat(r, flat) {
+                        birth[flat] = packets.get(head.pkt).birth;
+                    }
+                }
+                let mut left = wants;
+                while left != 0 {
+                    let flat = oldest(left, |f| birth[f]);
+                    left &= !(1 << flat);
+                    self.try_allocate_one(ctx, packets, flat)?;
                 }
             }
         }
-        for i in 0..eligible.len() {
-            let (flat, _) = eligible[i];
-            if let Err(e) = self.try_allocate_one(ctx, packets, flat) {
-                self.slab.scratch_eligible = eligible;
-                return Err(e);
-            }
-        }
-        self.slab.scratch_eligible = eligible;
-        let p = self.slab.va_ptr[r] as usize;
-        self.slab.va_ptr[r] = if p + 1 >= space { 0 } else { (p + 1) as u32 };
         Ok(())
     }
 
@@ -673,6 +631,8 @@ impl RouterMut<'_> {
     ) -> Result<(), SimError> {
         let id = self.r;
         let vcs = self.slab.vcs;
+        // bit `flat` of `wants_mask` <=> that input VC wants allocation
+        debug_assert!(self.slab.inputs[self.slab.io(id, flat)].wants_allocation());
         let pid = self
             .slab
             .q_front_flat(id, flat)
@@ -683,8 +643,8 @@ impl RouterMut<'_> {
                 stage: "VC allocation",
             })?
             .pkt;
-        let pkt = packets.get(pid);
-        let (class, dst, route) = (pkt.class as usize, pkt.dst, pkt.route);
+        let rec = packets.route(pid);
+        let (class, dst, route) = (rec.class as usize, rec.dst as usize, rec.route);
         let cands = match ctx.survivors {
             Some(s) if id != dst => {
                 let sp = s.ports(id, dst);
@@ -739,9 +699,7 @@ impl RouterMut<'_> {
             self.slab.pipeline[id].va_grants += 1;
             let gi = self.slab.io(id, port * vcs + vc);
             self.slab.out_vcs[gi].owner = pid;
-            self.slab.va_wait[id] -= 1;
             self.slab.wants_mask[id] &= !(1 << flat);
-            self.slab.active[id] += 1;
             self.slab.active_mask[id] |= 1 << flat;
             let ii = self.slab.io(id, flat);
             let ivc = &mut self.slab.inputs[ii];
@@ -750,7 +708,7 @@ impl RouterMut<'_> {
             ivc.out_vc = vc as u8;
             ivc.pkt = pid;
             if port != LOCAL_PORT {
-                packets.get_mut(pid).route = ns;
+                packets.route_mut(pid).route = ns;
             }
         } else {
             self.slab.pipeline[id].va_blocked += 1;
@@ -758,12 +716,15 @@ impl RouterMut<'_> {
         Ok(())
     }
 
-    /// Stage 2: separable input-first switch allocation. Winning flits
-    /// are appended to `wins`; buffer/credit/ownership state is updated.
+    /// Stage 2: separable input-first switch allocation. Each input
+    /// port nominates one of its credited, non-empty active VCs, each
+    /// requested output port grants one of the nominating input ports;
+    /// both stages arbitrate over request masks. Winning flits are
+    /// appended to `wins`; buffer/credit/ownership state is updated.
     ///
     /// # Errors
     /// [`SimError::MissingFlit`] if a granted input VC's buffer is
-    /// empty or its request vanished between the two stages.
+    /// empty.
     pub fn switch_allocate(
         &mut self,
         ctx: &RouterCtx<'_>,
@@ -774,31 +735,27 @@ impl RouterMut<'_> {
         let vcs = self.slab.vcs;
         let id = self.r;
         let base = self.slab.io(id, 0);
-
-        // no active VC ⇒ nothing can bid, and the barren scan below
-        // would touch no state
-        if self.slab.active[id] == 0 {
-            return Ok(());
-        }
-
-        // input stage: one nomination per input port; as in VC
-        // allocation, packet ages are only fetched for the age-based
-        // policy
-        let age_based = matches!(ctx.arb, Arbitration::AgeBased);
-        let mut requests = std::mem::take(&mut self.slab.scratch_requests); // (in_port, in_vc, age)
-        let mut cands = std::mem::take(&mut self.slab.scratch_cands);
-        requests.clear();
-        // per-port slices of `active_mask` visit only Active VCs, in the
-        // same ascending (port, vc) order as a full scan
         let amask = self.slab.active_mask[id];
+        if amask == 0 {
+            return Ok(()); // no active VC, nothing can bid
+        }
+        // packet ages are only fetched for the age-based policy
+        let age_based = matches!(ctx.arb, Arbitration::AgeBased);
+        let birth =
+            |slab: &RouterSlab, flat: usize| packets.get(slab.inputs[base + flat].pkt).birth;
+
+        // input stage: per port, the mask of VCs able to bid (every
+        // active VC held back by credits alone counts as starved), then
+        // one nomination; `out_req[o]` collects the input ports bidding
+        // for output `o`
+        let mut req_vc = [0u8; MAX_PORTS];
+        let mut out_req = [0u16; MAX_PORTS];
+        let mut omask = 0u32;
+        let mut nominated = 0u64;
         let vc_bits = (1u64 << vcs) - 1;
-        for p in 0..ports {
-            let pmask = (amask >> (p * vcs)) & vc_bits;
-            if pmask == 0 {
-                continue;
-            }
-            cands.clear();
-            let mut m = pmask;
+        for (p, nominee) in req_vc.iter_mut().enumerate().take(ports) {
+            let mut m = (amask >> (p * vcs)) & vc_bits;
+            let mut ready = 0u64;
             while m != 0 {
                 let v = m.trailing_zeros() as usize;
                 m &= m - 1;
@@ -808,73 +765,46 @@ impl RouterMut<'_> {
                     continue; // allocated, but the next body flit is in flight
                 }
                 let op = ivc.out_port as usize;
-                let has_credit = op == LOCAL_PORT
-                    || self.slab.out_vcs[base + op * vcs + ivc.out_vc as usize].credits > 0;
-                if has_credit {
-                    let age = if age_based { packets.get(ivc.pkt).birth } else { 0 };
-                    cands.push((v, age));
+                if op == LOCAL_PORT
+                    || self.slab.out_vcs[base + op * vcs + ivc.out_vc as usize].credits > 0
+                {
+                    ready |= 1 << v;
                 } else {
                     self.slab.pipeline[id].sa_credit_starved += 1;
                 }
             }
-            if let Some(pos) =
-                arbitrate(ctx.arb, &cands, self.slab.sa_in_ptr[self.slab.pp(id, p)] as usize, vcs)
-            {
-                let (v, age) = cands[pos];
-                requests.push((p, v, age));
+            if ready == 0 {
+                continue;
             }
-        }
-        if requests.is_empty() {
-            // nothing bid (e.g. all active VCs credit-starved): the
-            // output stage would grant nothing and touch no state
-            self.slab.scratch_requests = requests;
-            self.slab.scratch_cands = cands;
-            return Ok(());
+            let v = if age_based {
+                oldest(ready, |v| birth(self.slab, p * vcs + v))
+            } else {
+                round_robin(ready, self.slab.sa_in_ptr[self.slab.pp(id, p)])
+            };
+            let op = self.slab.inputs[base + p * vcs + v].out_port as usize;
+            *nominee = v as u8;
+            out_req[op] |= 1 << p;
+            omask |= 1 << op;
+            nominated += 1;
         }
 
-        // output stage: one grant per output port; only ports someone
-        // requested can grant, so iterate those (ascending, as a full
-        // port scan would)
-        let mut omask = 0u64;
-        for &(p, v, _) in &requests {
-            omask |= 1 << self.slab.inputs[base + p * vcs + v].out_port;
-        }
+        // output stage: one grant per requested output port, ascending
         let mut granted = 0u64;
         while omask != 0 {
             let o = omask.trailing_zeros() as usize;
             omask &= omask - 1;
-            cands.clear();
-            cands.extend(
-                requests
-                    .iter()
-                    .filter(|&&(p, v, _)| {
-                        self.slab.inputs[base + p * vcs + v].out_port as usize == o
-                    })
-                    .map(|&(p, _, age)| (p, age)),
-            );
-            let Some(pos) =
-                arbitrate(ctx.arb, &cands, self.slab.sa_rr[self.slab.pp(id, o)] as usize, ports)
-            else {
-                continue;
+            let reqs = out_req[o] as u64;
+            let in_port = if age_based {
+                oldest(reqs, |p| birth(self.slab, p * vcs + req_vc[p] as usize))
+            } else {
+                round_robin(reqs, self.slab.sa_rr[self.slab.pp(id, o)])
             };
-            let in_port = cands[pos].0;
-            let Some(&(_, in_vc, _)) = requests.iter().find(|&&(p, _, _)| p == in_port) else {
-                self.slab.scratch_requests = requests;
-                self.slab.scratch_cands = cands;
-                return Err(SimError::MissingFlit {
-                    router: id,
-                    port: in_port,
-                    vc: 0,
-                    stage: "switch allocation (granted port never requested)",
-                });
-            };
+            let in_vc = req_vc[in_port] as usize;
 
             // commit
             let in_flat = in_port * vcs + in_vc;
             let out_vc = self.slab.inputs[base + in_flat].out_vc as usize;
             let Some(mut flit) = self.q_pop_flat(in_flat) else {
-                self.slab.scratch_requests = requests;
-                self.slab.scratch_cands = cands;
                 return Err(SimError::MissingFlit {
                     router: id,
                     port: in_port,
@@ -884,25 +814,22 @@ impl RouterMut<'_> {
             };
             self.slab.occupancy[id] -= 1;
             flit.vc = out_vc as u8;
-            let is_tail = flit.tail;
             debug_assert_eq!(
-                is_tail,
+                flit.tail,
                 flit.seq as usize == packets.get(flit.pkt).size as usize - 1,
                 "flit tail bit disagrees with packet size"
             );
             if o != LOCAL_PORT {
                 self.slab.out_vcs[base + o * vcs + out_vc].credits -= 1;
             }
-            if is_tail {
+            if flit.tail {
                 self.slab.out_vcs[base + o * vcs + out_vc].owner = NO_PACKET;
-                self.slab.active[id] -= 1;
                 self.slab.active_mask[id] &= !(1 << in_flat);
                 let ivc = &mut self.slab.inputs[base + in_flat];
                 ivc.release();
                 // the next packet's head may already be queued behind
                 // the departed tail
                 if !ivc.is_empty() {
-                    self.slab.va_wait[id] += 1;
                     self.slab.wants_mask[id] |= 1 << in_flat;
                 }
             }
@@ -918,14 +845,11 @@ impl RouterMut<'_> {
                 in_port: in_port as u8,
                 in_vc: in_vc as u8,
                 flit,
-                is_tail,
             });
         }
         // every nomination either won an output grant or collided with
         // one that did
-        self.slab.pipeline[id].sa_conflicts += requests.len() as u64 - granted;
-        self.slab.scratch_requests = requests;
-        self.slab.scratch_cands = cands;
+        self.slab.pipeline[id].sa_conflicts += nominated - granted;
         Ok(())
     }
 }
@@ -940,17 +864,7 @@ mod tests {
     static DOR_ROUTING: Routing = Routing::Dor(Dor);
 
     fn mk_packet(src: usize, dst: usize, size: u16, birth: u64) -> Packet {
-        Packet {
-            uid: 0,
-            src,
-            dst,
-            size,
-            class: 0,
-            birth,
-            inject: u64::MAX,
-            route: RouteState::direct(),
-            payload: 0,
-        }
+        Packet { uid: 0, src, dst, size, class: 0, birth, inject: u64::MAX, payload: 0 }
     }
 
     struct Fixture {
@@ -963,7 +877,7 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             let topo = KAryNCube::mesh(&[4, 4]);
-            let lut = RouteLut::new(&topo, false);
+            let lut = RouteLut::new(&topo);
             let book = VcBook::new(2, 1, &Dor, &topo).unwrap();
             Self { topo, lut, book, packets: PacketSlab::new() }
         }
@@ -991,7 +905,7 @@ mod tests {
     fn single_flit_traverses_va_and_sa() {
         let mut fx = Fixture::new();
         // router 0, packet heading to node 3 (straight +x)
-        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0));
+        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, pid, 0, 0)).unwrap();
@@ -1007,7 +921,7 @@ mod tests {
         assert_eq!(wins.len(), 1);
         let w = wins[0];
         assert_eq!(w.out_port as usize, port_plus(0));
-        assert!(w.is_tail);
+        assert!(w.flit.tail);
         // tail departure releases everything
         assert_eq!(r.input(0, 0).state, VcState::Idle);
         assert!(r.out_vc(port_plus(0), w.out_vc as usize).is_free());
@@ -1018,7 +932,7 @@ mod tests {
     #[test]
     fn ejection_at_destination() {
         let mut fx = Fixture::new();
-        let pid = fx.packets.insert(mk_packet(3, 0, 1, 0));
+        let pid = fx.packets.insert(mk_packet(3, 0, 1, 0), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         r.deposit(port_plus(0), flit_of(&fx.packets, pid, 0, 0)).unwrap();
@@ -1034,7 +948,7 @@ mod tests {
     #[test]
     fn no_credit_blocks_switch() {
         let mut fx = Fixture::new();
-        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0));
+        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 1);
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, pid, 0, 0)).unwrap();
@@ -1057,8 +971,8 @@ mod tests {
     fn output_port_grants_one_per_cycle() {
         let mut fx = Fixture::new();
         // two packets from different input ports both heading +x
-        let a = fx.packets.insert(mk_packet(0, 3, 1, 0));
-        let b = fx.packets.insert(mk_packet(0, 3, 1, 1));
+        let a = fx.packets.insert(mk_packet(0, 3, 1, 0), RouteState::direct());
+        let b = fx.packets.insert(mk_packet(0, 3, 1, 1), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, a, 0, 0)).unwrap();
@@ -1077,8 +991,8 @@ mod tests {
     fn wormhole_blocks_second_packet_on_same_vc() {
         let mut fx = Fixture::new();
         // a 2-flit packet holds its output VC until the tail departs
-        let a = fx.packets.insert(mk_packet(0, 3, 2, 0));
-        let b = fx.packets.insert(mk_packet(0, 3, 1, 1));
+        let a = fx.packets.insert(mk_packet(0, 3, 2, 0), RouteState::direct());
+        let b = fx.packets.insert(mk_packet(0, 3, 1, 1), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, a, 0, 0)).unwrap();
@@ -1103,8 +1017,8 @@ mod tests {
     fn age_based_va_prefers_oldest() {
         let mut fx = Fixture::new();
         // both want the only VC (mask 0b11 but we fill vc 1 with an owner)
-        let young = fx.packets.insert(mk_packet(0, 3, 1, 100));
-        let old = fx.packets.insert(mk_packet(0, 3, 1, 5));
+        let young = fx.packets.insert(mk_packet(0, 3, 1, 100), RouteState::direct());
+        let old = fx.packets.insert(mk_packet(0, 3, 1, 5), RouteState::direct());
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         // leave just one free output VC on port +x
@@ -1120,7 +1034,7 @@ mod tests {
     #[test]
     fn slab_views_address_distinct_routers() {
         let mut fx = Fixture::new();
-        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0));
+        let pid = fx.packets.insert(mk_packet(0, 3, 1, 0), RouteState::direct());
         let mut slab = RouterSlab::new(3, 5, 2, 4);
         slab.router_mut(1).deposit(0, flit_of(&fx.packets, pid, 0, 0)).unwrap();
         assert!(slab.is_idle(0) && !slab.is_idle(1) && slab.is_idle(2));

@@ -567,11 +567,9 @@ pub struct RouteLut {
 }
 
 impl RouteLut {
-    /// Precompute the geometry cache for `topo`. The `adaptive` flag is
-    /// accepted for construction-site symmetry but no longer changes
-    /// what is built: minimal-port queries are computed on the fly, so
-    /// there is no O(n^2) adaptive table to opt into.
-    pub fn new(topo: &dyn Topology, _adaptive: bool) -> Self {
+    /// Precompute the geometry cache for `topo` (O(n); minimal-port
+    /// queries are computed on the fly from it).
+    pub fn new(topo: &dyn Topology) -> Self {
         let n = topo.num_nodes();
         let ports = topo.num_ports();
         let dims = topo.dims();
