@@ -14,7 +14,7 @@ const MAX_REL_ERR: f64 = 0.15;
 const MIN_R: f64 = 0.95;
 
 fn main() {
-    let mut effort = noc_bench::effort_from_args();
+    let (mut effort, _) = noc_bench::parse_args(&[]);
     // The 15% contract was calibrated with these measurement windows;
     // `quick`'s shorter windows systematically inflate the measured
     // saturation of permutation patterns, so enforce them as a floor.

@@ -12,7 +12,7 @@ use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
 
 fn main() {
-    let e = noc_bench::effort_from_args();
+    let (e, _) = noc_bench::parse_args(&[]);
     let quick = e.warmup < 5_000;
     let k = if quick { 4 } else { 8 };
     let base = OpenLoopConfig {

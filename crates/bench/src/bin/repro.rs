@@ -1,102 +1,230 @@
-//! Regenerates every table and figure of the paper in order, printing
-//! each as it completes (with wall-clock timings).
+//! Regenerates the paper's tables and figures, printing each block as
+//! it completes (with wall-clock timings). [`ENTRIES`] is the one
+//! index of regenerators: DESIGN.md §5/§5b name its entries.
 //!
-//! Usage: `cargo run --release -p noc-bench --bin repro -- [quick|paper]`
+//! Usage: `cargo run --release -p noc-bench --bin repro -- [quick|paper] [NAME…]`
+//! runs the named entries, or every entry when none is named, in table
+//! order.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-fn timed(name: &str, f: impl FnOnce() -> String) {
-    let start = Instant::now();
-    let body = f();
-    println!("{body}");
-    println!("[{name}: {:.1}s]\n", start.elapsed().as_secs_f64());
-}
+use noc_eval::{figures, Effort};
 
-fn main() {
-    let e = noc_bench::effort_from_args();
-    let total = Instant::now();
+/// One regenerator: its name on the command line and the function
+/// rendering its text block.
+type Entry = (&'static str, fn(&Effort) -> String);
 
-    // Prove the sweep's network configurations deadlock-free before
-    // spending hours simulating them.
-    timed("verify", || {
-        use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-        let configs = [
-            NetConfig::baseline(),
-            NetConfig::baseline().with_topology(TopologyKind::FoldedTorus2D { k: 8 }),
-            NetConfig::baseline().with_topology(TopologyKind::Ring { n: 64 }),
-            NetConfig::baseline().with_routing(RoutingKind::Valiant).with_vcs(2),
-            NetConfig::baseline().with_routing(RoutingKind::Romm).with_vcs(2),
-            NetConfig::baseline().with_routing(RoutingKind::MinAdaptive).with_vcs(2),
-        ];
-        // static analysis per config is independent — fan it out
-        noc_exp::run_grid(&configs, |_, c| noc_verify::verify(c).one_line()).join("\n")
-    });
-
-    timed("table1", noc_eval::figures::table1);
-    timed("table2", noc_eval::figures::table2);
-    timed("fig01", || noc_eval::figures::fig01(&e).render());
-    timed("fig02", || noc_eval::figures::fig02(&e).render());
-    timed("fig03", || {
-        let f = noc_eval::figures::fig03(&e);
+const ENTRIES: &[Entry] = &[
+    ("verify", verify),
+    ("table1", |_| figures::table1()),
+    ("table2", |_| figures::table2()),
+    ("fig01", |e| figures::fig01(e).render()),
+    ("fig02", |e| figures::fig02(e).render()),
+    ("fig03", |e| {
+        let f = figures::fig03(e);
         format!("{}zero-load ratios vs tr=1: {:?}", f.render(), f.zero_load_ratios())
-    });
-    timed("fig04", || noc_eval::figures::fig04(&e).render());
-    timed("fig05", || noc_eval::figures::fig05(&e).render());
-    timed("fig06", || {
-        format!(
-            "{}{}",
-            noc_eval::figures::fig06a(&e).render(),
-            noc_eval::figures::fig06b(&e).render()
-        )
-    });
-    timed("fig07", || noc_eval::figures::fig07(&e).render());
-    timed("fig08", || noc_eval::figures::fig08(&e).render());
-    timed("fig09", || noc_eval::figures::fig09(&e).render());
-    timed("fig10", || {
-        let f = noc_eval::figures::fig10(&e);
+    }),
+    ("fig04", |e| figures::fig04(e).render()),
+    ("fig05", |e| figures::fig05(e).render()),
+    ("fig06", |e| format!("{}{}", figures::fig06a(e).render(), figures::fig06b(e).render())),
+    ("fig07", |e| figures::fig07(e).render()),
+    ("fig08", |e| figures::fig08(e).render()),
+    ("fig09", |e| figures::fig09(e).render()),
+    ("fig10", |e| {
+        let f = figures::fig10(e);
         format!(
             "{}VAL/DOR at m=1 transpose: {:.3} (paper: ~1.017)",
             f.render(),
             f.val_over_dor_transpose_m1()
         )
-    });
-    timed("fig11", || noc_eval::figures::fig11(&e).render());
-    timed("fig12", || noc_eval::figures::fig12().render());
-    timed("fig13", || noc_eval::figures::fig13(&e).render());
-    timed("fig14", || noc_eval::figures::fig14(&e).render());
-    timed("fig15", || {
-        let f = noc_eval::figures::fig15(&e);
-        format!("== Fig 15 == r = {:.4} (paper 0.829)", f.r.unwrap_or(f64::NAN))
-    });
-    timed("fig16", || noc_eval::figures::fig16(&e).render());
-    timed("fig17", || noc_eval::figures::fig17(&e).render());
-    timed("fig18/19", || {
-        let f = noc_eval::figures::fig19(&e);
-        let mut out = f.render();
-        for (label, r) in f.correlations() {
-            out.push_str(&format!("{label:<12} r = {r:.4}\n"));
+    }),
+    ("fig11", |e| figures::fig11(e).render()),
+    ("fig12", |_| figures::fig12().render()),
+    ("fig13", |e| figures::fig13(e).render()),
+    ("fig14", |e| figures::fig14(e).render()),
+    ("fig15", |e| {
+        let o = figures::fig15(e);
+        let mut out = format!(
+            "== Fig 15: exec-driven vs plain batch ==\nr = {:.4} (paper: 0.829)\n",
+            o.r.unwrap_or(f64::NAN)
+        );
+        for p in &o.points {
+            let _ = writeln!(
+                out,
+                "{:<14} tr={} exec={:.3} batch={:.3}",
+                p.benchmark, p.tr, p.cmp_norm, p.batch_norm
+            );
         }
         out
-    });
-    timed("fig20", || noc_eval::figures::fig20(&e).render());
-    timed("fig21", || noc_eval::figures::fig21(&e).render());
-    timed("fig22", || noc_eval::figures::fig22(&e).render());
-    timed("table3", || noc_eval::figures::table3(&e).render());
-    timed("table4", noc_eval::figures::table4);
-    timed("ext_pktsize", || noc_eval::figures::ext_pktsize(&e).render());
-    timed("ext_scale256", || noc_eval::figures::ext_scale256(&e).render());
-    timed("ext_arbitration", || noc_eval::figures::ext_arbitration(&e).render());
-    timed("ext_barrier", || noc_eval::figures::ext_barrier(&e).render());
-    timed("ext_burst", || noc_eval::figures::ext_burst(&e).render());
-    timed("ext_trace", || noc_eval::figures::ext_trace(&e).render());
-    timed("ext_bottleneck", || noc_eval::figures::ext_bottleneck(&e).render());
-    timed("metrics", || noc_eval::figures::metrics_showcase(&e).render());
-    timed("analytic", || {
-        let study = noc_eval::analytic_study(&noc_eval::default_cases(), &e, 300.0)
-            .expect("default analytic cases are valid configurations");
-        study.render()
-    });
-    timed("sim_speed", || noc_eval::figures::sim_speed(&e));
+    }),
+    ("fig16", |e| {
+        let f = figures::fig16(e);
+        let (lo, hi) = f.tr4_sensitivity();
+        format!("{}tr=4 runtime penalty at NAR=0.04: {lo:.3}x; at NAR=1.0: {hi:.3}x\n", f.render())
+    }),
+    ("fig17", |e| figures::fig17(e).render()),
+    // Figs 18 and 19 are two views of one data set: the per-benchmark
+    // runtimes, then their correlation with the exec-driven runs
+    ("fig18", |e| figures::fig19(e).render()),
+    ("fig19", |e| {
+        let mut out = String::from("== Fig 19: correlations ==\n");
+        for (label, r) in figures::fig19(e).correlations() {
+            let _ = writeln!(out, "{label:<12} r = {r:.4}");
+        }
+        out.push_str("(paper: BA 0.829; extended models improve, BA_inj+re before OS modeling)\n");
+        out
+    }),
+    ("fig20", |e| {
+        let f = figures::fig20(e);
+        format!(
+            "{}kernel share: 75 MHz {:.0}%, 3 GHz {:.0}%\n",
+            f.render(),
+            f.kernel_fraction("75 MHz") * 100.0,
+            f.kernel_fraction("3 GHz") * 100.0
+        )
+    }),
+    ("fig21", |e| figures::fig21(e).render()),
+    ("fig22", |e| figures::fig22(e).render()),
+    ("table3", |e| figures::table3(e).render()),
+    ("table4", |_| figures::table4()),
+    ("ext_pktsize", |e| figures::ext_pktsize(e).render()),
+    ("ext_scale256", |e| figures::ext_scale256(e).render()),
+    ("ext_arbitration", |e| figures::ext_arbitration(e).render()),
+    ("ext_barrier", |e| figures::ext_barrier(e).render()),
+    ("ext_burst", |e| figures::ext_burst(e).render()),
+    ("ext_trace", |e| figures::ext_trace(e).render()),
+    ("ext_bottleneck", |e| figures::ext_bottleneck(e).render()),
+    ("ext_patterns", ext_patterns),
+    ("metrics", |e| figures::metrics_showcase(e).render()),
+    ("analytic", |e| {
+        noc_eval::analytic_study(&noc_eval::default_cases(), e, 300.0)
+            .expect("default analytic cases are valid configurations")
+            .render()
+    }),
+    ("sim_speed", figures::sim_speed),
+];
 
+/// Prove the sweep's network configurations deadlock-free before
+/// spending hours simulating them.
+fn verify(_: &Effort) -> String {
+    use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
+    let configs = [
+        NetConfig::baseline(),
+        NetConfig::baseline().with_topology(TopologyKind::FoldedTorus2D { k: 8 }),
+        NetConfig::baseline().with_topology(TopologyKind::Ring { n: 64 }),
+        NetConfig::baseline().with_routing(RoutingKind::Valiant).with_vcs(2),
+        NetConfig::baseline().with_routing(RoutingKind::Romm).with_vcs(2),
+        NetConfig::baseline().with_routing(RoutingKind::MinAdaptive).with_vcs(2),
+    ];
+    // static analysis per config is independent — fan it out
+    noc_exp::run_grid(&configs, |_, c| noc_verify::verify(c).one_line()).join("\n")
+}
+
+/// Extension: the paper's remaining Table I traffic patterns — "other
+/// traffic patterns including bit reversal and bit complement were
+/// simulated but follow a similar trend" (Section III-D). Runs the
+/// routing comparison under those patterns so the claim is checkable
+/// rather than taken on faith.
+fn ext_patterns(e: &Effort) -> String {
+    use noc_closedloop::BatchConfig;
+    use noc_sim::config::{NetConfig, RoutingKind};
+    use noc_traffic::PatternKind;
+
+    let mut out = format!(
+        "== Ext: bit-reversal / bit-complement routing comparison (batch) ==\n\
+         {:<10} {:<9} {:<6} {:>10} {:>9}\n",
+        "pattern", "routing", "m", "runtime", "theta"
+    );
+    for pattern in [PatternKind::BitReversal, PatternKind::BitComplement] {
+        for routing in
+            [RoutingKind::Dor, RoutingKind::MinAdaptive, RoutingKind::Romm, RoutingKind::Valiant]
+        {
+            for m in [1usize, 32] {
+                let cfg = BatchConfig {
+                    net: NetConfig::baseline().with_routing(routing).with_vcs(4),
+                    pattern,
+                    batch: e.batch,
+                    max_outstanding: m,
+                    ..BatchConfig::default()
+                };
+                let r = noc_closedloop::run_batch(&cfg).expect("valid config");
+                let _ = writeln!(
+                    out,
+                    "{:<10} {:<9?} {:<6} {:>10} {:>9.4}",
+                    pattern.name(),
+                    routing,
+                    m,
+                    r.runtime,
+                    r.throughput
+                );
+            }
+        }
+    }
+    out.push_str(
+        "\nexpected: same story as transpose (Fig 10) — load-balanced routing\n\
+         wins on throughput at high m; worst-case m=1 runtimes stay close.\n",
+    );
+    out
+}
+
+fn main() {
+    let names: Vec<&str> = ENTRIES.iter().map(|&(name, _)| name).collect();
+    let (effort, selected) = noc_bench::parse_args(&names);
+    let total = Instant::now();
+    for &(name, render) in ENTRIES {
+        if selected.is_empty() || selected.contains(&name) {
+            let start = Instant::now();
+            println!("{}", render(&effort));
+            println!("[{name}: {:.1}s]\n", start.elapsed().as_secs_f64());
+        }
+    }
     println!("[total: {:.1}s]", total.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The regenerator column of DESIGN.md §5 and §5b: the name after
+    /// `repro ` in the last cell of every table row.
+    fn design_regenerators() -> Vec<&'static str> {
+        let design = include_str!("../../../../DESIGN.md");
+        let start = design.find("\n## 5. ").expect("DESIGN.md has a section 5");
+        let end = design.find("\n## 6. ").expect("DESIGN.md has a section 6");
+        design[start..end]
+            .lines()
+            .filter(|row| row.starts_with("| ") && !row.starts_with("| ID "))
+            .map(|row| {
+                let cell = row.trim_end_matches('|').rsplit('|').next().unwrap_or("").trim();
+                cell.strip_prefix("`repro ")
+                    .and_then(|c| c.strip_suffix('`'))
+                    .unwrap_or_else(|| panic!("regenerator cell is not `repro NAME`: {row}"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn entry_table_is_unique_indexed_by_design_md_and_renders() {
+        let names: Vec<&str> = ENTRIES.iter().map(|&(name, _)| name).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "duplicate entry `{name}`");
+        }
+
+        let indexed = design_regenerators();
+        for r in &indexed {
+            assert!(names.contains(r), "DESIGN.md names `{r}`, not a repro entry");
+        }
+        for name in
+            names.iter().filter(|n| !["verify", "metrics", "analytic", "sim_speed"].contains(n))
+        {
+            assert!(indexed.contains(name), "entry `{name}` missing from DESIGN.md §5");
+        }
+
+        let quick = Effort::quick();
+        for cheap in ["table1", "table2", "table4", "fig12"] {
+            let &(_, render) = ENTRIES.iter().find(|&&(n, _)| n == cheap).expect("cheap entry");
+            assert!(!render(&quick).trim().is_empty(), "`{cheap}` rendered nothing");
+        }
+    }
 }

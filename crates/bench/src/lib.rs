@@ -1,53 +1,76 @@
 //! # noc-bench — benchmark harness
 //!
-//! One binary per paper table/figure (`fig01`..`fig22`, `table1`..
-//! `table4`), an umbrella `repro` binary that regenerates everything,
-//! and criterion performance benches (`sim_speed`, `ablations`).
+//! `repro` regenerates every paper table and figure (`fig01`..`fig22`,
+//! `table1`..`table4`, the `ext_*` extensions) from one ordered table
+//! of named entries; `explore`, the fault/analytic sweeps and
+//! `serve_replay` drive the other runtime surfaces; the criterion
+//! ablation benches live under `benches/`. Speed is tracked by the repo
+//! benchmark (`benchmark/`), not here.
 //!
-//! Every binary accepts an effort argument: `quick` (seconds, CI-sized)
-//! or `paper` (the default; the full reproduction scale).
+//! Every effort-scaled binary takes `[quick|paper] [NAME…]`: `quick`
+//! is seconds and CI-sized, `paper` (the default) is the full
+//! reproduction scale.
 
-use noc_eval::json::{rows, Obj};
 use noc_eval::Effort;
 
-/// Parse the effort from `argv[1]`, defaulting to `paper`.
-pub fn effort_from_args() -> Effort {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "paper".to_string());
-    Effort::parse(&arg).unwrap_or_else(|| {
-        eprintln!("unknown effort `{arg}`, expected quick|paper; using paper");
-        Effort::paper()
+/// Parse `[quick|paper] [NAME…]` from the process arguments: the
+/// effort (default `paper`) and the selected entries of `names`, in
+/// command-line order. Anything else — a misspelt effort, a name not
+/// in `names`, a stray `--flag` — prints usage with the valid names to
+/// stderr and exits 2, so a typo never starts a paper-scale run.
+pub fn parse_args(names: &[&'static str]) -> (Effort, Vec<&'static str>) {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_else(|| "noc-bench".into());
+    let args: Vec<String> = argv.collect();
+    parse(&args, names).unwrap_or_else(|unknown| {
+        let bin = bin.rsplit('/').next().unwrap_or(&bin);
+        eprintln!("{bin}: unknown argument `{unknown}`");
+        if names.is_empty() {
+            eprintln!("usage: {bin} [quick|paper]");
+        } else {
+            eprintln!("usage: {bin} [quick|paper] [NAME…]\nnames: {}", names.join(" "));
+        }
+        std::process::exit(2)
     })
 }
 
-/// Thread-scaling report (`BENCH_scalability.json`, schema
-/// `noc-eval/scalability/v1`) as the `scalability` bin measures it.
-#[derive(Debug, Clone)]
-pub struct ScalabilityReport {
-    /// Grid points timed at every thread count.
-    pub points: usize,
-    /// Hardware threads the host reported.
-    pub host_parallelism: usize,
-    /// Whether every thread count reproduced the serial results.
-    pub identical_results: bool,
-    /// `(threads, wall seconds, speedup vs serial)` in run order.
-    pub entries: Vec<(usize, f64, f64)>,
+/// [`parse_args`] on an explicit argument list; `Err` carries the first
+/// argument that is neither a leading effort nor one of `names`.
+fn parse<'a>(
+    args: &'a [String],
+    names: &[&'static str],
+) -> Result<(Effort, Vec<&'static str>), &'a str> {
+    let (effort, rest) = match args.first().and_then(|a| Effort::parse(a)) {
+        Some(effort) => (effort, &args[1..]),
+        None => (Effort::paper(), args),
+    };
+    let selected = rest.iter().map(|a| names.iter().copied().find(|n| n == a).ok_or(a.as_str()));
+    Ok((effort, selected.collect::<Result<_, _>>()?))
 }
 
-impl ScalabilityReport {
-    /// Serialize to the `BENCH_scalability.json` schema.
-    pub fn to_json(&self) -> String {
-        let entries = self.entries.iter().map(|&(threads, wall, speedup)| {
-            Obj::new().val("threads", threads).fixed("wall_s", wall, 4).fixed(
-                "speedup_vs_serial",
-                speedup,
-                3,
-            )
-        });
-        Obj::document("noc-eval/scalability/v1")
-            .val("points", self.points)
-            .val("host_parallelism", self.host_parallelism)
-            .val("identical_results", self.identical_results)
-            .val("entries", rows(2, entries))
-            .finish()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(args: &[&str]) -> Result<(u64, Vec<&'static str>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args, &["fig01", "table1"])
+            .map(|(e, names)| (e.batch, names))
+            .map_err(str::to_string)
+    }
+
+    #[test]
+    fn effort_and_names_parse_and_typos_are_errors() {
+        let (quick, paper) = (Effort::quick().batch, Effort::paper().batch);
+        assert_eq!(run(&[]), Ok((paper, vec![])));
+        assert_eq!(run(&["quick"]), Ok((quick, vec![])));
+        assert_eq!(run(&["table1"]), Ok((paper, vec!["table1"])));
+        assert_eq!(run(&["quick", "table1", "fig01"]), Ok((quick, vec!["table1", "fig01"])));
+        // the typo that used to start the full reproduction
+        assert_eq!(run(&["qiuck"]), Err("qiuck".into()));
+        assert_eq!(run(&["quick", "fig1"]), Err("fig1".into()));
+        assert_eq!(run(&["quick", "--only", "fig01"]), Err("--only".into()));
+        // the effort is positional: only the first argument may be one
+        assert_eq!(run(&["fig01", "quick"]), Err("quick".into()));
     }
 }

@@ -2,14 +2,13 @@
 
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_workloads::{BenchmarkProfile, ClockFreq};
-use serde::Serialize;
 
 /// Execution-driven CMP simulation configuration.
 ///
 /// Defaults mirror Table II: 16 in-order cores on a 4x4 mesh, 10-cycle
 /// shared L2 banks, 300-cycle DRAM, 16-byte links (so a 64-byte line is
 /// a 5-flit reply), 8 VCs x 4 buffers, 1-cycle routers, DOR.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CmpConfig {
     /// Network configuration (`classes` forced to 2 at run time).
     pub net: NetConfig,

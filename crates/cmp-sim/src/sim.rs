@@ -8,7 +8,6 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
 use noc_stats::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 use crate::config::CmpConfig;
 use crate::core_model::{Core, MemRequest};
@@ -23,7 +22,7 @@ const STORE_BIT: u64 = 2;
 const L2MISS_BIT: u64 = 4;
 
 /// Result of an execution-driven run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmpResult {
     /// Cycle the last memory operation completed.
     pub runtime: u64,

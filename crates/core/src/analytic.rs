@@ -12,7 +12,6 @@ use noc_sim::config::{NetConfig, TopologyKind};
 use noc_sim::error::ConfigError;
 use noc_stats::pearson;
 use noc_traffic::{PatternKind, SizeKind};
-use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
 use crate::json::{rows, Obj, Record};
@@ -39,7 +38,7 @@ pub fn default_cases() -> Vec<AnalyticCase> {
 }
 
 /// One case's predicted vs measured saturation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyticPoint {
     /// Case label.
     pub label: String,
@@ -60,7 +59,7 @@ pub struct AnalyticPoint {
 }
 
 /// Outcome of the cross-validation study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalyticStudy {
     /// Latency cap used on both sides of the comparison.
     pub latency_cap: f64,

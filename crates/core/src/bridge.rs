@@ -5,11 +5,10 @@ use cmp_sim::CmpConfig;
 use noc_closedloop::{BatchConfig, KernelModel, ReplyModel};
 use noc_sim::config::NetConfig;
 use noc_workloads::{BenchmarkProfile, ClockFreq};
-use serde::{Deserialize, Serialize};
 
 /// Which batch-model extensions to enable (the BA / BA_inj / BA_re /
 /// BA_inj+re / +OS variants of Figs 14–22).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchExtension {
     /// Enhanced injection model: gate injection at the benchmark's NAR.
     pub injection: bool,

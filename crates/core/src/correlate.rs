@@ -18,13 +18,12 @@ use noc_sim::error::ConfigError;
 use noc_stats::pearson;
 use noc_traffic::{PatternKind, SizeKind};
 use noc_workloads::BenchmarkProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::bridge::{batch_for_profile, BatchExtension};
 use crate::effort::Effort;
 
 /// One point of the open-loop vs batch scatter (Fig 5 / Fig 8).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenBatchPoint {
     /// Variant label (e.g. `"tr=2"` or `"torus"`).
     pub variant: String,
@@ -49,7 +48,7 @@ pub struct OpenBatchPoint {
 }
 
 /// Outcome of the open-loop vs batch correlation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenBatchOutcome {
     /// Scatter points, grouped by `m`, variants in input order.
     pub points: Vec<OpenBatchPoint>,
@@ -175,7 +174,7 @@ pub fn correlate_open_batch(
 }
 
 /// One point of the execution-driven vs batch scatter (Fig 15/19/22).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmpBatchPoint {
     /// Benchmark name.
     pub benchmark: String,
@@ -192,7 +191,7 @@ pub struct CmpBatchPoint {
 }
 
 /// Outcome of the execution-driven vs batch correlation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmpBatchOutcome {
     /// Extension label (BA, BA_inj, ...).
     pub label: String,
@@ -205,7 +204,7 @@ pub struct CmpBatchOutcome {
 /// Precomputed execution-driven runtimes over a (benchmark x router
 /// delay) grid, reusable across batch-model variants — running GEMS (or
 /// even our fast substitute) once per variant would be pure waste.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CmpSweep {
     /// Router delays swept.
     pub trs: Vec<u32>,

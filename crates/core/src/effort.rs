@@ -1,10 +1,8 @@
 //! Experiment scale: every figure runner takes an [`Effort`] so the
 //! same code serves fast CI tests and the full reproduction.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulation budgets for one experiment run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Effort {
     /// Open-loop warmup cycles.
     pub warmup: u64,

@@ -7,7 +7,6 @@ use noc_closedloop::{run_batch, BatchConfig, ReplyModel};
 use noc_sim::config::NetConfig;
 use noc_stats::Histogram;
 use noc_traffic::PatternKind;
-use serde::{Deserialize, Serialize};
 
 use super::openloop::{fig06_topologies, fig09_routings, openloop_point};
 use super::{render_curves, Curve};
@@ -21,7 +20,7 @@ fn batch_cfg(net: NetConfig, pattern: PatternKind, b: u64, m: usize) -> BatchCon
 }
 
 /// Fig 2: runtime normalized to batch size, vs `b`, for each `m`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig02 {
     /// One curve per `m`: x = batch size, y = runtime / b.
     pub curves: Vec<Curve>,
@@ -60,7 +59,7 @@ impl Fig02 {
 
 /// One batch sweep point: runtime (normalized) and achieved throughput
 /// per `m`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchSweep {
     /// Variant label.
     pub label: String,
@@ -104,7 +103,7 @@ pub fn batch_m_sweep(
 }
 
 /// Fig 4: batch-model impact of router delay (a) and buffer size (b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig04 {
     /// (a) router-delay sweep.
     pub router_delay: Vec<BatchSweep>,
@@ -148,7 +147,7 @@ impl Fig04 {
 }
 
 /// Fig 6(b): batch-model topology comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig06b {
     /// Per-topology m sweeps.
     pub sweeps: Vec<BatchSweep>,
@@ -174,7 +173,7 @@ impl Fig06b {
 }
 
 /// Fig 7: per-node runtime maps on mesh and torus (batch, small `m`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig07 {
     /// Mesh per-node normalized runtimes (row-major k x k).
     pub mesh: Vec<f64>,
@@ -226,7 +225,7 @@ impl Fig07 {
 
 /// Fig 10: batch-model routing algorithm comparison, uniform (a) and
 /// transpose (b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10 {
     /// (a) uniform.
     pub uniform: Vec<BatchSweep>,
@@ -276,7 +275,7 @@ impl Fig10 {
 
 /// Fig 11: distribution across nodes of open-loop average latency
 /// (a: DOR, b: VAL) and batch runtime (c: DOR, d: VAL) under transpose.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11 {
     /// (a) open-loop per-node latency histogram fractions for DOR.
     pub latency_dor: Vec<(f64, f64)>,
@@ -361,7 +360,7 @@ impl Fig11 {
 
 /// Fig 16: the enhanced injection model — runtime and throughput vs NAR
 /// for each router delay, at `m` in {1, 4, 16}.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16 {
     /// Per-m groups; within each, one [`BatchSweep`]-like series per tr,
     /// with x = NAR instead of m.
@@ -369,7 +368,7 @@ pub struct Fig16 {
 }
 
 /// One `m` panel of Fig 16.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Group {
     /// MSHR count.
     pub m: usize,
@@ -439,7 +438,7 @@ impl Fig16 {
 
 /// Fig 17: the enhanced reply model — runtime/throughput vs `m` for
 /// three memory models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig17 {
     /// Panels: (label, sweeps per tr).
     pub panels: Vec<(String, Vec<BatchSweep>)>,

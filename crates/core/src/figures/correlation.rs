@@ -7,7 +7,6 @@ use noc_closedloop::run_batch;
 use noc_sim::config::NetConfig;
 use noc_traffic::PatternKind;
 use noc_workloads::{all_benchmarks, BenchmarkProfile, ClockFreq};
-use serde::{Deserialize, Serialize};
 
 use crate::bridge::{batch_for_profile, table2_net, BatchExtension};
 use crate::correlate::{
@@ -24,7 +23,7 @@ pub const CMP_M: usize = 4;
 
 /// Fig 5: correlation of open-loop latency and batch runtime across
 /// router delay (a) and buffer size (b) variants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig05 {
     /// (a) router-delay scatter + correlations.
     pub router_delay: OpenBatchOutcome,
@@ -137,7 +136,7 @@ impl Fig05 {
 /// Fig 8: topology comparison correlated via *worst-case* open-loop
 /// latency (the paper's key methodological point: batch runtime is a
 /// worst-case statistic).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig08 {
     /// Scatter with worst-node open-loop latency.
     pub worst_case: OpenBatchOutcome,
@@ -198,7 +197,7 @@ pub fn validation_cmp(profile: &BenchmarkProfile, effort: &Effort, os: bool) -> 
 
 /// Fig 14: normalized runtime of each benchmark (execution-driven) and
 /// the plain batch model, as router delay varies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14 {
     /// `(benchmark, tr, normalized runtime)` rows; the final group
     /// labeled `"BA"` is the plain batch model.
@@ -268,7 +267,7 @@ pub fn fig15(effort: &Effort) -> CmpBatchOutcome {
 
 /// Fig 18/19: the extended batch models (BA_inj, BA_re, BA_inj+re)
 /// against execution-driven runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig19 {
     /// One outcome per extension, in [BA, BA_inj, BA_re, BA_inj+re] order.
     pub outcomes: Vec<CmpBatchOutcome>,
@@ -322,7 +321,7 @@ impl Fig19 {
 
 /// Fig 22: correlation with and without the OS (kernel traffic) model,
 /// at 75 MHz and 3 GHz.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig22 {
     /// `(clock label, without OS r, with OS r)` rows.
     pub rows: Vec<(String, f64, f64)>,

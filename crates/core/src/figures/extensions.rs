@@ -22,7 +22,6 @@ use noc_closedloop::{run_barrier, run_batch, BarrierConfig, BatchConfig};
 use noc_openloop::{saturation_throughput, OpenLoopConfig};
 use noc_sim::config::{Arbitration, NetConfig, TopologyKind};
 use noc_stats::pearson;
-use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
 
@@ -31,7 +30,7 @@ use crate::effort::Effort;
 /// did not impact the comparisons"): rerun the open-loop router-delay
 /// comparison of Fig 3(a) with single-flit and bimodal packets at equal
 /// flit loads and correlate the normalized latencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtPktSize {
     /// `(tr, load, norm latency 1-flit, norm latency bimodal)` rows;
     /// latencies normalized per load to `t_r = 1`.
@@ -96,7 +95,7 @@ impl ExtPktSize {
 }
 
 /// 256-node scale check: the tr sweep trend on a 16x16 mesh vs 8x8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtScale {
     /// `(tr, norm runtime 8x8, norm runtime 16x16)` rows at m = 4.
     pub rows: Vec<(u32, f64, f64)>,
@@ -155,7 +154,7 @@ impl ExtScale {
 
 /// Arbitration ablation: age-based vs round-robin effect on the batch
 /// model's per-node runtime spread and total runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtArbitration {
     /// `(policy, m, runtime, spread max/min, theta)` rows.
     pub rows: Vec<(String, usize, u64, f64, f64)>,
@@ -199,7 +198,7 @@ impl ExtArbitration {
 
 /// Barrier model vs open-loop saturation: the paper's argument for
 /// preferring the batch model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtBarrier {
     /// Barrier-model achieved throughput (flits/cycle/node).
     pub barrier_throughput: f64,
@@ -265,7 +264,7 @@ impl ExtBarrier {
 /// buffer configuration. Runs the batch model at full pressure (large
 /// `m`) per buffer depth and reports the router pipeline counters —
 /// explaining *why* Fig 3(b)/4(b) look the way they do.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtBottleneck {
     /// `(q, theta, VA-block events per VA grant, SA credit-starve
     /// events per SA grant)` rows. VA blocking is the credit-pressure
@@ -334,7 +333,7 @@ impl ExtBottleneck {
 /// Trace-driven evaluation and its causality blindness (paper Section
 /// II): capture a batch-model trace at `t_r = 1`, then compare how the
 /// closed-loop model and the trace replay react to slower routers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtTrace {
     /// `(tr, closed-loop slowdown, trace-replay slowdown)` rows,
     /// normalized to the `t_r = 1` closed-loop runtime.
@@ -383,7 +382,7 @@ impl ExtTrace {
 
 /// Bursty injection: open-loop latency at equal mean load under
 /// Bernoulli vs on/off burst injection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtBurst {
     /// `(load, bernoulli latency, bursty latency)` rows.
     pub rows: Vec<(f64, f64, f64)>,

@@ -2,16 +2,15 @@
 //! `noc-eval/metrics/v1` JSON schema, ASCII link-saturation heatmaps and
 //! timelines, and the transpose-vs-uniform showcase figure.
 //!
-//! The JSON has the same shape as `BENCH_sim_speed.json` — a
-//! schema-versioned header, then one record per line — written and
-//! read through the shared codec in [`crate::json`]; a file that does
-//! not parse degrades with a reason instead of panicking.
+//! The JSON is a schema-versioned header, then one record per line,
+//! written and read through the shared codec in [`crate::json`]; a
+//! file that does not parse degrades with a reason instead of
+//! panicking.
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::NetConfig;
 use noc_sim::{ChannelMetrics, MetricsSnapshot};
 use noc_traffic::PatternKind;
-use serde::{Deserialize, Serialize};
 
 use crate::effort::Effort;
 use crate::json::{rows, Obj, Record};
@@ -55,7 +54,7 @@ pub fn metrics_to_json(s: &MetricsSnapshot) -> String {
 
 /// The subset of a metrics file the parser recovers — enough
 /// to validate conservation and find the hot channels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedMetrics {
     /// Bin width in cycles.
     pub bin_width: u64,
@@ -220,7 +219,7 @@ pub fn metrics_report(title: &str, s: &MetricsSnapshot) -> String {
 /// (uniform vs transpose under DOR) run with metrics enabled, so the
 /// README's "which link saturated and when" question has a concrete
 /// answer with a visible heatmap contrast.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsShowcase {
     /// Snapshot of the uniform-random run.
     pub uniform: MetricsSnapshot,
@@ -307,7 +306,7 @@ mod tests {
     #[test]
     fn foreign_or_corrupt_json_degrades_without_panicking() {
         assert!(parse_metrics_json("{}").is_err());
-        assert!(parse_metrics_json("{\"schema\": \"noc-eval/sim-speed/v1\"}").is_err());
+        assert!(parse_metrics_json("{\"schema\": \"noc-eval/analytic/v1\"}").is_err());
         // header but no channels
         let hollow = format!(
             "{{\"schema\": \"{METRICS_SCHEMA}\",\n\"bin_width\": 1,\n\"cycles\": 1,\n\

@@ -21,10 +21,8 @@ pub use openloop::*;
 pub use resilience::*;
 pub use system::*;
 
-use serde::{Deserialize, Serialize};
-
 /// A labeled series of (x, y) points — the common figure currency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Curve {
     /// Series label (e.g. `"tr=2"`).
     pub label: String,

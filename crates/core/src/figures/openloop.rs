@@ -5,7 +5,6 @@
 use noc_openloop::{measure, sweep, OpenLoopConfig};
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
 use noc_traffic::{PatternKind, SizeKind};
-use serde::{Deserialize, Serialize};
 
 use super::{render_curves, Curve};
 use crate::effort::Effort;
@@ -51,7 +50,7 @@ fn latency_curve(
 
 /// Fig 1: the canonical latency vs offered traffic curve on the
 /// baseline 8x8 mesh, annotated with zero-load latency and saturation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig01 {
     /// The latency–load curve.
     pub curve: Curve,
@@ -89,7 +88,7 @@ impl Fig01 {
 }
 
 /// Fig 3: open-loop impact of router delay (a) and VC buffer size (b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig03 {
     /// (a): curves for `t_r` in {1, 2, 4}.
     pub router_delay: Vec<Curve>,
@@ -151,7 +150,7 @@ impl Fig03 {
 }
 
 /// Fig 6(a): open-loop topology comparison (mesh, folded torus, ring).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig06a {
     /// One curve per topology.
     pub curves: Vec<Curve>,
@@ -194,7 +193,7 @@ impl Fig06a {
 
 /// Fig 9: open-loop routing algorithm comparison under uniform (a) and
 /// transpose (b) traffic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig09 {
     /// (a) uniform random.
     pub uniform: Vec<Curve>,

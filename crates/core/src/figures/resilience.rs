@@ -11,7 +11,6 @@ use noc_exp::PointOutcome;
 use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
-use serde::{Deserialize, Serialize};
 
 use super::{render_curves, Curve};
 use crate::effort::Effort;
@@ -182,7 +181,7 @@ pub fn resilience_to_json(fig: &ResilienceFigure) -> String {
 }
 
 /// The subset of a resilience file the parser recovers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedResilience {
     /// `(mode, mtbf, availability, delivered fraction, recovery_cycles)`
     /// per point record, in file order.

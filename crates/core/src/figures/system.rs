@@ -8,15 +8,13 @@ use noc_sim::routing::{Dor, Valiant};
 use noc_sim::topology::KAryNCube;
 use noc_sim::trace_route;
 use noc_workloads::{all_benchmarks, lu_app_matrix, matrix_to_ascii, ClockFreq};
-use serde::{Deserialize, Serialize};
 
 use super::correlation::validation_cmp;
 use crate::effort::Effort;
-use crate::json::{rows, Obj, Record};
 
 /// Fig 12: example corner-to-corner routes under DOR and VAL on the
 /// 8x8 mesh for the transpose-critical pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12 {
     /// DOR route (node sequence).
     pub dor: Vec<usize>,
@@ -78,7 +76,7 @@ impl Fig12 {
 
 /// Fig 13: lu's application-level communication pattern vs the actual
 /// injected traffic under the shared interleaved L2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13 {
     /// Analytic app-level matrix (16 x 16 weights).
     pub app_matrix: Vec<f64>,
@@ -120,7 +118,7 @@ impl Fig13 {
 
 /// Fig 20: user/kernel injection split per benchmark at both clocks,
 /// as router delay varies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig20 {
     /// `(clock, benchmark, tr, user rate, kernel rate)` rows
     /// (flits/cycle/node).
@@ -183,7 +181,7 @@ pub type RateSeries = Vec<(u64, f64, f64)>;
 
 /// Fig 21: blackscholes injection rate over time, user vs kernel, at
 /// both clocks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig21 {
     /// `(clock, series)` pairs.
     pub series: Vec<(String, RateSeries)>,
@@ -269,7 +267,7 @@ pub fn table2() -> String {
 
 /// Table III: measure NAR and L2 miss rate per benchmark under the
 /// ideal network, next to the paper's values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// `(benchmark, measured NAR, paper NAR, paper L2 miss)` rows.
     pub rows: Vec<(String, f64, f64, f64)>,
@@ -323,349 +321,24 @@ pub fn table4() -> String {
     out
 }
 
-/// Schema tag of `BENCH_sim_speed.json`.
-const SIM_SPEED_SCHEMA: &str = "noc-eval/sim-speed/v1";
-
-/// One engine-speed measurement: a named workload, how many cycles it
-/// simulated, and how long that took.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpeedEntry {
-    /// Workload name (stable key, e.g. `"openloop_mesh8"`).
-    pub name: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
-    /// `cycles / wall_s` — the tracked metric.
-    pub cycles_per_sec: f64,
-}
-
-/// Machine-readable simulator-speed report (`BENCH_sim_speed.json`).
-///
-/// Three single-threaded workloads exercise the per-cycle hot path at
-/// two network scales plus a closed-loop run. `cycles_per_sec` is the
-/// perf trajectory tracked from PR 2 onward; [`SPEED_BASELINE`] pins
-/// the pre-optimization numbers the current engine is compared against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimSpeedReport {
-    /// Worker threads the experiment engine would use (the entries
-    /// themselves are each a single serial simulation).
-    pub threads: usize,
-    /// Measured workloads.
-    pub entries: Vec<SpeedEntry>,
-}
-
-/// Single-thread cycles/sec of the pre-optimization engine, measured by
-/// the interleaved scratch-worktree protocol: check out the previous
-/// tree in a scratch worktree, build both bench binaries, and alternate
-/// old/new runs on the same machine (the build host's clock drifts by
-/// tens of percent over minutes, so only interleaved same-session
-/// measurements are comparable — see README "Performance tracking").
-/// The k=8/k=16/batch numbers pin the PR 1 tree (commit `fc62795`); the
-/// 32x32 numbers pin the pre-worklist engine (commit `5277f93`, the
-/// last full-scan sweep), which is the tree the event-driven hot path
-/// is measured against.
-pub const SPEED_BASELINE: &[(&str, f64)] = &[
-    ("openloop_mesh8", 27_400.0),
-    ("openloop_mesh16", 11_500.0),
-    ("batch_m8", 23_900.0),
-    ("openloop_mesh32", 41_700.0),
-    ("openloop_torus32", 44_000.0),
-];
-
-/// The workload set every emitted `BENCH_sim_speed.json` must contain;
-/// the `sim_speed` bin exits nonzero when one is missing, so a silently
-/// dropped workload cannot truncate the tracked perf trajectory.
-pub const TRACKED_WORKLOADS: &[&str] =
-    &["openloop_mesh8", "openloop_mesh16", "batch_m8", "openloop_mesh32", "openloop_torus32"];
-
-/// Repetitions per workload. Wall-clock noise on shared hosts is
-/// one-sided — interference only ever slows a run down — so each
-/// workload runs three times and the *fastest* repetition is reported.
-const SPEED_REPS: usize = 3;
-
-fn timed_entry(name: &str, mut run: impl FnMut() -> u64) -> SpeedEntry {
-    use std::time::Instant;
-    let mut best: Option<(u64, f64)> = None;
-    for _ in 0..SPEED_REPS {
-        let start = Instant::now();
-        let cycles = run();
-        let wall = start.elapsed().as_secs_f64().max(1e-9);
-        if best.is_none_or(|(_, w)| wall < w) {
-            best = Some((cycles, wall));
-        }
-    }
-    let (cycles, wall) = best.expect("SPEED_REPS >= 1");
-    SpeedEntry {
-        name: name.to_string(),
-        cycles,
-        wall_s: wall,
-        cycles_per_sec: cycles as f64 / wall,
-    }
-}
-
-/// Measure simulator speed (the paper's "minutes vs 88.5 hours"
-/// motivation): cycles simulated per wall-clock second for open-loop
-/// mesh k=8 / k=16 runs, a batch run, and two 1024-node (32x32) runs
-/// that exercise the event-driven hot path at scale. Each workload is
-/// the best of `SPEED_REPS` repetitions (wall-clock noise on shared
-/// hosts is one-sided, so the fastest repetition is the least noisy).
-pub fn sim_speed_report(effort: &Effort) -> SimSpeedReport {
-    use noc_sim::config::TopologyKind;
-    let openloop = |t: TopologyKind, load: f64, measure: u64| noc_openloop::OpenLoopConfig {
-        net: NetConfig::baseline().with_topology(t),
-        load,
-        warmup: effort.warmup,
-        measure,
-        drain_max: effort.drain,
-        ..noc_openloop::OpenLoopConfig::default()
-    };
-    let m2 = 2 * effort.measure;
-    // the 32x32 points probe zero-load latency: the sparse regime the
-    // worklist engine targets, where a handful of packets are in flight
-    // across 1024 routers and a full-scan sweep spends almost all its
-    // time proving routers idle. The longer measure window keeps the
-    // (already sub-millisecond) construction cost amortized and gives
-    // the low packet rate enough samples
-    let m32 = 4 * effort.measure;
-    const LOAD32: f64 = 0.001;
-    let entries = vec![
-        timed_entry("openloop_mesh8", || {
-            noc_openloop::measure(&openloop(TopologyKind::Mesh2D { k: 8 }, 0.3, m2))
-                .expect("valid config")
-                .cycles
-        }),
-        timed_entry("openloop_mesh16", || {
-            noc_openloop::measure(&openloop(TopologyKind::Mesh2D { k: 16 }, 0.1, m2))
-                .expect("valid config")
-                .cycles
-        }),
-        timed_entry("batch_m8", || {
-            let cfg = noc_closedloop::BatchConfig {
-                net: NetConfig::baseline(),
-                batch: effort.batch,
-                max_outstanding: 8,
-                ..noc_closedloop::BatchConfig::default()
-            };
-            noc_closedloop::run_batch(&cfg).expect("valid config").runtime
-        }),
-        timed_entry("openloop_mesh32", || {
-            noc_openloop::measure(&openloop(TopologyKind::Mesh2D { k: 32 }, LOAD32, m32))
-                .expect("valid config")
-                .cycles
-        }),
-        timed_entry("openloop_torus32", || {
-            noc_openloop::measure(&openloop(TopologyKind::Torus2D { k: 32 }, LOAD32, m32))
-                .expect("valid config")
-                .cycles
-        }),
-    ];
-    SimSpeedReport { threads: noc_exp::threads(), entries }
-}
-
-/// Where the speed comparison numbers come from.
-///
-/// `sim_speed` compares against a *file* baseline (a previous
-/// `BENCH_sim_speed.json`, pointed to by `BENCH_BASELINE`) when one is
-/// available, and falls back to the pinned [`SPEED_BASELINE`]
-/// otherwise. A missing file, unreadable JSON, or an old/unknown
-/// schema all degrade to "no baseline" for the affected entries —
-/// never a panic — so the bench keeps producing a fresh
-/// `BENCH_sim_speed.json` that the next run can baseline against.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpeedBaseline {
-    /// The pinned in-tree numbers ([`SPEED_BASELINE`]).
-    BuiltIn,
-    /// Numbers parsed from a previous `BENCH_sim_speed.json`.
-    File {
-        /// Where the baseline was read from.
-        path: String,
-        /// `(name, cycles_per_sec)` pairs recovered from the file.
-        entries: Vec<(String, f64)>,
-    },
-    /// No usable baseline, with the reason.
-    Missing {
-        /// Why the baseline could not be used.
-        why: String,
-    },
-}
-
-impl SpeedBaseline {
-    /// Resolve the baseline the way the `sim_speed` bin does: if
-    /// `BENCH_BASELINE` is set, load that file (tolerating absence and
-    /// schema drift); otherwise use the pinned in-tree numbers.
-    pub fn from_env() -> Self {
-        match std::env::var("BENCH_BASELINE") {
-            Ok(path) if !path.is_empty() => Self::load(&path),
-            _ => SpeedBaseline::BuiltIn,
-        }
-    }
-
-    /// Load a baseline from a previous `BENCH_sim_speed.json`. Any
-    /// failure (missing file, bad JSON, old schema, no entries) returns
-    /// [`SpeedBaseline::Missing`] with the reason.
-    pub fn load(path: &str) -> Self {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return SpeedBaseline::Missing { why: format!("{path}: {e}") },
-        };
-        match Self::parse(&text) {
-            Ok(entries) => SpeedBaseline::File { path: path.to_string(), entries },
-            Err(why) => SpeedBaseline::Missing { why: format!("{path}: {why}") },
-        }
-    }
-
-    /// Parse the `noc-eval/sim-speed/v1` schema down to the
-    /// `(name, cycles_per_sec)` pairs; other fields are ignored.
-    fn parse(text: &str) -> Result<Vec<(String, f64)>, String> {
-        let doc = Record::parse(text)?;
-        doc.expect_schema(SIM_SPEED_SCHEMA)?;
-        let entry = |e: &Record<'_>| Ok((e.req("name")?, e.req("cycles_per_sec")?));
-        doc.records("entries")?.iter().map(entry).collect()
-    }
-
-    /// Baseline cycles/sec for `name` under this source, if tracked.
-    pub fn lookup(&self, name: &str) -> Option<f64> {
-        match self {
-            SpeedBaseline::BuiltIn => {
-                SPEED_BASELINE.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
-            }
-            SpeedBaseline::File { entries, .. } => {
-                entries.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-            }
-            SpeedBaseline::Missing { .. } => None,
-        }
-    }
-
-    /// One-line description for report headers.
-    pub fn describe(&self) -> String {
-        match self {
-            SpeedBaseline::BuiltIn => "pinned in-tree baseline".into(),
-            SpeedBaseline::File { path, entries } => {
-                format!("baseline from {path} ({} entries)", entries.len())
-            }
-            SpeedBaseline::Missing { why } => format!("no baseline ({why})"),
-        }
-    }
-}
-
-impl SimSpeedReport {
-    /// Baseline cycles/sec for `name` from the pinned in-tree numbers.
-    pub fn baseline(name: &str) -> Option<f64> {
-        SpeedBaseline::BuiltIn.lookup(name)
-    }
-
-    /// Text report with speedups against [`SPEED_BASELINE`].
-    pub fn render(&self) -> String {
-        self.render_vs(&SpeedBaseline::BuiltIn)
-    }
-
-    /// Text report with speedups against an explicit baseline source;
-    /// entries without a baseline number show `-`.
-    pub fn render_vs(&self, baseline: &SpeedBaseline) -> String {
-        let mut out = format!(
-            "== simulator speed ==  [{}]\nworkload           cycles       wall     cycles/s    vs baseline\n",
-            baseline.describe()
-        );
-        for e in &self.entries {
-            let vs = baseline
-                .lookup(&e.name)
-                .map(|b| format!("{:.2}x", e.cycles_per_sec / b))
-                .unwrap_or_else(|| "-".into());
-            out.push_str(&format!(
-                "{:<18} {:<12} {:<8.2} {:<11.0} {}\n",
-                e.name, e.cycles, e.wall_s, e.cycles_per_sec, vs
-            ));
-        }
-        out
-    }
-
-    /// Serialize to the `BENCH_sim_speed.json` schema.
-    pub fn to_json(&self) -> String {
-        let entries = self.entries.iter().map(|e| {
-            let base = Self::baseline(&e.name);
-            let speedup = base.map(|b| format!("{:.3}", e.cycles_per_sec / b));
-            Obj::new()
-                .str("name", &e.name)
-                .val("cycles", e.cycles)
-                .fixed("wall_s", e.wall_s, 4)
-                .fixed("cycles_per_sec", e.cycles_per_sec, 0)
-                .val("baseline_cycles_per_sec", base.map_or("null".into(), |b| format!("{b:.0}")))
-                .val("speedup_vs_baseline", speedup.unwrap_or("null".into()))
-        });
-        Obj::document(SIM_SPEED_SCHEMA)
-            .val("threads", self.threads)
-            .val("entries", rows(2, entries))
-            .finish()
-    }
-}
-
-/// Simulator speed comparison as a text report (legacy entry point used
-/// by `repro`; see [`sim_speed_report`] for the structured form).
+/// Simulator speed (the paper's "minutes vs 88.5 hours" motivation):
+/// cycles simulated per wall-clock second for one batch run. Speed is
+/// *tracked* by the repo benchmark (`benchmark/`), not here.
 pub fn sim_speed(effort: &Effort) -> String {
-    sim_speed_report(effort).render()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn report() -> SimSpeedReport {
-        SimSpeedReport {
-            threads: 4,
-            entries: vec![
-                SpeedEntry {
-                    name: "openloop_mesh8".into(),
-                    cycles: 24_000,
-                    wall_s: 0.5,
-                    cycles_per_sec: 48_000.0,
-                },
-                SpeedEntry {
-                    name: "batch_m8".into(),
-                    cycles: 12_000,
-                    wall_s: 0.25,
-                    cycles_per_sec: 48_000.0,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn baseline_round_trips_through_emitted_json() {
-        let json = report().to_json();
-        let parsed = SpeedBaseline::parse(&json).expect("our own schema must parse");
-        assert_eq!(
-            parsed,
-            vec![("openloop_mesh8".to_string(), 48_000.0), ("batch_m8".to_string(), 48_000.0)]
-        );
-    }
-
-    #[test]
-    fn missing_or_foreign_baselines_degrade_without_panicking() {
-        let missing = SpeedBaseline::load("/nonexistent/BENCH_sim_speed.json");
-        assert!(matches!(missing, SpeedBaseline::Missing { .. }), "{missing:?}");
-        assert_eq!(missing.lookup("openloop_mesh8"), None);
-
-        // an old/unknown schema is rejected by header, not by panic
-        assert!(SpeedBaseline::parse("{\"schema\": \"noc-eval/sim-speed/v0\"}").is_err());
-        assert!(SpeedBaseline::parse("not json at all").is_err());
-        // header without entries is also a miss, not a panic
-        assert!(SpeedBaseline::parse("{\"schema\": \"noc-eval/sim-speed/v1\"}").is_err());
-
-        // rendering against a missing baseline shows "-" everywhere
-        let out = report().render_vs(&SpeedBaseline::Missing { why: "gone".into() });
-        assert!(out.contains("no baseline (gone)"));
-        assert!(out.lines().skip(2).all(|l| l.ends_with(" -")), "{out}");
-    }
-
-    #[test]
-    fn file_baseline_feeds_speedup_column() {
-        let b = SpeedBaseline::File {
-            path: "prev.json".into(),
-            entries: vec![("openloop_mesh8".into(), 24_000.0)],
-        };
-        assert_eq!(b.lookup("openloop_mesh8"), Some(24_000.0));
-        let out = report().render_vs(&b);
-        assert!(out.contains("2.00x"), "{out}");
-    }
+    let cfg = noc_closedloop::BatchConfig {
+        net: NetConfig::baseline(),
+        batch: effort.batch,
+        max_outstanding: 8,
+        ..noc_closedloop::BatchConfig::default()
+    };
+    let start = std::time::Instant::now();
+    let r = noc_closedloop::run_batch(&cfg).expect("valid config");
+    let wall = start.elapsed().as_secs_f64();
+    format!(
+        "batch model: {} cycles, {} packets in {:.2}s ({:.0} cycles/s, 64-node network)\n",
+        r.runtime,
+        r.completed * 2,
+        wall,
+        r.runtime as f64 / wall
+    )
 }

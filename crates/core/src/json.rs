@@ -1,6 +1,6 @@
 //! The one JSON codec behind every `noc-eval/*/v1` schema.
 //!
-//! The six schemas are records of strings, numbers, booleans, `null`
+//! The four schemas are records of strings, numbers, booleans, `null`
 //! and arrays — flat on the wire, at most two arrays deep in files —
 //! so the codec is small. The reader ([`Record::parse`]) tokenises its
 //! input once into borrowed `(key, raw value)` pairs and decodes values

@@ -38,7 +38,6 @@
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_traffic::{PatternKind, SizeKind};
-use serde::{Deserialize, Serialize};
 
 use crate::json::{Obj, Record};
 
@@ -191,7 +190,7 @@ fn parse_pattern(s: &str) -> Option<PatternKind> {
 // ---------------------------------------------------------------------------
 
 /// One experiment point submitted to the service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PointRequest {
     /// Batch this point belongs to (results and cancellation are
     /// batch-scoped).
@@ -225,7 +224,6 @@ pub struct PointRequest {
     /// *not* intercepted evaluate exactly as if the flag were off.
     /// Like the batch label, this is admission policy, not physics, so
     /// it does not enter [`PointRequest::digest`].
-    #[serde(default)]
     pub analytic_admission: bool,
 }
 
@@ -312,7 +310,7 @@ impl PointRequest {
 
 /// A grid spec the service expands into points server-side: one line
 /// instead of `patterns x loads x seeds` point lines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepRequest {
     /// Batch every expanded point lands in.
     pub batch: String,
@@ -340,7 +338,6 @@ pub struct SweepRequest {
     /// Per-point `allow_degraded` flag (see [`PointRequest`]).
     pub allow_degraded: bool,
     /// Per-point analytic admission control (see [`PointRequest`]).
-    #[serde(default)]
     pub analytic_admission: bool,
     /// Retry-cap override for the expanded batch (as on a `run`).
     pub max_attempts: Option<u32>,
@@ -559,7 +556,7 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
 /// The typed outcome of one point: the degradation ladder's rungs.
 /// Every admitted point gets exactly one of these — overload and
 /// divergence become data, never hangs or silent drops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServeOutcome {
     /// Fully simulated result.
     Ok {
@@ -691,7 +688,7 @@ impl ServeOutcome {
 }
 
 /// One point's result line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeResult {
     /// Batch the point belonged to.
     pub batch: String,
@@ -738,7 +735,7 @@ impl ServeResult {
 
 /// Queue, worker, and robustness counters reported by `health` and by
 /// the final `status` record on shutdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthSnapshot {
     /// Points currently queued (admitted, not yet evaluated).
     pub queue_depth: u64,

@@ -10,7 +10,7 @@
 use noc_eval::analytic::{analytic_to_json, parse_analytic_json, AnalyticPoint, AnalyticStudy};
 use noc_eval::figures::{
     metrics_to_json, parse_metrics_json, parse_resilience_json, resilience_to_json,
-    ResilienceCurve, ResilienceFigure, SimSpeedReport, SpeedBaseline, SpeedEntry,
+    ResilienceCurve, ResilienceFigure,
 };
 use noc_eval::serve::{
     parse_request, parse_response, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest,
@@ -473,44 +473,4 @@ fn resilience_document_is_pinned() {
             ("none".to_string(), 800, 0.987654, 1.0, 250)
         ]
     );
-}
-
-#[test]
-fn sim_speed_document_is_pinned() {
-    let report = SimSpeedReport {
-        threads: 4,
-        entries: vec![
-            SpeedEntry {
-                name: "openloop_mesh8".into(),
-                cycles: 24_000,
-                wall_s: 0.5,
-                cycles_per_sec: 48_000.0,
-            },
-            SpeedEntry {
-                name: "untracked".into(),
-                cycles: 7,
-                wall_s: 0.00012,
-                cycles_per_sec: 58_333.333,
-            },
-        ],
-    };
-    let want = r#"{
-  "schema": "noc-eval/sim-speed/v1",
-  "threads": 4,
-  "entries": [
-    {"name": "openloop_mesh8", "cycles": 24000, "wall_s": 0.5000, "cycles_per_sec": 48000, "baseline_cycles_per_sec": 27400, "speedup_vs_baseline": 1.752},
-    {"name": "untracked", "cycles": 7, "wall_s": 0.0001, "cycles_per_sec": 58333, "baseline_cycles_per_sec": null, "speedup_vs_baseline": null}
-  ]
-}
-"#;
-    assert_eq!(report.to_json(), want);
-    // the only public reader of this schema is the file baseline
-    let dir = std::env::temp_dir().join(format!("noc_eval_wire_golden_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_sim_speed.json");
-    std::fs::write(&path, want).unwrap();
-    let baseline = SpeedBaseline::load(path.to_str().unwrap());
-    assert_eq!(baseline.lookup("openloop_mesh8"), Some(48_000.0));
-    assert_eq!(baseline.lookup("untracked"), Some(58_333.0));
-    let _ = std::fs::remove_dir_all(&dir);
 }

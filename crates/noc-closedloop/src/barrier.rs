@@ -13,10 +13,9 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
 use noc_traffic::{PatternKind, TrafficPattern};
-use serde::{Deserialize, Serialize};
 
 /// Barrier-model configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BarrierConfig {
     /// Network configuration (single message class).
     pub net: NetConfig,
@@ -43,7 +42,7 @@ impl Default for BarrierConfig {
 }
 
 /// Result of one barrier-model run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BarrierResult {
     /// Cycle the last packet was delivered.
     pub runtime: u64,

@@ -18,7 +18,6 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
 use noc_traffic::{PatternKind, TrafficPattern};
-use serde::{Deserialize, Serialize};
 
 use crate::kernel::{KernelModel, TimerAccumulator};
 use crate::reply::ReplyModel;
@@ -29,7 +28,7 @@ pub const REQUEST: u8 = 0;
 pub const REPLY: u8 = 1;
 
 /// Batch-model experiment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Network configuration (`classes` is forced to 2).
     pub net: NetConfig,
@@ -104,7 +103,7 @@ impl BatchConfig {
 }
 
 /// Result of one batch-model run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Total runtime `T`: cycle when the last reply was delivered.
     pub runtime: u64,

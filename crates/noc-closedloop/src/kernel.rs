@@ -8,10 +8,8 @@
 //!   runtime*, so extra "batches" are injected every `1/R_timer` cycles
 //!   for as long as the user work is incomplete.
 
-use serde::{Deserialize, Serialize};
-
 /// Kernel-traffic extension of the batch model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelModel {
     /// Application-dependent additional traffic as a fraction of the
     /// batch size (Table IV "application dependent additional traffic";

@@ -2,10 +2,9 @@
 //! before injecting the reply (paper Section IV-C2).
 
 use noc_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Delay between a request's arrival and its reply's injection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplyModel {
     /// Reply generated the same cycle (the baseline batch model).
     Immediate,

@@ -5,12 +5,11 @@ use noc_sim::config::NetConfig;
 use noc_sim::error::ConfigError;
 use noc_sim::network::Network;
 use noc_traffic::{Bernoulli, PatternKind, SizeKind};
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::OpenLoopBehavior;
 
 /// One open-loop experiment point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
     /// Network configuration.
     pub net: NetConfig,
@@ -63,7 +62,7 @@ impl OpenLoopConfig {
 }
 
 /// Result of one open-loop measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpenLoopResult {
     /// Offered load (flits/cycle/node).
     pub offered: f64,

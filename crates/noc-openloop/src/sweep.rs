@@ -8,12 +8,11 @@
 //! evaluates it or in what order.
 
 use noc_sim::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 use crate::measure::{measure, OpenLoopConfig, OpenLoopResult};
 
 /// One point of a latency–load curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Offered load (flits/cycle/node).
     pub load: f64,

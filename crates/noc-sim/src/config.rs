@@ -2,14 +2,12 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ConfigError;
 use crate::routing::{Dor, MinAdaptive, Romm, Routing, RoutingAlgorithm, Valiant, VcBook};
 use crate::topology::{KAryNCube, Topology};
 
 /// Switch/VC arbitration policy (Table I: round robin, age-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arbitration {
     /// Rotating round-robin priority (default).
     RoundRobin,
@@ -18,7 +16,7 @@ pub enum Arbitration {
 }
 
 /// Named topology selector, convertible to a concrete [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// k-ary 2-mesh.
     Mesh2D {
@@ -65,7 +63,7 @@ impl TopologyKind {
 }
 
 /// Named routing selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
     /// Dimension-ordered routing.
     Dor,
@@ -105,7 +103,7 @@ impl RoutingKind {
 ///
 /// Defaults mirror the paper's bold baseline: 8x8 mesh, DOR, 2 VCs,
 /// 4-flit buffers per VC, 1-cycle router, round-robin arbitration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Topology selector.
     pub topology: TopologyKind,

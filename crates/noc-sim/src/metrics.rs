@@ -23,8 +23,6 @@
 //! it never touches the RNG, buffers, or schedules, which is what makes
 //! the metrics-on digest guarantee structural rather than accidental.
 
-use serde::{Deserialize, Serialize};
-
 use noc_stats::{OnlineStats, TimeSeries};
 
 use crate::channel::Link;
@@ -38,7 +36,7 @@ use crate::router::RouterSlab;
 pub const DEFAULT_BIN_WIDTH: u64 = 256;
 
 /// Cycle-bucketed flit counts for one directed channel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChannelMetrics {
     /// Source router of the channel.
     pub src: usize,
@@ -88,7 +86,7 @@ impl ChannelMetrics {
 }
 
 /// Per-router counters and occupancy statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterMetrics {
     /// Router id.
     pub id: usize,
@@ -109,7 +107,7 @@ pub struct RouterMetrics {
 ///
 /// Produced by [`crate::network::Network::metrics_snapshot`]; rendering
 /// and JSON export live in the `core` crate's figure layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Bin width in cycles.
     pub bin_width: u64,

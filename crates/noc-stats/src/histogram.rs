@@ -1,11 +1,9 @@
 //! Fixed-width-bin histograms for latency / runtime distribution plots
 //! (paper Fig 11: "% of nodes" vs average latency / runtime).
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with `bins` equal-width bins plus overflow
 /// and underflow counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,12 +1,10 @@
 //! Streaming (single-pass) moment estimation via Welford's algorithm.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean/variance/min/max accumulator.
 ///
 /// Used throughout the harnesses for per-packet latency so that million-
 /// packet simulations never have to buffer individual samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

@@ -1,13 +1,11 @@
 //! Binned time series, used for injection-rate-over-time plots
 //! (paper Fig 21: flits/cycle vs time, split user/kernel).
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulates event weights into fixed-width time bins.
 ///
 /// A bin's *rate* is its accumulated weight divided by the bin width, so
 /// pushing one unit per cycle yields a rate of 1.0 regardless of width.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     bin_width: u64,
     bins: Vec<f64>,

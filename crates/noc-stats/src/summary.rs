@@ -1,15 +1,13 @@
 //! Buffered sample summary: keeps raw samples so exact percentiles and
 //! worst-case values (the batch model's key statistic) are available.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{percentile, OnlineStats};
 
 /// A sample buffer plus derived statistics.
 ///
 /// Unlike [`OnlineStats`], this stores every observation, so use it for
 /// per-node quantities (64–256 values), not per-packet quantities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     samples: Vec<f64>,
 }

@@ -8,7 +8,6 @@ use noc_sim::config::NetConfig;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::Trace;
 
@@ -61,7 +60,7 @@ impl NodeBehavior for Replayer {
 }
 
 /// Result of replaying a trace on a network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayResult {
     /// Cycle the last packet was delivered.
     pub runtime: u64,

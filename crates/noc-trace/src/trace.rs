@@ -1,10 +1,9 @@
 //! The trace format: one record per packet generation event.
 
 use noc_sim::flit::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// One captured packet-generation event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Generation cycle in the captured run.
     pub cycle: Cycle,
@@ -21,7 +20,7 @@ pub struct TraceRecord {
 /// A captured packet trace: the paper's "abstract information of
 /// network packets such as the timestamp, packet size, and source and
 /// destination".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Number of nodes in the captured network.
     pub nodes: usize,

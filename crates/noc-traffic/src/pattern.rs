@@ -7,7 +7,6 @@
 //! the per-dimension radix `k`.
 
 use noc_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A spatial traffic pattern: maps a source to a destination, possibly
 /// randomly.
@@ -224,7 +223,7 @@ impl TrafficPattern for Permutation {
 }
 
 /// Serializable pattern selector for experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PatternKind {
     /// Uniform random (excluding self).
     Uniform,

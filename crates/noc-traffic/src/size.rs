@@ -1,7 +1,6 @@
 //! Packet size distributions (Table I: 1-flit, bimodal 1 & 4 flit).
 
 use noc_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A packet length distribution.
 pub trait SizeDist: Send + Sync {
@@ -60,7 +59,7 @@ impl SizeDist for Bimodal {
 }
 
 /// Serializable size selector for experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeKind {
     /// All packets `0` flits long.
     Fixed(u16),

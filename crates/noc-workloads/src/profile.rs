@@ -1,10 +1,8 @@
 //! Benchmark profiles: the paper's Tables III and IV.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistical characterization of one benchmark, as measured by the
 /// paper on Simics/GEMS (Tables III and IV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkProfile {
     /// Benchmark name.
     pub name: &'static str,
@@ -45,7 +43,7 @@ impl BenchmarkProfile {
 /// Serengeti default 75 MHz versus a modern 3 GHz core. The timer tick
 /// frequency is fixed in wall-clock time, so the *cycle* interval between
 /// interrupts scales with the clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockFreq {
     /// 75 MHz (Simics Serengeti default): timer interrupts every ~75k
     /// cycles at a 1 kHz tick.
