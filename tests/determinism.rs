@@ -8,10 +8,18 @@
 //!
 //! Runs under `--features sanitize` too, so the invariant checker
 //! watches both executions.
+//!
+//! Two further points — one batch-model run, one `cmp-sim` run — are
+//! pinned by literal values, so the layers above the engine are held
+//! across commits the way `golden_digests.rs` holds the engine itself.
 
-use noc_closedloop::{run_batch_seeds, run_batch_seeds_serial, BatchConfig};
+use cmp_sim::{run_cmp, CmpConfig};
+use noc_closedloop::{
+    run_batch, run_batch_seeds, run_batch_seeds_serial, BatchConfig, KernelModel,
+};
 use noc_openloop::{sweep, sweep_serial, OpenLoopConfig};
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_workloads::{all_benchmarks, ClockFreq};
 
 /// One test (not several) so the `NOC_THREADS` override cannot race
 /// concurrent test threads reading the environment.
@@ -46,5 +54,42 @@ fn parallel_grid_is_bit_identical_to_serial() {
         format!("{par:?}"),
         format!("{ser:?}"),
         "parallel batch replicates diverged from serial reference"
+    );
+}
+
+/// One batch-model point pinned by literal values: the closed-loop layer
+/// above the engine (issue pacing, reply generation, the kernel timer)
+/// must produce the same run on every commit, not only agree with its
+/// serial twin within one tree. Re-bless only for an intended behaviour
+/// change, and say so in the commit.
+#[test]
+fn batch_point_is_pinned_across_commits() {
+    let cfg = BatchConfig {
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }).with_seed(7),
+        batch: 200,
+        max_outstanding: 4,
+        kernel: Some(KernelModel { static_frac: 0.25, timer_rate: 0.01, timer_packets: 2 }),
+        ..BatchConfig::default()
+    };
+    let r = run_batch(&cfg).unwrap();
+    assert!(r.drained);
+    let per_node =
+        (r.per_node_runtime.iter().sum::<u64>(), *r.per_node_runtime.iter().max().unwrap());
+    assert_eq!((r.runtime, r.completed, r.timer_added, per_node), (1189, 4352, 352, (18069, 1189)));
+}
+
+/// One execution-driven `cmp-sim` point pinned the same way (core model,
+/// MSHRs, L2/memory replies, OS timer — everything above the engine).
+#[test]
+fn cmp_point_is_pinned_across_commits() {
+    let cfg = CmpConfig::table2(all_benchmarks()[0])
+        .with_instructions(6_000)
+        .with_clock(ClockFreq::MHz75)
+        .with_router_delay(2);
+    let r = run_cmp(&cfg).unwrap();
+    assert!(r.drained);
+    assert_eq!(
+        (r.runtime, r.user_flits, r.kernel_flits, r.instructions, r.timer_interrupts),
+        (9894, 2188, 3766, 110592, 2)
     );
 }
