@@ -3,8 +3,8 @@
 //! over time), and Tables I–IV.
 
 use cmp_sim::{run_cmp, run_ideal, CmpConfig};
-use noc_sim::config::NetConfig;
-use noc_sim::routing::{Dor, Valiant};
+use noc_sim::config::{NetConfig, RoutingKind};
+use noc_sim::routing::RoutingAlgorithm;
 use noc_sim::topology::KAryNCube;
 use noc_sim::trace_route;
 use noc_workloads::{all_benchmarks, lu_app_matrix, matrix_to_ascii, ClockFreq};
@@ -36,14 +36,14 @@ pub fn fig12() -> Fig12 {
     let mut errors = Vec::new();
     // a failed trace degrades to the bare source node and is reported in
     // the rendered figure instead of aborting the whole repro run
-    let mut trace = |routing: &dyn noc_sim::routing::RoutingAlgorithm, seed: u64| {
-        trace_route(&topo, routing, src, dst, seed).unwrap_or_else(|e| {
+    let mut trace = |routing: RoutingKind, seed: u64| {
+        trace_route(&topo, &routing, src, dst, seed).unwrap_or_else(|e| {
             errors.push(format!("{} seed {seed}: {e}", routing.name()));
             vec![src]
         })
     };
-    let dor = trace(&Dor, 0);
-    let val = (1..=4).map(|seed| trace(&Valiant, seed)).collect();
+    let dor = trace(RoutingKind::Dor, 0);
+    let val = (1..=4).map(|seed| trace(RoutingKind::Valiant, seed)).collect();
     Fig12 { dor, val, pair: (src, dst), errors }
 }
 

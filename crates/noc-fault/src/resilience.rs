@@ -18,13 +18,11 @@
 //! [`resilience_sweep_serial`]).
 
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
-use noc_openloop::{OpenLoopBehavior, OpenLoopConfig};
+use noc_openloop::OpenLoopConfig;
 use noc_sim::network::fault::{LinkRetryPolicy, RetxPolicy};
-use noc_sim::network::Network;
 use noc_stats::Ratio;
-use noc_traffic::Bernoulli;
 
-use crate::sweep::GatedSource;
+use crate::sweep::run_gated;
 use crate::{FaultSchedule, FlapConfig};
 
 /// Which loss-recovery machinery a run arms.
@@ -188,37 +186,7 @@ fn eval_point(cfg: &ResilienceConfig, k: usize) -> Result<ResiliencePoint, Diver
     let availability = schedule.link_availability(topo.as_ref(), flap.horizon);
 
     let (retx, link_retry) = cfg.recovery.split(cfg.retx, cfg.link_retry);
-    let mut net =
-        Network::new(base.net.clone()).expect("resilience sweep base config must be valid");
-    let nodes = net.num_nodes();
-    let radix = net.topo().radix(0);
-    net.set_fault_plan(schedule.plan_with(retx, link_retry));
-
-    let p = base.load / base.size.mean();
-    assert!((0.0..=1.0).contains(&p), "offered load implies generation probability {p} > 1");
-    let cutoff = base.warmup + base.measure;
-    let mut b = GatedSource {
-        inner: OpenLoopBehavior::new(
-            nodes,
-            base.pattern.build(nodes, radix),
-            base.size.build(),
-            || Box::new(Bernoulli { p }),
-            base.net.seed,
-            base.warmup,
-            cutoff,
-        ),
-        cutoff,
-        done: false,
-    };
-
-    net.run(cutoff, &mut b);
-    let budget = cutoff + cfg.settle_max;
-    while !(net.is_idle() && net.fault_settled()) {
-        if net.cycle() >= budget {
-            return Err(Diverged { budget });
-        }
-        net.step(&mut b);
-    }
+    let (net, b) = run_gated(&base, Some(schedule.plan_with(retx, link_retry)), cfg.settle_max)?;
 
     let fs = net.fault_stats().expect("fault plan installed above").clone();
     Ok(ResiliencePoint {

@@ -21,7 +21,7 @@
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::{OpenLoopBehavior, OpenLoopConfig};
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
-use noc_sim::network::fault::RetxPolicy;
+use noc_sim::network::fault::{FaultPlan, RetxPolicy};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::topology::Topology;
 use noc_stats::Ratio;
@@ -99,14 +99,14 @@ pub struct DegradationPoint {
 
 /// An open-loop source with a hard generation cutoff, so a degraded
 /// run can settle: past `cutoff` no new packets are pulled and the
-/// behavior reports quiescent. Shared with the resilience sweep.
+/// behavior reports quiescent. Built only by [`run_gated`].
 pub(crate) struct GatedSource {
     pub(crate) inner: OpenLoopBehavior,
-    pub(crate) cutoff: Cycle,
+    cutoff: Cycle,
     /// Set by the first pull at or past the cutoff; until then the
     /// behavior must not report quiescent (the engine's quiescent-cycle
     /// fast-forward would skip generation cycles otherwise).
-    pub(crate) done: bool,
+    done: bool,
 }
 
 impl NodeBehavior for GatedSource {
@@ -127,24 +127,23 @@ impl NodeBehavior for GatedSource {
     }
 }
 
-/// Run one faulted measurement: `base` traffic (seeded exactly by
-/// `base.net.seed`) against an explicit fault `plan`, then settle.
-///
-/// This is the single-scenario building block under
-/// [`degradation_sweep`]; tests and tools that need a *specific* fault
-/// set (rather than a seeded sweep axis) call it directly.
-/// `failed_links` only labels the returned point.
-pub fn run_faulted(
+/// The run under every point of both sweeps: `base` traffic (seeded
+/// exactly by `base.net.seed`) generated until `warmup + measure`
+/// against an optional fault `plan`, then stepped until the fabric is
+/// idle and every transfer resolved — or `Diverged` once `settle_max`
+/// further cycles have passed. Callers assemble their point from the
+/// returned network and source.
+pub(crate) fn run_gated(
     base: &OpenLoopConfig,
-    plan: noc_sim::network::fault::FaultPlan,
-    failed_links: usize,
+    plan: Option<FaultPlan>,
     settle_max: u64,
-) -> Result<DegradationPoint, Diverged> {
-    let mut net =
-        Network::new(base.net.clone()).expect("degradation sweep base config must be valid");
+) -> Result<(Network, GatedSource), Diverged> {
+    let mut net = Network::new(base.net.clone()).expect("sweep base config must be valid");
     let nodes = net.num_nodes();
     let radix = net.topo().radix(0);
-    net.set_fault_plan(plan);
+    if let Some(plan) = plan {
+        net.set_fault_plan(plan);
+    }
 
     let p = base.load / base.size.mean();
     assert!((0.0..=1.0).contains(&p), "offered load implies generation probability {p} > 1");
@@ -172,7 +171,24 @@ pub fn run_faulted(
         }
         net.step(&mut b);
     }
+    Ok((net, b))
+}
 
+/// Run one faulted measurement: `base` traffic (seeded exactly by
+/// `base.net.seed`) against an explicit fault `plan`, then settle.
+///
+/// This is the single-scenario building block under
+/// [`degradation_sweep`]; tests and tools that need a *specific* fault
+/// set (rather than a seeded sweep axis) call it directly.
+/// `failed_links` only labels the returned point.
+pub fn run_faulted(
+    base: &OpenLoopConfig,
+    plan: FaultPlan,
+    failed_links: usize,
+    settle_max: u64,
+) -> Result<DegradationPoint, Diverged> {
+    let (net, b) = run_gated(base, Some(plan), settle_max)?;
+    let nodes = net.num_nodes();
     let fs = net.fault_stats().expect("fault plan installed above").clone();
     Ok(DegradationPoint {
         failed_links,
@@ -274,30 +290,9 @@ mod tests {
         assert_eq!(p0.packets_dropped, 0);
 
         // healthy twin: same derived point seed, no fault plan at all
-        let mut net_cfg = cfg.base.net.clone();
-        net_cfg.seed = derive_seed(cfg.base.net.seed, 0);
-        let mut net = Network::new(net_cfg.clone()).unwrap();
-        let nodes = net.num_nodes();
-        let radix = net.topo().radix(0);
-        let p = cfg.base.load / cfg.base.size.mean();
-        let cutoff = cfg.base.warmup + cfg.base.measure;
-        let mut b = GatedSource {
-            inner: OpenLoopBehavior::new(
-                nodes,
-                cfg.base.pattern.build(nodes, radix),
-                cfg.base.size.build(),
-                || Box::new(Bernoulli { p }),
-                net_cfg.seed,
-                cfg.base.warmup,
-                cutoff,
-            ),
-            cutoff,
-            done: false,
-        };
-        net.run(cutoff, &mut b);
-        while !net.is_idle() {
-            net.step(&mut b);
-        }
+        let mut base = cfg.base.clone();
+        base.net.seed = derive_seed(cfg.base.net.seed, 0);
+        let (net, _) = run_gated(&base, None, cfg.settle_max).expect("healthy run settles");
         assert_eq!(p0.digest, net.stats().delivery_digest, "fault layer perturbed a healthy run");
     }
 

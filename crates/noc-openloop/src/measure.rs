@@ -174,6 +174,9 @@ fn measure_impl(
         };
         return Err(ConfigError::Parameter { name: "load", why });
     }
+    // saturating: a client-supplied window near u64::MAX must end up
+    // diverged against the budget below, not wrapped or panicking
+    let window_end = cfg.warmup.saturating_add(cfg.measure);
     let mut b = OpenLoopBehavior::new(
         nodes,
         cfg.pattern.build(nodes, k),
@@ -181,7 +184,7 @@ fn measure_impl(
         || Box::new(Bernoulli { p }),
         cfg.net.seed,
         cfg.warmup,
-        cfg.warmup + cfg.measure,
+        window_end,
     );
     if cfg.percentiles {
         b.keep_samples();
@@ -191,12 +194,12 @@ fn measure_impl(
         // the measurement window itself cannot fit: diverged before the
         // first step, not a config error (grids legitimately mix window
         // sizes against one service-wide budget)
-        if cfg.warmup + cfg.measure > limit {
+        if window_end > limit {
             return Ok(Err(Diverged { budget: limit }));
         }
     }
-    net.run(cfg.warmup + cfg.measure, &mut b);
-    let drain_end = cfg.warmup + cfg.measure + cfg.drain_max;
+    net.run(window_end, &mut b);
+    let drain_end = window_end.saturating_add(cfg.drain_max);
     while b.marked_outstanding > 0 && net.cycle() < drain_end {
         if let Some(limit) = budget {
             if net.cycle() >= limit {

@@ -58,8 +58,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Retry policy for `Panicked`/`Diverged` points.
     pub retry: RetryPolicy,
-    /// Cycle budget for points that do not carry their own. Must be
-    /// >= 1 (the watchdog cannot run on a zero budget).
+    /// Cycle budget for points that do not carry their own, and the
+    /// ceiling on the ones that do (a client can lower its budget, not
+    /// raise it past the operator's). Must be >= 1 (the watchdog cannot
+    /// run on a zero budget).
     pub default_budget: u64,
     /// Write-ahead journal path; `None` disables durability (answers
     /// are still cached in memory for the process lifetime).

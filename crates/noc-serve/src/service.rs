@@ -705,7 +705,8 @@ impl Shared {
     /// funnels into a typed outcome, and a cacheable outcome is
     /// journaled, then cached, before it is handed back to be emitted.
     fn eval_point(&self, seq: u64, p: &PointRequest, key: &str, ctx: &BatchCtx) -> ServeResult {
-        let budget = p.budget.unwrap_or(self.cfg.default_budget);
+        // the operator's `--budget` bounds what any client may ask for
+        let budget = p.budget.unwrap_or(u64::MAX).min(self.cfg.default_budget);
         let cfg = p.open_loop();
         let evaluated = run_with_retry(&ctx.policy, p.net.seed, ctx.deadline, |_attempt| {
             self.maybe_chaos_panic(key);

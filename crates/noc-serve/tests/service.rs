@@ -270,6 +270,27 @@ fn cycle_budget_timeout_is_deterministic_and_cached() {
 }
 
 #[test]
+fn a_point_cannot_buy_more_than_the_operators_budget() {
+    let mut svc = Service::new(quick_cfg()).unwrap();
+    let mut greedy = point("b1", 6, 0.1);
+    greedy.warmup = u64::MAX;
+    greedy.measure = 2;
+    greedy.budget = Some(u64::MAX);
+    let reqs = [
+        ServeRequest::Point(Box::new(greedy)),
+        ServeRequest::Point(Box::new(point("b1", 7, 0.1))),
+        run_req("b1"),
+    ];
+    let (resps, alive) = drive(&mut svc, &reqs);
+    assert!(alive);
+    let rs = results(&resps);
+    // answered before its first step, with the effective (operator's)
+    // budget; the worker is free for the normal point behind it
+    assert_eq!(rs[0].outcome, ServeOutcome::Timeout { budget: 1_000_000, wall: false });
+    assert!(matches!(rs[1].outcome, ServeOutcome::Ok { .. }), "{:?}", rs[1].outcome);
+}
+
+#[test]
 fn invalid_configs_are_rejected_at_admission() {
     let mut svc = Service::new(quick_cfg()).unwrap();
     let mut bad_buf = point("b1", 1, 0.1);

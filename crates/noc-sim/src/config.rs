@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::error::ConfigError;
-use crate::routing::{Dor, MinAdaptive, Romm, Routing, RoutingAlgorithm, Valiant, VcBook};
+use crate::routing::VcBook;
 use crate::topology::{KAryNCube, Topology};
 
 /// Switch/VC arbitration policy (Table I: round robin, age-based).
@@ -62,7 +62,10 @@ impl TopologyKind {
     }
 }
 
-/// Named routing selector.
+/// The routing algorithm: both the named selector stored in
+/// [`NetConfig`] and the implementation itself — this `Copy` enum is the
+/// built-in [`crate::routing::RoutingAlgorithm`], which the engine holds
+/// by value and the analysis crates pass by reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
     /// Dimension-ordered routing.
@@ -73,30 +76,6 @@ pub enum RoutingKind {
     Romm,
     /// Minimal adaptive with DOR escape.
     MinAdaptive,
-}
-
-impl RoutingKind {
-    /// Instantiate the algorithm.
-    pub fn build(&self) -> Arc<dyn RoutingAlgorithm> {
-        match self {
-            RoutingKind::Dor => Arc::new(Dor),
-            RoutingKind::Valiant => Arc::new(Valiant),
-            RoutingKind::Romm => Arc::new(Romm),
-            RoutingKind::MinAdaptive => Arc::new(MinAdaptive),
-        }
-    }
-
-    /// Instantiate the algorithm as the engine's statically dispatched
-    /// [`Routing`] enum, so per-flit route calls inline instead of
-    /// going through a vtable.
-    pub fn build_static(&self) -> Routing {
-        match self {
-            RoutingKind::Dor => Routing::Dor(Dor),
-            RoutingKind::Valiant => Routing::Valiant(Valiant),
-            RoutingKind::Romm => Routing::Romm(Romm),
-            RoutingKind::MinAdaptive => Routing::MinAdaptive(MinAdaptive),
-        }
-    }
 }
 
 /// Full network configuration (Table I parameter space).
@@ -174,8 +153,7 @@ impl NetConfig {
             });
         }
         let topo = self.topology.build();
-        let routing = self.routing.build();
-        VcBook::new(self.vcs, self.classes, routing.as_ref(), topo.as_ref())
+        VcBook::new(self.vcs, self.classes, &self.routing, topo.as_ref())
     }
 
     /// Builder-style setters for sweep ergonomics.

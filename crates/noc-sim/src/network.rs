@@ -18,12 +18,13 @@
 //! walks only set bits in ascending order — so a quiet 1024-node network
 //! costs a handful of word tests per cycle instead of 1024 router
 //! visits. Router state itself is a network-wide struct-of-arrays slab
-//! ([`crate::router::RouterSlab`]) swept contiguously, routing is
-//! statically dispatched through the [`crate::routing::Routing`] enum,
-//! and fully quiescent stretches are fast-forwarded to the next
-//! scheduled event (see [`Network::try_step`]). Everything a router
-//! visit mutates is one struct (`Engine`), so both sweeps call one
-//! method per router. All of this is observationally invisible:
+//! ([`crate::router::RouterSlab`]) swept contiguously, routing is a
+//! `match` on the [`crate::config::RoutingKind`] held by value (no
+//! vtable on the per-flit path), and fully quiescent stretches are
+//! fast-forwarded to the next scheduled event (see
+//! [`Network::try_step`]). Everything a router visit mutates is one
+//! struct (`Engine`), so both sweeps call one method per router. All
+//! of this is observationally invisible:
 //! delivery digests are bit-identical to the naive full-scan sweep,
 //! which is kept as [`Network::try_step_reference`] and property-tested
 //! against the fast path, and pinned across commits by
@@ -42,7 +43,7 @@ use crate::flit::{Cycle, Delivered, Flit, Packet, PacketSlab, PacketSpec};
 use crate::interface::{InjStream, Ni};
 use crate::rng::SimRng;
 use crate::router::{RouterCtx, RouterSlab, SaWin};
-use crate::routing::{RouteLut, RouteState, Routing, VcBook};
+use crate::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
 use crate::topology::{Topology, LOCAL_PORT};
 
 /// A workload driving the network.
@@ -202,11 +203,8 @@ pub(crate) struct Engine {
 pub struct Network {
     cfg: NetConfig,
     topo: Arc<dyn Topology>,
-    /// Statically dispatched routing algorithm: per-flit route calls
-    /// inline instead of going through a vtable.
-    routing: Routing,
-    /// Flat route tables precomputed at construction; the allocation hot
-    /// path reads these instead of recomputing coordinates every cycle.
+    /// Routing geometry precomputed at construction; the routing function
+    /// (`cfg.routing`, by value) reads it instead of asking the topology.
     lut: RouteLut,
     book: VcBook,
     eng: Engine,
@@ -237,7 +235,6 @@ impl Network {
     pub fn new(cfg: NetConfig) -> Result<Self, ConfigError> {
         let book = cfg.validate()?;
         let topo = cfg.topology.build();
-        let routing = cfg.routing.build_static();
         let n = topo.num_nodes();
         let ports = topo.num_ports();
         let routers = RouterSlab::new(n, ports, cfg.vcs, cfg.vc_buf);
@@ -289,7 +286,6 @@ impl Network {
         Ok(Self {
             cfg,
             topo,
-            routing,
             lut,
             book,
             eng,
@@ -820,7 +816,13 @@ impl Network {
                 self.eng.nis[node].local_q.push_back((ready, pid));
                 bit_set(&mut self.eng.ni_pending, node);
             } else {
-                let route = self.routing.init(self.topo.as_ref(), node, spec.dst, &mut self.rng);
+                let route = self.cfg.routing.init(
+                    self.topo.as_ref(),
+                    &self.lut,
+                    node,
+                    spec.dst,
+                    &mut self.rng,
+                );
                 let pkt = Packet {
                     uid: 0,
                     src: node,
@@ -925,8 +927,7 @@ impl Network {
     /// and the fault runtime.
     fn sweep_parts(&mut self) -> (RouterCtx<'_>, &mut Engine, Option<&mut fault::FaultState>) {
         let ctx = RouterCtx {
-            topo: self.topo.as_ref(),
-            routing: &self.routing,
+            routing: self.cfg.routing,
             lut: &self.lut,
             book: &self.book,
             arb: self.cfg.arbitration,

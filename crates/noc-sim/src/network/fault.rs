@@ -103,7 +103,7 @@ use crate::error::{ConfigError, SimError};
 use crate::flit::{Cycle, Packet, PacketId, PacketSpec};
 use crate::rng::SimRng;
 use crate::router::SaWin;
-use crate::routing::PortSet;
+use crate::routing::{PortSet, RoutingAlgorithm};
 use crate::topology::Topology;
 
 use super::{Engine, Network};
@@ -968,7 +968,8 @@ impl Network {
                 continue;
             }
             // retransmit: a fresh packet carrying the same spec
-            let route = self.routing.init(self.topo.as_ref(), node, spec.dst, &mut self.rng);
+            let route =
+                self.cfg.routing.init(self.topo.as_ref(), &self.lut, node, spec.dst, &mut self.rng);
             let pkt = Packet {
                 uid: 0,
                 src: node,

@@ -40,12 +40,12 @@ mod buffer;
 pub use arbiter::{oldest, round_robin};
 pub use buffer::{InputVc, OutputVc, VcState};
 
-use crate::config::Arbitration;
+use crate::config::{Arbitration, RoutingKind};
 use crate::error::SimError;
 use crate::flit::{Flit, PacketSlab, NO_PACKET};
 use crate::network::fault::SurvivorTable;
-use crate::routing::{PortSet, RouteLut, Routing, VcBook};
-use crate::topology::{Topology, LOCAL_PORT};
+use crate::routing::{PortSet, RouteLut, RoutingAlgorithm, VcBook};
+use crate::topology::LOCAL_PORT;
 
 /// Most ports a router may have: `2 * MAX_DIMS + 1 = 9` today; the
 /// switch allocator's per-output request masks are `u16`.
@@ -89,11 +89,10 @@ pub struct PipelineStats {
 
 /// Context the router needs each cycle (shared, immutable).
 pub struct RouterCtx<'a> {
-    /// Topology, for routing and neighbor lookups.
-    pub topo: &'a dyn Topology,
-    /// Routing algorithm (statically dispatched for the built-ins).
-    pub routing: &'a Routing,
-    /// Precomputed route tables for the hot allocation path.
+    /// Routing algorithm, held by value: its per-flit calls are a
+    /// `match` over inlinable bodies, not a vtable jump.
+    pub routing: RoutingKind,
+    /// Precomputed routing geometry the routing function reads.
     pub lut: &'a RouteLut,
     /// VC partition.
     pub book: &'a VcBook,
@@ -653,13 +652,13 @@ impl RouterMut<'_> {
                     // healthy — every original path crosses a dead
                     // element, so the packet terminates by being
                     // swallowed there instead of wedging a buffer here
-                    ctx.routing.candidates_lut(ctx.topo, ctx.lut, id, dst, &route)
+                    ctx.routing.candidates(ctx.lut, id, dst, &route)
                 } else {
                     sp
                 }
             }
             Some(_) => PortSet::new(), // at the destination: eject
-            None => ctx.routing.candidates_lut(ctx.topo, ctx.lut, id, dst, &route),
+            None => ctx.routing.candidates(ctx.lut, id, dst, &route),
         };
 
         let claim = if cands.is_empty() {
@@ -670,7 +669,7 @@ impl RouterMut<'_> {
             // adaptive: best candidate port by free downstream credits
             let mut best: Option<(usize, u64, crate::routing::RouteState, u64)> = None;
             for port in cands.iter() {
-                let ns = ctx.routing.advance_lut(ctx.topo, ctx.lut, id, port, dst, &route);
+                let ns = ctx.routing.advance(ctx.lut, id, port, &route);
                 let mask = ctx.book.allowed(class, ns.phase as usize, ns.dateline, false);
                 let score = self.free_credit_score(port, mask);
                 let has_free = self.pick_probe(port, mask);
@@ -683,14 +682,14 @@ impl RouterMut<'_> {
                 None => {
                     // escape: DOR port, escape VC
                     let port = cands.get(0);
-                    let ns = ctx.routing.advance_lut(ctx.topo, ctx.lut, id, port, dst, &route);
+                    let ns = ctx.routing.advance(ctx.lut, id, port, &route);
                     let mask = ctx.book.allowed(class, ns.phase as usize, ns.dateline, true);
                     self.pick_free_vc(port, mask).map(|vc| (port, vc, ns))
                 }
             }
         } else {
             let port = cands.get(0);
-            let ns = ctx.routing.advance_lut(ctx.topo, ctx.lut, id, port, dst, &route);
+            let ns = ctx.routing.advance(ctx.lut, id, port, &route);
             let mask = ctx.book.allowed(class, ns.phase as usize, ns.dateline, false);
             self.pick_free_vc(port, mask).map(|vc| (port, vc, ns))
         };
@@ -858,17 +857,14 @@ impl RouterMut<'_> {
 mod tests {
     use super::*;
     use crate::flit::{Packet, PacketId, PacketSlab};
-    use crate::routing::{Dor, RouteState, VcBook};
+    use crate::routing::{RouteState, VcBook};
     use crate::topology::{port_plus, KAryNCube};
-
-    static DOR_ROUTING: Routing = Routing::Dor(Dor);
 
     fn mk_packet(src: usize, dst: usize, size: u16, birth: u64) -> Packet {
         Packet { uid: 0, src, dst, size, class: 0, birth, inject: u64::MAX, payload: 0 }
     }
 
     struct Fixture {
-        topo: KAryNCube,
         lut: RouteLut,
         book: VcBook,
         packets: PacketSlab,
@@ -878,8 +874,8 @@ mod tests {
         fn new() -> Self {
             let topo = KAryNCube::mesh(&[4, 4]);
             let lut = RouteLut::new(&topo);
-            let book = VcBook::new(2, 1, &Dor, &topo).unwrap();
-            Self { topo, lut, book, packets: PacketSlab::new() }
+            let book = VcBook::new(2, 1, &RoutingKind::Dor, &topo).unwrap();
+            Self { lut, book, packets: PacketSlab::new() }
         }
     }
 
@@ -890,15 +886,10 @@ mod tests {
         Flit { pkt, seq, vc, tail: seq + 1 == size }
     }
 
-    /// Build a context borrowing only `topo`, `lut` and `book`, so
+    /// Build a context borrowing only `lut` and `book`, so
     /// `packets` stays independently borrowable.
-    fn ctx_of<'a>(
-        topo: &'a KAryNCube,
-        lut: &'a RouteLut,
-        book: &'a VcBook,
-        arb: Arbitration,
-    ) -> RouterCtx<'a> {
-        RouterCtx { topo, routing: &DOR_ROUTING, lut, book, arb, survivors: None }
+    fn ctx_of<'a>(lut: &'a RouteLut, book: &'a VcBook, arb: Arbitration) -> RouterCtx<'a> {
+        RouterCtx { routing: RoutingKind::Dor, lut, book, arb, survivors: None }
     }
 
     #[test]
@@ -910,7 +901,7 @@ mod tests {
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, pid, 0, 0)).unwrap();
 
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::RoundRobin);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::RoundRobin);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         let ivc = r.input(0, 0);
         assert_eq!(ivc.state, VcState::Active);
@@ -936,7 +927,7 @@ mod tests {
         let mut slab = RouterSlab::new(1, 5, 2, 4);
         let mut r = slab.router_mut(0);
         r.deposit(port_plus(0), flit_of(&fx.packets, pid, 0, 0)).unwrap();
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::RoundRobin);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::RoundRobin);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         assert_eq!(r.input(port_plus(0), 0).out_port as usize, LOCAL_PORT);
         let mut wins = Vec::new();
@@ -952,7 +943,7 @@ mod tests {
         let mut slab = RouterSlab::new(1, 5, 2, 1);
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, pid, 0, 0)).unwrap();
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::RoundRobin);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::RoundRobin);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         // exhaust the credit of the allocated output VC
         let op = r.input(0, 0).out_port as usize;
@@ -977,7 +968,7 @@ mod tests {
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, a, 0, 0)).unwrap();
         r.deposit(port_plus(1), flit_of(&fx.packets, b, 0, 0)).unwrap();
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::RoundRobin);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::RoundRobin);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         // both got different output VCs of the same port (2 VCs available)
         let mut wins = Vec::new();
@@ -997,7 +988,7 @@ mod tests {
         let mut r = slab.router_mut(0);
         r.deposit(0, flit_of(&fx.packets, a, 0, 0)).unwrap();
         r.deposit(0, flit_of(&fx.packets, b, 0, 1)).unwrap();
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::RoundRobin);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::RoundRobin);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         // both allocate (2 output VCs exist); they share the output port
         let mut owners: Vec<_> = (0..r.vcs()).map(|v| r.out_vc(port_plus(0), v).owner).collect();
@@ -1025,7 +1016,7 @@ mod tests {
         r.out_vc_mut(port_plus(0), 1).owner = 999;
         r.deposit(0, flit_of(&fx.packets, young, 0, 0)).unwrap();
         r.deposit(port_plus(1), flit_of(&fx.packets, old, 0, 0)).unwrap();
-        let ctx = ctx_of(&fx.topo, &fx.lut, &fx.book, Arbitration::AgeBased);
+        let ctx = ctx_of(&fx.lut, &fx.book, Arbitration::AgeBased);
         r.vc_allocate(&ctx, &mut fx.packets).unwrap();
         assert_eq!(r.out_vc(port_plus(0), 0).owner, old, "oldest packet wins VA");
         assert_eq!(r.input(0, 0).state, VcState::Idle, "young packet must retry");

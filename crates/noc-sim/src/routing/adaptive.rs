@@ -1,97 +1,22 @@
-//! Minimal adaptive routing with a DOR escape channel (Duato's protocol).
-
-use super::{
-    advance_common, advance_common_lut, minimal_ports, PortSet, RouteLut, RouteState,
-    RoutingAlgorithm,
-};
-use crate::rng::SimRng;
-use crate::topology::Topology;
-
-/// Minimal adaptive (MA) routing: a packet may take any productive
-/// minimal port, chosen by the router based on downstream credit
-/// availability. Deadlock freedom comes from Duato's protocol: each
-/// (class, phase) VC block reserves escape VC(s) on which packets are
-/// restricted to the deterministic DOR output, guaranteeing a
-/// deadlock-free escape sub-network that blocked packets eventually use.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinAdaptive;
-
-impl RoutingAlgorithm for MinAdaptive {
-    fn name(&self) -> &'static str {
-        "MA"
-    }
-
-    fn num_phases(&self) -> usize {
-        1
-    }
-
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn init(
-        &self,
-        _topo: &dyn Topology,
-        _src: usize,
-        _dst: usize,
-        _rng: &mut SimRng,
-    ) -> RouteState {
-        RouteState::direct()
-    }
-
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        minimal_ports(topo, cur, state.effective_target(cur, dst))
-    }
-
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common(topo, cur, port, dst, state)
-    }
-
-    fn candidates_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        lut.minimal_ports(cur, state.effective_target(cur, dst))
-    }
-
-    fn advance_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        _dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common_lut(lut, cur, port, state)
-    }
-}
+//! Minimal adaptive (MA) routing with a DOR escape channel (Duato's
+//! protocol): a packet may take any productive minimal port, chosen by
+//! the router based on downstream credit availability. Deadlock freedom
+//! comes from Duato's protocol: each (class, phase) VC block reserves
+//! escape VC(s) on which packets are restricted to the deterministic DOR
+//! output, guaranteeing a deadlock-free escape sub-network that blocked
+//! packets eventually use.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::topology::KAryNCube;
+    use crate::config::RoutingKind::MinAdaptive;
+    use crate::rng::SimRng;
+    use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
+    use crate::topology::{KAryNCube, Topology};
 
     #[test]
     fn ma_candidates_are_minimal_and_dor_first() {
         let t = KAryNCube::mesh(&[8, 8]);
+        let lut = RouteLut::new(&t);
         let algo = MinAdaptive;
         let mut rng = SimRng::new(1);
         for _ in 0..500 {
@@ -100,8 +25,8 @@ mod tests {
             if src == dst {
                 continue;
             }
-            let state = algo.init(&t, src, dst, &mut rng);
-            let cands = algo.candidates(&t, src, dst, &state);
+            let state = algo.init(&t, &lut, src, dst, &mut rng);
+            let cands = algo.candidates(&lut, src, dst, &state);
             assert!(!cands.is_empty());
             // every candidate must reduce distance by exactly 1
             for p in cands.iter() {
@@ -109,27 +34,28 @@ mod tests {
                 assert_eq!(t.min_hops(next, dst), t.min_hops(src, dst) - 1);
             }
             // first candidate is the DOR port
-            assert_eq!(cands.get(0), super::super::dor_port(&t, src, dst).unwrap());
+            assert_eq!(cands.get(0), lut.dor_port(src, dst).unwrap());
         }
     }
 
     #[test]
     fn ma_any_candidate_walk_reaches_dst_minimally() {
         let t = KAryNCube::mesh(&[8, 8]);
+        let lut = RouteLut::new(&t);
         let algo = MinAdaptive;
         let mut rng = SimRng::new(2);
         for _ in 0..300 {
             let src = rng.below(64);
             let dst = rng.below(64);
-            let mut state = algo.init(&t, src, dst, &mut rng);
+            let mut state = algo.init(&t, &lut, src, dst, &mut rng);
             let mut cur = src;
             let mut hops = 0;
             while cur != dst {
-                let cands = algo.candidates(&t, cur, dst, &state);
+                let cands = algo.candidates(&lut, cur, dst, &state);
                 assert!(!cands.is_empty());
                 // take a random candidate to exercise adaptivity
                 let port = cands.get(rng.below(cands.len()));
-                state = algo.advance(&t, cur, port, dst, &state);
+                state = algo.advance(&lut, cur, port, &state);
                 cur = t.neighbor(cur, port).unwrap().0;
                 hops += 1;
                 assert!(hops <= t.min_hops(src, dst), "walk exceeded minimal length");
@@ -140,11 +66,11 @@ mod tests {
 
     #[test]
     fn ma_two_candidates_when_both_dims_unresolved() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
         let algo = MinAdaptive;
-        let cands = algo.candidates(&t, 0, 15, &RouteState::direct());
+        let cands = algo.candidates(&lut, 0, 15, &RouteState::direct());
         assert_eq!(cands.len(), 2);
-        let cands1 = algo.candidates(&t, 0, 3, &RouteState::direct());
+        let cands1 = algo.candidates(&lut, 0, 3, &RouteState::direct());
         assert_eq!(cands1.len(), 1);
     }
 }

@@ -1,120 +1,17 @@
-//! Dimension-ordered routing (DOR / XY).
-
-use super::{
-    advance_common, advance_common_lut, dor_port, PortSet, RouteLut, RouteState, RoutingAlgorithm,
-};
-use crate::rng::SimRng;
-use crate::topology::Topology;
-
-/// Deterministic dimension-ordered routing: fully resolve dimension 0,
-/// then dimension 1, and so on. Minimal and deadlock-free on meshes; on
-/// tori it relies on dateline VC switching (handled by the VC book).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dor;
-
-impl RoutingAlgorithm for Dor {
-    fn name(&self) -> &'static str {
-        "DOR"
-    }
-
-    fn num_phases(&self) -> usize {
-        1
-    }
-
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-
-    fn init(
-        &self,
-        _topo: &dyn Topology,
-        _src: usize,
-        _dst: usize,
-        _rng: &mut SimRng,
-    ) -> RouteState {
-        RouteState::direct()
-    }
-
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = dor_port(topo, cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common(topo, cur, port, dst, state)
-    }
-
-    fn candidates_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = lut.dor_port(cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        _dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common_lut(lut, cur, port, state)
-    }
-}
+//! Dimension-ordered routing (DOR / XY): fully resolve dimension 0, then
+//! dimension 1, and so on. Minimal and deadlock-free on meshes; on tori
+//! it relies on dateline VC switching (handled by the VC book).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::topology::{port_plus, KAryNCube};
+    use crate::config::RoutingKind::Dor;
+    use crate::rng::SimRng;
+    use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
+    use crate::topology::{port_plus, KAryNCube, Topology};
 
     /// Walk a packet from src to dst taking the first candidate each hop.
-    fn walk(
-        topo: &dyn Topology,
-        algo: &dyn RoutingAlgorithm,
-        src: usize,
-        dst: usize,
-    ) -> Vec<usize> {
-        let mut rng = SimRng::new(1);
-        let mut state = algo.init(topo, src, dst, &mut rng);
-        let mut cur = src;
-        let mut path = vec![cur];
-        for _ in 0..1000 {
-            let cands = algo.candidates(topo, cur, dst, &state);
-            if cands.is_empty() {
-                break;
-            }
-            let port = cands.get(0);
-            state = algo.advance(topo, cur, port, dst, &state);
-            cur = topo.neighbor(cur, port).unwrap().0;
-            path.push(cur);
-        }
-        path
+    fn walk(topo: &KAryNCube, src: usize, dst: usize) -> Vec<usize> {
+        super::super::tests::walk(topo, Dor, src, dst, &mut SimRng::new(1)).0
     }
 
     #[test]
@@ -122,7 +19,7 @@ mod tests {
         let t = KAryNCube::mesh(&[4, 4]);
         for s in 0..16 {
             for d in 0..16 {
-                let path = walk(&t, &Dor, s, d);
+                let path = walk(&t, s, d);
                 assert_eq!(*path.last().unwrap(), d);
                 assert_eq!(path.len() - 1, t.min_hops(s, d), "DOR must be minimal");
             }
@@ -134,7 +31,7 @@ mod tests {
         for t in [KAryNCube::torus(&[4, 4]), KAryNCube::ring(8)] {
             for s in 0..t.num_nodes() {
                 for d in 0..t.num_nodes() {
-                    let path = walk(&t, &Dor, s, d);
+                    let path = walk(&t, s, d);
                     assert_eq!(*path.last().unwrap(), d);
                     assert_eq!(path.len() - 1, t.min_hops(s, d));
                 }
@@ -145,17 +42,17 @@ mod tests {
     #[test]
     fn dor_x_before_y() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let path = walk(&t, &Dor, 0, t.node_at(&[2, 2, 0, 0]));
+        let path = walk(&t, 0, t.node_at(&[2, 2, 0, 0]));
         // nodes 0 -> 1 -> 2 -> 6 -> 10
         assert_eq!(path, vec![0, 1, 2, 6, 10]);
     }
 
     #[test]
     fn dor_single_candidate() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let c = Dor.candidates(&t, 0, 5, &RouteState::direct());
+        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
+        let c = Dor.candidates(&lut, 0, 5, &RouteState::direct());
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(0), port_plus(0));
-        assert!(Dor.candidates(&t, 5, 5, &RouteState::direct()).is_empty());
+        assert!(Dor.candidates(&lut, 5, 5, &RouteState::direct()).is_empty());
     }
 }

@@ -1,12 +1,16 @@
 //! Routing algorithms and virtual-channel partitioning.
 //!
-//! Implemented algorithms (Table I of the paper):
-//! * [`Dor`] — dimension-ordered routing (X then Y), deterministic minimal;
-//! * [`Valiant`] — VAL: route to a uniformly random intermediate node, then
-//!   to the destination, DOR in each phase;
-//! * [`Romm`] — two-phase randomized minimal: the intermediate is drawn
-//!   from the minimal quadrant, so the overall path stays minimal;
-//! * [`MinAdaptive`] — minimal adaptive with a Duato-style DOR escape VC.
+//! Implemented algorithms (Table I of the paper), all variants of
+//! [`RoutingKind`], the one built-in [`RoutingAlgorithm`]:
+//! * [`RoutingKind::Dor`] — dimension-ordered routing (X then Y),
+//!   deterministic minimal;
+//! * [`RoutingKind::Valiant`] — VAL: route to a uniformly random
+//!   intermediate node, then to the destination, DOR in each phase;
+//! * [`RoutingKind::Romm`] — two-phase randomized minimal: the
+//!   intermediate is drawn from the minimal quadrant, so the overall path
+//!   stays minimal;
+//! * [`RoutingKind::MinAdaptive`] — minimal adaptive with a Duato-style
+//!   DOR escape VC.
 //!
 //! # Deadlock freedom
 //!
@@ -17,16 +21,15 @@
 //! the configured VC count suffices — a too-small count is a configuration
 //! error, not a silent deadlock.
 
+#[cfg(test)]
 mod adaptive;
+#[cfg(test)]
 mod dor;
 mod romm;
+#[cfg(test)]
 mod valiant;
 
-pub use adaptive::MinAdaptive;
-pub use dor::Dor;
-pub use romm::Romm;
-pub use valiant::Valiant;
-
+use crate::config::RoutingKind;
 use crate::error::ConfigError;
 use crate::rng::SimRng;
 use crate::topology::{Topology, MAX_DIMS};
@@ -67,7 +70,7 @@ impl RouteState {
 
     /// Routing target accounting for the phase transition: a packet
     /// sitting *at* its intermediate routes toward the destination (the
-    /// flip is applied to its state by `advance_common` when the next
+    /// flip is applied to its state by `advance` when the next
     /// hop commits, so the hop out of the intermediate uses phase-1
     /// VCs while the hop into it used phase-0 VCs — this ordering is
     /// what keeps the two phase sub-networks' channel dependencies
@@ -137,7 +140,13 @@ impl PortSet {
 /// The router calls [`candidates`](RoutingAlgorithm::candidates) for the
 /// head flit of each packet waiting for VC allocation, then
 /// [`advance`](RoutingAlgorithm::advance) once a hop has been committed to
-/// update phase/dateline state.
+/// update phase/dateline state. Both read geometry from a [`RouteLut`];
+/// the engine, [`crate::trace_route`], the `noc-verify` route enumerator
+/// and (through it) the `noc-analytic` load model all call this one pair.
+///
+/// [`RoutingKind`] is the built-in implementor and what the engine holds
+/// by value, so its per-flit calls are a `match` over inlinable bodies;
+/// the trait exists so tests can substitute misbehaving fakes.
 pub trait RoutingAlgorithm: Send + Sync {
     /// Short name (`"DOR"`, `"VAL"`, ...).
     fn name(&self) -> &'static str;
@@ -150,314 +159,112 @@ pub trait RoutingAlgorithm: Send + Sync {
     fn is_adaptive(&self) -> bool;
 
     /// Initialize per-packet state at injection (chooses the intermediate
-    /// node for two-phase algorithms).
-    fn init(&self, topo: &dyn Topology, src: usize, dst: usize, rng: &mut SimRng) -> RouteState;
+    /// node for two-phase algorithms). `lut` must be built from `topo`.
+    fn init(
+        &self,
+        topo: &dyn Topology,
+        lut: &RouteLut,
+        src: usize,
+        dst: usize,
+        rng: &mut SimRng,
+    ) -> RouteState;
 
     /// Candidate output ports at router `cur` for a packet with state
     /// `state` destined to `dst`. The first candidate is the DOR port.
     /// Returns an empty set iff the packet should be ejected here.
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet;
+    fn candidates(&self, lut: &RouteLut, cur: usize, dst: usize, state: &RouteState) -> PortSet;
 
     /// State after taking `port` out of `cur` (phase transition at the
     /// intermediate node, dateline crossing, dimension change).
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState;
-
-    /// [`candidates`](RoutingAlgorithm::candidates) with access to the
-    /// precomputed [`RouteLut`] — the per-cycle engine path. Must return
-    /// exactly what `candidates` returns; the default ignores the table.
-    fn candidates_lut(
-        &self,
-        topo: &dyn Topology,
-        _lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        self.candidates(topo, cur, dst, state)
-    }
-
-    /// [`advance`](RoutingAlgorithm::advance) with access to the
-    /// precomputed [`RouteLut`] — the per-cycle engine path. Must return
-    /// exactly what `advance` returns; the default ignores the table.
-    fn advance_lut(
-        &self,
-        topo: &dyn Topology,
-        _lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        self.advance(topo, cur, port, dst, state)
-    }
+    fn advance(&self, lut: &RouteLut, cur: usize, port: usize, state: &RouteState) -> RouteState;
 }
 
-/// The engine's statically dispatched routing algorithm.
-///
-/// The per-cycle allocation path calls the routing function once per
-/// waiting head flit; through an `Arc<dyn RoutingAlgorithm>` every one
-/// of those calls is a vtable jump the compiler cannot inline. The four
-/// built-in algorithms are therefore carried as enum variants — the
-/// `match` below compiles to a jump table over concrete, inlinable
-/// method bodies. External [`RoutingAlgorithm`] implementations still
-/// plug in through [`Routing::Custom`], which keeps the old virtual
-/// dispatch as an escape hatch.
-#[derive(Clone)]
-pub enum Routing {
-    /// Dimension-ordered routing.
-    Dor(Dor),
-    /// Valiant randomized two-phase routing.
-    Valiant(Valiant),
-    /// Randomized two-phase minimal routing.
-    Romm(Romm),
-    /// Minimal adaptive with DOR escape VCs.
-    MinAdaptive(MinAdaptive),
-    /// Escape hatch for external implementations (virtual dispatch).
-    Custom(std::sync::Arc<dyn RoutingAlgorithm>),
-}
-
-impl std::fmt::Debug for Routing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Dispatch one method call to the concrete variant.
-macro_rules! routing_dispatch {
-    ($self:expr, $m:ident ( $($arg:expr),* )) => {
-        match $self {
-            Routing::Dor(a) => a.$m($($arg),*),
-            Routing::Valiant(a) => a.$m($($arg),*),
-            Routing::Romm(a) => a.$m($($arg),*),
-            Routing::MinAdaptive(a) => a.$m($($arg),*),
-            Routing::Custom(a) => a.$m($($arg),*),
+impl RoutingAlgorithm for RoutingKind {
+    fn name(&self) -> &'static str {
+        match self {
+            RoutingKind::Dor => "DOR",
+            RoutingKind::Valiant => "VAL",
+            RoutingKind::Romm => "ROMM",
+            RoutingKind::MinAdaptive => "MA",
         }
-    };
-}
-
-impl Routing {
-    /// Short name (`"DOR"`, `"VAL"`, ...).
-    #[inline]
-    pub fn name(&self) -> &'static str {
-        routing_dispatch!(self, name())
     }
 
-    /// Number of routing phases (1 or 2).
-    #[inline]
-    pub fn num_phases(&self) -> usize {
-        routing_dispatch!(self, num_phases())
+    fn num_phases(&self) -> usize {
+        match self {
+            RoutingKind::Dor | RoutingKind::MinAdaptive => 1,
+            RoutingKind::Valiant | RoutingKind::Romm => 2,
+        }
     }
 
-    /// True if the algorithm routes adaptively.
-    #[inline]
-    pub fn is_adaptive(&self) -> bool {
-        routing_dispatch!(self, is_adaptive())
+    fn is_adaptive(&self) -> bool {
+        *self == RoutingKind::MinAdaptive
     }
 
-    /// Initialize per-packet state at injection.
-    #[inline]
-    pub fn init(
+    fn init(
         &self,
         topo: &dyn Topology,
+        lut: &RouteLut,
         src: usize,
         dst: usize,
         rng: &mut SimRng,
     ) -> RouteState {
-        routing_dispatch!(self, init(topo, src, dst, rng))
-    }
-
-    /// Candidate output ports at `cur` (see
-    /// [`RoutingAlgorithm::candidates`]).
-    #[inline]
-    pub fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        routing_dispatch!(self, candidates(topo, cur, dst, state))
-    }
-
-    /// State after taking `port` out of `cur` (see
-    /// [`RoutingAlgorithm::advance`]).
-    #[inline]
-    pub fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        routing_dispatch!(self, advance(topo, cur, port, dst, state))
-    }
-
-    /// LUT-backed candidates — the per-cycle engine path.
-    #[inline]
-    pub fn candidates_lut(
-        &self,
-        topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        routing_dispatch!(self, candidates_lut(topo, lut, cur, dst, state))
-    }
-
-    /// LUT-backed advance — the per-cycle engine path.
-    #[inline]
-    pub fn advance_lut(
-        &self,
-        topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        routing_dispatch!(self, advance_lut(topo, lut, cur, port, dst, state))
-    }
-}
-
-/// The enum is itself a [`RoutingAlgorithm`], so analysis code written
-/// against the trait (`noc-verify`, `noc-analytic`, [`VcBook::new`])
-/// accepts it unchanged.
-impl RoutingAlgorithm for Routing {
-    fn name(&self) -> &'static str {
-        Routing::name(self)
-    }
-
-    fn num_phases(&self) -> usize {
-        Routing::num_phases(self)
-    }
-
-    fn is_adaptive(&self) -> bool {
-        Routing::is_adaptive(self)
-    }
-
-    fn init(&self, topo: &dyn Topology, src: usize, dst: usize, rng: &mut SimRng) -> RouteState {
-        Routing::init(self, topo, src, dst, rng)
-    }
-
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        Routing::candidates(self, topo, cur, dst, state)
-    }
-
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        Routing::advance(self, topo, cur, port, dst, state)
-    }
-
-    fn candidates_lut(
-        &self,
-        topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        Routing::candidates_lut(self, topo, lut, cur, dst, state)
-    }
-
-    fn advance_lut(
-        &self,
-        topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        Routing::advance_lut(self, topo, lut, cur, port, dst, state)
-    }
-}
-
-/// Dimension-ordered next port toward `target`, or `None` if `cur ==
-/// target`. On wrap dimensions ties (distance exactly k/2) break toward
-/// the positive direction for determinism.
-pub fn dor_port(topo: &dyn Topology, cur: usize, target: usize) -> Option<usize> {
-    use crate::topology::{port_minus, port_plus};
-    if cur == target {
-        return None;
-    }
-    let cc = topo.coords_of(cur);
-    let ct = topo.coords_of(target);
-    for d in 0..topo.dims() {
-        if cc[d] == ct[d] {
-            continue;
-        }
-        let k = topo.radix(d);
-        let plus_dist = (ct[d] + k - cc[d]) % k;
-        let minus_dist = (cc[d] + k - ct[d]) % k;
-        let go_plus = if topo.wraps(d) { plus_dist <= minus_dist } else { ct[d] > cc[d] };
-        return Some(if go_plus { port_plus(d) } else { port_minus(d) });
-    }
-    None
-}
-
-/// All minimal productive ports toward `target` (one or two in 2D).
-/// The DOR port is always first.
-pub fn minimal_ports(topo: &dyn Topology, cur: usize, target: usize) -> PortSet {
-    use crate::topology::{port_minus, port_plus};
-    let mut set = PortSet::new();
-    if cur == target {
-        return set;
-    }
-    let cc = topo.coords_of(cur);
-    let ct = topo.coords_of(target);
-    for d in 0..topo.dims() {
-        if cc[d] == ct[d] {
-            continue;
-        }
-        let k = topo.radix(d);
-        let plus_dist = (ct[d] + k - cc[d]) % k;
-        let minus_dist = (cc[d] + k - ct[d]) % k;
-        if topo.wraps(d) {
-            // minimal direction(s); on a tie both are minimal but we take
-            // the deterministic positive one to match `dor_port`
-            if plus_dist <= minus_dist {
-                set.push(port_plus(d));
-            } else {
-                set.push(port_minus(d));
-            }
-        } else if ct[d] > cc[d] {
-            set.push(port_plus(d));
+        let mid = match self {
+            RoutingKind::Dor | RoutingKind::MinAdaptive => return RouteState::direct(),
+            RoutingKind::Valiant => rng.below(topo.num_nodes()),
+            RoutingKind::Romm => romm::sample_mid(topo, lut, src, dst, rng),
+        };
+        if mid == src {
+            // degenerate phase 0: go straight to the destination
+            RouteState::direct()
         } else {
-            set.push(port_minus(d));
+            RouteState::via(mid)
         }
     }
-    set
+
+    #[inline]
+    fn candidates(&self, lut: &RouteLut, cur: usize, dst: usize, state: &RouteState) -> PortSet {
+        let target = state.effective_target(cur, dst);
+        if *self == RoutingKind::MinAdaptive {
+            return lut.minimal_ports(cur, target);
+        }
+        // DOR within each phase for everything else
+        let mut set = PortSet::new();
+        if let Some(p) = lut.dor_port(cur, target) {
+            set.push(p);
+        }
+        set
+    }
+
+    #[inline]
+    fn advance(&self, lut: &RouteLut, cur: usize, port: usize, state: &RouteState) -> RouteState {
+        use crate::topology::port_dim;
+        let mut next = *state;
+        // phase transition happens when the packet leaves its intermediate:
+        // the hop *into* the intermediate stays on phase-0 VCs, the hop
+        // *out* starts a fresh phase-1 DOR route on phase-1 VCs. Flipping
+        // one hop earlier (on arrival) would let a U-turning packet place
+        // both its inbound and outbound hops in the same VC class and close
+        // a channel-dependency cycle across one link pair.
+        if next.phase == 0 && cur == next.intermediate {
+            next.phase = 1;
+            next.dateline = false;
+            next.last_dim = u8::MAX;
+        }
+        let d = port_dim(port) as u8;
+        if next.last_dim != d {
+            next.dateline = false;
+            next.last_dim = d;
+        }
+        if lut.crosses_dateline(cur, port) {
+            next.dateline = true;
+        }
+        next
+    }
 }
 
 /// Whether the hop `cur --port-->` crosses the wraparound ("dateline")
-/// link of the port's dimension.
+/// link of the port's dimension. [`RouteLut::new`] fills its dateline
+/// table from this; per-hop code reads the table.
 pub fn crosses_dateline(topo: &dyn Topology, cur: usize, port: usize) -> bool {
     use crate::topology::{port_dim, port_is_plus};
     if port == 0 {
@@ -476,82 +283,19 @@ pub fn crosses_dateline(topo: &dyn Topology, cur: usize, port: usize) -> bool {
     }
 }
 
-/// Shared `advance` logic for DOR-per-phase algorithms: update phase at
-/// the intermediate node, track dateline crossings, reset the dateline on
-/// dimension change.
-pub(crate) fn advance_common(
-    topo: &dyn Topology,
-    cur: usize,
-    port: usize,
-    _dst: usize,
-    state: &RouteState,
-) -> RouteState {
-    use crate::topology::port_dim;
-    let mut next = *state;
-    // phase transition happens when the packet leaves its intermediate:
-    // the hop *into* the intermediate stays on phase-0 VCs, the hop
-    // *out* starts a fresh phase-1 DOR route on phase-1 VCs. Flipping
-    // one hop earlier (on arrival) would let a U-turning packet place
-    // both its inbound and outbound hops in the same VC class and close
-    // a channel-dependency cycle across one link pair.
-    if next.phase == 0 && cur == next.intermediate {
-        next.phase = 1;
-        next.dateline = false;
-        next.last_dim = u8::MAX;
-    }
-    let d = port_dim(port) as u8;
-    if next.last_dim != d {
-        next.dateline = false;
-        next.last_dim = d;
-    }
-    if crosses_dateline(topo, cur, port) {
-        next.dateline = true;
-    }
-    next
-}
-
-/// [`advance_common`] against precomputed tables: identical result, but
-/// the dateline test is one bit probe instead of virtual coordinate
-/// arithmetic. This is the per-hop path of every DOR-per-phase
-/// algorithm, executed once per VC allocation attempt.
-pub(crate) fn advance_common_lut(
-    lut: &RouteLut,
-    cur: usize,
-    port: usize,
-    state: &RouteState,
-) -> RouteState {
-    use crate::topology::port_dim;
-    let mut next = *state;
-    if next.phase == 0 && cur == next.intermediate {
-        next.phase = 1;
-        next.dateline = false;
-        next.last_dim = u8::MAX;
-    }
-    let d = port_dim(port) as u8;
-    if next.last_dim != d {
-        next.dateline = false;
-        next.last_dim = d;
-    }
-    if lut.crosses_dateline(cur, port) {
-        next.dateline = true;
-    }
-    next
-}
-
 /// Precomputed routing geometry for one fixed topology.
 ///
 /// Route computation (`dor_port`, `minimal_ports`, `crosses_dateline`)
 /// runs on every VC-allocation attempt — at saturation that is more than
-/// one call per router per cycle, each a cascade of virtual topology
-/// lookups with per-dimension division. The cache here devirtualizes
-/// that: per-node coordinates and per-dimension radix/wrap flags are
-/// materialized once at network construction, and each query becomes a
-/// few subtractions over two `u16` coordinate rows. Compared to full
-/// `n x n` port tables this is O(n) memory (8 KiB of coordinates for a
-/// 1k-node network vs a megabyte of table), so the whole structure stays
-/// L1-resident under random traffic, and construction is O(n) instead of
-/// O(n^2). Built by [`crate::network::Network::new`]; handed to routers
-/// through [`crate::router::RouterCtx`].
+/// one call per router per cycle. Asking the [`Topology`] each time would
+/// be a cascade of virtual lookups with per-dimension division, so
+/// per-node coordinates and per-dimension radix/wrap flags are
+/// materialized once here, and each query becomes a few subtractions
+/// over two `u16` coordinate rows. Compared to full `n x n` port tables
+/// this is O(n) memory (8 KiB of coordinates for a 1k-node network vs a
+/// megabyte of table), so the whole structure stays L1-resident under
+/// random traffic, and construction is O(n) instead of O(n^2) — cheap
+/// enough that every analysis entry point builds its own per call.
 #[derive(Debug, Clone)]
 pub struct RouteLut {
     dims: usize,
@@ -607,62 +351,72 @@ impl RouteLut {
         (&self.coords[cur * d..cur * d + d], &self.coords[target * d..target * d + d])
     }
 
-    /// Whether the productive direction in dimension `d` is `+` when
-    /// moving from coordinate `cc` to `ct` (callers guarantee they
-    /// differ). Matches [`dor_port`]'s tie-break: on a wraparound
-    /// dimension equidistant targets go `+`.
+    /// Productive direction (`true` = `+`) and hop distance in dimension
+    /// `d` from coordinate `from` to `to`. This is the one place the wrap
+    /// tie-break lives: on a wraparound dimension equidistant targets go
+    /// `+`. Equal coordinates give distance 0 (direction meaningless).
     #[inline]
-    fn go_plus(&self, d: usize, cc: u16, ct: u16) -> bool {
+    pub fn heading(&self, d: usize, from: u16, to: u16) -> (bool, u16) {
         if self.wraps[d] {
             let k = self.radix[d];
-            let plus_dist = if ct >= cc { ct - cc } else { ct + k - cc };
-            // minus_dist == k - plus_dist (coordinates are in-range and
-            // differ), so the modulo chain of the generic path reduces
-            // to one comparison
-            plus_dist <= k - plus_dist
+            let plus_dist = if to >= from { to - from } else { to + k - from };
+            // coordinates are in range, so the opposite way round is the
+            // rest of the ring
+            let minus_dist = k - plus_dist;
+            (plus_dist <= minus_dist, plus_dist.min(minus_dist))
         } else {
-            ct > cc
+            (to > from, to.abs_diff(from))
         }
     }
 
-    /// Cache-backed [`dor_port`]: identical result, no virtual calls.
+    /// Productive port in dimension `d` (callers guarantee the
+    /// coordinates differ).
+    #[inline]
+    fn port_toward(&self, d: usize, from: u16, to: u16) -> usize {
+        use crate::topology::{port_minus, port_plus};
+        if self.heading(d, from, to).0 {
+            port_plus(d)
+        } else {
+            port_minus(d)
+        }
+    }
+
+    /// Dimension-ordered next port toward `target`, or `None` if `cur ==
+    /// target`: the productive port of the lowest unresolved dimension.
     #[inline]
     pub fn dor_port(&self, cur: usize, target: usize) -> Option<usize> {
-        use crate::topology::{port_minus, port_plus};
         if cur == target {
             return None;
         }
         let (cc, ct) = self.rows(cur, target);
         for d in 0..self.dims {
-            if cc[d] == ct[d] {
-                continue;
+            if cc[d] != ct[d] {
+                return Some(self.port_toward(d, cc[d], ct[d]));
             }
-            let p = if self.go_plus(d, cc[d], ct[d]) { port_plus(d) } else { port_minus(d) };
-            return Some(p);
         }
         None
     }
 
-    /// Cache-backed [`minimal_ports`]: all productive ports, DOR port
-    /// first; empty when `cur == target`.
+    /// All minimal productive ports toward `target` — one per unresolved
+    /// dimension, so the DOR port is always first; empty when `cur ==
+    /// target`.
     #[inline]
     pub fn minimal_ports(&self, cur: usize, target: usize) -> PortSet {
-        use crate::topology::{port_minus, port_plus};
         let mut set = PortSet::new();
         if cur == target {
             return set;
         }
         let (cc, ct) = self.rows(cur, target);
         for d in 0..self.dims {
-            if cc[d] == ct[d] {
-                continue;
+            if cc[d] != ct[d] {
+                set.push(self.port_toward(d, cc[d], ct[d]));
             }
-            set.push(if self.go_plus(d, cc[d], ct[d]) { port_plus(d) } else { port_minus(d) });
         }
         set
     }
 
-    /// Table-backed [`crosses_dateline`].
+    /// Whether the hop `cur --port-->` crosses a dateline (one bit probe
+    /// of the table filled from the free [`crosses_dateline`]).
     #[inline]
     pub fn crosses_dateline(&self, cur: usize, port: usize) -> bool {
         self.dateline[cur] & (1 << port) != 0
@@ -841,6 +595,32 @@ mod tests {
     use super::*;
     use crate::topology::{port_minus, port_plus, KAryNCube};
 
+    /// Walk a packet from `src` to `dst` through the one routing API,
+    /// taking the first candidate each hop; returns the nodes visited and
+    /// the state `init` drew (shared by the per-algorithm test modules).
+    pub(super) fn walk(
+        topo: &KAryNCube,
+        algo: RoutingKind,
+        src: usize,
+        dst: usize,
+        rng: &mut SimRng,
+    ) -> (Vec<usize>, RouteState) {
+        let lut = RouteLut::new(topo);
+        let init = algo.init(topo, &lut, src, dst, rng);
+        let (mut state, mut cur, mut path) = (init, src, vec![src]);
+        for _ in 0..10_000 {
+            let cands = algo.candidates(&lut, cur, dst, &state);
+            if cands.is_empty() {
+                break;
+            }
+            let port = cands.get(0);
+            state = algo.advance(&lut, cur, port, &state);
+            cur = topo.neighbor(cur, port).unwrap().0;
+            path.push(cur);
+        }
+        (path, init)
+    }
+
     #[test]
     fn route_state_target() {
         let s = RouteState::via(7);
@@ -868,34 +648,36 @@ mod tests {
     #[test]
     fn dor_port_mesh_goes_x_first() {
         let t = KAryNCube::mesh(&[4, 4]);
+        let lut = RouteLut::new(&t);
         // from (0,0) to (2,3): x first
-        assert_eq!(dor_port(&t, 0, t.node_at(&[2, 3, 0, 0])), Some(port_plus(0)));
+        assert_eq!(lut.dor_port(0, t.node_at(&[2, 3, 0, 0])), Some(port_plus(0)));
         // same column: y
-        assert_eq!(dor_port(&t, 0, t.node_at(&[0, 3, 0, 0])), Some(port_plus(1)));
+        assert_eq!(lut.dor_port(0, t.node_at(&[0, 3, 0, 0])), Some(port_plus(1)));
         // arrived
-        assert_eq!(dor_port(&t, 5, 5), None);
+        assert_eq!(lut.dor_port(5, 5), None);
         // negative directions
-        assert_eq!(dor_port(&t, t.node_at(&[3, 3, 0, 0]), 0), Some(port_minus(0)));
+        assert_eq!(lut.dor_port(t.node_at(&[3, 3, 0, 0]), 0), Some(port_minus(0)));
     }
 
     #[test]
     fn dor_port_torus_takes_short_way() {
-        let t = KAryNCube::torus(&[8, 8]);
+        let lut = RouteLut::new(&KAryNCube::torus(&[8, 8]));
         // (0,0) -> (7,0): wrap in -x (distance 1) beats +x (distance 7)
-        assert_eq!(dor_port(&t, 0, 7), Some(port_minus(0)));
+        assert_eq!(lut.dor_port(0, 7), Some(port_minus(0)));
         // distance 4 tie: deterministic positive
-        assert_eq!(dor_port(&t, 0, 4), Some(port_plus(0)));
+        assert_eq!(lut.dor_port(0, 4), Some(port_plus(0)));
     }
 
     #[test]
     fn minimal_ports_counts() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let both = minimal_ports(&t, 0, t.node_at(&[2, 2, 0, 0]));
+        let lut = RouteLut::new(&t);
+        let both = lut.minimal_ports(0, t.node_at(&[2, 2, 0, 0]));
         assert_eq!(both.len(), 2);
         assert_eq!(both.get(0), port_plus(0), "DOR port first");
-        let one = minimal_ports(&t, 0, t.node_at(&[0, 2, 0, 0]));
+        let one = lut.minimal_ports(0, t.node_at(&[0, 2, 0, 0]));
         assert_eq!(one.len(), 1);
-        assert!(minimal_ports(&t, 5, 5).is_empty());
+        assert!(lut.minimal_ports(5, 5).is_empty());
     }
 
     #[test]
@@ -914,7 +696,7 @@ mod tests {
     #[test]
     fn vcbook_single_class_mesh() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let dor = Dor;
+        let dor = RoutingKind::Dor;
         let book = VcBook::new(2, 1, &dor, &t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b11);
         assert_eq!(book.injection(0), 0b11);
@@ -923,7 +705,7 @@ mod tests {
     #[test]
     fn vcbook_two_classes() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let dor = Dor;
+        let dor = RoutingKind::Dor;
         let book = VcBook::new(4, 2, &dor, &t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0011);
         assert_eq!(book.allowed(1, 0, false, false), 0b1100);
@@ -932,7 +714,7 @@ mod tests {
     #[test]
     fn vcbook_torus_dateline_split() {
         let t = KAryNCube::torus(&[4, 4]);
-        let dor = Dor;
+        let dor = RoutingKind::Dor;
         let book = VcBook::new(4, 2, &dor, &t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0001);
         assert_eq!(book.allowed(0, 0, true, false), 0b0010);
@@ -943,7 +725,7 @@ mod tests {
     #[test]
     fn vcbook_valiant_phases() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let val = Valiant;
+        let val = RoutingKind::Valiant;
         let book = VcBook::new(2, 1, &val, &t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b01);
         assert_eq!(book.allowed(0, 1, false, false), 0b10);
@@ -952,7 +734,7 @@ mod tests {
     #[test]
     fn vcbook_adaptive_escape() {
         let t = KAryNCube::mesh(&[4, 4]);
-        let ma = MinAdaptive;
+        let ma = RoutingKind::MinAdaptive;
         let book = VcBook::new(2, 1, &ma, &t).unwrap();
         assert_eq!(book.allowed(0, 0, false, true), 0b01, "escape VC");
         assert_eq!(book.allowed(0, 0, false, false), 0b10, "adaptive VC");
@@ -964,14 +746,14 @@ mod tests {
     #[test]
     fn vcbook_rejections() {
         let t = KAryNCube::torus(&[4, 4]);
-        let dor = Dor;
+        let dor = RoutingKind::Dor;
         // torus with 2 classes needs 4 VCs: 2 is rejected
         assert!(VcBook::new(2, 2, &dor, &t).is_err());
         // indivisible
         let m = KAryNCube::mesh(&[4, 4]);
         assert!(VcBook::new(3, 2, &dor, &m).is_err());
         // adaptive torus needs 3 per block
-        let ma = MinAdaptive;
+        let ma = RoutingKind::MinAdaptive;
         assert!(VcBook::new(2, 1, &ma, &t).is_err());
         assert!(VcBook::new(3, 1, &ma, &t).is_ok());
         // zero anything
@@ -980,15 +762,16 @@ mod tests {
 
     #[test]
     fn advance_phase_transition() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
+        let val = RoutingKind::Valiant;
         // packet at node 0 with intermediate 1 (one hop +x away):
         // the hop INTO the intermediate stays phase 0 (phase-0 VCs)...
         let s = RouteState::via(1);
-        let s1 = advance_common(&t, 0, port_plus(0), 9, &s);
+        let s1 = val.advance(&lut, 0, port_plus(0), &s);
         assert_eq!(s1.phase, 0, "arrival hop is the last phase-0 hop");
         // ...and the hop OUT of the intermediate flips to phase 1 with a
         // fresh DOR route
-        let s2 = advance_common(&t, 1, port_plus(1), 9, &s1);
+        let s2 = val.advance(&lut, 1, port_plus(1), &s1);
         assert_eq!(s2.phase, 1);
         assert_eq!(s2.last_dim, 1, "new hop's dimension recorded after reset");
         // effective_target reflects the flip while sitting at the mid
@@ -998,14 +781,15 @@ mod tests {
 
     #[test]
     fn advance_tracks_dateline_and_dim_change() {
-        let t = KAryNCube::torus(&[4, 4]);
+        let lut = RouteLut::new(&KAryNCube::torus(&[4, 4]));
+        let dor = RoutingKind::Dor;
         let s = RouteState::direct();
         // wrap hop in x
-        let s1 = advance_common(&t, 3, port_plus(0), 0, &s);
+        let s1 = dor.advance(&lut, 3, port_plus(0), &s);
         assert!(s1.dateline);
         assert_eq!(s1.last_dim, 0);
         // then a hop in y resets the dateline
-        let s2 = advance_common(&t, 0, port_plus(1), 0, &s1);
+        let s2 = dor.advance(&lut, 0, port_plus(1), &s1);
         assert!(!s2.dateline);
         assert_eq!(s2.last_dim, 1);
     }

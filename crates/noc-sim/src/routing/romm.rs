@@ -1,144 +1,50 @@
 //! ROMM: Randomized, Oblivious, Multi-phase Minimal routing
-//! (Nesson & Johnsson, SPAA '95).
+//! (Nesson & Johnsson, SPAA '95). Two-phase ROMM draws the intermediate
+//! node uniformly from the *minimal quadrant* between source and
+//! destination, so the full path remains minimal while spreading load
+//! over many minimal paths.
 
-use super::{
-    advance_common, advance_common_lut, dor_port, PortSet, RouteLut, RouteState, RoutingAlgorithm,
-};
+use super::RouteLut;
 use crate::rng::SimRng;
-use crate::topology::{Coords, Topology};
+use crate::topology::{Coords, Topology, MAX_DIMS};
 
-/// Two-phase ROMM: the intermediate node is drawn uniformly from the
-/// *minimal quadrant* between source and destination, so the full path
-/// remains minimal while spreading load over many minimal paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Romm;
-
-impl Romm {
-    /// Sample an intermediate node inside the minimal box from `src` to
-    /// `dst` (inclusive of both endpoints).
-    fn sample_mid(topo: &dyn Topology, src: usize, dst: usize, rng: &mut SimRng) -> usize {
-        let cs = topo.coords_of(src);
-        let cd = topo.coords_of(dst);
-        let mut mid: Coords = [0; crate::topology::MAX_DIMS];
-        for d in 0..topo.dims() {
-            let k = topo.radix(d);
-            if cs[d] == cd[d] {
-                mid[d] = cs[d];
-                continue;
-            }
-            let plus_dist = (cd[d] + k - cs[d]) % k;
-            let minus_dist = (cs[d] + k - cd[d]) % k;
-            let (go_plus, dist) = if topo.wraps(d) {
-                // same tie-break as `dor_port`: positive on equal distance
-                (plus_dist <= minus_dist, plus_dist.min(minus_dist))
-            } else if cd[d] > cs[d] {
-                (true, cd[d] - cs[d])
-            } else {
-                (false, cs[d] - cd[d])
-            };
-            let step = rng.below(dist + 1); // 0..=dist keeps us in the box
-            mid[d] = if go_plus { (cs[d] + step) % k } else { (cs[d] + k - step % k) % k };
-        }
-        topo.node_at(&mid)
-    }
-}
-
-impl RoutingAlgorithm for Romm {
-    fn name(&self) -> &'static str {
-        "ROMM"
-    }
-
-    fn num_phases(&self) -> usize {
-        2
-    }
-
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-
-    fn init(&self, topo: &dyn Topology, src: usize, dst: usize, rng: &mut SimRng) -> RouteState {
-        let mid = Self::sample_mid(topo, src, dst, rng);
-        if mid == src {
-            RouteState::direct()
+/// Sample an intermediate node inside the minimal box from `src` to
+/// `dst` (inclusive of both endpoints): one uniform draw per unresolved
+/// dimension, in ascending dimension order.
+pub(super) fn sample_mid(
+    topo: &dyn Topology,
+    lut: &RouteLut,
+    src: usize,
+    dst: usize,
+    rng: &mut SimRng,
+) -> usize {
+    let (cs, cd) = lut.rows(src, dst);
+    let mut mid: Coords = [0; MAX_DIMS];
+    for d in 0..lut.dims {
+        let (c, k) = (cs[d] as usize, lut.radix[d] as usize);
+        let (go_plus, dist) = lut.heading(d, cs[d], cd[d]);
+        mid[d] = if dist == 0 {
+            c
         } else {
-            RouteState::via(mid)
-        }
+            let step = rng.below(dist as usize + 1); // 0..=dist keeps us in the box
+            if go_plus {
+                (c + step) % k
+            } else {
+                (c + k - step) % k
+            }
+        };
     }
-
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = dor_port(topo, cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common(topo, cur, port, dst, state)
-    }
-
-    fn candidates_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = lut.dor_port(cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        _dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common_lut(lut, cur, port, state)
-    }
+    topo.node_at(&mid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RoutingKind;
     use crate::topology::KAryNCube;
 
-    fn walk(topo: &dyn Topology, src: usize, dst: usize, rng: &mut SimRng) -> Vec<usize> {
-        let algo = Romm;
-        let mut state = algo.init(topo, src, dst, rng);
-        let mut cur = src;
-        let mut path = vec![cur];
-        for _ in 0..10_000 {
-            let cands = algo.candidates(topo, cur, dst, &state);
-            if cands.is_empty() {
-                break;
-            }
-            let port = cands.get(0);
-            state = algo.advance(topo, cur, port, dst, &state);
-            cur = topo.neighbor(cur, port).unwrap().0;
-            path.push(cur);
-        }
-        path
+    fn walk(topo: &KAryNCube, src: usize, dst: usize, rng: &mut SimRng) -> Vec<usize> {
+        super::super::tests::walk(topo, RoutingKind::Romm, src, dst, rng).0
     }
 
     #[test]
@@ -173,8 +79,9 @@ mod tests {
         let mut rng = SimRng::new(31);
         let src = t.node_at(&[1, 2, 0, 0]);
         let dst = t.node_at(&[5, 6, 0, 0]);
+        let lut = RouteLut::new(&t);
         for _ in 0..200 {
-            let mid = Romm::sample_mid(&t, src, dst, &mut rng);
+            let mid = sample_mid(&t, &lut, src, dst, &mut rng);
             let c = t.coords_of(mid);
             assert!((1..=5).contains(&c[0]) && (2..=6).contains(&c[1]), "mid {c:?} outside box");
         }

@@ -1,121 +1,20 @@
-//! Valiant's randomized routing (VAL).
-
-use super::{
-    advance_common, advance_common_lut, dor_port, PortSet, RouteLut, RouteState, RoutingAlgorithm,
-};
-use crate::rng::SimRng;
-use crate::topology::Topology;
-
-/// Valiant routing: every packet is first routed (DOR) to a uniformly
-/// random intermediate node, then (DOR) to its destination. Trades
-/// locality for load balance: doubles average hop count on uniform
-/// traffic but converts any permutation into two uniform-random phases.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Valiant;
-
-impl RoutingAlgorithm for Valiant {
-    fn name(&self) -> &'static str {
-        "VAL"
-    }
-
-    fn num_phases(&self) -> usize {
-        2
-    }
-
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-
-    fn init(&self, topo: &dyn Topology, src: usize, _dst: usize, rng: &mut SimRng) -> RouteState {
-        let mid = rng.below(topo.num_nodes());
-        if mid == src {
-            // degenerate phase 1: go straight to the destination
-            RouteState::direct()
-        } else {
-            RouteState::via(mid)
-        }
-    }
-
-    fn candidates(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = dor_port(topo, cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance(
-        &self,
-        topo: &dyn Topology,
-        cur: usize,
-        port: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common(topo, cur, port, dst, state)
-    }
-
-    fn candidates_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        dst: usize,
-        state: &RouteState,
-    ) -> PortSet {
-        let mut set = PortSet::new();
-        if let Some(p) = lut.dor_port(cur, state.effective_target(cur, dst)) {
-            set.push(p);
-        }
-        set
-    }
-
-    fn advance_lut(
-        &self,
-        _topo: &dyn Topology,
-        lut: &RouteLut,
-        cur: usize,
-        port: usize,
-        _dst: usize,
-        state: &RouteState,
-    ) -> RouteState {
-        advance_common_lut(lut, cur, port, state)
-    }
-}
+//! Valiant's randomized routing (VAL): every packet is first routed (DOR)
+//! to a uniformly random intermediate node, then (DOR) to its
+//! destination. Trades locality for load balance: doubles average hop
+//! count on uniform traffic but converts any permutation into two
+//! uniform-random phases.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::topology::KAryNCube;
+    use crate::config::RoutingKind;
+    use crate::rng::SimRng;
+    use crate::topology::{KAryNCube, Topology};
 
-    fn walk(
-        topo: &dyn Topology,
-        algo: &dyn RoutingAlgorithm,
-        src: usize,
-        dst: usize,
-        rng: &mut SimRng,
-    ) -> (Vec<usize>, usize) {
-        let mut state = algo.init(topo, src, dst, rng);
-        let mid = state.intermediate;
-        let mut cur = src;
-        let mut path = vec![cur];
-        for _ in 0..10_000 {
-            let cands = algo.candidates(topo, cur, dst, &state);
-            if cands.is_empty() {
-                break;
-            }
-            let port = cands.get(0);
-            state = algo.advance(topo, cur, port, dst, &state);
-            cur = topo.neighbor(cur, port).unwrap().0;
-            path.push(cur);
-        }
-        (path, mid)
+    /// The walked path and the intermediate `init` drew (`usize::MAX`
+    /// for a degenerate direct route).
+    fn walk(topo: &KAryNCube, src: usize, dst: usize, rng: &mut SimRng) -> (Vec<usize>, usize) {
+        let (path, init) = super::super::tests::walk(topo, RoutingKind::Valiant, src, dst, rng);
+        (path, init.intermediate)
     }
 
     #[test]
@@ -125,7 +24,7 @@ mod tests {
         for s in 0..16 {
             for d in 0..16 {
                 for _ in 0..4 {
-                    let (path, _) = walk(&t, &Valiant, s, d, &mut rng);
+                    let (path, _) = walk(&t, s, d, &mut rng);
                     assert_eq!(*path.last().unwrap(), d);
                 }
             }
@@ -137,7 +36,7 @@ mod tests {
         let t = KAryNCube::mesh(&[8, 8]);
         let mut rng = SimRng::new(3);
         for _ in 0..100 {
-            let (path, mid) = walk(&t, &Valiant, 0, 63, &mut rng);
+            let (path, mid) = walk(&t, 0, 63, &mut rng);
             if mid != usize::MAX {
                 assert!(path.contains(&mid), "path {path:?} must visit {mid}");
             }
@@ -152,7 +51,7 @@ mod tests {
         for _ in 0..100 {
             let src = rng.below(64);
             let dst = rng.below(64);
-            let (path, mid) = walk(&t, &Valiant, src, dst, &mut rng);
+            let (path, mid) = walk(&t, src, dst, &mut rng);
             let expect = if mid == usize::MAX {
                 t.min_hops(src, dst)
             } else {
@@ -175,7 +74,7 @@ mod tests {
             while dst == src {
                 dst = rng.below(64);
             }
-            let (path, _) = walk(&t, &Valiant, src, dst, &mut rng);
+            let (path, _) = walk(&t, src, dst, &mut rng);
             val_hops += path.len() - 1;
             min_hops += t.min_hops(src, dst);
         }
@@ -189,7 +88,7 @@ mod tests {
         let mut rng = SimRng::new(13);
         for s in 0..16 {
             for d in 0..16 {
-                let (path, _) = walk(&t, &Valiant, s, d, &mut rng);
+                let (path, _) = walk(&t, s, d, &mut rng);
                 assert_eq!(*path.last().unwrap(), d);
             }
         }

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use crate::rng::SimRng;
-use crate::routing::RoutingAlgorithm;
+use crate::routing::{RouteLut, RoutingAlgorithm};
 use crate::topology::Topology;
 
 /// Why a route trace could not be completed.
@@ -82,21 +82,22 @@ pub fn trace_route(
     dst: usize,
     seed: u64,
 ) -> Result<Vec<usize>, TraceError> {
+    let lut = RouteLut::new(topo);
     let mut rng = SimRng::new(seed);
-    let mut state = routing.init(topo, src, dst, &mut rng);
+    let mut state = routing.init(topo, &lut, src, dst, &mut rng);
     let mut cur = src;
     let mut path = vec![cur];
     // generous bound: no route should exceed twice the network diameter
     let bound = 4 * topo.num_nodes();
     let mut bound_exhausted = true;
     for _ in 0..bound {
-        let cands = routing.candidates(topo, cur, dst, &state);
+        let cands = routing.candidates(&lut, cur, dst, &state);
         if cands.is_empty() {
             bound_exhausted = false;
             break;
         }
         let port = cands.get(0);
-        state = routing.advance(topo, cur, port, dst, &state);
+        state = routing.advance(&lut, cur, port, &state);
         cur = match topo.neighbor(cur, port) {
             Some((next, _)) => next,
             None => return Err(TraceError::Disconnected { at: cur, port, path }),
@@ -118,7 +119,8 @@ pub fn trace_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{Dor, PortSet, RouteState, Valiant};
+    use crate::config::RoutingKind::{Dor, Valiant};
+    use crate::routing::{PortSet, RouteState};
     use crate::topology::KAryNCube;
 
     #[test]
@@ -163,36 +165,26 @@ mod tests {
         }
         fn init(
             &self,
-            _topo: &dyn crate::topology::Topology,
+            _topo: &dyn Topology,
+            _lut: &RouteLut,
             _src: usize,
             _dst: usize,
             _rng: &mut SimRng,
         ) -> RouteState {
             RouteState::direct()
         }
-        fn candidates(
-            &self,
-            topo: &dyn crate::topology::Topology,
-            cur: usize,
-            _dst: usize,
-            _state: &RouteState,
-        ) -> PortSet {
+        fn candidates(&self, _: &RouteLut, cur: usize, _dst: usize, _: &RouteState) -> PortSet {
+            use crate::topology::{port_minus, port_plus};
             let mut set = PortSet::new();
-            // first connected port: hops back and forth along one link
-            for port in 1..topo.num_ports() {
-                if topo.neighbor(cur, port).is_some() {
-                    set.push(port);
-                    break;
-                }
-            }
+            // +x from even nodes, -x from odd: back and forth along one link
+            set.push(if cur.is_multiple_of(2) { port_plus(0) } else { port_minus(0) });
             set
         }
         fn advance(
             &self,
-            _topo: &dyn crate::topology::Topology,
+            _: &RouteLut,
             _cur: usize,
             _port: usize,
-            _dst: usize,
             state: &RouteState,
         ) -> RouteState {
             *state
@@ -214,30 +206,24 @@ mod tests {
         }
         fn init(
             &self,
-            _topo: &dyn crate::topology::Topology,
+            _topo: &dyn Topology,
+            _lut: &RouteLut,
             _src: usize,
             _dst: usize,
             _rng: &mut SimRng,
         ) -> RouteState {
             RouteState::direct()
         }
-        fn candidates(
-            &self,
-            _topo: &dyn crate::topology::Topology,
-            _cur: usize,
-            _dst: usize,
-            _state: &RouteState,
-        ) -> PortSet {
+        fn candidates(&self, _: &RouteLut, _cur: usize, _dst: usize, _: &RouteState) -> PortSet {
             let mut set = PortSet::new();
             set.push(crate::topology::port_minus(0)); // -x from node 0: off the edge
             set
         }
         fn advance(
             &self,
-            _topo: &dyn crate::topology::Topology,
+            _: &RouteLut,
             _cur: usize,
             _port: usize,
-            _dst: usize,
             state: &RouteState,
         ) -> RouteState {
             *state

@@ -3,11 +3,10 @@
 
 use proptest::prelude::*;
 
+use noc_sim::config::RoutingKind::{self, Dor, MinAdaptive, Romm, Valiant};
 use noc_sim::rng::SimRng;
-use noc_sim::routing::{
-    dor_port, minimal_ports, Dor, MinAdaptive, Romm, RouteState, RoutingAlgorithm, Valiant, VcBook,
-};
-use noc_sim::topology::{KAryNCube, Topology};
+use noc_sim::routing::{crosses_dateline, RouteLut, RouteState, RoutingAlgorithm, VcBook};
+use noc_sim::topology::{port_minus, port_plus, KAryNCube, Topology};
 
 fn topo_strategy() -> impl Strategy<Value = KAryNCube> {
     (2usize..7, 2usize..7, prop::bool::ANY).prop_map(|(kx, ky, wrap)| {
@@ -21,33 +20,100 @@ fn topo_strategy() -> impl Strategy<Value = KAryNCube> {
 
 /// Walk a route taking candidate index `pick % len` at each hop.
 fn walk(
-    topo: &dyn Topology,
-    algo: &dyn RoutingAlgorithm,
+    topo: &KAryNCube,
+    algo: RoutingKind,
     src: usize,
     dst: usize,
     seed: u64,
     adversarial_pick: bool,
 ) -> Vec<usize> {
+    let lut = RouteLut::new(topo);
     let mut rng = SimRng::new(seed);
-    let mut state = algo.init(topo, src, dst, &mut rng);
+    let mut state = algo.init(topo, &lut, src, dst, &mut rng);
     let mut cur = src;
     let mut path = vec![cur];
     for step in 0..4 * topo.num_nodes() {
-        let cands = algo.candidates(topo, cur, dst, &state);
+        let cands = algo.candidates(&lut, cur, dst, &state);
         if cands.is_empty() {
             break;
         }
         let idx = if adversarial_pick { step % cands.len() } else { 0 };
         let port = cands.get(idx);
-        state = algo.advance(topo, cur, port, dst, &state);
+        state = algo.advance(&lut, cur, port, &state);
         cur = topo.neighbor(cur, port).expect("candidate port connected").0;
         path.push(cur);
     }
     path
 }
 
+/// Independent geometric oracle for the one routing geometry the engine,
+/// the verifier and the analytic model all read: derives the productive
+/// ports from `Topology::{coords_of, neighbor, min_hops}` alone and
+/// checks [`RouteLut`] against it for every node pair, then the dateline
+/// table against the free function it is filled from.
+fn assert_lut_matches_geometry(topo: &KAryNCube) {
+    let lut = RouteLut::new(topo);
+    for cur in 0..topo.num_nodes() {
+        for target in 0..topo.num_nodes() {
+            let (cc, ct) = (topo.coords_of(cur), topo.coords_of(target));
+            let closer = |port| {
+                topo.neighbor(cur, port).is_some_and(|(next, _)| {
+                    topo.min_hops(next, target) + 1 == topo.min_hops(cur, target)
+                })
+            };
+            // one port per unresolved dimension, in dimension order; `+`
+            // when both directions are minimal (the wrap tie)
+            let expect: Vec<usize> = (0..topo.dims())
+                .filter(|&d| cc[d] != ct[d])
+                .map(|d| {
+                    let (plus, minus) = (port_plus(d), port_minus(d));
+                    assert!(
+                        closer(plus) || closer(minus),
+                        "{}: no way closer in dim {d}",
+                        topo.name()
+                    );
+                    if closer(plus) {
+                        plus
+                    } else {
+                        minus
+                    }
+                })
+                .collect();
+            let got: Vec<usize> = lut.minimal_ports(cur, target).iter().collect();
+            assert_eq!(got, expect, "{}: minimal_ports({cur}, {target})", topo.name());
+            assert_eq!(lut.dor_port(cur, target), expect.first().copied());
+            assert_eq!(lut.dor_port(cur, target).is_none(), cur == target);
+        }
+        for port in 0..topo.num_ports() {
+            assert_eq!(
+                lut.crosses_dateline(cur, port),
+                crosses_dateline(topo, cur, port),
+                "{}: dateline({cur}, {port})",
+                topo.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn lut_matches_geometry_on_every_cube_kind() {
+    for topo in [
+        KAryNCube::mesh(&[4, 3]),
+        KAryNCube::torus(&[4, 5]),
+        KAryNCube::folded_torus(&[6, 2]),
+        KAryNCube::ring(8),
+    ] {
+        assert_lut_matches_geometry(&topo);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn lut_matches_geometry_on_random_cubes(topo in topo_strategy()) {
+        assert_lut_matches_geometry(&topo);
+    }
 
     #[test]
     fn dor_is_minimal_everywhere(topo in topo_strategy(), seed in 0u64..100) {
@@ -55,7 +121,7 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let src = rng.below(n);
         let dst = rng.below(n);
-        let path = walk(&topo, &Dor, src, dst, seed, false);
+        let path = walk(&topo, Dor, src, dst, seed, false);
         prop_assert_eq!(*path.last().unwrap(), dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
@@ -69,9 +135,10 @@ proptest! {
         let mut rng = SimRng::new(seed ^ 1);
         let src = rng.below(n);
         let dst = rng.below(n);
-        for algo in [&Valiant as &dyn RoutingAlgorithm, &Romm] {
+        let lut = RouteLut::new(&topo);
+        for algo in [Valiant, Romm] {
             let mut init_rng = SimRng::new(seed);
-            let state = algo.init(&topo, src, dst, &mut init_rng);
+            let state = algo.init(&topo, &lut, src, dst, &mut init_rng);
             let path = walk(&topo, algo, src, dst, seed, false);
             prop_assert_eq!(*path.last().unwrap(), dst, "{} must reach dst", algo.name());
             if state.intermediate != usize::MAX {
@@ -91,7 +158,7 @@ proptest! {
         let src = rng.below(n);
         let dst = rng.below(n);
         // even when an adversary picks among candidates, MA stays minimal
-        let path = walk(&topo, &MinAdaptive, src, dst, seed, true);
+        let path = walk(&topo, MinAdaptive, src, dst, seed, true);
         prop_assert_eq!(*path.last().unwrap(), dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
@@ -103,7 +170,8 @@ proptest! {
         let src = rng.below(n);
         let dst = rng.below(n);
         prop_assume!(src != dst);
-        let ports = minimal_ports(&topo, src, dst);
+        let lut = RouteLut::new(&topo);
+        let ports = lut.minimal_ports(src, dst);
         prop_assert!(!ports.is_empty());
         let d0 = topo.min_hops(src, dst);
         for p in ports.iter() {
@@ -111,7 +179,7 @@ proptest! {
             prop_assert_eq!(topo.min_hops(next, dst), d0 - 1);
         }
         // the DOR port is always the first candidate
-        prop_assert_eq!(ports.get(0), dor_port(&topo, src, dst).unwrap());
+        prop_assert_eq!(ports.get(0), lut.dor_port(src, dst).unwrap());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! 1. It enumerates every route the configured routing function can
 //!    produce — per `(source, destination)` pair, and per intermediate
 //!    node for the two-phase algorithms — threading the exact per-packet
-//!    VC-selection state (routing phase, dateline flag) through
-//!    `noc-sim`'s own routing implementations.
+//!    VC-selection state (routing phase, dateline flag) through the
+//!    `candidates`/`advance` pair the simulator's routers call, over the
+//!    same `RouteLut` geometry (`noc_sim::routing::RoutingAlgorithm`).
 //! 2. Each consecutive pair of hops contributes dependency edges
 //!    between the (link, VC) channels the packet may occupy, forming
 //!    the channel dependency graph of Dally & Towles. For minimal
@@ -56,11 +57,12 @@ pub use partition::Partition;
 pub use report::{CdgStats, ChannelRef, CycleWitness, Finding, Severity, Verdict, VerifyReport};
 
 use noc_sim::config::NetConfig;
+use noc_sim::routing::RoutingAlgorithm;
 
 /// Analyze `cfg` and return the full verification report.
 pub fn verify(cfg: &NetConfig) -> VerifyReport {
     let topo = cfg.topology.build();
-    let routing = cfg.routing.build();
+    let routing = &cfg.routing;
     let config_desc = format!(
         "{} on {}, {} VC(s) x {}-flit buffers, {} class(es)",
         routing.name(),
@@ -70,7 +72,7 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
         cfg.classes
     );
 
-    let part = match Partition::new(cfg.vcs, cfg.classes, &*routing, &*topo) {
+    let part = match Partition::new(cfg.vcs, cfg.classes, routing, &*topo) {
         Ok(p) => p,
         Err(why) => {
             return VerifyReport {

@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 
 use noc_sim::config::{NetConfig, RoutingKind};
-use noc_sim::routing::{RouteState, RoutingAlgorithm};
+use noc_sim::routing::{RouteLut, RouteState, RoutingAlgorithm};
 use noc_sim::topology::Topology;
 
 use crate::cdg::Cdg;
@@ -55,8 +55,9 @@ pub struct Hop {
     /// appears on a route).
     pub port: usize,
     /// Routing state *after* the hop commits (phase, dateline, last
-    /// dimension) — exactly what the simulator's `advance` returns, so
-    /// VC-mask replay through [`Partition::allowed`] is bit-exact.
+    /// dimension) — the return value of the same
+    /// [`RoutingAlgorithm::advance`] the router calls, so VC-mask replay
+    /// through [`Partition::allowed`] is bit-exact.
     pub state: RouteState,
 }
 
@@ -112,13 +113,15 @@ pub fn decode_channel(topo: &dyn Topology, id: u32, vcs: usize) -> (usize, usize
 
 /// Enumerate every route of `cfg.routing` over `topo`, reporting each
 /// to `visitor`. See the module docs for the exact semantics per
-/// routing kind.
+/// routing kind. Routes are walked with the engine's own
+/// `candidates`/`advance` over a [`RouteLut`] built here from `topo`.
 pub fn enumerate_routes(
     cfg: &NetConfig,
     topo: &dyn Topology,
     visitor: &mut dyn RouteVisitor,
 ) -> Enumeration {
-    let routing = cfg.routing.build();
+    let routing = &cfg.routing;
+    let lut = &RouteLut::new(topo);
     let n = topo.num_nodes();
     let mut routes = 0u64;
     let exact = !routing.is_adaptive();
@@ -126,7 +129,7 @@ pub fn enumerate_routes(
     // Adaptive traversability depends on the VC partition: a non-DOR
     // candidate is only usable when an adaptive VC exists for it.
     let part = (cfg.routing == RoutingKind::MinAdaptive)
-        .then(|| Partition::new(cfg.vcs, cfg.classes, &*routing, topo).ok())
+        .then(|| Partition::new(cfg.vcs, cfg.classes, routing, topo).ok())
         .flatten();
     for src in 0..n {
         for dst in 0..n {
@@ -135,7 +138,7 @@ pub fn enumerate_routes(
             }
             match cfg.routing {
                 RoutingKind::Dor => {
-                    walk_path(topo, &*routing, src, dst, RouteState::direct(), &mut hops);
+                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
                     visitor.path(src, dst, 1.0, &hops);
                     routes += 1;
                 }
@@ -143,12 +146,13 @@ pub fn enumerate_routes(
                     // init() draws the intermediate uniformly over all n
                     // nodes and maps mid == src to a direct route.
                     let w = 1.0 / n as f64;
-                    walk_path(topo, &*routing, src, dst, RouteState::direct(), &mut hops);
+                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
                     visitor.path(src, dst, w, &hops);
                     routes += 1;
                     for mid in 0..n {
                         if mid != src {
-                            walk_path(topo, &*routing, src, dst, RouteState::via(mid), &mut hops);
+                            let via = RouteState::via(mid);
+                            walk_path(topo, lut, routing, src, dst, via, &mut hops);
                             visitor.path(src, dst, w, &hops);
                             routes += 1;
                         }
@@ -157,21 +161,22 @@ pub fn enumerate_routes(
                 RoutingKind::Romm => {
                     // The intermediate is uniform over the minimal box
                     // (independent per-dimension uniform steps).
-                    let mids = minimal_box(topo, src, dst);
+                    let mids = minimal_box(topo, lut, src, dst);
                     let w = 1.0 / mids.len() as f64;
-                    walk_path(topo, &*routing, src, dst, RouteState::direct(), &mut hops);
+                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
                     visitor.path(src, dst, w, &hops);
                     routes += 1;
                     for mid in mids {
                         if mid != src {
-                            walk_path(topo, &*routing, src, dst, RouteState::via(mid), &mut hops);
+                            let via = RouteState::via(mid);
+                            walk_path(topo, lut, routing, src, dst, via, &mut hops);
                             visitor.path(src, dst, w, &hops);
                             routes += 1;
                         }
                     }
                 }
                 RoutingKind::MinAdaptive => {
-                    adaptive_flows(topo, &*routing, part.as_ref(), src, dst, visitor);
+                    adaptive_flows(topo, lut, routing, part.as_ref(), src, dst, visitor);
                     routes += 1;
                 }
             }
@@ -183,6 +188,7 @@ pub fn enumerate_routes(
 /// Walk one deterministic route into `hops` (cleared first).
 fn walk_path(
     topo: &dyn Topology,
+    lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
     src: usize,
     dst: usize,
@@ -193,13 +199,13 @@ fn walk_path(
     let mut cur = src;
     let mut state = init;
     loop {
-        let cands = routing.candidates(topo, cur, dst, &state);
+        let cands = routing.candidates(lut, cur, dst, &state);
         if cands.is_empty() {
             return; // ejected
         }
         // Deterministic/oblivious routing emits exactly one candidate.
         let port = cands.get(0);
-        let ns = routing.advance(topo, cur, port, dst, &state);
+        let ns = routing.advance(lut, cur, port, &state);
         hops.push(Hop { node: cur, port, state: ns });
         cur = topo.neighbor(cur, port).expect("routing produced a dead port").0;
         state = ns;
@@ -219,6 +225,7 @@ type StateKey = (usize, bool, u8); // (node, dateline, last_dim)
 /// ports.
 fn adaptive_flows(
     topo: &dyn Topology,
+    lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
     part: Option<&Partition>,
     src: usize,
@@ -243,9 +250,9 @@ fn adaptive_flows(
             continue;
         }
         let state = RouteState { dateline, last_dim, ..RouteState::direct() };
-        let cands = routing.candidates(topo, node, dst, &state);
+        let cands = routing.candidates(lut, node, dst, &state);
         for (ci, port) in cands.iter().enumerate() {
-            let ns = routing.advance(topo, node, port, dst, &state);
+            let ns = routing.advance(lut, node, port, &state);
             let next_node =
                 topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
             // Same traversability rule as the CDG builder: adaptively
@@ -337,13 +344,13 @@ pub fn build_cdg(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> CdgB
     if cfg.routing == RoutingKind::MinAdaptive {
         // Duato's criterion needs the escape sub-network's extended
         // dependency graph, not expected flow — built separately.
-        let routing = cfg.routing.build();
+        let lut = RouteLut::new(topo);
         let n = topo.num_nodes();
         let mut routes = 0u64;
         for src in 0..n {
             for dst in 0..n {
                 if src != dst {
-                    escape_dependencies(topo, &*routing, part, &mut cdg, src, dst);
+                    escape_dependencies(topo, &lut, &cfg.routing, part, &mut cdg, src, dst);
                     routes += 1;
                 }
             }
@@ -355,43 +362,22 @@ pub fn build_cdg(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> CdgB
     CdgBuild { cdg, routes: e.routes, exact: e.exact }
 }
 
-/// All nodes inside the minimal quadrant between `src` and `dst`,
-/// following ROMM's per-dimension direction choice (wrap ties break
-/// toward the positive direction, matching `dor_port`).
-pub fn minimal_box(topo: &dyn Topology, src: usize, dst: usize) -> Vec<usize> {
+/// All nodes inside the minimal quadrant between `src` and `dst`, in
+/// the order ROMM's per-dimension draw visits them; direction and extent
+/// per dimension come from [`RouteLut::heading`], the same call ROMM's
+/// `init` samples from.
+pub fn minimal_box(topo: &dyn Topology, lut: &RouteLut, src: usize, dst: usize) -> Vec<usize> {
     let cs = topo.coords_of(src);
     let cd = topo.coords_of(dst);
-    let mut per_dim: Vec<Vec<usize>> = Vec::new();
+    let mut nodes = vec![cs];
     for d in 0..topo.dims() {
         let k = topo.radix(d);
-        let (a, b) = (cs[d], cd[d]);
-        let mut coords = Vec::new();
-        if topo.wraps(d) {
-            let plus = (b + k - a) % k;
-            let minus = (a + k - b) % k;
-            if plus <= minus {
-                for s in 0..=plus {
-                    coords.push((a + s) % k);
-                }
-            } else {
-                for s in 0..=minus {
-                    coords.push((a + k - s) % k);
-                }
-            }
-        } else if b >= a {
-            coords.extend(a..=b);
-        } else {
-            coords.extend((b..=a).rev());
-        }
-        per_dim.push(coords);
-    }
-    let mut nodes = vec![topo.coords_of(src)];
-    for (d, coords) in per_dim.iter().enumerate() {
-        let mut next = Vec::with_capacity(nodes.len() * coords.len());
+        let (go_plus, dist) = lut.heading(d, cs[d] as u16, cd[d] as u16);
+        let mut next = Vec::with_capacity(nodes.len() * (dist as usize + 1));
         for base in &nodes {
-            for &c in coords {
+            for step in 0..=dist as usize {
                 let mut nc = *base;
-                nc[d] = c;
+                nc[d] = if go_plus { (cs[d] + step) % k } else { (cs[d] + k - step) % k };
                 next.push(nc);
             }
         }
@@ -420,6 +406,7 @@ struct EscapeHop {
 /// has the same cycles as Duato's extended dependency graph).
 fn escape_dependencies(
     topo: &dyn Topology,
+    lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
     part: &Partition,
     cdg: &mut Cdg,
@@ -447,9 +434,9 @@ fn escape_dependencies(
             continue;
         }
         let state = RouteState { dateline, last_dim, ..RouteState::direct() };
-        let cands = routing.candidates(topo, node, dst, &state);
+        let cands = routing.candidates(lut, node, dst, &state);
         for (ci, port) in cands.iter().enumerate() {
-            let ns = routing.advance(topo, node, port, dst, &state);
+            let ns = routing.advance(lut, node, port, &state);
             let next_node =
                 topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
             let adaptive_mask = part.allowed(0, ns.phase as usize, ns.dateline, false);

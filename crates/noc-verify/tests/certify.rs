@@ -2,7 +2,7 @@
 //! on the configurations the theory decides unambiguously.
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-use noc_sim::routing::VcBook;
+use noc_sim::routing::{RoutingAlgorithm, VcBook};
 use noc_verify::{Partition, Severity, Verdict, VerifyReport};
 
 fn cfg(topo: TopologyKind, routing: RoutingKind, vcs: usize) -> NetConfig {
@@ -128,14 +128,13 @@ fn relaxed_partition_matches_vcbook_on_valid_configs() {
     for topo_kind in topos {
         for routing_kind in routings {
             let topo = topo_kind.build();
-            let routing = routing_kind.build();
             for classes in 1..=2usize {
                 for block in 1..=4usize {
-                    let vcs = classes * routing.num_phases() * block;
-                    let Ok(book) = VcBook::new(vcs, classes, &*routing, &*topo) else {
+                    let vcs = classes * routing_kind.num_phases() * block;
+                    let Ok(book) = VcBook::new(vcs, classes, &routing_kind, &*topo) else {
                         continue; // strict partition rejects; nothing to mirror
                     };
-                    let part = Partition::new(vcs, classes, &*routing, &*topo)
+                    let part = Partition::new(vcs, classes, &routing_kind, &*topo)
                         .expect("relaxed partition accepts whatever VcBook accepts");
                     assert!(part.degraded.is_empty(), "valid configs are not degraded");
                     for class in 0..classes {
