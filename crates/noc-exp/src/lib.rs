@@ -22,10 +22,9 @@
 //!
 //! The build environment has no registry access, so instead of rayon
 //! this is a ~100-line scoped-thread pool. The thread count honors
-//! `NOC_THREADS`, then rayon's conventional `RAYON_NUM_THREADS`, then
-//! the machine's available parallelism; `NOC_THREADS=1` forces the
-//! exact serial code path (useful for timing and for bisecting any
-//! suspected parallelism bug).
+//! `NOC_THREADS`, then the machine's available parallelism;
+//! `NOC_THREADS=1` forces the exact serial code path (useful for timing
+//! and for bisecting any suspected parallelism bug).
 
 #![warn(missing_docs)]
 
@@ -34,60 +33,37 @@ pub mod robust;
 pub mod wal;
 
 pub use progress::Progress;
-pub use robust::{run_grid_journal, run_grid_robust, Diverged, PointCodec, PointOutcome};
+pub use robust::{run_grid_robust, Diverged, PointOutcome};
 pub use wal::{Wal, WalReplay};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One warning per process about a malformed thread-count variable, so
-/// a typo cannot silently change the parallelism *and* cannot spam
-/// stderr once per grid either.
+/// One warning per process about a malformed `NOC_THREADS`, so a typo
+/// cannot silently change the parallelism *and* cannot spam stderr once
+/// per grid either.
 static THREADS_WARNED: std::sync::Once = std::sync::Once::new();
-
-/// Read one worker-count environment variable: `Some(n)` for a positive
-/// integer, `None` when unset **or** malformed. A malformed value (not a
-/// positive integer) warns once per process — the shared behavior of
-/// every worker-count override in this workspace (`NOC_THREADS`,
-/// `RAYON_NUM_THREADS`, `NOC_SERVE_WORKERS`), so a typo never silently
-/// changes the parallelism.
-fn env_workers(var: &str) -> Option<usize> {
-    let s = std::env::var(var).ok()?;
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            THREADS_WARNED.call_once(|| {
-                eprintln!(
-                    "noc-exp: ignoring {var}={s:?} (not a positive integer); \
-                     falling back to the next thread-count source"
-                );
-            });
-            None
-        }
-    }
-}
 
 /// Number of worker threads the engine will use.
 ///
-/// Resolution order: `NOC_THREADS`, `RAYON_NUM_THREADS`, available
-/// hardware parallelism, 1. A value that fails to parse (or is 0) falls
-/// through to the next source — with a one-line stderr warning naming
-/// the variable and the bad value, so a typo like `NOC_THREADS=fuor`
-/// does not silently run at a different width.
+/// Resolution order: `NOC_THREADS`, available hardware parallelism, 1.
+/// A value that is not a positive integer falls through to the
+/// hardware count — with a one-line stderr warning naming the bad
+/// value, so a typo like `NOC_THREADS=fuor` does not silently run at a
+/// different width.
 pub fn threads() -> usize {
-    ["NOC_THREADS", "RAYON_NUM_THREADS"]
-        .into_iter()
-        .find_map(env_workers)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
-/// Worker-pool width for the long-running evaluation service
-/// (`noc-serve`): `NOC_SERVE_WORKERS` when set and valid, else the
-/// regular [`threads`] resolution. Malformed values warn once and fall
-/// through, exactly like the other worker-count variables (the parsing
-/// is shared, not duplicated).
-pub fn serve_workers() -> usize {
-    env_workers("NOC_SERVE_WORKERS").unwrap_or_else(threads)
+    if let Ok(s) = std::env::var("NOC_THREADS") {
+        match s.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => return n,
+            _ => THREADS_WARNED.call_once(|| {
+                eprintln!(
+                    "noc-exp: ignoring NOC_THREADS={s:?} (not a positive integer); \
+                     using the available hardware parallelism"
+                );
+            }),
+        }
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Derive the RNG seed of grid point `index` from `base`.
@@ -126,8 +102,8 @@ where
 
 /// [`run_grid`] with an explicit worker count instead of the
 /// [`threads`] environment resolution — the building block for callers
-/// that manage their own pool width (the evaluation service sizes its
-/// pool from [`serve_workers`]). `workers` is clamped to at least 1;
+/// that manage their own pool width (the evaluation service's
+/// `--workers`). `workers` is clamped to at least 1;
 /// results are bit-identical to serial execution for any width, exactly
 /// as for [`run_grid`].
 pub fn run_grid_with<T, R, F>(points: &[T], workers: usize, eval: F) -> Vec<R>
@@ -344,17 +320,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_workers_honors_its_override_and_falls_back_when_malformed() {
-        // NOC_SERVE_WORKERS is read only by serve_workers(), so this
-        // cannot race with the grid tests (which resolve via threads()).
-        std::env::set_var("NOC_SERVE_WORKERS", "3");
-        assert_eq!(serve_workers(), 3);
-        std::env::set_var("NOC_SERVE_WORKERS", "three");
-        assert_eq!(serve_workers(), threads(), "malformed value must fall back to threads()");
-        std::env::set_var("NOC_SERVE_WORKERS", "0");
-        assert_eq!(serve_workers(), threads(), "zero is not a valid worker count");
-        std::env::remove_var("NOC_SERVE_WORKERS");
-        assert_eq!(serve_workers(), threads());
+    fn threads_honors_noc_threads_and_falls_back_when_malformed() {
+        // the grid tests running beside this one resolve their width
+        // through threads() too; results are identical at any width
+        let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        std::env::set_var("NOC_THREADS", "3");
+        assert_eq!(threads(), 3);
+        std::env::set_var("NOC_THREADS", "three");
+        assert_eq!(threads(), hardware, "malformed value must fall back to the hardware count");
+        std::env::set_var("NOC_THREADS", "0");
+        assert_eq!(threads(), hardware, "zero is not a valid worker count");
+        std::env::remove_var("NOC_THREADS");
+        assert_eq!(threads(), hardware);
     }
 
     #[test]

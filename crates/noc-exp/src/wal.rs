@@ -1,8 +1,8 @@
 //! Keyed write-ahead journal for long-running services.
 //!
 //! The workspace's one durability primitive: an append-only, *keyed*
-//! record log. The evaluation service keys it by `(config digest,
-//! seed)`; [`crate::run_grid_journal`] keys it by grid index.
+//! record log, keyed by the evaluation service with `(config digest,
+//! seed)`.
 //!
 //! * **Atomic append** — each record is one `write(2)` of one complete
 //!   line to an `O_APPEND` descriptor, so concurrent appenders (the

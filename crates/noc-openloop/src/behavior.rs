@@ -21,16 +21,11 @@ pub struct OpenLoopBehavior {
     size: Box<dyn SizeDist>,
     processes: Vec<Box<dyn InjectionProcess>>,
     rng: SimRng,
+    /// `pull`'s once-per-node-per-cycle poll state. `generate` polls
+    /// and consumes a whole cycle in one sweep and never touches it: the
+    /// engine polls a cycle through exactly one of the two.
     last_polled: Vec<Cycle>,
     pending: Vec<bool>,
-    /// Cycle most recently handled by the batched [`NodeBehavior::generate`]
-    /// path, which polls every node in one sweep: `pull` treats that
-    /// whole cycle as already polled without touching `last_polled`.
-    batch_cycle: Cycle,
-    /// Cycle of the most recent `pull` poll; lets `generate` skip the
-    /// per-node `last_polled` reconciliation when no `pull` ran this
-    /// cycle (the steady state under the engine's batched path).
-    last_pull_cycle: Cycle,
     /// `Some(p)` when every node's process is a fixed Bernoulli coin
     /// flip with the same probability: `generate` then inlines the flip
     /// instead of making one virtual `fire` call per node per cycle
@@ -83,8 +78,6 @@ impl OpenLoopBehavior {
             rng: SimRng::new(seed ^ 0x9e37_79b9_7f4a_7c15),
             last_polled: vec![Cycle::MAX; nodes],
             pending: vec![false; nodes],
-            batch_cycle: Cycle::MAX,
-            last_pull_cycle: Cycle::MAX,
             uniform_p,
             mark_from,
             mark_until,
@@ -113,15 +106,9 @@ impl OpenLoopBehavior {
 
 impl NodeBehavior for OpenLoopBehavior {
     fn pull(&mut self, node: usize, cycle: Cycle) -> Option<PacketSpec> {
-        // a batched `generate` sweep already polled (and consumed) this
-        // entire cycle
-        if self.batch_cycle == cycle {
-            return None;
-        }
         // poll the injection process exactly once per node per cycle
         if self.last_polled[node] != cycle {
             self.last_polled[node] = cycle;
-            self.last_pull_cycle = cycle;
             self.pending[node] = self.processes[node].fire(&mut self.rng);
         }
         if !self.pending[node] {
@@ -164,43 +151,17 @@ impl NodeBehavior for OpenLoopBehavior {
     fn generate(&mut self, nodes: usize, cycle: Cycle, sink: &mut dyn FnMut(usize, PacketSpec)) {
         // batched twin of `pull`: identical draws in identical order
         // (one process poll per node, then destination and size per
-        // packet). Every node is polled and consumed in this one sweep,
-        // so instead of writing `last_polled`/`pending` per node the
-        // whole cycle is marked handled via `batch_cycle`; a node whose
-        // `pull` happens to land on the same cycle sees `None`, exactly
-        // as if the pull loop had polled it already.
+        // packet), with every node polled and consumed in this one
+        // sweep, so none of `pull`'s per-node dedup state is needed.
         debug_assert_eq!(nodes, self.processes.len());
         let marked = self.in_window(cycle);
-        if self.last_pull_cycle != cycle {
-            if let Some(p) = self.uniform_p {
-                // devirtualized sweep: every node is the same fixed
-                // Bernoulli flip and none was polled via `pull` this
-                // cycle, so the per-node virtual call and `last_polled`
-                // reconciliation both drop out. Draw order is identical
-                // to the general loop below.
-                for node in 0..nodes {
-                    if !self.rng.chance(p) {
-                        continue;
-                    }
-                    self.generated += 1;
-                    let dst = self.pattern.dest(node, &mut self.rng);
-                    let size = self.size.draw(&mut self.rng);
-                    if marked {
-                        self.marked_outstanding += 1;
-                    }
-                    let payload = if marked { MARKED } else { 0 };
-                    sink(node, PacketSpec { dst, size, class: 0, payload });
-                }
-                self.batch_cycle = cycle;
-                return;
-            }
-        }
+        let payload = if marked { MARKED } else { 0 };
         for node in 0..nodes {
-            let fired = if self.last_polled[node] == cycle {
-                // this node was already polled via `pull` this cycle
-                std::mem::replace(&mut self.pending[node], false)
-            } else {
-                self.processes[node].fire(&mut self.rng)
+            // every node the same fixed Bernoulli flip: inline it (the
+            // same draw `fire` would make) and skip the virtual call
+            let fired = match self.uniform_p {
+                Some(p) => self.rng.chance(p),
+                None => self.processes[node].fire(&mut self.rng),
             };
             if !fired {
                 continue;
@@ -211,12 +172,8 @@ impl NodeBehavior for OpenLoopBehavior {
             if marked {
                 self.marked_outstanding += 1;
             }
-            sink(
-                node,
-                PacketSpec { dst, size, class: 0, payload: if marked { MARKED } else { 0 } },
-            );
+            sink(node, PacketSpec { dst, size, class: 0, payload });
         }
-        self.batch_cycle = cycle;
     }
 }
 
@@ -302,49 +259,52 @@ mod tests {
     }
 
     #[test]
-    fn generate_reconciles_interleaved_pulls() {
-        // a node polled via `pull` earlier in the same cycle must not be
-        // polled again by `generate` — even on the uniform-Bernoulli
-        // fast path, which has to detect the interleave and fall back
-        let mk = || {
-            OpenLoopBehavior::new(
-                8,
-                Box::new(UniformRandom { nodes: 8 }),
-                Box::new(FixedSize(1)),
-                || Box::new(Bernoulli { p: 0.5 }),
-                9,
-                0,
-                100,
-            )
-        };
-        let (mut mixed, mut pure) = (mk(), mk());
-        assert!(mixed.uniform_p.is_some());
-        for cycle in 0..40 {
-            let mut got: Vec<(usize, PacketSpec)> = Vec::new();
-            // pull nodes 0..3 first, as the engine's fault path would
-            for node in 0..3 {
-                while let Some(spec) = mixed.pull(node, cycle) {
-                    got.push((node, spec));
+    fn protocols_may_alternate_between_cycles() {
+        // the engine polls a cycle through exactly one of
+        // `generate`/`pull` but may switch between cycles (a router
+        // dies, is repaired): `generate` on even cycles and the pull
+        // loop on odd ones must equal the pure pull loop, on the
+        // inlined-Bernoulli path and the virtual-dispatch one alike
+        use noc_traffic::OnOff;
+        type Mk = fn() -> Box<dyn InjectionProcess>;
+        let makers: [Mk; 2] =
+            [|| Box::new(Bernoulli { p: 0.5 }), || Box::new(OnOff::new(0.6, 0.2, 0.3))];
+        for (which, make) in makers.into_iter().enumerate() {
+            let mk = || {
+                OpenLoopBehavior::new(
+                    8,
+                    Box::new(UniformRandom { nodes: 8 }),
+                    Box::new(FixedSize(1)),
+                    make,
+                    9,
+                    0,
+                    100,
+                )
+            };
+            let (mut mixed, mut pure) = (mk(), mk());
+            assert_eq!(mixed.uniform_p.is_some(), which == 0);
+            let pull_loop = |b: &mut OpenLoopBehavior, cycle| {
+                let mut out: Vec<(usize, PacketSpec)> = Vec::new();
+                for node in 0..8 {
+                    while let Some(spec) = b.pull(node, cycle) {
+                        out.push((node, spec));
+                    }
                 }
+                out
+            };
+            for cycle in 0..40 {
+                let got = if cycle % 2 == 0 {
+                    let mut got = Vec::new();
+                    mixed.generate(8, cycle, &mut |node, spec| got.push((node, spec)));
+                    got
+                } else {
+                    pull_loop(&mut mixed, cycle)
+                };
+                assert_eq!(got, pull_loop(&mut pure, cycle), "process {which} cycle {cycle}");
             }
-            mixed.generate(8, cycle, &mut |node, spec| {
-                // nodes 0..3 were consumed by pull above
-                assert!(node >= 3, "cycle {cycle}: node {node} polled twice");
-                got.push((node, spec));
-            });
-            let mut want: Vec<(usize, PacketSpec)> = Vec::new();
-            for node in 0..8 {
-                while let Some(spec) = pure.pull(node, cycle) {
-                    want.push((node, spec));
-                }
-            }
-            // pull-then-generate covers the same nodes in the same
-            // order, so the merged stream matches the pure pull loop
-            let mut got_sorted = got.clone();
-            got_sorted.sort_by_key(|(n, _)| *n);
-            assert_eq!(got_sorted, want, "cycle {cycle}");
+            assert_eq!(mixed.generated, pure.generated);
+            assert!(mixed.generated > 0);
         }
-        assert_eq!(mixed.generated, pure.generated);
     }
 
     #[test]

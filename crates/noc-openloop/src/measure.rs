@@ -174,6 +174,13 @@ fn measure_impl(
         };
         return Err(ConfigError::Parameter { name: "load", why });
     }
+    if cfg.measure == 0 {
+        return Err(ConfigError::Parameter {
+            name: "measure",
+            why: "measurement window must be >= 1 cycle; throughput over an empty window is 0/0"
+                .into(),
+        });
+    }
     // saturating: a client-supplied window near u64::MAX must end up
     // diverged against the budget below, not wrapped or panicking
     let window_end = cfg.warmup.saturating_add(cfg.measure);
@@ -309,6 +316,16 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("negative"), "{msg}");
         assert!(!msg.contains("> 1"), "{msg}");
+    }
+
+    #[test]
+    fn empty_measurement_window_rejected() {
+        // regression: `measure: 0` used to simulate the warmup and
+        // report `throughput: NaN` (0 flits / 0 cycles)
+        let mut cfg = quick(0.1);
+        cfg.measure = 0;
+        let err = measure(&cfg).unwrap_err();
+        assert!(matches!(err, ConfigError::Parameter { name: "measure", .. }), "{err}");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! noc-serve [--wal PATH] [--queue N] [--workers N] [--max-attempts N]
-//!           [--budget CYCLES] [--backoff-ms N] [--backoff-cap-ms N]
-//!           [--no-backoff-sleep] [--chaos N]
+//!           [--budget CYCLES] [--chaos N]
 //!           [--socket PATH] [--max-clients N]
 //! ```
 //!
@@ -57,8 +56,7 @@ fn install_signal_handlers() {}
 fn usage() -> ! {
     eprintln!(
         "usage: noc-serve [--wal PATH] [--queue N] [--workers N] [--max-attempts N]\n\
-         \u{20}                [--budget CYCLES] [--backoff-ms N] [--backoff-cap-ms N]\n\
-         \u{20}                [--no-backoff-sleep] [--chaos N]\n\
+         \u{20}                [--budget CYCLES] [--chaos N]\n\
          \u{20}                [--socket PATH] [--max-clients N]\n\
          Speaks noc-eval/serve/v1, one JSON object per line, on stdin/stdout\n\
          (or on --socket PATH, serving up to --max-clients connections\n\
@@ -122,14 +120,6 @@ fn main() {
             "--budget" => {
                 cfg.default_budget = parse_num("--budget", &next_val(&mut args, "--budget"))
             }
-            "--backoff-ms" => {
-                cfg.retry.base_ms = parse_num("--backoff-ms", &next_val(&mut args, "--backoff-ms"))
-            }
-            "--backoff-cap-ms" => {
-                cfg.retry.cap_ms =
-                    parse_num("--backoff-cap-ms", &next_val(&mut args, "--backoff-cap-ms"))
-            }
-            "--no-backoff-sleep" => cfg.retry.sleep = false,
             "--chaos" => cfg.chaos = parse_num("--chaos", &next_val(&mut args, "--chaos")),
             "--socket" => socket = Some(PathBuf::from(next_val(&mut args, "--socket"))),
             "--max-clients" => {

@@ -54,7 +54,7 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Simulator worker threads in the service's one evaluation pool —
     /// a process-wide bound, however many clients submit work; `0`
-    /// means auto ([`noc_exp::serve_workers`]).
+    /// means auto ([`noc_exp::threads`]).
     pub workers: usize,
     /// Retry policy for `Panicked`/`Diverged` points.
     pub retry: RetryPolicy,

@@ -48,7 +48,7 @@ use noc_eval::serve::{
     ServeResult, SweepRequest,
 };
 use noc_exp::robust::panic_message;
-use noc_exp::{serve_workers, Wal};
+use noc_exp::{threads, Wal};
 use noc_openloop::measure_budgeted;
 use noc_sim::error::ConfigError;
 use noc_traffic::SizeKind;
@@ -209,7 +209,7 @@ impl Service {
 
     fn with_cache_cap(cfg: ServeConfig, cache_cap: usize) -> io::Result<Self> {
         cfg.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let workers = if cfg.workers == 0 { serve_workers() } else { cfg.workers };
+        let workers = if cfg.workers == 0 { threads() } else { cfg.workers };
         let mut cache = ResultCache::new(cache_cap);
         let wal = match &cfg.wal {
             Some(path) => {
@@ -842,6 +842,12 @@ fn validate_point(p: &PointRequest) -> Result<(), ConfigError> {
         return Err(ConfigError::Parameter {
             name: "packet_size",
             why: "packets are at least one flit".into(),
+        });
+    }
+    if p.measure == 0 {
+        return Err(ConfigError::Parameter {
+            name: "measure",
+            why: "measurement window must be >= 1 cycle".into(),
         });
     }
     if p.budget == Some(0) {

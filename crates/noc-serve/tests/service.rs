@@ -298,18 +298,22 @@ fn invalid_configs_are_rejected_at_admission() {
     let mut bad_budget = point("b1", 2, 0.1);
     bad_budget.budget = Some(0);
     let bad_load = point("b1", 3, 2.0);
+    // an empty window used to be simulated and answered `throughput: NaN`
+    let mut bad_window = point("b1", 4, 0.1);
+    bad_window.measure = 0;
     let (resps, _) = drive(
         &mut svc,
         &[
             ServeRequest::Point(Box::new(bad_buf)),
             ServeRequest::Point(Box::new(bad_budget)),
             ServeRequest::Point(Box::new(bad_load)),
+            ServeRequest::Point(Box::new(bad_window)),
             run_req("b1"),
         ],
     );
     let rs = results(&resps);
-    assert_eq!(rs.len(), 3);
-    for (r, needle) in rs.iter().zip(["vc_buf", "cycle_budget", "load"]) {
+    assert_eq!(rs.len(), 4);
+    for (r, needle) in rs.iter().zip(["vc_buf", "cycle_budget", "load", "measure"]) {
         let ServeOutcome::Invalid { reason } = &r.outcome else {
             panic!("expected invalid, got {:?}", r.outcome)
         };

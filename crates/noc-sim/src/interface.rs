@@ -5,6 +5,11 @@
 //! that a blocked request class can never head-of-line-block the reply
 //! class — the standard requirement for request/reply protocol deadlock
 //! freedom at the injection point.
+//!
+//! Injection credits have no queue of their own: the router phase of
+//! cycle `t` runs after the injection phase of `t`, so a credit the
+//! router adds to `inj_credits` at `t` is first read at `t + 1` — the
+//! one-cycle return delay is the phase order itself.
 
 use std::collections::VecDeque;
 
@@ -32,8 +37,6 @@ pub struct Ni {
     pub inj_busy: Vec<bool>,
     /// Credits toward the router's port-0 input buffers, per VC.
     pub inj_credits: Vec<u32>,
-    /// Credits in flight back from the router.
-    pub credit_q: VecDeque<(Cycle, u8)>,
     /// Flits that have been ejected and are propagating to the node.
     pub eject_q: VecDeque<(Cycle, Flit)>,
     /// Self-addressed packets bypassing the network: `(ready, pkt)`.
@@ -53,22 +56,10 @@ impl Ni {
             stream: vec![None; classes],
             inj_busy: vec![false; vcs],
             inj_credits: vec![vc_buf as u32; vcs],
-            credit_q: VecDeque::new(),
             eject_q: VecDeque::new(),
             local_q: VecDeque::new(),
             class_rr: 0,
             vc_rr: 0,
-        }
-    }
-
-    /// Absorb credits that have arrived by `now`.
-    pub fn absorb_credits(&mut self, now: Cycle) {
-        while let Some(&(ready, vc)) = self.credit_q.front() {
-            if ready > now {
-                break;
-            }
-            self.credit_q.pop_front();
-            self.inj_credits[vc as usize] += 1;
         }
     }
 
@@ -95,20 +86,6 @@ impl Ni {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn credits_absorbed_in_time_order() {
-        let mut ni = Ni::new(1, 2, 4);
-        ni.inj_credits = vec![0, 0];
-        ni.credit_q.push_back((5, 0));
-        ni.credit_q.push_back((7, 1));
-        ni.absorb_credits(4);
-        assert_eq!(ni.inj_credits, vec![0, 0]);
-        ni.absorb_credits(5);
-        assert_eq!(ni.inj_credits, vec![1, 0]);
-        ni.absorb_credits(100);
-        assert_eq!(ni.inj_credits, vec![1, 1]);
-    }
 
     #[test]
     fn pick_inj_vc_respects_mask_busy_credits() {

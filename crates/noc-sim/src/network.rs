@@ -14,7 +14,8 @@
 //! keyed by arrival cycle ([`crate::channel::Wheel`]), so a cycle's
 //! link arrivals are two contiguous slices; routers with buffered flits
 //! live in an **active-router bitset**, NIs with pending ejections or
-//! injection work live in two more bitsets, and the allocation sweep
+//! injection work (a queued packet or an open stream — the one ledger
+//! of NI work) live in two more bitsets, and the allocation sweep
 //! walks only set bits in ascending order — so a quiet 1024-node network
 //! costs a handful of word tests per cycle instead of 1024 router
 //! visits. Router state itself is a network-wide struct-of-arrays slab
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use crate::channel::{CreditEvent, FlitEvent, Link, Wheel};
 use crate::config::NetConfig;
 use crate::error::{ConfigError, SimError};
-use crate::flit::{Cycle, Delivered, Flit, Packet, PacketSlab, PacketSpec};
+use crate::flit::{Cycle, Delivered, Flit, Packet, PacketId, PacketSlab, PacketSpec};
 use crate::interface::{InjStream, Ni};
 use crate::rng::SimRng;
 use crate::router::{RouterCtx, RouterSlab, SaWin};
@@ -48,8 +49,12 @@ use crate::topology::{Topology, LOCAL_PORT};
 
 /// A workload driving the network.
 ///
-/// `pull` is invoked repeatedly per node per cycle until it returns
-/// `None`; returned packets enter that node's (unbounded) source queue.
+/// Each cycle the engine polls the behavior for new packets through
+/// exactly one of two protocols: one batched `generate` call, or —
+/// while some NI is dead, and a dead NI must not be polled — `pull` on
+/// each live node in ascending order until it returns `None`. The
+/// engine may switch protocol between cycles, never within one.
+/// Returned packets enter the node's (unbounded) source queue.
 /// `deliver` is invoked when a packet's tail flit reaches its
 /// destination NI.
 pub trait NodeBehavior {
@@ -76,15 +81,16 @@ pub trait NodeBehavior {
     /// Batched generation: offer every node its per-cycle pulls in one
     /// call, feeding each produced packet to `sink` as `(node, spec)`.
     ///
-    /// The default exactly replays the engine's classic polling loop —
+    /// The default exactly replays the per-node polling loop —
     /// [`NodeBehavior::pull`] per node in ascending order until `None` —
     /// so implementors get it for free. Behaviors with a cheap internal
     /// source (e.g. the open-loop Bernoulli workload) may override it to
     /// skip two virtual calls per node per cycle, but an override MUST
     /// be observationally identical to the default: same packets, same
-    /// node order, same RNG consumption, and `pull`/`generate` sharing
-    /// one poll-dedup state — the engine falls back to per-node `pull`
-    /// on fault-degraded networks, where dead NIs are never polled.
+    /// node order, same RNG consumption. A cycle is polled through
+    /// exactly one of `pull`/`generate`, so an override need not
+    /// reconcile with pulls of the same cycle — only leave the state
+    /// the next cycle's poll (by either protocol) starts from.
     fn generate(&mut self, nodes: usize, cycle: Cycle, sink: &mut dyn FnMut(usize, PacketSpec)) {
         for node in 0..nodes {
             while let Some(spec) = self.pull(node, cycle) {
@@ -146,12 +152,6 @@ fn bit_clear(words: &mut [u64], i: usize) {
     words[i >> 6] &= !(1 << (i & 63));
 }
 
-/// Test bit `i`.
-#[inline]
-fn bit_test(words: &[u64], i: usize) -> bool {
-    words[i >> 6] & (1 << (i & 63)) != 0
-}
-
 /// Upstream end of the link feeding one `(router, in_port)` slot, so
 /// returning a credit needs no topology query and touches no other
 /// router's link.
@@ -187,9 +187,11 @@ pub(crate) struct Engine {
     /// Bitset of NIs with a non-empty ejection or local-delivery queue;
     /// `ejections` visits only these.
     ni_pending: Vec<u64>,
-    /// Bitset of NIs with injection-side work: queued packets, an open
-    /// injection stream, or undelivered injection credits. `injections`
-    /// touches the NI state of a node only when its bit is set.
+    /// Bitset of NIs with injection-side work: queued packets or an
+    /// open injection stream. `injections` touches the NI state of a
+    /// node only when its bit is set, and an all-zero set (with an
+    /// all-zero `active_r` and a quiescent behavior) licenses the
+    /// quiescent-cycle fast-forward.
     pub(crate) ni_work: Vec<u64>,
     /// Switch-allocation winners of the router being processed.
     wins: Vec<SaWin>,
@@ -211,11 +213,6 @@ pub struct Network {
     rng: SimRng,
     cycle: Cycle,
     traffic_matrix: Option<Vec<u64>>,
-    /// Packets queued for injection plus open injection streams, summed
-    /// over all NIs. Zero means no NI can inject a flit this cycle,
-    /// which (with empty active sets and a quiescent behavior) licenses
-    /// the quiescent-cycle fast-forward.
-    inj_backlog: u64,
     /// Observability collector; `None` (the default) leaves the metrics
     /// hook as a single branch per cycle (see [`crate::metrics`]).
     metrics: Option<Box<crate::metrics::Collector>>,
@@ -292,7 +289,6 @@ impl Network {
             rng,
             cycle: 0,
             traffic_matrix: None,
-            inj_backlog: 0,
             metrics,
             fault: None,
             survivors: None,
@@ -526,7 +522,7 @@ impl Network {
     ) -> Result<(), SimError> {
         let mut t = self.cycle;
         if self.metrics.is_none()
-            && self.inj_backlog == 0
+            && self.eng.ni_work.iter().all(|&w| w == 0)
             && self.eng.active_r.iter().all(|&w| w == 0)
             && behavior.quiescent()
         {
@@ -655,17 +651,7 @@ impl Network {
             self.eng.stats.flits_ejected += 1;
             self.eng.stats.node_delivered[node] += 1;
             if flit.tail {
-                // duplicate retransmissions and arrivals at a dead
-                // NI are absorbed before the behavior sees them
-                let deliver = self.fault_on_tail(node, flit.pkt);
-                let pkt = self.eng.packets.remove(flit.pkt);
-                if deliver {
-                    self.eng.stats.packets_delivered += 1;
-                    let d = delivered_of(&pkt);
-                    self.eng.stats.delivery_digest =
-                        fold_digest(self.eng.stats.delivery_digest, &d, node, t);
-                    behavior.deliver(node, &d, t);
-                }
+                self.deliver_packet(node, flit.pkt, t, behavior);
             }
         }
         while let Some(&(ready, pid)) = self.eng.nis[node].local_q.front() {
@@ -673,187 +659,157 @@ impl Network {
                 break;
             }
             self.eng.nis[node].local_q.pop_front();
-            let deliver = self.fault_on_tail(node, pid);
-            let pkt = self.eng.packets.remove(pid);
-            if deliver {
-                self.eng.stats.packets_delivered += 1;
+            if self.deliver_packet(node, pid, t, behavior) {
                 self.eng.stats.self_delivered += 1;
-                let d = delivered_of(&pkt);
-                self.eng.stats.delivery_digest =
-                    fold_digest(self.eng.stats.delivery_digest, &d, node, t);
-                behavior.deliver(node, &d, t);
             }
         }
     }
 
-    /// Pull new packets from the behavior and inject up to one flit per
-    /// node into the router fabric. On a healthy network, generation is
-    /// one batched [`NodeBehavior::generate`] call and NI state is only
-    /// touched for nodes with injection work pending (`ni_work` bit
-    /// set), so a quiet cycle costs O(packets + pending NIs), not O(n).
-    fn injections(&mut self, t: Cycle, behavior: &mut dyn NodeBehavior) -> Result<(), SimError> {
-        let n = self.num_nodes();
-        if self.fault.is_some() {
-            // degraded mode: dead NIs must not be polled at all (their
-            // generator state freezes), so keep the per-node loop
-            for node in 0..n {
-                if self.fault_node_dead(node) {
-                    // a dead NI stops producing; packets mid-injection
-                    // still drain below into the (dead) fabric around it
-                    if bit_test(&self.eng.ni_work, node) {
-                        self.eng.nis[node].absorb_credits(t);
-                        self.inject_one_flit(node, t)?;
-                        self.clear_ni_work_if_drained(node);
-                    }
-                    continue;
-                }
-                self.pull_packets(node, t, behavior);
-                if !bit_test(&self.eng.ni_work, node) {
-                    continue;
-                }
-                self.eng.nis[node].absorb_credits(t);
-                self.inject_one_flit(node, t)?;
-                self.clear_ni_work_if_drained(node);
-            }
-            return Ok(());
+    /// Retire packet `pid` at NI `node`: fold it into the digest and
+    /// hand it to the behavior, unless the fault layer absorbs it (a
+    /// duplicate retransmission, or an arrival at a dead NI). Returns
+    /// whether the behavior saw it.
+    fn deliver_packet(
+        &mut self,
+        node: usize,
+        pid: PacketId,
+        t: Cycle,
+        behavior: &mut dyn NodeBehavior,
+    ) -> bool {
+        let deliver = self.fault_on_tail(node, pid);
+        let pkt = self.eng.packets.remove(pid);
+        if deliver {
+            self.eng.stats.packets_delivered += 1;
+            let d = delivered_of(&pkt);
+            self.eng.stats.delivery_digest =
+                fold_digest(self.eng.stats.delivery_digest, &d, node, t);
+            behavior.deliver(node, &d, t);
         }
+        deliver
+    }
+
+    /// Poll the behavior for new packets, then inject up to one flit
+    /// per node into the router fabric. NI state is only touched for
+    /// nodes with injection work pending (`ni_work` bit set, ascending
+    /// like the reference full scan), so a quiet cycle costs
+    /// O(packets + pending NIs), not O(n). A dead NI takes the same
+    /// walk: it stops producing, but a packet it was mid-way through
+    /// injecting still drains into the (dead) fabric around it.
+    fn injections(&mut self, t: Cycle, behavior: &mut dyn NodeBehavior) -> Result<(), SimError> {
         self.generate_packets(t, behavior);
-        // ascending-node bitset walk, matching the reference full scan
         for wi in 0..self.eng.ni_work.len() {
             let mut word = self.eng.ni_work[wi];
             while word != 0 {
                 let node = (wi << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
-                self.eng.nis[node].absorb_credits(t);
                 self.inject_one_flit(node, t)?;
-                self.clear_ni_work_if_drained(node);
+                let ni = &self.eng.nis[node];
+                if ni.stream.iter().all(Option::is_none)
+                    && ni.class_q.iter().all(std::collections::VecDeque::is_empty)
+                {
+                    bit_clear(&mut self.eng.ni_work, node);
+                }
             }
         }
         Ok(())
     }
 
-    /// Reference twin of [`Network::injections`]: touch every NI
-    /// unconditionally (same observable behavior — an NI whose work bit
-    /// is clear has nothing to absorb or inject). Generation goes
-    /// through the same batched path as the worklist sweep so both see
-    /// one identical `generate` call per cycle.
+    /// Reference twin of [`Network::injections`]: the same generation,
+    /// then every NI visited unconditionally (an NI whose work bit is
+    /// clear has nothing to inject).
     fn injections_reference(
         &mut self,
         t: Cycle,
         behavior: &mut dyn NodeBehavior,
     ) -> Result<(), SimError> {
-        let n = self.num_nodes();
-        if self.fault.is_some() {
-            for node in 0..n {
-                if self.fault_node_dead(node) {
-                    self.eng.nis[node].absorb_credits(t);
-                    self.inject_one_flit(node, t)?;
-                    continue;
-                }
-                self.pull_packets(node, t, behavior);
-                self.eng.nis[node].absorb_credits(t);
-                self.inject_one_flit(node, t)?;
-            }
-            return Ok(());
-        }
         self.generate_packets(t, behavior);
-        for node in 0..n {
-            self.eng.nis[node].absorb_credits(t);
+        for node in 0..self.num_nodes() {
             self.inject_one_flit(node, t)?;
         }
         Ok(())
     }
 
-    /// Admit this cycle's generated packets via one batched
-    /// [`NodeBehavior::generate`] call. Interleaving all generation
-    /// ahead of all NI injection is observation-equivalent to the
-    /// classic per-node pull-then-inject loop: generation never reads
-    /// fabric state, and node `i`'s injection touches only node `i`'s
-    /// NI and router.
+    /// Admit this cycle's generated packets: one batched
+    /// [`NodeBehavior::generate`] call, or — while some NI is dead, and
+    /// a dead NI must not be polled at all (its generator state
+    /// freezes) — [`NodeBehavior::pull`] over the live nodes, ascending.
+    /// Running all generation ahead of all NI injection is
+    /// observation-equivalent to a per-node pull-then-inject loop:
+    /// generation never reads fabric state, and node `i`'s injection
+    /// touches only node `i`'s NI and router.
     fn generate_packets(&mut self, t: Cycle, behavior: &mut dyn NodeBehavior) {
         let n = self.num_nodes();
-        behavior.generate(n, t, &mut |node, spec| self.admit_packet(node, spec, t));
-    }
-
-    /// Pull freshly generated packets at `node` into its source queues
-    /// (the per-node polling path, used on fault-degraded networks).
-    fn pull_packets(&mut self, node: usize, t: Cycle, behavior: &mut dyn NodeBehavior) {
-        while let Some(spec) = behavior.pull(node, t) {
-            self.admit_packet(node, spec, t);
+        if !self.fault_any_node_dead() {
+            behavior.generate(n, t, &mut |node, spec| self.admit_packet(node, spec, t));
+            return;
         }
-    }
-
-    /// Admit one freshly generated packet at `node` into its source
-    /// queues.
-    fn admit_packet(&mut self, node: usize, spec: PacketSpec, t: Cycle) {
-        let n = self.num_nodes();
-        let classes = self.cfg.classes;
-        {
-            assert!(spec.dst < n, "destination {} out of range", spec.dst);
-            assert!(spec.size >= 1, "packets must have at least one flit");
-            assert!(
-                (spec.class as usize) < classes,
-                "class {} exceeds configured {classes}",
-                spec.class
-            );
-            if let Some(m) = self.traffic_matrix.as_mut() {
-                m[node * n + spec.dst] += 1;
-            }
-            if spec.dst == node {
-                // local delivery: bypass the fabric with router-only latency
-                let pkt = Packet {
-                    uid: 0,
-                    src: node,
-                    dst: node,
-                    size: spec.size,
-                    class: spec.class,
-                    birth: t,
-                    inject: t,
-                    payload: spec.payload,
-                };
-                let pid = self.eng.packets.insert(pkt, RouteState::direct());
-                let ready = t + self.cfg.router_delay as Cycle + 1;
-                self.eng.nis[node].local_q.push_back((ready, pid));
-                bit_set(&mut self.eng.ni_pending, node);
-            } else {
-                let route = self.cfg.routing.init(
-                    self.topo.as_ref(),
-                    &self.lut,
-                    node,
-                    spec.dst,
-                    &mut self.rng,
-                );
-                let pkt = Packet {
-                    uid: 0,
-                    src: node,
-                    dst: spec.dst,
-                    size: spec.size,
-                    class: spec.class,
-                    birth: t,
-                    inject: u64::MAX,
-                    payload: spec.payload,
-                };
-                let pid = self.eng.packets.insert(pkt, route);
-                self.eng.nis[node].class_q[spec.class as usize].push_back(pid);
-                self.inj_backlog += 1;
-                bit_set(&mut self.eng.ni_work, node);
-                if self.fault.is_some() {
-                    self.fault_register(node, pid, spec, t);
+        for node in 0..n {
+            if !self.fault_node_dead(node) {
+                while let Some(spec) = behavior.pull(node, t) {
+                    self.admit_packet(node, spec, t);
                 }
             }
         }
     }
 
-    /// Clear `node`'s injection-work bit once its NI holds no queued
-    /// packet, no open stream, and no undelivered credit.
-    fn clear_ni_work_if_drained(&mut self, node: usize) {
-        let ni = &self.eng.nis[node];
-        if ni.credit_q.is_empty()
-            && ni.stream.iter().all(Option::is_none)
-            && ni.class_q.iter().all(std::collections::VecDeque::is_empty)
-        {
-            bit_clear(&mut self.eng.ni_work, node);
+    /// Admit one freshly generated packet at `node`.
+    fn admit_packet(&mut self, node: usize, spec: PacketSpec, t: Cycle) {
+        let n = self.num_nodes();
+        let classes = self.cfg.classes;
+        assert!(spec.dst < n, "destination {} out of range", spec.dst);
+        assert!(spec.size >= 1, "packets must have at least one flit");
+        assert!(
+            (spec.class as usize) < classes,
+            "class {} exceeds configured {classes}",
+            spec.class
+        );
+        if let Some(m) = self.traffic_matrix.as_mut() {
+            m[node * n + spec.dst] += 1;
         }
+        if spec.dst == node {
+            // local delivery: bypass the fabric with router-only latency
+            let pkt = Packet {
+                uid: 0,
+                src: node,
+                dst: node,
+                size: spec.size,
+                class: spec.class,
+                birth: t,
+                inject: t,
+                payload: spec.payload,
+            };
+            let pid = self.eng.packets.insert(pkt, RouteState::direct());
+            let ready = t + self.cfg.router_delay as Cycle + 1;
+            self.eng.nis[node].local_q.push_back((ready, pid));
+            bit_set(&mut self.eng.ni_pending, node);
+        } else {
+            let pid = self.enqueue_packet(node, spec, t);
+            if self.fault.is_some() {
+                self.fault_register(node, pid, spec, t);
+            }
+        }
+    }
+
+    /// Queue a fabric-bound packet born at `t` in `node`'s source queue
+    /// — a generated packet or a retransmission — and mark the NI as
+    /// having injection work; the only place that marks it.
+    fn enqueue_packet(&mut self, node: usize, spec: PacketSpec, t: Cycle) -> PacketId {
+        let route =
+            self.cfg.routing.init(self.topo.as_ref(), &self.lut, node, spec.dst, &mut self.rng);
+        let pkt = Packet {
+            uid: 0,
+            src: node,
+            dst: spec.dst,
+            size: spec.size,
+            class: spec.class,
+            birth: t,
+            inject: u64::MAX,
+            payload: spec.payload,
+        };
+        let pid = self.eng.packets.insert(pkt, route);
+        self.eng.nis[node].class_q[spec.class as usize].push_back(pid);
+        bit_set(&mut self.eng.ni_work, node);
+        pid
     }
 
     /// Inject at most one flit at `node` (1 flit/cycle/node injection
@@ -879,7 +835,6 @@ impl Network {
             let mask = self.book.injection(c);
             let Some(vc) = self.eng.nis[node].pick_inj_vc(mask) else { continue };
             self.eng.nis[node].class_q[c].pop_front();
-            self.inj_backlog -= 1;
             self.eng.packets.get_mut(pid).inject = t;
             self.eng.stats.packets_injected += 1;
             let s = InjStream { pkt: pid, vc, next_seq: 0 };
@@ -887,7 +842,6 @@ impl Network {
             if size > 1 {
                 self.eng.nis[node].inj_busy[vc as usize] = true;
                 self.eng.nis[node].stream[c] = Some(s);
-                self.inj_backlog += 1;
             }
             self.emit_flit(node, c, s)?;
             self.eng.nis[node].class_rr = (c + 1) % classes;
@@ -913,7 +867,6 @@ impl Network {
             if size > 1 {
                 self.eng.nis[node].inj_busy[s.vc as usize] = false;
                 self.eng.nis[node].stream[class] = None;
-                self.inj_backlog -= 1;
             }
         } else if size > 1 {
             self.eng.nis[node].stream[class] =
@@ -1069,10 +1022,10 @@ impl Engine {
                     self.wheel.push_flit(ready, li as u32, dst, w.flit);
                 }
             }
-            // return the credit for the freed input slot
+            // return the credit for the freed input slot; the NI next
+            // reads its counter in the injection phase of `t + 1`
             if w.in_port as usize == LOCAL_PORT {
-                self.nis[r].credit_q.push_back((t + 1, w.in_vc));
-                bit_set(&mut self.ni_work, r);
+                self.nis[r].inj_credits[w.in_vc as usize] += 1;
             } else {
                 let Some(up) = self.up[r * self.ports1 + (w.in_port as usize - 1)] else {
                     return Err(SimError::NoUpstreamLink { router: r, port: w.in_port as usize });
@@ -1499,6 +1452,131 @@ mod tests {
         let (_, _, t) = &b.delivered[0];
         assert_eq!(steps, t + 1, "metrics-on path steps every cycle");
     }
+    /// A router killed with packets still queued at its NI discards
+    /// them; nothing else marks that NI as having work, so once the
+    /// injection walk has dropped its `ni_work` bit the engine jumps
+    /// the dead time of the other packet's flight like the reference
+    /// never does — same deliveries, same final cycle.
+    #[test]
+    fn fast_forward_resumes_after_a_kill_discards_the_only_ni_work() {
+        use crate::network::fault::{FaultEvent, FaultPlan};
+        let run = |reference: bool| {
+            let mut net = Network::new(mesh_cfg().with_router_delay(8)).unwrap();
+            net.set_fault_plan(FaultPlan {
+                events: vec![FaultEvent::RouterFail { cycle: 1, router: 5 }],
+                ..FaultPlan::default()
+            });
+            // node 5 injects one flit at cycle 0; its other two packets
+            // are still in the source queue when the router dies
+            let mut b = Script::new(vec![(0, 0, 3, 1), (0, 5, 6, 1), (0, 5, 6, 1), (0, 5, 6, 1)]);
+            let mut steps = 0u64;
+            while !(net.is_idle() && b.quiescent()) {
+                if reference {
+                    net.try_step_reference(&mut b).unwrap();
+                } else {
+                    net.try_step(&mut b).unwrap();
+                }
+                steps += 1;
+                assert!(steps < 1_000, "never drained");
+            }
+            assert_eq!(net.fault_stats().unwrap().packets_dropped, 2);
+            // (the reference sweep scans every NI and never maintains the set)
+            assert!(reference || net.eng.ni_work.iter().all(|&w| w == 0));
+            (net.stats().delivery_digest, net.cycle(), steps)
+        };
+        let (fast, slow) = (run(false), run(true));
+        assert_eq!((fast.0, fast.1), (slow.0, slow.1));
+        assert_eq!(slow.2, slow.1, "the reference steps every cycle");
+        assert!(fast.2 * 2 < fast.1, "{} steps for {} cycles", fast.2, fast.1);
+    }
+
+    // ---- one injection walk -------------------------------------------
+
+    /// [`Script`] plus a log of which polling protocol each cycle used.
+    struct Probe {
+        inner: Script,
+        /// `(first cycle, protocol)` per run of equal protocols.
+        protocols: Vec<(Cycle, &'static str)>,
+        /// Nodes the engine's `pull` loop polled to `None`.
+        polled: Vec<usize>,
+    }
+
+    impl Probe {
+        fn note(&mut self, cycle: Cycle, protocol: &'static str) {
+            if self.protocols.last().is_none_or(|&(_, p)| p != protocol) {
+                self.protocols.push((cycle, protocol));
+            }
+        }
+    }
+
+    impl NodeBehavior for Probe {
+        fn pull(&mut self, node: usize, cycle: Cycle) -> Option<PacketSpec> {
+            self.note(cycle, "pull");
+            let spec = self.inner.pull(node, cycle);
+            if spec.is_none() {
+                self.polled.push(node);
+            }
+            spec
+        }
+
+        fn deliver(&mut self, node: usize, delivered: &Delivered, cycle: Cycle) {
+            self.inner.deliver(node, delivered, cycle);
+        }
+
+        fn quiescent(&self) -> bool {
+            self.inner.quiescent()
+        }
+
+        fn generate(&mut self, n: usize, cycle: Cycle, sink: &mut dyn FnMut(usize, PacketSpec)) {
+            self.note(cycle, "generate");
+            self.inner.generate(n, cycle, sink);
+        }
+    }
+
+    /// A router dies and is repaired mid-run: the engine polls through
+    /// `generate`, then `pull` over the live nodes only, then `generate`
+    /// again — the dead node's sends wait, unpolled, for the repair —
+    /// and the worklist and reference sweeps agree bit for bit.
+    #[test]
+    fn polling_switches_to_pull_while_an_ni_is_dead_and_back() {
+        use crate::network::fault::{FaultEvent, FaultPlan, RetxPolicy};
+        let run = |reference: bool| {
+            let mut sends = Vec::new();
+            let mut rng = crate::rng::SimRng::new(41);
+            for i in 0..400 {
+                sends.push((i % 100, rng.below(16), rng.below(16), 1 + rng.below(3) as u16));
+            }
+            let mut net = Network::new(mesh_cfg()).unwrap();
+            net.set_fault_plan(FaultPlan {
+                events: vec![
+                    FaultEvent::RouterFail { cycle: 20, router: 5 },
+                    FaultEvent::RouterRepair { cycle: 60, router: 5 },
+                ],
+                retx: Some(RetxPolicy { timeout: 64, backoff_cap: 256, max_attempts: 0 }),
+                ..FaultPlan::default()
+            });
+            let mut b = Probe { inner: Script::new(sends), protocols: vec![], polled: vec![] };
+            let mut steps = 0u64;
+            while !(net.is_idle() && b.quiescent() && net.fault_settled()) {
+                if reference {
+                    net.try_step_reference(&mut b).unwrap();
+                } else {
+                    net.try_step(&mut b).unwrap();
+                }
+                steps += 1;
+                assert!(steps < 100_000, "never settled");
+            }
+            assert_eq!(b.protocols, vec![(0, "generate"), (20, "pull"), (60, "generate")]);
+            assert!(!b.polled.contains(&5), "a dead NI was polled");
+            assert_eq!(b.polled.len(), 40 * 15, "each live node, once per cycle");
+            let f = net.fault_stats().unwrap();
+            assert!(f.packets_dropped > 0 && f.retransmissions > 0, "{f:?}");
+            assert_eq!(f.transfers_delivered, f.transfers_started, "{f:?}");
+            (net.stats().delivery_digest, net.cycle(), b.inner.delivered.len())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
     // ---- the link timing wheel ----------------------------------------
 
     /// Wheel memory does not depend on `router_delay`: the largest value

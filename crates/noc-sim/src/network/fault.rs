@@ -100,10 +100,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::error::{ConfigError, SimError};
-use crate::flit::{Cycle, Packet, PacketId, PacketSpec};
+use crate::flit::{Cycle, PacketId, PacketSpec};
 use crate::rng::SimRng;
 use crate::router::SaWin;
-use crate::routing::{PortSet, RoutingAlgorithm};
+use crate::routing::PortSet;
 use crate::topology::Topology;
 
 use super::{Engine, Network};
@@ -872,7 +872,6 @@ impl Network {
         // retransmit them, and the ledger keeps them open
         for c in 0..self.cfg.classes {
             while let Some(pid) = self.eng.nis[router].class_q[c].pop_front() {
-                self.inj_backlog -= 1;
                 self.eng.packets.remove(pid);
                 let f = self.fault.as_mut().expect("fault state present");
                 f.stats.packets_dropped += 1;
@@ -968,22 +967,7 @@ impl Network {
                 continue;
             }
             // retransmit: a fresh packet carrying the same spec
-            let route =
-                self.cfg.routing.init(self.topo.as_ref(), &self.lut, node, spec.dst, &mut self.rng);
-            let pkt = Packet {
-                uid: 0,
-                src: node,
-                dst: spec.dst,
-                size: spec.size,
-                class: spec.class,
-                birth: t,
-                inject: u64::MAX,
-                payload: spec.payload,
-            };
-            let pid = self.eng.packets.insert(pkt, route);
-            self.eng.nis[node].class_q[spec.class as usize].push_back(pid);
-            self.inj_backlog += 1;
-            super::bit_set(&mut self.eng.ni_work, node);
+            let pid = self.enqueue_packet(node, spec, t);
             let f = self.fault.as_mut().expect("fault state present");
             f.xfer_of.insert(pid, xfer);
             f.stats.retransmissions += 1;
@@ -998,6 +982,11 @@ impl Network {
     /// True when `node`'s NI is dead (no pulls, deliveries lost).
     pub(super) fn fault_node_dead(&self, node: usize) -> bool {
         self.fault.as_ref().is_some_and(|f| f.dead_router[node])
+    }
+
+    /// True while at least one NI is dead.
+    pub(super) fn fault_any_node_dead(&self) -> bool {
+        self.fault.as_ref().is_some_and(|f| f.dead_routers_count > 0)
     }
 
     /// Open a transfer for a freshly pulled non-self packet.

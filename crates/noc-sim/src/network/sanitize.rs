@@ -12,8 +12,9 @@
 //!   each link's in-flight counter must agree with that recount.
 //! - **Credit conservation** — for every (channel, VC): credits held
 //!   upstream + credits in flight + flits in flight + flits buffered
-//!   downstream always equals the configured buffer depth. The same
-//!   law is checked on each node's injection channel.
+//!   downstream always equals the configured buffer depth. A node's
+//!   injection channel has nothing in flight (the router hands the
+//!   credit straight back), so its law is held + buffered == depth.
 //! - **Wormhole framing** — within every buffer and link, flits of a
 //!   packet appear as consecutive sequence numbers, a new packet starts
 //!   only after the previous packet's tail, and an un-allocated VC
@@ -165,8 +166,8 @@ impl Network {
     }
 
     /// Per (channel, VC): upstream credits + in-flight credits +
-    /// in-flight flits + downstream occupancy == buffer depth. Also
-    /// checked for every node's injection channel.
+    /// in-flight flits + downstream occupancy == buffer depth; on a
+    /// node's injection channel, held + buffered == buffer depth.
     fn check_credit_conservation(&mut self, t: Cycle) -> Result<(), SimError> {
         let vc_buf = self.cfg.vc_buf as u64;
         let vcs = self.cfg.vcs;
@@ -210,10 +211,8 @@ impl Network {
             for v in 0..vcs {
                 let ni = &self.eng.nis[r];
                 let held = ni.inj_credits[v] as u64;
-                let credits_in_flight =
-                    ni.credit_q.iter().filter(|&&(_, cv)| cv as usize == v).count() as u64;
                 let buffered = self.eng.routers.router(r).q_len(LOCAL_PORT, v) as u64;
-                let total = held + credits_in_flight + buffered;
+                let total = held + buffered;
                 self.san.stats.credit_checks += 1;
                 if total != vc_buf {
                     return Err(SimError::Invariant {
@@ -221,8 +220,7 @@ impl Network {
                         check: "credit conservation",
                         detail: format!(
                             "injection channel node {r} VC {v}: {held} held + \
-                             {credits_in_flight} credits in flight + {buffered} \
-                             buffered = {total}, expected {vc_buf}"
+                             {buffered} buffered = {total}, expected {vc_buf}"
                         ),
                     });
                 }
