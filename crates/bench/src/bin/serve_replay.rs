@@ -1,6 +1,6 @@
 //! `serve_replay` — the CI gate for `noc-serve`'s crash tolerance.
 //!
-//! Drives the real `noc-serve` binary through seven lives:
+//! Drives the real `noc-serve` binary through eight lives:
 //!
 //! 1. **Reference** — an uninterrupted run of a scripted batch.
 //! 2. **Kill and resume** — the same script against a WAL-backed
@@ -22,6 +22,10 @@
 //! 7. **Sweep** — one server-side `sweep` request must stream exactly
 //!    the bytes its expansion submitted point-by-point streams, plus
 //!    one `sweep-done` summary record.
+//! 8. **Stalled reader** — a socket client that keeps asking for cached
+//!    sweeps and never reads must not hold anyone up: a second client
+//!    is answered byte-identically meanwhile, and `SIGTERM` still exits
+//!    0 once the server's write-stall bound has dropped the connection.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin serve_replay -- [quick|full] [--serve-bin PATH]`
 
@@ -90,6 +94,17 @@ fn send_lines(child: &mut Child, lines: &[String]) {
         writeln!(stdin, "{l}").unwrap_or_else(|e| fail(&format!("writing to service: {e}")));
     }
     stdin.flush().unwrap();
+}
+
+/// `SIGTERM` to a running service.
+fn sigterm(child: &Child) {
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap_or_else(|e| fail(&format!("cannot send SIGTERM: {e}")));
+    if !term.success() {
+        fail("kill -TERM failed");
+    }
 }
 
 /// Send the script, close stdin (EOF triggers a graceful drain), and
@@ -191,7 +206,7 @@ fn main() {
     let script = script_lines(&points);
 
     // -- 1: uninterrupted reference ------------------------------------
-    println!("[1/7] reference run ({} points)", points.len());
+    println!("[1/8] reference run ({} points)", points.len());
     let reference = result_map(&run_to_completion(&bin, &workers, &script));
     if reference.len() != points.len() {
         fail(&format!("reference run answered {} of {} points", reference.len(), points.len()));
@@ -201,7 +216,7 @@ fn main() {
     }
 
     // -- 2: SIGKILL mid-batch, restart, resume -------------------------
-    println!("[2/7] SIGKILL mid-batch, restart with the same WAL");
+    println!("[2/8] SIGKILL mid-batch, restart with the same WAL");
     let wal = std::env::temp_dir().join(format!("serve_replay_{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal);
     let wal_args: Vec<String> =
@@ -243,7 +258,7 @@ fn main() {
     let _ = std::fs::remove_file(&wal);
 
     // -- 3: overload returns typed shed/degraded answers ---------------
-    println!("[3/7] overload: queue capacity 2, 8 points");
+    println!("[3/8] overload: queue capacity 2, 8 points");
     let mut overload_script = Vec::new();
     for i in 0..8u64 {
         let mut p = points[0].clone();
@@ -295,7 +310,7 @@ fn main() {
     println!("  all 8 answered: {n_ok} ok, {n_shed} shed, {n_degraded} degraded");
 
     // -- 4: chaos-injected panics are retried deterministically --------
-    println!("[4/7] chaos: 2 injected panics, 3 attempts");
+    println!("[4/8] chaos: 2 injected panics, 3 attempts");
     let mut chaos_args =
         vec!["--chaos".to_string(), "2".to_string(), "--max-attempts".to_string(), "3".to_string()];
     chaos_args.extend(workers.clone());
@@ -303,7 +318,7 @@ fn main() {
     assert_identical("chaos-retry", &reference, &chaos);
 
     // -- 5: SIGTERM drains queued points gracefully --------------------
-    println!("[5/7] SIGTERM graceful drain");
+    println!("[5/8] SIGTERM graceful drain");
     {
         let mut child = spawn(&bin, &workers);
         let mut lines: Vec<String> = points[..2]
@@ -336,13 +351,7 @@ fn main() {
                 break;
             }
         }
-        let term = Command::new("kill")
-            .args(["-TERM", &child.id().to_string()])
-            .status()
-            .unwrap_or_else(|e| fail(&format!("cannot send SIGTERM: {e}")));
-        if !term.success() {
-            fail("kill -TERM failed");
-        }
+        sigterm(&child);
         let mut rest = String::new();
         std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
         let resps: Vec<ServeResponse> = rest
@@ -377,7 +386,10 @@ fn main() {
     // -- 7: server-side sweep expansion --------------------------------
     life_sweep(&bin, &workers, quick);
 
-    println!("serve_replay: all seven lives PASS");
+    // -- 8: a client that stops reading ----------------------------------
+    life_stalled_reader(&bin, quick);
+
+    println!("serve_replay: all eight lives PASS");
 }
 
 /// Life 6: three socket clients with overlapping grids hammer one
@@ -387,7 +399,7 @@ fn main() {
 #[cfg(unix)]
 fn life_concurrent(bin: &PathBuf, points: &[PointRequest], key_ref: &BTreeMap<String, String>) {
     use std::time::{Duration, Instant};
-    println!("[6/7] three concurrent clients, SIGKILL mid-load, WAL resume");
+    println!("[6/8] three concurrent clients, SIGKILL mid-load, WAL resume");
     let dir = std::env::temp_dir();
     let sock = dir.join(format!("serve_replay_{}.sock", std::process::id()));
     let wal = dir.join(format!("serve_replay_mc_{}.wal", std::process::id()));
@@ -464,13 +476,7 @@ fn life_concurrent(bin: &PathBuf, points: &[PointRequest], key_ref: &BTreeMap<St
             }
         }
     }
-    let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .unwrap_or_else(|e| fail(&format!("cannot send SIGTERM: {e}")));
-    if !term.success() {
-        fail("kill -TERM failed");
-    }
+    sigterm(&child);
     let status = child.wait().expect("exit status");
     if !status.success() {
         fail(&format!("socket server exit status {status} (want 0)"));
@@ -498,7 +504,7 @@ fn life_concurrent(bin: &PathBuf, points: &[PointRequest], key_ref: &BTreeMap<St
 
 #[cfg(not(unix))]
 fn life_concurrent(_bin: &PathBuf, _points: &[PointRequest], _key_ref: &BTreeMap<String, String>) {
-    println!("[6/7] concurrent socket clients: skipped (requires Unix sockets)");
+    println!("[6/8] concurrent socket clients: skipped (requires Unix sockets)");
 }
 
 /// Spawn the server in socket mode (stdin/stdout unused; stderr shows
@@ -602,12 +608,9 @@ fn mc_client(
     }
 }
 
-/// Life 7: one `sweep` line against the real binary must stream byte
-/// for byte what its expansion submitted point-by-point streams, plus
-/// exactly one `sweep-done` summary.
-fn life_sweep(bin: &PathBuf, workers: &[String], quick: bool) {
-    println!("[7/7] server-side sweep expansion");
-    let sw = SweepRequest {
+/// The grid lives 7 and 8 submit as one `sweep` line.
+fn replay_sweep(quick: bool) -> SweepRequest {
+    SweepRequest {
         batch: "sw".into(),
         net: NetConfig::baseline()
             .with_topology(TopologyKind::Mesh2D { k: 8 })
@@ -624,7 +627,15 @@ fn life_sweep(bin: &PathBuf, workers: &[String], quick: bool) {
         analytic_admission: false,
         max_attempts: None,
         deadline_ms: None,
-    };
+    }
+}
+
+/// Life 7: one `sweep` line against the real binary must stream byte
+/// for byte what its expansion submitted point-by-point streams, plus
+/// exactly one `sweep-done` summary.
+fn life_sweep(bin: &PathBuf, workers: &[String], quick: bool) {
+    println!("[7/8] server-side sweep expansion");
+    let sw = replay_sweep(quick);
     let expanded = sw.expand();
     let mut point_lines: Vec<String> = expanded.iter().map(|p| p.to_json()).collect();
     point_lines.push(
@@ -673,4 +684,91 @@ fn life_sweep(bin: &PathBuf, workers: &[String], quick: bool) {
         "  sweep of {} points byte-identical to individual submission, summary verified",
         expanded.len()
     );
+}
+
+/// Life 8: a client that stops reading. It asks for an already
+/// answered sweep until its receive buffer is full and the server's
+/// write to it blocks; a second client must still be answered, byte for
+/// byte what the first pass answered, and `SIGTERM` must exit 0 within
+/// the write-stall bound (5 s) instead of waiting on the stalled
+/// connection forever.
+#[cfg(unix)]
+fn life_stalled_reader(bin: &PathBuf, quick: bool) {
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+    println!("[8/8] stalled reader: served around, dropped, SIGTERM exits");
+    let sock = std::env::temp_dir().join(format!("serve_replay_stall_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let args: Vec<String> = ["--socket", &sock.display().to_string(), "--workers", "2"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let mut child = spawn_socket_server(bin, &args);
+    wait_for_socket(&sock);
+    let line = replay_sweep(quick).to_json();
+    // one sweep on a fresh connection: `(key, canonical outcome)` per result
+    let answered = |who: &str| -> Vec<(String, String)> {
+        let stream = UnixStream::connect(&sock)
+            .unwrap_or_else(|e| fail(&format!("{who} client cannot connect: {e}")));
+        let mut out = stream.try_clone().expect("clone stream");
+        writeln!(out, "{line}").unwrap_or_else(|e| fail(&format!("{who} client write: {e}")));
+        let mut results = Vec::new();
+        for l in BufReader::new(stream).lines() {
+            let l = l.unwrap_or_else(|e| fail(&format!("{who} client read: {e}")));
+            match parse_response(&l) {
+                Ok(ServeResponse::Result(r)) => results.push((r.key, r.outcome.canonical())),
+                Ok(ServeResponse::SweepDone { .. }) => return results,
+                Ok(_) => {}
+                Err(e) => fail(&format!("{who} client got unparseable line {l:?}: {e}")),
+            }
+        }
+        fail(&format!("server hung up on the {who} client before sweep-done"))
+    };
+    let first = answered("first");
+    if first.is_empty() || first.iter().any(|(_, o)| !o.contains("\"outcome\": \"ok\"")) {
+        fail(&format!("first pass of the sweep was not all ok: {first:?}"));
+    }
+
+    let mut staller = UnixStream::connect(&sock)
+        .unwrap_or_else(|e| fail(&format!("staller cannot connect: {e}")));
+    staller.set_write_timeout(Some(Duration::from_millis(200))).expect("write timeout");
+    let request = format!("{line}\n");
+    let mut sent = 0;
+    // ends when the server, blocked writing to us, has stopped reading
+    while sent < 1_000_000 && staller.write_all(request.as_bytes()).is_ok() {
+        sent += 1;
+    }
+    if sent == 1_000_000 {
+        fail("the stalled connection never pushed back");
+    }
+    println!("  staller queued {sent} cached sweeps and reads none of them");
+
+    if answered("second") != first {
+        fail("the second client's answers differ from the first pass");
+    }
+    println!("  second client answered {} points bit-identically meanwhile", first.len());
+
+    let t = Instant::now();
+    sigterm(&child);
+    let status = loop {
+        match child.try_wait().expect("exit status") {
+            Some(status) => break status,
+            None if t.elapsed() > Duration::from_secs(8) => {
+                let _ = child.kill();
+                fail("server still running 8 s after SIGTERM: wedged on the stalled client");
+            }
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    if !status.success() {
+        fail(&format!("socket server exit status {status} (want 0)"));
+    }
+    println!("  SIGTERM -> exit 0 after {:.1} s", t.elapsed().as_secs_f64());
+    drop(staller);
+    let _ = std::fs::remove_file(&sock);
+}
+
+#[cfg(not(unix))]
+fn life_stalled_reader(_bin: &PathBuf, _quick: bool) {
+    println!("[8/8] stalled reader: skipped (requires Unix sockets)");
 }

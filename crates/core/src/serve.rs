@@ -405,30 +405,34 @@ impl SweepRequest {
     pub fn expand(&self) -> Vec<PointRequest> {
         // a hint only: an unvalidated spec must not size the allocation
         let mut points = Vec::with_capacity(self.expanded_len().min(MAX_SWEEP_POINTS) as usize);
-        let mut i = 0u64;
-        for &pattern in &self.patterns {
-            for &load in &self.loads {
-                for _ in 0..self.seeds {
-                    let mut net = self.net.clone();
-                    net.seed = noc_exp::derive_seed(self.net.seed, i);
-                    points.push(PointRequest {
-                        batch: self.batch.clone(),
-                        net,
-                        pattern,
-                        packet_size: self.packet_size,
-                        load,
-                        warmup: self.warmup,
-                        measure: self.measure,
-                        drain_max: self.drain_max,
-                        budget: self.budget,
-                        allow_degraded: self.allow_degraded,
-                        analytic_admission: self.analytic_admission,
-                    });
-                    i += 1;
-                }
-            }
-        }
+        points.extend(self.points());
         points
+    }
+
+    /// [`SweepRequest::expand`], one point at a time: the service
+    /// admits each point as it is produced, so a maximal sweep never
+    /// holds [`MAX_SWEEP_POINTS`] cloned configurations at once.
+    pub fn points(&self) -> impl Iterator<Item = PointRequest> + '_ {
+        let cells = self.patterns.iter().flat_map(move |&pattern| {
+            self.loads.iter().flat_map(move |&load| (0..self.seeds).map(move |_| (pattern, load)))
+        });
+        (0u64..).zip(cells).map(move |(i, (pattern, load))| {
+            let mut net = self.net.clone();
+            net.seed = noc_exp::derive_seed(self.net.seed, i);
+            PointRequest {
+                batch: self.batch.clone(),
+                net,
+                pattern,
+                packet_size: self.packet_size,
+                load,
+                warmup: self.warmup,
+                measure: self.measure,
+                drain_max: self.drain_max,
+                budget: self.budget,
+                allow_degraded: self.allow_degraded,
+                analytic_admission: self.analytic_admission,
+            }
+        })
     }
 
     /// Emit the request as one `noc-eval/serve/v1` line.
@@ -1078,6 +1082,16 @@ mod tests {
             assert_eq!(a.key(), b.key(), "client- and server-side expansions agree");
             assert_eq!(a.to_json(), b.to_json());
         }
+    }
+
+    #[test]
+    fn lazy_points_are_the_expansion() {
+        let sw = sweep();
+        let lines = |pts: Vec<PointRequest>| pts.iter().map(|p| p.to_json()).collect::<Vec<_>>();
+        let eager = lines(sw.expand());
+        assert_eq!(eager.len(), 12, "multi-pattern, multi-seed");
+        // the request line carries every field of a point
+        assert_eq!(eager, lines(sw.points().collect()));
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //! receives its own batches), the WAL is flushed, and a final
 //! `status` record is emitted before exit. `SIGKILL` is survivable by
 //! design: restart with the same `--wal` and finished points replay
-//! from the journal instead of recomputing. Idle loops poll the TERM
-//! flag every 50 ms.
+//! from the journal instead of recomputing. The signal is noticed
+//! within 50 ms (a flag polled by the stdin loop, each connection's
+//! reader and the socket listener's watcher; connections themselves
+//! are accepted without a poll). A socket client that stops reading
+//! for 5 s is disconnected.
 
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -153,7 +156,8 @@ fn main() {
 /// stdin/stdout mode. A reader thread feeds a channel so the main loop
 /// can poll the TERM flag every 50 ms even while stdin is idle. A line
 /// the framing refuses (over-long, not UTF-8) is answered with a typed
-/// `error` and skipped.
+/// `error` and skipped. Responses go through a `BufWriter` the service
+/// flushes once per burst, as in socket mode.
 fn serve_stdio(service: &Service) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel::<Framed>();
     std::thread::spawn(move || {
@@ -166,8 +170,7 @@ fn serve_stdio(service: &Service) -> std::io::Result<()> {
             }
         }
     });
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+    let mut out = BufWriter::new(std::io::stdout().lock());
     loop {
         if TERM.load(Ordering::SeqCst) {
             return service.shutdown(&mut out);

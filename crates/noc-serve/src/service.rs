@@ -5,14 +5,29 @@
 //! so one service instance is shared by every connection thread in
 //! socket mode ([`crate::socket`]) exactly as it is by the single
 //! stdin loop. [`Service::handle_line`] consumes one
-//! `noc-eval/serve/v1` request line and writes response lines (flushed
-//! per line, so a client — or the smoke harness's mid-run `SIGKILL` —
-//! always observes a whole-line prefix of the response stream).
+//! `noc-eval/serve/v1` request line and writes response lines.
+//!
+//! **The response writer.** Both transports hand the service a
+//! `BufWriter` over their stream. Every response is appended to it as
+//! one whole line (`json + '\n'`, a single `write_all`) and the stream
+//! is flushed per *burst*, in one helper called from two kinds of
+//! place: immediately before a batch waits on the pool for a result
+//! that is not there yet, and when the request line has been fully
+//! handled. A fully cached sweep is therefore one `write(2)`; a cold
+//! batch still streams point by point, because everything already in
+//! order has left before the server blocks on a worker. Whatever
+//! reaches the stream — a flush, or the buffer spilling on a response
+//! larger than itself — is a run of whole lines, so a client (or the
+//! smoke harness's mid-run `SIGKILL`) always observes a whole-line
+//! prefix of the response stream.
 //!
 //! **Concurrency model.** The queue, per-batch sequence counters,
 //! result cache, and draining flag live under one mutex that is held
 //! only for queue surgery and cache lookups/inserts — never across an
-//! evaluation or a write to a client. Every simulation in the process
+//! evaluation or a write to a client, and never while a point's cache
+//! key is formatted and hashed: the key is computed once, at admission,
+//! before the lock is taken, and rides in the queue entry to every
+//! later use. Every simulation in the process
 //! runs on the service's one [`Pool`] of `workers` long-lived threads,
 //! so `workers` bounds concurrent evaluations however many connections
 //! submit batches. A `run` answers its cache hits on the calling thread
@@ -31,9 +46,10 @@
 //! evicted key simply re-simulates to the bytes it had before.
 //!
 //! Each evaluated outcome is appended to the WAL *before* its result
-//! line is emitted, so any answer a client has seen is durable (modulo
-//! the batched-fsync window, which only a machine crash can lose — a
-//! killed process loses nothing).
+//! line is rendered into the writer — so before any flush can carry it
+//! — and any answer a client has seen is durable (modulo the
+//! batched-fsync window, which only a machine crash can lose — a killed
+//! process loses nothing).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -169,9 +185,17 @@ impl ResultCache {
     }
 }
 
+/// One admitted point: its sequence number within its batch label and
+/// its cache key, computed once at admission (off the state lock).
+struct Queued {
+    seq: u64,
+    point: PointRequest,
+    key: String,
+}
+
 /// The mutable service state one mutex guards (see module docs).
 struct ServeState {
-    queue: VecDeque<(u64, PointRequest)>,
+    queue: VecDeque<Queued>,
     next_seq: HashMap<String, u64>,
     cache: ResultCache,
     draining: bool,
@@ -278,16 +302,21 @@ impl Service {
         self.shared.counters.clients.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// A connection was turned away at the `--max-clients` bound;
-    /// returns the live-client count it saw.
-    pub fn client_rejected(&self) -> u64 {
+    /// Turn away a connection past the `--max-clients` bound: count
+    /// it, and answer the one typed `busy` response it is owed.
+    pub fn reject_client(&self, out: &mut dyn Write) -> io::Result<()> {
         self.shared.counters.busy.fetch_add(1, Ordering::SeqCst);
-        self.shared.counters.clients.load(Ordering::SeqCst)
+        let active = self.shared.counters.clients.load(Ordering::SeqCst);
+        self.emit(out, &ServeResponse::Busy { active, max: self.max_clients() as u64 })?;
+        flush_burst(out)
     }
 
-    /// Handle one request line, writing responses to `out` (flushed per
-    /// line). Returns `false` when the line was a `shutdown` request
-    /// and the service has finished draining.
+    /// Handle one request line, writing responses to `out`: whole
+    /// lines, flushed per burst — before any wait on the evaluation
+    /// pool, and once when the line is done (see the module docs; hand
+    /// over a `BufWriter` to get one `write(2)` per burst). Returns
+    /// `false` when the line was a `shutdown` request and the service
+    /// has finished draining.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> io::Result<bool> {
         self.handle_line_noting(line, out).map(|(alive, _)| alive)
     }
@@ -295,7 +324,8 @@ impl Service {
     /// Answer a line the transport refused to hand over (over-long, not
     /// UTF-8) with the one typed `error` response it is owed.
     pub fn refuse_line(&self, reason: String, out: &mut dyn Write) -> io::Result<()> {
-        self.emit(out, &ServeResponse::Error { reason })
+        self.emit(out, &ServeResponse::Error { reason })?;
+        flush_burst(out)
     }
 
     /// [`Service::handle_line`], also reporting the batch a `point` or
@@ -307,6 +337,14 @@ impl Service {
         line: &str,
         out: &mut dyn Write,
     ) -> io::Result<(bool, Option<String>)> {
+        let handled = self.dispatch(line, out)?;
+        flush_burst(out)?;
+        Ok(handled)
+    }
+
+    /// Parse one request line and act on it; responses are left in
+    /// `out` for the caller's end-of-line flush.
+    fn dispatch(&self, line: &str, out: &mut dyn Write) -> io::Result<(bool, Option<String>)> {
         let line = line.trim();
         if line.is_empty() {
             return Ok((true, None));
@@ -329,7 +367,7 @@ impl Service {
                 let dropped = {
                     let mut st = self.shared.st();
                     let before = st.queue.len();
-                    st.queue.retain(|(_, p)| p.batch != batch);
+                    st.queue.retain(|q| q.point.batch != batch);
                     (before - st.queue.len()) as u64
                 };
                 self.emit(out, &ServeResponse::Cancelled { batch, dropped })?;
@@ -357,13 +395,14 @@ impl Service {
         out: &mut dyn Write,
     ) -> io::Result<Option<ServeOutcome>> {
         let sh = &self.shared;
-        // everything derivable from the point alone happens before the
-        // lock; only queue surgery holds it
+        // everything derivable from the point alone — its cache key
+        // included — happens before the lock; only queue surgery holds it
         let verdict = match validate_point(&p) {
             Err(e) => Some(ServeOutcome::Invalid { reason: e.to_string() }),
             Ok(()) => admission_prune(&p, model),
         };
-        let (seq, answer) = {
+        let key = p.key();
+        let (seq, outcome) = {
             let mut st = sh.st();
             let seq = {
                 let c = st.next_seq.entry(p.batch.clone()).or_insert(0);
@@ -371,21 +410,20 @@ impl Service {
                 *c += 1;
                 seq
             };
-            let answer = if st.draining {
-                Some(ServeOutcome::Shed {
+            let outcome = if st.draining {
+                ServeOutcome::Shed {
                     reason: "service is draining; resubmit to the next instance".into(),
-                })
+                }
             } else if let Some(v) = verdict {
-                Some(v)
+                v
             } else if st.queue.len() >= sh.cfg.queue_capacity {
-                Some(self.overflow_answer(&p, st.queue.len()))
+                self.overflow_answer(&p, st.queue.len())
             } else {
-                st.queue.push_back((seq, p.clone()));
-                None
+                st.queue.push_back(Queued { seq, point: p, key });
+                return Ok(None);
             };
-            (seq, answer)
+            (seq, outcome)
         };
-        let Some(outcome) = answer else { return Ok(None) };
         match &outcome {
             ServeOutcome::Shed { .. } => {
                 sh.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -395,7 +433,7 @@ impl Service {
             }
             _ => {}
         }
-        self.answer(out, &p, seq, outcome.clone())?;
+        self.answer(out, p.batch, seq, key, outcome.clone())?;
         Ok(Some(outcome))
     }
 
@@ -429,7 +467,7 @@ impl Service {
         // patterns are the outermost axis and the only one the analytic
         // model depends on: one model serves each pattern's run of points
         let per_pattern = (sw.expanded_len() / sw.patterns.len() as u64) as usize;
-        let mut points = sw.expand().into_iter();
+        let mut points = sw.points();
         for _ in &sw.patterns {
             let mut model: ModelMemo = None;
             for p in points.by_ref().take(per_pattern) {
@@ -467,16 +505,23 @@ impl Service {
         out: &mut dyn Write,
     ) -> io::Result<Tally> {
         let sh = &self.shared;
-        let items: Vec<(u64, PointRequest, String, Option<ServeOutcome>)> = {
+        let items: Vec<(Queued, Option<ServeOutcome>)> = {
             let mut st = sh.st();
-            let (mine, rest): (VecDeque<_>, VecDeque<_>) =
-                std::mem::take(&mut st.queue).into_iter().partition(|(_, p)| p.batch == batch);
-            st.queue = rest;
+            let queue = std::mem::take(&mut st.queue);
+            // the usual case is one batch in flight per queue: nothing of
+            // another batch to put back
+            let mine = if queue.iter().all(|q| q.point.batch == batch) {
+                queue
+            } else {
+                let (mine, rest): (VecDeque<_>, VecDeque<_>) =
+                    queue.into_iter().partition(|q| q.point.batch == batch);
+                st.queue = rest;
+                mine
+            };
             mine.into_iter()
-                .map(|(seq, p)| {
-                    let key = p.key();
-                    let cached = st.cache.map.get(&key).cloned();
-                    (seq, p, key, cached)
+                .map(|q| {
+                    let cached = st.cache.map.get(&q.key).cloned();
+                    (q, cached)
                 })
                 .collect()
         };
@@ -494,7 +539,7 @@ impl Service {
 
         let (reply, arrivals) = mpsc::channel::<(usize, ServeResult)>();
         let mut slots: Vec<Option<ServeResult>> = Vec::with_capacity(items.len());
-        for (slot, (seq, p, key, cached)) in items.into_iter().enumerate() {
+        for (slot, (Queued { seq, point: p, key }, cached)) in items.into_iter().enumerate() {
             match cached {
                 Some(outcome) => {
                     sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -542,7 +587,8 @@ impl Service {
     /// The per-batch reorder buffer: `slots[i]` is point `i`'s result
     /// once known (cache hits start filled), and a result line goes out
     /// as soon as every lower slot has gone out — so a slow first point
-    /// holds back the bytes behind it, never the workers.
+    /// holds back the bytes behind it, never the workers. The stream is
+    /// flushed each time the next slot is still empty, before the wait.
     fn emit_in_order(
         &self,
         mut slots: Vec<Option<ServeResult>>,
@@ -553,6 +599,9 @@ impl Service {
         let mut next = 0;
         while next < slots.len() {
             let Some(r) = slots[next].take() else {
+                // about to wait on a worker: what is already in order
+                // leaves now, so a cold batch streams point by point
+                flush_burst(out)?;
                 // every job sends exactly one result (`eval_job` turns
                 // even an unwind into one), so the channel closing early
                 // would be a pool bug; fail the batch, not the server
@@ -592,7 +641,7 @@ impl Service {
                 }
             }
             None => loop {
-                let Some(batch) = self.shared.st().queue.front().map(|(_, p)| p.batch.clone())
+                let Some(batch) = self.shared.st().queue.front().map(|q| q.point.batch.clone())
                 else {
                     break;
                 };
@@ -602,7 +651,8 @@ impl Service {
         if let Some(w) = &self.shared.wal {
             w.commit()?;
         }
-        self.emit(out, &ServeResponse::Status(self.snapshot()))
+        self.emit(out, &ServeResponse::Status(self.snapshot()))?;
+        flush_burst(out)
     }
 
     /// The socket listener's final drain, after the last connection is
@@ -649,28 +699,30 @@ impl Service {
     fn answer(
         &self,
         out: &mut dyn Write,
-        p: &PointRequest,
+        batch: String,
         seq: u64,
+        key: String,
         outcome: ServeOutcome,
     ) -> io::Result<()> {
         self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.emit(
-            out,
-            &ServeResponse::Result(ServeResult {
-                batch: p.batch.clone(),
-                point: seq,
-                key: p.key(),
-                cached: false,
-                attempts: 0,
-                outcome,
-            }),
-        )
+        let result = ServeResult { batch, point: seq, key, cached: false, attempts: 0, outcome };
+        self.emit(out, &ServeResponse::Result(result))
     }
 
+    /// Append one response to the connection writer as a whole line, in
+    /// one write. Never flushes: see [`flush_burst`].
     fn emit(&self, out: &mut dyn Write, resp: &ServeResponse) -> io::Result<()> {
-        writeln!(out, "{}", resp.to_json())?;
-        out.flush()
+        let mut line = resp.to_json();
+        line.push('\n');
+        out.write_all(line.as_bytes())
     }
+}
+
+/// The one place a client stream is flushed (CI greps for a second).
+/// Called before a batch waits on the evaluation pool and when a
+/// request line is done, so every burst is a run of whole lines.
+fn flush_burst(stream: &mut dyn Write) -> io::Result<()> {
+    stream.flush()
 }
 
 impl Shared {

@@ -344,3 +344,115 @@ fn unreadable_lines_get_one_error_then_the_connection_closes() {
         server.join().unwrap().unwrap();
     });
 }
+
+/// Send `line` and read — 64 KiB at a time — until the response ends in
+/// a `sweep-done` line. Returns the response and the `read` calls it
+/// took.
+fn sweep_reads(stream: &mut UnixStream, line: &str) -> (String, usize) {
+    use std::io::Read;
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut got = Vec::new();
+    let mut chunk = vec![0u8; 1 << 16];
+    let mut reads = 0;
+    loop {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "server hung up mid-sweep");
+        got.extend_from_slice(&chunk[..n]);
+        reads += 1;
+        let text = std::str::from_utf8(&got).unwrap();
+        let last = text.strip_suffix('\n').and_then(|t| t.lines().last());
+        if last.is_some_and(|l| l.contains("\"resp\": \"sweep-done\"")) {
+            return (String::from_utf8(got).unwrap(), reads);
+        }
+    }
+}
+
+/// A cached sweep crosses the socket as one burst: the client, already
+/// blocked in `read` when the server starts answering, needs no more
+/// than two reads for all ten lines (a write per line would wake it for
+/// the first line alone).
+#[test]
+fn a_cached_sweep_reaches_the_client_in_one_burst() {
+    let sock = tmp("burst.sock");
+    let svc = Service::new(quick_cfg()).unwrap();
+    let term = AtomicBool::new(false);
+    let sw = noc_eval::serve::SweepRequest {
+        batch: "sw".into(),
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }).with_seed(5),
+        patterns: vec![PatternKind::Uniform],
+        loads: vec![0.05, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2],
+        seeds: 1,
+        packet_size: 1,
+        warmup: 200,
+        measure: 500,
+        drain_max: 5_000,
+        budget: None,
+        allow_degraded: false,
+        analytic_admission: false,
+        max_attempts: None,
+        deadline_ms: None,
+    };
+    let line = ServeRequest::Sweep(Box::new(sw)).to_json();
+    std::thread::scope(|scope| {
+        let server = {
+            let (svc, sock, term) = (&svc, &sock, &term);
+            scope.spawn(move || socket::serve(svc, sock, term))
+        };
+        let mut stream = connect(&sock);
+        let (cold, _) = sweep_reads(&mut stream, &line);
+        assert_eq!(cold.lines().count(), 10, "8 results, batch-done, sweep-done");
+        for _ in 0..5 {
+            let (cached, reads) = sweep_reads(&mut stream, &line);
+            assert_eq!(cached.lines().count(), 10);
+            assert_eq!(cached.matches("\"cached\": true").count(), 8);
+            assert!(reads <= 2, "a cached sweep took {reads} reads");
+        }
+        term.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
+    });
+}
+
+/// The listener blocks in `accept`: an idle server answers a new
+/// connection's first request at once, not at its next poll — and TERM
+/// still ends it with nobody connected, without the wake-up connection
+/// ever counting as a client.
+#[test]
+fn an_idle_listener_answers_at_once_and_still_hears_term() {
+    let sock = tmp("idle.sock");
+    let svc = Service::new(quick_cfg()).unwrap();
+    let term = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let server = {
+            let (svc, sock, term) = (&svc, &sock, &term);
+            scope.spawn(move || socket::serve(svc, sock, term))
+        };
+        drop(connect(&sock));
+        let mut answered = Vec::new();
+        for _ in 0..5 {
+            // idle for longer than a poll period, then time one exchange
+            std::thread::sleep(Duration::from_millis(70));
+            let t = Instant::now();
+            let stream = UnixStream::connect(&sock).unwrap();
+            let mut out = stream.try_clone().unwrap();
+            writeln!(out, "{}", ServeRequest::Health.to_json()).unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            answered.push(t.elapsed());
+            assert!(matches!(parse_response(line.trim()), Ok(ServeResponse::Health(_))), "{line}");
+        }
+        answered.sort();
+        // the median: one descheduled exchange is the host's business
+        assert!(answered[2] < Duration::from_millis(10), "connect-to-health took {answered:?}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while svc.snapshot().clients > 0 {
+            assert!(Instant::now() < deadline, "clients never left");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let t = Instant::now();
+        term.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
+        assert!(t.elapsed() < Duration::from_millis(500), "TERM took {:?}", t.elapsed());
+    });
+    let h = svc.snapshot();
+    assert_eq!((h.clients, h.busy), (0, 0), "the wake-up connection is not a client");
+}
