@@ -12,9 +12,19 @@
 //! reproduces the paper's Table I bold row.
 
 use noc_closedloop::BatchConfig;
+use noc_eval::serve::{parse_arb, parse_pattern, parse_routing, parse_topology};
 use noc_openloop::OpenLoopConfig;
-use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
+use noc_sim::config::NetConfig;
 use noc_traffic::{PatternKind, SizeKind};
+
+/// Printed on any argument error. The topology, routing, arbitration
+/// and pattern names are the `noc-eval/serve/v1` wire names.
+const USAGE: &str = "\
+flags: --topology meshK|torusK|ftorusK|ringN  --routing dor|val|romm|ma
+       --vcs N --buf N --tr N --arb rr|age --seed N
+       --pattern uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor|hotspot:NODE:FRAC
+       --size 1|N|bimodal --load F --batch N --m N
+       --metrics BIN_WIDTH --metrics-out FILE.json --analytic";
 
 struct Args {
     net: NetConfig,
@@ -49,46 +59,23 @@ fn parse_args() -> Result<Args, String> {
         let val = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
         match flag {
             "--topology" => {
-                net.topology = match val.as_str() {
-                    "mesh8" => TopologyKind::Mesh2D { k: 8 },
-                    "mesh16" => TopologyKind::Mesh2D { k: 16 },
-                    "mesh4" => TopologyKind::Mesh2D { k: 4 },
-                    "torus8" => TopologyKind::FoldedTorus2D { k: 8 },
-                    "ring64" => TopologyKind::Ring { n: 64 },
-                    other => return Err(format!("unknown topology `{other}`")),
-                }
+                net.topology =
+                    parse_topology(val).ok_or_else(|| format!("unknown topology `{val}`"))?
             }
             "--routing" => {
-                net.routing = match val.as_str() {
-                    "dor" => RoutingKind::Dor,
-                    "val" => RoutingKind::Valiant,
-                    "romm" => RoutingKind::Romm,
-                    "ma" => RoutingKind::MinAdaptive,
-                    other => return Err(format!("unknown routing `{other}`")),
-                }
+                net.routing =
+                    parse_routing(val).ok_or_else(|| format!("unknown routing `{val}`"))?
             }
             "--vcs" => net.vcs = val.parse().map_err(|e| format!("--vcs: {e}"))?,
             "--buf" => net.vc_buf = val.parse().map_err(|e| format!("--buf: {e}"))?,
             "--tr" => net.router_delay = val.parse().map_err(|e| format!("--tr: {e}"))?,
             "--arb" => {
-                net.arbitration = match val.as_str() {
-                    "rr" => Arbitration::RoundRobin,
-                    "age" => Arbitration::AgeBased,
-                    other => return Err(format!("unknown arbitration `{other}`")),
-                }
+                net.arbitration =
+                    parse_arb(val).ok_or_else(|| format!("unknown arbitration `{val}`"))?
             }
             "--seed" => net.seed = val.parse().map_err(|e| format!("--seed: {e}"))?,
             "--pattern" => {
-                pattern = match val.as_str() {
-                    "uniform" => PatternKind::Uniform,
-                    "transpose" => PatternKind::Transpose,
-                    "bitcomp" => PatternKind::BitComplement,
-                    "bitrev" => PatternKind::BitReversal,
-                    "shuffle" => PatternKind::Shuffle,
-                    "tornado" => PatternKind::Tornado,
-                    "neighbor" => PatternKind::Neighbor,
-                    other => return Err(format!("unknown pattern `{other}`")),
-                }
+                pattern = parse_pattern(val).ok_or_else(|| format!("unknown pattern `{val}`"))?
             }
             "--size" => {
                 size = match val.as_str() {
@@ -132,13 +119,7 @@ fn main() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "flags: --topology mesh4|mesh8|mesh16|torus8|ring64  --routing dor|val|romm|ma"
-            );
-            eprintln!("       --vcs N --buf N --tr N --arb rr|age --seed N");
-            eprintln!("       --pattern uniform|transpose|bitcomp|bitrev|shuffle|tornado|neighbor");
-            eprintln!("       --size 1|N|bimodal --load F --batch N --m N");
-            eprintln!("       --metrics BIN_WIDTH --metrics-out FILE.json --analytic");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
@@ -150,8 +131,17 @@ fn main() {
         eprintln!("{}", noc_verify::verify(&net));
         std::process::exit(2);
     }
-    println!("{}", noc_verify::verify(&net).one_line());
     let topo = net.topology.build();
+    if let PatternKind::Hotspot { node, frac } = pattern {
+        if node >= topo.num_nodes() || !(0.0..=1.0).contains(&frac) {
+            eprintln!(
+                "error: hotspot:{node}:{frac} needs NODE < {} and FRAC in 0..=1",
+                topo.num_nodes()
+            );
+            std::process::exit(2);
+        }
+    }
+    println!("{}", noc_verify::verify(&net).one_line());
     println!(
         "network: {} | {:?} routing | {} VCs x {} flits | tr={} | {:?}",
         topo.name(),
@@ -268,5 +258,43 @@ fn main() {
                 &points
             )
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_eval::serve::{arb_name, pattern_name, routing_name, topology_name};
+
+    /// The `|`-separated names `USAGE` lists after `flag`, with the
+    /// placeholders filled in.
+    fn usage_names(flag: &str) -> Vec<String> {
+        let list = USAGE.split(flag).nth(1).expect("flag in usage");
+        let list = list.split_whitespace().next().expect("names after the flag");
+        list.split('|').map(|n| n.replace("NODE:FRAC", "5:0.25").replace(['K', 'N'], "8")).collect()
+    }
+
+    /// `parse_x(n) == Some(v)` and `x_name(v) == n`, so
+    /// `parse_x(x_name(v)) == Some(v)`: one name table, both ways.
+    #[test]
+    fn every_name_in_usage_is_the_wire_name_of_what_it_parses_to() {
+        for n in usage_names("--topology ") {
+            let v = parse_topology(&n).unwrap_or_else(|| panic!("topology `{n}`"));
+            assert_eq!(topology_name(v), n);
+        }
+        for n in usage_names("--routing ") {
+            let v = parse_routing(&n).unwrap_or_else(|| panic!("routing `{n}`"));
+            assert_eq!(routing_name(v), n);
+        }
+        for n in usage_names("--arb ") {
+            let v = parse_arb(&n).unwrap_or_else(|| panic!("arbitration `{n}`"));
+            assert_eq!(arb_name(v), n);
+        }
+        for n in usage_names("--pattern ") {
+            let v = parse_pattern(&n).unwrap_or_else(|| panic!("pattern `{n}`"));
+            assert_eq!(pattern_name(v), n);
+        }
+        assert_eq!(usage_names("--topology "), ["mesh8", "torus8", "ftorus8", "ring8"]);
+        assert_eq!(usage_names("--pattern ").len(), 8);
     }
 }

@@ -96,6 +96,8 @@ const ENTRIES: &[Entry] = &[
     ("ext_trace", |e| figures::ext_trace(e).render()),
     ("ext_bottleneck", |e| figures::ext_bottleneck(e).render()),
     ("ext_patterns", ext_patterns),
+    ("ext_degradation", ext_degradation),
+    ("ext_resilience", |e| figures::resilience_figure(e).render()),
     ("metrics", |e| figures::metrics_showcase(e).render()),
     ("analytic", |e| {
         noc_eval::analytic_study(&noc_eval::default_cases(), e, 300.0)
@@ -168,6 +170,60 @@ fn ext_patterns(e: &Effort) -> String {
     out
 }
 
+/// Extension: graceful degradation — delivered fraction,
+/// retransmissions and post-fault latency/throughput vs. number of
+/// failed links on the 8x8 mesh (4x4 under `quick`), uniform traffic
+/// at moderate load. Each point runs through the crash-proof grid: a
+/// panicking or non-settling fault scenario is reported in place, never
+/// able to poison the rest of the curve. Byte-identical across runs and
+/// thread counts; `noc-fault`'s `degradation_golden` test pins the
+/// `quick` rows.
+fn ext_degradation(e: &Effort) -> String {
+    use noc_exp::PointOutcome;
+    use noc_fault::{degradation_sweep, DegradationConfig};
+    use noc_openloop::OpenLoopConfig;
+    use noc_sim::config::{NetConfig, TopologyKind};
+
+    let quick = e.warmup < 5_000;
+    let k = if quick { 4 } else { 8 };
+    let base = OpenLoopConfig {
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k }),
+        load: 0.15,
+        warmup: e.warmup,
+        measure: e.measure,
+        drain_max: e.drain,
+        ..OpenLoopConfig::default()
+    };
+    let max_links = if quick { 4 } else { 8 };
+    let cfg = DegradationConfig::new(base, max_links);
+
+    let mut out = format!(
+        "== graceful degradation: {k}x{k} mesh, uniform, load 0.15 ==\n\
+         links  delivered            retx     abandoned  dropped  latency   thruput"
+    );
+    for outcome in degradation_sweep(&cfg) {
+        out.push('\n');
+        let _ = match outcome {
+            PointOutcome::Ok(p) => write!(
+                out,
+                "{:<6} {:<20} {:<8} {:<10} {:<8} {:<9.2} {:.4}",
+                p.failed_links,
+                p.delivered.to_string(),
+                p.retransmissions,
+                p.abandoned,
+                p.packets_dropped,
+                p.avg_latency,
+                p.throughput
+            ),
+            PointOutcome::Panicked { message } => write!(out, "point PANICKED: {message}"),
+            PointOutcome::Diverged { budget } => {
+                write!(out, "point DIVERGED (budget {budget} cycles)")
+            }
+        };
+    }
+    out
+}
+
 fn main() {
     let names: Vec<&str> = ENTRIES.iter().map(|&(name, _)| name).collect();
     let (effort, selected) = noc_bench::parse_args(&names);
@@ -222,7 +278,7 @@ mod tests {
         }
 
         let quick = Effort::quick();
-        for cheap in ["table1", "table2", "table4", "fig12"] {
+        for cheap in ["table1", "table2", "table4", "fig12", "ext_degradation"] {
             let &(_, render) = ENTRIES.iter().find(|&&(n, _)| n == cheap).expect("cheap entry");
             assert!(!render(&quick).trim().is_empty(), "`{cheap}` rendered nothing");
         }

@@ -1,11 +1,11 @@
 //! # noc-bench — benchmark harness
 //!
 //! `repro` regenerates every paper table and figure (`fig01`..`fig22`,
-//! `table1`..`table4`, the `ext_*` extensions) from one ordered table
-//! of named entries; `explore`, the fault/analytic sweeps and
-//! `serve_replay` drive the other runtime surfaces; the criterion
-//! ablation benches live under `benches/`. Speed is tracked by the repo
-//! benchmark (`benchmark/`), not here.
+//! `table1`..`table4`, the `ext_*` extensions, the fault layer's two
+//! curves among them) from one ordered table of named entries;
+//! `explore`, `analytic_smoke` and `serve_replay` drive the other
+//! runtime surfaces. Speed is tracked by the repo benchmark
+//! (`benchmark/`), not here.
 //!
 //! Every effort-scaled binary takes `[quick|paper] [NAME…]`: `quick`
 //! is seconds and CI-sized, `paper` (the default) is the full

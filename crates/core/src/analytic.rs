@@ -3,8 +3,8 @@
 //! correlation study: predict each configuration's saturation
 //! throughput with `noc-analytic`, measure it with `noc-openloop`'s
 //! bisection search, and report per-case relative errors plus the
-//! Pearson correlation. Results export to the `noc-eval/analytic/v1`
-//! JSON schema through the shared codec in [`crate::json`].
+//! Pearson correlation. Rendered by `repro analytic` and gated by
+//! `analytic_smoke`; the study has no file export.
 
 use noc_analytic::AnalyticModel;
 use noc_openloop::{saturation_throughput, OpenLoopConfig, SweepPoint};
@@ -14,10 +14,6 @@ use noc_stats::pearson;
 use noc_traffic::{PatternKind, SizeKind};
 
 use crate::effort::Effort;
-use crate::json::{rows, Obj, Record};
-
-/// Schema tag emitted and required by this module.
-pub const ANALYTIC_SCHEMA: &str = "noc-eval/analytic/v1";
 
 /// One cross-validation case: a labeled `(network, pattern)` point.
 pub type AnalyticCase = (String, NetConfig, PatternKind);
@@ -148,54 +144,6 @@ impl AnalyticStudy {
     }
 }
 
-/// Serialize a study to the `noc-eval/analytic/v1` schema: one point
-/// record per line so the parser (and grep) can scan line by line.
-pub fn analytic_to_json(s: &AnalyticStudy) -> String {
-    let points = s.points.iter().map(|p| {
-        Obj::new()
-            .str("label", &p.label)
-            .val("certified", p.certified)
-            .fixed("ideal", p.ideal, 6)
-            .fixed("predicted", p.predicted, 6)
-            .fixed("measured_lo", p.measured_lo, 6)
-            .fixed("measured_hi", p.measured_hi, 6)
-            .fixed("rel_err", p.rel_err, 6)
-    });
-    Obj::document(ANALYTIC_SCHEMA)
-        .val("latency_cap", s.latency_cap)
-        .val("r", s.r.map_or("null".into(), |r| format!("{r:.6}")))
-        .fixed("max_rel_err", s.max_rel_err, 6)
-        .fixed("mean_rel_err", s.mean_rel_err, 6)
-        .val("points", rows(2, points))
-        .finish()
-}
-
-/// Parse the `noc-eval/analytic/v1` schema. Any structural problem —
-/// a foreign schema tag, a malformed line, a missing or mistyped
-/// field, no point records — is an error string, never a panic.
-pub fn parse_analytic_json(text: &str) -> Result<AnalyticStudy, String> {
-    let doc = Record::parse(text)?;
-    doc.expect_schema(ANALYTIC_SCHEMA)?;
-    let point = |row: &Record<'_>| {
-        Ok(AnalyticPoint {
-            label: row.req("label")?,
-            certified: row.req("certified")?,
-            ideal: row.req("ideal")?,
-            predicted: row.req("predicted")?,
-            measured_lo: row.req("measured_lo")?,
-            measured_hi: row.req("measured_hi")?,
-            rel_err: row.req("rel_err")?,
-        })
-    };
-    Ok(AnalyticStudy {
-        latency_cap: doc.req("latency_cap")?,
-        points: doc.records("points")?.iter().map(point).collect::<Result<_, String>>()?,
-        r: doc.opt("r")?,
-        max_rel_err: doc.req("max_rel_err")?,
-        mean_rel_err: doc.req("mean_rel_err")?,
-    })
-}
-
 /// Overlay the model's predicted latency-load curve on measured sweep
 /// points, as an ASCII plot.
 pub fn analytic_overlay(title: &str, model: &AnalyticModel, measured: &[SweepPoint]) -> String {
@@ -276,38 +224,6 @@ mod tests {
             p.measured_hi
         );
         assert!(s.render().contains("mesh4/uniform"));
-    }
-
-    #[test]
-    fn json_round_trips_through_own_parser() {
-        let s = tiny_study();
-        let json = analytic_to_json(&s);
-        assert!(json.contains(ANALYTIC_SCHEMA));
-        let parsed = parse_analytic_json(&json).unwrap();
-        assert_eq!(parsed.points.len(), s.points.len());
-        assert_eq!(parsed.latency_cap, s.latency_cap);
-        for (a, b) in parsed.points.iter().zip(&s.points) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.certified, b.certified);
-            assert!((a.predicted - b.predicted).abs() < 1e-5);
-            assert!((a.measured_lo - b.measured_lo).abs() < 1e-5);
-            assert!((a.rel_err - b.rel_err).abs() < 1e-5);
-        }
-        assert!((parsed.max_rel_err - s.max_rel_err).abs() < 1e-5);
-        if let (Some(pr), Some(sr)) = (parsed.r, s.r) {
-            assert!((pr - sr).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn foreign_or_corrupt_json_degrades_without_panicking() {
-        assert!(parse_analytic_json("{}").is_err());
-        assert!(parse_analytic_json("{\"schema\": \"noc-eval/metrics/v1\"}").is_err());
-        let hollow = format!(
-            "{{\"schema\": \"{ANALYTIC_SCHEMA}\",\n\"latency_cap\": 300,\n\
-             \"max_rel_err\": 0,\n\"mean_rel_err\": 0,\n\"points\": []\n}}"
-        );
-        assert!(parse_analytic_json(&hollow).is_err());
     }
 
     #[test]

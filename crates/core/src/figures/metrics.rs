@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn foreign_or_corrupt_json_degrades_without_panicking() {
         assert!(parse_metrics_json("{}").is_err());
-        assert!(parse_metrics_json("{\"schema\": \"noc-eval/analytic/v1\"}").is_err());
+        assert!(parse_metrics_json("{\"schema\": \"noc-eval/serve/v1\"}").is_err());
         // header but no channels
         let hollow = format!(
             "{{\"schema\": \"{METRICS_SCHEMA}\",\n\"bin_width\": 1,\n\"cycles\": 1,\n\

@@ -1,11 +1,8 @@
 //! The resilience figure: delivered fraction and recovery latency vs.
 //! link availability under intermittent fault-and-repair timelines,
 //! with one curve per [`RecoveryMode`] — so the link-level-retry vs.
-//! end-to-end-retransmission trade-off is a single picture.
-//!
-//! Export has the `noc-eval/metrics/v1` shape: a schema-versioned
-//! header (`noc-eval/resilience/v1`), then one point record per line,
-//! through the shared codec in [`crate::json`].
+//! end-to-end-retransmission trade-off is a single picture. Rendered
+//! by `repro ext_resilience`; it has no file export.
 
 use noc_exp::PointOutcome;
 use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
@@ -14,10 +11,7 @@ use noc_sim::config::{NetConfig, TopologyKind};
 
 use super::{render_curves, Curve};
 use crate::effort::Effort;
-use crate::json::{rows, Obj, Record};
-
-/// Schema tag emitted and required by this module.
-pub const RESILIENCE_SCHEMA: &str = "noc-eval/resilience/v1";
+use crate::report::render_table;
 
 /// One recovery mode's resilience curve.
 #[derive(Debug, Clone)]
@@ -26,8 +20,9 @@ pub struct ResilienceCurve {
     pub mode: String,
     /// Successful sweep points, one per `(mtbf, mttr)` axis entry.
     pub points: Vec<ResiliencePoint>,
-    /// Axis entries that diverged or panicked instead of settling.
-    pub failed_points: usize,
+    /// One message per axis entry that diverged or panicked instead
+    /// of settling.
+    pub failed: Vec<String>,
 }
 
 /// The resilience showcase: all four recovery modes swept over the
@@ -70,14 +65,19 @@ pub fn resilience_figure(effort: &Effort) -> ResilienceFigure {
         .map(|&mode| {
             let cfg = ResilienceConfig::new(base.clone(), axis.clone()).with_recovery(mode);
             let mut points = Vec::new();
-            let mut failed_points = 0;
-            for o in resilience_sweep(&cfg) {
+            let mut failed = Vec::new();
+            for (o, (mtbf, _)) in resilience_sweep(&cfg).into_iter().zip(&axis) {
                 match o {
                     PointOutcome::Ok(p) => points.push(p),
-                    _ => failed_points += 1,
+                    PointOutcome::Panicked { message } => {
+                        failed.push(format!("mtbf {mtbf} PANICKED: {message}"))
+                    }
+                    PointOutcome::Diverged { budget } => {
+                        failed.push(format!("mtbf {mtbf} DIVERGED (budget {budget} cycles)"))
+                    }
                 }
             }
-            ResilienceCurve { mode: mode.label().into(), points, failed_points }
+            ResilienceCurve { mode: mode.label().into(), points, failed }
         })
         .collect();
     ResilienceFigure { curves, axis }
@@ -122,106 +122,47 @@ impl ResilienceFigure {
             "resilience: recovery latency after last repair vs link MTBF",
             &self.recovery_curves(),
         ));
-        out.push_str("mode      mtbf    avail   delivered  retx  replays  epochs  recovery\n");
+        let mut rows = Vec::new();
         for c in &self.curves {
             for p in &c.points {
-                out.push_str(&format!(
-                    "{:<9} {:<7} {:.4}  {:<9} {:<5} {:<8} {:<7} {}\n",
-                    c.mode,
-                    p.mtbf,
-                    p.availability,
-                    format!("{}", p.delivered),
-                    p.retransmissions,
-                    p.link_replays,
-                    p.epochs,
-                    p.recovery_cycles,
-                ));
+                rows.push(vec![
+                    c.mode.clone(),
+                    p.mtbf.to_string(),
+                    p.mttr.to_string(),
+                    format!("{:.4}", p.availability),
+                    p.delivered.to_string(),
+                    p.retransmissions.to_string(),
+                    p.link_replays.to_string(),
+                    p.epochs.to_string(),
+                    p.recovery_cycles.to_string(),
+                    format!("{:.2}", p.avg_latency),
+                ]);
             }
-            if c.failed_points > 0 {
-                out.push_str(&format!(
-                    "{:<9} {} point(s) diverged or panicked\n",
-                    c.mode, c.failed_points
-                ));
+        }
+        // every column sized from its widest cell: `6250/6250 (100.0%)`
+        // must not push the columns after `delivered` out of line
+        out.push_str(&render_table(
+            &[
+                "mode",
+                "mtbf",
+                "mttr",
+                "avail",
+                "delivered",
+                "retx",
+                "replays",
+                "epochs",
+                "recovery",
+                "latency",
+            ],
+            &rows,
+        ));
+        for c in &self.curves {
+            for message in &c.failed {
+                out.push_str(&format!("{}: {message}\n", c.mode));
             }
         }
         out
     }
-}
-
-/// Serialize a figure to the `noc-eval/resilience/v1` schema: one
-/// point record per line so the parser (and humans with grep) can scan
-/// it line by line.
-pub fn resilience_to_json(fig: &ResilienceFigure) -> String {
-    let curves = fig.curves.iter().map(|c| {
-        let points = c.points.iter().map(|p| {
-            Obj::new()
-                .val("mtbf", p.mtbf)
-                .val("mttr", p.mttr)
-                .fixed("availability", p.availability, 6)
-                .val("delivered_num", p.delivered.num)
-                .val("delivered_den", p.delivered.den)
-                .val("retransmissions", p.retransmissions)
-                .val("link_replays", p.link_replays)
-                .val("replay_drops", p.replay_drops)
-                .val("epochs", p.epochs)
-                .val("recovery_cycles", p.recovery_cycles)
-                .fixed("avg_latency", p.avg_latency, 4)
-                .val("digest", p.digest)
-                .val("cycles", p.cycles)
-        });
-        Obj::new()
-            .str("mode", &c.mode)
-            .val("failed_points", c.failed_points)
-            .val("points", rows(4, points))
-    });
-    Obj::document(RESILIENCE_SCHEMA)
-        .val("axis_points", fig.axis.len())
-        .val("curves", rows(2, curves))
-        .finish()
-}
-
-/// The subset of a resilience file the parser recovers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedResilience {
-    /// `(mode, mtbf, availability, delivered fraction, recovery_cycles)`
-    /// per point record, in file order.
-    pub points: Vec<(String, u64, f64, f64, u64)>,
-}
-
-/// Parse the `noc-eval/resilience/v1` schema. Any structural problem
-/// returns an error string, never a panic.
-pub fn parse_resilience_json(text: &str) -> Result<ParsedResilience, String> {
-    let doc = Record::parse(text)?;
-    doc.expect_schema(RESILIENCE_SCHEMA)?;
-    let mut points = Vec::new();
-    for curve in doc.records("curves")? {
-        let mode: String = curve.req("mode")?;
-        for p in curve.req::<Vec<Record<'_>>>("points")? {
-            let (num, den): (u64, u64) = (p.req("delivered_num")?, p.req("delivered_den")?);
-            let delivered = if den == 0 { 1.0 } else { num as f64 / den as f64 };
-            let (mtbf, avail, recovery) =
-                (p.req("mtbf")?, p.req("availability")?, p.req("recovery_cycles")?);
-            points.push((mode.clone(), mtbf, avail, delivered, recovery));
-        }
-    }
-    if points.is_empty() {
-        return Err("schema header found but no point records parsed".into());
-    }
-    Ok(ParsedResilience { points })
-}
-
-/// Parse and check plausibility: availability and delivered fraction
-/// must both be probabilities.
-pub fn validate_resilience_json(text: &str) -> Result<ParsedResilience, String> {
-    let parsed = parse_resilience_json(text)?;
-    for (mode, mtbf, avail, delivered, _) in &parsed.points {
-        if !(0.0..=1.0).contains(avail) || !(0.0..=1.0).contains(delivered) {
-            return Err(format!(
-                "implausible point ({mode}, mtbf {mtbf}): availability {avail}, delivered {delivered}"
-            ));
-        }
-    }
-    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -239,7 +180,7 @@ mod tests {
         let fig = quick_figure();
         assert_eq!(fig.curves.len(), 4);
         for c in &fig.curves {
-            assert_eq!(c.points.len() + c.failed_points, fig.axis.len(), "{}", c.mode);
+            assert_eq!(c.points.len() + c.failed.len(), fig.axis.len(), "{}", c.mode);
         }
         // every point's availability is a probability and < 1 (it flaps)
         for c in &fig.curves {
@@ -260,29 +201,24 @@ mod tests {
         assert!(r.contains("combined"));
     }
 
+    /// On every row — the fully recovered `N/N (100.0%)` ones included
+    /// — each value starts at its header's byte offset.
     #[test]
-    fn json_round_trips_and_validates() {
+    fn table_columns_start_at_their_headers() {
         let fig = quick_figure();
-        let json = resilience_to_json(&fig);
-        assert!(json.contains(RESILIENCE_SCHEMA));
-        let parsed = validate_resilience_json(&json).unwrap();
-        let expect: usize = fig.curves.iter().map(|c| c.points.len()).sum();
-        assert_eq!(parsed.points.len(), expect);
-        // modes arrive in figure order with the right point counts
-        for c in &fig.curves {
-            assert_eq!(parsed.points.iter().filter(|(m, ..)| m == &c.mode).count(), c.points.len());
+        let text = fig.render();
+        let mut lines = text.lines().skip_while(|l| !l.starts_with("mode "));
+        let header = lines.next().expect("table header");
+        let at = |name| header.find(name).expect("column header");
+        let points: Vec<_> = fig.curves.iter().flat_map(|c| &c.points).collect();
+        let rows: Vec<&str> = lines.skip(1).take(points.len()).collect();
+        assert_eq!(rows.len(), points.len());
+        assert!(points.iter().any(|p| p.delivered.is_complete()));
+        for (p, row) in points.iter().zip(rows) {
+            assert!(row[at("avail")..].starts_with(&format!("{:.4} ", p.availability)), "{row}");
+            assert!(row[at("retx")..].starts_with(&format!("{} ", p.retransmissions)), "{row}");
+            assert!(row[at("recovery")..].starts_with(&format!("{} ", p.recovery_cycles)), "{row}");
+            assert!(row[at("latency")..].starts_with(&format!("{:.2}", p.avg_latency)), "{row}");
         }
-    }
-
-    #[test]
-    fn foreign_or_corrupt_json_degrades_without_panicking() {
-        assert!(parse_resilience_json("{}").is_err());
-        assert!(parse_resilience_json("{\"schema\": \"noc-eval/metrics/v1\"}").is_err());
-        let hollow = format!("{{\"schema\": \"{RESILIENCE_SCHEMA}\"}}");
-        assert!(parse_resilience_json(&hollow).is_err());
-        let fig = quick_figure();
-        let doctored =
-            resilience_to_json(&fig).replacen("\"availability\": 0.", "\"availability\": 7.", 1);
-        assert!(validate_resilience_json(&doctored).is_err());
     }
 }

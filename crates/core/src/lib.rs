@@ -17,9 +17,8 @@
 //! * [`effort`] — scaling knobs: `quick` for tests, `paper` for the full
 //!   reproduction.
 //! * [`analytic`] — cross-validation of `noc-analytic`'s static
-//!   predictions against the simulator, exported as
-//!   `noc-eval/analytic/v1` JSON, plus predicted-vs-measured overlays
-//!   and static channel-load heatmaps.
+//!   predictions against the simulator, plus predicted-vs-measured
+//!   overlays and static channel-load heatmaps.
 //! * [`serve`] — the `noc-eval/serve/v1` line protocol spoken by the
 //!   long-running evaluation service (`noc-serve`): typed requests and
 //!   the outcome ladder.
@@ -39,8 +38,7 @@ pub mod report;
 pub mod serve;
 
 pub use analytic::{
-    analytic_overlay, analytic_study, analytic_to_json, default_cases, load_heatmap,
-    parse_analytic_json, AnalyticPoint, AnalyticStudy, ANALYTIC_SCHEMA,
+    analytic_overlay, analytic_study, default_cases, load_heatmap, AnalyticPoint, AnalyticStudy,
 };
 pub use bridge::{batch_for_profile, BatchExtension};
 pub use correlate::{correlate_cmp_batch, correlate_open_batch, CmpBatchOutcome, OpenBatchOutcome};

@@ -104,7 +104,8 @@ pub fn topology_name(t: TopologyKind) -> String {
     }
 }
 
-fn parse_topology(s: &str) -> Option<TopologyKind> {
+/// Inverse of [`topology_name`].
+pub fn parse_topology(s: &str) -> Option<TopologyKind> {
     let take = |prefix: &str| -> Option<usize> { s.strip_prefix(prefix)?.parse().ok() };
     if let Some(k) = take("mesh") {
         return Some(TopologyKind::Mesh2D { k });
@@ -128,7 +129,8 @@ pub fn routing_name(r: RoutingKind) -> &'static str {
     }
 }
 
-fn parse_routing(s: &str) -> Option<RoutingKind> {
+/// Inverse of [`routing_name`].
+pub fn parse_routing(s: &str) -> Option<RoutingKind> {
     match s {
         "dor" => Some(RoutingKind::Dor),
         "val" => Some(RoutingKind::Valiant),
@@ -146,7 +148,8 @@ pub fn arb_name(a: Arbitration) -> &'static str {
     }
 }
 
-fn parse_arb(s: &str) -> Option<Arbitration> {
+/// Inverse of [`arb_name`].
+pub fn parse_arb(s: &str) -> Option<Arbitration> {
     match s {
         "rr" => Some(Arbitration::RoundRobin),
         "age" => Some(Arbitration::AgeBased),
@@ -169,7 +172,8 @@ pub fn pattern_name(p: PatternKind) -> String {
     }
 }
 
-fn parse_pattern(s: &str) -> Option<PatternKind> {
+/// Inverse of [`pattern_name`].
+pub fn parse_pattern(s: &str) -> Option<PatternKind> {
     match s {
         "uniform" => return Some(PatternKind::Uniform),
         "transpose" => return Some(PatternKind::Transpose),

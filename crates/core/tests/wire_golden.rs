@@ -7,19 +7,14 @@
 //! back through the parsers, which pins that files and WAL records
 //! written by an earlier revision still read as the same values.
 
-use noc_eval::analytic::{analytic_to_json, parse_analytic_json, AnalyticPoint, AnalyticStudy};
-use noc_eval::figures::{
-    metrics_to_json, parse_metrics_json, parse_resilience_json, resilience_to_json,
-    ResilienceCurve, ResilienceFigure,
-};
+use noc_eval::figures::{metrics_to_json, parse_metrics_json};
 use noc_eval::serve::{
     parse_request, parse_response, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest,
     ServeResponse, ServeResult, SweepRequest,
 };
-use noc_fault::ResiliencePoint;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_sim::{ChannelMetrics, MetricsSnapshot, RouterMetrics};
-use noc_stats::{OnlineStats, Ratio, TimeSeries};
+use noc_stats::{OnlineStats, TimeSeries};
 use noc_traffic::PatternKind;
 
 /// Quotes, a backslash, a solidus, every short escape, control bytes
@@ -366,111 +361,4 @@ fn metrics_document_is_pinned() {
         (4, 8, 6, 5)
     );
     assert_eq!(parsed.channels, vec![(0, 1, 1, 5), (1, 2, 0, 0)]);
-}
-
-#[test]
-fn analytic_document_is_pinned() {
-    let point = |label: &str, certified: bool, predicted: f64| AnalyticPoint {
-        label: label.into(),
-        certified,
-        ideal: 0.5,
-        predicted,
-        measured_lo: 0.37,
-        measured_hi: 0.39,
-        rel_err: 0.0123456789,
-    };
-    let study = AnalyticStudy {
-        latency_cap: 300.0,
-        points: vec![point("mesh4/uniform", true, 0.395), point("torus8/tornado", false, 0.1)],
-        r: Some(0.98765432),
-        max_rel_err: 0.0123456789,
-        mean_rel_err: 0.01,
-    };
-    let want = r#"{
-  "schema": "noc-eval/analytic/v1",
-  "latency_cap": 300,
-  "r": 0.987654,
-  "max_rel_err": 0.012346,
-  "mean_rel_err": 0.010000,
-  "points": [
-    {"label": "mesh4/uniform", "certified": true, "ideal": 0.500000, "predicted": 0.395000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346},
-    {"label": "torus8/tornado", "certified": false, "ideal": 0.500000, "predicted": 0.100000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346}
-  ]
-}
-"#;
-    assert_eq!(analytic_to_json(&study), want);
-    let parsed = parse_analytic_json(want).unwrap();
-    assert_eq!(parsed.latency_cap, 300.0);
-    assert_eq!(parsed.r, Some(0.987654));
-    assert_eq!((parsed.max_rel_err, parsed.mean_rel_err), (0.012346, 0.01));
-    let rows: Vec<_> =
-        parsed.points.iter().map(|p| (&*p.label, p.certified, p.predicted)).collect();
-    assert_eq!(rows, vec![("mesh4/uniform", true, 0.395), ("torus8/tornado", false, 0.1)]);
-
-    let no_r = AnalyticStudy { r: None, points: vec![point("one", true, 0.25)], ..study };
-    let want = r#"{
-  "schema": "noc-eval/analytic/v1",
-  "latency_cap": 300,
-  "r": null,
-  "max_rel_err": 0.012346,
-  "mean_rel_err": 0.010000,
-  "points": [
-    {"label": "one", "certified": true, "ideal": 0.500000, "predicted": 0.250000, "measured_lo": 0.370000, "measured_hi": 0.390000, "rel_err": 0.012346}
-  ]
-}
-"#;
-    assert_eq!(analytic_to_json(&no_r), want);
-    assert_eq!(parse_analytic_json(want).unwrap().r, None);
-}
-
-#[test]
-fn resilience_document_is_pinned() {
-    let point = |mtbf: u64, num: u64| ResiliencePoint {
-        mtbf,
-        mttr: mtbf / 8,
-        availability: 0.987654321,
-        delivered: Ratio::new(num, 1_000),
-        retransmissions: 12,
-        abandoned: 0,
-        link_replays: 3,
-        replay_drops: 1,
-        epochs: 6,
-        recovery_cycles: 250,
-        avg_latency: 21.23456,
-        digest: u64::MAX,
-        cycles: 4_000,
-    };
-    let fig = ResilienceFigure {
-        curves: vec![
-            ResilienceCurve {
-                mode: "none".into(),
-                points: vec![point(400, 990), point(800, 1_000)],
-                failed_points: 0,
-            },
-            ResilienceCurve { mode: "e2e".into(), points: vec![], failed_points: 2 },
-        ],
-        axis: vec![(400, 50), (800, 100)],
-    };
-    let want = r#"{
-  "schema": "noc-eval/resilience/v1",
-  "axis_points": 2,
-  "curves": [
-    {"mode": "none", "failed_points": 0, "points": [
-      {"mtbf": 400, "mttr": 50, "availability": 0.987654, "delivered_num": 990, "delivered_den": 1000, "retransmissions": 12, "link_replays": 3, "replay_drops": 1, "epochs": 6, "recovery_cycles": 250, "avg_latency": 21.2346, "digest": 18446744073709551615, "cycles": 4000},
-      {"mtbf": 800, "mttr": 100, "availability": 0.987654, "delivered_num": 1000, "delivered_den": 1000, "retransmissions": 12, "link_replays": 3, "replay_drops": 1, "epochs": 6, "recovery_cycles": 250, "avg_latency": 21.2346, "digest": 18446744073709551615, "cycles": 4000}
-    ]},
-    {"mode": "e2e", "failed_points": 2, "points": [
-    ]}
-  ]
-}
-"#;
-    assert_eq!(resilience_to_json(&fig), want);
-    let parsed = parse_resilience_json(want).unwrap();
-    assert_eq!(
-        parsed.points,
-        vec![
-            ("none".to_string(), 400, 0.987654, 0.99, 250),
-            ("none".to_string(), 800, 0.987654, 1.0, 250)
-        ]
-    );
 }
