@@ -402,7 +402,10 @@ impl Service {
             Ok(()) => admission_prune(&p, model),
         };
         let key = p.key();
-        let (seq, outcome) = {
+        // under the lock: the sequence number, and either the answer or
+        // — queue full — the depth the overflow answer reports; the
+        // degraded model that answer may need is built after it drops
+        let (seq, answer) = {
             let mut st = sh.st();
             let seq = {
                 let c = st.next_seq.entry(p.batch.clone()).or_insert(0);
@@ -410,20 +413,21 @@ impl Service {
                 *c += 1;
                 seq
             };
-            let outcome = if st.draining {
-                ServeOutcome::Shed {
+            let answer = if st.draining {
+                Ok(ServeOutcome::Shed {
                     reason: "service is draining; resubmit to the next instance".into(),
-                }
+                })
             } else if let Some(v) = verdict {
-                v
+                Ok(v)
             } else if st.queue.len() >= sh.cfg.queue_capacity {
-                self.overflow_answer(&p, st.queue.len())
+                Err(st.queue.len())
             } else {
                 st.queue.push_back(Queued { seq, point: p, key });
                 return Ok(None);
             };
-            (seq, outcome)
+            (seq, answer)
         };
+        let outcome = answer.unwrap_or_else(|queued| self.overflow_answer(&p, queued, model));
         match &outcome {
             ServeOutcome::Shed { .. } => {
                 sh.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -437,13 +441,19 @@ impl Service {
         Ok(Some(outcome))
     }
 
-    /// The queue-full answer: a degraded analytic prediction when the
+    /// The queue-full answer, built off the state lock: a degraded
+    /// analytic prediction (through the sweep's `model` memo) when the
     /// client opted in and the model covers the config, else a typed
     /// shed with the capacity in the reason.
-    fn overflow_answer(&self, p: &PointRequest, queued: usize) -> ServeOutcome {
+    fn overflow_answer(
+        &self,
+        p: &PointRequest,
+        queued: usize,
+        model: &mut ModelMemo,
+    ) -> ServeOutcome {
         let capacity = self.shared.cfg.queue_capacity;
         if p.allow_degraded {
-            if let Some(o) = degraded_answer(p) {
+            if let Some(o) = degraded_answer(p, model) {
                 return o;
             }
             return ServeOutcome::Shed {
@@ -837,6 +847,12 @@ impl Shared {
     }
 }
 
+/// The analytic model for `p`'s `(net, pattern, packet size)` group,
+/// built on first use; `None` when the model does not cover it.
+fn memo_model<'m>(p: &PointRequest, memo: &'m mut ModelMemo) -> Option<&'m AnalyticModel> {
+    memo.get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok()).as_ref()
+}
+
 /// The analytic model's packet-size argument for a point.
 fn model_size(p: &PointRequest) -> SizeKind {
     SizeKind::Fixed(p.packet_size.min(u16::MAX as u64) as u16)
@@ -861,9 +877,7 @@ fn admission_prune(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcom
     if !p.analytic_admission {
         return None;
     }
-    let m = memo
-        .get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok())
-        .as_ref()?;
+    let m = memo_model(p, memo)?;
     if matches!(m.confidence, Confidence::Low) || p.load < m.effective_saturation {
         return None;
     }
@@ -876,8 +890,8 @@ fn admission_prune(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcom
 
 /// The degradation ladder's last rung before shedding: a static
 /// analytic prediction, tagged `degraded` on the wire.
-fn degraded_answer(p: &PointRequest) -> Option<ServeOutcome> {
-    let m = AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok()?;
+fn degraded_answer(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcome> {
+    let m = memo_model(p, memo)?;
     Some(ServeOutcome::Degraded {
         predicted_latency: m.latency_at(p.load),
         predicted_saturation: m.effective_saturation,

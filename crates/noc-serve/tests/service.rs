@@ -323,6 +323,43 @@ fn invalid_configs_are_rejected_at_admission() {
 }
 
 #[test]
+fn a_network_too_large_to_build_is_invalid_at_admission_and_the_service_keeps_serving() {
+    let mut svc = Service::new(quick_cfg()).unwrap();
+    let huge = |k: usize, admission: bool| {
+        let mut p = point("big", 1, 0.1);
+        p.net.topology = TopologyKind::Mesh2D { k };
+        p.analytic_admission = admission;
+        ServeRequest::Point(Box::new(p))
+    };
+    // mesh70000 used to panic the model's n x n matrix (admission) or
+    // abort the process allocating 588 GB in `Network::new` (run); the
+    // radix whose square wraps `usize` slipped past an unchecked product
+    let (resps, alive) = drive(
+        &mut svc,
+        &[
+            huge(70_000, true),
+            huge(70_000, false),
+            huge(1 << (usize::BITS / 2), false),
+            run_req("big"),
+        ],
+    );
+    assert!(alive);
+    let rs = results(&resps);
+    assert_eq!(rs.len(), 3);
+    for r in &rs {
+        let ServeOutcome::Invalid { reason } = &r.outcome else {
+            panic!("expected invalid, got {:?}", r.outcome)
+        };
+        assert!(reason.contains("`topology`"), "{reason}");
+    }
+    assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 0, .. })));
+    let (resps, alive) =
+        drive(&mut svc, &[ServeRequest::Point(Box::new(point("b", 1, 0.1))), run_req("b")]);
+    assert!(alive);
+    assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 1, ok: 1, .. })));
+}
+
+#[test]
 fn cancel_drops_only_the_named_batch() {
     let mut svc = Service::new(quick_cfg()).unwrap();
     let (resps, _) = drive(

@@ -15,6 +15,12 @@ pub enum Arbitration {
     AgeBased,
 }
 
+/// The most nodes [`NetConfig::validate`] accepts: four times the
+/// largest network any figure or benchmark builds (a 32x32 mesh). A
+/// `Network` allocates per node and an analytic model per node pair, so
+/// an unbounded radix is one request line away from exhausting memory.
+pub const MAX_NODES: usize = 4096;
+
 /// Named topology selector, convertible to a concrete [`Topology`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
@@ -131,6 +137,27 @@ impl NetConfig {
 
     /// Validate the configuration and build the VC partition book.
     pub fn validate(&self) -> Result<VcBook, ConfigError> {
+        // first: every check below builds the topology, and a `Network`
+        // or analytic model allocates per node (or per node pair)
+        let (k, dims) = match self.topology {
+            TopologyKind::Mesh2D { k }
+            | TopologyKind::FoldedTorus2D { k }
+            | TopologyKind::Torus2D { k } => (k, 2),
+            TopologyKind::Ring { n } => (n, 1),
+        };
+        if k < 2 {
+            return Err(ConfigError::Parameter {
+                name: "topology",
+                why: format!("radix {k} is below 2"),
+            });
+        }
+        let nodes = (0..dims).try_fold(1usize, |acc, _| acc.checked_mul(k));
+        if nodes.is_none_or(|n| n > MAX_NODES) {
+            return Err(ConfigError::Parameter {
+                name: "topology",
+                why: format!("radix {k} in {dims} dimension(s) is more than {MAX_NODES} nodes"),
+            });
+        }
         if self.vc_buf == 0 {
             return Err(ConfigError::Parameter { name: "vc_buf", why: "must be >= 1 flit".into() });
         }
@@ -255,6 +282,28 @@ mod tests {
         let mut cfg = NetConfig::baseline();
         cfg.vcs = 65;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn node_count_is_bounded_before_anything_is_built() {
+        let topo = |t| NetConfig::baseline().with_topology(t).validate();
+        assert!(topo(TopologyKind::Mesh2D { k: 64 }).is_ok(), "MAX_NODES itself is accepted");
+        assert!(topo(TopologyKind::Ring { n: MAX_NODES }).is_ok());
+        for bad in [
+            TopologyKind::Mesh2D { k: 65 },
+            TopologyKind::Torus2D { k: 70_000 },
+            // k * k wraps `usize` to 0: only a checked product sees it
+            TopologyKind::FoldedTorus2D { k: 1 << (usize::BITS / 2) },
+            TopologyKind::Ring { n: MAX_NODES + 1 },
+            // below radix 2 the topology constructor would panic
+            TopologyKind::Mesh2D { k: 1 },
+            TopologyKind::Ring { n: 0 },
+        ] {
+            match topo(bad) {
+                Err(ConfigError::Parameter { name: "topology", .. }) => {}
+                other => panic!("{bad:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -94,6 +94,7 @@ pub struct PortSet {
 
 impl PortSet {
     /// Empty set.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
@@ -102,6 +103,7 @@ impl PortSet {
     ///
     /// # Panics
     /// If more than 8 ports are pushed (no supported topology has more).
+    #[inline]
     pub fn push(&mut self, port: usize) {
         assert!((self.len as usize) < 8, "too many candidate ports");
         self.ports[self.len as usize] = port as u8;
@@ -109,16 +111,19 @@ impl PortSet {
     }
 
     /// Number of candidates.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when no candidate exists (packet is at its target).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Candidate `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> usize {
         debug_assert!(i < self.len());
         self.ports[i] as usize

@@ -21,6 +21,24 @@
 //!   flow: per `(src, dst)` pair, one unit enters at `src` and one unit
 //!   drains at `dst`.
 //!
+//! **The next-hop table.** Exact paths are not re-derived hop by hop.
+//! [`enumerate_routes`] first fills one table per call,
+//! `next[target * n + v] = (port, neighbor)`, with one
+//! `candidates(lut, v, target, &RouteState::direct())` call per entry,
+//! and walks every DOR, Valiant and ROMM route from it. This is exact
+//! because a non-adaptive port depends only on `(v, effective_target)`:
+//! no other part of a packet's state (phase, dateline, last dimension)
+//! reaches `RouteLut::dor_port`, and a two-phase route is the DOR walk
+//! to its intermediate followed by the DOR walk to its destination.
+//! `advance` still produces every hop's [`RouteState`], and the visitor
+//! is called with the same hops in the same order as a hop-by-hop walk
+//! would produce, so every float sum a consumer accumulates is the same
+//! to the bit. A `#[cfg(test)]` twin that asks the routing function at
+//! every hop is proptested against the table. The table holds `n²`
+//! entries of 8 bytes, the size of the traffic matrix `noc-analytic`
+//! already allocates, and is freed on return; a hop costs one table
+//! read, one `advance` and one push.
+//!
 //! [`build_cdg`] consumes the same enumeration for the deterministic
 //! kinds — consecutive hops contribute the cross-product of their legal
 //! VC masks as dependency edges — and switches to Duato's *extended*
@@ -114,78 +132,152 @@ pub fn decode_channel(topo: &dyn Topology, id: u32, vcs: usize) -> (usize, usize
 /// Enumerate every route of `cfg.routing` over `topo`, reporting each
 /// to `visitor`. See the module docs for the exact semantics per
 /// routing kind. Routes are walked with the engine's own
-/// `candidates`/`advance` over a [`RouteLut`] built here from `topo`.
+/// `candidates`/`advance` over a [`RouteLut`] built here from `topo`;
+/// deterministic and oblivious routes read their ports from a next-hop
+/// table filled once per call by the same `candidates` (module docs).
 pub fn enumerate_routes(
     cfg: &NetConfig,
     topo: &dyn Topology,
     visitor: &mut dyn RouteVisitor,
 ) -> Enumeration {
-    let routing = &cfg.routing;
+    let routing = cfg.routing;
     let lut = &RouteLut::new(topo);
     let n = topo.num_nodes();
-    let mut routes = 0u64;
-    let exact = !routing.is_adaptive();
-    let mut hops: Vec<Hop> = Vec::new();
+    if routing != RoutingKind::MinAdaptive {
+        let next = NextHop::new(topo, lut, routing);
+        let walk = |src, dst, init, hops: &mut Vec<Hop>| next.walk(lut, src, dst, init, hops);
+        return visit_paths(topo, lut, routing, visitor, walk);
+    }
     // Adaptive traversability depends on the VC partition: a non-DOR
     // candidate is only usable when an adaptive VC exists for it.
-    let part = (cfg.routing == RoutingKind::MinAdaptive)
-        .then(|| Partition::new(cfg.vcs, cfg.classes, routing, topo).ok())
-        .flatten();
+    let part = Partition::new(cfg.vcs, cfg.classes, &routing, topo).ok();
+    let mut routes = 0u64;
+    for src in 0..n {
+        for dst in 0..n {
+            if src != dst {
+                adaptive_flows(topo, lut, &routing, part.as_ref(), src, dst, visitor);
+                routes += 1;
+            }
+        }
+    }
+    Enumeration { routes, exact: false }
+}
+
+/// Report every exact path of a deterministic or oblivious `routing`
+/// to `visitor`, in the one visit order every consumer's float sums
+/// depend on: pairs row-major by `(src, dst)`, and per pair the direct
+/// route first, then one route per intermediate in ascending node
+/// order (Valiant) or in [`minimal_box`] order (ROMM). `walk` fills
+/// `hops` with the route from `src` to `dst` starting in state `init`.
+fn visit_paths(
+    topo: &dyn Topology,
+    lut: &RouteLut,
+    routing: RoutingKind,
+    visitor: &mut dyn RouteVisitor,
+    mut walk: impl FnMut(usize, usize, RouteState, &mut Vec<Hop>),
+) -> Enumeration {
+    let n = topo.num_nodes();
+    let mut routes = 0u64;
+    let mut hops: Vec<Hop> = Vec::new();
     for src in 0..n {
         for dst in 0..n {
             if src == dst {
                 continue;
             }
-            match cfg.routing {
-                RoutingKind::Dor => {
-                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
-                    visitor.path(src, dst, 1.0, &hops);
-                    routes += 1;
-                }
-                RoutingKind::Valiant => {
-                    // init() draws the intermediate uniformly over all n
-                    // nodes and maps mid == src to a direct route.
-                    let w = 1.0 / n as f64;
-                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
-                    visitor.path(src, dst, w, &hops);
-                    routes += 1;
-                    for mid in 0..n {
-                        if mid != src {
-                            let via = RouteState::via(mid);
-                            walk_path(topo, lut, routing, src, dst, via, &mut hops);
-                            visitor.path(src, dst, w, &hops);
-                            routes += 1;
-                        }
-                    }
-                }
+            let (w, mids) = match routing {
+                // init() draws the intermediate uniformly over all n
+                // nodes and maps mid == src to a direct route.
+                RoutingKind::Valiant => (1.0 / n as f64, (0..n).collect()),
+                // The intermediate is uniform over the minimal box
+                // (independent per-dimension uniform steps).
                 RoutingKind::Romm => {
-                    // The intermediate is uniform over the minimal box
-                    // (independent per-dimension uniform steps).
                     let mids = minimal_box(topo, lut, src, dst);
-                    let w = 1.0 / mids.len() as f64;
-                    walk_path(topo, lut, routing, src, dst, RouteState::direct(), &mut hops);
-                    visitor.path(src, dst, w, &hops);
-                    routes += 1;
-                    for mid in mids {
-                        if mid != src {
-                            let via = RouteState::via(mid);
-                            walk_path(topo, lut, routing, src, dst, via, &mut hops);
-                            visitor.path(src, dst, w, &hops);
-                            routes += 1;
-                        }
-                    }
+                    (1.0 / mids.len() as f64, mids)
                 }
-                RoutingKind::MinAdaptive => {
-                    adaptive_flows(topo, lut, routing, part.as_ref(), src, dst, visitor);
+                _ => (1.0, Vec::new()),
+            };
+            walk(src, dst, RouteState::direct(), &mut hops);
+            visitor.path(src, dst, w, &hops);
+            routes += 1;
+            for mid in mids {
+                if mid != src {
+                    walk(src, dst, RouteState::via(mid), &mut hops);
+                    visitor.path(src, dst, w, &hops);
                     routes += 1;
                 }
             }
         }
     }
-    Enumeration { routes, exact }
+    Enumeration { routes, exact: true }
 }
 
-/// Walk one deterministic route into `hops` (cleared first).
+/// The next-hop table of a non-adaptive routing function (the module
+/// docs say why it is exact): for every `(target, v)` with
+/// `v != target`, the output port a packet at `v` steering toward
+/// `target` takes, and the router that port leads to.
+struct NextHop {
+    n: usize,
+    routing: RoutingKind,
+    /// `step[target * n + v]`: `(port, neighbor)`; the diagonal is
+    /// never read (a packet at its target ejects).
+    step: Vec<(u8, u32)>,
+}
+
+impl NextHop {
+    fn new(topo: &dyn Topology, lut: &RouteLut, routing: RoutingKind) -> Self {
+        let n = topo.num_nodes();
+        let ports = topo.num_ports();
+        assert!(n <= u32::MAX as usize && ports <= u8::MAX as usize);
+        // neighbors depend only on (v, port): ask the topology once each
+        let neighbor: Vec<u32> = (0..n)
+            .flat_map(|v| (0..ports).map(move |port| (v, port)))
+            .map(|(v, port)| topo.neighbor(v, port).map_or(u32::MAX, |(u, _)| u as u32))
+            .collect();
+        let direct = RouteState::direct();
+        let mut step = Vec::with_capacity(n * n);
+        for target in 0..n {
+            for v in 0..n {
+                step.push(if v == target {
+                    (0, u32::MAX)
+                } else {
+                    let port = routing.candidates(lut, v, target, &direct).get(0);
+                    let next = neighbor[v * ports + port];
+                    assert!(next != u32::MAX, "routing produced a dead port");
+                    (port as u8, next)
+                });
+            }
+        }
+        Self { n, routing, step }
+    }
+
+    /// Walk one route into `hops` (cleared first). A route's effective
+    /// target changes only where the packet reaches its intermediate,
+    /// so it is one row per phase; `advance` threads the state through
+    /// every hop as the router does.
+    fn walk(&self, lut: &RouteLut, src: usize, dst: usize, init: RouteState, hops: &mut Vec<Hop>) {
+        hops.clear();
+        let mut cur = src;
+        let mut state = init;
+        let mut target = state.effective_target(cur, dst);
+        while cur != target {
+            let row = &self.step[target * self.n..][..self.n];
+            while cur != target {
+                let (port, next) = row[cur];
+                let port = port as usize;
+                let ns = self.routing.advance(lut, cur, port, &state);
+                hops.push(Hop { node: cur, port, state: ns });
+                cur = next as usize;
+                state = ns;
+            }
+            target = state.effective_target(cur, dst);
+        }
+    }
+}
+
+/// Walk one deterministic route into `hops` (cleared first), asking
+/// the routing function and the topology at every hop: the reference
+/// twin [`NextHop::walk`] is tested against.
+#[cfg(test)]
 fn walk_path(
     topo: &dyn Topology,
     lut: &RouteLut,
@@ -511,6 +603,8 @@ fn escape_dependencies(
 mod tests {
     use super::*;
     use noc_sim::config::TopologyKind;
+    use noc_sim::topology::KAryNCube;
+    use proptest::prelude::*;
 
     /// Collects paths/flows for assertions.
     #[derive(Default)]
@@ -606,6 +700,80 @@ mod tests {
                 0.0
             };
             assert!((flux - expect).abs() < 1e-9, "node {node}: {flux} != {expect}");
+        }
+    }
+
+    /// One visitor call, exactly as the visitor saw it.
+    type Visit = (usize, usize, u64, Vec<Hop>);
+
+    /// Records every path call (weight as bits, hops with their states).
+    #[derive(Default)]
+    struct Transcript(Vec<Visit>);
+
+    impl RouteVisitor for Transcript {
+        fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
+            self.0.push((src, dst, weight.to_bits(), hops.to_vec()));
+        }
+    }
+
+    /// Replays a transcript and fails at the first call that differs.
+    struct Replay {
+        want: std::vec::IntoIter<Visit>,
+        calls: usize,
+    }
+
+    impl RouteVisitor for Replay {
+        fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
+            let want = self.want.next().expect("more paths than the reference walked");
+            let got = (src, dst, weight.to_bits(), hops.to_vec());
+            assert_eq!(got, want, "path call {}", self.calls);
+            self.calls += 1;
+        }
+    }
+
+    /// Meshes, tori and rings of one to three dimensions, radix 2..=7
+    /// (2..=5 in two dimensions and 2..=3 in three, so Valiant's n^3
+    /// routes stay small).
+    fn cube() -> impl Strategy<Value = KAryNCube> {
+        let radices = prop_oneof![
+            prop::collection::vec(2usize..=7, 1..2),
+            prop::collection::vec(2usize..=5, 2..3),
+            prop::collection::vec(2usize..=3, 3..4),
+        ];
+        (0usize..3, radices).prop_map(|(kind, r)| match kind {
+            0 => KAryNCube::mesh(&r),
+            1 => KAryNCube::torus(&r),
+            _ => KAryNCube::ring(r.iter().product()),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The table walk is the reference walk: over random cubes and
+        /// every non-adaptive routing, `enumerate_routes` tells the
+        /// visitor exactly what the hop-by-hop `walk_path` does — same
+        /// calls, same order, same weight bits, same hops and states.
+        #[test]
+        fn table_walk_matches_the_reference_walk(
+            topo in cube(),
+            routing in prop_oneof![
+                Just(RoutingKind::Dor),
+                Just(RoutingKind::Valiant),
+                Just(RoutingKind::Romm),
+            ],
+        ) {
+            let lut = RouteLut::new(&topo);
+            let mut reference = Transcript::default();
+            let walk = |src, dst, init, hops: &mut Vec<Hop>| {
+                walk_path(&topo, &lut, &routing, src, dst, init, hops)
+            };
+            let want = visit_paths(&topo, &lut, routing, &mut reference, walk);
+            let cfg = NetConfig::baseline().with_routing(routing);
+            let mut replay = Replay { want: reference.0.into_iter(), calls: 0 };
+            let got = enumerate_routes(&cfg, &topo, &mut replay);
+            prop_assert_eq!(got, want);
+            prop_assert!(replay.want.next().is_none(), "fewer paths than the reference walked");
         }
     }
 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Hostile-input smoke for the evaluation service: pipe lines no client
 # should send into the real noc-serve on stdio, then `shutdown`, and
-# require exit 0 with exactly one typed `error` response per hostile
-# line. The lines are scripts/hostile_lines.txt (not UTF-8, a
-# router_delay that does not fit u32, a duplicated key, `seeds: 4e18`,
-# a sweep past MAX_SWEEP_POINTS) preceded by one line longer than
-# MAX_LINE_BYTES, which is generated here rather than checked in.
+# require exit 0 with exactly one typed refusal per hostile line — a
+# `"resp": "error"` line for one the parser rejects, a result with
+# `"outcome": "invalid"` for a point admission rejects. The lines are
+# scripts/hostile_lines.txt (not UTF-8, a router_delay that does not
+# fit u32, a duplicated key, `seeds: 4e18`, a sweep past
+# MAX_SWEEP_POINTS, a mesh70000 point under analytic admission, a
+# mesh1 point) preceded by one line longer than MAX_LINE_BYTES, which
+# is generated here rather than checked in.
 #
 # Usage: scripts/serve_hostile.sh
 set -euo pipefail
@@ -23,9 +26,9 @@ out="$(
     echo '{"schema": "noc-eval/serve/v1", "req": "shutdown"}'
   } | "${CARGO_TARGET_DIR:-target}/release/noc-serve"
 )"
-got="$(grep -c '"resp": "error"' <<<"$out" || true)"
+got="$(grep -cE '"resp": "error"|"outcome": "invalid"' <<<"$out" || true)"
 if [ "$got" != "$want" ]; then
-  echo "serve_hostile: $want hostile lines drew $got error responses:" >&2
+  echo "serve_hostile: $want hostile lines drew $got typed refusals:" >&2
   cut -c1-200 <<<"$out" >&2
   exit 1
 fi
@@ -33,4 +36,4 @@ if ! tail -n 1 <<<"$out" | grep -q '"resp": "status"'; then
   echo "serve_hostile: the stream did not end with the shutdown status record" >&2
   exit 1
 fi
-echo "serve_hostile: $got/$want hostile lines answered with typed errors; clean shutdown"
+echo "serve_hostile: $got/$want hostile lines answered with typed refusals; clean shutdown"
