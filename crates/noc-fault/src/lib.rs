@@ -12,7 +12,7 @@
 //!   topology ⇒ bit-identical events, always. Besides permanent
 //!   fail-stop scenarios ([`FaultSchedule::generate`]), it samples
 //!   *intermittent* fault-and-repair timelines
-//!   ([`FaultSchedule::generate_intermittent`]): a set of flapping
+//!   ([`FaultSchedule::try_generate_intermittent`]): a set of flapping
 //!   links, each cycling down/up from an independent per-link
 //!   sub-seed, with every outage repaired before the horizon.
 //! * [`sweep::degradation_sweep`]: the degradation curve — delivered
@@ -158,35 +158,11 @@ impl FaultSchedule {
     /// the same way from an independent sub-seed. Requests for more
     /// failures than exist are clamped to "all of them".
     pub fn generate(cfg: &FaultConfig, topo: &dyn Topology) -> Self {
-        let n = topo.num_nodes();
-        let ports = topo.num_ports();
-
-        // one entry per physical link: keep the direction whose
-        // (router, port) endpoint is lexicographically smallest
-        let mut edges: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for r in 0..n {
-            for p in 1..ports {
-                if let Some((v, vp)) = topo.neighbor(r, p) {
-                    if (r, p) <= (v, vp) {
-                        edges.push((r, p, v, vp));
-                    }
-                }
-            }
-        }
-        let mut rng = SimRng::new(noc_exp::derive_seed(cfg.seed, 0));
-        let picks = cfg.link_failures.min(edges.len());
-        for i in 0..picks {
-            let j = i + rng.below(edges.len() - i);
-            edges.swap(i, j);
-        }
-
-        let mut rng = SimRng::new(noc_exp::derive_seed(cfg.seed, 1));
-        let mut routers: Vec<usize> = (0..n).collect();
-        let rpicks = cfg.router_failures.min(n);
-        for i in 0..rpicks {
-            let j = i + rng.below(n - i);
-            routers.swap(i, j);
-        }
+        let mut edges = physical_links(topo);
+        let picks = sample_front(&mut edges, cfg.link_failures, noc_exp::derive_seed(cfg.seed, 0));
+        let mut routers: Vec<usize> = (0..topo.num_nodes()).collect();
+        let rpicks =
+            sample_front(&mut routers, cfg.router_failures, noc_exp::derive_seed(cfg.seed, 1));
 
         let mut events = Vec::with_capacity(2 * picks + rpicks);
         for &(r, p, v, vp) in &edges[..picks] {
@@ -217,25 +193,8 @@ impl FaultSchedule {
         topo: &dyn Topology,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let n = topo.num_nodes();
-        let ports = topo.num_ports();
-
-        let mut edges: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for r in 0..n {
-            for p in 1..ports {
-                if let Some((v, vp)) = topo.neighbor(r, p) {
-                    if (r, p) <= (v, vp) {
-                        edges.push((r, p, v, vp));
-                    }
-                }
-            }
-        }
-        let mut rng = SimRng::new(noc_exp::derive_seed(cfg.seed, 3));
-        let picks = cfg.links.min(edges.len());
-        for i in 0..picks {
-            let j = i + rng.below(edges.len() - i);
-            edges.swap(i, j);
-        }
+        let mut edges = physical_links(topo);
+        let picks = sample_front(&mut edges, cfg.links, noc_exp::derive_seed(cfg.seed, 3));
 
         let mut events = Vec::new();
         for (i, &(r, p, v, vp)) in edges[..picks].iter().enumerate() {
@@ -261,12 +220,6 @@ impl FaultSchedule {
             corrupt_rate: cfg.corrupt_rate,
             corrupt_seed: noc_exp::derive_seed(cfg.seed, 2),
         })
-    }
-
-    /// Panicking convenience wrapper over
-    /// [`FaultSchedule::try_generate_intermittent`].
-    pub fn generate_intermittent(cfg: &FlapConfig, topo: &dyn Topology) -> Self {
-        Self::try_generate_intermittent(cfg, topo).expect("invalid FlapConfig")
     }
 
     /// The cycle of the last repair event, if the scenario has any.
@@ -344,6 +297,35 @@ impl FaultSchedule {
     }
 }
 
+/// One `(router, port, neighbor, neighbor port)` entry per physical
+/// (bidirectional) link, in `(router, port)` order: of the link's two
+/// directions, the one whose endpoint is lexicographically smallest.
+fn physical_links(topo: &dyn Topology) -> Vec<(usize, usize, usize, usize)> {
+    let mut edges = Vec::new();
+    for r in 0..topo.num_nodes() {
+        for p in 1..topo.num_ports() {
+            if let Some((v, vp)) = topo.neighbor(r, p) {
+                if (r, p) <= (v, vp) {
+                    edges.push((r, p, v, vp));
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// Partial Fisher–Yates from `seed`: move a sample of `k` items
+/// (clamped to all of them) to the front of `items`; returns how many.
+fn sample_front<T>(items: &mut [T], k: usize, seed: u64) -> usize {
+    let mut rng = SimRng::new(seed);
+    let k = k.min(items.len());
+    for i in 0..k {
+        let j = i + rng.below(items.len() - i);
+        items.swap(i, j);
+    }
+    k
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +333,19 @@ mod tests {
 
     fn mesh4() -> std::sync::Arc<dyn Topology> {
         TopologyKind::Mesh2D { k: 4 }.build()
+    }
+
+    #[test]
+    fn physical_links_list_each_bidirectional_link_once_in_router_port_order() {
+        let topo = mesh4();
+        let edges = physical_links(topo.as_ref());
+        // 2 * k * (k-1) bidirectional links in a k x k mesh
+        assert_eq!(edges.len(), 24);
+        assert!(edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for &(r, p, v, vp) in &edges {
+            assert!((r, p) < (v, vp), "kept the smaller endpoint's direction");
+            assert_eq!(topo.neighbor(v, vp), Some((r, p)), "the reverse direction");
+        }
     }
 
     #[test]
@@ -402,8 +397,8 @@ mod tests {
     fn intermittent_same_seed_same_timeline() {
         let topo = mesh4();
         let cfg = FlapConfig { seed: 9, links: 3, mtbf: 300, mttr: 40, ..FlapConfig::default() };
-        let a = FaultSchedule::generate_intermittent(&cfg, topo.as_ref());
-        let b = FaultSchedule::generate_intermittent(&cfg, topo.as_ref());
+        let a = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
+        let b = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
         assert_eq!(a, b);
         assert!(!a.events.is_empty(), "a 20k-cycle horizon at mtbf 300 must flap");
     }
@@ -412,7 +407,7 @@ mod tests {
     fn intermittent_timelines_end_healed_and_sorted() {
         let topo = mesh4();
         let cfg = FlapConfig { seed: 5, links: 4, mtbf: 500, mttr: 60, ..FlapConfig::default() };
-        let s = FaultSchedule::generate_intermittent(&cfg, topo.as_ref());
+        let s = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
 
         // sorted by cycle, all within (start, horizon)
         let cycles: Vec<u64> = s.events.iter().map(FaultEvent::cycle).collect();

@@ -23,7 +23,6 @@ use noc_openloop::{OpenLoopBehavior, OpenLoopConfig};
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::fault::{FaultPlan, RetxPolicy};
 use noc_sim::network::{Network, NodeBehavior};
-use noc_sim::topology::Topology;
 use noc_stats::Ratio;
 use noc_traffic::Bernoulli;
 
@@ -244,24 +243,6 @@ pub fn degradation_sweep_serial(cfg: &DegradationConfig) -> Vec<PointOutcome<Deg
         .collect()
 }
 
-/// Number of physical links of a topology (the clamp bound for a
-/// sweep's `max_failed_links`).
-pub fn physical_links(topo: &dyn Topology) -> usize {
-    let n = topo.num_nodes();
-    let ports = topo.num_ports();
-    let mut count = 0;
-    for r in 0..n {
-        for p in 1..ports {
-            if let Some((v, vp)) = topo.neighbor(r, p) {
-                if (r, p) <= (v, vp) {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,12 +303,5 @@ mod tests {
                 p.abandoned
             );
         }
-    }
-
-    #[test]
-    fn physical_link_count_matches_mesh_formula() {
-        let topo = TopologyKind::Mesh2D { k: 4 }.build();
-        // 2 * k * (k-1) bidirectional links in a k x k mesh
-        assert_eq!(physical_links(topo.as_ref()), 24);
     }
 }

@@ -117,7 +117,7 @@ fn main() {
                 cfg.workers = parse_checked("--workers", &next_val(&mut args, "--workers"))
             }
             "--max-attempts" => {
-                cfg.retry.max_attempts =
+                cfg.max_attempts =
                     parse_checked("--max-attempts", &next_val(&mut args, "--max-attempts"))
             }
             "--budget" => {

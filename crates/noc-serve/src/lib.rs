@@ -14,11 +14,11 @@
 //!    budget watchdog ([`noc_openloop::measure_budgeted`]) and an
 //!    optional batch wall-clock deadline; exhaustion yields a typed
 //!    `Timeout`. Queued batches can be cancelled wholesale.
-//! 3. **Retry with capped exponential backoff** — `Panicked` and
-//!    `Diverged` points are re-attempted a bounded number of times,
-//!    with jitter derived from the point's own seed family
-//!    ([`noc_exp::derive_seed`]) so retry schedules are deterministic
-//!    and replayable.
+//! 3. **Panics retried, nothing else** — a panicked evaluation is
+//!    re-run immediately, up to `max_attempts` in all. A point is a
+//!    pure function of `(config, seed)`, so the retry answers the bits
+//!    a clean first try would, and a cycle-budget `Timeout` (a fact
+//!    about the point) is answered after one attempt, never re-run.
 //! 4. **Durable write-ahead journal** — every evaluated outcome is
 //!    appended to a [`noc_exp::Wal`] before it is reported; a killed
 //!    service replays the WAL on restart and answers finished points
@@ -35,7 +35,6 @@
 
 pub mod lines;
 mod pool;
-mod retry;
 mod service;
 pub mod socket;
 
@@ -43,10 +42,9 @@ use std::path::PathBuf;
 
 use noc_sim::error::ConfigError;
 
-pub use retry::{run_with_retry, Retried, RetryError, RetryPolicy};
 pub use service::Service;
 
-/// Service-level configuration (queue, workers, retry, WAL, chaos).
+/// Service-level configuration (queue, workers, attempts, WAL, chaos).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission queue capacity in points; beyond it, points are shed
@@ -56,8 +54,11 @@ pub struct ServeConfig {
     /// a process-wide bound, however many clients submit work; `0`
     /// means auto ([`noc_exp::threads`]).
     pub workers: usize,
-    /// Retry policy for `Panicked`/`Diverged` points.
-    pub retry: RetryPolicy,
+    /// Evaluation attempts per point, first try included: a panicked
+    /// attempt is re-run at once until this many have run. A budget
+    /// timeout or a config error costs one. A `run`'s own
+    /// `max_attempts` overrides it. Must be >= 1.
+    pub max_attempts: u32,
     /// Cycle budget for points that do not carry their own, and the
     /// ceiling on the ones that do (a client can lower its budget, not
     /// raise it past the operator's). Must be >= 1 (the watchdog cannot
@@ -82,7 +83,7 @@ impl Default for ServeConfig {
         Self {
             queue_capacity: 256,
             workers: 0,
-            retry: RetryPolicy::default(),
+            max_attempts: 3,
             default_budget: 50_000_000,
             wal: None,
             chaos: 0,
@@ -114,7 +115,13 @@ impl ServeConfig {
                 why: "cycle budget must be >= 1; a zero budget can never complete a warmup".into(),
             });
         }
-        self.retry.validate()
+        if self.max_attempts == 0 {
+            return Err(ConfigError::Parameter {
+                name: "max_attempts",
+                why: "at least one evaluation attempt is required".into(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -137,8 +144,8 @@ mod tests {
         let c = ServeConfig { default_budget: 0, ..ServeConfig::default() };
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("default_budget"), "{err}");
-        let mut c = ServeConfig::default();
-        c.retry.max_attempts = 0;
-        assert!(c.validate().is_err());
+        let c = ServeConfig { max_attempts: 0, ..ServeConfig::default() };
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("max_attempts"), "{err}");
     }
 }

@@ -70,7 +70,6 @@ use noc_sim::error::ConfigError;
 use noc_traffic::SizeKind;
 
 use crate::pool::Pool;
-use crate::retry::{run_with_retry, Retried, RetryError, RetryPolicy};
 use crate::ServeConfig;
 
 /// WAL key prefix for service metadata records (drain status
@@ -108,11 +107,11 @@ fn cacheable(outcome: &ServeOutcome) -> bool {
 }
 
 /// Per-`run` evaluation context, shared by every job of the batch: the
-/// effective retry policy, the wall-clock deadline (absolute, and the
+/// effective attempt cap, the wall-clock deadline (absolute, and the
 /// raw millisecond value for reporting), and whether the submitter has
 /// stopped listening.
 struct BatchCtx {
-    policy: RetryPolicy,
+    max_attempts: u32,
     deadline: Option<Instant>,
     deadline_ms: Option<u64>,
     /// Set when the batch's stream failed mid-emit (the client hung
@@ -536,12 +535,8 @@ impl Service {
                 .collect()
         };
 
-        let mut policy = sh.cfg.retry.clone();
-        if let Some(a) = max_attempts {
-            policy.max_attempts = a.max(1);
-        }
         let ctx = Arc::new(BatchCtx {
-            policy,
+            max_attempts: max_attempts.unwrap_or(sh.cfg.max_attempts).max(1),
             deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
             deadline_ms,
             abandoned: AtomicBool::new(false),
@@ -737,15 +732,15 @@ fn flush_burst(stream: &mut dyn Write) -> io::Result<()> {
 
 impl Shared {
     /// Lock the mutable state, tolerating poison: the guarded sections
-    /// never unwind mid-invariant (evaluation panics are caught on the
-    /// worker side of [`run_with_retry`], outside this lock).
+    /// never unwind mid-invariant (evaluation panics are caught by the
+    /// attempt loop in `eval_point`, outside this lock).
     fn st(&self) -> MutexGuard<'_, ServeState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One pool job: evaluate a point, and turn a panic that escapes
-    /// the retry guard (nothing in `eval_point` should raise one) into
-    /// the same typed `Panicked` result an exhausted retry gives, so
+    /// the attempt loop (nothing in `eval_point` should raise one) into
+    /// the same typed `Panicked` result an exhausted loop gives, so
     /// the submitter always hears back.
     fn eval_job(&self, seq: u64, p: &PointRequest, key: String, ctx: &BatchCtx) -> ServeResult {
         catch_unwind(AssertUnwindSafe(|| self.eval_point(seq, p, &key, ctx))).unwrap_or_else(
@@ -766,48 +761,47 @@ impl Shared {
     /// Evaluate one uncached point on a pool worker: every failure mode
     /// funnels into a typed outcome, and a cacheable outcome is
     /// journaled, then cached, before it is handed back to be emitted.
+    ///
+    /// The one attempt loop: check the batch deadline, then run the
+    /// chaos hook and the simulation under one `catch_unwind`. Only a
+    /// panic is retried, at once, up to the batch's `max_attempts`; a
+    /// budget timeout or a config error is a fact about `(config,
+    /// seed)` and would come back the same, so it costs one attempt.
     fn eval_point(&self, seq: u64, p: &PointRequest, key: &str, ctx: &BatchCtx) -> ServeResult {
         // the operator's `--budget` bounds what any client may ask for
         let budget = p.budget.unwrap_or(u64::MAX).min(self.cfg.default_budget);
         let cfg = p.open_loop();
-        let evaluated = run_with_retry(&ctx.policy, p.net.seed, ctx.deadline, |_attempt| {
-            self.maybe_chaos_panic(key);
-            match measure_budgeted(&cfg, budget) {
-                Ok(Ok(r)) => Ok(Ok(r)),
-                Ok(Err(d)) => Err(d),
-                // config errors are deterministic: passing them through
-                // as values keeps them off the retry path
-                Err(e) => Ok(Err(e)),
-            }
-        });
-        let (attempts, outcome) = match evaluated {
-            Ok(Retried { value: Ok(r), attempts }) => (
-                attempts,
-                ServeOutcome::Ok {
-                    avg_latency: r.avg_latency,
-                    throughput: r.throughput,
-                    stable: r.stable,
-                    measured: r.measured_packets,
-                    cycles: r.cycles,
-                },
-            ),
-            Ok(Retried { value: Err(e), attempts }) => {
-                (attempts, ServeOutcome::Invalid { reason: e.to_string() })
-            }
-            Err(RetryError::Diverged { budget, attempts }) => {
+        let mut attempts = 0;
+        let outcome = loop {
+            if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                (attempts, ServeOutcome::Timeout { budget, wall: false })
+                break ServeOutcome::Timeout { budget: ctx.deadline_ms.unwrap_or(0), wall: true };
             }
-            Err(RetryError::Panicked { message, attempts }) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                (attempts, ServeOutcome::Panicked { message })
-            }
-            Err(RetryError::Deadline { attempts }) => {
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                (
-                    attempts,
-                    ServeOutcome::Timeout { budget: ctx.deadline_ms.unwrap_or(0), wall: true },
-                )
+            attempts += 1;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                self.maybe_chaos_panic(key);
+                measure_budgeted(&cfg, budget)
+            }));
+            match run {
+                Ok(Ok(Ok(r))) => {
+                    break ServeOutcome::Ok {
+                        avg_latency: r.avg_latency,
+                        throughput: r.throughput,
+                        stable: r.stable,
+                        measured: r.measured_packets,
+                        cycles: r.cycles,
+                    }
+                }
+                Ok(Ok(Err(d))) => {
+                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                    break ServeOutcome::Timeout { budget: d.budget, wall: false };
+                }
+                Ok(Err(e)) => break ServeOutcome::Invalid { reason: e.to_string() },
+                Err(payload) if attempts >= ctx.max_attempts => {
+                    self.counters.panics.fetch_add(1, Ordering::Relaxed);
+                    break ServeOutcome::Panicked { message: panic_message(payload.as_ref()) };
+                }
+                Err(_) => {}
             }
         };
         if attempts > 1 {

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
 };
-use noc_serve::{socket, RetryPolicy, ServeConfig, Service};
+use noc_serve::{socket, ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
 
@@ -37,12 +37,7 @@ fn point(batch: &str, seed: u64, load: f64) -> PointRequest {
 }
 
 fn quick_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        retry: RetryPolicy { sleep: false, ..RetryPolicy::default() },
-        default_budget: 1_000_000,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 2, default_budget: 1_000_000, ..ServeConfig::default() }
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -1,23 +1,31 @@
 //! Property tests for the robustness layer's determinism contract:
-//! a `Panicked`-then-retried point is bit-identical to a clean
-//! first-try run (same derived seed), and typed shed/timeout/panic
+//! a point whose first attempt panics is retried by the service to the
+//! bits of a clean first-try run (same seed), and typed shed/timeout/panic
 //! outcomes survive the serve/v1 schema's parser verbatim; and no text
 //! a client can send costs the service more than one typed response.
 
-use noc_eval::serve::{parse_response, ServeOutcome, ServeRequest, ServeResponse, ServeResult};
-use noc_openloop::{measure, measure_budgeted, OpenLoopConfig};
-use noc_serve::{run_with_retry, RetryPolicy, ServeConfig, Service};
+use noc_eval::serve::{
+    parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
+};
+use noc_openloop::measure;
+use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_traffic::PatternKind;
 use proptest::prelude::*;
 
-fn cfg(seed: u64, load: f64) -> OpenLoopConfig {
-    OpenLoopConfig {
+fn point(seed: u64, load: f64) -> PointRequest {
+    PointRequest {
+        batch: "prop".into(),
         net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }).with_seed(seed),
+        pattern: PatternKind::Uniform,
+        packet_size: 1,
         load,
         warmup: 200,
         measure: 400,
         drain_max: 4_000,
-        ..OpenLoopConfig::default()
+        budget: None,
+        allow_degraded: false,
+        analytic_admission: false,
     }
 }
 
@@ -32,23 +40,29 @@ proptest! {
         seed in 0u64..u64::MAX,
         centiload in 2u32..25,
     ) {
-        let c = cfg(seed, centiload as f64 / 100.0);
-        let clean = measure(&c).unwrap();
-        let policy = RetryPolicy { sleep: false, ..RetryPolicy::default() };
-        let retried = run_with_retry(&policy, seed, None, |attempt| {
-            if attempt == 1 {
-                panic!("injected transient fault");
-            }
-            Ok(measure_budgeted(&c, 1_000_000).unwrap().expect("generous budget"))
-        })
-        .unwrap();
-        prop_assert_eq!(retried.attempts, 2);
-        let r = retried.value;
-        prop_assert_eq!(r.avg_latency.to_bits(), clean.avg_latency.to_bits());
-        prop_assert_eq!(r.throughput.to_bits(), clean.throughput.to_bits());
-        prop_assert_eq!(r.measured_packets, clean.measured_packets);
-        prop_assert_eq!(r.cycles, clean.cycles);
-        prop_assert_eq!(r.worst_node_latency.to_bits(), clean.worst_node_latency.to_bits());
+        let p = point(seed, centiload as f64 / 100.0);
+        let clean = measure(&p.open_loop()).unwrap();
+        let svc = Service::new(ServeConfig { workers: 1, chaos: 1, ..ServeConfig::default() })
+            .unwrap();
+        let mut out = Vec::new();
+        let run = ServeRequest::Run { batch: "prop".into(), max_attempts: None, deadline_ms: None };
+        for req in [ServeRequest::Point(Box::new(p)), run] {
+            svc.handle_line(&req.to_json(), &mut out).unwrap();
+        }
+        let text = String::from_utf8(out).unwrap();
+        let Ok(ServeResponse::Result(r)) = parse_response(text.lines().next().unwrap()) else {
+            return Err(TestCaseError::fail(format!("expected a result first: {text}")));
+        };
+        prop_assert_eq!(r.attempts, 2);
+        let ServeOutcome::Ok { avg_latency, throughput, stable, measured, cycles } = r.outcome
+        else {
+            return Err(TestCaseError::fail(format!("expected ok, got {:?}", r.outcome)));
+        };
+        prop_assert_eq!(avg_latency.to_bits(), clean.avg_latency.to_bits());
+        prop_assert_eq!(throughput.to_bits(), clean.throughput.to_bits());
+        prop_assert_eq!(stable, clean.stable);
+        prop_assert_eq!(measured, clean.measured_packets);
+        prop_assert_eq!(cycles, clean.cycles);
     }
 }
 

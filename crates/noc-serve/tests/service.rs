@@ -6,7 +6,7 @@ use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
     SweepRequest,
 };
-use noc_serve::{RetryPolicy, ServeConfig, Service};
+use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
 
@@ -27,12 +27,7 @@ fn point(batch: &str, seed: u64, load: f64) -> PointRequest {
 }
 
 fn quick_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        retry: RetryPolicy { sleep: false, ..RetryPolicy::default() },
-        default_budget: 1_000_000,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 2, default_budget: 1_000_000, ..ServeConfig::default() }
 }
 
 /// Feed request lines, returning parsed responses and whether the
@@ -261,7 +256,8 @@ fn cycle_budget_timeout_is_deterministic_and_cached() {
     let (resps, _) = drive(&mut svc, &[ServeRequest::Point(Box::new(p.clone())), run_req("b1")]);
     let rs = results(&resps);
     assert_eq!(rs[0].outcome, ServeOutcome::Timeout { budget: 100, wall: false });
-    assert_eq!(rs[0].attempts, 3, "divergence is retried to the attempt cap");
+    assert_eq!(rs[0].attempts, 1, "a budget timeout is a fact about the point: never re-run");
+    assert_eq!(svc.snapshot().retries, 0);
     // deterministic timeouts are facts about the config: cached
     let (resps, _) = drive(&mut svc, &[ServeRequest::Point(Box::new(p)), run_req("b1")]);
     let rs = results(&resps);
@@ -401,6 +397,34 @@ fn chaos_panics_are_retried_and_results_match_a_clean_run() {
     assert_eq!(h.retries, 2, "both injected faults cost exactly one retry each");
     assert_eq!(h.panics, 0, "no point exhausted its attempts");
     assert!(b.iter().map(|r| r.attempts).sum::<u32>() > a.iter().map(|r| r.attempts).sum::<u32>());
+}
+
+#[test]
+fn panics_past_the_attempt_cap_answer_panicked_and_are_not_cached() {
+    let mut svc = Service::new(ServeConfig { chaos: 2, ..quick_cfg() }).unwrap();
+    let p = point("b1", 60, 0.1);
+    let (resps, _) = drive(
+        &mut svc,
+        &[
+            ServeRequest::Point(Box::new(p.clone())),
+            ServeRequest::Run { batch: "b1".into(), max_attempts: Some(2), deadline_ms: None },
+        ],
+    );
+    let rs = results(&resps);
+    assert_eq!(rs.len(), 1);
+    let ServeOutcome::Panicked { message } = &rs[0].outcome else {
+        panic!("expected panicked, got {:?}", rs[0].outcome)
+    };
+    assert!(message.contains("chaos: injected evaluation fault"), "{message}");
+    assert_eq!(rs[0].attempts, 2);
+    let h = svc.snapshot();
+    assert_eq!((h.panics, h.retries), (1, 1));
+    assert_eq!(svc.cached_results(), 0, "a panic is transient, not a fact about the point");
+    // the chaos budget is spent: the same point now evaluates cleanly
+    let (resps, _) = drive(&mut svc, &[ServeRequest::Point(Box::new(p)), run_req("b1")]);
+    let rs = results(&resps);
+    assert!(!rs[0].cached);
+    assert!(matches!(rs[0].outcome, ServeOutcome::Ok { .. }), "{:?}", rs[0].outcome);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, SweepRequest,
 };
-use noc_serve::{RetryPolicy, ServeConfig, Service};
+use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
 use proptest::prelude::*;
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 fn quick_cfg() -> ServeConfig {
     ServeConfig {
         workers: 2,
-        retry: RetryPolicy { sleep: false, ..RetryPolicy::default() },
         // small enough that a saturated point diverges fast, large
         // enough that a stable point finishes: keeps cases quick and
         // every outcome deterministic (hence comparable bit-for-bit)

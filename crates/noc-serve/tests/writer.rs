@@ -8,7 +8,7 @@ use std::io::{self, Write};
 use noc_eval::serve::{
     parse_response, PointRequest, ServeRequest, ServeResponse, ServeResult, SweepRequest,
 };
-use noc_serve::{RetryPolicy, ServeConfig, Service};
+use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
 
@@ -42,12 +42,7 @@ impl<F: FnMut(&[u8])> Write for Counting<F> {
 }
 
 fn cfg(workers: usize) -> ServeConfig {
-    ServeConfig {
-        workers,
-        retry: RetryPolicy { sleep: false, ..RetryPolicy::default() },
-        default_budget: 1_000_000,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers, default_budget: 1_000_000, ..ServeConfig::default() }
 }
 
 fn sweep() -> SweepRequest {
