@@ -29,8 +29,10 @@
 //! The simulator-side fault semantics (what a dead channel does to
 //! flits, credits, and the sanitizer's conservation laws) live in
 //! [`noc_sim::network::fault`]; the static counterpart (certifying
-//! that a surviving topology is still routable) is
-//! `noc_verify::check_fault_connectivity`.
+//! that a surviving topology is still routable, over the same
+//! `SurvivorTable` the engine reroutes by) is
+//! `noc_verify::check_fault_connectivity`, which returns the
+//! simulator's `ConfigError` for an event outside the topology.
 
 #![warn(missing_docs)]
 

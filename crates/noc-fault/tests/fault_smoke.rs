@@ -39,7 +39,7 @@ fn fault_smoke_two_dead_links_full_delivery() {
     let schedule = FaultSchedule::generate(&fault_cfg, topo.as_ref());
 
     // the scenario must be survivable before we demand full delivery
-    let lint = noc_verify::check_fault_connectivity(&base.net, &schedule.events);
+    let lint = noc_verify::check_fault_connectivity(&base.net, &schedule.events).unwrap();
     assert!(lint.is_certified(), "{lint}");
 
     let p = run_faulted(&base, schedule.plan(Some(Default::default())), 2, 100_000)

@@ -3,9 +3,11 @@
 //! retransmission, and a Refuted (partitioned) one abandons exactly the
 //! traffic crossing the cut — while still settling cleanly.
 
-use noc_fault::{run_faulted, FaultConfig, FaultSchedule};
+use noc_fault::{run_faulted, FaultConfig, FaultSchedule, FlapConfig};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_sim::network::fault::{FaultEvent, FaultPlan};
+use noc_sim::{Cycle, Delivered, Network, NodeBehavior, PacketSpec};
 use noc_verify::{check_fault_connectivity, fault::isolate_node_events, FaultVerdict};
 
 fn base() -> OpenLoopConfig {
@@ -35,7 +37,7 @@ fn certified_fault_set_simulates_to_full_delivery() {
                 topo.as_ref(),
             )
         })
-        .find(|s| check_fault_connectivity(&base.net, &s.events).is_certified())
+        .find(|s| check_fault_connectivity(&base.net, &s.events).unwrap().is_certified())
         .expect("some 3-link scenario on a 4x4 mesh must be survivable");
 
     let p = run_faulted(&base, schedule.plan(Some(Default::default())), 3, 100_000)
@@ -54,7 +56,7 @@ fn refuted_fault_set_simulates_to_partial_delivery() {
     let topo = base.net.topology.build();
     // isolate node 0: the lint must refute connectivity...
     let events = isolate_node_events(topo.as_ref(), 0, base.warmup);
-    let report = check_fault_connectivity(&base.net, &events);
+    let report = check_fault_connectivity(&base.net, &events).unwrap();
     let FaultVerdict::Refuted { witness } = &report.verdict else {
         panic!("isolating a node must refute connectivity: {report}");
     };
@@ -80,4 +82,96 @@ fn refuted_fault_set_simulates_to_partial_delivery() {
     // uniform traffic from 15 live nodes mostly stays on the big side:
     // the delivered fraction should remain high
     assert!(p.delivered.fraction() > 0.5, "degradation should be graceful: {}", p.delivered);
+}
+
+/// No traffic: a run only applies the plan's events.
+struct Idle;
+
+impl NodeBehavior for Idle {
+    fn pull(&mut self, _: usize, _: Cycle) -> Option<PacketSpec> {
+        None
+    }
+    fn deliver(&mut self, _: usize, _: &Delivered, _: Cycle) {}
+    fn quiescent(&self) -> bool {
+        true
+    }
+}
+
+/// Step an idle network through `events`. After each cycle that applies
+/// some, the engine's survivor table (`None` once healed) must agree with
+/// the lint run on the events applied so far, on every live pair.
+/// Returns the lint's verdicts (true = certified).
+fn engine_and_lint_agree(net_cfg: &NetConfig, events: &[FaultEvent]) -> Vec<bool> {
+    let mut net = Network::new(net_cfg.clone()).unwrap();
+    net.set_fault_plan(FaultPlan { events: events.to_vec(), ..FaultPlan::default() });
+    let mut cycles: Vec<Cycle> = events.iter().map(FaultEvent::cycle).collect();
+    cycles.sort_unstable();
+    cycles.dedup();
+    let (mut now, mut verdicts) = (0, Vec::new());
+    for c in cycles {
+        net.run(c + 1 - now, &mut Idle);
+        now = c + 1;
+        let applied: Vec<FaultEvent> = events.iter().copied().filter(|e| e.cycle() <= c).collect();
+        let report = check_fault_connectivity(net_cfg, &applied).unwrap();
+        // the schedule generators never repair a router
+        let dead = |r| {
+            applied
+                .iter()
+                .any(|e| matches!(*e, FaultEvent::RouterFail { router, .. } if router == r))
+        };
+        let live: Vec<usize> = (0..net_cfg.topology.num_nodes()).filter(|&r| !dead(r)).collect();
+        let table = net.survivor_table();
+        let reach = |a, b| table.is_none_or(|t| t.reachable(a, b));
+        let connected = live.iter().all(|&a| live.iter().all(|&b| reach(a, b)));
+        assert_eq!(connected, report.is_certified(), "cycle {c}: {report}");
+        match report.verdict {
+            FaultVerdict::Certified { live_routers } => assert_eq!(live_routers, live.len()),
+            FaultVerdict::Refuted { witness } => assert!(!reach(witness.src, witness.dst)),
+        }
+        verdicts.push(connected);
+    }
+    verdicts
+}
+
+/// After the lint reads the engine's own `SurvivorTable`, its replay of
+/// events into an end state is the one piece of fault logic it still
+/// mirrors: pin it against the engine over permanent schedules (1-6
+/// links, 0-1 routers, 8 seeds) and one intermittent timeline checked at
+/// every cycle it changes, on a mesh and a torus.
+#[test]
+fn lint_end_state_matches_the_engine_survivor_table() {
+    let mut verdicts = Vec::new();
+    for topology in [TopologyKind::Mesh2D { k: 4 }, TopologyKind::Torus2D { k: 4 }] {
+        let net_cfg = NetConfig::baseline().with_topology(topology);
+        let topo = topology.build();
+        for seed in 0..8 {
+            for link_failures in 1..=6 {
+                for router_failures in 0..=1 {
+                    let cfg = FaultConfig {
+                        seed,
+                        link_failures,
+                        router_failures,
+                        fail_at: 10,
+                        ..FaultConfig::default()
+                    };
+                    let s = FaultSchedule::generate(&cfg, topo.as_ref());
+                    verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
+                }
+            }
+        }
+        let flap = FlapConfig {
+            seed: 7,
+            links: 12,
+            mtbf: 60,
+            mttr: 40,
+            start: 10,
+            horizon: 600,
+            ..FlapConfig::default()
+        };
+        let s = FaultSchedule::try_generate_intermittent(&flap, topo.as_ref()).unwrap();
+        assert!(s.events.iter().any(FaultEvent::is_repair), "the timeline must repair");
+        verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
+    }
+    let certified = verdicts.iter().filter(|&&c| c).count();
+    assert!(0 < certified && certified < verdicts.len(), "both verdicts exercised: {verdicts:?}");
 }

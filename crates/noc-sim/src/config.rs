@@ -15,7 +15,7 @@ pub enum Arbitration {
     AgeBased,
 }
 
-/// The most nodes [`NetConfig::validate`] accepts: four times the
+/// The most nodes [`TopologyKind::validate`] accepts: four times the
 /// largest network any figure or benchmark builds (a 32x32 mesh). A
 /// `Network` allocates per node and an analytic model per node pair, so
 /// an unbounded radix is one request line away from exhausting memory.
@@ -47,7 +47,33 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Instantiate the topology.
+    /// Check the radix and node count, which must come before anything
+    /// is built: below radix 2 the constructor panics, and a `Network`
+    /// or analytic model allocates per node (or per node pair).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (k, dims) = match *self {
+            TopologyKind::Mesh2D { k }
+            | TopologyKind::FoldedTorus2D { k }
+            | TopologyKind::Torus2D { k } => (k, 2),
+            TopologyKind::Ring { n } => (n, 1),
+        };
+        if k < 2 {
+            return Err(ConfigError::Parameter {
+                name: "topology",
+                why: format!("radix {k} is below 2"),
+            });
+        }
+        let nodes = (0..dims).try_fold(1usize, |acc, _| acc.checked_mul(k));
+        if nodes.is_none_or(|n| n > MAX_NODES) {
+            return Err(ConfigError::Parameter {
+                name: "topology",
+                why: format!("radix {k} in {dims} dimension(s) is more than {MAX_NODES} nodes"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Instantiate the topology (call [`TopologyKind::validate`] first).
     pub fn build(&self) -> Arc<dyn Topology> {
         match *self {
             TopologyKind::Mesh2D { k } => Arc::new(KAryNCube::mesh(&[k, k])),
@@ -137,27 +163,7 @@ impl NetConfig {
 
     /// Validate the configuration and build the VC partition book.
     pub fn validate(&self) -> Result<VcBook, ConfigError> {
-        // first: every check below builds the topology, and a `Network`
-        // or analytic model allocates per node (or per node pair)
-        let (k, dims) = match self.topology {
-            TopologyKind::Mesh2D { k }
-            | TopologyKind::FoldedTorus2D { k }
-            | TopologyKind::Torus2D { k } => (k, 2),
-            TopologyKind::Ring { n } => (n, 1),
-        };
-        if k < 2 {
-            return Err(ConfigError::Parameter {
-                name: "topology",
-                why: format!("radix {k} is below 2"),
-            });
-        }
-        let nodes = (0..dims).try_fold(1usize, |acc, _| acc.checked_mul(k));
-        if nodes.is_none_or(|n| n > MAX_NODES) {
-            return Err(ConfigError::Parameter {
-                name: "topology",
-                why: format!("radix {k} in {dims} dimension(s) is more than {MAX_NODES} nodes"),
-            });
-        }
+        self.topology.validate()?;
         if self.vc_buf == 0 {
             return Err(ConfigError::Parameter { name: "vc_buf", why: "must be >= 1 flit".into() });
         }
@@ -171,12 +177,6 @@ impl NetConfig {
             return Err(ConfigError::Parameter {
                 name: "metrics",
                 why: "metrics bin width must be >= 1 cycle".into(),
-            });
-        }
-        if self.vcs > 64 {
-            return Err(ConfigError::Parameter {
-                name: "vcs",
-                why: "at most 64 VCs supported (bitmask width)".into(),
             });
         }
         let topo = self.topology.build();

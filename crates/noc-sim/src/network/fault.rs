@@ -288,6 +288,41 @@ impl FaultPlan {
     }
 }
 
+/// Check that every event names a router of `topo` and, for link
+/// events, an output port in `1..num_ports`.
+///
+/// # Errors
+/// [`ConfigError::Parameter`] named `events`, for the first event out
+/// of range.
+pub fn validate_events(events: &[FaultEvent], topo: &dyn Topology) -> Result<(), ConfigError> {
+    let n = topo.num_nodes();
+    let ports = topo.num_ports();
+    for ev in events {
+        let (router, port) = match *ev {
+            FaultEvent::LinkFail { router, port, .. }
+            | FaultEvent::LinkRepair { router, port, .. } => (router, Some(port)),
+            FaultEvent::RouterFail { router, .. } | FaultEvent::RouterRepair { router, .. } => {
+                (router, None)
+            }
+        };
+        if router >= n {
+            return Err(ConfigError::Parameter {
+                name: "events",
+                why: format!("{ev:?} names router {router}, topology has {n}"),
+            });
+        }
+        if let Some(port) = port {
+            if !(1..ports).contains(&port) {
+                return Err(ConfigError::Parameter {
+                    name: "events",
+                    why: format!("{ev:?} names port {port}, valid ports are 1..{ports}"),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Degradation counters maintained while a fault plan is installed.
 #[derive(Debug, Clone, Default)]
 pub struct FaultStats {
@@ -662,31 +697,8 @@ impl Network {
     pub fn try_set_fault_plan(&mut self, mut plan: FaultPlan) -> Result<(), ConfigError> {
         assert_eq!(self.cycle, 0, "install the fault plan before stepping");
         plan.validate()?;
+        validate_events(&plan.events, self.topo.as_ref())?;
         let n = self.num_nodes();
-        let ports = self.topo.num_ports();
-        for ev in &plan.events {
-            let (router, port) = match *ev {
-                FaultEvent::LinkFail { router, port, .. }
-                | FaultEvent::LinkRepair { router, port, .. } => (router, Some(port)),
-                FaultEvent::RouterFail { router, .. } | FaultEvent::RouterRepair { router, .. } => {
-                    (router, None)
-                }
-            };
-            if router >= n {
-                return Err(ConfigError::Parameter {
-                    name: "events",
-                    why: format!("{ev:?} names router {router}, topology has {n}"),
-                });
-            }
-            if let Some(port) = port {
-                if !(1..ports).contains(&port) {
-                    return Err(ConfigError::Parameter {
-                        name: "events",
-                        why: format!("{ev:?} names port {port}, valid ports are 1..{ports}"),
-                    });
-                }
-            }
-        }
         plan.events.sort_by_cached_key(FaultEvent::cycle); // stable: ties keep plan order
         let rng = SimRng::new(plan.corrupt_seed);
         let link_lag =

@@ -448,39 +448,77 @@ pub struct VcBook {
 }
 
 impl VcBook {
-    /// Build and validate the partition.
+    /// Build and validate the partition: [`VcBook::relaxed`], with its
+    /// first deficiency as the error.
     pub fn new(
         vcs: usize,
         classes: usize,
         routing: &dyn RoutingAlgorithm,
         topo: &dyn Topology,
     ) -> Result<Self, ConfigError> {
+        let (book, deficiencies) = Self::relaxed(vcs, classes, routing, topo)?;
+        match deficiencies.into_iter().next() {
+            Some(e) => Err(e),
+            None => Ok(book),
+        }
+    }
+
+    /// Build the partition even when its blocks are below the minima
+    /// deadlock freedom needs, listing every violated minimum in the
+    /// order [`VcBook::new`] checks them: an uneven split
+    /// ([`ConfigError::VcPartition`]), then the adaptive escape or wrap
+    /// dateline block size ([`ConfigError::VcBlockTooSmall`]). The
+    /// static analysis reasons about such books; that is how it finds a
+    /// cycle witness for a one-VC torus. A block too small for a
+    /// dateline split or a second escape VC uses its whole block or
+    /// escape VC 0 instead.
+    ///
+    /// # Errors
+    /// Only when no layout exists: more than 64 VCs (the mask width), a
+    /// zero count, or fewer VCs than `(class, phase)` blocks.
+    pub fn relaxed(
+        vcs: usize,
+        classes: usize,
+        routing: &dyn RoutingAlgorithm,
+        topo: &dyn Topology,
+    ) -> Result<(Self, Vec<ConfigError>), ConfigError> {
         let phases = routing.num_phases();
+        if vcs > 64 {
+            return Err(ConfigError::Parameter {
+                name: "vcs",
+                why: "at most 64 VCs supported (bitmask width)".into(),
+            });
+        }
         if classes == 0 || phases == 0 || vcs == 0 {
             return Err(ConfigError::Parameter {
                 name: "vcs/classes/phases",
                 why: "must all be positive".into(),
             });
         }
-        if !vcs.is_multiple_of(classes * phases) {
+        let blocks = classes.saturating_mul(phases);
+        if vcs < blocks {
             return Err(ConfigError::VcPartition { vcs, classes, phases });
         }
-        let block = vcs / (classes * phases);
+        let mut deficiencies = Vec::new();
+        if !vcs.is_multiple_of(blocks) {
+            deficiencies.push(ConfigError::VcPartition { vcs, classes, phases });
+        }
+        let block = vcs / blocks;
         let wrap = topo.has_wrap();
         let adaptive = routing.is_adaptive();
         let escape = if adaptive {
             let esc = if wrap { 2 } else { 1 };
             if block < esc + 1 {
-                return Err(ConfigError::VcBlockTooSmall {
+                deficiencies.push(ConfigError::VcBlockTooSmall {
                     available: block,
                     needed: esc + 1,
                     why: "adaptive routing needs escape VC(s) plus at least one adaptive VC",
                 });
             }
-            esc
+            esc.min(block)
         } else {
             if wrap && block < 2 {
-                return Err(ConfigError::VcBlockTooSmall {
+                deficiencies.push(ConfigError::VcBlockTooSmall {
                     available: block,
                     needed: 2,
                     why: "torus/ring dateline needs two VCs per (class, phase) block",
@@ -501,7 +539,7 @@ impl VcBook {
             }
         }
         book.allowed_cache = cache;
-        Ok(book)
+        Ok((book, deficiencies))
     }
 
     /// Total VCs.
@@ -536,34 +574,28 @@ impl VcBook {
         escape_only: bool,
     ) -> u64 {
         let base = (class * self.phases + phase) * self.block;
-        if self.adaptive {
+        let (lo, hi) = if self.adaptive {
             if escape_only {
-                // dateline selects which escape VC within the block
-                let idx = if self.wrap && dateline { 1 } else { 0 };
-                1u64 << (base + idx)
+                // dateline selects which escape VC within the block; a
+                // relaxed book with one escape VC has nothing to switch to
+                let idx = if self.wrap && dateline && self.escape >= 2 { 1 } else { 0 };
+                (idx, idx + 1)
             } else {
                 // all adaptive VCs (beyond the escape ones)
-                let mut mask = 0u64;
-                for v in self.escape..self.block {
-                    mask |= 1 << (base + v);
-                }
-                mask
+                (self.escape, self.block)
             }
-        } else if self.wrap {
+        } else if self.wrap && self.block >= 2 {
             let half = self.block / 2;
-            let (lo, hi) = if dateline { (half, self.block) } else { (0, half) };
-            let mut mask = 0u64;
-            for v in lo..hi {
-                mask |= 1 << (base + v);
+            if dateline {
+                (half, self.block)
+            } else {
+                (0, half)
             }
-            mask
         } else {
-            let mut mask = 0u64;
-            for v in 0..self.block {
-                mask |= 1 << (base + v);
-            }
-            mask
-        }
+            // mesh, or a relaxed wrap block too small to split
+            (0, self.block)
+        };
+        (lo..hi).fold(0, |mask, v| mask | 1 << (base + v))
     }
 
     /// VCs a packet of `class` may use at the injection port (phase 0,
@@ -582,11 +614,7 @@ impl VcBook {
     pub fn class_mask(&self, class: usize) -> u64 {
         debug_assert!(class < self.classes);
         let per_class = self.phases * self.block;
-        let mut mask = 0u64;
-        for v in 0..per_class {
-            mask |= 1 << (class * per_class + v);
-        }
-        mask
+        (0..per_class).fold(0, |mask, v| mask | 1 << (class * per_class + v))
     }
 
     /// True when `vc` is an escape VC of its block (adaptive routing).
@@ -761,8 +789,10 @@ mod tests {
         let ma = RoutingKind::MinAdaptive;
         assert!(VcBook::new(2, 1, &ma, &t).is_err());
         assert!(VcBook::new(3, 1, &ma, &t).is_ok());
-        // zero anything
+        // zero anything, or more VCs than the mask has bits
         assert!(VcBook::new(0, 1, &dor, &m).is_err());
+        assert!(VcBook::new(65, 1, &dor, &m).is_err());
+        assert!(VcBook::new(64, 1, &dor, &m).is_ok());
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! Static configuration checks, independent of the dependency-graph
-//! analysis: VC partition sanity, routing/topology compatibility, and
-//! buffer sizing against the credit round-trip.
+//! analysis: the simulator's own validation, VC partition deficiencies,
+//! routing/topology compatibility, and buffer sizing against the credit
+//! round-trip.
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
+use noc_sim::error::ConfigError;
 use noc_sim::topology::{Topology, LOCAL_PORT};
 
-use crate::partition::Partition;
 use crate::report::{Finding, Severity};
 
-/// Run every static check and collect findings.
-pub fn static_checks(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> Vec<Finding> {
+/// Run every static check and collect findings; `deficiencies` are the
+/// block minima the relaxed VC partition violates.
+pub fn static_checks(
+    cfg: &NetConfig,
+    topo: &dyn Topology,
+    deficiencies: &[ConfigError],
+) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // The simulator's own validation is the ground truth for whether
@@ -21,50 +27,19 @@ pub fn static_checks(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> 
             message: format!("rejected by the simulator: {e}"),
         });
     }
-    for why in &part.degraded {
+    // Class disjointness and an injectable VC per class hold by
+    // construction of the partition; what can be missing is a minimum.
+    for e in deficiencies {
         findings.push(Finding {
             severity: Severity::Warning,
             check: "vc-partition",
-            message: why.clone(),
+            message: e.to_string(),
         });
     }
 
-    partition_checks(cfg, part, &mut findings);
     topology_checks(cfg, topo, &mut findings);
     buffer_checks(cfg, topo, &mut findings);
     findings
-}
-
-/// Message classes must own disjoint, non-empty VC sets; otherwise a
-/// reply can starve behind the requests it is supposed to drain
-/// (protocol deadlock, invisible to the per-class CDG analysis).
-fn partition_checks(cfg: &NetConfig, part: &Partition, findings: &mut Vec<Finding>) {
-    let mut union = 0u64;
-    for class in 0..cfg.classes {
-        let mask = part.class_mask(class);
-        if part.injection(class) == 0 {
-            findings.push(Finding {
-                severity: Severity::Error,
-                check: "vc-partition",
-                message: format!("class {class} has no injectable VC"),
-            });
-        }
-        if union & mask != 0 {
-            findings.push(Finding {
-                severity: Severity::Error,
-                check: "vc-partition",
-                message: format!("class {class} shares VCs with a lower class"),
-            });
-        }
-        union |= mask;
-    }
-    if cfg.vcs > 64 {
-        findings.push(Finding {
-            severity: Severity::Error,
-            check: "vc-partition",
-            message: format!("{} VCs exceed the 64-bit mask the router uses", cfg.vcs),
-        });
-    }
 }
 
 /// Routing/topology pairings that are legal but degenerate.

@@ -6,20 +6,21 @@
 //! every live node can still reach every other live node over the
 //! surviving directed channel graph *at the end of the timeline*:
 //! events are applied in cycle order, so a repair un-kills what an
-//! earlier fault killed. The graph construction mirrors
-//! `noc_sim::network::fault::SurvivorTable` exactly: a router failure
-//! kills all its incident channels in both directions, a link failure
-//! kills one directed channel, and the analysis walks the same
-//! `(router, port) -> neighbor` edges the simulator routes over. The
-//! two are regression-tested against each other: a `Certified` fault
-//! set must simulate to a 100% delivered fraction under retransmission,
-//! and a `Refuted` one must abandon exactly the cut-off pairs.
+//! earlier fault killed. Reachability is read from the simulator's own
+//! [`SurvivorTable`], built over that end state: a router failure kills
+//! all its incident channels in both directions, a link failure kills
+//! one directed channel. The replay of events into the end state is the
+//! one piece mirrored from the engine, and `noc-fault`'s
+//! `lint_agreement` tests pin it against a `Network` that ran the same
+//! plan. A `Certified` fault set must also simulate to a 100% delivered
+//! fraction under retransmission, and a `Refuted` one must abandon
+//! exactly the cut-off pairs.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use noc_sim::config::NetConfig;
-use noc_sim::network::fault::FaultEvent;
+use noc_sim::error::ConfigError;
+use noc_sim::network::fault::{validate_events, FaultEvent, SurvivorTable};
 use noc_sim::topology::Topology;
 
 /// A concrete unreachable pair proving the surviving topology is
@@ -99,38 +100,46 @@ impl fmt::Display for FaultReport {
 /// router failed and later repaired does not count against
 /// connectivity, and `channels_failed` counts only channels still dead
 /// at the end.
-pub fn check_fault_connectivity(cfg: &NetConfig, events: &[FaultEvent]) -> FaultReport {
+///
+/// # Errors
+/// The [`ConfigError`] the simulator gives for the same input: an
+/// unbuildable topology, or an event naming a router or port outside
+/// it (the text of `Network::try_set_fault_plan`).
+pub fn check_fault_connectivity(
+    cfg: &NetConfig,
+    events: &[FaultEvent],
+) -> Result<FaultReport, ConfigError> {
+    cfg.topology.validate()?;
     let topo = cfg.topology.build();
+    validate_events(events, topo.as_ref())?;
     let n = topo.num_nodes();
-    let ports = topo.num_ports();
+    let ports1 = topo.num_ports() - 1;
 
     let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| events[i].cycle());
 
+    // the end state, indexed like the engine's link array
     let mut dead_router = vec![false; n];
-    let mut dead_chan = vec![false; n * ports]; // [router * ports + port]
+    let mut link_failed = vec![false; n * ports1];
     for &i in &order {
         match events[i] {
-            FaultEvent::LinkFail { router, port, .. } => dead_chan[router * ports + port] = true,
-            FaultEvent::LinkRepair { router, port, .. } => dead_chan[router * ports + port] = false,
+            FaultEvent::LinkFail { router, port, .. } => {
+                link_failed[router * ports1 + port - 1] = true
+            }
+            FaultEvent::LinkRepair { router, port, .. } => {
+                link_failed[router * ports1 + port - 1] = false
+            }
             FaultEvent::RouterFail { router, .. } => dead_router[router] = true,
             FaultEvent::RouterRepair { router, .. } => dead_router[router] = false,
         }
     }
-    // a dead router kills its incident channels in both directions
-    for r in 0..n {
-        for p in 1..ports {
-            if let Some((v, vp)) = topo.neighbor(r, p) {
-                if dead_router[r] || dead_router[v] {
-                    dead_chan[r * ports + p] = true;
-                    dead_chan[v * ports + vp] = true;
-                }
-            }
-        }
-    }
-    let channels_failed = (0..n)
-        .flat_map(|r| (1..ports).map(move |p| (r, p)))
-        .filter(|&(r, p)| dead_chan[r * ports + p] && topo.neighbor(r, p).is_some())
+    // a channel is dead while its own failure or either endpoint is
+    let channels_failed = (0..n * ports1)
+        .filter(|&li| {
+            let r = li / ports1;
+            topo.neighbor(r, li % ports1 + 1)
+                .is_some_and(|(v, _)| link_failed[li] || dead_router[r] || dead_router[v])
+        })
         .count();
 
     let live: Vec<usize> = (0..n).filter(|&r| !dead_router[r]).collect();
@@ -142,53 +151,26 @@ pub fn check_fault_connectivity(cfg: &NetConfig, events: &[FaultEvent]) -> Fault
         n
     );
 
-    // directed reachability from every live node; n is small enough
-    // (evaluation configs are <= a few thousand nodes) that n BFS
-    // passes beat building an SCC condensation here
-    let mut seen = vec![false; n];
-    let mut q = VecDeque::new();
+    // the table itself drops every channel of a dead router
+    let survivors = SurvivorTable::build(topo.as_ref(), &link_failed, &dead_router);
     for &src in &live {
-        seen.iter_mut().for_each(|s| *s = false);
-        seen[src] = true;
-        let mut reached = 1usize;
-        q.clear();
-        q.push_back(src);
-        while let Some(cur) = q.pop_front() {
-            for p in 1..ports {
-                if dead_chan[cur * ports + p] {
-                    continue;
-                }
-                if let Some((v, _)) = topo.neighbor(cur, p) {
-                    if !dead_router[v] && !seen[v] {
-                        seen[v] = true;
-                        reached += 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-        }
-        if reached < live.len() {
-            let dst = *live.iter().find(|&&d| !seen[d]).expect("reached < live implies a miss");
-            return FaultReport {
+        let mut cut = live.iter().filter(|&&d| !survivors.reachable(src, d));
+        if let Some(&dst) = cut.next() {
+            let cut_off = 1 + cut.count();
+            let witness = PartitionWitness { src, dst, reachable: live.len() - cut_off, cut_off };
+            return Ok(FaultReport {
                 scenario,
-                verdict: FaultVerdict::Refuted {
-                    witness: PartitionWitness {
-                        src,
-                        dst,
-                        reachable: reached,
-                        cut_off: live.len() - reached,
-                    },
-                },
+                verdict: FaultVerdict::Refuted { witness },
                 channels_failed,
-            };
+            });
         }
     }
 
-    FaultReport {
+    Ok(FaultReport {
         scenario,
         verdict: FaultVerdict::Certified { live_routers: live.len() },
         channels_failed,
-    }
+    })
 }
 
 /// Every directed fault event (both link directions) isolating `node`
@@ -216,7 +198,7 @@ mod tests {
 
     #[test]
     fn healthy_topology_is_certified() {
-        let r = check_fault_connectivity(&mesh4(), &[]);
+        let r = check_fault_connectivity(&mesh4(), &[]).unwrap();
         assert_eq!(r.verdict, FaultVerdict::Certified { live_routers: 16 });
         assert_eq!(r.channels_failed, 0);
     }
@@ -231,7 +213,7 @@ mod tests {
             FaultEvent::LinkFail { cycle: 0, router: 5, port: 1 },
             FaultEvent::LinkFail { cycle: 0, router: v, port: vp },
         ];
-        let r = check_fault_connectivity(&cfg, &events);
+        let r = check_fault_connectivity(&cfg, &events).unwrap();
         assert!(r.is_certified(), "{r}");
         assert_eq!(r.channels_failed, 2);
     }
@@ -241,7 +223,7 @@ mod tests {
         let cfg = mesh4();
         let topo = cfg.topology.build();
         let events = isolate_node_events(topo.as_ref(), 0, 0);
-        let r = check_fault_connectivity(&cfg, &events);
+        let r = check_fault_connectivity(&cfg, &events).unwrap();
         let FaultVerdict::Refuted { witness } = &r.verdict else {
             panic!("expected refutation, got {r}");
         };
@@ -271,7 +253,7 @@ mod tests {
         events.extend(repairs);
         events.push(FaultEvent::RouterFail { cycle: 20, router: 9 });
         events.push(FaultEvent::RouterRepair { cycle: 60, router: 9 });
-        let r = check_fault_connectivity(&cfg, &events);
+        let r = check_fault_connectivity(&cfg, &events).unwrap();
         assert_eq!(r.verdict, FaultVerdict::Certified { live_routers: 16 });
         assert_eq!(r.channels_failed, 0);
     }
@@ -288,7 +270,7 @@ mod tests {
         let (v, vp) = topo.neighbor(router, port).unwrap();
         events.push(FaultEvent::LinkRepair { cycle: 50, router, port });
         events.push(FaultEvent::LinkRepair { cycle: 50, router: v, port: vp });
-        let r = check_fault_connectivity(&cfg, &events);
+        let r = check_fault_connectivity(&cfg, &events).unwrap();
         assert!(r.is_certified(), "{r}");
         assert_eq!(r.channels_failed, 2, "one bidirectional link still down");
     }
@@ -298,8 +280,26 @@ mod tests {
         // a failed router partitions nothing: the remaining 15 mesh
         // nodes stay mutually connected and the dead one is exempt
         let events = [FaultEvent::RouterFail { cycle: 0, router: 5 }];
-        let r = check_fault_connectivity(&mesh4(), &events);
+        let r = check_fault_connectivity(&mesh4(), &events).unwrap();
         assert_eq!(r.verdict, FaultVerdict::Certified { live_routers: 15 });
         assert!(r.channels_failed >= 8, "both directions of all incident links: {r}");
+    }
+
+    #[test]
+    fn out_of_range_events_are_refused_as_the_simulator_refuses_them() {
+        for ev in [
+            FaultEvent::RouterFail { cycle: 0, router: 99 },
+            FaultEvent::LinkFail { cycle: 0, router: 15, port: 9 },
+            FaultEvent::LinkFail { cycle: 0, router: 0, port: 9 },
+        ] {
+            let err = check_fault_connectivity(&mesh4(), &[ev]).unwrap_err();
+            assert!(matches!(err, ConfigError::Parameter { name: "events", .. }), "{err}");
+            let mut net = noc_sim::Network::new(mesh4()).unwrap();
+            let plan =
+                noc_sim::network::fault::FaultPlan { events: vec![ev], ..Default::default() };
+            assert_eq!(net.try_set_fault_plan(plan), Err(err), "same text as the simulator");
+        }
+        let unbuildable = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 1 });
+        assert!(check_fault_connectivity(&unbuildable, &[]).is_err());
     }
 }

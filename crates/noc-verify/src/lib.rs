@@ -23,9 +23,15 @@
 //!    channels in circular-wait order: [`Verdict::Refuted`]. A cycle in
 //!    the over-approximated adaptive graph yields [`Verdict::Unknown`].
 //!
+//! The VC masks are the simulator's own: [`VcBook::relaxed`] builds the
+//! partition even below the block minima `VcBook::new` enforces, which
+//! is how a one-VC torus gets a cycle witness instead of a refusal.
 //! Alongside the verdict, [`verify`] runs static configuration lints:
-//! VC-class partition disjointness, degenerate routing/topology
-//! pairings, and buffer depth against the credit round-trip.
+//! the simulator's validation, each partition deficiency, degenerate
+//! routing/topology pairings, and buffer depth against the credit
+//! round-trip. A topology `TopologyKind::validate` refuses, or a VC
+//! count with no partition at all, is answered `Unknown` with an error
+//! finding before anything is built.
 //!
 //! The route enumerator that powers all of this is a public API:
 //! [`routes::enumerate_routes`] reports every route (exact weighted
@@ -47,49 +53,46 @@
 mod cdg;
 mod checks;
 pub mod fault;
-mod partition;
 mod report;
 pub mod routes;
 
 pub use cdg::Cdg;
 pub use fault::{check_fault_connectivity, FaultReport, FaultVerdict, PartitionWitness};
-pub use partition::Partition;
 pub use report::{CdgStats, ChannelRef, CycleWitness, Finding, Severity, Verdict, VerifyReport};
 
 use noc_sim::config::NetConfig;
-use noc_sim::routing::RoutingAlgorithm;
+use noc_sim::routing::{RoutingAlgorithm, VcBook};
 
 /// Analyze `cfg` and return the full verification report.
 pub fn verify(cfg: &NetConfig) -> VerifyReport {
-    let topo = cfg.topology.build();
     let routing = &cfg.routing;
-    let config_desc = format!(
-        "{} on {}, {} VC(s) x {}-flit buffers, {} class(es)",
-        routing.name(),
-        topo.name(),
-        cfg.vcs,
-        cfg.vc_buf,
-        cfg.classes
-    );
+    let desc = |topo: &str| {
+        format!(
+            "{} on {topo}, {} VC(s) x {}-flit buffers, {} class(es)",
+            routing.name(),
+            cfg.vcs,
+            cfg.vc_buf,
+            cfg.classes
+        )
+    };
+    if let Err(e) = cfg.topology.validate() {
+        let desc = desc(&format!("{:?}", cfg.topology));
+        let message = format!("rejected by the simulator: {e}");
+        return unanalyzable(desc, format!("unanalyzable topology: {e}"), "config", message);
+    }
+    let topo = cfg.topology.build();
+    let config_desc = desc(&topo.name());
 
-    let part = match Partition::new(cfg.vcs, cfg.classes, routing, &*topo) {
-        Ok(p) => p,
-        Err(why) => {
-            return VerifyReport {
-                config_desc,
-                verdict: Verdict::Unknown(format!("unanalyzable VC partition: {why}")),
-                findings: vec![Finding {
-                    severity: Severity::Error,
-                    check: "vc-partition",
-                    message: why,
-                }],
-                stats: CdgStats::default(),
-            }
+    let (book, deficiencies) = match VcBook::relaxed(cfg.vcs, cfg.classes, routing, &*topo) {
+        Ok(relaxed) => relaxed,
+        Err(e) => {
+            let why = format!("unanalyzable VC partition: {e}");
+            return unanalyzable(config_desc, why, "vc-partition", e.to_string());
         }
     };
 
-    let findings = checks::static_checks(cfg, &*topo, &part);
-    let build = routes::build_cdg(cfg, &*topo, &part);
+    let findings = checks::static_checks(cfg, &*topo, &deficiencies);
+    let build = routes::build_cdg(cfg, &*topo, &book);
     let stats = CdgStats {
         channels: build.cdg.num_channels(),
         edges: build.cdg.num_edges(),
@@ -101,7 +104,7 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
             let channels = cycle
                 .iter()
                 .map(|&id| {
-                    let (router, port, vc) = routes::decode_channel(&*topo, id, part.vcs());
+                    let (router, port, vc) = routes::decode_channel(&*topo, id, book.vcs());
                     let dst_router =
                         topo.neighbor(router, port).expect("witness channels lie on live links").0;
                     ChannelRef { router, port, dst_router, vc }
@@ -121,4 +124,21 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
     };
 
     VerifyReport { config_desc, verdict, findings, stats }
+}
+
+/// The report for a configuration no analysis can start on: an
+/// `Unknown` verdict and one error finding.
+fn unanalyzable(
+    config_desc: String,
+    why: String,
+    check: &'static str,
+    message: String,
+) -> VerifyReport {
+    let findings = vec![Finding { severity: Severity::Error, check, message }];
+    VerifyReport {
+        config_desc,
+        verdict: Verdict::Unknown(why),
+        findings,
+        stats: CdgStats::default(),
+    }
 }

@@ -49,19 +49,18 @@
 //! is over-approximated, hence a cycle there yields `Unknown`, not
 //! `Refuted`.
 //!
-//! Analysis covers message class 0 only. Classes partition the VC space
-//! into disjoint, identically-shaped blocks (a static check verifies
-//! the disjointness), so a dependency cycle exists in some class iff it
-//! exists in class 0.
+//! Analysis covers message class 0 only. `VcBook` gives every class a
+//! disjoint, identically-shaped block of the VC space (by construction,
+//! and `certify.rs` checks it), so a dependency cycle exists in some
+//! class iff it exists in class 0.
 
 use std::collections::HashMap;
 
 use noc_sim::config::{NetConfig, RoutingKind};
-use noc_sim::routing::{RouteLut, RouteState, RoutingAlgorithm};
+use noc_sim::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
 use noc_sim::topology::Topology;
 
 use crate::cdg::Cdg;
-use crate::partition::Partition;
 
 /// One committed hop of a route: the packet leaves `node` through
 /// output `port`, landing in the routing state `state`.
@@ -75,7 +74,7 @@ pub struct Hop {
     /// Routing state *after* the hop commits (phase, dateline, last
     /// dimension) — the return value of the same
     /// [`RoutingAlgorithm::advance`] the router calls, so VC-mask replay
-    /// through [`Partition::allowed`] is bit-exact.
+    /// through [`VcBook::allowed`] is bit-exact.
     pub state: RouteState,
 }
 
@@ -150,12 +149,12 @@ pub fn enumerate_routes(
     }
     // Adaptive traversability depends on the VC partition: a non-DOR
     // candidate is only usable when an adaptive VC exists for it.
-    let part = Partition::new(cfg.vcs, cfg.classes, &routing, topo).ok();
+    let book = VcBook::relaxed(cfg.vcs, cfg.classes, &routing, topo).ok().map(|(book, _)| book);
     let mut routes = 0u64;
     for src in 0..n {
         for dst in 0..n {
             if src != dst {
-                adaptive_flows(topo, lut, &routing, part.as_ref(), src, dst, visitor);
+                adaptive_flows(topo, lut, &routing, book.as_ref(), src, dst, visitor);
                 routes += 1;
             }
         }
@@ -319,7 +318,7 @@ fn adaptive_flows(
     topo: &dyn Topology,
     lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
-    part: Option<&Partition>,
+    book: Option<&VcBook>,
     src: usize,
     dst: usize,
     visitor: &mut dyn RouteVisitor,
@@ -350,8 +349,8 @@ fn adaptive_flows(
             // Same traversability rule as the CDG builder: adaptively
             // via any adaptive VC, or via the escape sub-network on the
             // DOR candidate (ci == 0).
-            if let Some(p) = part {
-                if ci != 0 && p.allowed(0, ns.phase as usize, ns.dateline, false) == 0 {
+            if let Some(book) = book {
+                if ci != 0 && book.allowed(0, ns.phase as usize, ns.dateline, false) == 0 {
                     continue;
                 }
             }
@@ -400,7 +399,7 @@ pub struct CdgBuild {
 /// contribute the cross-product of their legal VC masks.
 struct CdgVisitor<'a> {
     topo: &'a dyn Topology,
-    part: &'a Partition,
+    book: &'a VcBook,
     cdg: &'a mut Cdg,
     prev: Vec<u32>,
     here: Vec<u32>,
@@ -408,10 +407,10 @@ struct CdgVisitor<'a> {
 
 impl RouteVisitor for CdgVisitor<'_> {
     fn path(&mut self, _src: usize, _dst: usize, _weight: f64, hops: &[Hop]) {
-        let vcs = self.part.vcs();
+        let vcs = self.book.vcs();
         self.prev.clear();
         for hop in hops {
-            let mask = self.part.allowed(0, hop.state.phase as usize, hop.state.dateline, false);
+            let mask = self.book.allowed(0, hop.state.phase as usize, hop.state.dateline, false);
             self.here.clear();
             let mut bits = mask;
             while bits != 0 {
@@ -430,8 +429,8 @@ impl RouteVisitor for CdgVisitor<'_> {
 }
 
 /// Enumerate all routes of `cfg.routing` and build the CDG.
-pub fn build_cdg(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> CdgBuild {
-    let vcs = part.vcs();
+pub fn build_cdg(cfg: &NetConfig, topo: &dyn Topology, book: &VcBook) -> CdgBuild {
+    let vcs = book.vcs();
     let mut cdg = Cdg::new(topo.num_nodes() * (topo.num_ports() - 1) * vcs);
     if cfg.routing == RoutingKind::MinAdaptive {
         // Duato's criterion needs the escape sub-network's extended
@@ -442,14 +441,14 @@ pub fn build_cdg(cfg: &NetConfig, topo: &dyn Topology, part: &Partition) -> CdgB
         for src in 0..n {
             for dst in 0..n {
                 if src != dst {
-                    escape_dependencies(topo, &lut, &cfg.routing, part, &mut cdg, src, dst);
+                    escape_dependencies(topo, &lut, &cfg.routing, book, &mut cdg, src, dst);
                     routes += 1;
                 }
             }
         }
         return CdgBuild { cdg, routes, exact: false };
     }
-    let mut visitor = CdgVisitor { topo, part, cdg: &mut cdg, prev: Vec::new(), here: Vec::new() };
+    let mut visitor = CdgVisitor { topo, book, cdg: &mut cdg, prev: Vec::new(), here: Vec::new() };
     let e = enumerate_routes(cfg, topo, &mut visitor);
     CdgBuild { cdg, routes: e.routes, exact: e.exact }
 }
@@ -500,12 +499,12 @@ fn escape_dependencies(
     topo: &dyn Topology,
     lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
-    part: &Partition,
+    book: &VcBook,
     cdg: &mut Cdg,
     src: usize,
     dst: usize,
 ) {
-    let vcs = part.vcs();
+    let vcs = book.vcs();
     let mut state_ix: HashMap<StateKey, usize> = HashMap::new();
     let mut states: Vec<StateKey> = Vec::new();
     // per state: (successor state, Some(escape hop id) if the hop is
@@ -531,7 +530,7 @@ fn escape_dependencies(
             let ns = routing.advance(lut, node, port, &state);
             let next_node =
                 topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
-            let adaptive_mask = part.allowed(0, ns.phase as usize, ns.dateline, false);
+            let adaptive_mask = book.allowed(0, ns.phase as usize, ns.dateline, false);
             let is_dor = ci == 0;
             // A hop is traversable adaptively (any adaptive VC) or, on
             // the DOR candidate, via the escape sub-network.
@@ -546,7 +545,7 @@ fn escape_dependencies(
                 states.len() - 1
             });
             let escape_id = if is_dor {
-                let emask = part.allowed(0, ns.phase as usize, ns.dateline, true);
+                let emask = book.allowed(0, ns.phase as usize, ns.dateline, true);
                 let mut channels = Vec::new();
                 let mut bits = emask;
                 while bits != 0 {

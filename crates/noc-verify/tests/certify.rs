@@ -3,7 +3,7 @@
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
 use noc_sim::routing::{RoutingAlgorithm, VcBook};
-use noc_verify::{Partition, Severity, Verdict, VerifyReport};
+use noc_verify::{Severity, Verdict, VerifyReport};
 
 fn cfg(topo: TopologyKind, routing: RoutingKind, vcs: usize) -> NetConfig {
     NetConfig::baseline().with_topology(topo).with_routing(routing).with_vcs(vcs)
@@ -116,8 +116,12 @@ fn folded_torus_matches_plain_torus_verdicts() {
     assert_eq!(plain.stats.edges, folded.stats.edges, "same dependency structure");
 }
 
+/// The partition's two constructors agree: `new` is `relaxed` plus "the
+/// first deficiency is the error", and every book `relaxed` builds, even
+/// below the block minima, gives each class a disjoint, injectable VC
+/// set. That is why the analyzer has no class-disjointness lint.
 #[test]
-fn relaxed_partition_matches_vcbook_on_valid_configs() {
+fn vcbook_new_is_relaxed_with_its_first_deficiency_as_the_error() {
     let topos = [
         TopologyKind::Mesh2D { k: 4 },
         TopologyKind::Torus2D { k: 4 },
@@ -125,39 +129,45 @@ fn relaxed_partition_matches_vcbook_on_valid_configs() {
     ];
     let routings =
         [RoutingKind::Dor, RoutingKind::Valiant, RoutingKind::Romm, RoutingKind::MinAdaptive];
+    let (mut deficient, mut refused) = (0, 0);
     for topo_kind in topos {
         for routing_kind in routings {
             let topo = topo_kind.build();
             for classes in 1..=2usize {
-                for block in 1..=4usize {
-                    let vcs = classes * routing_kind.num_phases() * block;
-                    let Ok(book) = VcBook::new(vcs, classes, &routing_kind, &*topo) else {
-                        continue; // strict partition rejects; nothing to mirror
-                    };
-                    let part = Partition::new(vcs, classes, &routing_kind, &*topo)
-                        .expect("relaxed partition accepts whatever VcBook accepts");
-                    assert!(part.degraded.is_empty(), "valid configs are not degraded");
-                    for class in 0..classes {
-                        assert_eq!(book.injection(class), part.injection(class));
-                        assert_eq!(book.class_mask(class), part.class_mask(class));
-                        for phase in 0..2 {
-                            for dateline in [false, true] {
-                                for escape_only in [false, true] {
-                                    assert_eq!(
-                                        book.allowed(class, phase, dateline, escape_only),
-                                        part.allowed(class, phase, dateline, escape_only),
-                                        "{topo_kind:?} {routing_kind:?} vcs={vcs} \
-                                         class={class} phase={phase} dateline={dateline} \
-                                         escape={escape_only}"
-                                    );
-                                }
+                let blocks = classes * routing_kind.num_phases();
+                let even = (1..=4).map(|block| blocks * block);
+                for vcs in even.flat_map(|vcs| [vcs, vcs + 1]).chain([0, 65]) {
+                    let at = format!("{topo_kind:?} {routing_kind:?} vcs={vcs} classes={classes}");
+                    let strict = VcBook::new(vcs, classes, &routing_kind, &*topo);
+                    let (book, deficiencies) =
+                        match VcBook::relaxed(vcs, classes, &routing_kind, &*topo) {
+                            Ok(relaxed) => relaxed,
+                            Err(e) => {
+                                assert_eq!(strict.unwrap_err(), e, "{at}");
+                                refused += 1;
+                                continue;
                             }
+                        };
+                    match deficiencies.first() {
+                        None => assert!(strict.is_ok(), "{at}"),
+                        Some(first) => {
+                            assert_eq!(&strict.unwrap_err(), first, "{at}");
+                            deficient += 1;
                         }
+                    }
+                    let mut union = 0u64;
+                    for class in 0..classes {
+                        let mask = book.class_mask(class);
+                        assert_eq!(union & mask, 0, "{at}: class {class} overlaps a lower class");
+                        assert_ne!(book.injection(class), 0, "{at}: class {class} cannot inject");
+                        assert_eq!(book.injection(class) & !mask, 0, "{at}: injects outside class");
+                        union |= mask;
                     }
                 }
             }
         }
     }
+    assert!(deficient > 0 && refused > 0, "the grid reaches both failure kinds");
 }
 
 #[test]

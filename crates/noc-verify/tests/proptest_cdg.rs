@@ -148,12 +148,19 @@ proptest! {
     }
 
     /// The analyzer agrees with the simulator's own validation: it
-    /// marks an error finding iff `NetConfig::validate` rejects.
+    /// marks an error finding iff `NetConfig::validate` rejects. That
+    /// includes topologies too small or too large to build and VC counts
+    /// past the 64-bit mask, which must come back promptly, refused.
     #[test]
     fn error_findings_match_simulator_validation(
-        topo in topo_strategy(),
+        topo in prop_oneof![
+            topo_strategy(),
+            Just(TopologyKind::Mesh2D { k: 1 }),
+            Just(TopologyKind::Mesh2D { k: 3000 }),
+            Just(TopologyKind::Ring { n: 5000 }),
+        ],
         routing in routing_strategy(),
-        vcs in 1usize..=6,
+        vcs in prop_oneof![1usize..=6, Just(65usize), Just(128usize)],
         classes in 1usize..=2,
     ) {
         let cfg = NetConfig::baseline()
