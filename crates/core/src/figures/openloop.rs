@@ -142,11 +142,6 @@ impl Fig03 {
         let base = self.router_delay[0].first_y().unwrap_or(1.0);
         self.router_delay.iter().map(|c| c.first_y().unwrap_or(0.0) / base).collect()
     }
-
-    /// Highest stable load per buffer-size curve (throughput proxy).
-    pub fn buffer_saturation_proxy(&self) -> Vec<(String, f64)> {
-        self.buffer_size.iter().map(|c| (c.label.clone(), c.last_x().unwrap_or(0.0))).collect()
-    }
 }
 
 /// Fig 6(a): open-loop topology comparison (mesh, folded torus, ring).

@@ -232,12 +232,14 @@ pub struct PointRequest {
 }
 
 impl PointRequest {
-    /// The open-loop configuration this point evaluates.
+    /// The open-loop configuration this point evaluates. A packet size
+    /// past the engine's `u16` becomes 0 flits, which
+    /// [`OpenLoopConfig::validate`] refuses, never a clamped size.
     pub fn open_loop(&self) -> OpenLoopConfig {
         OpenLoopConfig {
             net: self.net.clone(),
             pattern: self.pattern,
-            size: SizeKind::Fixed(self.packet_size.min(u16::MAX as u64) as u16),
+            size: SizeKind::Fixed(u16::try_from(self.packet_size).unwrap_or(0)),
             load: self.load,
             warmup: self.warmup,
             measure: self.measure,

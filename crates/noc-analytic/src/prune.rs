@@ -2,7 +2,7 @@
 //! points need the simulator at all.
 
 use noc_exp::PrunedGrid;
-use noc_openloop::{measure, OpenLoopConfig, OpenLoopResult, SweepPoint};
+use noc_openloop::{measure, validate_latency_cap, OpenLoopConfig, OpenLoopResult, SweepPoint};
 use noc_sim::error::ConfigError;
 
 use crate::model::{AnalyticModel, Confidence};
@@ -20,25 +20,18 @@ use crate::model::{AnalyticModel, Confidence};
 /// Skipped points are marked in [`PrunedGrid::skipped`] and carry
 /// model-synthesized results (zero `measured_packets`, no metrics).
 ///
-/// `latency_cap` follows `saturation_throughput`'s contract (positive,
-/// finite); `band` must be non-negative and finite.
+/// `latency_cap` follows [`noc_openloop::validate_latency_cap`]; `band`
+/// must be non-negative and finite.
 pub fn sweep_pruned(
     base: &OpenLoopConfig,
     loads: &[f64],
     latency_cap: f64,
     band: f64,
 ) -> Result<PrunedGrid<SweepPoint>, ConfigError> {
-    if !(latency_cap > 0.0 && latency_cap.is_finite()) {
-        return Err(ConfigError::Parameter {
-            name: "latency_cap",
-            why: format!("pruned sweep needs a positive finite latency cap, got {latency_cap}"),
-        });
-    }
+    validate_latency_cap(latency_cap)?;
     if !(band >= 0.0 && band.is_finite()) {
-        return Err(ConfigError::Parameter {
-            name: "band",
-            why: format!("pruned sweep needs a non-negative finite band, got {band}"),
-        });
+        let why = format!("pruned sweep needs a non-negative finite band, got {band}");
+        return Err(ConfigError::Parameter { name: "band", why });
     }
     let model = AnalyticModel::of(&base.net, base.pattern, base.size)?;
     let sat = model.predicted_saturation(latency_cap);
@@ -52,11 +45,8 @@ pub fn sweep_pruned(
         Some(SweepPoint { load, result: synthesize(&model, load, sat, latency_cap) })
     };
     let eval = |i: usize, &load: &f64| -> SweepPoint {
-        // identical to noc_openloop::sweep's per-point configuration:
-        // base at `load` with the seed derived from the ORIGINAL index
-        let mut cfg = base.clone().with_load(load);
-        cfg.net.seed = noc_exp::derive_seed(base.net.seed, i as u64);
-        let result = measure(&cfg).expect("sweep point must be a valid config");
+        // the ORIGINAL grid index, so the point's seed is the full sweep's
+        let result = measure(&base.point(i, load)).expect("sweep point must be a valid config");
         SweepPoint { load, result }
     };
     Ok(noc_exp::run_grid_pruned(loads, prune, eval))

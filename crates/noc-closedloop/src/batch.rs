@@ -71,18 +71,6 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Set the batch size `b`.
-    pub fn with_batch(mut self, b: u64) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Set the MSHR count `m`.
-    pub fn with_m(mut self, m: usize) -> Self {
-        self.max_outstanding = m;
-        self
-    }
-
     /// Set the network access rate.
     pub fn with_nar(mut self, nar: f64) -> Self {
         self.nar = nar;

@@ -16,6 +16,8 @@
 //! * [`kernel`] — OS activity modeling (Section V): static batch
 //!   inflation for syscall traffic plus dynamic timer-interrupt batches
 //!   at rate `R_timer`.
+//! * [`seeds`] — multi-seed replicates of the batch model, one derived
+//!   seed per replicate, bit-identical at every worker count.
 //!
 //! The *enhanced injection model* (Section IV-C1) is the `nar` field of
 //! [`batch::BatchConfig`]: with probability NAR per cycle a node with
@@ -33,4 +35,4 @@ pub use barrier::{run_barrier, BarrierConfig, BarrierResult};
 pub use batch::{run_batch, BatchBehavior, BatchConfig, BatchResult};
 pub use kernel::KernelModel;
 pub use reply::ReplyModel;
-pub use seeds::{run_batch_seeds, run_batch_seeds_serial, summarize_batch_seeds, BatchSeedSummary};
+pub use seeds::{run_batch_seeds, summarize_batch_seeds, BatchSeedSummary};

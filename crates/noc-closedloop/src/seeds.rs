@@ -6,8 +6,8 @@
 //! fresh network), so [`run_batch_seeds`] fans them out through
 //! [`noc_exp::run_grid`]. Replicate `i` always runs with the RNG seed
 //! `derive_seed(cfg.net.seed, i)`, regardless of worker or evaluation
-//! order, so parallel output is bit-identical to
-//! [`run_batch_seeds_serial`].
+//! order, so output is bit-identical at every width, `NOC_THREADS=1`
+//! (the serial reference) included.
 
 use noc_sim::error::ConfigError;
 
@@ -23,23 +23,14 @@ fn replicate_config(base: &BatchConfig, index: usize) -> BatchConfig {
 
 /// Run `replicates` independent batch-model experiments in parallel,
 /// differing only in their derived RNG seed. Results come back in
-/// replicate order and are bit-identical to
-/// [`run_batch_seeds_serial`] (regression-tested).
+/// replicate order and are bit-identical at every worker count
+/// (regression-tested in the workspace's `tests/determinism.rs`).
 pub fn run_batch_seeds(
     base: &BatchConfig,
     replicates: usize,
 ) -> Result<Vec<BatchResult>, ConfigError> {
     let indices: Vec<usize> = (0..replicates).collect();
     noc_exp::run_grid(&indices, |_, &i| run_batch(&replicate_config(base, i))).into_iter().collect()
-}
-
-/// Serial reference implementation of [`run_batch_seeds`]: same
-/// configurations, same seeds, one replicate at a time.
-pub fn run_batch_seeds_serial(
-    base: &BatchConfig,
-    replicates: usize,
-) -> Result<Vec<BatchResult>, ConfigError> {
-    (0..replicates).map(|i| run_batch(&replicate_config(base, i))).collect()
 }
 
 /// Summary of a multi-seed batch: mean runtime and its spread.
@@ -96,11 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bit_for_bit() {
+    fn replicates_replay_bit_for_bit() {
         let base = quick();
-        let par = run_batch_seeds(&base, 4).unwrap();
-        let ser = run_batch_seeds_serial(&base, 4).unwrap();
-        assert_eq!(format!("{par:?}"), format!("{ser:?}"));
+        let a = run_batch_seeds(&base, 4).unwrap();
+        let b = run_batch_seeds(&base, 4).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

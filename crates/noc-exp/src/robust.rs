@@ -57,14 +57,6 @@ impl<R> PointOutcome<R> {
         }
     }
 
-    /// The successful result by reference, if any.
-    pub fn as_ok(&self) -> Option<&R> {
-        match self {
-            PointOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// True for [`PointOutcome::Ok`].
     pub fn is_ok(&self) -> bool {
         matches!(self, PointOutcome::Ok(_))

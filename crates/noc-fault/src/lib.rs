@@ -39,12 +39,8 @@
 pub mod resilience;
 pub mod sweep;
 
-pub use resilience::{
-    resilience_sweep, resilience_sweep_serial, RecoveryMode, ResilienceConfig, ResiliencePoint,
-};
-pub use sweep::{
-    degradation_sweep, degradation_sweep_serial, run_faulted, DegradationConfig, DegradationPoint,
-};
+pub use resilience::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
+pub use sweep::{degradation_sweep, run_faulted, DegradationConfig, DegradationPoint};
 
 use noc_sim::error::ConfigError;
 use noc_sim::network::fault::{FaultEvent, FaultPlan, LinkRetryPolicy, RetxPolicy};

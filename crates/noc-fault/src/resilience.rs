@@ -11,11 +11,11 @@
 //! or abandoned.
 //!
 //! Points run through [`noc_exp::run_grid_robust`] with the same seed
-//! discipline as every other grid in the workspace: point `k` derives
-//! its traffic seed from `derive_seed(base.net.seed, k)` and its flap
+//! discipline as every other grid in the workspace: point `k` runs
+//! [`OpenLoopConfig::point`]`(k, ..)` for traffic and draws its flap
 //! seed from an independent family, so output is bit-identical across
-//! runs and worker thread counts (regression-tested against
-//! [`resilience_sweep_serial`]).
+//! runs and worker thread counts (`NOC_THREADS=1` is the reference;
+//! see `tests/replay_prop.rs`).
 
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::OpenLoopConfig;
@@ -107,7 +107,7 @@ impl ResilienceConfig {
         let flap = FlapConfig {
             links: 2,
             start: 16,
-            horizon: base.warmup + base.measure,
+            horizon: base.window_end(),
             corrupt_rate: 1e-3,
             ..FlapConfig::default()
         };
@@ -168,8 +168,7 @@ pub struct ResiliencePoint {
 /// Evaluate resilience point `k` (one `(mtbf, mttr)` pair).
 fn eval_point(cfg: &ResilienceConfig, k: usize) -> Result<ResiliencePoint, Diverged> {
     let (mtbf, mttr) = cfg.axis[k];
-    let mut base = cfg.base.clone();
-    base.net.seed = derive_seed(cfg.base.net.seed, k as u64);
+    let base = cfg.base.point(k, cfg.base.load);
 
     // flap scenarios draw from their own seed family, so the traffic
     // stream of point k is unchanged by the recovery mode or the axis
@@ -214,17 +213,6 @@ pub fn resilience_sweep(cfg: &ResilienceConfig) -> Vec<PointOutcome<ResiliencePo
     run_grid_robust(&ks, |_, &k| eval_point(cfg, k))
 }
 
-/// Serial reference implementation of [`resilience_sweep`], used to
-/// regression-test that parallel output is bit-identical.
-pub fn resilience_sweep_serial(cfg: &ResilienceConfig) -> Vec<PointOutcome<ResiliencePoint>> {
-    (0..cfg.axis.len())
-        .map(|k| match eval_point(cfg, k) {
-            Ok(p) => PointOutcome::Ok(p),
-            Err(d) => PointOutcome::Diverged { budget: d.budget },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,13 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial_and_replayable() {
+    fn sweep_replays_bit_identically() {
         let mut cfg = quick_cfg(RecoveryMode::Combined);
         cfg.axis = vec![(300, 40), (600, 80), (1200, 160)];
-        let par = resilience_sweep(&cfg);
-        let ser = resilience_sweep_serial(&cfg);
-        assert_eq!(par, ser);
-        assert_eq!(par, resilience_sweep(&cfg));
+        assert_eq!(resilience_sweep(&cfg), resilience_sweep(&cfg));
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! panics the engine reports `Panicked`, one that fails to settle
 //! within [`DegradationConfig::settle_max`] reports `Diverged`, and
 //! the rest of the curve survives. Results are bit-identical across
-//! runs and thread counts — point `k` always uses the seed
-//! `derive_seed(base.net.seed, k)` for traffic and an independently
+//! runs and thread counts — point `k` always runs
+//! [`OpenLoopConfig::point`]`(k, ..)` for traffic and an independently
 //! derived scenario seed for faults, regardless of which worker
-//! evaluates it (regression-tested against [`degradation_sweep_serial`]).
+//! evaluates it (`NOC_THREADS=1` is the reference; see
+//! `tests/replay_prop.rs`).
 
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::{OpenLoopBehavior, OpenLoopConfig};
@@ -24,7 +25,6 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::fault::{FaultPlan, RetxPolicy};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_stats::Ratio;
-use noc_traffic::Bernoulli;
 
 use crate::{FaultConfig, FaultSchedule};
 
@@ -126,44 +126,32 @@ impl NodeBehavior for GatedSource {
     }
 }
 
-/// The run under every point of both sweeps: `base` traffic (seeded
-/// exactly by `base.net.seed`) generated until `warmup + measure`
-/// against an optional fault `plan`, then stepped until the fabric is
-/// idle and every transfer resolved — or `Diverged` once `settle_max`
-/// further cycles have passed. Callers assemble their point from the
-/// returned network and source.
+/// The run under every point of both sweeps: `base` traffic (its
+/// [`OpenLoopConfig::source`]) generated until the end of the
+/// measurement window against an optional fault `plan`, then stepped
+/// until the fabric is idle and every transfer resolved — or `Diverged`
+/// once `settle_max` further cycles have passed. Callers assemble their
+/// point from the returned network and source. Panics on a `base` that
+/// fails [`OpenLoopConfig::validate`].
 pub(crate) fn run_gated(
     base: &OpenLoopConfig,
     plan: Option<FaultPlan>,
     settle_max: u64,
 ) -> Result<(Network, GatedSource), Diverged> {
-    let mut net = Network::new(base.net.clone()).expect("sweep base config must be valid");
-    let nodes = net.num_nodes();
-    let radix = net.topo().radix(0);
+    let mut net = base
+        .validate()
+        .and_then(|()| Network::new(base.net.clone()))
+        .unwrap_or_else(|e| panic!("sweep base config must be valid: {e}"));
     if let Some(plan) = plan {
         net.set_fault_plan(plan);
     }
-
-    let p = base.load / base.size.mean();
-    assert!((0.0..=1.0).contains(&p), "offered load implies generation probability {p} > 1");
-    let cutoff = base.warmup + base.measure;
-    let mut b = GatedSource {
-        inner: OpenLoopBehavior::new(
-            nodes,
-            base.pattern.build(nodes, radix),
-            base.size.build(),
-            || Box::new(Bernoulli { p }),
-            base.net.seed,
-            base.warmup,
-            cutoff,
-        ),
-        cutoff,
-        done: false,
-    };
+    let cutoff = base.window_end();
+    let inner = base.source(net.num_nodes(), net.topo().radix(0));
+    let mut b = GatedSource { inner, cutoff, done: false };
 
     net.run(cutoff, &mut b);
     // settle: drain the fabric and resolve every transfer
-    let budget = cutoff + settle_max;
+    let budget = cutoff.saturating_add(settle_max);
     while !(net.is_idle() && net.fault_settled()) {
         if net.cycle() >= budget {
             return Err(Diverged { budget });
@@ -205,8 +193,7 @@ pub fn run_faulted(
 /// Evaluate degradation point `k` (that many failed links).
 fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Diverged> {
     // per-point traffic seed, as every other grid in this workspace
-    let mut base = cfg.base.clone();
-    base.net.seed = derive_seed(cfg.base.net.seed, k as u64);
+    let base = cfg.base.point(k, cfg.base.load);
 
     // the fault scenario draws from its own seed family so the traffic
     // stream of point k is unchanged by turning faults on
@@ -228,19 +215,6 @@ fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Div
 pub fn degradation_sweep(cfg: &DegradationConfig) -> Vec<PointOutcome<DegradationPoint>> {
     let ks: Vec<usize> = (0..=cfg.max_failed_links).collect();
     run_grid_robust(&ks, |_, &k| eval_point(cfg, k))
-}
-
-/// Serial reference implementation of [`degradation_sweep`]: same
-/// configurations, same seeds, one point at a time, no panic isolation
-/// beyond the per-point wrapper. Used to regression-test that parallel
-/// output is bit-identical.
-pub fn degradation_sweep_serial(cfg: &DegradationConfig) -> Vec<PointOutcome<DegradationPoint>> {
-    (0..=cfg.max_failed_links)
-        .map(|k| match eval_point(cfg, k) {
-            Ok(p) => PointOutcome::Ok(p),
-            Err(d) => PointOutcome::Diverged { budget: d.budget },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -271,20 +245,15 @@ mod tests {
         assert_eq!(p0.packets_dropped, 0);
 
         // healthy twin: same derived point seed, no fault plan at all
-        let mut base = cfg.base.clone();
-        base.net.seed = derive_seed(cfg.base.net.seed, 0);
+        let base = cfg.base.point(0, cfg.base.load);
         let (net, _) = run_gated(&base, None, cfg.settle_max).expect("healthy run settles");
         assert_eq!(p0.digest, net.stats().delivery_digest, "fault layer perturbed a healthy run");
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
+    fn sweep_replays_bit_identically() {
         let cfg = quick_cfg(3);
-        let par = degradation_sweep(&cfg);
-        let ser = degradation_sweep_serial(&cfg);
-        assert_eq!(par, ser);
-        // and replaying the whole sweep reproduces it exactly
-        assert_eq!(par, degradation_sweep(&cfg));
+        assert_eq!(degradation_sweep(&cfg), degradation_sweep(&cfg));
     }
 
     #[test]

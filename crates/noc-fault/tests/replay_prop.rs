@@ -5,7 +5,7 @@
 
 use noc_exp::{run_grid_robust, PointOutcome};
 use noc_fault::{
-    resilience_sweep, resilience_sweep_serial, FaultConfig, FaultSchedule, FlapConfig,
+    degradation_sweep, resilience_sweep, DegradationConfig, FaultConfig, FaultSchedule, FlapConfig,
     RecoveryMode, ResilienceConfig,
 };
 use noc_openloop::OpenLoopConfig;
@@ -126,9 +126,7 @@ proptest! {
 
     /// A full resilience measurement — flap timeline, recovery
     /// machinery, settling — is a bit-identical function of its seeds:
-    /// re-running the sweep reproduces every point exactly, and the
-    /// parallel grid agrees with the serial reference regardless of
-    /// which worker evaluates which point.
+    /// re-running the sweep reproduces every point exactly.
     #[test]
     fn resilience_points_replay_bit_identically(
         seed in 0u64..10_000,
@@ -154,9 +152,37 @@ proptest! {
             ..ResilienceConfig::new(base, vec![(mtbf, mttr), (2 * mtbf, mttr)])
         }
         .with_recovery(mode);
-        let par = resilience_sweep(&cfg);
-        let ser = resilience_sweep_serial(&cfg);
-        prop_assert_eq!(&par, &ser, "parallel vs serial diverged for {:?}", mode);
-        prop_assert_eq!(&par, &resilience_sweep(&cfg), "replay diverged for {:?}", mode);
+        prop_assert_eq!(resilience_sweep(&cfg), resilience_sweep(&cfg), "replay diverged for {:?}", mode);
     }
+}
+
+/// Both fault sweeps are bit-identical at every worker count: width 1
+/// (`NOC_THREADS=1`, the serial reference) against a real pool of 4.
+/// The only test in this binary that sets `NOC_THREADS`.
+#[test]
+fn fault_sweeps_are_bit_identical_at_every_width() {
+    let base = OpenLoopConfig {
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }),
+        ..OpenLoopConfig::default()
+    }
+    .quick()
+    .with_load(0.1);
+    let degradation =
+        DegradationConfig { settle_max: 60_000, ..DegradationConfig::new(base.clone(), 3) };
+    let resilience = ResilienceConfig {
+        settle_max: 60_000,
+        ..ResilienceConfig::new(base, vec![(300, 40), (600, 80), (1200, 160)])
+    };
+    let at_width = |width: &str| {
+        std::env::set_var("NOC_THREADS", width);
+        (
+            format!("{:?}", degradation_sweep(&degradation)),
+            format!("{:?}", resilience_sweep(&resilience)),
+        )
+    };
+    let (ser_deg, ser_res) = at_width("1");
+    let (par_deg, par_res) = at_width("4");
+    std::env::remove_var("NOC_THREADS");
+    assert_eq!(par_deg, ser_deg, "parallel degradation sweep diverged from width 1");
+    assert_eq!(par_res, ser_res, "parallel resilience sweep diverged from width 1");
 }

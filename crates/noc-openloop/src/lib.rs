@@ -13,9 +13,14 @@
 //!    run ends when every marked packet has been delivered (or a cycle
 //!    cap is hit, which flags the load as saturated/unstable).
 //!
-//! [`measure`] produces one point of the latency–load curve (Fig 1);
-//! [`sweep`] produces the whole curve (Figs 3, 6a, 9); and
-//! [`saturation_throughput`] bisects for the saturation point.
+//! [`OpenLoopConfig`] owns what an open-loop point is: its rules
+//! ([`OpenLoopConfig::validate`]), its source
+//! ([`OpenLoopConfig::source`]) and its per-index seed in a grid
+//! ([`OpenLoopConfig::point`]); every other crate that runs a point
+//! goes through those three. [`measure`] produces one point of the
+//! latency–load curve (Fig 1); [`sweep`] produces the whole curve
+//! (Figs 3, 6a, 9); and [`saturation_throughput`] bisects for the
+//! saturation point.
 
 #![warn(missing_docs)]
 
@@ -27,4 +32,4 @@ pub use behavior::OpenLoopBehavior;
 pub use measure::{
     measure, measure_budgeted, zero_load_latency_bound, OpenLoopConfig, OpenLoopResult,
 };
-pub use sweep::{saturation_throughput, sweep, sweep_serial, SweepPoint};
+pub use sweep::{saturation_throughput, sweep, validate_latency_cap, SweepPoint};

@@ -3,6 +3,7 @@
 use noc_exp::robust::Diverged;
 use noc_sim::config::NetConfig;
 use noc_sim::error::ConfigError;
+use noc_sim::flit::Cycle;
 use noc_sim::network::Network;
 use noc_traffic::{Bernoulli, PatternKind, SizeKind};
 
@@ -58,6 +59,84 @@ impl OpenLoopConfig {
         self.measure = 3_000;
         self.drain_max = 20_000;
         self
+    }
+
+    /// Point `index` of a grid built on `self`: `self` at `load`, with
+    /// the RNG seed derived from `(net.seed, index)` so points are
+    /// decorrelated and independent of evaluation order.
+    pub fn point(&self, index: usize, load: f64) -> Self {
+        let mut cfg = self.clone().with_load(load);
+        cfg.net.seed = noc_exp::derive_seed(self.net.seed, index as u64);
+        cfg
+    }
+
+    /// Cycle at which the measurement window closes (saturating: a
+    /// window near `u64::MAX` ends there instead of wrapping).
+    pub fn window_end(&self) -> Cycle {
+        self.warmup.saturating_add(self.measure)
+    }
+
+    /// Every rule a measurement of `self` must pass: a valid network,
+    /// packets of at least one flit, a load that is non-negative and
+    /// needs a per-node generation probability of at most 1, and a
+    /// non-empty measurement window.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.net.validate()?;
+        let (load, mean) = (self.load, self.size.mean());
+        let p = load / mean;
+        let (name, why) = if mean.is_nan() || mean <= 0.0 {
+            ("packet_size", format!("mean packet size {mean}; packets are at least one flit"))
+        } else if load < 0.0 {
+            ("load", format!("load {load} is negative; offered load is flits/cycle/node, >= 0"))
+        } else if p.is_nan() || p > 1.0 {
+            (
+                "load",
+                format!(
+                    "load {load} with mean packet size {mean} needs generation probability {p} > 1"
+                ),
+            )
+        } else if self.measure == 0 {
+            (
+                "measure",
+                "measurement window must be >= 1 cycle; throughput over an empty window is 0/0"
+                    .into(),
+            )
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::Parameter { name, why })
+    }
+
+    /// [`OpenLoopConfig::validate`] under a hard cycle budget: a zero
+    /// budget is refused too, since it could never complete the warmup.
+    pub fn validate_budgeted(&self, cycle_budget: u64) -> Result<(), ConfigError> {
+        if cycle_budget > 0 {
+            return self.validate();
+        }
+        let why = "cycle budget must be >= 1; a zero budget can never complete the warmup";
+        Err(ConfigError::Parameter { name: "cycle_budget", why: why.into() })
+    }
+
+    /// The open-loop source of this point on a network of `nodes` nodes
+    /// and radix `radix`: Bernoulli generation at `load / mean packet
+    /// size` per node per cycle, seeded from `net.seed`, marking packets
+    /// generated in `[warmup, window_end())`. Call
+    /// [`OpenLoopConfig::validate`] first.
+    pub fn source(&self, nodes: usize, radix: usize) -> OpenLoopBehavior {
+        let p = self.load / self.size.mean();
+        let mut b = OpenLoopBehavior::new(
+            nodes,
+            self.pattern.build(nodes, radix),
+            self.size.build(),
+            || Box::new(Bernoulli { p }),
+            self.net.seed,
+            self.warmup,
+            self.window_end(),
+        );
+        if self.percentiles {
+            b.keep_samples();
+        }
+        b
     }
 }
 
@@ -123,6 +202,7 @@ pub fn zero_load_latency_bound(cfg: &NetConfig) -> f64 {
 /// The offered `load` is in flits/cycle/node; the per-node packet
 /// generation probability is `load / mean_packet_size`.
 pub fn measure(cfg: &OpenLoopConfig) -> Result<OpenLoopResult, ConfigError> {
+    cfg.validate()?;
     match measure_impl(cfg, None)? {
         Ok(r) => Ok(r),
         Err(d) => unreachable!("no cycle budget was set, yet the point diverged at {}", d.budget),
@@ -130,8 +210,8 @@ pub fn measure(cfg: &OpenLoopConfig) -> Result<OpenLoopResult, ConfigError> {
 }
 
 /// Run one open-loop measurement under a hard cycle budget — the
-/// watchdog the fault sweeps and the evaluation service rely on to turn
-/// a stuck point into a typed outcome instead of a silent hang.
+/// watchdog the evaluation service relies on to turn a stuck point into
+/// a typed outcome instead of a silent hang.
 ///
 /// The budget bounds **total simulated cycles**. A zero budget is a
 /// [`ConfigError`] (it could never complete even the warmup); a budget
@@ -142,76 +222,31 @@ pub fn measure_budgeted(
     cfg: &OpenLoopConfig,
     cycle_budget: u64,
 ) -> Result<Result<OpenLoopResult, Diverged>, ConfigError> {
-    if cycle_budget == 0 {
-        return Err(ConfigError::Parameter {
-            name: "cycle_budget",
-            why: "cycle budget must be >= 1; a zero budget can never complete the warmup".into(),
-        });
-    }
+    cfg.validate_budgeted(cycle_budget)?;
     measure_impl(cfg, Some(cycle_budget))
 }
 
+/// Run a point `cfg.validate()` accepted.
 fn measure_impl(
     cfg: &OpenLoopConfig,
     budget: Option<u64>,
 ) -> Result<Result<OpenLoopResult, Diverged>, ConfigError> {
     let mut net = Network::new(cfg.net.clone())?;
     let nodes = net.num_nodes();
-    let k = net.topo().radix(0);
-    let p = cfg.load / cfg.size.mean();
-    if !(0.0..=1.0).contains(&p) {
-        let why = if cfg.load < 0.0 {
-            format!(
-                "load {} is negative; offered load is flits/cycle/node and must be >= 0",
-                cfg.load
-            )
-        } else {
-            format!(
-                "load {} with mean packet size {} needs generation probability {p} > 1",
-                cfg.load,
-                cfg.size.mean()
-            )
-        };
-        return Err(ConfigError::Parameter { name: "load", why });
-    }
-    if cfg.measure == 0 {
-        return Err(ConfigError::Parameter {
-            name: "measure",
-            why: "measurement window must be >= 1 cycle; throughput over an empty window is 0/0"
-                .into(),
-        });
-    }
-    // saturating: a client-supplied window near u64::MAX must end up
-    // diverged against the budget below, not wrapped or panicking
-    let window_end = cfg.warmup.saturating_add(cfg.measure);
-    let mut b = OpenLoopBehavior::new(
-        nodes,
-        cfg.pattern.build(nodes, k),
-        cfg.size.build(),
-        || Box::new(Bernoulli { p }),
-        cfg.net.seed,
-        cfg.warmup,
-        window_end,
-    );
-    if cfg.percentiles {
-        b.keep_samples();
-    }
-
-    if let Some(limit) = budget {
-        // the measurement window itself cannot fit: diverged before the
-        // first step, not a config error (grids legitimately mix window
-        // sizes against one service-wide budget)
-        if window_end > limit {
-            return Ok(Err(Diverged { budget: limit }));
-        }
+    let mut b = cfg.source(nodes, net.topo().radix(0));
+    let window_end = cfg.window_end();
+    // no budget is a budget no run reaches; a window that cannot fit the
+    // budget diverges before the first step, not a config error (grids
+    // legitimately mix window sizes against one service-wide budget)
+    let limit = budget.unwrap_or(u64::MAX);
+    if window_end > limit {
+        return Ok(Err(Diverged { budget: limit }));
     }
     net.run(window_end, &mut b);
     let drain_end = window_end.saturating_add(cfg.drain_max);
     while b.marked_outstanding > 0 && net.cycle() < drain_end {
-        if let Some(limit) = budget {
-            if net.cycle() >= limit {
-                return Ok(Err(Diverged { budget: limit }));
-            }
+        if net.cycle() >= limit {
+            return Ok(Err(Diverged { budget: limit }));
         }
         net.step(&mut b);
     }

@@ -2,9 +2,9 @@
 //!
 //! Sweep points are embarrassingly parallel (each builds a fresh
 //! network), so [`sweep`] fans them out through [`noc_exp::run_grid`].
-//! Parallel output is bit-identical to [`sweep_serial`] by
-//! construction: point `i` always runs with the RNG seed
-//! `derive_seed(base.net.seed, i)`, regardless of which worker
+//! Output is bit-identical at every width, `NOC_THREADS=1` (the serial
+//! reference) included: point `i` always runs [`OpenLoopConfig::point`],
+//! seeded `derive_seed(base.net.seed, i)`, regardless of which worker
 //! evaluates it or in what order.
 
 use noc_sim::error::ConfigError;
@@ -20,39 +20,25 @@ pub struct SweepPoint {
     pub result: OpenLoopResult,
 }
 
-/// The configuration of sweep point `index`: `base` at `load`, with the
-/// point's RNG seed derived from `(base.net.seed, index)` so points are
-/// decorrelated and independent of evaluation order.
-fn point_config(base: &OpenLoopConfig, index: usize, load: f64) -> OpenLoopConfig {
-    let mut cfg = base.clone().with_load(load);
-    cfg.net.seed = noc_exp::derive_seed(base.net.seed, index as u64);
-    cfg
-}
-
 /// Measure the latency–load curve at the given offered loads, in
 /// parallel. Points are measured independently (fresh network and
-/// derived seed each), so they can be compared across configurations;
-/// the result is bit-identical to [`sweep_serial`] (regression-tested).
+/// derived seed each), so they can be compared across configurations.
 pub fn sweep(base: &OpenLoopConfig, loads: &[f64]) -> Vec<SweepPoint> {
     noc_exp::run_grid(loads, |i, &load| {
-        let result =
-            measure(&point_config(base, i, load)).expect("sweep point must be a valid config");
+        let result = measure(&base.point(i, load)).expect("sweep point must be a valid config");
         SweepPoint { load, result }
     })
 }
 
-/// Serial reference implementation of [`sweep`]: same configurations,
-/// same seeds, one point at a time on the calling thread.
-pub fn sweep_serial(base: &OpenLoopConfig, loads: &[f64]) -> Vec<SweepPoint> {
-    loads
-        .iter()
-        .enumerate()
-        .map(|(i, &load)| {
-            let result =
-                measure(&point_config(base, i, load)).expect("sweep point must be a valid config");
-            SweepPoint { load, result }
-        })
-        .collect()
+/// The latency cap rule shared by every saturation judgement: positive
+/// and finite, since a NaN or non-positive cap would judge every load
+/// unstable (every comparison with NaN is false).
+pub fn validate_latency_cap(latency_cap: f64) -> Result<(), ConfigError> {
+    if latency_cap > 0.0 && latency_cap.is_finite() {
+        return Ok(());
+    }
+    let why = format!("needs a positive finite latency cap, got {latency_cap}");
+    Err(ConfigError::Parameter { name: "latency_cap", why })
 }
 
 /// Bisect for the saturation throughput: the highest offered load that
@@ -66,9 +52,8 @@ pub fn sweep_serial(base: &OpenLoopConfig, loads: &[f64]) -> Vec<SweepPoint> {
 /// `(0.0, first_unstable_load)` instead of bisecting noise; a network
 /// that absorbs full injection bandwidth returns `(1.0, 1.0)`.
 ///
-/// `latency_cap` and `tol` must be positive and finite: a NaN or
-/// non-positive cap would judge every load unstable (every comparison
-/// with NaN is false), and a NaN or non-positive `tol` would leave the
+/// `latency_cap` follows [`validate_latency_cap`], and `tol` must be
+/// positive and finite: a NaN or non-positive `tol` would leave the
 /// bisection loop degenerate or non-terminating — both are rejected
 /// with a [`ConfigError::Parameter`] instead.
 ///
@@ -78,21 +63,11 @@ pub fn saturation_throughput(
     latency_cap: f64,
     tol: f64,
 ) -> Result<(f64, f64), ConfigError> {
-    if !(latency_cap > 0.0 && latency_cap.is_finite()) {
-        return Err(ConfigError::Parameter {
-            name: "latency_cap",
-            why: format!(
-                "saturation search needs a positive finite latency cap, got {latency_cap}"
-            ),
-        });
-    }
+    validate_latency_cap(latency_cap)?;
     if !(tol > 0.0 && tol.is_finite()) {
-        return Err(ConfigError::Parameter {
-            name: "tol",
-            why: format!(
-                "saturation search needs a positive finite bisection tolerance, got {tol}"
-            ),
-        });
+        let why =
+            format!("saturation search needs a positive finite bisection tolerance, got {tol}");
+        return Err(ConfigError::Parameter { name: "tol", why });
     }
     let stable_at = |load: f64| -> bool {
         let cfg = base.clone().with_load(load);
@@ -155,8 +130,8 @@ mod tests {
     #[test]
     fn sweep_points_use_derived_seeds() {
         // the same load at different indices must see different seeds
-        let a = point_config(&base(), 0, 0.1);
-        let b = point_config(&base(), 1, 0.1);
+        let a = base().point(0, 0.1);
+        let b = base().point(1, 0.1);
         assert_ne!(a.net.seed, b.net.seed);
         assert_ne!(a.net.seed, base().net.seed, "index 0 must not reuse the base seed");
     }

@@ -67,7 +67,6 @@ use noc_exp::robust::panic_message;
 use noc_exp::{threads, Wal};
 use noc_openloop::measure_budgeted;
 use noc_sim::error::ConfigError;
-use noc_traffic::SizeKind;
 
 use crate::pool::Pool;
 use crate::ServeConfig;
@@ -844,12 +843,8 @@ impl Shared {
 /// The analytic model for `p`'s `(net, pattern, packet size)` group,
 /// built on first use; `None` when the model does not cover it.
 fn memo_model<'m>(p: &PointRequest, memo: &'m mut ModelMemo) -> Option<&'m AnalyticModel> {
-    memo.get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, model_size(p)).ok()).as_ref()
-}
-
-/// The analytic model's packet-size argument for a point.
-fn model_size(p: &PointRequest) -> SizeKind {
-    SizeKind::Fixed(p.packet_size.min(u16::MAX as u64) as u16)
+    memo.get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, p.open_loop().size).ok())
+        .as_ref()
 }
 
 /// Analytic admission control: when the point opted in and the model
@@ -893,40 +888,16 @@ fn degraded_answer(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcom
     })
 }
 
-/// Admission-time validation: everything the evaluator would reject is
-/// rejected here instead, as a typed `Invalid` outcome, before the
-/// point can occupy queue space.
+/// Admission-time validation, so an invalid point is a typed `Invalid`
+/// outcome before it can occupy queue space: the one wire-only rule (the
+/// wire's `u64` packet size must fit the engine's `u16`), then
+/// everything the evaluator checks, by the evaluator's own rules.
 fn validate_point(p: &PointRequest) -> Result<(), ConfigError> {
-    p.net.validate()?;
-    if p.packet_size == 0 {
-        return Err(ConfigError::Parameter {
-            name: "packet_size",
-            why: "packets are at least one flit".into(),
-        });
+    if p.packet_size > u16::MAX as u64 {
+        let why = format!("{} flits is more than the engine's {}", p.packet_size, u16::MAX);
+        return Err(ConfigError::Parameter { name: "packet_size", why });
     }
-    if p.measure == 0 {
-        return Err(ConfigError::Parameter {
-            name: "measure",
-            why: "measurement window must be >= 1 cycle".into(),
-        });
-    }
-    if p.budget == Some(0) {
-        return Err(ConfigError::Parameter {
-            name: "cycle_budget",
-            why: "cycle budget must be >= 1; a zero budget can never complete the warmup".into(),
-        });
-    }
-    let prob = p.load / p.packet_size as f64;
-    if !(0.0..=1.0).contains(&prob) {
-        return Err(ConfigError::Parameter {
-            name: "load",
-            why: format!(
-                "load {} with packet size {} needs per-cycle generation probability {prob}",
-                p.load, p.packet_size
-            ),
-        });
-    }
-    Ok(())
+    p.open_loop().validate_budgeted(p.budget.unwrap_or(u64::MAX))
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
     SweepRequest,
 };
+use noc_openloop::measure_budgeted;
 use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
@@ -286,36 +287,67 @@ fn a_point_cannot_buy_more_than_the_operators_budget() {
     assert!(matches!(rs[1].outcome, ServeOutcome::Ok { .. }), "{:?}", rs[1].outcome);
 }
 
+/// The field a refusal names: the backticked parameter of a config
+/// error, the quoted key of a parse error, else the whole message.
+fn field(reason: &str) -> &str {
+    let named = |prefix, close| reason.strip_prefix(prefix)?.split(close).next();
+    named("invalid parameter `", '`').or_else(|| named("\"", '"')).unwrap_or(reason)
+}
+
 #[test]
 fn invalid_configs_are_rejected_at_admission() {
     let mut svc = Service::new(quick_cfg()).unwrap();
-    let mut bad_buf = point("b1", 1, 0.1);
-    bad_buf.net.vc_buf = 0;
-    let mut bad_budget = point("b1", 2, 0.1);
-    bad_budget.budget = Some(0);
-    let bad_load = point("b1", 3, 2.0);
-    // an empty window used to be simulated and answered `throughput: NaN`
-    let mut bad_window = point("b1", 4, 0.1);
-    bad_window.measure = 0;
-    let (resps, _) = drive(
-        &mut svc,
-        &[
-            ServeRequest::Point(Box::new(bad_buf)),
-            ServeRequest::Point(Box::new(bad_budget)),
-            ServeRequest::Point(Box::new(bad_load)),
-            ServeRequest::Point(Box::new(bad_window)),
-            run_req("b1"),
-        ],
-    );
-    let rs = results(&resps);
-    assert_eq!(rs.len(), 4);
-    for (r, needle) in rs.iter().zip(["vc_buf", "cycle_budget", "load", "measure"]) {
-        let ServeOutcome::Invalid { reason } = &r.outcome else {
-            panic!("expected invalid, got {:?}", r.outcome)
+    let with = |seed: u64, load: f64, edit: &dyn Fn(&mut PointRequest)| {
+        let mut p = point("b1", seed, load);
+        edit(&mut p);
+        p
+    };
+    // (point, the field its refusal names; `None` for the valid control)
+    let cases = [
+        (with(1, 0.1, &|p| p.net.vc_buf = 0), Some("vc_buf")),
+        (with(2, 0.1, &|p| p.budget = Some(0)), Some("cycle_budget")),
+        (with(3, 2.0, &|_| {}), Some("load")),
+        // an empty window used to be simulated and answered `throughput: NaN`
+        (with(4, 0.1, &|p| p.measure = 0), Some("measure")),
+        (with(5, 0.1, &|p| p.packet_size = 0), Some("packet_size")),
+        // used to be admitted and simulated as 65535-flit packets
+        (with(6, 0.1, &|p| p.packet_size = 70_000), Some("packet_size")),
+        (with(7, -0.1, &|_| {}), Some("load")),
+        // not a JSON number: refused by the parser, still naming `load`
+        (with(8, f64::NAN, &|_| {}), Some("load")),
+        (with(9, 0.1, &|p| p.net.topology = TopologyKind::Mesh2D { k: 1 }), Some("topology")),
+        (with(10, 0.1, &|p| p.net.vcs = 65), Some("vcs")),
+        (with(11, 0.1, &|_| {}), None),
+    ];
+    let budget_cap = quick_cfg().default_budget;
+    for (p, want) in cases {
+        let (resps, _) =
+            drive(&mut svc, &[ServeRequest::Point(Box::new(p.clone())), run_req("b1")]);
+        let refusal = match &resps[0] {
+            ServeResponse::Error { reason } => Some(reason.clone()),
+            ServeResponse::Result(r) => match &r.outcome {
+                ServeOutcome::Invalid { reason } => Some(reason.clone()),
+                ServeOutcome::Ok { .. } => None,
+                o => panic!("unexpected outcome {o:?}"),
+            },
+            other => panic!("unexpected response {other:?}"),
         };
-        assert!(reason.contains(needle), "{reason:?} should mention {needle}");
+        // admission and evaluation apply one rule set: the service refuses
+        // exactly what the evaluator refuses, naming the same field
+        let budget = p.budget.unwrap_or(u64::MAX).min(budget_cap);
+        match (refusal, measure_budgeted(&p.open_loop(), budget)) {
+            (Some(reason), Err(e)) => {
+                assert_eq!(Some(field(&reason)), want, "{reason}");
+                assert_eq!(field(&e.to_string()), field(&reason), "{e} vs {reason}");
+            }
+            (None, Ok(Ok(_))) => assert_eq!(want, None),
+            (r, e) => panic!("admission {r:?} disagrees with evaluation {e:?}"),
+        }
+        let done = if want.is_some() { 0 } else { 1 };
+        assert!(
+            matches!(resps.last(), Some(ServeResponse::BatchDone { points, .. }) if *points == done)
+        );
     }
-    assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 0, .. })));
 }
 
 #[test]

@@ -363,18 +363,6 @@ pub struct FaultStats {
     pub replay_buf_stalls: u64,
 }
 
-impl FaultStats {
-    /// Fraction of opened transfers that completed; `1.0` when no
-    /// transfer was opened. Exactly `1.0` iff nothing was lost.
-    pub fn delivered_fraction(&self) -> f64 {
-        if self.transfers_started == 0 {
-            1.0
-        } else {
-            self.transfers_delivered as f64 / self.transfers_started as f64
-        }
-    }
-}
-
 /// Per-destination next hops over the surviving topology.
 ///
 /// Built by reverse breadth-first search from every live destination

@@ -83,9 +83,13 @@ impl SizeKind {
         }
     }
 
-    /// Mean length in flits.
+    /// Mean length in flits (the built distribution's, without
+    /// allocating it: admission asks once per point).
     pub fn mean(&self) -> f64 {
-        self.build().mean()
+        match *self {
+            SizeKind::Fixed(n) => FixedSize(n).mean(),
+            SizeKind::Bimodal { short, long, p_long } => Bimodal { short, long, p_long }.mean(),
+        }
     }
 }
 

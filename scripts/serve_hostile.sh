@@ -7,8 +7,9 @@
 # scripts/hostile_lines.txt (not UTF-8, a router_delay that does not
 # fit u32, a duplicated key, `seeds: 4e18`, a sweep past
 # MAX_SWEEP_POINTS, a mesh70000 point under analytic admission, a
-# mesh1 point) preceded by one line longer than MAX_LINE_BYTES, which
-# is generated here rather than checked in.
+# mesh1 point, a point whose packet_size does not fit the engine's u16)
+# preceded by one line longer than MAX_LINE_BYTES, which is generated
+# here rather than checked in.
 #
 # Usage: scripts/serve_hostile.sh
 set -euo pipefail

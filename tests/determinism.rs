@@ -1,5 +1,7 @@
 //! Regression test for the experiment engine's core guarantee:
-//! parallel execution is **bit-identical** to serial execution.
+//! parallel execution is **bit-identical** to serial execution, the
+//! width-1 run (`NOC_THREADS=1`, `run_grid_with`'s inline branch) being
+//! the serial reference.
 //!
 //! Results are compared through their `Debug` form, which covers every
 //! field —
@@ -14,10 +16,8 @@
 //! across commits the way `golden_digests.rs` holds the engine itself.
 
 use cmp_sim::{run_cmp, CmpConfig};
-use noc_closedloop::{
-    run_batch, run_batch_seeds, run_batch_seeds_serial, BatchConfig, KernelModel,
-};
-use noc_openloop::{sweep, sweep_serial, OpenLoopConfig};
+use noc_closedloop::{run_batch, run_batch_seeds, BatchConfig, KernelModel};
+use noc_openloop::{sweep, OpenLoopConfig};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_workloads::{all_benchmarks, ClockFreq};
 
@@ -25,42 +25,34 @@ use noc_workloads::{all_benchmarks, ClockFreq};
 /// concurrent test threads reading the environment.
 #[test]
 fn parallel_grid_is_bit_identical_to_serial() {
-    // force a real worker pool even on a single-core CI host
-    std::env::set_var("NOC_THREADS", "4");
-
     let base = OpenLoopConfig {
         net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }),
         ..OpenLoopConfig::default()
     }
     .quick();
     let loads = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4];
-    let par = sweep(&base, &loads);
-    let ser = sweep_serial(&base, &loads);
-    assert_eq!(
-        format!("{par:?}"),
-        format!("{ser:?}"),
-        "parallel sweep diverged from serial reference"
-    );
-
     let bcfg = BatchConfig {
         net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }),
         batch: 60,
         max_outstanding: 4,
         ..BatchConfig::default()
     };
-    let par = run_batch_seeds(&bcfg, 5).unwrap();
-    let ser = run_batch_seeds_serial(&bcfg, 5).unwrap();
-    assert_eq!(
-        format!("{par:?}"),
-        format!("{ser:?}"),
-        "parallel batch replicates diverged from serial reference"
-    );
+    // width 4 forces a real worker pool even on a single-core CI host
+    let at_width = |width: &str| {
+        std::env::set_var("NOC_THREADS", width);
+        (format!("{:?}", sweep(&base, &loads)), format!("{:?}", run_batch_seeds(&bcfg, 5)))
+    };
+    let (ser_sweep, ser_batch) = at_width("1");
+    let (par_sweep, par_batch) = at_width("4");
+    std::env::remove_var("NOC_THREADS");
+    assert_eq!(par_sweep, ser_sweep, "parallel sweep diverged from serial reference");
+    assert_eq!(par_batch, ser_batch, "parallel batch replicates diverged from serial reference");
 }
 
 /// One batch-model point pinned by literal values: the closed-loop layer
 /// above the engine (issue pacing, reply generation, the kernel timer)
 /// must produce the same run on every commit, not only agree with its
-/// serial twin within one tree. Re-bless only for an intended behaviour
+/// width-1 run within one tree. Re-bless only for an intended behaviour
 /// change, and say so in the commit.
 #[test]
 fn batch_point_is_pinned_across_commits() {
