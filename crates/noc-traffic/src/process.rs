@@ -12,9 +12,12 @@ pub trait InjectionProcess: Send {
 
     /// If every [`fire`](Self::fire) call is exactly `rng.chance(p)` for
     /// a fixed `p` — no internal state, no history dependence — return
-    /// that `p`. Batched generation sweeps use this to replace one
-    /// virtual call per node per cycle with an inlined coin flip drawing
-    /// the *identical* RNG stream. Processes with memory (burst state,
+    /// that `p`. Batched generation sweeps then prepare `p` once as a
+    /// [`Coin`](noc_sim::rng::Coin) and find each cycle's firing nodes
+    /// with [`SimRng::first_heads`]: one raw draw and one integer compare
+    /// per node, in a loop with no call in it, so the RNG state stays in
+    /// registers — drawing the *identical* RNG stream that one virtual
+    /// `fire` per node would. Processes with memory (burst state,
     /// accumulators) must return `None`.
     fn fixed_bernoulli(&self) -> Option<f64> {
         None
