@@ -12,7 +12,7 @@
 //! reproduces the paper's Table I bold row.
 
 use noc_closedloop::BatchConfig;
-use noc_eval::serve::{parse_arb, parse_pattern, parse_routing, parse_topology};
+use noc_eval::serve::{parse_arb, parse_routing, parse_topology};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::NetConfig;
 use noc_traffic::{PatternKind, SizeKind};
@@ -75,7 +75,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => net.seed = val.parse().map_err(|e| format!("--seed: {e}"))?,
             "--pattern" => {
-                pattern = parse_pattern(val).ok_or_else(|| format!("unknown pattern `{val}`"))?
+                pattern =
+                    PatternKind::parse(val).ok_or_else(|| format!("unknown pattern `{val}`"))?
             }
             "--size" => {
                 size = match val.as_str() {
@@ -131,16 +132,11 @@ fn main() {
         eprintln!("{}", noc_verify::verify(&net));
         std::process::exit(2);
     }
-    let topo = net.topology.build();
-    if let PatternKind::Hotspot { node, frac } = pattern {
-        if node >= topo.num_nodes() || !(0.0..=1.0).contains(&frac) {
-            eprintln!(
-                "error: hotspot:{node}:{frac} needs NODE < {} and FRAC in 0..=1",
-                topo.num_nodes()
-            );
-            std::process::exit(2);
-        }
+    if let Err(e) = pattern.validate(&net.topology) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
+    let topo = net.topology.build();
     println!("{}", noc_verify::verify(&net).one_line());
     println!(
         "network: {} | {:?} routing | {} VCs x {} flits | tr={} | {:?}",
@@ -151,14 +147,7 @@ fn main() {
         net.router_delay,
         net.arbitration
     );
-    println!(
-        "workload: {} pattern, {:?} packets\n",
-        match pattern {
-            PatternKind::Hotspot { .. } => "hotspot",
-            other => other.name(),
-        },
-        size
-    );
+    println!("workload: {pattern} pattern, {size:?} packets\n");
 
     // Static analysis first: route enumeration plus the queueing model
     // need no simulation, so the analytic view prints immediately.
@@ -264,7 +253,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_eval::serve::{arb_name, pattern_name, routing_name, topology_name};
+    use noc_eval::serve::{arb_name, routing_name, topology_name};
 
     /// The `|`-separated names `USAGE` lists after `flag`, with the
     /// placeholders filled in.
@@ -291,8 +280,8 @@ mod tests {
             assert_eq!(arb_name(v), n);
         }
         for n in usage_names("--pattern ") {
-            let v = parse_pattern(&n).unwrap_or_else(|| panic!("pattern `{n}`"));
-            assert_eq!(pattern_name(v), n);
+            let v = PatternKind::parse(&n).unwrap_or_else(|| panic!("pattern `{n}`"));
+            assert_eq!(v.to_string(), n);
         }
         assert_eq!(usage_names("--topology "), ["mesh8", "torus8", "ftorus8", "ring8"]);
         assert_eq!(usage_names("--pattern ").len(), 8);

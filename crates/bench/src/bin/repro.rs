@@ -154,7 +154,7 @@ fn ext_patterns(e: &Effort) -> String {
                 let _ = writeln!(
                     out,
                     "{:<10} {:<9?} {:<6} {:>10} {:>9.4}",
-                    pattern.name(),
+                    pattern.to_string(),
                     routing,
                     m,
                     r.runtime,

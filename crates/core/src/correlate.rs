@@ -5,10 +5,10 @@
 //!   throughput back into an open-loop run as the offered load, then
 //!   correlate per-`m`-normalized batch runtimes against per-`m`-
 //!   normalized open-loop latencies.
-//! * [`correlate_cmp_batch`] — Figs 15, 19 & 22: run the execution-driven
-//!   simulator and a batch-model variant over benchmarks x router
-//!   delays, normalize each benchmark to its `t_r = 1` baseline, and
-//!   correlate.
+//! * [`run_cmp_sweep`] + [`correlate_sweep_batch`] — Figs 14, 15, 19 &
+//!   22: run the execution-driven simulator once over benchmarks x
+//!   router delays, then each batch-model variant over the same delays,
+//!   normalize each benchmark to its `t_r = 1` baseline, and correlate.
 
 use cmp_sim::{run_cmp, CmpConfig};
 use noc_closedloop::run_batch;
@@ -276,26 +276,6 @@ pub fn correlate_sweep_batch(
     let x: Vec<f64> = points.iter().map(|p| p.cmp_norm).collect();
     let y: Vec<f64> = points.iter().map(|p| p.batch_norm).collect();
     Ok(CmpBatchOutcome { label: ext.label(), r: pearson(&x, &y), points })
-}
-
-/// Run the Fig 15/19/22 pipeline for one batch-model variant.
-///
-/// `make_cmp` builds the execution-driven configuration per benchmark
-/// (so callers choose clock/OS settings); `trs` is the router-delay
-/// sweep; `ext` selects the batch extensions; `m` is the MSHR count the
-/// batch model uses. When correlating several variants against the same
-/// reference, use [`run_cmp_sweep`] + [`correlate_sweep_batch`] to avoid
-/// re-running the expensive execution-driven side.
-pub fn correlate_cmp_batch(
-    profiles: &[BenchmarkProfile],
-    make_cmp: impl Fn(&BenchmarkProfile) -> CmpConfig + Sync,
-    trs: &[u32],
-    ext: BatchExtension,
-    effort: &Effort,
-    m: usize,
-) -> Result<CmpBatchOutcome, ConfigError> {
-    let sweep = run_cmp_sweep(profiles, make_cmp, trs)?;
-    correlate_sweep_batch(&sweep, profiles, ext, effort, m)
 }
 
 #[cfg(test)]

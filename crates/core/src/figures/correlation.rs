@@ -2,15 +2,14 @@
 //! Fig 8 (topologies, worst-case), Fig 14/15 (execution-driven vs plain
 //! batch), Fig 18/19 (extended batch models), Fig 22 (OS modeling).
 
-use cmp_sim::{run_cmp, CmpConfig};
-use noc_closedloop::run_batch;
+use cmp_sim::CmpConfig;
 use noc_sim::config::NetConfig;
 use noc_traffic::PatternKind;
 use noc_workloads::{all_benchmarks, BenchmarkProfile, ClockFreq};
 
-use crate::bridge::{batch_for_profile, table2_net, BatchExtension};
+use crate::bridge::BatchExtension;
 use crate::correlate::{
-    correlate_cmp_batch, correlate_open_batch, CmpBatchOutcome, OpenBatchOutcome,
+    correlate_open_batch, correlate_sweep_batch, run_cmp_sweep, CmpBatchOutcome, OpenBatchOutcome,
 };
 use crate::effort::Effort;
 
@@ -204,31 +203,16 @@ pub struct Fig14 {
     pub rows: Vec<(String, u32, f64)>,
 }
 
-/// Run Fig 14.
+/// Run Fig 14: Fig 15's sweep read per benchmark, plus its plain
+/// batch model as `BA`. `BatchExtension::plain()` ignores the profile,
+/// so the first benchmark's batch column is every benchmark's.
 pub fn fig14(effort: &Effort) -> Fig14 {
-    let mut rows = Vec::new();
-    for p in all_benchmarks() {
-        let mut base = None;
-        for &tr in &TRS {
-            let cfg = validation_cmp(&p, effort, false).with_router_delay(tr);
-            let r = run_cmp(&cfg).expect("valid config");
-            let b = *base.get_or_insert(r.runtime as f64);
-            rows.push((p.name.to_string(), tr, r.runtime as f64 / b));
-        }
-    }
-    let mut base = None;
-    for &tr in &TRS {
-        let cfg = batch_for_profile(
-            table2_net(tr),
-            &all_benchmarks()[0],
-            BatchExtension::plain(),
-            effort.batch,
-            CMP_M,
-        );
-        let r = run_batch(&cfg).expect("valid config");
-        let b = *base.get_or_insert(r.runtime as f64);
-        rows.push(("BA".to_string(), tr, r.runtime as f64 / b));
-    }
+    let sweep = fig15(effort);
+    let mut rows: Vec<_> =
+        sweep.points.iter().map(|p| (p.benchmark.clone(), p.tr, p.cmp_norm)).collect();
+    let first = &sweep.points[0].benchmark;
+    let ba = sweep.points.iter().filter(|p| &p.benchmark == first);
+    rows.extend(ba.map(|p| ("BA".to_string(), p.tr, p.batch_norm)));
     Fig14 { rows }
 }
 
@@ -254,15 +238,11 @@ impl Fig14 {
 /// Fig 15: correlation of the plain batch model with execution-driven
 /// runs (the paper reports a poor r = 0.829).
 pub fn fig15(effort: &Effort) -> CmpBatchOutcome {
-    correlate_cmp_batch(
-        &all_benchmarks(),
-        |p| validation_cmp(p, effort, false),
-        &TRS,
-        BatchExtension::plain(),
-        effort,
-        CMP_M,
-    )
-    .expect("valid configs")
+    let profiles = all_benchmarks();
+    let sweep = run_cmp_sweep(&profiles, |p| validation_cmp(p, effort, false), &TRS)
+        .expect("valid configs");
+    correlate_sweep_batch(&sweep, &profiles, BatchExtension::plain(), effort, CMP_M)
+        .expect("valid configs")
 }
 
 /// Fig 18/19: the extended batch models (BA_inj, BA_re, BA_inj+re)
@@ -275,12 +255,8 @@ pub struct Fig19 {
 
 /// Run Fig 18/19.
 pub fn fig19(effort: &Effort) -> Fig19 {
-    let sweep = crate::correlate::run_cmp_sweep(
-        &all_benchmarks(),
-        |p| validation_cmp(p, effort, false),
-        &TRS,
-    )
-    .expect("valid configs");
+    let sweep = run_cmp_sweep(&all_benchmarks(), |p| validation_cmp(p, effort, false), &TRS)
+        .expect("valid configs");
     let outcomes = [
         BatchExtension::plain(),
         BatchExtension::inj(),
@@ -289,8 +265,7 @@ pub fn fig19(effort: &Effort) -> Fig19 {
     ]
     .into_iter()
     .map(|ext| {
-        crate::correlate::correlate_sweep_batch(&sweep, &all_benchmarks(), ext, effort, CMP_M)
-            .expect("valid configs")
+        correlate_sweep_batch(&sweep, &all_benchmarks(), ext, effort, CMP_M).expect("valid configs")
     })
     .collect();
     Fig19 { outcomes }
@@ -337,9 +312,8 @@ pub fn fig22(effort: &Effort) -> Fig22 {
         // execution-driven reference *includes* OS activity at `clock`;
         // run it once and correlate both batch variants against it
         let make_cmp = |p: &BenchmarkProfile| validation_cmp(p, effort, true).with_clock(clock);
-        let sweep = crate::correlate::run_cmp_sweep(&all_benchmarks(), make_cmp, &TRS)
-            .expect("valid configs");
-        let without = crate::correlate::correlate_sweep_batch(
+        let sweep = run_cmp_sweep(&all_benchmarks(), make_cmp, &TRS).expect("valid configs");
+        let without = correlate_sweep_batch(
             &sweep,
             &all_benchmarks(),
             BatchExtension::inj_re(),
@@ -347,7 +321,7 @@ pub fn fig22(effort: &Effort) -> Fig22 {
             CMP_M,
         )
         .expect("valid configs");
-        let with = crate::correlate::correlate_sweep_batch(
+        let with = correlate_sweep_batch(
             &sweep,
             &all_benchmarks(),
             BatchExtension::full(clock),

@@ -394,7 +394,7 @@ pub struct ExtBurst {
 pub fn ext_burst(effort: &Effort) -> ExtBurst {
     use noc_openloop::OpenLoopBehavior;
     use noc_sim::network::Network;
-    use noc_traffic::{Bernoulli, OnOff, UniformRandom};
+    use noc_traffic::{Bernoulli, OnOff, PatternKind, SizeKind};
 
     let mut rows = Vec::new();
     for &load in &[0.1f64, 0.2, 0.3] {
@@ -405,8 +405,8 @@ pub fn ext_burst(effort: &Effort) -> ExtBurst {
             let mark_until = effort.warmup + effort.measure;
             let mut b = OpenLoopBehavior::new(
                 nodes,
-                Box::new(UniformRandom { nodes }),
-                Box::new(noc_traffic::FixedSize(1)),
+                PatternKind::Uniform.build(nodes, net.topo().radix(0)),
+                SizeKind::Fixed(1).build(),
                 || {
                     if bursty {
                         Box::new(OnOff::new(load * 2.0, 0.01, 0.01))

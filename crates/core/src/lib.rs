@@ -41,7 +41,7 @@ pub use analytic::{
     analytic_overlay, analytic_study, default_cases, load_heatmap, AnalyticPoint, AnalyticStudy,
 };
 pub use bridge::{batch_for_profile, BatchExtension};
-pub use correlate::{correlate_cmp_batch, correlate_open_batch, CmpBatchOutcome, OpenBatchOutcome};
+pub use correlate::{correlate_open_batch, CmpBatchOutcome, OpenBatchOutcome};
 pub use effort::Effort;
 pub use serve::{
     parse_request, parse_response, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest,

@@ -157,38 +157,6 @@ pub fn parse_arb(s: &str) -> Option<Arbitration> {
     }
 }
 
-/// Wire name of a traffic pattern (`uniform`, `transpose`, `bitcomp`,
-/// `bitrev`, `shuffle`, `tornado`, `neighbor`, `hotspot:NODE:FRAC`).
-pub fn pattern_name(p: PatternKind) -> String {
-    match p {
-        PatternKind::Uniform => "uniform".into(),
-        PatternKind::Transpose => "transpose".into(),
-        PatternKind::BitComplement => "bitcomp".into(),
-        PatternKind::BitReversal => "bitrev".into(),
-        PatternKind::Shuffle => "shuffle".into(),
-        PatternKind::Tornado => "tornado".into(),
-        PatternKind::Neighbor => "neighbor".into(),
-        PatternKind::Hotspot { node, frac } => format!("hotspot:{node}:{frac:?}"),
-    }
-}
-
-/// Inverse of [`pattern_name`].
-pub fn parse_pattern(s: &str) -> Option<PatternKind> {
-    match s {
-        "uniform" => return Some(PatternKind::Uniform),
-        "transpose" => return Some(PatternKind::Transpose),
-        "bitcomp" => return Some(PatternKind::BitComplement),
-        "bitrev" => return Some(PatternKind::BitReversal),
-        "shuffle" => return Some(PatternKind::Shuffle),
-        "tornado" => return Some(PatternKind::Tornado),
-        "neighbor" => return Some(PatternKind::Neighbor),
-        _ => {}
-    }
-    let rest = s.strip_prefix("hotspot:")?;
-    let (node, frac) = rest.split_once(':')?;
-    Some(PatternKind::Hotspot { node: node.parse().ok()?, frac: frac.parse().ok()? })
-}
-
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
@@ -261,7 +229,7 @@ impl PointRequest {
             self.net.vcs,
             self.net.vc_buf,
             self.net.router_delay,
-            pattern_name(self.pattern),
+            self.pattern,
             self.packet_size,
             self.load.to_bits(),
             self.warmup,
@@ -280,7 +248,7 @@ impl PointRequest {
     /// Emit the request as one `noc-eval/serve/v1` line.
     pub fn to_json(&self) -> String {
         net_members(line_head("req", "point").str("batch", &self.batch), &self.net)
-            .str("pattern", &pattern_name(self.pattern))
+            .str("pattern", &self.pattern.to_string())
             .val("packet_size", self.packet_size)
             .f64("load", self.load)
             .val("warmup", self.warmup)
@@ -297,7 +265,7 @@ impl PointRequest {
         Ok(Self {
             batch: rec.req("batch")?,
             net: parse_net(rec)?,
-            pattern: named(rec, "pattern", parse_pattern)?,
+            pattern: named(rec, "pattern", PatternKind::parse)?,
             packet_size: rec.req("packet_size")?,
             load: rec.req("load")?,
             warmup: rec.req("warmup")?,
@@ -443,7 +411,7 @@ impl SweepRequest {
 
     /// Emit the request as one `noc-eval/serve/v1` line.
     pub fn to_json(&self) -> String {
-        let patterns = self.patterns.iter().map(|p| format!("\"{}\"", pattern_name(*p)));
+        let patterns = self.patterns.iter().map(|p| format!("\"{p}\""));
         net_members(line_head("req", "sweep").str("batch", &self.batch), &self.net)
             .arr("patterns", patterns)
             .arr("loads", self.loads.iter().map(|l| format!("{l:?}")))
@@ -465,7 +433,7 @@ impl SweepRequest {
         let names: Vec<String> = rec.req("patterns")?;
         let patterns = names
             .iter()
-            .map(|p| parse_pattern(p).ok_or_else(|| format!("unknown pattern {p:?}")))
+            .map(|p| PatternKind::parse(p).ok_or_else(|| format!("unknown pattern {p:?}")))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             batch: rec.req("batch")?,

@@ -10,8 +10,8 @@
 //! crate turns the same walks into expected channel *loads*:
 //!
 //! 1. [`TrafficMatrix`] — the exact per-pair destination probabilities
-//!    a spatial pattern induces (closed form for random patterns, the
-//!    pattern's own destination function for permutations).
+//!    a spatial pattern induces, read row by row from the pattern's own
+//!    exact distribution (`noc_traffic::PatternKind::row`).
 //! 2. [`LoadMap`] — matrix-weighted route enumeration: `gamma_c`, the
 //!    expected traversals of channel `c` per unit offered load.
 //! 3. [`AnalyticModel`] — ideal saturation throughput

@@ -1,8 +1,7 @@
-//! Exact traffic matrices: the per-pair destination probabilities each
-//! spatial pattern induces, derived in closed form (random patterns) or
-//! by evaluating the pattern's own destination function (permutations).
+//! Exact traffic matrices: the per-pair destination probabilities of a
+//! spatial pattern, one [`PatternKind::row`] per source — the pattern's
+//! own exact distribution, next to the `dest` it describes.
 
-use noc_sim::rng::SimRng;
 use noc_traffic::PatternKind;
 
 /// Dense `n x n` destination-probability matrix: `prob(src, dst)` is
@@ -14,72 +13,17 @@ use noc_traffic::PatternKind;
 pub struct TrafficMatrix {
     n: usize,
     p: Vec<f64>,
-    permutation: bool,
 }
 
 impl TrafficMatrix {
-    /// Derive the exact matrix for `pattern` on `nodes` nodes arranged
-    /// `k x k` (the same instantiation contract as
-    /// [`PatternKind::build`]).
+    /// The exact matrix of `pattern` on `nodes` nodes arranged `k x k`
+    /// (the same instantiation contract as [`PatternKind::build`]).
     pub fn new(pattern: PatternKind, nodes: usize, k: usize) -> Self {
-        let n = nodes;
-        let mut p = vec![0.0f64; n * n];
-        let mut permutation = true;
-        match pattern {
-            PatternKind::Uniform => {
-                permutation = false;
-                let w = 1.0 / (n - 1).max(1) as f64;
-                for src in 0..n {
-                    for dst in 0..n {
-                        if src != dst {
-                            p[src * n + dst] = w;
-                        }
-                    }
-                }
-            }
-            PatternKind::Hotspot { node: hot, frac } => {
-                permutation = false;
-                // dest(): with probability `frac` (and src != hot) the
-                // hot node, otherwise uniform excluding self.
-                let w = 1.0 / (n - 1).max(1) as f64;
-                for src in 0..n {
-                    if src == hot {
-                        for dst in 0..n {
-                            if dst != src {
-                                p[src * n + dst] = w;
-                            }
-                        }
-                    } else {
-                        for dst in 0..n {
-                            if dst == hot {
-                                p[src * n + dst] = frac + (1.0 - frac) * w;
-                            } else if dst != src {
-                                p[src * n + dst] = (1.0 - frac) * w;
-                            }
-                        }
-                    }
-                }
-            }
-            // Every remaining kind is a fixed permutation: its dest()
-            // ignores the RNG, so one evaluation per source is exact.
-            _ => {
-                let pat = pattern.build(nodes, k);
-                debug_assert!(pat.is_permutation());
-                let mut rng = SimRng::new(0);
-                for src in 0..n {
-                    let dst = pat.dest(src, &mut rng);
-                    p[src * n + dst] = 1.0;
-                }
-            }
+        let mut p = vec![0.0f64; nodes * nodes];
+        for (src, row) in p.chunks_exact_mut(nodes).enumerate() {
+            pattern.row(src, nodes, k, row);
         }
-        Self { n, p, permutation }
-    }
-
-    /// True for fixed-permutation patterns: every source has exactly
-    /// one destination, so the flows (under deterministic routing) are
-    /// deterministic streams rather than random arrivals.
-    pub fn is_permutation(&self) -> bool {
-        self.permutation
+        Self { n: nodes, p }
     }
 
     /// Node count.

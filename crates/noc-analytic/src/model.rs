@@ -92,10 +92,11 @@ pub struct AnalyticModel {
 
 impl AnalyticModel {
     /// Build the model for `net` under `pattern` with packet sizes
-    /// drawn from `size`. Fails only if the network configuration
-    /// itself is invalid.
+    /// drawn from `size`. Fails if the network configuration is
+    /// invalid or `pattern` is not defined on its topology.
     pub fn of(net: &NetConfig, pattern: PatternKind, size: SizeKind) -> Result<Self, ConfigError> {
         net.validate()?;
+        pattern.validate(&net.topology)?;
         let topo = net.topology.build();
         let matrix = TrafficMatrix::new(pattern, topo.num_nodes(), topo.radix(0));
         let loads = LoadMap::build(net, &*topo, &matrix);
@@ -114,7 +115,7 @@ impl AnalyticModel {
         // links (dateline VCs) dominate everything else.
         let eta = if topo.has_wrap() {
             WRAP_EFFICIENCY
-        } else if matrix.is_permutation() && net.routing == noc_sim::config::RoutingKind::Dor {
+        } else if pattern.is_permutation() && net.routing == noc_sim::config::RoutingKind::Dor {
             DETERMINISTIC_EFFICIENCY
         } else {
             RANDOM_EFFICIENCY

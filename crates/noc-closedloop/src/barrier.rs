@@ -12,7 +12,7 @@ use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
-use noc_traffic::{PatternKind, TrafficPattern};
+use noc_traffic::{PatternKind, SizeKind, TrafficPattern};
 
 /// Barrier-model configuration.
 #[derive(Debug, Clone)]
@@ -56,6 +56,7 @@ pub struct BarrierResult {
 
 struct BarrierBehavior {
     pattern: Box<dyn TrafficPattern>,
+    size: u16,
     rng: SimRng,
     remaining: Vec<u64>,
     polled: Vec<Cycle>,
@@ -71,7 +72,7 @@ impl NodeBehavior for BarrierBehavior {
         self.polled[node] = cycle;
         self.remaining[node] -= 1;
         let dst = self.pattern.dest(node, &mut self.rng);
-        Some(PacketSpec { dst, size: 1, class: 0, payload: node as u64 })
+        Some(PacketSpec { dst, size: self.size, class: 0, payload: node as u64 })
     }
 
     fn deliver(&mut self, _node: usize, d: &Delivered, cycle: Cycle) {
@@ -87,10 +88,13 @@ impl NodeBehavior for BarrierBehavior {
 /// Run the barrier model to completion.
 pub fn run_barrier(cfg: &BarrierConfig) -> Result<BarrierResult, ConfigError> {
     let mut net = Network::new(cfg.net.clone())?;
+    cfg.pattern.validate(&cfg.net.topology)?;
+    SizeKind::Fixed(cfg.size).validate()?;
     let nodes = net.num_nodes();
     let k = net.topo().radix(0);
     let mut b = BarrierBehavior {
         pattern: cfg.pattern.build(nodes, k),
+        size: cfg.size,
         rng: SimRng::new(cfg.net.seed ^ 0xbaaa_aaad),
         remaining: vec![cfg.batch; nodes],
         polled: vec![Cycle::MAX; nodes],
@@ -136,6 +140,15 @@ mod tests {
         // saturation point, well above the m=1 batch model's rate
         let r = run_barrier(&quick(2000)).unwrap();
         assert!(r.throughput > 0.35, "throughput = {}", r.throughput);
+    }
+
+    #[test]
+    fn barrier_packets_carry_the_configured_size() {
+        // an NI injects one flit per cycle, so `batch` packets of `size`
+        // flits cannot finish sooner than `size * batch` cycles
+        let r = run_barrier(&BarrierConfig { size: 4, ..quick(100) }).unwrap();
+        assert!(r.drained);
+        assert!(r.runtime >= 4 * 100, "runtime {} for 100 4-flit packets", r.runtime);
     }
 
     #[test]

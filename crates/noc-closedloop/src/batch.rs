@@ -267,6 +267,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchResult, ConfigError> {
     let mut net_cfg = cfg.net.clone();
     net_cfg.classes = 2;
     let mut net = Network::new(net_cfg)?;
+    cfg.pattern.validate(&cfg.net.topology)?;
     let nodes = net.num_nodes();
     let k = net.topo().radix(0);
     let mut b = BatchBehavior::new(cfg, nodes, k);

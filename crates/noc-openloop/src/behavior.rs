@@ -185,13 +185,13 @@ impl NodeBehavior for OpenLoopBehavior {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_traffic::{Bernoulli, FixedSize, UniformRandom};
+    use noc_traffic::{Bernoulli, PatternKind, SizeKind};
 
     fn behavior(load: f64, from: Cycle, until: Cycle) -> OpenLoopBehavior {
         OpenLoopBehavior::new(
             4,
-            Box::new(UniformRandom { nodes: 4 }),
-            Box::new(FixedSize(1)),
+            PatternKind::Uniform.build(4, 2),
+            SizeKind::Fixed(1).build(),
             move || Box::new(Bernoulli { p: load }),
             7,
             from,
@@ -209,8 +209,8 @@ mod tests {
     ) -> OpenLoopBehavior {
         OpenLoopBehavior::new(
             nodes,
-            Box::new(UniformRandom { nodes }),
-            Box::new(FixedSize(2)),
+            PatternKind::Uniform.build(nodes, 1),
+            SizeKind::Fixed(2).build(),
             make,
             seed,
             mark.0,
@@ -269,9 +269,6 @@ mod tests {
         impl InjectionProcess for Declared {
             fn fire(&mut self, _: &mut SimRng) -> bool {
                 panic!("the uniform path made a virtual fire call")
-            }
-            fn rate(&self) -> f64 {
-                self.0
             }
             fn fixed_bernoulli(&self) -> Option<f64> {
                 Some(self.0)

@@ -76,17 +76,17 @@ impl OpenLoopConfig {
         self.warmup.saturating_add(self.measure)
     }
 
-    /// Every rule a measurement of `self` must pass: a valid network,
-    /// packets of at least one flit, a load that is non-negative and
-    /// needs a per-node generation probability of at most 1, and a
-    /// non-empty measurement window.
+    /// Every rule a measurement of `self` must pass: a valid network, a
+    /// pattern defined on its topology, packets of at least one flit, a
+    /// load that is non-negative and needs a per-node generation
+    /// probability of at most 1, and a non-empty measurement window.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.net.validate()?;
+        self.pattern.validate(&self.net.topology)?;
+        self.size.validate()?;
         let (load, mean) = (self.load, self.size.mean());
         let p = load / mean;
-        let (name, why) = if mean.is_nan() || mean <= 0.0 {
-            ("packet_size", format!("mean packet size {mean}; packets are at least one flit"))
-        } else if load < 0.0 {
+        let (name, why) = if load < 0.0 {
             ("load", format!("load {load} is negative; offered load is flits/cycle/node, >= 0"))
         } else if p.is_nan() || p > 1.0 {
             (
@@ -351,6 +351,17 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("negative"), "{msg}");
         assert!(!msg.contains("> 1"), "{msg}");
+    }
+
+    #[test]
+    fn zero_flit_packets_rejected() {
+        // regression: a bimodal mix with a 0-flit length has a positive
+        // mean, so it used to pass and then panic the engine's one-flit
+        // assert on the first short packet
+        let mut cfg = quick(0.1);
+        cfg.size = SizeKind::Bimodal { short: 0, long: 4, p_long: 0.5 };
+        let err = measure(&cfg).unwrap_err();
+        assert!(matches!(err, ConfigError::Parameter { name: "packet_size", .. }), "{err}");
     }
 
     #[test]

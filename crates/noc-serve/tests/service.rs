@@ -317,6 +317,24 @@ fn invalid_configs_are_rejected_at_admission() {
         (with(8, f64::NAN, &|_| {}), Some("load")),
         (with(9, 0.1, &|p| p.net.topology = TopologyKind::Mesh2D { k: 1 }), Some("topology")),
         (with(10, 0.1, &|p| p.net.vcs = 65), Some("vcs")),
+        // a coordinate pattern on a ring used to index past the traffic
+        // matrix; the other three used to simulate other traffic
+        (with(12, 0.1, &|p| ring16_transpose(p, false)), Some("pattern")),
+        (
+            with(13, 0.1, &|p| p.pattern = PatternKind::Hotspot { node: 9999, frac: 0.5 }),
+            Some("pattern"),
+        ),
+        (
+            with(14, 0.1, &|p| p.pattern = PatternKind::Hotspot { node: 5, frac: f64::NAN }),
+            Some("pattern"),
+        ),
+        (
+            with(15, 0.1, &|p| {
+                p.net.topology = TopologyKind::Mesh2D { k: 3 };
+                p.pattern = PatternKind::BitComplement;
+            }),
+            Some("pattern"),
+        ),
         (with(11, 0.1, &|_| {}), None),
     ];
     let budget_cap = quick_cfg().default_budget;
@@ -350,8 +368,16 @@ fn invalid_configs_are_rejected_at_admission() {
     }
 }
 
+/// Transpose on a 16-node ring: a 1D topology, where the pattern's
+/// `k x k` layout does not exist.
+fn ring16_transpose(p: &mut PointRequest, admission: bool) {
+    p.net.topology = TopologyKind::Ring { n: 16 };
+    p.pattern = PatternKind::Transpose;
+    p.analytic_admission = admission;
+}
+
 #[test]
-fn a_network_too_large_to_build_is_invalid_at_admission_and_the_service_keeps_serving() {
+fn unbuildable_points_are_invalid_at_admission_and_the_service_keeps_serving() {
     let mut svc = Service::new(quick_cfg()).unwrap();
     let huge = |k: usize, admission: bool| {
         let mut p = point("big", 1, 0.1);
@@ -359,26 +385,37 @@ fn a_network_too_large_to_build_is_invalid_at_admission_and_the_service_keeps_se
         p.analytic_admission = admission;
         ServeRequest::Point(Box::new(p))
     };
+    let ring = |admission: bool| {
+        let mut p = point("big", 1, 0.1);
+        ring16_transpose(&mut p, admission);
+        ServeRequest::Point(Box::new(p))
+    };
     // mesh70000 used to panic the model's n x n matrix (admission) or
     // abort the process allocating 588 GB in `Network::new` (run); the
-    // radix whose square wraps `usize` slipped past an unchecked product
+    // radix whose square wraps `usize` slipped past an unchecked product;
+    // ring16 + transpose indexed past the model's 256-entry matrix
+    // (admission, which ended the stdio process) or panicked every
+    // attempt (run)
     let (resps, alive) = drive(
         &mut svc,
         &[
             huge(70_000, true),
             huge(70_000, false),
             huge(1 << (usize::BITS / 2), false),
+            ring(true),
+            ring(false),
             run_req("big"),
         ],
     );
     assert!(alive);
     let rs = results(&resps);
-    assert_eq!(rs.len(), 3);
-    for r in &rs {
+    let fields = ["topology", "topology", "topology", "pattern", "pattern"];
+    assert_eq!(rs.len(), fields.len());
+    for (r, field) in rs.iter().zip(fields) {
         let ServeOutcome::Invalid { reason } = &r.outcome else {
             panic!("expected invalid, got {:?}", r.outcome)
         };
-        assert!(reason.contains("`topology`"), "{reason}");
+        assert_eq!(self::field(reason), field, "{reason}");
     }
     assert!(matches!(resps.last(), Some(ServeResponse::BatchDone { points: 0, .. })));
     let (resps, alive) =

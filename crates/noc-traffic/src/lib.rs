@@ -1,10 +1,12 @@
 //! # noc-traffic — synthetic traffic for NoC evaluation
 //!
 //! Spatial [`pattern`]s (uniform random, transpose, bit complement, bit
-//! reversal, shuffle, tornado, neighbor, hotspot, arbitrary
-//! permutations), temporal [`process`]es (Bernoulli, periodic, bursty
-//! on/off), and [`size`] distributions (fixed, bimodal) — the synthetic
-//! workload vocabulary of Table I.
+//! reversal, shuffle, tornado, neighbor, hotspot), temporal
+//! [`process`]es (Bernoulli, bursty on/off), and [`size`] distributions
+//! (fixed, bimodal) — the synthetic workload vocabulary of Table I.
+//! [`PatternKind`] and [`SizeKind`] each define their axis once: how to
+//! sample it, and which configurations it is defined on (their
+//! `validate`, which every runner calls before sampling).
 
 #![warn(missing_docs)]
 
@@ -12,9 +14,6 @@ pub mod pattern;
 pub mod process;
 pub mod size;
 
-pub use pattern::{
-    BitComplement, BitReversal, Hotspot, Neighbor, PatternKind, Permutation, Shuffle, Tornado,
-    TrafficPattern, Transpose, UniformRandom,
-};
-pub use process::{Bernoulli, InjectionProcess, OnOff, Periodic};
-pub use size::{Bimodal, FixedSize, SizeDist, SizeKind};
+pub use pattern::{PatternKind, TrafficPattern};
+pub use process::{Bernoulli, InjectionProcess, OnOff};
+pub use size::{SizeDist, SizeKind};

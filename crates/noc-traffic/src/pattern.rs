@@ -1,225 +1,28 @@
 //! Spatial traffic patterns: who talks to whom.
 //!
-//! Permutation patterns (transpose, bit complement, ...) follow the
-//! standard definitions of Dally & Towles. Patterns that permute node
-//! *bits* require a power-of-two node count; coordinate patterns
-//! (transpose, tornado, neighbor) require a square 2D layout and take
-//! the per-dimension radix `k`.
+//! [`PatternKind`] is the one definition of each pattern: how it draws
+//! a destination ([`PatternKind::build`]), the exact distribution of
+//! that draw ([`PatternKind::row`]), its wire name (`Display` and
+//! [`PatternKind::parse`]) and the topologies it is defined on
+//! ([`PatternKind::validate`]). Permutation patterns (transpose, bit
+//! complement, ...) follow the standard definitions of Dally & Towles.
+//! Patterns that permute node *bits* need a power-of-two node count;
+//! coordinate patterns (transpose, tornado, neighbor) need a 2D `k x k`
+//! topology and take the per-dimension radix `k`; hotspot needs its
+//! node in range and a fraction in `[0, 1]`. `validate` refuses every
+//! other pairing, and `dest` assumes it was called.
 
+use std::fmt;
+
+use noc_sim::config::TopologyKind;
+use noc_sim::error::ConfigError;
 use noc_sim::rng::SimRng;
 
 /// A spatial traffic pattern: maps a source to a destination, possibly
 /// randomly.
 pub trait TrafficPattern: Send + Sync {
-    /// Short name for reports.
-    fn name(&self) -> String;
-
     /// Destination for a packet sourced at `src`.
     fn dest(&self, src: usize, rng: &mut SimRng) -> usize;
-
-    /// True for deterministic (permutation) patterns.
-    fn is_permutation(&self) -> bool {
-        true
-    }
-}
-
-/// Uniform random traffic, excluding self by redrawing (a node never
-/// needs the network to talk to itself).
-#[derive(Debug, Clone, Copy)]
-pub struct UniformRandom {
-    /// Node count.
-    pub nodes: usize,
-}
-
-impl TrafficPattern for UniformRandom {
-    fn name(&self) -> String {
-        "uniform".into()
-    }
-
-    fn dest(&self, src: usize, rng: &mut SimRng) -> usize {
-        if self.nodes == 1 {
-            return src;
-        }
-        loop {
-            let d = rng.below(self.nodes);
-            if d != src {
-                return d;
-            }
-        }
-    }
-
-    fn is_permutation(&self) -> bool {
-        false
-    }
-}
-
-/// Coordinate transpose on a `k x k` layout: `(x, y) -> (y, x)`.
-/// Diagonal nodes map to themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct Transpose {
-    /// Per-dimension radix.
-    pub k: usize,
-}
-
-impl TrafficPattern for Transpose {
-    fn name(&self) -> String {
-        "transpose".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        let (x, y) = (src % self.k, src / self.k);
-        x * self.k + y
-    }
-}
-
-/// Bit complement: `dst = !src` over `log2(n)` bits.
-#[derive(Debug, Clone, Copy)]
-pub struct BitComplement {
-    /// Node count (must be a power of two).
-    pub nodes: usize,
-}
-
-impl TrafficPattern for BitComplement {
-    fn name(&self) -> String {
-        "bitcomp".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        debug_assert!(self.nodes.is_power_of_two());
-        !src & (self.nodes - 1)
-    }
-}
-
-/// Bit reversal: reverse the `log2(n)` address bits.
-#[derive(Debug, Clone, Copy)]
-pub struct BitReversal {
-    /// Node count (must be a power of two).
-    pub nodes: usize,
-}
-
-impl TrafficPattern for BitReversal {
-    fn name(&self) -> String {
-        "bitrev".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        debug_assert!(self.nodes.is_power_of_two());
-        let bits = self.nodes.trailing_zeros();
-        let mut d = 0usize;
-        for b in 0..bits {
-            if src & (1 << b) != 0 {
-                d |= 1 << (bits - 1 - b);
-            }
-        }
-        d
-    }
-}
-
-/// Perfect shuffle: rotate address bits left by one.
-#[derive(Debug, Clone, Copy)]
-pub struct Shuffle {
-    /// Node count (must be a power of two).
-    pub nodes: usize,
-}
-
-impl TrafficPattern for Shuffle {
-    fn name(&self) -> String {
-        "shuffle".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        debug_assert!(self.nodes.is_power_of_two());
-        let bits = self.nodes.trailing_zeros();
-        let hi = (src >> (bits - 1)) & 1;
-        ((src << 1) | hi) & (self.nodes - 1)
-    }
-}
-
-/// Tornado on a `k x k` layout: each dimension sends almost half-way
-/// around, the worst case for DOR on rings/tori.
-#[derive(Debug, Clone, Copy)]
-pub struct Tornado {
-    /// Per-dimension radix.
-    pub k: usize,
-}
-
-impl TrafficPattern for Tornado {
-    fn name(&self) -> String {
-        "tornado".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        let shift = self.k / 2 - if self.k.is_multiple_of(2) { 1 } else { 0 };
-        let (x, y) = (src % self.k, src / self.k);
-        let dx = (x + shift.max(1)) % self.k;
-        let dy = (y + shift.max(1)) % self.k;
-        dy * self.k + dx
-    }
-}
-
-/// Nearest neighbor: `+1` in each dimension (with wraparound).
-#[derive(Debug, Clone, Copy)]
-pub struct Neighbor {
-    /// Per-dimension radix.
-    pub k: usize,
-}
-
-impl TrafficPattern for Neighbor {
-    fn name(&self) -> String {
-        "neighbor".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        let (x, y) = (src % self.k, src / self.k);
-        ((y + 1) % self.k) * self.k + (x + 1) % self.k
-    }
-}
-
-/// Hotspot: with probability `frac`, traffic targets `hotspot`;
-/// otherwise uniform random.
-#[derive(Debug, Clone, Copy)]
-pub struct Hotspot {
-    /// Node count.
-    pub nodes: usize,
-    /// The hot node.
-    pub hotspot: usize,
-    /// Fraction of traffic aimed at the hot node.
-    pub frac: f64,
-}
-
-impl TrafficPattern for Hotspot {
-    fn name(&self) -> String {
-        format!("hotspot({}, {:.2})", self.hotspot, self.frac)
-    }
-
-    fn dest(&self, src: usize, rng: &mut SimRng) -> usize {
-        if rng.chance(self.frac) && self.hotspot != src {
-            self.hotspot
-        } else {
-            UniformRandom { nodes: self.nodes }.dest(src, rng)
-        }
-    }
-
-    fn is_permutation(&self) -> bool {
-        false
-    }
-}
-
-/// An arbitrary fixed permutation.
-#[derive(Debug, Clone)]
-pub struct Permutation {
-    /// `map[src] = dst`.
-    pub map: Vec<usize>,
-}
-
-impl TrafficPattern for Permutation {
-    fn name(&self) -> String {
-        "permutation".into()
-    }
-
-    fn dest(&self, src: usize, _rng: &mut SimRng) -> usize {
-        self.map[src]
-    }
 }
 
 /// Serializable pattern selector for experiment configs.
@@ -227,19 +30,22 @@ impl TrafficPattern for Permutation {
 pub enum PatternKind {
     /// Uniform random (excluding self).
     Uniform,
-    /// Coordinate transpose.
+    /// Coordinate transpose on a `k x k` layout: `(x, y) -> (y, x)`;
+    /// diagonal nodes map to themselves.
     Transpose,
-    /// Bit complement.
+    /// Bit complement: `dst = !src` over `log2(n)` bits.
     BitComplement,
-    /// Bit reversal.
+    /// Bit reversal: reverse the `log2(n)` address bits.
     BitReversal,
-    /// Perfect shuffle.
+    /// Perfect shuffle: rotate the address bits left by one.
     Shuffle,
-    /// Tornado.
+    /// Tornado on a `k x k` layout: each dimension sends almost half-way
+    /// around, the worst case for DOR on rings/tori.
     Tornado,
-    /// Nearest neighbor.
+    /// Nearest neighbor: `+1` in each dimension (with wraparound).
     Neighbor,
-    /// Hotspot with the given node and fraction.
+    /// Hotspot: with probability `frac` traffic targets `node`;
+    /// otherwise uniform random.
     Hotspot {
         /// The hot node.
         node: usize,
@@ -248,33 +54,188 @@ pub enum PatternKind {
     },
 }
 
+/// Wire names of the patterns without parameters; `hotspot:NODE:FRAC`
+/// is the one name that carries them.
+const NAMES: [(PatternKind, &str); 7] = [
+    (PatternKind::Uniform, "uniform"),
+    (PatternKind::Transpose, "transpose"),
+    (PatternKind::BitComplement, "bitcomp"),
+    (PatternKind::BitReversal, "bitrev"),
+    (PatternKind::Shuffle, "shuffle"),
+    (PatternKind::Tornado, "tornado"),
+    (PatternKind::Neighbor, "neighbor"),
+];
+
+impl fmt::Display for PatternKind {
+    /// The wire name (`uniform`, `transpose`, `bitcomp`, `bitrev`,
+    /// `shuffle`, `tornado`, `neighbor`, `hotspot:NODE:FRAC` with `FRAC`
+    /// in shortest round-trip form); [`PatternKind::parse`] inverts it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let PatternKind::Hotspot { node, frac } = self {
+            return write!(f, "hotspot:{node}:{frac:?}");
+        }
+        let (_, name) =
+            NAMES.iter().find(|(kind, _)| kind == self).expect("every fixed pattern has a name");
+        f.write_str(name)
+    }
+}
+
 impl PatternKind {
+    /// The pattern a wire name denotes, if any.
+    pub fn parse(s: &str) -> Option<Self> {
+        if let Some(rest) = s.strip_prefix("hotspot:") {
+            let (node, frac) = rest.split_once(':')?;
+            return Some(PatternKind::Hotspot {
+                node: node.parse().ok()?,
+                frac: frac.parse().ok()?,
+            });
+        }
+        NAMES.iter().find(|(_, name)| *name == s).map(|&(kind, _)| kind)
+    }
+
+    /// Refuse a pattern on a topology it is not defined on, naming
+    /// `pattern`: coordinate patterns need a 2D `k x k` topology, bit
+    /// patterns a power-of-two node count, and hotspot a node below the
+    /// node count and a fraction in `[0, 1]`. An invalid topology is
+    /// refused first, naming `topology`.
+    pub fn validate(&self, topo: &TopologyKind) -> Result<(), ConfigError> {
+        topo.validate()?;
+        let nodes = topo.num_nodes();
+        let why = match *self {
+            PatternKind::Transpose | PatternKind::Tornado | PatternKind::Neighbor
+                if matches!(topo, TopologyKind::Ring { .. }) =>
+            {
+                format!("{self} needs a 2D k x k topology, not a ring")
+            }
+            PatternKind::BitComplement | PatternKind::BitReversal | PatternKind::Shuffle
+                if !nodes.is_power_of_two() =>
+            {
+                format!(
+                    "{self} permutes address bits and needs a power-of-two node count, not {nodes}"
+                )
+            }
+            PatternKind::Hotspot { node, .. } if node >= nodes => {
+                format!("hot node {node} is not one of the {nodes} nodes")
+            }
+            PatternKind::Hotspot { frac, .. } if !(0.0..=1.0).contains(&frac) => {
+                format!("hotspot fraction {frac} is not in [0, 1]")
+            }
+            _ => return Ok(()),
+        };
+        Err(ConfigError::Parameter { name: "pattern", why })
+    }
+
     /// Instantiate for a network of `nodes` nodes arranged `k x k`
     /// (coordinate patterns use `k`; bit patterns use `nodes`).
     pub fn build(&self, nodes: usize, k: usize) -> Box<dyn TrafficPattern> {
-        match *self {
-            PatternKind::Uniform => Box::new(UniformRandom { nodes }),
-            PatternKind::Transpose => Box::new(Transpose { k }),
-            PatternKind::BitComplement => Box::new(BitComplement { nodes }),
-            PatternKind::BitReversal => Box::new(BitReversal { nodes }),
-            PatternKind::Shuffle => Box::new(Shuffle { nodes }),
-            PatternKind::Tornado => Box::new(Tornado { k }),
-            PatternKind::Neighbor => Box::new(Neighbor { k }),
-            PatternKind::Hotspot { node, frac } => Box::new(Hotspot { nodes, hotspot: node, frac }),
-        }
+        Box::new(Pattern { kind: *self, nodes, k })
     }
 
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PatternKind::Uniform => "uniform",
-            PatternKind::Transpose => "transpose",
-            PatternKind::BitComplement => "bitcomp",
-            PatternKind::BitReversal => "bitrev",
-            PatternKind::Shuffle => "shuffle",
-            PatternKind::Tornado => "tornado",
-            PatternKind::Neighbor => "neighbor",
-            PatternKind::Hotspot { .. } => "hotspot",
+    /// True for the fixed permutations, whose `dest` never draws: every
+    /// source has exactly one destination.
+    pub fn is_permutation(&self) -> bool {
+        !matches!(self, PatternKind::Uniform | PatternKind::Hotspot { .. })
+    }
+
+    /// The exact distribution of `dest(src)` on `nodes` nodes arranged
+    /// `k x k`: sets `row[dst]` to the probability that a packet sourced
+    /// at `src` targets `dst`. `row` holds `nodes` zeros on entry.
+    pub fn row(&self, src: usize, nodes: usize, k: usize, row: &mut [f64]) {
+        let w = 1.0 / (nodes - 1).max(1) as f64;
+        match *self {
+            // `dest`: with probability `frac` (and src != hot) the hot
+            // node, otherwise uniform excluding self
+            PatternKind::Hotspot { node: hot, frac } if src != hot => {
+                for (dst, p) in row.iter_mut().enumerate() {
+                    if dst == hot {
+                        *p = frac + (1.0 - frac) * w;
+                    } else if dst != src {
+                        *p = (1.0 - frac) * w;
+                    }
+                }
+            }
+            // uniform, and the hot node itself, which sprays uniformly
+            PatternKind::Uniform | PatternKind::Hotspot { .. } => {
+                for (dst, p) in row.iter_mut().enumerate() {
+                    if dst != src {
+                        *p = w;
+                    }
+                }
+            }
+            // a fixed permutation ignores the RNG, so one evaluation of
+            // its own `dest` is exact
+            _ => {
+                let dst = Pattern { kind: *self, nodes, k }.dest(src, &mut SimRng::new(0));
+                row[dst] = 1.0;
+            }
+        }
+    }
+}
+
+/// A [`PatternKind`] instantiated on `nodes` nodes arranged `k x k`.
+struct Pattern {
+    kind: PatternKind,
+    nodes: usize,
+    k: usize,
+}
+
+/// Uniform random destination, excluding self by redrawing (a node
+/// never needs the network to talk to itself).
+fn uniform(nodes: usize, src: usize, rng: &mut SimRng) -> usize {
+    if nodes == 1 {
+        return src;
+    }
+    loop {
+        let d = rng.below(nodes);
+        if d != src {
+            return d;
+        }
+    }
+}
+
+impl TrafficPattern for Pattern {
+    fn dest(&self, src: usize, rng: &mut SimRng) -> usize {
+        let (n, k) = (self.nodes, self.k);
+        match self.kind {
+            PatternKind::Uniform => uniform(n, src, rng),
+            PatternKind::Hotspot { node, frac } => {
+                if rng.chance(frac) && node != src {
+                    node
+                } else {
+                    uniform(n, src, rng)
+                }
+            }
+            PatternKind::Transpose => {
+                let (x, y) = (src % k, src / k);
+                x * k + y
+            }
+            PatternKind::BitComplement => !src & (n - 1),
+            PatternKind::BitReversal => {
+                let bits = n.trailing_zeros();
+                let mut d = 0usize;
+                for b in 0..bits {
+                    if src & (1 << b) != 0 {
+                        d |= 1 << (bits - 1 - b);
+                    }
+                }
+                d
+            }
+            PatternKind::Shuffle => {
+                let bits = n.trailing_zeros();
+                let hi = (src >> (bits - 1)) & 1;
+                ((src << 1) | hi) & (n - 1)
+            }
+            PatternKind::Tornado => {
+                let shift = k / 2 - if k.is_multiple_of(2) { 1 } else { 0 };
+                let (x, y) = (src % k, src / k);
+                let dx = (x + shift.max(1)) % k;
+                let dy = (y + shift.max(1)) % k;
+                dy * k + dx
+            }
+            PatternKind::Neighbor => {
+                let (x, y) = (src % k, src / k);
+                ((y + 1) % k) * k + (x + 1) % k
+            }
         }
     }
 }
@@ -289,7 +250,7 @@ mod tests {
 
     #[test]
     fn uniform_never_self_and_covers_all() {
-        let p = UniformRandom { nodes: 16 };
+        let p = PatternKind::Uniform.build(16, 4);
         let mut r = rng();
         let mut seen = [false; 16];
         for _ in 0..2000 {
@@ -303,7 +264,7 @@ mod tests {
 
     #[test]
     fn transpose_swaps_coords() {
-        let p = Transpose { k: 8 };
+        let p = PatternKind::Transpose.build(64, 8);
         let mut r = rng();
         // (1, 2) = node 17 -> (2, 1) = node 10
         assert_eq!(p.dest(2 * 8 + 1, &mut r), 8 + 2);
@@ -318,7 +279,7 @@ mod tests {
 
     #[test]
     fn bit_complement_is_involution() {
-        let p = BitComplement { nodes: 64 };
+        let p = PatternKind::BitComplement.build(64, 8);
         let mut r = rng();
         assert_eq!(p.dest(0, &mut r), 63);
         for s in 0..64 {
@@ -328,7 +289,7 @@ mod tests {
 
     #[test]
     fn bit_reversal_examples() {
-        let p = BitReversal { nodes: 64 };
+        let p = PatternKind::BitReversal.build(64, 8);
         let mut r = rng();
         assert_eq!(p.dest(0b000001, &mut r), 0b100000);
         assert_eq!(p.dest(0b100110, &mut r), 0b011001);
@@ -339,7 +300,7 @@ mod tests {
 
     #[test]
     fn shuffle_rotates() {
-        let p = Shuffle { nodes: 64 };
+        let p = PatternKind::Shuffle.build(64, 8);
         let mut r = rng();
         assert_eq!(p.dest(0b000001, &mut r), 0b000010);
         assert_eq!(p.dest(0b100000, &mut r), 0b000001);
@@ -355,7 +316,7 @@ mod tests {
 
     #[test]
     fn tornado_half_rotation() {
-        let p = Tornado { k: 8 };
+        let p = PatternKind::Tornado.build(64, 8);
         let mut r = rng();
         // shift = 3 for k = 8
         assert_eq!(p.dest(0, &mut r), 3 * 8 + 3);
@@ -367,7 +328,7 @@ mod tests {
 
     #[test]
     fn neighbor_is_plus_one() {
-        let p = Neighbor { k: 4 };
+        let p = PatternKind::Neighbor.build(16, 4);
         let mut r = rng();
         assert_eq!(p.dest(0, &mut r), 5);
         assert_eq!(p.dest(15, &mut r), 0); // wraps both dims
@@ -375,7 +336,7 @@ mod tests {
 
     #[test]
     fn hotspot_concentrates() {
-        let p = Hotspot { nodes: 16, hotspot: 7, frac: 0.5 };
+        let p = PatternKind::Hotspot { node: 7, frac: 0.5 }.build(16, 4);
         let mut r = rng();
         let hits = (0..4000).filter(|_| p.dest(0, &mut r) == 7).count();
         let rate = hits as f64 / 4000.0;
@@ -384,29 +345,35 @@ mod tests {
     }
 
     #[test]
-    fn permutation_map() {
-        let p = Permutation { map: vec![2, 0, 1] };
-        let mut r = rng();
-        assert_eq!(p.dest(0, &mut r), 2);
-        assert_eq!(p.dest(2, &mut r), 1);
+    fn wire_names_round_trip() {
+        for (kind, name) in NAMES {
+            assert_eq!(kind.to_string(), name);
+            assert_eq!(PatternKind::parse(name), Some(kind));
+        }
+        let hot = PatternKind::Hotspot { node: 5, frac: 0.25 };
+        assert_eq!(hot.to_string(), "hotspot:5:0.25");
+        assert_eq!(PatternKind::parse("hotspot:5:0.25"), Some(hot));
+        for bad in ["", "Uniform", "hotspot", "hotspot:5", "hotspot:x:0.1", "hotspot:5:y"] {
+            assert_eq!(PatternKind::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
-    fn kind_builds_all() {
-        let mut r = rng();
-        for kind in [
-            PatternKind::Uniform,
-            PatternKind::Transpose,
-            PatternKind::BitComplement,
-            PatternKind::BitReversal,
-            PatternKind::Shuffle,
-            PatternKind::Tornado,
-            PatternKind::Neighbor,
-            PatternKind::Hotspot { node: 0, frac: 0.1 },
-        ] {
-            let p = kind.build(64, 8);
-            let d = p.dest(5, &mut r);
-            assert!(d < 64, "{} out of range", kind.name());
-        }
+    fn validate_names_the_pattern() {
+        let refused = |p: PatternKind, t: TopologyKind| {
+            matches!(p.validate(&t), Err(ConfigError::Parameter { name: "pattern", .. }))
+        };
+        let (mesh3, mesh4) = (TopologyKind::Mesh2D { k: 3 }, TopologyKind::Mesh2D { k: 4 });
+        assert!(refused(PatternKind::Transpose, TopologyKind::Ring { n: 16 }));
+        assert!(refused(PatternKind::BitComplement, mesh3));
+        assert!(PatternKind::BitComplement.validate(&TopologyKind::Ring { n: 16 }).is_ok());
+        assert!(PatternKind::Transpose.validate(&mesh3).is_ok());
+        assert!(refused(PatternKind::Hotspot { node: 16, frac: 0.5 }, mesh4));
+        assert!(refused(PatternKind::Hotspot { node: 5, frac: f64::NAN }, mesh4));
+        assert!(refused(PatternKind::Hotspot { node: 5, frac: f64::INFINITY }, mesh4));
+        assert!(PatternKind::Hotspot { node: 15, frac: 1.0 }.validate(&mesh4).is_ok());
+        // the topology's own rule comes first, under its own name
+        let err = PatternKind::Uniform.validate(&TopologyKind::Mesh2D { k: 1 }).unwrap_err();
+        assert!(matches!(err, ConfigError::Parameter { name: "topology", .. }), "{err}");
     }
 }

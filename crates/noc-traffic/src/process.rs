@@ -7,9 +7,6 @@ pub trait InjectionProcess: Send {
     /// Returns true when a packet should be generated this cycle.
     fn fire(&mut self, rng: &mut SimRng) -> bool;
 
-    /// Mean packet generation rate (packets/cycle), for reporting.
-    fn rate(&self) -> f64;
-
     /// If every [`fire`](Self::fire) call is exactly `rng.chance(p)` for
     /// a fixed `p` — no internal state, no history dependence — return
     /// that `p`. Batched generation sweeps then prepare `p` once as a
@@ -37,44 +34,8 @@ impl InjectionProcess for Bernoulli {
         rng.chance(self.p)
     }
 
-    fn rate(&self) -> f64 {
-        self.p
-    }
-
     fn fixed_bernoulli(&self) -> Option<f64> {
         Some(self.p)
-    }
-}
-
-/// Deterministic periodic process with fractional accumulation: fires
-/// `rate` packets per cycle on average with minimal jitter.
-#[derive(Debug, Clone, Copy)]
-pub struct Periodic {
-    /// Packets per cycle.
-    pub rate: f64,
-    acc: f64,
-}
-
-impl Periodic {
-    /// New periodic process at `rate` packets/cycle.
-    pub fn new(rate: f64) -> Self {
-        Self { rate, acc: 0.0 }
-    }
-}
-
-impl InjectionProcess for Periodic {
-    fn fire(&mut self, _rng: &mut SimRng) -> bool {
-        self.acc += self.rate;
-        if self.acc >= 1.0 {
-            self.acc -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn rate(&self) -> f64 {
-        self.rate
     }
 }
 
@@ -115,10 +76,6 @@ impl InjectionProcess for OnOff {
         }
         self.on && rng.chance(self.rate_on)
     }
-
-    fn rate(&self) -> f64 {
-        self.rate_on * self.duty_cycle()
-    }
 }
 
 #[cfg(test)]
@@ -132,30 +89,12 @@ mod tests {
         let fires = (0..100_000).filter(|_| p.fire(&mut rng)).count();
         let rate = fires as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate = {rate}");
-        assert_eq!(p.rate(), 0.25);
-    }
-
-    #[test]
-    fn periodic_exact_rate_and_spacing() {
-        let mut p = Periodic::new(0.25);
-        let mut rng = SimRng::new(1);
-        let fires: Vec<usize> =
-            (0..100).filter(|_| p.fire(&mut rng)).enumerate().map(|(i, _)| i).collect();
-        assert_eq!(fires.len(), 25);
-    }
-
-    #[test]
-    fn periodic_rate_one_fires_every_cycle() {
-        let mut p = Periodic::new(1.0);
-        let mut rng = SimRng::new(1);
-        assert!((0..50).all(|_| p.fire(&mut rng)));
     }
 
     #[test]
     fn onoff_mean_rate_matches_duty_cycle() {
         let mut p = OnOff::new(0.8, 0.02, 0.02); // 50% duty
         assert!((p.duty_cycle() - 0.5).abs() < 1e-12);
-        assert!((p.rate() - 0.4).abs() < 1e-12);
         let mut rng = SimRng::new(5);
         let fires = (0..200_000).filter(|_| p.fire(&mut rng)).count();
         let rate = fires as f64 / 200_000.0;

@@ -7,9 +7,11 @@
 # scripts/hostile_lines.txt (not UTF-8, a router_delay that does not
 # fit u32, a duplicated key, `seeds: 4e18`, a sweep past
 # MAX_SWEEP_POINTS, a mesh70000 point under analytic admission, a
-# mesh1 point, a point whose packet_size does not fit the engine's u16)
-# preceded by one line longer than MAX_LINE_BYTES, which is generated
-# here rather than checked in.
+# mesh1 point, a point whose packet_size does not fit the engine's u16,
+# and four patterns not defined on their topology: transpose on ring16
+# under analytic admission, hotspot:9999:0.5 and hotspot:5:NaN on mesh4,
+# bitcomp on the 9-node mesh3) preceded by one line longer than
+# MAX_LINE_BYTES, which is generated here rather than checked in.
 #
 # Usage: scripts/serve_hostile.sh
 set -euo pipefail

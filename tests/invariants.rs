@@ -1,14 +1,19 @@
 //! Property-based invariants over the whole stack (proptest): packet
 //! conservation, deterministic replay, latency lower bounds, and batch
-//! accounting, across randomized configurations.
+//! accounting, across randomized configurations; and one traffic-pattern
+//! validity rule, checked against the generator and every runner.
 
 use proptest::prelude::*;
 
+use noc_analytic::{AnalyticModel, TrafficMatrix};
 use noc_closedloop::BatchConfig;
+use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
+use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
-use noc_traffic::PatternKind;
+use noc_sim::rng::SimRng;
+use noc_traffic::{PatternKind, SizeKind};
 
 /// A scripted behavior for conservation tests.
 struct Script {
@@ -181,4 +186,79 @@ proptest! {
         let theta = 2.0 * b as f64 / r.runtime as f64;
         prop_assert!((r.throughput - theta).abs() < 1e-9);
     }
+}
+
+/// Every pattern on square and ring topologies, power-of-two and not:
+/// each pair `validate` accepts draws in-range destinations (a bijection
+/// for the permutations) with an exact matrix whose rows sum to 1, and
+/// each pair it refuses, `measure`, the analytic model and the batch
+/// model refuse with the identical `pattern` error.
+#[test]
+fn one_pattern_rule_matches_the_generator_and_every_runner() {
+    let topologies = [
+        TopologyKind::Mesh2D { k: 4 },
+        TopologyKind::Mesh2D { k: 3 },
+        TopologyKind::Torus2D { k: 4 },
+        TopologyKind::FoldedTorus2D { k: 4 },
+        TopologyKind::Ring { n: 16 },
+        TopologyKind::Ring { n: 12 },
+    ];
+    let hotspot = |node, frac| PatternKind::Hotspot { node, frac };
+    let patterns = [
+        PatternKind::Uniform,
+        PatternKind::Transpose,
+        PatternKind::BitComplement,
+        PatternKind::BitReversal,
+        PatternKind::Shuffle,
+        PatternKind::Tornado,
+        PatternKind::Neighbor,
+        hotspot(5, 0.25),
+        hotspot(9999, 0.5),
+        hotspot(5, f64::NAN),
+        hotspot(5, 1.5),
+    ];
+    let mut accepted = 0;
+    let mut rng = SimRng::new(7);
+    for topo in topologies {
+        // 4 VCs: the batch model's two classes validate on every topology
+        let net = NetConfig::baseline().with_topology(topo).with_vcs(4);
+        let (nodes, k) = (topo.num_nodes(), topo.build().radix(0));
+        for pattern in patterns {
+            let err = match pattern.validate(&topo) {
+                Ok(()) => {
+                    accepted += 1;
+                    let dest = pattern.build(nodes, k);
+                    let mut hit = vec![false; nodes];
+                    for src in 0..nodes {
+                        for _ in 0..8 {
+                            let d = dest.dest(src, &mut rng);
+                            assert!(d < nodes, "{pattern} on {topo:?}: {src} -> {d}");
+                            hit[d] = true;
+                        }
+                    }
+                    if pattern.is_permutation() {
+                        assert!(hit.iter().all(|&h| h), "{pattern} on {topo:?} is no bijection");
+                    }
+                    let m = TrafficMatrix::new(pattern, nodes, k);
+                    for src in 0..nodes {
+                        let sum: f64 = (0..nodes).map(|d| m.prob(src, d)).sum();
+                        assert!((sum - 1.0).abs() < 1e-12, "{pattern} on {topo:?}: row {src}");
+                    }
+                    continue;
+                }
+                Err(e) => e,
+            };
+            assert!(matches!(err, ConfigError::Parameter { name: "pattern", .. }), "{err}");
+            let open = OpenLoopConfig { net: net.clone(), pattern, ..OpenLoopConfig::default() };
+            assert_eq!(noc_openloop::measure(&open).unwrap_err(), err);
+            assert_eq!(AnalyticModel::of(&net, pattern, SizeKind::Fixed(1)).unwrap_err(), err);
+            let batch =
+                BatchConfig { net: net.clone(), pattern, batch: 10, ..BatchConfig::default() };
+            assert_eq!(noc_closedloop::run_batch(&batch).unwrap_err(), err);
+        }
+    }
+    // uniform and the in-range hotspot everywhere, the coordinate
+    // patterns on the four square grids, the bit patterns on the four
+    // power-of-two node counts
+    assert_eq!(accepted, 6 + 6 + 3 * 4 + 3 * 4);
 }

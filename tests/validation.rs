@@ -5,7 +5,7 @@
 //! slow clock where kernel traffic dominates.
 
 use cmp_sim::CmpConfig;
-use noc_eval::correlate::correlate_cmp_batch;
+use noc_eval::correlate::{correlate_sweep_batch, run_cmp_sweep, CmpBatchOutcome, CmpSweep};
 use noc_eval::{BatchExtension, Effort};
 use noc_workloads::{all_benchmarks, BenchmarkProfile, ClockFreq};
 
@@ -32,20 +32,26 @@ fn cmp_cfg(p: &BenchmarkProfile, e: &Effort, os: bool) -> CmpConfig {
 
 const TRS: [u32; 3] = [1, 4, 8];
 
+/// The execution-driven side, run once per test.
+fn cmp_sweep(ps: &[BenchmarkProfile]) -> CmpSweep {
+    let e = tiny();
+    run_cmp_sweep(ps, |p| cmp_cfg(p, &e, false), &TRS).unwrap()
+}
+
+fn correlate(sweep: &CmpSweep, ps: &[BenchmarkProfile], ext: BatchExtension) -> CmpBatchOutcome {
+    correlate_sweep_batch(sweep, ps, ext, &tiny(), 4).unwrap()
+}
+
 /// Fig 15 vs Fig 19: the NAR-enhanced injection model correlates with
 /// execution-driven runs at least as well as the plain batch model —
 /// because the plain model predicts identical slowdowns for every
 /// benchmark while real benchmarks differ.
 #[test]
 fn enhanced_injection_beats_plain_batch() {
-    let e = tiny();
     let ps = profiles();
-    let plain =
-        correlate_cmp_batch(&ps, |p| cmp_cfg(p, &e, false), &TRS, BatchExtension::plain(), &e, 4)
-            .unwrap();
-    let inj =
-        correlate_cmp_batch(&ps, |p| cmp_cfg(p, &e, false), &TRS, BatchExtension::inj(), &e, 4)
-            .unwrap();
+    let sweep = cmp_sweep(&ps);
+    let plain = correlate(&sweep, &ps, BatchExtension::plain());
+    let inj = correlate(&sweep, &ps, BatchExtension::inj());
     let (rp, ri) = (plain.r.unwrap(), inj.r.unwrap());
     assert!(ri >= rp - 0.02, "BA_inj (r={ri:.3}) should not trail plain BA (r={rp:.3})");
     assert!(ri > 0.7, "BA_inj should correlate decently: r = {ri:.3}");
@@ -56,11 +62,8 @@ fn enhanced_injection_beats_plain_batch() {
 /// execution-driven runtimes differ (the Fig 14 observation).
 #[test]
 fn plain_batch_is_benchmark_blind_but_cmp_is_not() {
-    let e = tiny();
     let ps = profiles();
-    let out =
-        correlate_cmp_batch(&ps, |p| cmp_cfg(p, &e, false), &TRS, BatchExtension::plain(), &e, 4)
-            .unwrap();
+    let out = correlate(&cmp_sweep(&ps), &ps, BatchExtension::plain());
     // batch_norm at tr=8 identical across benchmarks (same model!)
     let batch8: Vec<f64> = out.points.iter().filter(|p| p.tr == 8).map(|p| p.batch_norm).collect();
     let spread = batch8.iter().cloned().fold(0.0, f64::max)
