@@ -132,7 +132,15 @@ fn main() {
         eprintln!("{}", noc_verify::verify(&net));
         std::process::exit(2);
     }
-    if let Err(e) = pattern.validate(&net.topology) {
+    // the batch point's rules include the pattern's on this topology
+    let batch_cfg = BatchConfig {
+        net: net.clone(),
+        pattern,
+        batch,
+        max_outstanding: m,
+        ..BatchConfig::default()
+    };
+    if let Err(e) = batch_cfg.validate() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
@@ -169,30 +177,12 @@ fn main() {
     } else {
         None
     };
-    let analytic_net = net.clone();
-
     // the open-loop and batch views are independent simulations — run
     // them on both cores
-    let open_net = net.clone();
+    let open_cfg = OpenLoopConfig { net, pattern, size, load, ..OpenLoopConfig::default() };
     let (open, closed) = noc_exp::join(
-        move || {
-            noc_openloop::measure(&OpenLoopConfig {
-                net: open_net,
-                pattern,
-                size,
-                load,
-                ..OpenLoopConfig::default()
-            })
-        },
-        move || {
-            noc_closedloop::run_batch(&BatchConfig {
-                net,
-                pattern,
-                batch,
-                max_outstanding: m,
-                ..BatchConfig::default()
-            })
-        },
+        || noc_openloop::measure(&open_cfg),
+        || noc_closedloop::run_batch(&batch_cfg),
     );
     match open {
         Ok(r) => {
@@ -235,10 +225,8 @@ fn main() {
     if let Some(rep) = &report {
         let sat = rep.model.effective_saturation.min(1.0);
         let loads: Vec<f64> = (1..=6).map(|i| 1.15 * sat * i as f64 / 6.0).collect();
-        let points = noc_openloop::sweep(
-            &OpenLoopConfig { net: analytic_net, pattern, size, ..OpenLoopConfig::default() },
-            &loads,
-        );
+        // each sweep point takes its own load and derived seed
+        let points = noc_openloop::sweep(&open_cfg, &loads);
         println!(
             "\n{}",
             noc_eval::analytic_overlay(

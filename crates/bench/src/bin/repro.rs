@@ -201,7 +201,7 @@ fn ext_degradation(e: &Effort) -> String {
         "== graceful degradation: {k}x{k} mesh, uniform, load 0.15 ==\n\
          links  delivered            retx     abandoned  dropped  latency   thruput"
     );
-    for outcome in degradation_sweep(&cfg) {
+    for outcome in degradation_sweep(&cfg).expect("valid sweep config") {
         out.push('\n');
         let _ = match outcome {
             PointOutcome::Ok(p) => write!(

@@ -1,6 +1,7 @@
 //! CMP configuration: the paper's Table II parameters.
 
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_sim::ConfigError;
 use noc_workloads::{BenchmarkProfile, ClockFreq};
 
 /// Execution-driven CMP simulation configuration.
@@ -8,6 +9,8 @@ use noc_workloads::{BenchmarkProfile, ClockFreq};
 /// Defaults mirror Table II: 16 in-order cores on a 4x4 mesh, 10-cycle
 /// shared L2 banks, 300-cycle DRAM, 16-byte links (so a 64-byte line is
 /// a 5-flit reply), 8 VCs x 4 buffers, 1-cycle routers, DOR.
+/// [`CmpConfig::validate`] owns what a valid point is; `run_cmp` calls
+/// it first.
 #[derive(Debug, Clone)]
 pub struct CmpConfig {
     /// Network configuration (`classes` forced to 2 at run time).
@@ -140,6 +143,45 @@ impl CmpConfig {
     pub fn timer_interval(&self) -> u64 {
         self.clock.timer_interval_cycles(self.timer_scale)
     }
+
+    /// Every rule a [`run_cmp`](crate::run_cmp) of `self` must pass,
+    /// first error first: a network valid with two message classes
+    /// (requests and replies), packets of at least one flit, a
+    /// `store_frac` in [0, 1], and, with the OS model on, a finite
+    /// positive `timer_scale` whose timer interval exceeds
+    /// `timer_handler_instructions`, so cores retire user work between
+    /// interrupts.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.net.clone().with_classes(2).validate()?;
+        let flits = [
+            ("req_flits", self.req_flits),
+            ("reply_flits", self.reply_flits),
+            ("ack_flits", self.ack_flits),
+        ];
+        if let Some(&(name, _)) = flits.iter().find(|f| f.1 == 0) {
+            let why = "0 flits; packets are at least one flit".into();
+            return Err(ConfigError::Parameter { name, why });
+        }
+        let (name, why) = if !(0.0..=1.0).contains(&self.store_frac) {
+            ("store_frac", format!("{} is not a probability in [0, 1]", self.store_frac))
+        } else if self.os_model
+            && !(self.timer_scale.is_finite()
+                && self.timer_scale > 0.0
+                && self.timer_interval() > self.timer_handler_instructions)
+        {
+            let why = format!(
+                "{} gives a {}-cycle timer interval, not above the {}-instruction \
+                 handler: cores would only service interrupts",
+                self.timer_scale,
+                self.timer_interval(),
+                self.timer_handler_instructions
+            );
+            ("timer_scale", why)
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::Parameter { name, why })
+    }
 }
 
 #[cfg(test)]
@@ -185,6 +227,34 @@ mod tests {
         let slow = cfg().with_clock(noc_workloads::ClockFreq::MHz75);
         let fast = cfg().with_clock(noc_workloads::ClockFreq::GHz3);
         assert_eq!(fast.timer_interval() / slow.timer_interval(), 40);
+    }
+
+    #[test]
+    fn hostile_points_are_refused_by_name() {
+        let base = cfg();
+        let cases = [
+            ("req_flits", CmpConfig { req_flits: 0, ..base.clone() }),
+            ("reply_flits", CmpConfig { reply_flits: 0, ..base.clone() }),
+            ("ack_flits", CmpConfig { ack_flits: 0, ..base.clone() }),
+            ("store_frac", CmpConfig { store_frac: f64::NAN, ..base.clone() }),
+            ("timer_scale", CmpConfig { timer_scale: 0.0, ..base.clone() }),
+            ("timer_scale", CmpConfig { timer_scale: -1.0, ..base.clone() }),
+            // a 300-cycle interval at 3 GHz: exactly the handler's length
+            ("timer_scale", CmpConfig { timer_scale: 1e-4, ..base.clone() }),
+        ];
+        for (field, c) in cases {
+            match c.validate() {
+                Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // without the OS model no timer fires, so its scale is unused
+        assert!(CmpConfig { timer_scale: 0.0, ..cfg().with_os(false) }.validate().is_ok());
+        for p in all_benchmarks() {
+            for clock in [ClockFreq::GHz3, ClockFreq::MHz75] {
+                CmpConfig::table2(p).with_clock(clock).validate().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub struct CmpBehavior {
 
 impl CmpBehavior {
     /// Build the behavior for `nodes` tiles.
-    pub fn new(cfg: &CmpConfig, nodes: usize, series_bin: u64) -> Self {
+    pub fn new(cfg: &CmpConfig, nodes: usize) -> Self {
+        let series_bin = (cfg.user_instructions / 64).max(256);
         let cores = (0..nodes).map(|n| Core::new(cfg, n)).collect();
         Self {
             cores,
@@ -150,6 +151,24 @@ impl CmpBehavior {
     /// All cores finished?
     pub fn all_done(&self) -> bool {
         self.cores.iter().all(|c| c.done())
+    }
+
+    /// The result of a run whose last memory operation completed at
+    /// `runtime` (at least 1).
+    fn result(self, runtime: u64, traffic_matrix: Option<Vec<u64>>, drained: bool) -> CmpResult {
+        let flits = self.user_flits + self.kernel_flits;
+        CmpResult {
+            runtime,
+            user_flits: self.user_flits,
+            kernel_flits: self.kernel_flits,
+            timer_interrupts: self.timer_interrupts,
+            instructions: self.instructions(),
+            nar: flits as f64 / runtime as f64 / self.cores.len() as f64,
+            series_user: self.ts_user,
+            series_kernel: self.ts_kernel,
+            traffic_matrix,
+            drained,
+        }
     }
 }
 
@@ -232,29 +251,18 @@ impl NodeBehavior for CmpBehavior {
     }
 }
 
-/// Run the execution-driven simulation on the real NoC.
+/// Run the execution-driven simulation on the real NoC, after
+/// [`CmpConfig::validate`].
 pub fn run_cmp(cfg: &CmpConfig) -> Result<CmpResult, noc_sim::ConfigError> {
+    cfg.validate()?;
     let mut net_cfg = cfg.net.clone();
     net_cfg.classes = 2;
     let mut net = Network::new(net_cfg)?;
     net.enable_traffic_matrix();
-    let nodes = net.num_nodes();
-    let bin = (cfg.user_instructions / 64).max(256);
-    let mut b = CmpBehavior::new(cfg, nodes, bin);
+    let mut b = CmpBehavior::new(cfg, net.num_nodes());
     let drained = net.drain(&mut b, cfg.max_cycles);
     let runtime = b.last_activity.max(1);
-    Ok(CmpResult {
-        runtime,
-        user_flits: b.user_flits,
-        kernel_flits: b.kernel_flits,
-        series_user: b.ts_user.clone(),
-        series_kernel: b.ts_kernel.clone(),
-        timer_interrupts: b.timer_interrupts,
-        instructions: b.instructions(),
-        nar: (b.user_flits + b.kernel_flits) as f64 / runtime as f64 / nodes as f64,
-        traffic_matrix: net.traffic_matrix().map(|m| m.to_vec()),
-        drained,
-    })
+    Ok(b.result(runtime, net.traffic_matrix().map(|m| m.to_vec()), drained))
 }
 
 /// Run under an *ideal network* — fully connected, single-cycle,
@@ -262,12 +270,10 @@ pub fn run_cmp(cfg: &CmpConfig) -> Result<CmpResult, noc_sim::ConfigError> {
 /// (NAR) exactly as the paper defines it (Table III).
 pub fn run_ideal(cfg: &CmpConfig) -> CmpResult {
     let nodes = cfg.net.topology.num_nodes();
-    let bin = (cfg.user_instructions / 64).max(256);
-    let mut b = CmpBehavior::new(cfg, nodes, bin);
+    let mut b = CmpBehavior::new(cfg, nodes);
     // completion events: (ready, node, store?)
     let mut events: BinaryHeap<Reverse<(Cycle, usize, bool)>> = BinaryHeap::new();
     let mut cycle: Cycle = 0;
-    let mut flits: u64 = 0;
     loop {
         b.global_tick(cycle);
         while let Some(&Reverse((ready, node, store))) = events.peek() {
@@ -289,9 +295,7 @@ pub fn run_ideal(cfg: &CmpConfig) -> CmpResult {
                 MemRequest::Store { os, l2_miss } => (os, true, l2_miss),
             };
             let reply = if store { b.cfg.ack_flits } else { b.cfg.reply_flits };
-            let total = (b.cfg.req_flits + reply) as u64;
-            flits += total;
-            b.count(total, os, cycle);
+            b.count((b.cfg.req_flits + reply) as u64, os, cycle);
             let svc = b.cfg.l2_latency + if l2_miss { b.cfg.mem_latency } else { 0 };
             // 1 cycle to the bank, service, 1 cycle back
             events.push(Reverse((cycle + 2 + svc, node, store)));
@@ -304,19 +308,7 @@ pub fn run_ideal(cfg: &CmpConfig) -> CmpResult {
             break;
         }
     }
-    let runtime = cycle.max(1);
-    CmpResult {
-        runtime,
-        user_flits: b.user_flits,
-        kernel_flits: b.kernel_flits,
-        series_user: b.ts_user.clone(),
-        series_kernel: b.ts_kernel.clone(),
-        timer_interrupts: b.timer_interrupts,
-        instructions: b.instructions(),
-        nar: flits as f64 / runtime as f64 / nodes as f64,
-        traffic_matrix: None,
-        drained: cycle < cfg.max_cycles,
-    }
+    b.result(cycle.max(1), None, cycle < cfg.max_cycles)
 }
 
 #[cfg(test)]

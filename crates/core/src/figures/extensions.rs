@@ -275,8 +275,6 @@ pub struct ExtBottleneck {
 
 /// Run the bottleneck analysis.
 pub fn ext_bottleneck(effort: &Effort) -> ExtBottleneck {
-    use noc_sim::network::Network;
-
     let rows = [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&q| {
@@ -287,12 +285,7 @@ pub fn ext_bottleneck(effort: &Effort) -> ExtBottleneck {
                 ..BatchConfig::default()
             };
             // run manually so we can read the network's pipeline counters
-            let mut net_cfg = cfg.net.clone();
-            net_cfg.classes = 2;
-            let mut net = Network::new(net_cfg).expect("valid config");
-            let nodes = net.num_nodes();
-            let k = net.topo().radix(0);
-            let mut b = noc_closedloop::BatchBehavior::new(&cfg, nodes, k);
+            let (mut net, mut b) = cfg.start().expect("valid config");
             net.drain(&mut b, cfg.max_cycles);
             let runtime = b.runtime().max(1);
             let theta = 2.0 * cfg.batch as f64 / runtime as f64;

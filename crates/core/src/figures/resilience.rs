@@ -66,7 +66,8 @@ pub fn resilience_figure(effort: &Effort) -> ResilienceFigure {
             let cfg = ResilienceConfig::new(base.clone(), axis.clone()).with_recovery(mode);
             let mut points = Vec::new();
             let mut failed = Vec::new();
-            for (o, (mtbf, _)) in resilience_sweep(&cfg).into_iter().zip(&axis) {
+            let outcomes = resilience_sweep(&cfg).expect("valid sweep config");
+            for (o, (mtbf, _)) in outcomes.into_iter().zip(&axis) {
                 match o {
                     PointOutcome::Ok(p) => points.push(p),
                     PointOutcome::Panicked { message } => {

@@ -41,6 +41,22 @@ impl Default for BarrierConfig {
     }
 }
 
+impl BarrierConfig {
+    /// Every rule a barrier run of `self` must pass, first error first:
+    /// a valid network, a pattern defined on its topology, packets of at
+    /// least one flit, and at least one packet per node.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.net.validate()?;
+        self.pattern.validate(&self.net.topology)?;
+        SizeKind::Fixed(self.size).validate()?;
+        if self.batch == 0 {
+            let why = "must be >= 1 packet per node; an empty barrier measures nothing".into();
+            return Err(ConfigError::Parameter { name: "batch", why });
+        }
+        Ok(())
+    }
+}
+
 /// Result of one barrier-model run.
 #[derive(Debug, Clone)]
 pub struct BarrierResult {
@@ -87,9 +103,8 @@ impl NodeBehavior for BarrierBehavior {
 
 /// Run the barrier model to completion.
 pub fn run_barrier(cfg: &BarrierConfig) -> Result<BarrierResult, ConfigError> {
+    cfg.validate()?;
     let mut net = Network::new(cfg.net.clone())?;
-    cfg.pattern.validate(&cfg.net.topology)?;
-    SizeKind::Fixed(cfg.size).validate()?;
     let nodes = net.num_nodes();
     let k = net.topo().radix(0);
     let mut b = BarrierBehavior {
@@ -149,6 +164,14 @@ mod tests {
         let r = run_barrier(&BarrierConfig { size: 4, ..quick(100) }).unwrap();
         assert!(r.drained);
         assert!(r.runtime >= 4 * 100, "runtime {} for 100 4-flit packets", r.runtime);
+    }
+
+    #[test]
+    fn empty_barrier_is_refused() {
+        match run_barrier(&quick(0)) {
+            Err(ConfigError::Parameter { name: "batch", .. }) => {}
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

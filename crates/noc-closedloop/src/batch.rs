@@ -17,7 +17,7 @@ use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
-use noc_traffic::{PatternKind, TrafficPattern};
+use noc_traffic::{PatternKind, SizeKind, TrafficPattern};
 
 use crate::kernel::{KernelModel, TimerAccumulator};
 use crate::reply::ReplyModel;
@@ -83,10 +83,75 @@ impl BatchConfig {
         self
     }
 
-    /// Set the kernel model.
-    pub fn with_kernel(mut self, k: KernelModel) -> Self {
-        self.kernel = Some(k);
-        self
+    /// Replicate `index` of `self`: the RNG seed derived from
+    /// `(net.seed, index)`, independent of evaluation order.
+    pub fn point(&self, index: usize) -> Self {
+        let mut cfg = self.clone();
+        cfg.net.seed = noc_exp::derive_seed(self.net.seed, index as u64);
+        cfg
+    }
+
+    /// Every rule a batch-model run of `self` must pass, first error
+    /// first: a network valid with the model's two message classes, a
+    /// pattern defined on its topology, request and reply packets of at
+    /// least one flit, `batch` and `max_outstanding` >= 1, a `nar` in
+    /// (0, 1], a probabilistic reply model's `mem_frac` in [0, 1], and a
+    /// kernel model with finite, non-negative `static_frac` and
+    /// `timer_rate` whose timer cannot overflow the 64-bit request
+    /// counters within `max_cycles`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.net.clone().with_classes(2).validate()?;
+        self.pattern.validate(&self.net.topology)?;
+        for (name, size) in [("request_size", self.request_size), ("reply_size", self.reply_size)] {
+            if let Err(ConfigError::Parameter { why, .. }) = SizeKind::Fixed(size).validate() {
+                return Err(ConfigError::Parameter { name, why });
+            }
+        }
+        let mem_frac = match self.reply_model {
+            ReplyModel::Probabilistic { mem_frac, .. } => mem_frac,
+            _ => 0.0,
+        };
+        let k = self.kernel.unwrap_or_else(KernelModel::none);
+        // within `max_cycles` timer ticks a node gains at most this many
+        // requests; with the effective batch, times the node count, it
+        // must stay inside half of `u64` (the rest absorbs float rounding)
+        let added = (self.max_cycles as f64 * k.timer_rate + 1.0) * k.timer_packets as f64;
+        let total =
+            (k.effective_batch(self.batch) as f64 + added) * self.net.topology.num_nodes() as f64;
+        let (name, why) = if self.batch == 0 {
+            ("batch", "must be >= 1 operation per node; T/b of an empty batch is 0/0".into())
+        } else if self.max_outstanding == 0 {
+            ("max_outstanding", "must be >= 1; a node with no MSHR never issues".into())
+        } else if !(self.nar > 0.0 && self.nar <= 1.0) {
+            ("nar", format!("{} is not in (0, 1]; a node must issue with some chance", self.nar))
+        } else if !(0.0..=1.0).contains(&mem_frac) {
+            ("mem_frac", format!("{mem_frac} is not a probability in [0, 1]"))
+        } else if !(k.static_frac.is_finite() && k.static_frac >= 0.0) {
+            ("static_frac", format!("{} is not a finite fraction >= 0", k.static_frac))
+        } else if !(k.timer_rate.is_finite() && k.timer_rate >= 0.0) {
+            ("timer_rate", format!("{} is not a finite rate >= 0 events/cycle", k.timer_rate))
+        } else if k.timer_rate > 0.0 && k.timer_packets > 0 && total >= (u64::MAX / 2) as f64 {
+            let why = format!(
+                "{} per event at rate {} can add {added:e} requests per node within \
+                 max_cycles {}, overflowing the 64-bit request counters",
+                k.timer_packets, k.timer_rate, self.max_cycles
+            );
+            ("timer_packets", why)
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::Parameter { name, why })
+    }
+
+    /// Validate `self`, then build its run: the network with two message
+    /// classes (requests, replies) and the batch behaviour on it.
+    pub fn start(&self) -> Result<(Network, BatchBehavior), ConfigError> {
+        self.validate()?;
+        let mut net_cfg = self.net.clone();
+        net_cfg.classes = 2;
+        let net = Network::new(net_cfg)?;
+        let b = BatchBehavior::new(self, net.num_nodes(), net.topo().radix(0));
+        Ok((net, b))
     }
 }
 
@@ -262,16 +327,11 @@ impl NodeBehavior for BatchBehavior {
     }
 }
 
-/// Run the batch model to completion.
+/// Run the batch model to completion ([`BatchConfig::start`], then drain).
 pub fn run_batch(cfg: &BatchConfig) -> Result<BatchResult, ConfigError> {
-    let mut net_cfg = cfg.net.clone();
-    net_cfg.classes = 2;
-    let mut net = Network::new(net_cfg)?;
-    cfg.pattern.validate(&cfg.net.topology)?;
-    let nodes = net.num_nodes();
-    let k = net.topo().radix(0);
-    let mut b = BatchBehavior::new(cfg, nodes, k);
+    let (mut net, mut b) = cfg.start()?;
     let drained = net.drain(&mut b, cfg.max_cycles);
+    let nodes = net.num_nodes();
     let runtime = b.runtime().max(1);
     let completed = b.completed();
     let flits = completed * (cfg.request_size + cfg.reply_size) as u64;
@@ -358,23 +418,16 @@ mod tests {
     #[test]
     fn kernel_static_inflation_increases_work() {
         let plain = run_batch(&quick(100, 4)).unwrap();
-        let inflated = run_batch(&quick(100, 4).with_kernel(KernelModel {
-            static_frac: 0.5,
-            timer_rate: 0.0,
-            timer_packets: 0,
-        }))
-        .unwrap();
+        let kernel = Some(KernelModel { static_frac: 0.5, timer_rate: 0.0, timer_packets: 0 });
+        let inflated = run_batch(&BatchConfig { kernel, ..quick(100, 4) }).unwrap();
         assert_eq!(inflated.completed, 16 * 150);
         assert!(inflated.runtime > plain.runtime);
     }
 
     #[test]
     fn kernel_timer_adds_runtime_proportional_traffic() {
-        let cfg = quick(200, 2).with_kernel(KernelModel {
-            static_frac: 0.0,
-            timer_rate: 0.01,
-            timer_packets: 2,
-        });
+        let kernel = Some(KernelModel { static_frac: 0.0, timer_rate: 0.01, timer_packets: 2 });
+        let cfg = BatchConfig { kernel, ..quick(200, 2) };
         let r = run_batch(&cfg).unwrap();
         assert!(r.drained);
         assert!(r.timer_added > 0);
@@ -400,6 +453,37 @@ mod tests {
         let b = run_batch(&quick(100, 4)).unwrap();
         assert_eq!(a.runtime, b.runtime);
         assert_eq!(a.per_node_runtime, b.per_node_runtime);
+    }
+
+    #[test]
+    fn hostile_points_are_refused_by_name() {
+        let kernel = |static_frac, timer_rate, timer_packets| {
+            Some(KernelModel { static_frac, timer_rate, timer_packets })
+        };
+        let memory =
+            |mem_frac| ReplyModel::Probabilistic { l2_latency: 20, mem_latency: 300, mem_frac };
+        let base = quick(10, 2);
+        let cases = [
+            ("request_size", BatchConfig { request_size: 0, ..base.clone() }),
+            ("reply_size", BatchConfig { reply_size: 0, ..base.clone() }),
+            ("batch", BatchConfig { batch: 0, ..base.clone() }),
+            ("max_outstanding", BatchConfig { max_outstanding: 0, ..base.clone() }),
+            ("nar", base.clone().with_nar(f64::NAN)),
+            ("nar", base.clone().with_nar(-1.0)),
+            ("nar", base.clone().with_nar(f64::INFINITY)),
+            ("mem_frac", base.clone().with_reply(memory(1.5))),
+            ("static_frac", BatchConfig { kernel: kernel(-2.0, 0.0, 0), ..base.clone() }),
+            ("timer_rate", BatchConfig { kernel: kernel(0.0, -1.0, 1), ..base.clone() }),
+            ("timer_packets", BatchConfig { kernel: kernel(0.0, 0.01, u64::MAX), ..base.clone() }),
+        ];
+        for (field, cfg) in cases {
+            match cfg.start().map(|_| ()) {
+                Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // a timer that adds nothing cannot overflow anything
+        assert!(BatchConfig { kernel: kernel(0.0, 0.0, u64::MAX), ..base }.validate().is_ok());
     }
 
     #[test]

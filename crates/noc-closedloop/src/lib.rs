@@ -16,12 +16,16 @@
 //! * [`kernel`] — OS activity modeling (Section V): static batch
 //!   inflation for syscall traffic plus dynamic timer-interrupt batches
 //!   at rate `R_timer`.
-//! * [`seeds`] — multi-seed replicates of the batch model, one derived
-//!   seed per replicate, bit-identical at every worker count.
+//! * [`seeds`] — [`run_batch_seeds`]: replicate `i` is [`BatchConfig::point`]`(i)`.
 //!
 //! The *enhanced injection model* (Section IV-C1) is the `nar` field of
 //! [`batch::BatchConfig`]: with probability NAR per cycle a node with
 //! spare MSHRs issues its next request.
+//!
+//! [`BatchConfig::validate`] and [`BarrierConfig::validate`] own what a
+//! valid point is; every runner calls them first. [`BatchConfig::start`]
+//! validates, then builds the two-class network and the
+//! [`BatchBehavior`]: the one way a batch-model run is built.
 
 #![warn(missing_docs)]
 
@@ -35,4 +39,4 @@ pub use barrier::{run_barrier, BarrierConfig, BarrierResult};
 pub use batch::{run_batch, BatchBehavior, BatchConfig, BatchResult};
 pub use kernel::KernelModel;
 pub use reply::ReplyModel;
-pub use seeds::{run_batch_seeds, summarize_batch_seeds, BatchSeedSummary};
+pub use seeds::run_batch_seeds;

@@ -2,6 +2,7 @@
 
 use noc_closedloop::{run_barrier, run_batch, BarrierConfig, BatchConfig, KernelModel, ReplyModel};
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
+use noc_sim::ConfigError;
 use noc_traffic::PatternKind;
 
 fn net4() -> NetConfig {
@@ -37,8 +38,9 @@ fn m_larger_than_batch_is_harmless() {
 }
 
 #[test]
-fn zero_nar_never_injects_and_hits_cycle_cap() {
-    let r = run_batch(&BatchConfig {
+fn zero_nar_is_refused() {
+    // NAR = 0 never issues, so the run could only spin to its cap
+    let err = run_batch(&BatchConfig {
         net: net4(),
         batch: 10,
         max_outstanding: 1,
@@ -46,9 +48,8 @@ fn zero_nar_never_injects_and_hits_cycle_cap() {
         max_cycles: 5_000,
         ..BatchConfig::default()
     })
-    .unwrap();
-    assert!(!r.drained, "NAR=0 can never finish");
-    assert_eq!(r.completed, 0);
+    .unwrap_err();
+    assert!(matches!(err, ConfigError::Parameter { name: "nar", .. }), "{err}");
 }
 
 #[test]

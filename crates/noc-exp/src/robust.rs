@@ -63,6 +63,18 @@ impl<R> PointOutcome<R> {
     }
 }
 
+impl<R, E> PointOutcome<Result<R, E>> {
+    /// Lift an evaluator's own refusal out of the outcome: `Ok(Err(e))`
+    /// becomes `Err(e)`, and every other outcome is kept.
+    pub fn transpose(self) -> Result<PointOutcome<R>, E> {
+        match self {
+            PointOutcome::Ok(r) => r.map(PointOutcome::Ok),
+            PointOutcome::Panicked { message } => Ok(PointOutcome::Panicked { message }),
+            PointOutcome::Diverged { budget } => Ok(PointOutcome::Diverged { budget }),
+        }
+    }
+}
+
 /// Render a caught panic payload (usually a `&str` or `String`).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -19,7 +19,9 @@
 
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::OpenLoopConfig;
+use noc_sim::error::ConfigError;
 use noc_sim::network::fault::{LinkRetryPolicy, RetxPolicy};
+use noc_sim::network::Network;
 use noc_stats::Ratio;
 
 use crate::sweep::run_gated;
@@ -166,7 +168,10 @@ pub struct ResiliencePoint {
 }
 
 /// Evaluate resilience point `k` (one `(mtbf, mttr)` pair).
-fn eval_point(cfg: &ResilienceConfig, k: usize) -> Result<ResiliencePoint, Diverged> {
+fn eval_point(
+    cfg: &ResilienceConfig,
+    k: usize,
+) -> Result<Result<ResiliencePoint, ConfigError>, Diverged> {
     let (mtbf, mttr) = cfg.axis[k];
     let base = cfg.base.point(k, cfg.base.load);
 
@@ -179,16 +184,21 @@ fn eval_point(cfg: &ResilienceConfig, k: usize) -> Result<ResiliencePoint, Diver
         ..cfg.flap
     };
     let topo = base.net.topology.build();
-    let schedule = FaultSchedule::try_generate_intermittent(&flap, topo.as_ref())
-        .expect("resilience sweep flap config must be valid");
+    let built = FaultSchedule::try_generate_intermittent(&flap, topo.as_ref())
+        .and_then(|schedule| Ok((schedule, Network::new(base.net.clone())?)));
+    let (schedule, mut net) = match built {
+        Ok(built) => built,
+        Err(e) => return Ok(Err(e)),
+    };
     let last_repair = schedule.last_repair_cycle();
     let availability = schedule.link_availability(topo.as_ref(), flap.horizon);
 
     let (retx, link_retry) = cfg.recovery.split(cfg.retx, cfg.link_retry);
-    let (net, b) = run_gated(&base, Some(schedule.plan_with(retx, link_retry)), cfg.settle_max)?;
+    net.set_fault_plan(schedule.plan_with(retx, link_retry));
+    let (net, b) = run_gated(net, &base, cfg.settle_max)?;
 
     let fs = net.fault_stats().expect("fault plan installed above").clone();
-    Ok(ResiliencePoint {
+    Ok(Ok(ResiliencePoint {
         mtbf,
         mttr,
         availability,
@@ -202,15 +212,23 @@ fn eval_point(cfg: &ResilienceConfig, k: usize) -> Result<ResiliencePoint, Diver
         avg_latency: b.inner.latency.mean(),
         digest: net.stats().delivery_digest,
         cycles: net.cycle(),
-    })
+    }))
 }
 
 /// Measure the resilience curve: one point per `(mtbf, mttr)` pair, in
-/// parallel, each isolated by the robust grid. Output is bit-identical
-/// across runs and thread counts.
-pub fn resilience_sweep(cfg: &ResilienceConfig) -> Vec<PointOutcome<ResiliencePoint>> {
+/// parallel, each isolated by the robust grid. An invalid `base`, or an
+/// axis pair no flap timeline can use, is refused before any point
+/// runs. Output is bit-identical across runs and thread counts.
+pub fn resilience_sweep(
+    cfg: &ResilienceConfig,
+) -> Result<Vec<PointOutcome<ResiliencePoint>>, ConfigError> {
+    cfg.base.validate()?;
+    for &(mtbf, mttr) in &cfg.axis {
+        FlapConfig { mtbf, mttr, ..cfg.flap }.validate()?;
+    }
     let ks: Vec<usize> = (0..cfg.axis.len()).collect();
-    run_grid_robust(&ks, |_, &k| eval_point(cfg, k))
+    let outcomes = run_grid_robust(&ks, |_, &k| eval_point(cfg, k));
+    outcomes.into_iter().map(PointOutcome::transpose).collect()
 }
 
 #[cfg(test)]
@@ -237,11 +255,21 @@ mod tests {
     }
 
     #[test]
+    fn invalid_axis_is_one_error_before_any_point_runs() {
+        let mut cfg = quick_cfg(RecoveryMode::Combined);
+        cfg.axis = vec![(300, 40), (600, 0)];
+        match resilience_sweep(&cfg) {
+            Err(ConfigError::Parameter { name: "mttr", .. }) => {}
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn recovery_modes_arm_the_machinery_they_claim() {
         let outcomes: Vec<_> = RecoveryMode::ALL
             .iter()
             .map(|&m| {
-                let out = resilience_sweep(&quick_cfg(m));
+                let out = resilience_sweep(&quick_cfg(m)).unwrap();
                 let PointOutcome::Ok(p) = out.into_iter().next().unwrap() else {
                     panic!("point must succeed for {m:?}")
                 };
@@ -278,7 +306,7 @@ mod tests {
         // combined recovery reaches delivered == started after the
         // final repair epoch
         let cfg = quick_cfg(RecoveryMode::Combined);
-        let out = resilience_sweep(&cfg);
+        let out = resilience_sweep(&cfg).unwrap();
         let PointOutcome::Ok(p) = &out[0] else { panic!("point must succeed: {out:?}") };
         assert!(p.delivered.is_complete(), "delivered {} after final repair", p.delivered);
         assert!(p.epochs > 0, "the scenario must actually change the graph");

@@ -9,8 +9,9 @@
 //! abandoned). Only then is the delivered fraction exact rather than a
 //! snapshot.
 //!
-//! Points run through [`noc_exp::run_grid_robust`]: a scenario that
-//! panics the engine reports `Panicked`, one that fails to settle
+//! An invalid base config is one [`ConfigError`] before any point
+//! runs. Points run through [`noc_exp::run_grid_robust`]: a scenario
+//! that panics the engine reports `Panicked`, one that fails to settle
 //! within [`DegradationConfig::settle_max`] reports `Diverged`, and
 //! the rest of the curve survives. Results are bit-identical across
 //! runs and thread counts — point `k` always runs
@@ -21,6 +22,7 @@
 
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::{OpenLoopBehavior, OpenLoopConfig};
+use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::fault::{FaultPlan, RetxPolicy};
 use noc_sim::network::{Network, NodeBehavior};
@@ -127,24 +129,17 @@ impl NodeBehavior for GatedSource {
 }
 
 /// The run under every point of both sweeps: `base` traffic (its
-/// [`OpenLoopConfig::source`]) generated until the end of the
-/// measurement window against an optional fault `plan`, then stepped
-/// until the fabric is idle and every transfer resolved — or `Diverged`
-/// once `settle_max` further cycles have passed. Callers assemble their
-/// point from the returned network and source. Panics on a `base` that
-/// fails [`OpenLoopConfig::validate`].
+/// [`OpenLoopConfig::source`]) on `net`, built from `base.net` and
+/// carrying the point's fault plan, if any, generated until the end of
+/// the measurement window, then stepped until the fabric is idle and
+/// every transfer resolved — or `Diverged` once `settle_max` further
+/// cycles have passed. Callers validate `base` first and assemble their
+/// point from the returned network and source.
 pub(crate) fn run_gated(
+    mut net: Network,
     base: &OpenLoopConfig,
-    plan: Option<FaultPlan>,
     settle_max: u64,
 ) -> Result<(Network, GatedSource), Diverged> {
-    let mut net = base
-        .validate()
-        .and_then(|()| Network::new(base.net.clone()))
-        .unwrap_or_else(|e| panic!("sweep base config must be valid: {e}"));
-    if let Some(plan) = plan {
-        net.set_fault_plan(plan);
-    }
     let cutoff = base.window_end();
     let inner = base.source(net.num_nodes(), net.topo().radix(0));
     let mut b = GatedSource { inner, cutoff, done: false };
@@ -168,13 +163,23 @@ pub(crate) fn run_gated(
 /// [`degradation_sweep`]; tests and tools that need a *specific* fault
 /// set (rather than a seeded sweep axis) call it directly.
 /// `failed_links` only labels the returned point.
+///
+/// # Panics
+///
+/// On a `base` that fails [`OpenLoopConfig::validate`] (the sweep
+/// refuses one before any point runs).
 pub fn run_faulted(
     base: &OpenLoopConfig,
     plan: FaultPlan,
     failed_links: usize,
     settle_max: u64,
 ) -> Result<DegradationPoint, Diverged> {
-    let (net, b) = run_gated(base, Some(plan), settle_max)?;
+    let mut net = base
+        .validate()
+        .and_then(|()| Network::new(base.net.clone()))
+        .unwrap_or_else(|e| panic!("faulted base config must be valid: {e}"));
+    net.set_fault_plan(plan);
+    let (net, b) = run_gated(net, base, settle_max)?;
     let nodes = net.num_nodes();
     let fs = net.fault_stats().expect("fault plan installed above").clone();
     Ok(DegradationPoint {
@@ -211,10 +216,14 @@ fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Div
 
 /// Measure the degradation curve: one point per failed-link count in
 /// `0..=max_failed_links`, in parallel, each isolated by the robust
-/// grid. Output is bit-identical across runs and thread counts.
-pub fn degradation_sweep(cfg: &DegradationConfig) -> Vec<PointOutcome<DegradationPoint>> {
+/// grid. An invalid `base` is refused before any point runs. Output is
+/// bit-identical across runs and thread counts.
+pub fn degradation_sweep(
+    cfg: &DegradationConfig,
+) -> Result<Vec<PointOutcome<DegradationPoint>>, ConfigError> {
+    cfg.base.validate()?;
     let ks: Vec<usize> = (0..=cfg.max_failed_links).collect();
-    run_grid_robust(&ks, |_, &k| eval_point(cfg, k))
+    Ok(run_grid_robust(&ks, |_, &k| eval_point(cfg, k)))
 }
 
 #[cfg(test)]
@@ -238,7 +247,7 @@ mod tests {
         // same seed with no fault plan installed at all (the fault layer
         // must be invisible until a fault actually exists)
         let cfg = quick_cfg(0);
-        let out = degradation_sweep(&cfg);
+        let out = degradation_sweep(&cfg).unwrap();
         let PointOutcome::Ok(p0) = &out[0] else { panic!("point 0 must succeed: {out:?}") };
         assert!(p0.delivered.is_complete());
         assert_eq!(p0.abandoned, 0);
@@ -246,7 +255,8 @@ mod tests {
 
         // healthy twin: same derived point seed, no fault plan at all
         let base = cfg.base.point(0, cfg.base.load);
-        let (net, _) = run_gated(&base, None, cfg.settle_max).expect("healthy run settles");
+        let net = Network::new(base.net.clone()).unwrap();
+        let (net, _) = run_gated(net, &base, cfg.settle_max).expect("healthy run settles");
         assert_eq!(p0.digest, net.stats().delivery_digest, "fault layer perturbed a healthy run");
     }
 
@@ -257,12 +267,22 @@ mod tests {
     }
 
     #[test]
+    fn invalid_base_is_one_error_before_any_point_runs() {
+        let mut cfg = quick_cfg(3);
+        cfg.base.measure = 0;
+        match degradation_sweep(&cfg) {
+            Err(ConfigError::Parameter { name: "measure", .. }) => {}
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn retransmission_recovers_everything_on_connected_survivors() {
         // 2 failed links leave a 4x4 mesh connected with very high
         // probability for the fixed scenario seed; retransmission must
         // then deliver every transfer
         let cfg = quick_cfg(2);
-        for o in degradation_sweep(&cfg) {
+        for o in degradation_sweep(&cfg).unwrap() {
             let PointOutcome::Ok(p) = o else { panic!("unexpected outcome: {o:?}") };
             assert!(
                 p.delivered.is_complete(),

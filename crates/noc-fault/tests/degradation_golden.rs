@@ -30,7 +30,7 @@ fn quick_degradation_table_is_pinned() {
         ..OpenLoopConfig::default()
     };
     let mut table = String::new();
-    for outcome in degradation_sweep(&DegradationConfig::new(base, 4)) {
+    for outcome in degradation_sweep(&DegradationConfig::new(base, 4)).expect("valid base") {
         let PointOutcome::Ok(p) = outcome else { panic!("quick point must settle: {outcome:?}") };
         table.push_str(&format!(
             "{:<6} {:<20} {:<8} {:<10} {:<8} {:<9.2} {:.4}\n",

@@ -72,7 +72,7 @@ fn fault_smoke_intermittent_full_delivery_after_final_repair() {
             ..ResilienceConfig::new(base.clone(), vec![(500, 80)])
         }
         .with_recovery(mode);
-        let out = resilience_sweep(&cfg);
+        let out = resilience_sweep(&cfg).expect("valid sweep config");
         let PointOutcome::Ok(p) = &out[0] else {
             panic!("intermittent smoke point must settle ({mode:?}): {out:?}")
         };

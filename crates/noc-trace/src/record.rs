@@ -1,8 +1,10 @@
 //! Trace capture: wrap any [`NodeBehavior`] and record every packet it
 //! generates.
 
+use noc_closedloop::BatchConfig;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::NodeBehavior;
+use noc_sim::ConfigError;
 
 use crate::trace::{Trace, TraceRecord};
 
@@ -20,11 +22,6 @@ impl<B: NodeBehavior> Recorder<B> {
     /// Start recording around `inner` for a `nodes`-node network.
     pub fn new(inner: B, nodes: usize) -> Self {
         Self { inner, trace: Trace::new(nodes) }
-    }
-
-    /// Finish and take the captured trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 }
 
@@ -50,29 +47,20 @@ impl<B: NodeBehavior> NodeBehavior for Recorder<B> {
     }
 }
 
-/// Convenience: run the batch model once while capturing its trace.
-/// Returns the trace and the closed-loop runtime it exhibited.
-pub fn record_batch(
-    cfg: &noc_closedloop::BatchConfig,
-) -> Result<(Trace, u64), noc_sim::ConfigError> {
-    use noc_sim::network::Network;
-
-    let mut net_cfg = cfg.net.clone();
-    net_cfg.classes = 2;
-    let mut net = Network::new(net_cfg)?;
-    let nodes = net.num_nodes();
-    let k = net.topo().radix(0);
-    let behavior = noc_closedloop::BatchBehavior::new(cfg, nodes, k);
-    let mut rec = Recorder::new(behavior, nodes);
+/// Convenience: run the batch model once ([`BatchConfig::start`], so
+/// under its rules) while capturing its trace. Returns the trace and
+/// the closed-loop runtime it exhibited.
+pub fn record_batch(cfg: &BatchConfig) -> Result<(Trace, u64), ConfigError> {
+    let (mut net, behavior) = cfg.start()?;
+    let mut rec = Recorder::new(behavior, net.num_nodes());
     net.drain(&mut rec, cfg.max_cycles);
     let runtime = rec.inner.runtime();
-    Ok((rec.into_trace(), runtime))
+    Ok((rec.trace, runtime))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_closedloop::BatchConfig;
     use noc_sim::config::{NetConfig, TopologyKind};
 
     #[test]

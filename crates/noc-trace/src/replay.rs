@@ -7,6 +7,7 @@ use std::collections::VecDeque;
 use noc_sim::config::NetConfig;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
+use noc_sim::ConfigError;
 use noc_stats::OnlineStats;
 
 use crate::trace::Trace;
@@ -75,12 +76,19 @@ pub struct ReplayResult {
 }
 
 /// Replay `trace` on a network configured by `net` (message classes are
-/// sized to cover every class in the trace).
-pub fn replay(net: &NetConfig, trace: &Trace) -> Result<ReplayResult, noc_sim::ConfigError> {
+/// sized to cover every class in the trace). A trace it cannot inject
+/// (another node count, a 0-flit or off-network record) is a `trace` error.
+pub fn replay(net: &NetConfig, trace: &Trace) -> Result<ReplayResult, ConfigError> {
     let mut cfg = net.clone();
     let max_class = trace.records.iter().map(|r| r.class).max().unwrap_or(0);
     cfg.classes = cfg.classes.max(max_class as usize + 1);
     let mut network = Network::new(cfg)?;
+    let nodes = network.num_nodes();
+    let bad = trace.records.iter().find(|r| r.size == 0 || r.src.max(r.dst) as usize >= nodes);
+    if trace.nodes != nodes || bad.is_some() {
+        let why = format!("{} nodes captured, {nodes} replayed; bad record {bad:?}", trace.nodes);
+        return Err(ConfigError::Parameter { name: "trace", why });
+    }
     let mut rep = Replayer::new(trace);
     // generous cap: traces replayed on slower networks stretch, but a
     // replay can never legitimately exceed ~makespan + full drain
@@ -161,6 +169,25 @@ mod tests {
             "trace replay should hide most of the degradation: replay {replay_slowdown:.2} \
              vs closed {closed_slowdown:.2}"
         );
+    }
+
+    #[test]
+    fn uninjectable_traces_are_refused() {
+        let rec = |size, dst| TraceRecord { cycle: 0, src: 1, dst, size, class: 0 };
+        let mut wide = Trace::new(64);
+        wide.push(rec(1, 40));
+        let mut empty_packet = Trace::new(16);
+        empty_packet.push(rec(0, 2));
+        let mut off_net = Trace::new(16);
+        off_net.push(rec(1, 16));
+        for trace in [wide, empty_packet, off_net] {
+            match replay(&net4(), &trace) {
+                Err(ConfigError::Parameter { name: "trace", .. }) => {}
+                other => panic!("{trace:?}: {other:?}"),
+            }
+        }
+        // a 0-flit record never parses in the first place
+        assert!(Trace::from_text("nodes 16\n0 1 2 0 0\n").is_err());
     }
 
     #[test]

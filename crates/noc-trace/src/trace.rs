@@ -74,7 +74,8 @@ impl Trace {
         out
     }
 
-    /// Parse the text format produced by [`Trace::to_text`].
+    /// Parse the text format produced by [`Trace::to_text`], refusing
+    /// values that overflow their field, off-range nodes and 0-flit packets.
     pub fn from_text(s: &str) -> Result<Self, String> {
         let mut lines = s.lines();
         let header = lines.next().ok_or("empty trace")?;
@@ -96,15 +97,16 @@ impl Trace {
                     .parse::<u64>()
                     .map_err(|e| format!("line {}: bad {what}: {e}", i + 2))
             };
+            let overflow = |what: &str| format!("line {}: {what} overflows its field", i + 2);
             let rec = TraceRecord {
                 cycle: next("cycle")?,
-                src: next("src")? as u32,
-                dst: next("dst")? as u32,
-                size: next("size")? as u16,
-                class: next("class")? as u8,
+                src: u32::try_from(next("src")?).map_err(|_| overflow("src"))?,
+                dst: u32::try_from(next("dst")?).map_err(|_| overflow("dst"))?,
+                size: u16::try_from(next("size")?).map_err(|_| overflow("size"))?,
+                class: u8::try_from(next("class")?).map_err(|_| overflow("class"))?,
             };
-            if rec.src as usize >= nodes || rec.dst as usize >= nodes {
-                return Err(format!("line {}: node out of range", i + 2));
+            if rec.src as usize >= nodes || rec.dst as usize >= nodes || rec.size == 0 {
+                return Err(format!("line {}: node out of range or a 0-flit packet", i + 2));
             }
             trace.push(rec);
         }
@@ -149,6 +151,10 @@ mod tests {
         assert!(Trace::from_text("nodes x\n").is_err());
         assert!(Trace::from_text("nodes 4\n1 9 0 1 0\n").is_err(), "src out of range");
         assert!(Trace::from_text("nodes 4\n1 0\n").is_err(), "truncated line");
+        assert!(Trace::from_text("nodes 4\n1 0 1 0 0\n").is_err(), "0-flit record");
+        assert!(Trace::from_text("nodes 4\n1 0 1 70000 0\n").is_err(), "size past u16");
+        assert!(Trace::from_text("nodes 4\n1 0 1 1 256\n").is_err(), "class past u8");
+        assert!(Trace::from_text("nodes 4\n1 4294967296 1 1 0\n").is_err(), "src past u32");
         assert!(Trace::from_text("nodes 4\n\n1 0 1 1 0\n").is_ok(), "blank lines ok");
     }
 

@@ -1,12 +1,14 @@
 //! Property-based invariants over the whole stack (proptest): packet
 //! conservation, deterministic replay, latency lower bounds, and batch
-//! accounting, across randomized configurations; and one traffic-pattern
+//! accounting, across randomized configurations; every closed-loop
+//! runner refusing or finishing hostile configs; and one traffic-pattern
 //! validity rule, checked against the generator and every runner.
 
 use proptest::prelude::*;
 
+use cmp_sim::CmpConfig;
 use noc_analytic::{AnalyticModel, TrafficMatrix};
-use noc_closedloop::BatchConfig;
+use noc_closedloop::{BarrierConfig, BatchConfig, KernelModel, ReplyModel};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_sim::error::ConfigError;
@@ -14,6 +16,7 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
 use noc_traffic::{PatternKind, SizeKind};
+use noc_workloads::ClockFreq;
 
 /// A scripted behavior for conservation tests.
 struct Script {
@@ -188,11 +191,155 @@ proptest! {
     }
 }
 
+/// Field values drawn for one closed-loop case: each field from its
+/// valid set, or one time in [`Draws::ODDS`] from its hostile set, in
+/// which case the field's name is noted.
+struct Draws {
+    raw: std::vec::IntoIter<u64>,
+    hostile: Vec<&'static str>,
+}
+
+impl Draws {
+    const ODDS: u64 = 12;
+
+    fn pick<T: Copy>(&mut self, name: &'static str, valid: &[T], hostile: &[T]) -> T {
+        let d = self.raw.next().expect("one draw per field");
+        let i = (d / Self::ODDS) as usize;
+        if d.is_multiple_of(Self::ODDS) && !hostile.is_empty() {
+            self.hostile.push(name);
+            return hostile[i % hostile.len()];
+        }
+        valid[i % valid.len()]
+    }
+}
+
+/// The field a refusal names: a `Parameter`'s name, or `vcs` for a VC
+/// partition the network cannot carry.
+fn refused_field(e: &ConfigError) -> &'static str {
+    match e {
+        ConfigError::Parameter { name, .. } => name,
+        ConfigError::VcPartition { .. } | ConfigError::VcBlockTooSmall { .. } => "vcs",
+    }
+}
+
+/// One runner's answer under `catch_unwind`: it must not panic, and it
+/// either finishes within its cycle cap or names a hostile field.
+fn refuse_or_finish<R>(
+    runner: &str,
+    hostile: &[&str],
+    answer: std::thread::Result<Result<R, ConfigError>>,
+    finished: impl Fn(&R) -> bool,
+) -> Result<(), TestCaseError> {
+    match answer {
+        Err(_) => Err(TestCaseError::fail(format!("{runner} panicked; hostile {hostile:?}"))),
+        Ok(Ok(r)) if finished(&r) => Ok(()),
+        Ok(Ok(_)) => {
+            Err(TestCaseError::fail(format!("{runner} did not finish; hostile {hostile:?}")))
+        }
+        Ok(Err(e)) if hostile.contains(&refused_field(&e)) => Ok(()),
+        Ok(Err(e)) => Err(TestCaseError::fail(format!("{runner}: {e}; hostile {hostile:?}"))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every closed-loop runner, on a config whose fields are drawn from
+    /// small valid sets plus hostile values, either finishes within its
+    /// 200 000-cycle cap or refuses with a typed error naming one of the
+    /// hostile fields drawn. None panics, and none spins to its cap.
+    #[test]
+    fn closed_loop_runners_refuse_or_finish(
+        raw in prop::collection::vec(0u64..1 << 32, 18..19),
+        seed in 0u64..1000,
+    ) {
+        use std::panic::catch_unwind;
+
+        let mut d = Draws { raw: raw.into_iter(), hostile: Vec::new() };
+        let topologies =
+            [TopologyKind::Mesh2D { k: 4 }, TopologyKind::Ring { n: 8 }, TopologyKind::Torus2D { k: 4 }];
+        let topology = d.pick("topology", &topologies, &[]);
+        let vcs = d.pick("vcs", &[4, 8], &[1]);
+        let net = NetConfig::baseline().with_topology(topology).with_vcs(vcs).with_seed(seed);
+        let patterns = [PatternKind::Uniform, PatternKind::BitComplement, PatternKind::Transpose];
+        let pattern = d.pick("pattern", &patterns, &[]);
+        if matches!((pattern, topology), (PatternKind::Transpose, TopologyKind::Ring { .. })) {
+            d.hostile.push("pattern");
+        }
+        let nan = f64::NAN;
+        let cfg = BatchConfig {
+            net: net.clone(),
+            pattern,
+            batch: d.pick("batch", &[1, 5, 20], &[0]),
+            max_outstanding: d.pick("max_outstanding", &[1, 4, 16], &[0]),
+            request_size: d.pick("request_size", &[1, 2], &[0]),
+            reply_size: d.pick("reply_size", &[1, 4], &[0]),
+            nar: d.pick("nar", &[1.0, 0.5, 0.1], &[0.0, -1.0, nan, f64::INFINITY, 1.5]),
+            reply_model: {
+                let fixed = ReplyModel::Fixed { latency: 20 };
+                let memory = |mem_frac| ReplyModel::Probabilistic { l2_latency: 20, mem_latency: 300, mem_frac };
+                let valid = [ReplyModel::Immediate, fixed, memory(0.1)];
+                d.pick("mem_frac", &valid, &[memory(nan), memory(1.5)])
+            },
+            kernel: Some(KernelModel {
+                static_frac: d.pick("static_frac", &[0.0, 0.5], &[-2.0, nan]),
+                timer_rate: d.pick("timer_rate", &[0.0, 0.01], &[nan, -1.0]),
+                timer_packets: d.pick("timer_packets", &[0, 2], &[u64::MAX]),
+            }),
+            max_cycles: 200_000,
+        };
+        let h = d.hostile.clone();
+        let batch = catch_unwind(|| noc_closedloop::run_batch(&cfg));
+        let batch_runtime = batch.as_ref().ok().and_then(|r| r.as_ref().ok()).map(|r| r.runtime);
+        refuse_or_finish("run_batch", &h, batch, |r| r.drained)?;
+        let recorded = catch_unwind(|| noc_trace::record_batch(&cfg));
+        // a recorded run is the same run: the same runtime as `run_batch`
+        refuse_or_finish("record_batch", &h, recorded, |r| Some(r.1) == batch_runtime)?;
+        let replicates = catch_unwind(|| noc_closedloop::run_batch_seeds(&cfg, 2));
+        refuse_or_finish("run_batch_seeds", &h, replicates, |rs| rs.iter().all(|r| r.drained))?;
+        let barrier = BarrierConfig {
+            net: net.clone(),
+            pattern,
+            batch: cfg.batch,
+            max_cycles: 200_000,
+            ..BarrierConfig::default()
+        };
+        let barrier = catch_unwind(|| noc_closedloop::run_barrier(&barrier));
+        refuse_or_finish("run_barrier", &h, barrier, |r| r.drained)?;
+
+        // the CMP draws its own fields on the Table II mesh
+        d.hostile.retain(|&f| f == "vcs");
+        let profiles = noc_workloads::all_benchmarks();
+        let clocks = [ClockFreq::GHz3, ClockFreq::MHz75];
+        let os_model = d.pick("os_model", &[true, false], &[]);
+        let cmp = CmpConfig {
+            net: CmpConfig::table2(profiles[0]).net.with_vcs(vcs).with_seed(seed),
+            profile: profiles[seed as usize % profiles.len()],
+            user_instructions: 2_000,
+            clock: clocks[seed as usize % 2],
+            os_model,
+            timer_scale: d.pick("timer_scale", &[0.05], &[0.0, nan, -1.0]),
+            store_frac: d.pick("store_frac", &[0.3, 0.0], &[nan, 1.5, -0.5]),
+            req_flits: d.pick("req_flits", &[1], &[0]),
+            reply_flits: d.pick("reply_flits", &[5, 1], &[0]),
+            ack_flits: d.pick("ack_flits", &[1], &[0]),
+            max_cycles: 200_000,
+            ..CmpConfig::table2(profiles[0])
+        };
+        if !os_model {
+            d.hostile.retain(|&f| f != "timer_scale"); // no timer fires without the OS
+        }
+        let cmp = catch_unwind(|| cmp_sim::run_cmp(&cmp));
+        refuse_or_finish("run_cmp", &d.hostile, cmp, |r| r.drained)?;
+    }
+}
+
 /// Every pattern on square and ring topologies, power-of-two and not:
 /// each pair `validate` accepts draws in-range destinations (a bijection
 /// for the permutations) with an exact matrix whose rows sum to 1, and
-/// each pair it refuses, `measure`, the analytic model and the batch
-/// model refuse with the identical `pattern` error.
+/// each pair it refuses, `measure`, the analytic model, the batch model
+/// (run and recorded) and the barrier model refuse with the identical
+/// `pattern` error.
 #[test]
 fn one_pattern_rule_matches_the_generator_and_every_runner() {
     let topologies = [
@@ -255,6 +402,10 @@ fn one_pattern_rule_matches_the_generator_and_every_runner() {
             let batch =
                 BatchConfig { net: net.clone(), pattern, batch: 10, ..BatchConfig::default() };
             assert_eq!(noc_closedloop::run_batch(&batch).unwrap_err(), err);
+            assert_eq!(noc_trace::record_batch(&batch).unwrap_err(), err);
+            let barrier =
+                BarrierConfig { net: net.clone(), pattern, batch: 10, ..BarrierConfig::default() };
+            assert_eq!(noc_closedloop::run_barrier(&barrier).unwrap_err(), err);
         }
     }
     // uniform and the in-range hotspot everywhere, the coordinate

@@ -8,7 +8,7 @@
 
 #![cfg(feature = "sanitize")]
 
-use noc_closedloop::batch::{BatchBehavior, BatchConfig};
+use noc_closedloop::batch::BatchConfig;
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
@@ -66,20 +66,16 @@ impl NodeBehavior for Bernoulli {
 /// stepped under the sanitizer; every cycle is checked.
 #[test]
 fn closed_loop_batch_clean_under_sanitizer() {
-    let mut net_cfg = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 });
-    net_cfg.classes = 2;
     let cfg = BatchConfig {
-        net: net_cfg.clone(),
+        net: NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }),
         batch: 100,
         max_outstanding: 4,
         request_size: 1,
         reply_size: 2,
         ..BatchConfig::default()
     };
-    let mut net = Network::new(net_cfg).expect("valid config");
+    let (mut net, mut b) = cfg.start().expect("valid config");
     let nodes = net.num_nodes();
-    let k = net.topo().radix(0);
-    let mut b = BatchBehavior::new(&cfg, nodes, k);
 
     let mut drained = false;
     for _ in 0..200_000u64 {
