@@ -144,11 +144,10 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    let topo = net.topology.build();
     println!("{}", noc_verify::verify(&net).one_line());
     println!(
         "network: {} | {:?} routing | {} VCs x {} flits | tr={} | {:?}",
-        topo.name(),
+        net.topology.name(),
         net.routing,
         net.vcs,
         net.vc_buf,

@@ -3,9 +3,8 @@
 //! over time), and Tables I–IV.
 
 use cmp_sim::{run_cmp, run_ideal, CmpConfig};
-use noc_sim::config::{NetConfig, RoutingKind};
+use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
 use noc_sim::routing::RoutingAlgorithm;
-use noc_sim::topology::KAryNCube;
 use noc_sim::trace_route;
 use noc_workloads::{all_benchmarks, lu_app_matrix, matrix_to_ascii, ClockFreq};
 
@@ -31,13 +30,13 @@ pub struct Fig12 {
 /// Run Fig 12: the transpose worst-case pair (7,0) <-> (0,7), i.e.
 /// nodes 7 and 56 on the 8x8 mesh.
 pub fn fig12() -> Fig12 {
-    let topo = KAryNCube::mesh(&[8, 8]);
+    let topo = TopologyKind::Mesh2D { k: 8 };
     let (src, dst) = (7usize, 56usize);
     let mut errors = Vec::new();
     // a failed trace degrades to the bare source node and is reported in
     // the rendered figure instead of aborting the whole repro run
     let mut trace = |routing: RoutingKind, seed: u64| {
-        trace_route(&topo, &routing, src, dst, seed).unwrap_or_else(|e| {
+        trace_route(topo, &routing, src, dst, seed).unwrap_or_else(|e| {
             errors.push(format!("{} seed {seed}: {e}", routing.name()));
             vec![src]
         })

@@ -2,7 +2,6 @@
 //! weighted by an exact traffic matrix.
 
 use noc_sim::config::NetConfig;
-use noc_sim::topology::Topology;
 use noc_verify::routes::{enumerate_routes, Hop, RouteVisitor};
 
 use crate::matrix::TrafficMatrix;
@@ -76,7 +75,8 @@ impl RouteVisitor for Accumulate<'_> {
 impl LoadMap {
     /// Enumerate all routes of `cfg` and accumulate the expected load
     /// each channel sees under `matrix`.
-    pub fn build(cfg: &NetConfig, topo: &dyn Topology, matrix: &TrafficMatrix) -> Self {
+    pub fn build(cfg: &NetConfig, matrix: &TrafficMatrix) -> Self {
+        let topo = cfg.topology;
         let ports = topo.num_ports();
         let mut acc = Accumulate {
             matrix,
@@ -84,7 +84,7 @@ impl LoadMap {
             gamma: vec![0.0; topo.num_nodes() * (ports - 1)],
             total_hops: 0.0,
         };
-        let e = enumerate_routes(cfg, topo, &mut acc);
+        let e = enumerate_routes(cfg, &mut acc);
         // Ejection (local-port) loads come straight from the matrix:
         // every network-crossing packet to `dst` drains through dst's
         // single 1 flit/cycle ejection channel, which concentrating
@@ -211,9 +211,9 @@ mod tests {
     use noc_traffic::PatternKind;
 
     fn map(cfg: &NetConfig, pat: PatternKind) -> LoadMap {
-        let topo = cfg.topology.build();
+        let topo = cfg.topology;
         let m = TrafficMatrix::new(pat, topo.num_nodes(), topo.radix(0));
-        LoadMap::build(cfg, &*topo, &m)
+        LoadMap::build(cfg, &m)
     }
 
     #[test]
@@ -231,11 +231,10 @@ mod tests {
     #[test]
     fn avg_hops_matches_topology_average_for_uniform() {
         let cfg = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 });
-        let topo = cfg.topology.build();
         let lm = map(&cfg, PatternKind::Uniform);
         // uniform excluding self is exactly the topology's average
         // minimal distance; DOR paths are minimal
-        assert!((lm.avg_hops() - topo.avg_min_hops()).abs() < 1e-9);
+        assert!((lm.avg_hops() - cfg.topology.avg_min_hops()).abs() < 1e-9);
     }
 
     #[test]

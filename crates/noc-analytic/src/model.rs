@@ -97,12 +97,12 @@ impl AnalyticModel {
     pub fn of(net: &NetConfig, pattern: PatternKind, size: SizeKind) -> Result<Self, ConfigError> {
         net.validate()?;
         pattern.validate(&net.topology)?;
-        let topo = net.topology.build();
+        let topo = net.topology;
         let matrix = TrafficMatrix::new(pattern, topo.num_nodes(), topo.radix(0));
-        let loads = LoadMap::build(net, &*topo, &matrix);
+        let loads = LoadMap::build(net, &matrix);
         let s = size.mean();
         let tr = net.router_delay as f64;
-        let t_link = topo.link_delay(0, 1) as f64;
+        let t_link = topo.link_delay() as f64;
         let t0 = loads.avg_hops() * (tr + t_link) + tr + (s - 1.0);
         let gmax = loads.max();
         let gej = loads.max_eject();
@@ -222,7 +222,7 @@ mod tests {
         let m = mesh4();
         // uniform traffic, single-flit packets: T0 is exactly the
         // open-loop harness's analytic bound
-        let bound = noc_openloop::zero_load_latency_bound(&net);
+        let bound = noc_openloop::zero_load_latency_bound(&net).unwrap();
         assert!((m.zero_load_latency - bound).abs() < 1e-9, "{} vs {bound}", m.zero_load_latency);
     }
 

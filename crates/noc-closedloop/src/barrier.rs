@@ -12,7 +12,7 @@ use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
-use noc_traffic::{PatternKind, SizeKind, TrafficPattern};
+use noc_traffic::{Pattern, PatternKind, SizeKind};
 
 /// Barrier-model configuration.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ pub struct BarrierResult {
 }
 
 struct BarrierBehavior {
-    pattern: Box<dyn TrafficPattern>,
+    pattern: Pattern,
     size: u16,
     rng: SimRng,
     remaining: Vec<u64>,

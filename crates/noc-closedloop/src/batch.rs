@@ -17,7 +17,7 @@ use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::{Network, NodeBehavior};
 use noc_sim::rng::SimRng;
-use noc_traffic::{PatternKind, SizeKind, TrafficPattern};
+use noc_traffic::{Pattern, PatternKind, SizeKind};
 
 use crate::kernel::{KernelModel, TimerAccumulator};
 use crate::reply::ReplyModel;
@@ -188,7 +188,7 @@ struct NodeState {
 
 /// The batch-model [`NodeBehavior`].
 pub struct BatchBehavior {
-    pattern: Box<dyn TrafficPattern>,
+    pattern: Pattern,
     rng: SimRng,
     nodes: Vec<NodeState>,
     replies: Vec<BinaryHeap<Reverse<(Cycle, usize)>>>,

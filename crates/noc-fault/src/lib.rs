@@ -42,10 +42,10 @@ pub mod sweep;
 pub use resilience::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
 pub use sweep::{degradation_sweep, run_faulted, DegradationConfig, DegradationPoint};
 
+use noc_sim::config::TopologyKind;
 use noc_sim::error::ConfigError;
 use noc_sim::network::fault::{FaultEvent, FaultPlan, LinkRetryPolicy, RetxPolicy};
 use noc_sim::rng::SimRng;
-use noc_sim::topology::Topology;
 
 /// What to break, and when.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,7 +155,7 @@ impl FaultSchedule {
     /// sampled by a partial Fisher–Yates shuffle; routers are sampled
     /// the same way from an independent sub-seed. Requests for more
     /// failures than exist are clamped to "all of them".
-    pub fn generate(cfg: &FaultConfig, topo: &dyn Topology) -> Self {
+    pub fn generate(cfg: &FaultConfig, topo: TopologyKind) -> Self {
         let mut edges = physical_links(topo);
         let picks = sample_front(&mut edges, cfg.link_failures, noc_exp::derive_seed(cfg.seed, 0));
         let mut routers: Vec<usize> = (0..topo.num_nodes()).collect();
@@ -188,7 +188,7 @@ impl FaultSchedule {
     /// physical link and come out stably sorted by cycle.
     pub fn try_generate_intermittent(
         cfg: &FlapConfig,
-        topo: &dyn Topology,
+        topo: TopologyKind,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut edges = physical_links(topo);
@@ -254,17 +254,9 @@ impl FaultSchedule {
 
     /// Fraction of directed-channel-cycles up over `[0, horizon)` —
     /// the "availability" axis of the resilience figures.
-    pub fn link_availability(&self, topo: &dyn Topology, horizon: u64) -> f64 {
-        let n = topo.num_nodes();
-        let ports = topo.num_ports();
-        let mut channels = 0u64;
-        for r in 0..n {
-            for p in 1..ports {
-                if topo.neighbor(r, p).is_some() {
-                    channels += 1;
-                }
-            }
-        }
+    pub fn link_availability(&self, topo: TopologyKind, horizon: u64) -> f64 {
+        // every physical link is two directed channels
+        let channels = 2 * physical_links(topo).len() as u64;
         if channels == 0 || horizon == 0 {
             return 1.0;
         }
@@ -298,7 +290,7 @@ impl FaultSchedule {
 /// One `(router, port, neighbor, neighbor port)` entry per physical
 /// (bidirectional) link, in `(router, port)` order: of the link's two
 /// directions, the one whose endpoint is lexicographically smallest.
-fn physical_links(topo: &dyn Topology) -> Vec<(usize, usize, usize, usize)> {
+fn physical_links(topo: TopologyKind) -> Vec<(usize, usize, usize, usize)> {
     let mut edges = Vec::new();
     for r in 0..topo.num_nodes() {
         for p in 1..topo.num_ports() {
@@ -327,22 +319,18 @@ fn sample_front<T>(items: &mut [T], k: usize, seed: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::config::TopologyKind;
 
-    fn mesh4() -> std::sync::Arc<dyn Topology> {
-        TopologyKind::Mesh2D { k: 4 }.build()
-    }
+    const MESH4: TopologyKind = TopologyKind::Mesh2D { k: 4 };
 
     #[test]
     fn physical_links_list_each_bidirectional_link_once_in_router_port_order() {
-        let topo = mesh4();
-        let edges = physical_links(topo.as_ref());
+        let edges = physical_links(MESH4);
         // 2 * k * (k-1) bidirectional links in a k x k mesh
         assert_eq!(edges.len(), 24);
         assert!(edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         for &(r, p, v, vp) in &edges {
             assert!((r, p) < (v, vp), "kept the smaller endpoint's direction");
-            assert_eq!(topo.neighbor(v, vp), Some((r, p)), "the reverse direction");
+            assert_eq!(MESH4.neighbor(v, vp), Some((r, p)), "the reverse direction");
         }
     }
 
@@ -355,20 +343,18 @@ mod tests {
             fail_at: 500,
             corrupt_rate: 1e-3,
         };
-        let topo = mesh4();
-        let a = FaultSchedule::generate(&cfg, topo.as_ref());
-        let b = FaultSchedule::generate(&cfg, topo.as_ref());
+        let a = FaultSchedule::generate(&cfg, MESH4);
+        let b = FaultSchedule::generate(&cfg, MESH4);
         assert_eq!(a, b);
         assert_eq!(a.events.len(), 2 * 3 + 1, "both directions per link plus the router");
     }
 
     #[test]
     fn different_seeds_differ() {
-        let topo = mesh4();
         let mk = |seed| {
             FaultSchedule::generate(
                 &FaultConfig { seed, link_failures: 4, ..FaultConfig::default() },
-                topo.as_ref(),
+                MESH4,
             )
         };
         assert_ne!(mk(1).events, mk(2).events);
@@ -376,10 +362,9 @@ mod tests {
 
     #[test]
     fn link_events_come_in_matched_pairs() {
-        let topo = mesh4();
         let s = FaultSchedule::generate(
             &FaultConfig { seed: 7, link_failures: 5, ..FaultConfig::default() },
-            topo.as_ref(),
+            MESH4,
         );
         for pair in s.events.chunks(2) {
             let [FaultEvent::LinkFail { router: r, port: p, .. }, FaultEvent::LinkFail { router: v, port: vp, .. }] =
@@ -387,25 +372,23 @@ mod tests {
             else {
                 panic!("expected paired LinkFail events, got {pair:?}");
             };
-            assert_eq!(topo.neighbor(*r, *p), Some((*v, *vp)), "reverse direction of same link");
+            assert_eq!(MESH4.neighbor(*r, *p), Some((*v, *vp)), "reverse direction of same link");
         }
     }
 
     #[test]
     fn intermittent_same_seed_same_timeline() {
-        let topo = mesh4();
         let cfg = FlapConfig { seed: 9, links: 3, mtbf: 300, mttr: 40, ..FlapConfig::default() };
-        let a = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
-        let b = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
+        let a = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
+        let b = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
         assert_eq!(a, b);
         assert!(!a.events.is_empty(), "a 20k-cycle horizon at mtbf 300 must flap");
     }
 
     #[test]
     fn intermittent_timelines_end_healed_and_sorted() {
-        let topo = mesh4();
         let cfg = FlapConfig { seed: 5, links: 4, mtbf: 500, mttr: 60, ..FlapConfig::default() };
-        let s = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
+        let s = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
 
         // sorted by cycle, all within (start, horizon)
         let cycles: Vec<u64> = s.events.iter().map(FaultEvent::cycle).collect();
@@ -432,13 +415,12 @@ mod tests {
         }
         assert!(state.values().all(|&d| !d), "a link is still down at the horizon");
         assert_eq!(s.scheduled_downtime(cfg.horizon) > 0, !s.events.is_empty());
-        let avail = s.link_availability(topo.as_ref(), cfg.horizon);
+        let avail = s.link_availability(MESH4, cfg.horizon);
         assert!((0.0..1.0).contains(&avail), "availability {avail} out of range");
     }
 
     #[test]
     fn flap_validation_rejects_nonsense() {
-        let topo = mesh4();
         for bad in [
             FlapConfig { mtbf: 0, ..FlapConfig::default() },
             FlapConfig { mttr: 0, ..FlapConfig::default() },
@@ -447,7 +429,7 @@ mod tests {
             FlapConfig { corrupt_rate: 1.5, ..FlapConfig::default() },
         ] {
             assert!(
-                FaultSchedule::try_generate_intermittent(&bad, topo.as_ref()).is_err(),
+                FaultSchedule::try_generate_intermittent(&bad, MESH4).is_err(),
                 "accepted {bad:?}"
             );
         }
@@ -455,7 +437,6 @@ mod tests {
 
     #[test]
     fn oversized_requests_are_clamped() {
-        let topo = mesh4();
         let s = FaultSchedule::generate(
             &FaultConfig {
                 seed: 3,
@@ -463,7 +444,7 @@ mod tests {
                 router_failures: 10_000,
                 ..FaultConfig::default()
             },
-            topo.as_ref(),
+            MESH4,
         );
         // 4x4 mesh: 24 physical links, 16 routers
         assert_eq!(s.events.len(), 2 * 24 + 16);

@@ -183,15 +183,15 @@ fn eval_point(
         mttr,
         ..cfg.flap
     };
-    let topo = base.net.topology.build();
-    let built = FaultSchedule::try_generate_intermittent(&flap, topo.as_ref())
+    let topo = base.net.topology;
+    let built = FaultSchedule::try_generate_intermittent(&flap, topo)
         .and_then(|schedule| Ok((schedule, Network::new(base.net.clone())?)));
     let (schedule, mut net) = match built {
         Ok(built) => built,
         Err(e) => return Ok(Err(e)),
     };
     let last_repair = schedule.last_repair_cycle();
-    let availability = schedule.link_availability(topo.as_ref(), flap.horizon);
+    let availability = schedule.link_availability(topo, flap.horizon);
 
     let (retx, link_retry) = cfg.recovery.split(cfg.retx, cfg.link_retry);
     net.set_fault_plan(schedule.plan_with(retx, link_retry));

@@ -141,7 +141,7 @@ pub(crate) fn run_gated(
     settle_max: u64,
 ) -> Result<(Network, GatedSource), Diverged> {
     let cutoff = base.window_end();
-    let inner = base.source(net.num_nodes(), net.topo().radix(0));
+    let inner = base.source();
     let mut b = GatedSource { inner, cutoff, done: false };
 
     net.run(cutoff, &mut b);
@@ -209,8 +209,7 @@ fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Div
         fail_at: cfg.fail_at,
         corrupt_rate: cfg.corrupt_rate,
     };
-    let topo = base.net.topology.build();
-    let schedule = FaultSchedule::generate(&fault_cfg, topo.as_ref());
+    let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
     run_faulted(&base, schedule.plan(cfg.retx), k, cfg.settle_max)
 }
 

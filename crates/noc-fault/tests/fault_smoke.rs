@@ -35,8 +35,7 @@ fn fault_smoke_two_dead_links_full_delivery() {
         corrupt_rate: 2e-3,
         ..FaultConfig::default()
     };
-    let topo = base.net.topology.build();
-    let schedule = FaultSchedule::generate(&fault_cfg, topo.as_ref());
+    let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
 
     // the scenario must be survivable before we demand full delivery
     let lint = noc_verify::check_fault_connectivity(&base.net, &schedule.events).unwrap();
@@ -103,8 +102,7 @@ fn fault_smoke_replays_bit_identically() {
         fail_at: base.warmup / 2,
         ..FaultConfig::default()
     };
-    let topo = base.net.topology.build();
-    let schedule = FaultSchedule::generate(&fault_cfg, topo.as_ref());
+    let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
     let run = || {
         run_faulted(&base, schedule.plan(Some(Default::default())), 3, 100_000)
             .expect("scenario must settle")

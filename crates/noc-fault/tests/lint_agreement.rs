@@ -22,7 +22,7 @@ fn base() -> OpenLoopConfig {
 #[test]
 fn certified_fault_set_simulates_to_full_delivery() {
     let base = base();
-    let topo = base.net.topology.build();
+    let topo = base.net.topology;
     // scan seeds for a certified 3-link scenario (most are; take the
     // first so the test does not depend on any one seed's luck)
     let schedule = (0..64)
@@ -34,7 +34,7 @@ fn certified_fault_set_simulates_to_full_delivery() {
                     fail_at: base.warmup,
                     ..FaultConfig::default()
                 },
-                topo.as_ref(),
+                topo,
             )
         })
         .find(|s| check_fault_connectivity(&base.net, &s.events).unwrap().is_certified())
@@ -53,9 +53,8 @@ fn certified_fault_set_simulates_to_full_delivery() {
 #[test]
 fn refuted_fault_set_simulates_to_partial_delivery() {
     let base = base();
-    let topo = base.net.topology.build();
     // isolate node 0: the lint must refute connectivity...
-    let events = isolate_node_events(topo.as_ref(), 0, base.warmup);
+    let events = isolate_node_events(base.net.topology, 0, base.warmup);
     let report = check_fault_connectivity(&base.net, &events).unwrap();
     let FaultVerdict::Refuted { witness } = &report.verdict else {
         panic!("isolating a node must refute connectivity: {report}");
@@ -143,7 +142,6 @@ fn lint_end_state_matches_the_engine_survivor_table() {
     let mut verdicts = Vec::new();
     for topology in [TopologyKind::Mesh2D { k: 4 }, TopologyKind::Torus2D { k: 4 }] {
         let net_cfg = NetConfig::baseline().with_topology(topology);
-        let topo = topology.build();
         for seed in 0..8 {
             for link_failures in 1..=6 {
                 for router_failures in 0..=1 {
@@ -154,7 +152,7 @@ fn lint_end_state_matches_the_engine_survivor_table() {
                         fail_at: 10,
                         ..FaultConfig::default()
                     };
-                    let s = FaultSchedule::generate(&cfg, topo.as_ref());
+                    let s = FaultSchedule::generate(&cfg, topology);
                     verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
                 }
             }
@@ -168,7 +166,7 @@ fn lint_end_state_matches_the_engine_survivor_table() {
             horizon: 600,
             ..FlapConfig::default()
         };
-        let s = FaultSchedule::try_generate_intermittent(&flap, topo.as_ref()).unwrap();
+        let s = FaultSchedule::try_generate_intermittent(&flap, topology).unwrap();
         assert!(s.events.iter().any(FaultEvent::is_repair), "the timeline must repair");
         verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
     }

@@ -33,9 +33,8 @@ proptest! {
         ],
     ) {
         let cfg = FaultConfig { seed, link_failures: links, router_failures: routers, fail_at, corrupt_rate: 1e-4 };
-        let topo = kind.build();
-        let a = FaultSchedule::generate(&cfg, topo.as_ref());
-        let b = FaultSchedule::generate(&cfg, topo.as_ref());
+        let a = FaultSchedule::generate(&cfg, kind);
+        let b = FaultSchedule::generate(&cfg, kind);
         prop_assert_eq!(&a, &b);
         // every event fires at the configured cycle, and link failures
         // never exceed twice the request (both directions per link)
@@ -65,9 +64,8 @@ proptest! {
         ],
     ) {
         let cfg = FlapConfig { seed, links, mtbf, mttr, start: 64, horizon: 16_384, corrupt_rate: 1e-4 };
-        let topo = kind.build();
-        let a = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
-        let b = FaultSchedule::try_generate_intermittent(&cfg, topo.as_ref()).unwrap();
+        let a = FaultSchedule::try_generate_intermittent(&cfg, kind).unwrap();
+        let b = FaultSchedule::try_generate_intermittent(&cfg, kind).unwrap();
         prop_assert_eq!(&a, &b);
 
         let cycles: Vec<u64> = a.events.iter().map(FaultEvent::cycle).collect();

@@ -5,7 +5,7 @@ use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::NodeBehavior;
 use noc_sim::rng::{Coin, SimRng};
 use noc_stats::{OnlineStats, Summary};
-use noc_traffic::{InjectionProcess, SizeDist, TrafficPattern};
+use noc_traffic::{InjectionProcess, Pattern, SizeDist};
 
 /// Payload tag marking packets generated inside the measurement window.
 const MARKED: u64 = 1;
@@ -17,7 +17,7 @@ const MARKED: u64 = 1;
 /// latency statistics cover marked packets only. Flit deliveries during
 /// the same window are counted for accepted throughput.
 pub struct OpenLoopBehavior {
-    pattern: Box<dyn TrafficPattern>,
+    pattern: Pattern,
     size: Box<dyn SizeDist>,
     processes: Vec<Box<dyn InjectionProcess>>,
     rng: SimRng,
@@ -59,7 +59,7 @@ impl OpenLoopBehavior {
     /// per-node injection process (one each so burst state is private).
     pub fn new(
         nodes: usize,
-        pattern: Box<dyn TrafficPattern>,
+        pattern: Pattern,
         size: Box<dyn SizeDist>,
         make_process: impl Fn() -> Box<dyn InjectionProcess>,
         seed: u64,

@@ -117,16 +117,17 @@ impl OpenLoopConfig {
         Err(ConfigError::Parameter { name: "cycle_budget", why: why.into() })
     }
 
-    /// The open-loop source of this point on a network of `nodes` nodes
-    /// and radix `radix`: Bernoulli generation at `load / mean packet
-    /// size` per node per cycle, seeded from `net.seed`, marking packets
-    /// generated in `[warmup, window_end())`. Call
-    /// [`OpenLoopConfig::validate`] first.
-    pub fn source(&self, nodes: usize, radix: usize) -> OpenLoopBehavior {
+    /// The open-loop source of this point on `net.topology`: Bernoulli
+    /// generation at `load / mean packet size` per node per cycle, seeded
+    /// from `net.seed`, marking packets generated in `[warmup,
+    /// window_end())`. Call [`OpenLoopConfig::validate`] first.
+    pub fn source(&self) -> OpenLoopBehavior {
         let p = self.load / self.size.mean();
+        let topo = self.net.topology;
+        let nodes = topo.num_nodes();
         let mut b = OpenLoopBehavior::new(
             nodes,
-            self.pattern.build(nodes, radix),
+            self.pattern.build(nodes, topo.radix(0)),
             self.size.build(),
             || Box::new(Bernoulli { p }),
             self.net.seed,
@@ -188,13 +189,15 @@ pub struct OpenLoopResult {
 
 /// Analytic zero-load latency lower bound for a single-flit packet at
 /// the average minimal distance: `H_avg * (t_r + t_link) + t_r`.
-pub fn zero_load_latency_bound(cfg: &NetConfig) -> f64 {
-    let topo = cfg.topology.build();
-    let h = topo.avg_min_hops();
-    // link delay is uniform across our topologies
-    let t_link = topo.link_delay(0, 1) as f64;
+///
+/// # Errors
+/// The topology's own [`ConfigError`], checked before any geometry.
+pub fn zero_load_latency_bound(cfg: &NetConfig) -> Result<f64, ConfigError> {
+    cfg.topology.validate()?;
+    let h = cfg.topology.avg_min_hops();
+    let t_link = cfg.topology.link_delay() as f64;
     let tr = cfg.router_delay as f64;
-    h * (tr + t_link) + tr
+    Ok(h * (tr + t_link) + tr)
 }
 
 /// Run one open-loop measurement.
@@ -233,7 +236,7 @@ fn measure_impl(
 ) -> Result<Result<OpenLoopResult, Diverged>, ConfigError> {
     let mut net = Network::new(cfg.net.clone())?;
     let nodes = net.num_nodes();
-    let mut b = cfg.source(nodes, net.topo().radix(0));
+    let mut b = cfg.source();
     let window_end = cfg.window_end();
     // no budget is a budget no run reaches; a window that cannot fit the
     // budget diverges before the first step, not a config error (grids
@@ -309,7 +312,7 @@ mod tests {
         let cfg = quick(0.05);
         let r = measure(&cfg).unwrap();
         assert!(r.stable);
-        let t0 = zero_load_latency_bound(&cfg.net);
+        let t0 = zero_load_latency_bound(&cfg.net).unwrap();
         assert!(r.avg_latency >= t0 * 0.8, "{} vs bound {t0}", r.avg_latency);
         assert!(r.avg_latency <= t0 * 1.8, "{} vs bound {t0}", r.avg_latency);
     }
@@ -489,9 +492,8 @@ mod tests {
 
     #[test]
     fn zero_load_bound_scales_with_tr() {
-        let base = zero_load_latency_bound(&NetConfig::baseline());
-        let tr2 = zero_load_latency_bound(&NetConfig::baseline().with_router_delay(2));
-        let tr4 = zero_load_latency_bound(&NetConfig::baseline().with_router_delay(4));
+        let bound = |tr| zero_load_latency_bound(&NetConfig::baseline().with_router_delay(tr));
+        let (base, tr2, tr4) = (bound(1).unwrap(), bound(2).unwrap(), bound(4).unwrap());
         // paper: ratios ~1.5 and ~2.5 (channel delay added per hop keeps
         // the ratio below 2x/4x); exact value depends on the ejection
         // pipeline accounting, so allow a modest band

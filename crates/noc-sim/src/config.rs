@@ -1,10 +1,7 @@
 //! Network configuration: the parameter space of Table I.
 
-use std::sync::Arc;
-
 use crate::error::ConfigError;
 use crate::routing::VcBook;
-use crate::topology::{KAryNCube, Topology};
 
 /// Switch/VC arbitration policy (Table I: round robin, age-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +18,9 @@ pub enum Arbitration {
 /// an unbounded radix is one request line away from exhausting memory.
 pub const MAX_NODES: usize = 4096;
 
-/// Named topology selector, convertible to a concrete [`Topology`].
+/// The topology: the one name a config, the wire or a figure gives a
+/// network shape, and (in [`crate::topology`]) the geometry itself —
+/// ports, coordinates, neighbors, hop counts and link delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyKind {
     /// k-ary 2-mesh.
@@ -47,9 +46,10 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Check the radix and node count, which must come before anything
-    /// is built: below radix 2 the constructor panics, and a `Network`
-    /// or analytic model allocates per node (or per node pair).
+    /// Check the radix and node count, which must come before any
+    /// geometry is computed: below radix 2 it is meaningless, `k * k`
+    /// can overflow, and a `Network` or analytic model allocates per
+    /// node (or per node pair).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let (k, dims) = match *self {
             TopologyKind::Mesh2D { k }
@@ -71,26 +71,6 @@ impl TopologyKind {
             });
         }
         Ok(())
-    }
-
-    /// Instantiate the topology (call [`TopologyKind::validate`] first).
-    pub fn build(&self) -> Arc<dyn Topology> {
-        match *self {
-            TopologyKind::Mesh2D { k } => Arc::new(KAryNCube::mesh(&[k, k])),
-            TopologyKind::FoldedTorus2D { k } => Arc::new(KAryNCube::folded_torus(&[k, k])),
-            TopologyKind::Torus2D { k } => Arc::new(KAryNCube::torus(&[k, k])),
-            TopologyKind::Ring { n } => Arc::new(KAryNCube::ring(n)),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        match *self {
-            TopologyKind::Mesh2D { k }
-            | TopologyKind::FoldedTorus2D { k }
-            | TopologyKind::Torus2D { k } => k * k,
-            TopologyKind::Ring { n } => n,
-        }
     }
 }
 
@@ -179,8 +159,7 @@ impl NetConfig {
                 why: "metrics bin width must be >= 1 cycle".into(),
             });
         }
-        let topo = self.topology.build();
-        VcBook::new(self.vcs, self.classes, &self.routing, topo.as_ref())
+        VcBook::new(self.vcs, self.classes, &self.routing, self.topology)
     }
 
     /// Builder-style setters for sweep ergonomics.
@@ -295,7 +274,7 @@ mod tests {
             // k * k wraps `usize` to 0: only a checked product sees it
             TopologyKind::FoldedTorus2D { k: 1 << (usize::BITS / 2) },
             TopologyKind::Ring { n: MAX_NODES + 1 },
-            // below radix 2 the topology constructor would panic
+            // below radix 2 the geometry is meaningless
             TopologyKind::Mesh2D { k: 1 },
             TopologyKind::Ring { n: 0 },
         ] {
@@ -307,9 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn topology_kind_builds() {
-        assert_eq!(TopologyKind::Mesh2D { k: 8 }.build().num_nodes(), 64);
-        assert_eq!(TopologyKind::Ring { n: 64 }.build().num_nodes(), 64);
+    fn topology_kind_counts_nodes() {
+        assert_eq!(TopologyKind::Mesh2D { k: 8 }.num_nodes(), 64);
+        assert_eq!(TopologyKind::Ring { n: 64 }.num_nodes(), 64);
         assert_eq!(TopologyKind::FoldedTorus2D { k: 4 }.num_nodes(), 16);
     }
 

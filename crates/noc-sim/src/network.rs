@@ -35,17 +35,15 @@ pub mod fault;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
 
-use std::sync::Arc;
-
 use crate::channel::{CreditEvent, FlitEvent, Link, Wheel};
-use crate::config::NetConfig;
+use crate::config::{NetConfig, TopologyKind};
 use crate::error::{ConfigError, SimError};
 use crate::flit::{Cycle, Delivered, Flit, Packet, PacketId, PacketSlab, PacketSpec};
 use crate::interface::{InjStream, Ni};
 use crate::rng::SimRng;
 use crate::router::{RouterCtx, RouterSlab, SaWin};
 use crate::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
-use crate::topology::{Topology, LOCAL_PORT};
+use crate::topology::LOCAL_PORT;
 
 /// A workload driving the network.
 ///
@@ -204,7 +202,6 @@ pub(crate) struct Engine {
 /// The simulated network.
 pub struct Network {
     cfg: NetConfig,
-    topo: Arc<dyn Topology>,
     /// Routing geometry precomputed at construction; the routing function
     /// (`cfg.routing`, by value) reads it instead of asking the topology.
     lut: RouteLut,
@@ -231,7 +228,7 @@ impl Network {
     /// Build a network from a validated configuration.
     pub fn new(cfg: NetConfig) -> Result<Self, ConfigError> {
         let book = cfg.validate()?;
-        let topo = cfg.topology.build();
+        let topo = cfg.topology;
         let n = topo.num_nodes();
         let ports = topo.num_ports();
         let routers = RouterSlab::new(n, ports, cfg.vcs, cfg.vc_buf);
@@ -240,14 +237,12 @@ impl Network {
         // up[(d, dp)] inverts the link map: the link arriving at router
         // d's input port dp
         let mut up = vec![None; n * ports1];
-        let mut max_delay = 0;
+        let delay = topo.link_delay();
         for r in 0..n {
             for p in 1..ports {
-                let delay = topo.link_delay(r, p);
                 links.push(topo.neighbor(r, p).map(|(d, dp)| {
                     up[d * ports1 + (dp - 1)] =
                         Some(Upstream { router: r as u32, port: p as u8, delay });
-                    max_delay = max_delay.max(delay);
                     Link::new(d, dp, delay)
                 }));
             }
@@ -260,7 +255,7 @@ impl Network {
             delivery_digest: DIGEST_SEED,
             ..Default::default()
         };
-        let lut = RouteLut::new(topo.as_ref());
+        let lut = RouteLut::new(topo);
         let words = n.div_ceil(64);
         let metrics =
             cfg.metrics.map(|bin| Box::new(crate::metrics::Collector::new(bin, links.len(), n)));
@@ -269,7 +264,7 @@ impl Network {
             routers,
             packets: PacketSlab::new(),
             links,
-            wheel: Wheel::new(tr + max_delay as Cycle),
+            wheel: Wheel::new(tr + delay as Cycle),
             up,
             nis,
             stats,
@@ -282,7 +277,6 @@ impl Network {
         };
         Ok(Self {
             cfg,
-            topo,
             lut,
             book,
             eng,
@@ -304,12 +298,12 @@ impl Network {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.topo.num_nodes()
+        self.cfg.topology.num_nodes()
     }
 
-    /// The topology.
-    pub fn topo(&self) -> &dyn Topology {
-        self.topo.as_ref()
+    /// The topology (`config().topology`).
+    pub fn topo(&self) -> TopologyKind {
+        self.cfg.topology
     }
 
     /// The configuration.
@@ -390,7 +384,7 @@ impl Network {
         let mut m = self.metrics.take()?;
         let snap = m.snapshot(
             self.cycle,
-            self.topo.num_ports(),
+            self.cfg.topology.num_ports(),
             &self.eng.routers,
             &self.eng.links,
             &self.eng.stats,
@@ -401,7 +395,7 @@ impl Network {
 
     /// Per-link carried-flit counts keyed by `(router, port)`.
     pub fn link_loads(&self) -> Vec<((usize, usize), u64)> {
-        let ports = self.topo.num_ports();
+        let ports = self.cfg.topology.num_ports();
         self.eng
             .links
             .iter()
@@ -795,7 +789,7 @@ impl Network {
     /// having injection work; the only place that marks it.
     fn enqueue_packet(&mut self, node: usize, spec: PacketSpec, t: Cycle) -> PacketId {
         let route =
-            self.cfg.routing.init(self.topo.as_ref(), &self.lut, node, spec.dst, &mut self.rng);
+            self.cfg.routing.init(self.cfg.topology, &self.lut, node, spec.dst, &mut self.rng);
         let pkt = Packet {
             uid: 0,
             src: node,

@@ -99,12 +99,12 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use crate::config::TopologyKind;
 use crate::error::{ConfigError, SimError};
 use crate::flit::{Cycle, PacketId, PacketSpec};
 use crate::rng::SimRng;
 use crate::router::SaWin;
 use crate::routing::PortSet;
-use crate::topology::Topology;
 
 use super::{Engine, Network};
 
@@ -294,7 +294,7 @@ impl FaultPlan {
 /// # Errors
 /// [`ConfigError::Parameter`] named `events`, for the first event out
 /// of range.
-pub fn validate_events(events: &[FaultEvent], topo: &dyn Topology) -> Result<(), ConfigError> {
+pub fn validate_events(events: &[FaultEvent], topo: TopologyKind) -> Result<(), ConfigError> {
     let n = topo.num_nodes();
     let ports = topo.num_ports();
     for ev in events {
@@ -386,7 +386,7 @@ impl SurvivorTable {
     /// Build the table for the given dead-channel / dead-router sets.
     /// `dead_link` is indexed like the engine's link array
     /// (`router * (ports-1) + (port-1)`).
-    pub fn build(topo: &dyn Topology, dead_link: &[bool], dead_router: &[bool]) -> Self {
+    pub fn build(topo: TopologyKind, dead_link: &[bool], dead_router: &[bool]) -> Self {
         let n = topo.num_nodes();
         let mut t = Self {
             n,
@@ -403,7 +403,7 @@ impl SurvivorTable {
     /// allocation (table, adjacency, BFS scratch) — the per-epoch
     /// incremental rebuild, so a flapping timeline costs no steady
     /// allocator traffic after its first epoch.
-    pub fn rebuild(&mut self, topo: &dyn Topology, dead_link: &[bool], dead_router: &[bool]) {
+    pub fn rebuild(&mut self, topo: TopologyKind, dead_link: &[bool], dead_router: &[bool]) {
         let n = self.n;
         debug_assert_eq!(n, topo.num_nodes(), "survivor table bound to one topology");
         let ports = topo.num_ports();
@@ -685,7 +685,7 @@ impl Network {
     pub fn try_set_fault_plan(&mut self, mut plan: FaultPlan) -> Result<(), ConfigError> {
         assert_eq!(self.cycle, 0, "install the fault plan before stepping");
         plan.validate()?;
-        validate_events(&plan.events, self.topo.as_ref())?;
+        validate_events(&plan.events, self.cfg.topology)?;
         let n = self.num_nodes();
         plan.events.sort_by_cached_key(FaultEvent::cycle); // stable: ties keep plan order
         let rng = SimRng::new(plan.corrupt_seed);
@@ -806,10 +806,10 @@ impl Network {
                 // fully healed: back to the configured routing function
                 self.survivors = None;
             } else if let Some(s) = self.survivors.as_deref_mut() {
-                s.rebuild(self.topo.as_ref(), &f.dead_link, &f.dead_router);
+                s.rebuild(self.cfg.topology, &f.dead_link, &f.dead_router);
             } else {
                 self.survivors = Some(Box::new(SurvivorTable::build(
-                    self.topo.as_ref(),
+                    self.cfg.topology,
                     &f.dead_link,
                     &f.dead_router,
                 )));
@@ -849,7 +849,7 @@ impl Network {
             f.dead_routers_count += 1;
             f.stats.routers_failed += 1;
         }
-        let ports = self.topo.num_ports();
+        let ports = self.cfg.topology.num_ports();
         for p in 1..ports {
             let li = self.link_idx(router, p);
             self.fault_recompute_link(li);
@@ -898,7 +898,7 @@ impl Network {
             f.dead_routers_count -= 1;
             f.stats.routers_repaired += 1;
         }
-        let ports = self.topo.num_ports();
+        let ports = self.cfg.topology.num_ports();
         for p in 1..ports {
             let li = self.link_idx(router, p);
             self.fault_recompute_link(li);
@@ -1038,7 +1038,7 @@ impl Network {
     #[cfg(feature = "sanitize")]
     pub(super) fn sanitize_fault_consistency(&self, t: Cycle) -> Result<(), SimError> {
         let Some(f) = self.fault.as_ref() else { return Ok(()) };
-        let ports1 = self.topo.num_ports() - 1;
+        let ports1 = self.cfg.topology.num_ports() - 1;
         let mut dead_links = 0usize;
         for (li, link) in self.eng.links.iter().enumerate() {
             let Some(link) = link.as_ref() else {

@@ -171,7 +171,7 @@ impl Network {
     fn check_credit_conservation(&mut self, t: Cycle) -> Result<(), SimError> {
         let vc_buf = self.cfg.vc_buf as u64;
         let vcs = self.cfg.vcs;
-        let ports = self.topo.num_ports();
+        let ports = self.cfg.topology.num_ports();
         // one pass over the wheel: (credits, flits) in flight per (link, VC)
         let mut flying = vec![(0u64, 0u64); self.eng.links.len() * vcs];
         for (_, ev) in self.eng.wheel.iter_credits() {
@@ -487,7 +487,7 @@ impl Network {
                 let _ = writeln!(out, "  ejecting at router {r} (not blocked by fabric)");
                 return (out, false);
             }
-            let Some((dr, dp)) = self.topo.neighbor(r, op) else {
+            let Some((dr, dp)) = self.cfg.topology.neighbor(r, op) else {
                 return (out, false);
             };
             (r, p, v) = (dr, dp, ov);

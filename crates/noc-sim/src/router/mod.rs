@@ -856,9 +856,10 @@ impl RouterMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TopologyKind;
     use crate::flit::{Packet, PacketId, PacketSlab};
     use crate::routing::{RouteState, VcBook};
-    use crate::topology::{port_plus, KAryNCube};
+    use crate::topology::port_plus;
 
     fn mk_packet(src: usize, dst: usize, size: u16, birth: u64) -> Packet {
         Packet { uid: 0, src, dst, size, class: 0, birth, inject: u64::MAX, payload: 0 }
@@ -872,9 +873,9 @@ mod tests {
 
     impl Fixture {
         fn new() -> Self {
-            let topo = KAryNCube::mesh(&[4, 4]);
-            let lut = RouteLut::new(&topo);
-            let book = VcBook::new(2, 1, &RoutingKind::Dor, &topo).unwrap();
+            let topo = TopologyKind::Mesh2D { k: 4 };
+            let lut = RouteLut::new(topo);
+            let book = VcBook::new(2, 1, &RoutingKind::Dor, topo).unwrap();
             Self { lut, book, packets: PacketSlab::new() }
         }
     }

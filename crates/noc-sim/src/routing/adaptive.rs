@@ -9,14 +9,14 @@
 #[cfg(test)]
 mod tests {
     use crate::config::RoutingKind::MinAdaptive;
+    use crate::config::TopologyKind;
     use crate::rng::SimRng;
     use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
-    use crate::topology::{KAryNCube, Topology};
 
     #[test]
     fn ma_candidates_are_minimal_and_dor_first() {
-        let t = KAryNCube::mesh(&[8, 8]);
-        let lut = RouteLut::new(&t);
+        let t = TopologyKind::Mesh2D { k: 8 };
+        let lut = RouteLut::new(t);
         let algo = MinAdaptive;
         let mut rng = SimRng::new(1);
         for _ in 0..500 {
@@ -25,7 +25,7 @@ mod tests {
             if src == dst {
                 continue;
             }
-            let state = algo.init(&t, &lut, src, dst, &mut rng);
+            let state = algo.init(t, &lut, src, dst, &mut rng);
             let cands = algo.candidates(&lut, src, dst, &state);
             assert!(!cands.is_empty());
             // every candidate must reduce distance by exactly 1
@@ -40,14 +40,14 @@ mod tests {
 
     #[test]
     fn ma_any_candidate_walk_reaches_dst_minimally() {
-        let t = KAryNCube::mesh(&[8, 8]);
-        let lut = RouteLut::new(&t);
+        let t = TopologyKind::Mesh2D { k: 8 };
+        let lut = RouteLut::new(t);
         let algo = MinAdaptive;
         let mut rng = SimRng::new(2);
         for _ in 0..300 {
             let src = rng.below(64);
             let dst = rng.below(64);
-            let mut state = algo.init(&t, &lut, src, dst, &mut rng);
+            let mut state = algo.init(t, &lut, src, dst, &mut rng);
             let mut cur = src;
             let mut hops = 0;
             while cur != dst {
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn ma_two_candidates_when_both_dims_unresolved() {
-        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
+        let lut = RouteLut::new(TopologyKind::Mesh2D { k: 4 });
         let algo = MinAdaptive;
         let cands = algo.candidates(&lut, 0, 15, &RouteState::direct());
         assert_eq!(cands.len(), 2);

@@ -5,21 +5,22 @@
 #[cfg(test)]
 mod tests {
     use crate::config::RoutingKind::Dor;
+    use crate::config::TopologyKind;
     use crate::rng::SimRng;
     use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
-    use crate::topology::{port_plus, KAryNCube, Topology};
+    use crate::topology::port_plus;
 
     /// Walk a packet from src to dst taking the first candidate each hop.
-    fn walk(topo: &KAryNCube, src: usize, dst: usize) -> Vec<usize> {
+    fn walk(topo: TopologyKind, src: usize, dst: usize) -> Vec<usize> {
         super::super::tests::walk(topo, Dor, src, dst, &mut SimRng::new(1)).0
     }
 
     #[test]
     fn dor_reaches_all_destinations_mesh() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         for s in 0..16 {
             for d in 0..16 {
-                let path = walk(&t, s, d);
+                let path = walk(t, s, d);
                 assert_eq!(*path.last().unwrap(), d);
                 assert_eq!(path.len() - 1, t.min_hops(s, d), "DOR must be minimal");
             }
@@ -28,10 +29,10 @@ mod tests {
 
     #[test]
     fn dor_reaches_all_destinations_torus_and_ring() {
-        for t in [KAryNCube::torus(&[4, 4]), KAryNCube::ring(8)] {
+        for t in [TopologyKind::Torus2D { k: 4 }, TopologyKind::Ring { n: 8 }] {
             for s in 0..t.num_nodes() {
                 for d in 0..t.num_nodes() {
-                    let path = walk(&t, s, d);
+                    let path = walk(t, s, d);
                     assert_eq!(*path.last().unwrap(), d);
                     assert_eq!(path.len() - 1, t.min_hops(s, d));
                 }
@@ -41,15 +42,15 @@ mod tests {
 
     #[test]
     fn dor_x_before_y() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let path = walk(&t, 0, t.node_at(&[2, 2, 0, 0]));
+        let t = TopologyKind::Mesh2D { k: 4 };
+        let path = walk(t, 0, t.node_at(&[2, 2, 0, 0]));
         // nodes 0 -> 1 -> 2 -> 6 -> 10
         assert_eq!(path, vec![0, 1, 2, 6, 10]);
     }
 
     #[test]
     fn dor_single_candidate() {
-        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
+        let lut = RouteLut::new(TopologyKind::Mesh2D { k: 4 });
         let c = Dor.candidates(&lut, 0, 5, &RouteState::direct());
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(0), port_plus(0));

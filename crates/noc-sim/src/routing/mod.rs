@@ -29,10 +29,10 @@ mod romm;
 #[cfg(test)]
 mod valiant;
 
-use crate::config::RoutingKind;
+use crate::config::{RoutingKind, TopologyKind};
 use crate::error::ConfigError;
 use crate::rng::SimRng;
-use crate::topology::{Topology, MAX_DIMS};
+use crate::topology::MAX_DIMS;
 
 /// Per-packet routing state carried on the head flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +167,7 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// node for two-phase algorithms). `lut` must be built from `topo`.
     fn init(
         &self,
-        topo: &dyn Topology,
+        topo: TopologyKind,
         lut: &RouteLut,
         src: usize,
         dst: usize,
@@ -207,7 +207,7 @@ impl RoutingAlgorithm for RoutingKind {
 
     fn init(
         &self,
-        topo: &dyn Topology,
+        topo: TopologyKind,
         lut: &RouteLut,
         src: usize,
         dst: usize,
@@ -270,7 +270,7 @@ impl RoutingAlgorithm for RoutingKind {
 /// Whether the hop `cur --port-->` crosses the wraparound ("dateline")
 /// link of the port's dimension. [`RouteLut::new`] fills its dateline
 /// table from this; per-hop code reads the table.
-pub fn crosses_dateline(topo: &dyn Topology, cur: usize, port: usize) -> bool {
+pub fn crosses_dateline(topo: TopologyKind, cur: usize, port: usize) -> bool {
     use crate::topology::{port_dim, port_is_plus};
     if port == 0 {
         return false;
@@ -288,12 +288,14 @@ pub fn crosses_dateline(topo: &dyn Topology, cur: usize, port: usize) -> bool {
     }
 }
 
-/// Precomputed routing geometry for one fixed topology.
+/// Precomputed routing geometry for one [`TopologyKind`]: the engine,
+/// [`crate::trace_route`] and the analysis crates read per-hop geometry
+/// from here, never from the topology.
 ///
 /// Route computation (`dor_port`, `minimal_ports`, `crosses_dateline`)
 /// runs on every VC-allocation attempt — at saturation that is more than
-/// one call per router per cycle. Asking the [`Topology`] each time would
-/// be a cascade of virtual lookups with per-dimension division, so
+/// one call per router per cycle. Asking the [`TopologyKind`] each time
+/// would be a `match` and a per-dimension division per query, so
 /// per-node coordinates and per-dimension radix/wrap flags are
 /// materialized once here, and each query becomes a few subtractions
 /// over two `u16` coordinate rows. Compared to full `n x n` port tables
@@ -316,13 +318,12 @@ pub struct RouteLut {
 }
 
 impl RouteLut {
-    /// Precompute the geometry cache for `topo` (O(n); minimal-port
-    /// queries are computed on the fly from it).
-    pub fn new(topo: &dyn Topology) -> Self {
+    /// Precompute the geometry cache for a validated `topo` (O(n);
+    /// minimal-port queries are computed on the fly from it).
+    pub fn new(topo: TopologyKind) -> Self {
         let n = topo.num_nodes();
         let ports = topo.num_ports();
         let dims = topo.dims();
-        assert!(dims <= MAX_DIMS);
         let mut radix = [0u16; MAX_DIMS];
         let mut wraps = [false; MAX_DIMS];
         for d in 0..dims {
@@ -454,7 +455,7 @@ impl VcBook {
         vcs: usize,
         classes: usize,
         routing: &dyn RoutingAlgorithm,
-        topo: &dyn Topology,
+        topo: TopologyKind,
     ) -> Result<Self, ConfigError> {
         let (book, deficiencies) = Self::relaxed(vcs, classes, routing, topo)?;
         match deficiencies.into_iter().next() {
@@ -480,7 +481,7 @@ impl VcBook {
         vcs: usize,
         classes: usize,
         routing: &dyn RoutingAlgorithm,
-        topo: &dyn Topology,
+        topo: TopologyKind,
     ) -> Result<(Self, Vec<ConfigError>), ConfigError> {
         let phases = routing.num_phases();
         if vcs > 64 {
@@ -626,13 +627,13 @@ impl VcBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{port_minus, port_plus, KAryNCube};
+    use crate::topology::{port_minus, port_plus};
 
     /// Walk a packet from `src` to `dst` through the one routing API,
     /// taking the first candidate each hop; returns the nodes visited and
     /// the state `init` drew (shared by the per-algorithm test modules).
     pub(super) fn walk(
-        topo: &KAryNCube,
+        topo: TopologyKind,
         algo: RoutingKind,
         src: usize,
         dst: usize,
@@ -680,8 +681,8 @@ mod tests {
 
     #[test]
     fn dor_port_mesh_goes_x_first() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let lut = RouteLut::new(&t);
+        let t = TopologyKind::Mesh2D { k: 4 };
+        let lut = RouteLut::new(t);
         // from (0,0) to (2,3): x first
         assert_eq!(lut.dor_port(0, t.node_at(&[2, 3, 0, 0])), Some(port_plus(0)));
         // same column: y
@@ -694,7 +695,7 @@ mod tests {
 
     #[test]
     fn dor_port_torus_takes_short_way() {
-        let lut = RouteLut::new(&KAryNCube::torus(&[8, 8]));
+        let lut = RouteLut::new(TopologyKind::Torus2D { k: 8 });
         // (0,0) -> (7,0): wrap in -x (distance 1) beats +x (distance 7)
         assert_eq!(lut.dor_port(0, 7), Some(port_minus(0)));
         // distance 4 tie: deterministic positive
@@ -703,8 +704,8 @@ mod tests {
 
     #[test]
     fn minimal_ports_counts() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let lut = RouteLut::new(&t);
+        let t = TopologyKind::Mesh2D { k: 4 };
+        let lut = RouteLut::new(t);
         let both = lut.minimal_ports(0, t.node_at(&[2, 2, 0, 0]));
         assert_eq!(both.len(), 2);
         assert_eq!(both.get(0), port_plus(0), "DOR port first");
@@ -715,40 +716,40 @@ mod tests {
 
     #[test]
     fn dateline_detection() {
-        let t = KAryNCube::torus(&[4, 4]);
+        let t = TopologyKind::Torus2D { k: 4 };
         // node (3,0) going +x wraps
-        assert!(crosses_dateline(&t, 3, port_plus(0)));
-        assert!(!crosses_dateline(&t, 2, port_plus(0)));
+        assert!(crosses_dateline(t, 3, port_plus(0)));
+        assert!(!crosses_dateline(t, 2, port_plus(0)));
         // node (0,y) going -x wraps
-        assert!(crosses_dateline(&t, 0, port_minus(0)));
+        assert!(crosses_dateline(t, 0, port_minus(0)));
         // mesh never crosses
-        let m = KAryNCube::mesh(&[4, 4]);
-        assert!(!crosses_dateline(&m, 3, port_plus(0)));
+        let m = TopologyKind::Mesh2D { k: 4 };
+        assert!(!crosses_dateline(m, 3, port_plus(0)));
     }
 
     #[test]
     fn vcbook_single_class_mesh() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(2, 1, &dor, &t).unwrap();
+        let book = VcBook::new(2, 1, &dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b11);
         assert_eq!(book.injection(0), 0b11);
     }
 
     #[test]
     fn vcbook_two_classes() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(4, 2, &dor, &t).unwrap();
+        let book = VcBook::new(4, 2, &dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0011);
         assert_eq!(book.allowed(1, 0, false, false), 0b1100);
     }
 
     #[test]
     fn vcbook_torus_dateline_split() {
-        let t = KAryNCube::torus(&[4, 4]);
+        let t = TopologyKind::Torus2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(4, 2, &dor, &t).unwrap();
+        let book = VcBook::new(4, 2, &dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0001);
         assert_eq!(book.allowed(0, 0, true, false), 0b0010);
         assert_eq!(book.allowed(1, 0, false, false), 0b0100);
@@ -757,18 +758,18 @@ mod tests {
 
     #[test]
     fn vcbook_valiant_phases() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         let val = RoutingKind::Valiant;
-        let book = VcBook::new(2, 1, &val, &t).unwrap();
+        let book = VcBook::new(2, 1, &val, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b01);
         assert_eq!(book.allowed(0, 1, false, false), 0b10);
     }
 
     #[test]
     fn vcbook_adaptive_escape() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         let ma = RoutingKind::MinAdaptive;
-        let book = VcBook::new(2, 1, &ma, &t).unwrap();
+        let book = VcBook::new(2, 1, &ma, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, true), 0b01, "escape VC");
         assert_eq!(book.allowed(0, 0, false, false), 0b10, "adaptive VC");
         assert!(book.is_escape(0));
@@ -778,26 +779,26 @@ mod tests {
 
     #[test]
     fn vcbook_rejections() {
-        let t = KAryNCube::torus(&[4, 4]);
+        let t = TopologyKind::Torus2D { k: 4 };
         let dor = RoutingKind::Dor;
         // torus with 2 classes needs 4 VCs: 2 is rejected
-        assert!(VcBook::new(2, 2, &dor, &t).is_err());
+        assert!(VcBook::new(2, 2, &dor, t).is_err());
         // indivisible
-        let m = KAryNCube::mesh(&[4, 4]);
-        assert!(VcBook::new(3, 2, &dor, &m).is_err());
+        let m = TopologyKind::Mesh2D { k: 4 };
+        assert!(VcBook::new(3, 2, &dor, m).is_err());
         // adaptive torus needs 3 per block
         let ma = RoutingKind::MinAdaptive;
-        assert!(VcBook::new(2, 1, &ma, &t).is_err());
-        assert!(VcBook::new(3, 1, &ma, &t).is_ok());
+        assert!(VcBook::new(2, 1, &ma, t).is_err());
+        assert!(VcBook::new(3, 1, &ma, t).is_ok());
         // zero anything, or more VCs than the mask has bits
-        assert!(VcBook::new(0, 1, &dor, &m).is_err());
-        assert!(VcBook::new(65, 1, &dor, &m).is_err());
-        assert!(VcBook::new(64, 1, &dor, &m).is_ok());
+        assert!(VcBook::new(0, 1, &dor, m).is_err());
+        assert!(VcBook::new(65, 1, &dor, m).is_err());
+        assert!(VcBook::new(64, 1, &dor, m).is_ok());
     }
 
     #[test]
     fn advance_phase_transition() {
-        let lut = RouteLut::new(&KAryNCube::mesh(&[4, 4]));
+        let lut = RouteLut::new(TopologyKind::Mesh2D { k: 4 });
         let val = RoutingKind::Valiant;
         // packet at node 0 with intermediate 1 (one hop +x away):
         // the hop INTO the intermediate stays phase 0 (phase-0 VCs)...
@@ -816,7 +817,7 @@ mod tests {
 
     #[test]
     fn advance_tracks_dateline_and_dim_change() {
-        let lut = RouteLut::new(&KAryNCube::torus(&[4, 4]));
+        let lut = RouteLut::new(TopologyKind::Torus2D { k: 4 });
         let dor = RoutingKind::Dor;
         let s = RouteState::direct();
         // wrap hop in x

@@ -6,25 +6,24 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::config::RoutingKind;
+    use crate::config::{RoutingKind, TopologyKind};
     use crate::rng::SimRng;
-    use crate::topology::{KAryNCube, Topology};
 
     /// The walked path and the intermediate `init` drew (`usize::MAX`
     /// for a degenerate direct route).
-    fn walk(topo: &KAryNCube, src: usize, dst: usize, rng: &mut SimRng) -> (Vec<usize>, usize) {
+    fn walk(topo: TopologyKind, src: usize, dst: usize, rng: &mut SimRng) -> (Vec<usize>, usize) {
         let (path, init) = super::super::tests::walk(topo, RoutingKind::Valiant, src, dst, rng);
         (path, init.intermediate)
     }
 
     #[test]
     fn valiant_always_terminates_at_dst() {
-        let t = KAryNCube::mesh(&[4, 4]);
+        let t = TopologyKind::Mesh2D { k: 4 };
         let mut rng = SimRng::new(11);
         for s in 0..16 {
             for d in 0..16 {
                 for _ in 0..4 {
-                    let (path, _) = walk(&t, s, d, &mut rng);
+                    let (path, _) = walk(t, s, d, &mut rng);
                     assert_eq!(*path.last().unwrap(), d);
                 }
             }
@@ -33,10 +32,10 @@ mod tests {
 
     #[test]
     fn valiant_passes_through_intermediate() {
-        let t = KAryNCube::mesh(&[8, 8]);
+        let t = TopologyKind::Mesh2D { k: 8 };
         let mut rng = SimRng::new(3);
         for _ in 0..100 {
-            let (path, mid) = walk(&t, 0, 63, &mut rng);
+            let (path, mid) = walk(t, 0, 63, &mut rng);
             if mid != usize::MAX {
                 assert!(path.contains(&mid), "path {path:?} must visit {mid}");
             }
@@ -46,12 +45,12 @@ mod tests {
 
     #[test]
     fn valiant_path_length_is_two_phase_minimal() {
-        let t = KAryNCube::mesh(&[8, 8]);
+        let t = TopologyKind::Mesh2D { k: 8 };
         let mut rng = SimRng::new(5);
         for _ in 0..100 {
             let src = rng.below(64);
             let dst = rng.below(64);
-            let (path, mid) = walk(&t, src, dst, &mut rng);
+            let (path, mid) = walk(t, src, dst, &mut rng);
             let expect = if mid == usize::MAX {
                 t.min_hops(src, dst)
             } else {
@@ -63,7 +62,7 @@ mod tests {
 
     #[test]
     fn valiant_average_hops_exceed_minimal() {
-        let t = KAryNCube::mesh(&[8, 8]);
+        let t = TopologyKind::Mesh2D { k: 8 };
         let mut rng = SimRng::new(7);
         let mut val_hops = 0usize;
         let mut min_hops = 0usize;
@@ -74,7 +73,7 @@ mod tests {
             while dst == src {
                 dst = rng.below(64);
             }
-            let (path, _) = walk(&t, src, dst, &mut rng);
+            let (path, _) = walk(t, src, dst, &mut rng);
             val_hops += path.len() - 1;
             min_hops += t.min_hops(src, dst);
         }
@@ -84,11 +83,11 @@ mod tests {
 
     #[test]
     fn valiant_on_torus_terminates() {
-        let t = KAryNCube::torus(&[4, 4]);
+        let t = TopologyKind::Torus2D { k: 4 };
         let mut rng = SimRng::new(13);
         for s in 0..16 {
             for d in 0..16 {
-                let (path, _) = walk(&t, s, d, &mut rng);
+                let (path, _) = walk(t, s, d, &mut rng);
                 assert_eq!(*path.last().unwrap(), d);
             }
         }

@@ -3,9 +3,9 @@
 
 use std::fmt;
 
+use crate::config::TopologyKind;
 use crate::rng::SimRng;
 use crate::routing::{RouteLut, RoutingAlgorithm};
-use crate::topology::Topology;
 
 /// Why a route trace could not be completed.
 ///
@@ -76,7 +76,7 @@ impl std::error::Error for TraceError {}
 /// destination, or no termination within `4 * nodes` hops), so figure
 /// and verification code can report the failure and continue.
 pub fn trace_route(
-    topo: &dyn Topology,
+    topo: TopologyKind,
     routing: &dyn RoutingAlgorithm,
     src: usize,
     dst: usize,
@@ -121,12 +121,11 @@ mod tests {
     use super::*;
     use crate::config::RoutingKind::{Dor, Valiant};
     use crate::routing::{PortSet, RouteState};
-    use crate::topology::KAryNCube;
 
     #[test]
     fn dor_trace_corner_to_corner() {
-        let t = KAryNCube::mesh(&[8, 8]);
-        let path = trace_route(&t, &Dor, 0, 63, 1).unwrap();
+        let t = TopologyKind::Mesh2D { k: 8 };
+        let path = trace_route(t, &Dor, 0, 63, 1).unwrap();
         assert_eq!(path.len(), 15); // 14 hops
         assert_eq!(path[0], 0);
         assert_eq!(*path.last().unwrap(), 63);
@@ -134,20 +133,20 @@ mod tests {
 
     #[test]
     fn valiant_trace_visits_intermediate() {
-        let t = KAryNCube::mesh(&[8, 8]);
+        let t = TopologyKind::Mesh2D { k: 8 };
         // For corner-to-corner transpose partners, VAL's intermediate is in
         // the minimal rectangle with probability ~1 only when it happens to
         // be; just verify termination and variable length.
-        let p1 = trace_route(&t, &Valiant, 0, 63, 1).unwrap();
-        let p2 = trace_route(&t, &Valiant, 0, 63, 2).unwrap();
+        let p1 = trace_route(t, &Valiant, 0, 63, 1).unwrap();
+        let p2 = trace_route(t, &Valiant, 0, 63, 2).unwrap();
         assert_eq!(*p1.last().unwrap(), 63);
         assert_eq!(*p2.last().unwrap(), 63);
     }
 
     #[test]
     fn trace_self_is_trivial() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        assert_eq!(trace_route(&t, &Dor, 5, 5, 0).unwrap(), vec![5]);
+        let t = TopologyKind::Mesh2D { k: 4 };
+        assert_eq!(trace_route(t, &Dor, 5, 5, 0).unwrap(), vec![5]);
     }
 
     /// A routing function that ping-pongs between two neighbors forever.
@@ -165,7 +164,7 @@ mod tests {
         }
         fn init(
             &self,
-            _topo: &dyn Topology,
+            _topo: TopologyKind,
             _lut: &RouteLut,
             _src: usize,
             _dst: usize,
@@ -206,7 +205,7 @@ mod tests {
         }
         fn init(
             &self,
-            _topo: &dyn Topology,
+            _topo: TopologyKind,
             _lut: &RouteLut,
             _src: usize,
             _dst: usize,
@@ -232,8 +231,8 @@ mod tests {
 
     #[test]
     fn livelocked_routing_reports_instead_of_panicking() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let err = trace_route(&t, &PingPong, 0, 15, 0).unwrap_err();
+        let t = TopologyKind::Mesh2D { k: 4 };
+        let err = trace_route(t, &PingPong, 0, 15, 0).unwrap_err();
         match &err {
             TraceError::Unterminated { src, dst, hops, bound_exhausted, .. } => {
                 assert_eq!((*src, *dst), (0, 15));
@@ -247,8 +246,8 @@ mod tests {
 
     #[test]
     fn dead_port_reports_instead_of_panicking() {
-        let t = KAryNCube::mesh(&[4, 4]);
-        let err = trace_route(&t, &EdgeJumper, 0, 15, 0).unwrap_err();
+        let t = TopologyKind::Mesh2D { k: 4 };
+        let err = trace_route(t, &EdgeJumper, 0, 15, 0).unwrap_err();
         match &err {
             TraceError::Disconnected { at, path, .. } => {
                 assert_eq!(*at, 0);

@@ -4,23 +4,24 @@
 use proptest::prelude::*;
 
 use noc_sim::config::RoutingKind::{self, Dor, MinAdaptive, Romm, Valiant};
+use noc_sim::config::TopologyKind;
 use noc_sim::rng::SimRng;
 use noc_sim::routing::{crosses_dateline, RouteLut, RouteState, RoutingAlgorithm, VcBook};
-use noc_sim::topology::{port_minus, port_plus, KAryNCube, Topology};
+use noc_sim::topology::{port_minus, port_plus};
 
-fn topo_strategy() -> impl Strategy<Value = KAryNCube> {
-    (2usize..7, 2usize..7, prop::bool::ANY).prop_map(|(kx, ky, wrap)| {
-        if wrap {
-            KAryNCube::torus(&[kx, ky])
-        } else {
-            KAryNCube::mesh(&[kx, ky])
-        }
+/// The four variants: k in 2..=7, ring n in 2..=16.
+fn topo_strategy() -> impl Strategy<Value = TopologyKind> {
+    (0usize..4, 2usize..=7, 2usize..=16).prop_map(|(kind, k, n)| match kind {
+        0 => TopologyKind::Mesh2D { k },
+        1 => TopologyKind::Torus2D { k },
+        2 => TopologyKind::FoldedTorus2D { k },
+        _ => TopologyKind::Ring { n },
     })
 }
 
 /// Walk a route taking candidate index `pick % len` at each hop.
 fn walk(
-    topo: &KAryNCube,
+    topo: TopologyKind,
     algo: RoutingKind,
     src: usize,
     dst: usize,
@@ -48,10 +49,10 @@ fn walk(
 
 /// Independent geometric oracle for the one routing geometry the engine,
 /// the verifier and the analytic model all read: derives the productive
-/// ports from `Topology::{coords_of, neighbor, min_hops}` alone and
+/// ports from `TopologyKind::{coords_of, neighbor, min_hops}` alone and
 /// checks [`RouteLut`] against it for every node pair, then the dateline
 /// table against the free function it is filled from.
-fn assert_lut_matches_geometry(topo: &KAryNCube) {
+fn assert_lut_matches_geometry(topo: TopologyKind) {
     let lut = RouteLut::new(topo);
     for cur in 0..topo.num_nodes() {
         for target in 0..topo.num_nodes() {
@@ -97,13 +98,17 @@ fn assert_lut_matches_geometry(topo: &KAryNCube) {
 
 #[test]
 fn lut_matches_geometry_on_every_cube_kind() {
-    for topo in [
-        KAryNCube::mesh(&[4, 3]),
-        KAryNCube::torus(&[4, 5]),
-        KAryNCube::folded_torus(&[6, 2]),
-        KAryNCube::ring(8),
-    ] {
-        assert_lut_matches_geometry(&topo);
+    for k in 2..=7 {
+        for topo in [
+            TopologyKind::Mesh2D { k },
+            TopologyKind::Torus2D { k },
+            TopologyKind::FoldedTorus2D { k },
+        ] {
+            assert_lut_matches_geometry(topo);
+        }
+    }
+    for n in 2..=16 {
+        assert_lut_matches_geometry(TopologyKind::Ring { n });
     }
 }
 
@@ -112,7 +117,7 @@ proptest! {
 
     #[test]
     fn lut_matches_geometry_on_random_cubes(topo in topo_strategy()) {
-        assert_lut_matches_geometry(&topo);
+        assert_lut_matches_geometry(topo);
     }
 
     #[test]
@@ -121,7 +126,7 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let src = rng.below(n);
         let dst = rng.below(n);
-        let path = walk(&topo, Dor, src, dst, seed, false);
+        let path = walk(topo, Dor, src, dst, seed, false);
         prop_assert_eq!(*path.last().unwrap(), dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
@@ -135,11 +140,11 @@ proptest! {
         let mut rng = SimRng::new(seed ^ 1);
         let src = rng.below(n);
         let dst = rng.below(n);
-        let lut = RouteLut::new(&topo);
+        let lut = RouteLut::new(topo);
         for algo in [Valiant, Romm] {
             let mut init_rng = SimRng::new(seed);
-            let state = algo.init(&topo, &lut, src, dst, &mut init_rng);
-            let path = walk(&topo, algo, src, dst, seed, false);
+            let state = algo.init(topo, &lut, src, dst, &mut init_rng);
+            let path = walk(topo, algo, src, dst, seed, false);
             prop_assert_eq!(*path.last().unwrap(), dst, "{} must reach dst", algo.name());
             if state.intermediate != usize::MAX {
                 prop_assert!(path.contains(&state.intermediate),
@@ -158,7 +163,7 @@ proptest! {
         let src = rng.below(n);
         let dst = rng.below(n);
         // even when an adversary picks among candidates, MA stays minimal
-        let path = walk(&topo, MinAdaptive, src, dst, seed, true);
+        let path = walk(topo, MinAdaptive, src, dst, seed, true);
         prop_assert_eq!(*path.last().unwrap(), dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
@@ -170,7 +175,7 @@ proptest! {
         let src = rng.below(n);
         let dst = rng.below(n);
         prop_assume!(src != dst);
-        let lut = RouteLut::new(&topo);
+        let lut = RouteLut::new(topo);
         let ports = lut.minimal_ports(src, dst);
         prop_assert!(!ports.is_empty());
         let d0 = topo.min_hops(src, dst);
@@ -203,7 +208,7 @@ proptest! {
         let need = if topo.has_wrap() { 2 } else { 1 };
         let block = vcs_per_block.max(need);
         let vcs = classes * block;
-        let book = match VcBook::new(vcs, classes, &Dor, &topo) {
+        let book = match VcBook::new(vcs, classes, &Dor, topo) {
             Ok(b) => b,
             Err(_) => return Ok(()), // undersized combos are rejected, fine
         };
@@ -230,9 +235,9 @@ proptest! {
         k in 3usize..7,
         classes in 1usize..3,
     ) {
-        let topo = KAryNCube::torus(&[k, k]);
+        let topo = TopologyKind::Torus2D { k };
         let vcs = classes * 2;
-        let book = VcBook::new(vcs, classes, &Dor, &topo).unwrap();
+        let book = VcBook::new(vcs, classes, &Dor, topo).unwrap();
         for c in 0..classes {
             let lo = book.allowed(c, 0, false, false);
             let hi = book.allowed(c, 0, true, false);

@@ -14,6 +14,6 @@ pub mod pattern;
 pub mod process;
 pub mod size;
 
-pub use pattern::{PatternKind, TrafficPattern};
+pub use pattern::{Pattern, PatternKind};
 pub use process::{Bernoulli, InjectionProcess, OnOff};
 pub use size::{SizeDist, SizeKind};

@@ -1,7 +1,7 @@
 //! Spatial traffic patterns: who talks to whom.
 //!
 //! [`PatternKind`] is the one definition of each pattern: how it draws
-//! a destination ([`PatternKind::build`]), the exact distribution of
+//! a destination ([`PatternKind::build`] and [`Pattern::dest`]), the exact distribution of
 //! that draw ([`PatternKind::row`]), its wire name (`Display` and
 //! [`PatternKind::parse`]) and the topologies it is defined on
 //! ([`PatternKind::validate`]). Permutation patterns (transpose, bit
@@ -17,13 +17,6 @@ use std::fmt;
 use noc_sim::config::TopologyKind;
 use noc_sim::error::ConfigError;
 use noc_sim::rng::SimRng;
-
-/// A spatial traffic pattern: maps a source to a destination, possibly
-/// randomly.
-pub trait TrafficPattern: Send + Sync {
-    /// Destination for a packet sourced at `src`.
-    fn dest(&self, src: usize, rng: &mut SimRng) -> usize;
-}
 
 /// Serializable pattern selector for experiment configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,8 +120,8 @@ impl PatternKind {
 
     /// Instantiate for a network of `nodes` nodes arranged `k x k`
     /// (coordinate patterns use `k`; bit patterns use `nodes`).
-    pub fn build(&self, nodes: usize, k: usize) -> Box<dyn TrafficPattern> {
-        Box::new(Pattern { kind: *self, nodes, k })
+    pub fn build(&self, nodes: usize, k: usize) -> Pattern {
+        Pattern { kind: *self, nodes, k }
     }
 
     /// True for the fixed permutations, whose `dest` never draws: every
@@ -172,8 +165,10 @@ impl PatternKind {
     }
 }
 
-/// A [`PatternKind`] instantiated on `nodes` nodes arranged `k x k`.
-struct Pattern {
+/// A [`PatternKind`] instantiated on `nodes` nodes arranged `k x k`:
+/// maps a source to a destination, possibly randomly.
+#[derive(Debug, Clone, Copy)]
+pub struct Pattern {
     kind: PatternKind,
     nodes: usize,
     k: usize,
@@ -193,8 +188,9 @@ fn uniform(nodes: usize, src: usize, rng: &mut SimRng) -> usize {
     }
 }
 
-impl TrafficPattern for Pattern {
-    fn dest(&self, src: usize, rng: &mut SimRng) -> usize {
+impl Pattern {
+    /// Destination for a packet sourced at `src`.
+    pub fn dest(&self, src: usize, rng: &mut SimRng) -> usize {
         let (n, k) = (self.nodes, self.k);
         match self.kind {
             PatternKind::Uniform => uniform(n, src, rng),

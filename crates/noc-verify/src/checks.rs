@@ -5,17 +5,12 @@
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
 use noc_sim::error::ConfigError;
-use noc_sim::topology::{Topology, LOCAL_PORT};
 
 use crate::report::{Finding, Severity};
 
 /// Run every static check and collect findings; `deficiencies` are the
 /// block minima the relaxed VC partition violates.
-pub fn static_checks(
-    cfg: &NetConfig,
-    topo: &dyn Topology,
-    deficiencies: &[ConfigError],
-) -> Vec<Finding> {
+pub fn static_checks(cfg: &NetConfig, deficiencies: &[ConfigError]) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // The simulator's own validation is the ground truth for whether
@@ -37,14 +32,14 @@ pub fn static_checks(
         });
     }
 
-    topology_checks(cfg, topo, &mut findings);
-    buffer_checks(cfg, topo, &mut findings);
+    topology_checks(cfg, &mut findings);
+    buffer_checks(cfg, &mut findings);
     findings
 }
 
 /// Routing/topology pairings that are legal but degenerate.
-fn topology_checks(cfg: &NetConfig, topo: &dyn Topology, findings: &mut Vec<Finding>) {
-    if cfg.routing == RoutingKind::MinAdaptive && topo.dims() == 1 {
+fn topology_checks(cfg: &NetConfig, findings: &mut Vec<Finding>) {
+    if cfg.routing == RoutingKind::MinAdaptive && cfg.topology.dims() == 1 {
         findings.push(Finding {
             severity: Severity::Info,
             check: "routing-topology",
@@ -60,7 +55,7 @@ fn topology_checks(cfg: &NetConfig, topo: &dyn Topology, findings: &mut Vec<Find
             message: "ring with <= 2 nodes has no wraparound distinct from direct links".into(),
         });
     }
-    if cfg.routing == RoutingKind::Valiant && !topo.has_wrap() {
+    if cfg.routing == RoutingKind::Valiant && !cfg.topology.has_wrap() {
         findings.push(Finding {
             severity: Severity::Info,
             check: "routing-topology",
@@ -74,19 +69,9 @@ fn topology_checks(cfg: &NetConfig, topo: &dyn Topology, findings: &mut Vec<Find
 /// Full per-VC throughput needs the buffer to cover the credit
 /// round-trip: forward flit traversal (router pipeline + link) plus the
 /// credit's return trip (one cycle of credit generation + link).
-fn buffer_checks(cfg: &NetConfig, topo: &dyn Topology, findings: &mut Vec<Finding>) {
-    let mut max_delay = 0u32;
-    for node in 0..topo.num_nodes() {
-        for port in 0..topo.num_ports() {
-            if port == LOCAL_PORT {
-                continue;
-            }
-            if topo.neighbor(node, port).is_some() {
-                max_delay = max_delay.max(topo.link_delay(node, port));
-            }
-        }
-    }
-    let rtt = cfg.router_delay as usize + 2 * max_delay as usize + 1;
+fn buffer_checks(cfg: &NetConfig, findings: &mut Vec<Finding>) {
+    let link_delay = cfg.topology.link_delay();
+    let rtt = cfg.router_delay as usize + 2 * link_delay as usize + 1;
     if cfg.vc_buf < rtt {
         findings.push(Finding {
             severity: Severity::Warning,
@@ -95,7 +80,7 @@ fn buffer_checks(cfg: &NetConfig, topo: &dyn Topology, findings: &mut Vec<Findin
                 "vc_buf = {} is below the worst-case credit round-trip of {rtt} cycles \
                  (router {} + 2 x link {} + 1); a single VC cannot sustain full link \
                  throughput",
-                cfg.vc_buf, cfg.router_delay, max_delay
+                cfg.vc_buf, cfg.router_delay, link_delay
             ),
         });
     }

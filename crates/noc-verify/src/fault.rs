@@ -18,10 +18,9 @@
 
 use std::fmt;
 
-use noc_sim::config::NetConfig;
+use noc_sim::config::{NetConfig, TopologyKind};
 use noc_sim::error::ConfigError;
 use noc_sim::network::fault::{validate_events, FaultEvent, SurvivorTable};
-use noc_sim::topology::Topology;
 
 /// A concrete unreachable pair proving the surviving topology is
 /// partitioned.
@@ -110,8 +109,8 @@ pub fn check_fault_connectivity(
     events: &[FaultEvent],
 ) -> Result<FaultReport, ConfigError> {
     cfg.topology.validate()?;
-    let topo = cfg.topology.build();
-    validate_events(events, topo.as_ref())?;
+    let topo = cfg.topology;
+    validate_events(events, topo)?;
     let n = topo.num_nodes();
     let ports1 = topo.num_ports() - 1;
 
@@ -152,7 +151,7 @@ pub fn check_fault_connectivity(
     );
 
     // the table itself drops every channel of a dead router
-    let survivors = SurvivorTable::build(topo.as_ref(), &link_failed, &dead_router);
+    let survivors = SurvivorTable::build(topo, &link_failed, &dead_router);
     for &src in &live {
         let mut cut = live.iter().filter(|&&d| !survivors.reachable(src, d));
         if let Some(&dst) = cut.next() {
@@ -176,7 +175,7 @@ pub fn check_fault_connectivity(
 /// Every directed fault event (both link directions) isolating `node`
 /// on `topo` — a convenient way to construct a guaranteed-partitioned
 /// scenario in tests.
-pub fn isolate_node_events(topo: &dyn Topology, node: usize, cycle: u64) -> Vec<FaultEvent> {
+pub fn isolate_node_events(topo: TopologyKind, node: usize, cycle: u64) -> Vec<FaultEvent> {
     let mut events = Vec::new();
     for p in 1..topo.num_ports() {
         if let Some((v, vp)) = topo.neighbor(node, p) {
@@ -190,8 +189,6 @@ pub fn isolate_node_events(topo: &dyn Topology, node: usize, cycle: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::config::{NetConfig, TopologyKind};
-
     fn mesh4() -> NetConfig {
         NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 })
     }
@@ -207,7 +204,7 @@ mod tests {
     fn one_mesh_link_pair_is_survivable() {
         // failing one bidirectional link of a mesh leaves it connected
         let cfg = mesh4();
-        let topo = cfg.topology.build();
+        let topo = cfg.topology;
         let (v, vp) = topo.neighbor(5, 1).unwrap();
         let events = [
             FaultEvent::LinkFail { cycle: 0, router: 5, port: 1 },
@@ -221,8 +218,8 @@ mod tests {
     #[test]
     fn isolated_corner_is_refuted_with_witness() {
         let cfg = mesh4();
-        let topo = cfg.topology.build();
-        let events = isolate_node_events(topo.as_ref(), 0, 0);
+        let topo = cfg.topology;
+        let events = isolate_node_events(topo, 0, 0);
         let r = check_fault_connectivity(&cfg, &events).unwrap();
         let FaultVerdict::Refuted { witness } = &r.verdict else {
             panic!("expected refutation, got {r}");
@@ -239,8 +236,8 @@ mod tests {
         // the intact mesh, so the verdict must be Certified with no
         // failed channels left
         let cfg = mesh4();
-        let topo = cfg.topology.build();
-        let mut events = isolate_node_events(topo.as_ref(), 0, 10);
+        let topo = cfg.topology;
+        let mut events = isolate_node_events(topo, 0, 10);
         let repairs: Vec<FaultEvent> = events
             .iter()
             .map(|e| match *e {
@@ -263,8 +260,8 @@ mod tests {
         // fail two links of node 0's corner, repair only one: the end
         // state has one dead bidirectional link and stays connected
         let cfg = mesh4();
-        let topo = cfg.topology.build();
-        let mut events = isolate_node_events(topo.as_ref(), 0, 10); // 2 links, 4 events
+        let topo = cfg.topology;
+        let mut events = isolate_node_events(topo, 0, 10); // 2 links, 4 events
         assert_eq!(events.len(), 4);
         let FaultEvent::LinkFail { router, port, .. } = events[0] else { panic!() };
         let (v, vp) = topo.neighbor(router, port).unwrap();

@@ -80,10 +80,10 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
         let message = format!("rejected by the simulator: {e}");
         return unanalyzable(desc, format!("unanalyzable topology: {e}"), "config", message);
     }
-    let topo = cfg.topology.build();
+    let topo = cfg.topology;
     let config_desc = desc(&topo.name());
 
-    let (book, deficiencies) = match VcBook::relaxed(cfg.vcs, cfg.classes, routing, &*topo) {
+    let (book, deficiencies) = match VcBook::relaxed(cfg.vcs, cfg.classes, routing, topo) {
         Ok(relaxed) => relaxed,
         Err(e) => {
             let why = format!("unanalyzable VC partition: {e}");
@@ -91,8 +91,8 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
         }
     };
 
-    let findings = checks::static_checks(cfg, &*topo, &deficiencies);
-    let build = routes::build_cdg(cfg, &*topo, &book);
+    let findings = checks::static_checks(cfg, &deficiencies);
+    let build = routes::build_cdg(cfg, &book);
     let stats = CdgStats {
         channels: build.cdg.num_channels(),
         edges: build.cdg.num_edges(),
@@ -104,7 +104,7 @@ pub fn verify(cfg: &NetConfig) -> VerifyReport {
             let channels = cycle
                 .iter()
                 .map(|&id| {
-                    let (router, port, vc) = routes::decode_channel(&*topo, id, book.vcs());
+                    let (router, port, vc) = routes::decode_channel(topo, id, book.vcs());
                     let dst_router =
                         topo.neighbor(router, port).expect("witness channels lie on live links").0;
                     ChannelRef { router, port, dst_router, vc }

@@ -130,17 +130,16 @@ fn vcbook_new_is_relaxed_with_its_first_deficiency_as_the_error() {
     let routings =
         [RoutingKind::Dor, RoutingKind::Valiant, RoutingKind::Romm, RoutingKind::MinAdaptive];
     let (mut deficient, mut refused) = (0, 0);
-    for topo_kind in topos {
+    for topo in topos {
         for routing_kind in routings {
-            let topo = topo_kind.build();
             for classes in 1..=2usize {
                 let blocks = classes * routing_kind.num_phases();
                 let even = (1..=4).map(|block| blocks * block);
                 for vcs in even.flat_map(|vcs| [vcs, vcs + 1]).chain([0, 65]) {
-                    let at = format!("{topo_kind:?} {routing_kind:?} vcs={vcs} classes={classes}");
-                    let strict = VcBook::new(vcs, classes, &routing_kind, &*topo);
+                    let at = format!("{topo:?} {routing_kind:?} vcs={vcs} classes={classes}");
+                    let strict = VcBook::new(vcs, classes, &routing_kind, topo);
                     let (book, deficiencies) =
-                        match VcBook::relaxed(vcs, classes, &routing_kind, &*topo) {
+                        match VcBook::relaxed(vcs, classes, &routing_kind, topo) {
                             Ok(relaxed) => relaxed,
                             Err(e) => {
                                 assert_eq!(strict.unwrap_err(), e, "{at}");

@@ -31,7 +31,7 @@ fn main() {
             .expect("valid configuration");
 
             // network view: zero-load latency + latency at the achieved load
-            let t0 = noc_openloop::zero_load_latency_bound(&net);
+            let t0 = noc_openloop::zero_load_latency_bound(&net).expect("valid configuration");
             let at_theta = noc_openloop::measure(&OpenLoopConfig {
                 net,
                 load: batch.throughput,

@@ -1,8 +1,9 @@
 //! Property-based invariants over the whole stack (proptest): packet
 //! conservation, deterministic replay, latency lower bounds, and batch
 //! accounting, across randomized configurations; every closed-loop
-//! runner refusing or finishing hostile configs; and one traffic-pattern
-//! validity rule, checked against the generator and every runner.
+//! runner refusing or finishing hostile configs; one traffic-pattern
+//! validity rule, checked against the generator and every runner; and
+//! one topology rule, checked against every library entry point.
 
 use proptest::prelude::*;
 
@@ -121,7 +122,6 @@ proptest! {
         let mut net = Network::new(cfg).unwrap();
         let mut b = Script { sends, delivered: Vec::new(), min_hops_violations: 0, net_info: pairs };
         prop_assert!(net.drain(&mut b, 200_000));
-        let t = TopologyKind::Mesh2D { k: 4 }.build();
         // uid order == pull order == net_info order
         for &(uid, latency) in &b.delivered {
             let (src, dst) = b.net_info[uid as usize];
@@ -129,7 +129,7 @@ proptest! {
                 // local delivery bypasses the fabric at exactly tr + 1
                 prop_assert_eq!(latency, tr as u64 + 1);
             } else {
-                let h = t.min_hops(src, dst) as u64;
+                let h = topo.min_hops(src, dst) as u64;
                 let bound = h * (tr as u64 + 1) + tr as u64;
                 prop_assert!(latency >= bound,
                     "latency {} beats physics bound {} for {}->{}", latency, bound, src, dst);
@@ -369,7 +369,7 @@ fn one_pattern_rule_matches_the_generator_and_every_runner() {
     for topo in topologies {
         // 4 VCs: the batch model's two classes validate on every topology
         let net = NetConfig::baseline().with_topology(topo).with_vcs(4);
-        let (nodes, k) = (topo.num_nodes(), topo.build().radix(0));
+        let (nodes, k) = (topo.num_nodes(), topo.radix(0));
         for pattern in patterns {
             let err = match pattern.validate(&topo) {
                 Ok(()) => {
@@ -412,4 +412,72 @@ fn one_pattern_rule_matches_the_generator_and_every_runner() {
     // patterns on the four square grids, the bit patterns on the four
     // power-of-two node counts
     assert_eq!(accepted, 6 + 6 + 3 * 4 + 3 * 4);
+}
+
+/// Every library entry point refuses a topology `TopologyKind::validate`
+/// refuses with that identical error, and never panics: the simulator,
+/// the open-loop and analytic paths, every closed-loop runner, both
+/// fault sweeps and the fault lint. `verify` answers `Unknown` with one
+/// `config` error finding instead. This runs with overflow checks on,
+/// so geometry computed before validation (`k * k` at `usize::MAX`)
+/// would panic.
+#[test]
+fn hostile_topologies_are_refused_before_any_geometry() {
+    use noc_verify::{Severity, Verdict};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    /// One entry point, called with the hostile config bound below.
+    type Entry<'a> = (&'static str, &'a dyn Fn() -> Result<(), ConfigError>);
+
+    let hostile = [
+        TopologyKind::Mesh2D { k: 0 },
+        TopologyKind::Mesh2D { k: 1 },
+        TopologyKind::Mesh2D { k: 65 },
+        TopologyKind::Mesh2D { k: usize::MAX },
+        TopologyKind::Torus2D { k: 1 },
+        TopologyKind::FoldedTorus2D { k: 0 },
+        TopologyKind::Ring { n: 0 },
+        TopologyKind::Ring { n: 1 },
+        TopologyKind::Ring { n: 5000 },
+        TopologyKind::Ring { n: usize::MAX },
+    ];
+    let profile = noc_workloads::all_benchmarks()[0];
+    for topo in hostile {
+        let want = topo.validate().unwrap_err();
+        assert!(matches!(want, ConfigError::Parameter { name: "topology", .. }), "{want}");
+        let net = NetConfig::baseline().with_topology(topo).with_vcs(4);
+        let open = OpenLoopConfig { net: net.clone(), ..OpenLoopConfig::default() };
+        let batch = BatchConfig { net: net.clone(), ..BatchConfig::default() };
+        let barrier = BarrierConfig { net: net.clone(), ..BarrierConfig::default() };
+        let cmp = CmpConfig { net: net.clone(), ..CmpConfig::table2(profile) };
+        let degradation = noc_fault::DegradationConfig::new(open.clone(), 2);
+        let resilience = noc_fault::ResilienceConfig::new(open.clone(), vec![(400, 60)]);
+        let entries: [Entry; 12] = [
+            ("Network::new", &|| Network::new(net.clone()).map(drop)),
+            ("measure", &|| noc_openloop::measure(&open).map(drop)),
+            ("measure_budgeted", &|| noc_openloop::measure_budgeted(&open, 1 << 20).map(drop)),
+            ("AnalyticModel::of", &|| {
+                AnalyticModel::of(&net, PatternKind::Uniform, SizeKind::Fixed(1)).map(drop)
+            }),
+            ("zero_load_latency_bound", &|| noc_openloop::zero_load_latency_bound(&net).map(drop)),
+            ("run_batch", &|| noc_closedloop::run_batch(&batch).map(drop)),
+            ("record_batch", &|| noc_trace::record_batch(&batch).map(drop)),
+            ("run_barrier", &|| noc_closedloop::run_barrier(&barrier).map(drop)),
+            ("run_cmp", &|| cmp_sim::run_cmp(&cmp).map(drop)),
+            ("degradation_sweep", &|| noc_fault::degradation_sweep(&degradation).map(drop)),
+            ("resilience_sweep", &|| noc_fault::resilience_sweep(&resilience).map(drop)),
+            ("check_fault_connectivity", &|| {
+                noc_verify::check_fault_connectivity(&net, &[]).map(drop)
+            }),
+        ];
+        for (entry, call) in entries {
+            let got = catch_unwind(AssertUnwindSafe(call))
+                .unwrap_or_else(|_| panic!("{entry} panicked on {topo:?}"));
+            assert_eq!(got, Err(want.clone()), "{entry} on {topo:?}");
+        }
+        let report = catch_unwind(|| noc_verify::verify(&net))
+            .unwrap_or_else(|_| panic!("verify panicked on {topo:?}"));
+        assert!(matches!(report.verdict, Verdict::Unknown(_)), "{topo:?}: {report}");
+        let [finding] = &report.findings[..] else { panic!("{topo:?}: {report}") };
+        assert_eq!((finding.severity, finding.check), (Severity::Error, "config"), "{topo:?}");
+    }
 }

@@ -186,7 +186,7 @@ fn latency_load_curve_shape() {
     };
     let lo = measure(0.05);
     let mid = measure(0.3);
-    let t0 = noc_openloop::zero_load_latency_bound(&NetConfig::baseline());
+    let t0 = noc_openloop::zero_load_latency_bound(&NetConfig::baseline()).unwrap();
     assert!(lo.stable && mid.stable);
     assert!(lo.avg_latency >= t0 * 0.9);
     assert!(mid.avg_latency > lo.avg_latency);
