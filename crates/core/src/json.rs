@@ -4,7 +4,9 @@
 //! and arrays — flat on the wire, at most two arrays deep in files —
 //! so the codec is small. The reader ([`Record::parse`]) tokenises its
 //! input once into borrowed `(key, raw value)` pairs and decodes values
-//! on demand into the type the caller asks for; malformed text, a
+//! on demand into the type the caller asks for. Whitespace between
+//! tokens is RFC 8259's four bytes (space, tab, LF, CR) and nothing
+//! else. Malformed text (other Unicode whitespace included), a
 //! duplicated key, a value of the wrong type and an integer that does
 //! not fit are each an `Err(String)` naming the field, never a panic
 //! or a silent wrap, and unknown keys are ignored. The writer ([`Obj`])
@@ -12,9 +14,19 @@
 
 use std::fmt::{Display, Write as _};
 
+/// JSON's whitespace (RFC 8259 §2): space, tab, LF and CR. No other
+/// character — U+00A0 and U+2028 included — separates tokens.
+pub const WHITESPACE: [char; 4] = [' ', '\t', '\n', '\r'];
+
+/// `s` without its leading [`WHITESPACE`], skipped byte by byte.
+fn skip_ws(s: &str) -> &str {
+    let n = s.bytes().take_while(|&b| WHITESPACE.contains(&(b as char))).count();
+    &s[n..]
+}
+
 /// Consume `c` from the front of `rest`, after any whitespace.
 fn eat(rest: &mut &str, c: char) -> bool {
-    let trimmed = rest.trim_start();
+    let trimmed = skip_ws(rest);
     *rest = trimmed.strip_prefix(c).unwrap_or(trimmed);
     rest.len() < trimmed.len()
 }
@@ -54,7 +66,7 @@ const MAX_DEPTH: usize = 5;
 /// Split one value — a scalar, or an array or object of values — off
 /// the front of `rest`, checked but not decoded.
 fn value<'a>(rest: &mut &'a str, depth: usize) -> Result<&'a str, String> {
-    let start = rest.trim_start();
+    let start = skip_ws(rest);
     *rest = start;
     if depth > MAX_DEPTH {
         return Err("nested too deep".into());
@@ -62,7 +74,7 @@ fn value<'a>(rest: &mut &'a str, depth: usize) -> Result<&'a str, String> {
     if eat(rest, '[') {
         while !eat(rest, ']') {
             value(rest, depth + 1)?;
-            if !eat(rest, ',') && !rest.trim_start().starts_with(']') {
+            if !eat(rest, ',') && !skip_ws(rest).starts_with(']') {
                 return Err("unterminated array".into());
             }
         }
@@ -99,7 +111,7 @@ impl<'a> Record<'a> {
         if !comma {
             eat(&mut rest, ',');
         }
-        if closed != braced || (braced && comma) || !rest.trim_start().is_empty() {
+        if closed != braced || (braced && comma) || !skip_ws(rest).is_empty() {
             return Err(format!("malformed record at byte {}", text.len() - rest.len()));
         }
         Ok(rec)
@@ -109,8 +121,8 @@ impl<'a> Record<'a> {
     /// comma read had no member after it.
     fn read_members(&mut self, rest: &mut &'a str, depth: usize) -> Result<bool, String> {
         let mut comma = false;
-        while rest.trim_start().starts_with('"') {
-            *rest = rest.trim_start();
+        while skip_ws(rest).starts_with('"') {
+            *rest = skip_ws(rest);
             let key = scalar(rest)?;
             let key = &key[1..key.len() - 1];
             if !eat(rest, ':') {
@@ -284,30 +296,39 @@ impl Obj {
         Self { buf: String::new(), per_line: true }.str("schema", schema)
     }
 
-    fn key(&mut self, key: &str) {
+    /// The separator before a member, when one came before it.
+    fn key_separator(&mut self) {
         if !self.buf.is_empty() {
             self.buf.push_str(if self.per_line { ",\n  " } else { ", " });
         }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.key_separator();
         self.buf.push('"');
         self.buf.push_str(key);
         self.buf.push_str("\": ");
     }
 
     /// A string member, with quotes, backslashes and control
-    /// characters escaped.
+    /// characters escaped. A string with none of them is copied whole.
     pub fn str(mut self, key: &str, v: &str) -> Self {
         self.key(key);
         self.buf.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\r' => self.buf.push_str("\\r"),
-                '\t' => self.buf.push_str("\\t"),
-                c if (c as u32) < 0x20 => drop(write!(self.buf, "\\u{:04x}", c as u32)),
-                c => self.buf.push(c),
+        if v.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+            for c in v.chars() {
+                match c {
+                    '"' => self.buf.push_str("\\\""),
+                    '\\' => self.buf.push_str("\\\\"),
+                    '\n' => self.buf.push_str("\\n"),
+                    '\r' => self.buf.push_str("\\r"),
+                    '\t' => self.buf.push_str("\\t"),
+                    c if (c as u32) < 0x20 => drop(write!(self.buf, "\\u{:04x}", c as u32)),
+                    c => self.buf.push(c),
+                }
             }
+        } else {
+            self.buf.push_str(v);
         }
         self.buf.push('"');
         self
@@ -345,6 +366,16 @@ impl Obj {
     pub fn arr<D: Display>(self, key: &str, items: impl IntoIterator<Item = D>) -> Self {
         let items: Vec<String> = items.into_iter().map(|item| item.to_string()).collect();
         self.val(key, format_args!("[{}]", items.join(", ")))
+    }
+
+    /// Members already rendered by [`Obj::fragment`], appended after the
+    /// usual separator.
+    pub fn splice(mut self, members: &str) -> Self {
+        if !members.is_empty() {
+            self.key_separator();
+            self.buf.push_str(members);
+        }
+        self
     }
 
     /// The bare members, no braces.
@@ -445,6 +476,23 @@ mod tests {
     }
 
     #[test]
+    fn whitespace_is_the_four_json_bytes() {
+        let line = "\t{ \"a\" :\r\n1 ,\"b\": [ 2 ,3 ] } \n";
+        let rec = Record::parse(line).unwrap();
+        assert_eq!(rec.req::<u64>("a").unwrap(), 1);
+        assert_eq!(rec.req::<Vec<u64>>("b").unwrap(), vec![2, 3]);
+        // U+00A0, U+3000, U+2028 and U+0085 are Unicode White_Space, not JSON's
+        for bad in [
+            "{\"schema\":\u{a0}\"noc-eval/serve/v1\",\u{3000}\"req\": \"health\"}",
+            "\u{2028}{\"a\": 1}\u{85}",
+            "{\"a\": 1}\u{85}",
+            "{\"a\": [1,\u{2028}2]}",
+        ] {
+            assert!(Record::parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    #[test]
     fn arrays_hold_numbers_strings_and_records() {
         let rec = Record::parse(
             r#"{"loads": [0.05, 1e-7, 3], "names": ["a,b", "c]\"d"], "none": [], "rows": [{"k": 1}, {"k": 2}]}"#,
@@ -464,6 +512,8 @@ mod tests {
     fn the_writer_owns_separators_and_the_document_shape() {
         let obj = Obj::new().str("s", "a\"b").val("n", 7).opt("gone", None::<u64>).f64("f", -0.0);
         assert_eq!(obj.clone().fragment(), r#""s": "a\"b", "n": 7, "f": -0.0"#);
+        let spliced = Obj::new().str("s", "a\"b").splice(r#""n": 7"#).splice("").f64("f", -0.0);
+        assert_eq!(spliced.fragment(), obj.clone().fragment());
         assert_eq!(obj.object(), r#"{"s": "a\"b", "n": 7, "f": -0.0}"#);
         let doc = Obj::document("t/v1")
             .fixed("x", 0.125, 2)

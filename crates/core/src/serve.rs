@@ -26,7 +26,11 @@
 //!   the service WAL, so a replayed (cached) answer is bit-identical
 //!   to the originally computed one. Floats are emitted with Rust's
 //!   shortest round-trip formatting (`{:?}`), which parses back to the
-//!   same bits.
+//!   same bits. A result line is rendered by one renderer in two
+//!   halves, [`result_tail`] (key, `cached`, `attempts`, fragment) and
+//!   [`result_line`] (the head, then a tail), so the service can keep
+//!   a cached answer's tail and splice it under any batch and point;
+//!   [`ServeResult::to_json`] goes through the same two functions.
 //! * **One reader, typed failures.** Every line is tokenised once by
 //!   [`crate::json::Record`]; string fields (shed reasons, panic
 //!   messages) may contain quotes, backslashes, and control characters;
@@ -34,6 +38,8 @@
 //!   that does not fit the field it is read into, any duplicated key,
 //!   any value of the wrong type — is a typed `Err(String)` naming the
 //!   field: never a panic, never a silent wrap or drop.
+
+use std::fmt::{self, Write as _};
 
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
@@ -81,13 +87,25 @@ fn parse_net(rec: &Record<'_>) -> Result<NetConfig, String> {
     })
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, fed piece by piece: it streams, so hashing a string's pieces
+/// in order gives the hash of the whole string.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -237,12 +255,51 @@ impl PointRequest {
             self.drain_max,
             self.budget.map(|b| b as i128).unwrap_or(-1),
         );
-        fnv1a(desc.as_bytes())
+        let mut h = Fnv::default();
+        let _ = h.write_str(&desc);
+        h.0
     }
 
     /// Result-cache / WAL key: `"{config digest:016x}:{seed:016x}"`.
     pub fn key(&self) -> String {
         format!("{:016x}:{:016x}", self.digest(), self.net.seed)
+    }
+
+    /// The digest's state after the descriptor's shared prefix, the
+    /// fields from `topology` through `packet_size`: what every point of
+    /// one sweep pattern has in common.
+    pub fn digest_prefix(&self) -> DigestPrefix {
+        let mut h = Fnv::default();
+        let _ = write!(
+            h,
+            "{}|{}|{}|{}|{}|{}|{}|{}|",
+            topology_name(self.net.topology),
+            routing_name(self.net.routing),
+            arb_name(self.net.arbitration),
+            self.net.vcs,
+            self.net.vc_buf,
+            self.net.router_delay,
+            self.pattern,
+            self.packet_size,
+        );
+        DigestPrefix(h)
+    }
+
+    /// [`PointRequest::key`], hashing only the point's own fields on top
+    /// of `prefix`, which must be [`PointRequest::digest_prefix`] of a
+    /// point sharing this one's prefix fields. The bytes are the same.
+    pub fn key_from(&self, prefix: &DigestPrefix) -> String {
+        let mut h = prefix.0;
+        let _ = write!(
+            h,
+            "{}|{}|{}|{}|{}",
+            self.load.to_bits(),
+            self.warmup,
+            self.measure,
+            self.drain_max,
+            self.budget.map(|b| b as i128).unwrap_or(-1),
+        );
+        format!("{:016x}:{:016x}", h.0, self.net.seed)
     }
 
     /// Emit the request as one `noc-eval/serve/v1` line.
@@ -277,6 +334,11 @@ impl PointRequest {
         })
     }
 }
+
+/// [`PointRequest::digest_prefix`]: the hash state a sweep pattern's
+/// points share, so each point hashes only its own fields.
+#[derive(Debug, Clone, Copy)]
+pub struct DigestPrefix(Fnv);
 
 // ---------------------------------------------------------------------------
 // Server-side sweep expansion
@@ -688,15 +750,12 @@ pub struct ServeResult {
 
 impl ServeResult {
     /// Emit the result as one `noc-eval/serve/v1` line; the outcome
-    /// portion is [`ServeOutcome::canonical`], byte-for-byte.
+    /// portion is [`ServeOutcome::canonical`], byte-for-byte. This goes
+    /// through [`result_tail`] and [`result_line`], the renderer the
+    /// service splices cached answers with.
     pub fn to_json(&self) -> String {
-        let head = line_head("resp", "result")
-            .str("batch", &self.batch)
-            .val("point", self.point)
-            .str("key", &self.key)
-            .val("cached", self.cached)
-            .val("attempts", self.attempts);
-        self.outcome.members(head).object()
+        let tail = result_tail(&self.key, self.cached, self.attempts, &self.outcome.canonical());
+        result_line(&self.batch, self.point, &tail)
     }
 
     fn from_record(rec: &Record<'_>) -> Result<Self, String> {
@@ -709,6 +768,21 @@ impl ServeResult {
             outcome: ServeOutcome::from_record(rec)?,
         })
     }
+}
+
+/// The tail of a result line: `"key": …, "cached": …, "attempts": …`,
+/// then the outcome's canonical `fragment`. Half of the one result-line
+/// renderer; the other is [`result_line`]. The service renders each
+/// outcome's tail once and answers a cached point by splicing it.
+pub fn result_tail(key: &str, cached: bool, attempts: u32, fragment: &str) -> String {
+    let o = Obj::new().str("key", key).val("cached", cached).val("attempts", attempts);
+    o.splice(fragment).fragment()
+}
+
+/// A whole result line: the head every response line has, `batch` and
+/// `point`, then a `tail` from [`result_tail`].
+pub fn result_line(batch: &str, point: u64, tail: &str) -> String {
+    line_head("resp", "result").str("batch", batch).val("point", point).splice(tail).object()
 }
 
 /// Queue, worker, and robustness counters reported by `health` and by
@@ -920,6 +994,7 @@ pub fn parse_response(line: &str) -> Result<ServeResponse, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn point(seed: u64, load: f64) -> PointRequest {
         PointRequest {
@@ -1310,6 +1385,135 @@ mod tests {
         // an exponent is a number, but not an integer
         let sweep = sweep().to_json().replace("\"seeds\": 2", "\"seeds\": 4e18");
         assert!(parse_request(&sweep).unwrap_err().contains("\"seeds\""));
+    }
+
+    /// A string from `POOL` characters: quotes, backslashes, control,
+    /// non-ASCII and Unicode-whitespace characters among plain ones.
+    fn nasty() -> impl Strategy<Value = String> {
+        const POOL: [char; 12] = [
+            'a', ' ', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '\u{2028}', '\u{a0}',
+        ];
+        prop::collection::vec(0..POOL.len(), 0..12)
+            .prop_map(|ix| ix.iter().map(|&i| POOL[i]).collect())
+    }
+
+    /// Any finite `f64`, with the edges drawn often.
+    fn float() -> impl Strategy<Value = f64> {
+        let edges = [-0.0, 0.0, 5e-324, f64::MIN_POSITIVE, f64::MAX, f64::MIN, 0.1 + 0.2];
+        prop_oneof![
+            (0..edges.len()).prop_map(move |i| edges[i]),
+            (0u64..u64::MAX).prop_map(f64::from_bits).prop_map(|f| if f.is_finite() {
+                f
+            } else {
+                1.5
+            }),
+        ]
+    }
+
+    fn outcome() -> impl Strategy<Value = ServeOutcome> {
+        let (floats, ints) = ((float(), float(), float()), (0u64..u64::MAX, 0u64..u64::MAX));
+        (0u32..6, floats, ints, prop::bool::ANY, prop::bool::ANY, nasty()).prop_map(
+            |(kind, (a, b, c), (m, n), x, y, text)| match kind {
+                0 => ServeOutcome::Ok {
+                    avg_latency: a,
+                    throughput: b,
+                    stable: x,
+                    measured: m,
+                    cycles: n,
+                },
+                1 => ServeOutcome::Degraded {
+                    predicted_latency: y.then_some(a),
+                    predicted_saturation: c,
+                    stable: x,
+                },
+                2 => ServeOutcome::Timeout { budget: m, wall: x },
+                3 => ServeOutcome::Shed { reason: text },
+                4 => ServeOutcome::Panicked { message: text },
+                _ => ServeOutcome::Invalid { reason: text },
+            },
+        )
+    }
+
+    /// A result line as rendered before the renderer was split in two:
+    /// one member list, head to outcome.
+    fn one_piece(r: &ServeResult) -> String {
+        let head = line_head("resp", "result")
+            .str("batch", &r.batch)
+            .val("point", r.point)
+            .str("key", &r.key)
+            .val("cached", r.cached)
+            .val("attempts", r.attempts);
+        r.outcome.members(head).object()
+    }
+
+    fn topology() -> impl Strategy<Value = TopologyKind> {
+        (0u32..4, 0usize..usize::MAX).prop_map(|(kind, k)| match kind {
+            0 => TopologyKind::Mesh2D { k },
+            1 => TopologyKind::Torus2D { k },
+            2 => TopologyKind::FoldedTorus2D { k },
+            _ => TopologyKind::Ring { n: k },
+        })
+    }
+
+    fn pattern() -> impl Strategy<Value = PatternKind> {
+        let named = ["uniform", "transpose", "bitcomp", "bitrev", "shuffle", "tornado", "neighbor"];
+        (0..named.len() + 1, 0usize..usize::MAX, float()).prop_map(move |(i, node, frac)| {
+            named.get(i).map_or(PatternKind::Hotspot { node, frac }, |n| {
+                PatternKind::parse(n).expect("a wire name")
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// The line: a tail rendered once and spliced under any batch
+        /// and point is the struct path's line, the line as one member
+        /// list, and what the reader gives back.
+        #[test]
+        fn a_spliced_line_is_the_struct_path(
+            o in outcome(),
+            (batch, key) in (nasty(), nasty()),
+            (point, cached, attempts) in (0u64..u64::MAX, prop::bool::ANY, 0u32..u32::MAX),
+        ) {
+            let tail = result_tail(&key, cached, attempts, &o.canonical());
+            let spliced = result_line(&batch, point, &tail);
+            let r = ServeResult { batch, point, key, cached, attempts, outcome: o };
+            prop_assert_eq!(&spliced, &r.to_json());
+            prop_assert_eq!(&spliced, &one_piece(&r));
+            let back = parse_response(&spliced).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(back.to_json(), spliced.clone(), "re-rendered bytes");
+            prop_assert_eq!(back, ServeResponse::Result(r));
+        }
+
+        /// The key: hashing a point's own fields on top of the shared
+        /// prefix is the reference key, for the prefix's own point and
+        /// for one differing in every non-prefix field.
+        #[test]
+        fn a_key_from_the_prefix_is_the_reference_key(
+            net in (topology(), 0u32..4, prop::bool::ANY, 0usize..usize::MAX, 0usize..usize::MAX, 0u32..u32::MAX),
+            (pattern, packet_size) in (pattern(), 0u64..u64::MAX),
+            own in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            budget in (0u32..4, 0u64..u64::MAX),
+            seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+        ) {
+            let (topology, routing, age, vcs, vc_buf, router_delay) = net;
+            let routing = [RoutingKind::Dor, RoutingKind::Valiant, RoutingKind::Romm, RoutingKind::MinAdaptive][routing as usize];
+            let arbitration = if age { Arbitration::AgeBased } else { Arbitration::RoundRobin };
+            let mut p = point(seeds.0, 0.1);
+            p.net = NetConfig { topology, routing, arbitration, vcs, vc_buf, router_delay, ..p.net };
+            (p.pattern, p.packet_size) = (pattern, packet_size);
+            let budget = [None, Some(0), Some(u64::MAX), Some(budget.1)][budget.0 as usize];
+            let prefix = p.digest_prefix();
+            let (load, warmup, measure, drain_max, other_load) = own;
+            for (bits, seed, budget) in [(other_load, seeds.1, None), (load, seeds.0, budget)] {
+                let mut q = p.clone();
+                (q.load, q.net.seed, q.budget) = (f64::from_bits(bits), seed, budget);
+                (q.warmup, q.measure, q.drain_max) = (warmup, measure, drain_max);
+                prop_assert_eq!(q.key_from(&prefix), q.key());
+                prop_assert_eq!(q.key_from(&q.digest_prefix()), q.key());
+            }
+        }
     }
 
     #[test]

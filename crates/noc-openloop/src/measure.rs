@@ -81,9 +81,35 @@ impl OpenLoopConfig {
     /// load that is non-negative and needs a per-node generation
     /// probability of at most 1, and a non-empty measurement window.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validate_budgeted(u64::MAX)
+    }
+
+    /// [`OpenLoopConfig::validate`] under a hard cycle budget: a zero
+    /// budget is refused too, since it could never complete the warmup.
+    pub fn validate_budgeted(&self, cycle_budget: u64) -> Result<(), ConfigError> {
+        self.validate_shape(cycle_budget)?;
+        self.validate_load()
+    }
+
+    /// The first part of [`OpenLoopConfig::validate_budgeted`], in its
+    /// order: the rules on what the points of one `(network, pattern,
+    /// size)` group under one budget share (the budget, the network, the
+    /// pattern on its topology, the packet size). Neither the load, the
+    /// windows nor the seed enter it.
+    pub fn validate_shape(&self, cycle_budget: u64) -> Result<(), ConfigError> {
+        if cycle_budget == 0 {
+            let why = "cycle budget must be >= 1; a zero budget can never complete the warmup";
+            return Err(ConfigError::Parameter { name: "cycle_budget", why: why.into() });
+        }
         self.net.validate()?;
         self.pattern.validate(&self.net.topology)?;
-        self.size.validate()?;
+        self.size.validate()
+    }
+
+    /// The rest of [`OpenLoopConfig::validate_budgeted`]: the point's own
+    /// load and measurement window. Meaningful once
+    /// [`OpenLoopConfig::validate_shape`] passed.
+    pub fn validate_load(&self) -> Result<(), ConfigError> {
         let (load, mean) = (self.load, self.size.mean());
         let p = load / mean;
         let (name, why) = if load < 0.0 {
@@ -105,16 +131,6 @@ impl OpenLoopConfig {
             return Ok(());
         };
         Err(ConfigError::Parameter { name, why })
-    }
-
-    /// [`OpenLoopConfig::validate`] under a hard cycle budget: a zero
-    /// budget is refused too, since it could never complete the warmup.
-    pub fn validate_budgeted(&self, cycle_budget: u64) -> Result<(), ConfigError> {
-        if cycle_budget > 0 {
-            return self.validate();
-        }
-        let why = "cycle budget must be >= 1; a zero budget can never complete the warmup";
-        Err(ConfigError::Parameter { name: "cycle_budget", why: why.into() })
     }
 
     /// The open-loop source of this point on `net.topology`: Bernoulli

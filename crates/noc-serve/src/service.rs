@@ -21,13 +21,36 @@
 //! smoke harness's mid-run `SIGKILL`) always observes a whole-line
 //! prefix of the response stream.
 //!
+//! **Rendered answers.** An outcome is rendered to its canonical
+//! fragment exactly once, where it is produced: in `eval_point` (the
+//! same string the WAL journals), in admission's immediate answers
+//! (invalid, shed, degraded), and at WAL replay, which parses each
+//! journaled fragment and re-renders it, so a journal from an older
+//! writer still answers in canonical bytes. The result cache holds
+//! rendered bytes, not outcomes: each entry is the tail of the key's
+//! cached result line (`"key": …, "cached": true, "attempts": 0,
+//! <fragment>`, see [`result_tail`]) plus the outcome's kind for the
+//! tally, built before the state lock is taken. A hit is one lookup,
+//! one `Arc` clone and [`result_line`]`(batch, point, tail)`: the same
+//! renderer [`noc_eval::serve::ServeResult::to_json`] goes through, so
+//! the splice and the struct path cannot drift.
+//!
+//! **What a sweep's points share is computed once per pattern.** A
+//! sweep's points differ only in load and seed within one pattern, so
+//! admission keeps a per-pattern memo ([`PatternMemo`]) of the shape
+//! verdict (the wire `packet_size` rule, then
+//! [`noc_openloop::OpenLoopConfig::validate_shape`]), the cache key's
+//! hashed prefix ([`PointRequest::digest_prefix`]) and the analytic
+//! model. Each point then checks only its load and window and hashes
+//! only its own key fields. A bare `point` line passes a fresh memo.
+//!
 //! **Concurrency model.** The queue, per-batch sequence counters,
 //! result cache, and draining flag live under one mutex that is held
 //! only for queue surgery and cache lookups/inserts — never across an
 //! evaluation or a write to a client, and never while a point's cache
-//! key is formatted and hashed: the key is computed once, at admission,
-//! before the lock is taken, and rides in the queue entry to every
-//! later use. Every simulation in the process
+//! key is formatted and hashed or an answer rendered: the key is
+//! computed once, at admission, before the lock is taken, and rides in
+//! the queue entry to every later use. Every simulation in the process
 //! runs on the service's one [`Pool`] of `workers` long-lived threads,
 //! so `workers` bounds concurrent evaluations however many connections
 //! submit batches. A `run` answers its cache hits on the calling thread
@@ -59,9 +82,10 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use noc_analytic::{AnalyticModel, Confidence};
+use noc_eval::json::WHITESPACE;
 use noc_eval::serve::{
-    parse_request, HealthSnapshot, PointRequest, ServeOutcome, ServeRequest, ServeResponse,
-    ServeResult, SweepRequest,
+    parse_request, result_line, result_tail, DigestPrefix, HealthSnapshot, PointRequest,
+    ServeOutcome, ServeRequest, ServeResponse, SweepRequest,
 };
 use noc_exp::robust::panic_message;
 use noc_exp::{threads, Wal};
@@ -79,8 +103,9 @@ const META_KEY_PREFIX: char = '@';
 const STATUS_KEY: &str = "@status";
 
 /// Results the in-memory cache holds before the oldest-inserted one is
-/// evicted (a few tens of MB at the bound). The WAL stays the durable
-/// index; an evicted key re-simulates to the same bytes.
+/// evicted (each a ~200-byte rendered tail plus its key: under 100 MB
+/// at the bound). The WAL stays the durable index; an evicted key
+/// re-simulates to the same bytes.
 const CACHE_CAP: usize = 1 << 18;
 
 #[derive(Default)]
@@ -132,15 +157,16 @@ struct Tally {
 }
 
 impl Tally {
-    fn count(&mut self, outcome: &ServeOutcome) {
+    /// Count one answer by its outcome's [`ServeOutcome::kind`].
+    fn count(&mut self, kind: &str) {
         self.points += 1;
-        match outcome {
-            ServeOutcome::Ok { .. } => self.ok += 1,
-            ServeOutcome::Degraded { .. } => self.degraded += 1,
-            ServeOutcome::Shed { .. } => self.shed += 1,
-            ServeOutcome::Invalid { .. } => self.invalid += 1,
-            ServeOutcome::Timeout { .. } => self.timeout += 1,
-            ServeOutcome::Panicked { .. } => {}
+        match kind {
+            "ok" => self.ok += 1,
+            "degraded" => self.degraded += 1,
+            "shed" => self.shed += 1,
+            "invalid" => self.invalid += 1,
+            "timeout" => self.timeout += 1,
+            _ => {}
         }
     }
 
@@ -154,11 +180,40 @@ impl Tally {
     }
 }
 
-/// The result cache: at most `cap` outcomes, oldest-inserted evicted
-/// first. Re-inserting a present key keeps its age (the bytes are the
-/// same by the purity argument in the module docs).
+/// One rendered answer: a result line after its `point` member (see
+/// [`result_tail`]) and its outcome's [`ServeOutcome::kind`] for the
+/// tally. What a cache entry holds and a batch slot carries.
+struct Answer {
+    tail: Box<str>,
+    kind: &'static str,
+}
+
+/// An outcome rendered once, where it is produced: its canonical
+/// fragment (what the WAL journals) and its kind.
+struct Rendered {
+    fragment: String,
+    kind: &'static str,
+}
+
+impl Rendered {
+    /// The one place this module renders an outcome (CI greps for a
+    /// second).
+    fn of(outcome: &ServeOutcome) -> Self {
+        Self { fragment: outcome.canonical(), kind: outcome.kind() }
+    }
+
+    /// The answer as the result line for `key` carries it.
+    fn answer(&self, key: &str, cached: bool, attempts: u32) -> Arc<Answer> {
+        let tail = result_tail(key, cached, attempts, &self.fragment).into_boxed_str();
+        Arc::new(Answer { tail, kind: self.kind })
+    }
+}
+
+/// The result cache: at most `cap` rendered answers, oldest-inserted
+/// evicted first. Re-inserting a present key keeps its age (the bytes
+/// are the same by the purity argument in the module docs).
 struct ResultCache {
-    map: HashMap<String, ServeOutcome>,
+    map: HashMap<String, Arc<Answer>>,
     order: VecDeque<String>,
     cap: usize,
 }
@@ -168,13 +223,13 @@ impl ResultCache {
         Self { map: HashMap::new(), order: VecDeque::new(), cap }
     }
 
-    fn insert(&mut self, key: String, outcome: ServeOutcome) {
+    fn insert(&mut self, key: String, answer: Arc<Answer>) {
         if let Some(present) = self.map.get_mut(&key) {
-            *present = outcome;
+            *present = answer;
             return;
         }
         self.order.push_back(key.clone());
-        self.map.insert(key, outcome);
+        self.map.insert(key, answer);
         if self.order.len() > self.cap {
             if let Some(oldest) = self.order.pop_front() {
                 self.map.remove(&oldest);
@@ -208,10 +263,47 @@ struct Shared {
     chaos_left: AtomicU64,
 }
 
-/// The analytic model an admission decision consults, built at most
-/// once per `(net, pattern, packet size)` group: outer `None` is "not
-/// built yet", inner `None` is "the model does not cover this config".
-type ModelMemo = Option<Option<AnalyticModel>>;
+/// What every point of one sweep pattern shares, each part computed at
+/// most once, on first use: the points have the same network (seed
+/// aside), pattern, packet size, windows and budget, and differ in load
+/// and seed. A bare `point` line passes a fresh memo.
+#[derive(Default)]
+struct PatternMemo {
+    /// [`shape_verdict`].
+    shape: Option<Result<(), ConfigError>>,
+    /// [`PointRequest::digest_prefix`].
+    digest: Option<DigestPrefix>,
+    /// The analytic model an admission decision consults: inner `None`
+    /// is "the model does not cover this config".
+    model: Option<Option<AnalyticModel>>,
+}
+
+impl PatternMemo {
+    /// Admission-time validation, so an invalid point is a typed
+    /// `Invalid` outcome before it can occupy queue space: the shared
+    /// shape verdict, then the point's own load and window rule. The
+    /// first error is the one the evaluator's unsplit
+    /// [`noc_openloop::OpenLoopConfig::validate_budgeted`] (behind the
+    /// wire's `packet_size` rule) would give.
+    fn validate(&mut self, p: &PointRequest) -> Result<(), ConfigError> {
+        self.shape.get_or_insert_with(|| shape_verdict(p)).clone()?;
+        p.open_loop().validate_load()
+    }
+
+    /// `p`'s cache key: [`PointRequest::key`]'s bytes, hashing only the
+    /// point's own fields past the shared prefix.
+    fn key(&mut self, p: &PointRequest) -> String {
+        p.key_from(self.digest.get_or_insert_with(|| p.digest_prefix()))
+    }
+
+    /// The analytic model for `p`'s group, built on first use; `None`
+    /// when the model does not cover it.
+    fn model(&mut self, p: &PointRequest) -> Option<&AnalyticModel> {
+        self.model
+            .get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, p.open_loop().size).ok())
+            .as_ref()
+    }
+}
 
 /// The long-running evaluation service (see module docs).
 pub struct Service {
@@ -248,8 +340,13 @@ impl Service {
                         // a point outcome
                         continue;
                     }
+                    // re-rendered, not spliced: a journal from an older
+                    // writer still answers in canonical bytes
                     match ServeOutcome::parse(&frag) {
-                        Ok(o) => cache.insert(key, o),
+                        Ok(o) => {
+                            let answer = Rendered::of(&o).answer(&key, true, 0);
+                            cache.insert(key, answer);
+                        }
                         Err(e) => eprintln!("noc-serve: unreadable WAL record for {key}: {e}"),
                     }
                 }
@@ -343,7 +440,8 @@ impl Service {
     /// Parse one request line and act on it; responses are left in
     /// `out` for the caller's end-of-line flush.
     fn dispatch(&self, line: &str, out: &mut dyn Write) -> io::Result<(bool, Option<String>)> {
-        let line = line.trim();
+        // JSON's own whitespace only; any other is the parser's to refuse
+        let line = line.trim_matches(WHITESPACE);
         if line.is_empty() {
             return Ok((true, None));
         }
@@ -352,7 +450,7 @@ impl Service {
             Err(reason) => self.emit(out, &ServeResponse::Error { reason })?,
             Ok(ServeRequest::Point(p)) => {
                 touched = Some(p.batch.clone());
-                self.admit(*p, &mut None, out)?;
+                self.admit(*p, &mut PatternMemo::default(), out)?;
             }
             Ok(ServeRequest::Sweep(sw)) => {
                 touched = Some(sw.batch.clone());
@@ -380,26 +478,25 @@ impl Service {
     }
 
     /// Admission control: typed rejection for invalid configs, the
-    /// analytic admission prune (opt-in; `model` memoizes the analytic
-    /// model across the points of one sweep pattern), load shedding (or
-    /// the degraded analytic answer) when the queue is full, shedding
-    /// while draining — and silence (until `run`) when the point is
-    /// accepted. Returns the outcome answered immediately, `None` if
-    /// queued.
+    /// analytic admission prune (opt-in), load shedding (or the degraded
+    /// analytic answer) when the queue is full, shedding while draining
+    /// — and silence (until `run`) when the point is accepted. `memo`
+    /// carries what the points of one sweep pattern share. Returns the
+    /// kind of the outcome answered immediately, `None` if queued.
     fn admit(
         &self,
         p: PointRequest,
-        model: &mut ModelMemo,
+        memo: &mut PatternMemo,
         out: &mut dyn Write,
-    ) -> io::Result<Option<ServeOutcome>> {
+    ) -> io::Result<Option<&'static str>> {
         let sh = &self.shared;
         // everything derivable from the point alone — its cache key
         // included — happens before the lock; only queue surgery holds it
-        let verdict = match validate_point(&p) {
+        let verdict = match memo.validate(&p) {
             Err(e) => Some(ServeOutcome::Invalid { reason: e.to_string() }),
-            Ok(()) => admission_prune(&p, model),
+            Ok(()) => admission_prune(&p, memo),
         };
-        let key = p.key();
+        let key = memo.key(&p);
         // under the lock: the sequence number, and either the answer or
         // — queue full — the depth the overflow answer reports; the
         // degraded model that answer may need is built after it drops
@@ -425,7 +522,7 @@ impl Service {
             };
             (seq, answer)
         };
-        let outcome = answer.unwrap_or_else(|queued| self.overflow_answer(&p, queued, model));
+        let outcome = answer.unwrap_or_else(|queued| self.overflow_answer(&p, queued, memo));
         match &outcome {
             ServeOutcome::Shed { .. } => {
                 sh.counters.shed.fetch_add(1, Ordering::Relaxed);
@@ -435,23 +532,25 @@ impl Service {
             }
             _ => {}
         }
-        self.answer(out, p.batch, seq, key, outcome.clone())?;
-        Ok(Some(outcome))
+        let answer = Rendered::of(&outcome).answer(&key, false, 0);
+        sh.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.emit_result(out, &p.batch, seq, &answer.tail)?;
+        Ok(Some(answer.kind))
     }
 
     /// The queue-full answer, built off the state lock: a degraded
-    /// analytic prediction (through the sweep's `model` memo) when the
+    /// analytic prediction (through the sweep pattern's `memo`) when the
     /// client opted in and the model covers the config, else a typed
     /// shed with the capacity in the reason.
     fn overflow_answer(
         &self,
         p: &PointRequest,
         queued: usize,
-        model: &mut ModelMemo,
+        memo: &mut PatternMemo,
     ) -> ServeOutcome {
         let capacity = self.shared.cfg.queue_capacity;
         if p.allow_degraded {
-            if let Some(o) = degraded_answer(p, model) {
+            if let Some(o) = degraded_answer(p, memo) {
                 return o;
             }
             return ServeOutcome::Shed {
@@ -472,15 +571,16 @@ impl Service {
             return self.emit(out, &ServeResponse::Error { reason: format!("sweep: {reason}") });
         }
         let mut tally = Tally::default();
-        // patterns are the outermost axis and the only one the analytic
-        // model depends on: one model serves each pattern's run of points
+        // patterns are the outermost axis, and within one pattern the
+        // points differ only in load and seed: one memo serves each
+        // pattern's run of points
         let per_pattern = (sw.expanded_len() / sw.patterns.len() as u64) as usize;
         let mut points = sw.points();
         for _ in &sw.patterns {
-            let mut model: ModelMemo = None;
+            let mut memo = PatternMemo::default();
             for p in points.by_ref().take(per_pattern) {
-                if let Some(outcome) = self.admit(p, &mut model, out)? {
-                    tally.count(&outcome);
+                if let Some(kind) = self.admit(p, &mut memo, out)? {
+                    tally.count(kind);
                 }
             }
         }
@@ -501,10 +601,11 @@ impl Service {
 
     /// Evaluate every queued point of `batch` and emit results in
     /// submission order, then a `batch-done` marker. Cache hits are
-    /// answered here, on the calling thread; the rest go to the pool and
-    /// come back through the reorder buffer in [`Self::emit_in_order`].
-    /// The state lock is held only to extract the batch and look its
-    /// keys up, never across evaluation or client IO.
+    /// answered here, on the calling thread, from their rendered tails;
+    /// the rest go to the pool and come back through the reorder buffer
+    /// in [`Self::emit_in_order`]. The state lock is held only to
+    /// extract the batch and look its keys up, never across evaluation
+    /// or client IO.
     fn run_batch(
         &self,
         batch: &str,
@@ -513,7 +614,7 @@ impl Service {
         out: &mut dyn Write,
     ) -> io::Result<Tally> {
         let sh = &self.shared;
-        let items: Vec<(Queued, Option<ServeOutcome>)> = {
+        let items: Vec<(Queued, Option<Arc<Answer>>)> = {
             let mut st = sh.st();
             let queue = std::mem::take(&mut st.queue);
             // the usual case is one batch in flight per queue: nothing of
@@ -541,36 +642,25 @@ impl Service {
             abandoned: AtomicBool::new(false),
         });
 
-        let (reply, arrivals) = mpsc::channel::<(usize, ServeResult)>();
-        let mut slots: Vec<Option<ServeResult>> = Vec::with_capacity(items.len());
+        let (reply, arrivals) = mpsc::channel::<(usize, Arc<Answer>)>();
+        let mut slots = Vec::with_capacity(items.len());
         for (slot, (Queued { seq, point: p, key }, cached)) in items.into_iter().enumerate() {
-            match cached {
-                Some(outcome) => {
-                    sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push(Some(ServeResult {
-                        batch: p.batch,
-                        point: seq,
-                        key,
-                        cached: true,
-                        attempts: 0,
-                        outcome,
-                    }));
-                }
-                None => {
-                    slots.push(None);
-                    let (sh, ctx, reply) = (Arc::clone(sh), Arc::clone(&ctx), reply.clone());
-                    self.pool.submit(move || {
-                        if !ctx.abandoned.load(Ordering::SeqCst) {
-                            // the receiver is gone only if the batch was
-                            // abandoned after this check: nothing to tell
-                            let _ = reply.send((slot, sh.eval_job(seq, &p, key, &ctx)));
-                        }
-                    });
-                }
+            if cached.is_some() {
+                sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                let (sh, ctx, reply) = (Arc::clone(sh), Arc::clone(&ctx), reply.clone());
+                self.pool.submit(move || {
+                    if !ctx.abandoned.load(Ordering::SeqCst) {
+                        // the receiver is gone only if the batch was
+                        // abandoned after this check: nothing to tell
+                        let _ = reply.send((slot, sh.eval_job(&p, key, &ctx)));
+                    }
+                });
             }
+            slots.push((seq, cached));
         }
         drop(reply);
-        let tally = self.emit_in_order(slots, &arrivals, out).inspect_err(|_| {
+        let tally = self.emit_in_order(batch, slots, &arrivals, out).inspect_err(|_| {
             ctx.abandoned.store(true, Ordering::SeqCst);
         })?;
 
@@ -588,36 +678,39 @@ impl Service {
         Ok(tally)
     }
 
-    /// The per-batch reorder buffer: `slots[i]` is point `i`'s result
-    /// once known (cache hits start filled), and a result line goes out
-    /// as soon as every lower slot has gone out — so a slow first point
-    /// holds back the bytes behind it, never the workers. The stream is
-    /// flushed each time the next slot is still empty, before the wait.
+    /// The per-batch reorder buffer: `slots[i]` is point `i`'s sequence
+    /// number and its answer once known (cache hits start filled), and a
+    /// result line goes out as soon as every lower slot has gone out —
+    /// so a slow first point holds back the bytes behind it, never the
+    /// workers. The stream is flushed each time the next slot is still
+    /// empty, before the wait.
     fn emit_in_order(
         &self,
-        mut slots: Vec<Option<ServeResult>>,
-        arrivals: &mpsc::Receiver<(usize, ServeResult)>,
+        batch: &str,
+        mut slots: Vec<(u64, Option<Arc<Answer>>)>,
+        arrivals: &mpsc::Receiver<(usize, Arc<Answer>)>,
         out: &mut dyn Write,
     ) -> io::Result<Tally> {
         let mut tally = Tally::default();
         let mut next = 0;
         while next < slots.len() {
-            let Some(r) = slots[next].take() else {
+            let (seq, answer) = &mut slots[next];
+            let Some(a) = answer.take() else {
                 // about to wait on a worker: what is already in order
                 // leaves now, so a cold batch streams point by point
                 flush_burst(out)?;
                 // every job sends exactly one result (`eval_job` turns
                 // even an unwind into one), so the channel closing early
                 // would be a pool bug; fail the batch, not the server
-                let (slot, r) = arrivals
+                let (slot, a) = arrivals
                     .recv()
                     .map_err(|_| io::Error::other("evaluation pool dropped a queued point"))?;
-                slots[slot] = Some(r);
+                slots[slot].1 = Some(a);
                 continue;
             };
-            tally.count(&r.outcome);
+            tally.count(a.kind);
             self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            self.emit(out, &ServeResponse::Result(r))?;
+            self.emit_result(out, batch, *seq, &a.tail)?;
             next += 1;
         }
         Ok(tally)
@@ -700,26 +793,29 @@ impl Service {
         }
     }
 
-    fn answer(
-        &self,
-        out: &mut dyn Write,
-        batch: String,
-        seq: u64,
-        key: String,
-        outcome: ServeOutcome,
-    ) -> io::Result<()> {
-        self.shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-        let result = ServeResult { batch, point: seq, key, cached: false, attempts: 0, outcome };
-        self.emit(out, &ServeResponse::Result(result))
-    }
-
     /// Append one response to the connection writer as a whole line, in
     /// one write. Never flushes: see [`flush_burst`].
     fn emit(&self, out: &mut dyn Write, resp: &ServeResponse) -> io::Result<()> {
-        let mut line = resp.to_json();
-        line.push('\n');
-        out.write_all(line.as_bytes())
+        write_line(out, resp.to_json())
     }
+
+    /// [`Self::emit`] for a result line: point `point` of `batch`, with a
+    /// rendered answer's `tail`.
+    fn emit_result(
+        &self,
+        out: &mut dyn Write,
+        batch: &str,
+        point: u64,
+        tail: &str,
+    ) -> io::Result<()> {
+        write_line(out, result_line(batch, point, tail))
+    }
+}
+
+/// `line` and its newline, in one write.
+fn write_line(out: &mut dyn Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// The one place a client stream is flushed (CI greps for a second).
@@ -739,34 +835,27 @@ impl Shared {
 
     /// One pool job: evaluate a point, and turn a panic that escapes
     /// the attempt loop (nothing in `eval_point` should raise one) into
-    /// the same typed `Panicked` result an exhausted loop gives, so
+    /// the same typed `Panicked` answer an exhausted loop gives, so
     /// the submitter always hears back.
-    fn eval_job(&self, seq: u64, p: &PointRequest, key: String, ctx: &BatchCtx) -> ServeResult {
-        catch_unwind(AssertUnwindSafe(|| self.eval_point(seq, p, &key, ctx))).unwrap_or_else(
-            |payload| {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                ServeResult {
-                    batch: p.batch.clone(),
-                    point: seq,
-                    key,
-                    cached: false,
-                    attempts: 1,
-                    outcome: ServeOutcome::Panicked { message: panic_message(payload.as_ref()) },
-                }
-            },
-        )
+    fn eval_job(&self, p: &PointRequest, key: String, ctx: &BatchCtx) -> Arc<Answer> {
+        catch_unwind(AssertUnwindSafe(|| self.eval_point(p, &key, ctx))).unwrap_or_else(|payload| {
+            self.counters.panics.fetch_add(1, Ordering::Relaxed);
+            let outcome = ServeOutcome::Panicked { message: panic_message(payload.as_ref()) };
+            Rendered::of(&outcome).answer(&key, false, 1)
+        })
     }
 
     /// Evaluate one uncached point on a pool worker: every failure mode
-    /// funnels into a typed outcome, and a cacheable outcome is
-    /// journaled, then cached, before it is handed back to be emitted.
+    /// funnels into a typed outcome, rendered once; a cacheable one is
+    /// journaled, then cached, before its answer is handed back to be
+    /// emitted.
     ///
     /// The one attempt loop: check the batch deadline, then run the
     /// chaos hook and the simulation under one `catch_unwind`. Only a
     /// panic is retried, at once, up to the batch's `max_attempts`; a
     /// budget timeout or a config error is a fact about `(config,
     /// seed)` and would come back the same, so it costs one attempt.
-    fn eval_point(&self, seq: u64, p: &PointRequest, key: &str, ctx: &BatchCtx) -> ServeResult {
+    fn eval_point(&self, p: &PointRequest, key: &str, ctx: &BatchCtx) -> Arc<Answer> {
         // the operator's `--budget` bounds what any client may ask for
         let budget = p.budget.unwrap_or(u64::MAX).min(self.cfg.default_budget);
         let cfg = p.open_loop();
@@ -806,24 +895,19 @@ impl Shared {
         if attempts > 1 {
             self.counters.retries.fetch_add((attempts - 1) as u64, Ordering::Relaxed);
         }
+        let rendered = Rendered::of(&outcome);
         if cacheable(&outcome) {
             if let Some(w) = &self.wal {
                 // durable before reported; an append failure degrades
                 // durability, not availability
-                if let Err(e) = w.append(key, &outcome.canonical()) {
+                if let Err(e) = w.append(key, &rendered.fragment) {
                     eprintln!("noc-serve: WAL append failed for {key}: {e}");
                 }
             }
-            self.st().cache.insert(key.to_string(), outcome.clone());
+            let cached = rendered.answer(key, true, 0);
+            self.st().cache.insert(key.to_string(), cached);
         }
-        ServeResult {
-            batch: p.batch.clone(),
-            point: seq,
-            key: key.to_string(),
-            cached: false,
-            attempts,
-            outcome,
-        }
+        rendered.answer(key, false, attempts)
     }
 
     /// Chaos injection: panic on the first `cfg.chaos` evaluation
@@ -840,20 +924,13 @@ impl Shared {
     }
 }
 
-/// The analytic model for `p`'s `(net, pattern, packet size)` group,
-/// built on first use; `None` when the model does not cover it.
-fn memo_model<'m>(p: &PointRequest, memo: &'m mut ModelMemo) -> Option<&'m AnalyticModel> {
-    memo.get_or_insert_with(|| AnalyticModel::of(&p.net, p.pattern, p.open_loop().size).ok())
-        .as_ref()
-}
-
 /// Analytic admission control: when the point opted in and the model
 /// (at usable confidence) puts the requested load at or past effective
 /// saturation, answer the closed-form prediction now instead of
 /// spending a cycle budget discovering divergence. The model depends on
 /// the network (not its seed), the pattern and the packet size — never
 /// on the load — so a sweep builds it once per pattern through `memo`;
-/// a bare `point` line passes an empty memo and builds its own.
+/// a bare `point` line passes a fresh memo and builds its own.
 ///
 /// Pure-accelerator guarantee: interception depends only on the point
 /// itself (never on queue state), and a point *not* intercepted takes
@@ -862,11 +939,11 @@ fn memo_model<'m>(p: &PointRequest, memo: &'m mut ModelMemo) -> Option<&'m Analy
 /// alter a non-degraded answer (property-tested in
 /// `tests/sweep_equiv.rs`). Mirroring `noc_analytic::sweep_pruned`,
 /// [`Confidence::Low`] disables the prune entirely.
-fn admission_prune(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcome> {
+fn admission_prune(p: &PointRequest, memo: &mut PatternMemo) -> Option<ServeOutcome> {
     if !p.analytic_admission {
         return None;
     }
-    let m = memo_model(p, memo)?;
+    let m = memo.model(p)?;
     if matches!(m.confidence, Confidence::Low) || p.load < m.effective_saturation {
         return None;
     }
@@ -879,8 +956,8 @@ fn admission_prune(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcom
 
 /// The degradation ladder's last rung before shedding: a static
 /// analytic prediction, tagged `degraded` on the wire.
-fn degraded_answer(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcome> {
-    let m = memo_model(p, memo)?;
+fn degraded_answer(p: &PointRequest, memo: &mut PatternMemo) -> Option<ServeOutcome> {
+    let m = memo.model(p)?;
     Some(ServeOutcome::Degraded {
         predicted_latency: m.latency_at(p.load),
         predicted_saturation: m.effective_saturation,
@@ -888,16 +965,16 @@ fn degraded_answer(p: &PointRequest, memo: &mut ModelMemo) -> Option<ServeOutcom
     })
 }
 
-/// Admission-time validation, so an invalid point is a typed `Invalid`
-/// outcome before it can occupy queue space: the one wire-only rule (the
-/// wire's `u64` packet size must fit the engine's `u16`), then
-/// everything the evaluator checks, by the evaluator's own rules.
-fn validate_point(p: &PointRequest) -> Result<(), ConfigError> {
+/// The admission rules every point of one sweep pattern shares, in
+/// order: the one wire-only rule (the wire's `u64` packet size must fit
+/// the engine's `u16`), then the evaluator's own shape rules under the
+/// point's budget.
+fn shape_verdict(p: &PointRequest) -> Result<(), ConfigError> {
     if p.packet_size > u16::MAX as u64 {
         let why = format!("{} flits is more than the engine's {}", p.packet_size, u16::MAX);
         return Err(ConfigError::Parameter { name: "packet_size", why });
     }
-    p.open_loop().validate_budgeted(p.budget.unwrap_or(u64::MAX))
+    p.open_loop().validate_shape(p.budget.unwrap_or(u64::MAX))
 }
 
 #[cfg(test)]
@@ -964,5 +1041,78 @@ mod tests {
         assert_eq!(resumed.cached_results(), 2);
         assert_eq!(run(&resumed, &[1]), vec![(first[0].0.clone(), true, first[0].2.clone())]);
         let _ = std::fs::remove_file(&wal);
+    }
+
+    /// Admission validation as one call, before the per-pattern split:
+    /// the wire's packet-size rule, then the evaluator's unsplit entry.
+    fn validate_point(p: &PointRequest) -> Result<(), ConfigError> {
+        if p.packet_size > u16::MAX as u64 {
+            return shape_verdict(p);
+        }
+        p.open_loop().validate_budgeted(p.budget.unwrap_or(u64::MAX))
+    }
+
+    /// Pick from `items` by an index strategy.
+    fn one_of<T: Clone + 'static>(items: &'static [T]) -> impl Strategy<Value = T> {
+        (0..items.len()).prop_map(move |i| items[i].clone())
+    }
+
+    const TOPOLOGIES: &[TopologyKind] = &[
+        TopologyKind::Mesh2D { k: 4 },
+        TopologyKind::Mesh2D { k: 3 },
+        TopologyKind::Mesh2D { k: 1 },
+        TopologyKind::Mesh2D { k: 3000 },
+        TopologyKind::Torus2D { k: 4 },
+        TopologyKind::FoldedTorus2D { k: 4 },
+        TopologyKind::Ring { n: 16 },
+        TopologyKind::Ring { n: 1 },
+    ];
+    const ROUTINGS: &[RoutingKind] =
+        &[RoutingKind::Dor, RoutingKind::Valiant, RoutingKind::Romm, RoutingKind::MinAdaptive];
+    const PATTERNS: &[PatternKind] = &[
+        PatternKind::Uniform,
+        PatternKind::Transpose,
+        PatternKind::BitComplement,
+        PatternKind::Tornado,
+        PatternKind::Hotspot { node: 5, frac: 0.25 },
+        PatternKind::Hotspot { node: 9_999, frac: 0.5 },
+        PatternKind::Hotspot { node: 5, frac: f64::NAN },
+    ];
+    const LOADS: &[f64] = &[-0.1, 0.0, 5e-324, 0.2, 1.0, 1.5, f64::NAN, f64::INFINITY];
+
+    use noc_sim::config::RoutingKind;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// The memoized shape verdict, filled by one point of a sweep
+        /// pattern, then each point's own load and window rule, returns
+        /// exactly what validating each point whole returns; and the
+        /// memoized key is the reference key.
+        #[test]
+        fn the_memoized_verdict_and_key_are_the_reference(
+            net in (one_of(TOPOLOGIES), one_of(ROUTINGS), 0usize..6, 0usize..3, 0u32..3),
+            shape in (one_of(PATTERNS), one_of(&[0u64, 1, 4, 65_535, 65_536, u64::MAX])),
+            budget in one_of(&[None, Some(0), Some(1), Some(u64::MAX)]),
+            a in (one_of(LOADS), one_of(&[0u64, 1, 400]), 0u64..u64::MAX),
+            b in (one_of(LOADS), one_of(&[0u64, 1, 400]), 0u64..u64::MAX),
+        ) {
+            let (topology, routing, vcs, vc_buf, router_delay) = net;
+            let at = |(load, measure, seed): (f64, u64, u64)| PointRequest {
+                net: NetConfig { topology, routing, vcs, vc_buf, router_delay, seed, ..NetConfig::baseline() },
+                pattern: shape.0,
+                packet_size: shape.1,
+                load,
+                measure,
+                budget,
+                ..point(0)
+            };
+            let mut memo = PatternMemo::default();
+            for p in [at(a), at(b)] {
+                prop_assert_eq!(memo.validate(&p), validate_point(&p), "{}", p.to_json());
+                prop_assert_eq!(memo.key(&p), p.key());
+            }
+        }
     }
 }

@@ -193,6 +193,36 @@ fn torn_wal_tail_is_tolerated_on_restart() {
 }
 
 #[test]
+fn an_older_journal_still_answers_canonical_bytes() {
+    let wal = tmp("older.wal");
+    let p = point("b1", 77, 0.1);
+    // what an older writer might have journaled: it parses, but `1.50`,
+    // `0.250` and the spacing are not the canonical rendering
+    let fragment =
+        "\"outcome\":  \"ok\", \"avg_latency\": 1.50, \"throughput\": 0.250,\"stable\": true, \
+                    \"measured\":  7, \"cycles\": 900";
+    std::fs::write(&wal, format!("{}\t{fragment}\n", p.key())).unwrap();
+    let svc = Service::new(ServeConfig { wal: Some(wal.clone()), ..quick_cfg() }).unwrap();
+    assert_eq!(svc.cached_results(), 1, "the record replays");
+    let mut out = Vec::new();
+    for r in [ServeRequest::Point(Box::new(p.clone())), run_req("b1")] {
+        svc.handle_line(&r.to_json(), &mut out).unwrap();
+    }
+    let text = String::from_utf8(out).unwrap();
+    let line = text.lines().next().unwrap();
+    let want = ServeResult {
+        batch: "b1".into(),
+        point: 0,
+        key: p.key(),
+        cached: true,
+        attempts: 0,
+        outcome: ServeOutcome::parse(fragment).unwrap(),
+    };
+    assert_eq!(line, want.to_json(), "re-rendered, not the journal's bytes spliced");
+    let _ = std::fs::remove_file(&wal);
+}
+
+#[test]
 fn full_queue_sheds_or_degrades_with_typed_outcomes() {
     let cfg = ServeConfig { queue_capacity: 2, ..quick_cfg() };
     let mut svc = Service::new(cfg).unwrap();

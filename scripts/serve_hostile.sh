@@ -10,7 +10,8 @@
 # mesh1 point, a point whose packet_size does not fit the engine's u16,
 # and four patterns not defined on their topology: transpose on ring16
 # under analytic admission, hotspot:9999:0.5 and hotspot:5:NaN on mesh4,
-# bitcomp on the 9-node mesh3) preceded by one line longer than
+# bitcomp on the 9-node mesh3, and a health request spaced with U+00A0
+# and U+3000, which are not JSON whitespace) preceded by one line longer than
 # MAX_LINE_BYTES, which is generated here rather than checked in.
 #
 # Usage: scripts/serve_hostile.sh
