@@ -7,7 +7,8 @@
 //! The crate is the second static pass built on `noc-verify`'s public
 //! route enumerator ([`noc_verify::routes::enumerate_routes`]): where
 //! the verifier turns route walks into channel *dependency* edges, this
-//! crate turns the same walks into expected channel *loads*:
+//! crate turns the same walks, link by link and without the routing
+//! state it never reads, into expected channel *loads*:
 //!
 //! 1. [`TrafficMatrix`] — the exact per-pair destination probabilities
 //!    a spatial pattern induces, read row by row from the pattern's own

@@ -2,6 +2,7 @@
 //! weighted by an exact traffic matrix.
 
 use noc_sim::config::NetConfig;
+use noc_sim::routing::RouteState;
 use noc_verify::routes::{enumerate_routes, Hop, RouteVisitor};
 
 use crate::matrix::TrafficMatrix;
@@ -44,9 +45,18 @@ struct Accumulate<'a> {
     ports: usize,
     gamma: Vec<f64>,
     total_hops: f64,
+    /// The current route's weight, `p(src, dst) * route_weight`.
+    p: f64,
 }
 
-impl Accumulate<'_> {
+impl<'a> Accumulate<'a> {
+    fn new(cfg: &NetConfig, matrix: &'a TrafficMatrix) -> Self {
+        let topo = cfg.topology;
+        let ports = topo.num_ports();
+        let gamma = vec![0.0; topo.num_nodes() * (ports - 1)];
+        Self { matrix, ports, gamma, total_hops: 0.0, p: 0.0 }
+    }
+
     fn add(&mut self, node: usize, port: usize, w: f64) {
         self.gamma[node * (self.ports - 1) + (port - 1)] += w;
         self.total_hops += w;
@@ -54,14 +64,15 @@ impl Accumulate<'_> {
 }
 
 impl RouteVisitor for Accumulate<'_> {
-    fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
-        let p = self.matrix.prob(src, dst) * weight;
-        if p <= 0.0 {
-            return;
-        }
-        for hop in hops {
-            self.add(hop.node, hop.port, p);
-        }
+    /// Walk every route that carries traffic: a route with `p <= 0`
+    /// adds nothing, so it is skipped; a NaN `p` is walked.
+    fn route(&mut self, src: usize, dst: usize, weight: f64, _init: RouteState) -> bool {
+        self.p = self.matrix.prob(src, dst) * weight;
+        self.p > 0.0 || self.p.is_nan()
+    }
+
+    fn link(&mut self, node: usize, port: usize) {
+        self.add(node, port, self.p);
     }
 
     fn flow(&mut self, src: usize, dst: usize, weight: f64, hop: Hop) {
@@ -77,13 +88,7 @@ impl LoadMap {
     /// each channel sees under `matrix`.
     pub fn build(cfg: &NetConfig, matrix: &TrafficMatrix) -> Self {
         let topo = cfg.topology;
-        let ports = topo.num_ports();
-        let mut acc = Accumulate {
-            matrix,
-            ports,
-            gamma: vec![0.0; topo.num_nodes() * (ports - 1)],
-            total_hops: 0.0,
-        };
+        let mut acc = Accumulate::new(cfg, matrix);
         let e = enumerate_routes(cfg, &mut acc);
         // Ejection (local-port) loads come straight from the matrix:
         // every network-crossing packet to `dst` drains through dst's
@@ -100,7 +105,7 @@ impl LoadMap {
         }
         Self {
             nodes: n,
-            ports,
+            ports: acc.ports,
             gamma: acc.gamma,
             eject,
             total_hops: acc.total_hops,
@@ -273,6 +278,47 @@ mod tests {
         );
         // adaptive routing spreads the transpose hot channels
         assert!(lm.max() <= dor.max() + 1e-9, "{} vs {}", lm.max(), dor.max());
+    }
+
+    /// Counts the routes and links the visitor it wraps walks.
+    struct Count<'a, V> {
+        inner: &'a mut V,
+        walked: usize,
+        links: usize,
+    }
+
+    impl<V: RouteVisitor> RouteVisitor for Count<'_, V> {
+        fn route(&mut self, src: usize, dst: usize, weight: f64, init: RouteState) -> bool {
+            let walk = self.inner.route(src, dst, weight, init);
+            self.walked += walk as usize;
+            walk
+        }
+
+        fn link(&mut self, node: usize, port: usize) {
+            self.links += 1;
+            self.inner.link(node, port);
+        }
+    }
+
+    #[test]
+    fn a_permutation_walks_only_its_nonzero_routes() {
+        let cfg = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 8 });
+        let topo = cfg.topology;
+        let m = TrafficMatrix::new(PatternKind::Transpose, 64, 8);
+        let mut acc = Accumulate::new(&cfg, &m);
+        let mut count = Count { inner: &mut acc, walked: 0, links: 0 };
+        let e = enumerate_routes(&cfg, &mut count);
+        // every route is offered and counted; only the 56 that carry
+        // traffic are walked (the 8 diagonal nodes send to themselves)
+        assert_eq!(e.routes, 64 * 63);
+        assert_eq!(count.walked, 64 - 8);
+        let pairs = (0..64).flat_map(|src| (0..64).map(move |dst| (src, dst)));
+        let carried = pairs.filter(|&(src, dst)| src != dst && m.prob(src, dst) > 0.0);
+        assert_eq!(count.links, carried.map(|(src, dst)| topo.min_hops(src, dst)).sum::<usize>());
+        // and the skipped routes were the ones adding nothing
+        let lm = LoadMap::build(&cfg, &m);
+        assert_eq!(acc.gamma, lm.gamma);
+        assert_eq!(acc.total_hops.to_bits(), lm.total_hops.to_bits());
     }
 
     #[test]

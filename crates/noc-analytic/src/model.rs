@@ -93,10 +93,13 @@ pub struct AnalyticModel {
 impl AnalyticModel {
     /// Build the model for `net` under `pattern` with packet sizes
     /// drawn from `size`. Fails if the network configuration is
-    /// invalid or `pattern` is not defined on its topology.
+    /// invalid, `pattern` is not defined on its topology, or `size` is
+    /// not an injectable packet size (the order `OpenLoopConfig` checks
+    /// them in).
     pub fn of(net: &NetConfig, pattern: PatternKind, size: SizeKind) -> Result<Self, ConfigError> {
         net.validate()?;
         pattern.validate(&net.topology)?;
+        size.validate()?;
         let topo = net.topology;
         let matrix = TrafficMatrix::new(pattern, topo.num_nodes(), topo.radix(0));
         let loads = LoadMap::build(net, &matrix);
@@ -275,5 +278,18 @@ mod tests {
     fn invalid_config_is_rejected() {
         let bad = NetConfig::baseline().with_vc_buf(0);
         assert!(AnalyticModel::of(&bad, PatternKind::Uniform, SizeKind::Fixed(1)).is_err());
+    }
+
+    #[test]
+    fn invalid_sizes_are_refused_with_the_size_rule() {
+        let nan = f64::NAN;
+        for size in [
+            SizeKind::Fixed(0),
+            SizeKind::Bimodal { short: 1, long: 8, p_long: 2.0 },
+            SizeKind::Bimodal { short: 1, long: 8, p_long: nan },
+        ] {
+            let got = AnalyticModel::of(&NetConfig::baseline(), PatternKind::Uniform, size);
+            assert_eq!(got.map(drop), Err(size.validate().unwrap_err()), "{size:?}");
+        }
     }
 }

@@ -87,6 +87,7 @@ fn synthesize(model: &AnalyticModel, load: f64, sat: f64, latency_cap: f64) -> O
 mod tests {
     use super::*;
     use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
+    use noc_traffic::SizeKind;
 
     fn base() -> OpenLoopConfig {
         OpenLoopConfig {
@@ -151,5 +152,11 @@ mod tests {
         assert!(sweep_pruned(&base(), &loads, 0.0, 0.2).is_err());
         assert!(sweep_pruned(&base(), &loads, 300.0, -0.1).is_err());
         assert!(sweep_pruned(&base(), &loads, 300.0, f64::INFINITY).is_err());
+        // a size no point can inject is refused up front, with the error
+        // `measure` gives, not simulated until a point's `expect`
+        let zero = OpenLoopConfig { size: SizeKind::Fixed(0), ..base() };
+        let want = measure(&zero.point(0, 0.1)).map(drop);
+        assert!(matches!(want, Err(ConfigError::Parameter { name: "packet_size", .. })));
+        assert_eq!(sweep_pruned(&zero, &loads, 300.0, 0.2).map(drop), want);
     }
 }

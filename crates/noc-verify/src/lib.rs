@@ -34,11 +34,13 @@
 //! finding before anything is built.
 //!
 //! The route enumerator that powers all of this is a public API:
-//! [`routes::enumerate_routes`] reports every route (exact weighted
-//! paths for deterministic/oblivious routing, expected-flow hops for
-//! adaptive routing) to a [`routes::RouteVisitor`], so other static
-//! passes — channel-load analysis in `noc-analytic`, future ones —
-//! consume the verifier's own walks instead of re-deriving them.
+//! [`routes::enumerate_routes`] reports every route to a statically
+//! dispatched [`routes::RouteVisitor`] — an exact weighted route link by
+//! link for deterministic/oblivious routing (a visitor that needs the
+//! per-hop routing state advances it itself), expected-flow hops for
+//! adaptive routing — so other static passes (channel-load analysis in
+//! `noc-analytic`, future ones) consume the verifier's own walks instead
+//! of re-deriving them.
 //!
 //! ```
 //! use noc_sim::config::NetConfig;

@@ -7,9 +7,11 @@
 //!
 //! * **Deterministic and oblivious two-phase routing** (DOR, Valiant,
 //!   ROMM): every `(src, dst, intermediate)` choice yields one exact
-//!   path, delivered via [`RouteVisitor::path`] together with its
-//!   probability weight within the pair (Valiant draws the intermediate
-//!   uniformly over all nodes; ROMM uniformly over the minimal box).
+//!   route. [`RouteVisitor::route`] announces it with its probability
+//!   weight within the pair (Valiant draws the intermediate uniformly
+//!   over all nodes; ROMM uniformly over the minimal box) and its
+//!   initial [`RouteState`]; unless the visitor declines it, each of
+//!   its links follows in path order through [`RouteVisitor::link`].
 //! * **Minimal adaptive**: the route taken depends on runtime buffer
 //!   occupancy, so there is no fixed path set. The enumerator instead
 //!   propagates expected flow through the exact reachable
@@ -30,14 +32,20 @@
 //! no other part of a packet's state (phase, dateline, last dimension)
 //! reaches `RouteLut::dor_port`, and a two-phase route is the DOR walk
 //! to its intermediate followed by the DOR walk to its destination.
-//! `advance` still produces every hop's [`RouteState`], and the visitor
-//! is called with the same hops in the same order as a hop-by-hop walk
-//! would produce, so every float sum a consumer accumulates is the same
-//! to the bit. A `#[cfg(test)]` twin that asks the routing function at
-//! every hop is proptested against the table. The table holds `n²`
+//! The visitor sees the same links in the same order as a hop-by-hop
+//! walk would produce, so every float sum a consumer accumulates is the
+//! same to the bit. A `#[cfg(test)]` twin that asks the routing function
+//! at every hop is proptested against the table. The table holds `n²`
 //! entries of 8 bytes, the size of the traffic matrix `noc-analytic`
-//! already allocates, and is freed on return; a hop costs one table
-//! read, one `advance` and one push.
+//! already allocates, and is freed on return; a link costs one table
+//! read and one statically dispatched [`RouteVisitor::link`] call.
+//!
+//! **State is computed where it is read.** The walk does not thread the
+//! per-hop [`RouteState`]: a visitor that needs it (the CDG builder's VC
+//! masks) keeps the `init` its `route` call received and advances it in
+//! `link` with the same `RoutingKind::advance` the router calls, which
+//! yields exactly the states a hop-by-hop walk would. A visitor that only
+//! sums loads never pays for it.
 //!
 //! [`build_cdg`] consumes the same enumeration for the deterministic
 //! kinds — consecutive hops contribute the cross-product of their legal
@@ -62,7 +70,9 @@ use noc_sim::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
 use crate::cdg::Cdg;
 
 /// One committed hop of a route: the packet leaves `node` through
-/// output `port`, landing in the routing state `state`.
+/// output `port`, landing in the routing state `state`. Adaptive routing
+/// reports its expected flow in these ([`RouteVisitor::flow`]); exact
+/// routes reach their visitor as bare links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// Router the packet departs from.
@@ -80,12 +90,14 @@ pub struct Hop {
 /// Size and exactness of one [`enumerate_routes`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Enumeration {
-    /// Route walks performed (one per source, destination, and
-    /// intermediate/state choice; one per pair for adaptive routing).
+    /// Routes offered to the visitor, walked or declined (one per
+    /// source, destination, and intermediate/state choice; one per pair
+    /// for adaptive routing).
     pub routes: u64,
     /// True when every reported route is realizable exactly as stated —
-    /// i.e. only [`RouteVisitor::path`] was used. Adaptive routing
-    /// reports expected flow instead and clears this flag.
+    /// i.e. only [`RouteVisitor::route`] and [`RouteVisitor::link`] were
+    /// used. Adaptive routing reports expected flow instead and clears
+    /// this flag.
     pub exact: bool,
 }
 
@@ -96,10 +108,15 @@ pub struct Enumeration {
 /// verifier itself uses, instead of re-deriving routes from the routing
 /// functions.
 pub trait RouteVisitor {
-    /// One exact path from `src` to `dst`, taken with probability
-    /// `weight` among the pair's routes (weights over a pair sum to 1).
-    /// `hops` is empty when `src == dst`.
-    fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]);
+    /// One exact route from `src` to `dst` begins, taken with
+    /// probability `weight` among the pair's routes (weights over a pair
+    /// sum to 1), with the packet in routing state `init` at `src`.
+    /// Returning `false` skips its links.
+    fn route(&mut self, src: usize, dst: usize, weight: f64, init: RouteState) -> bool;
+
+    /// The current route's next link, in path order: the packet leaves
+    /// `node` through output `port` (1-based; never the local port).
+    fn link(&mut self, node: usize, port: usize);
 
     /// One expected-flow hop of an adaptive route set: a packet from
     /// `src` to `dst` traverses `hop` an expected `weight` times
@@ -129,18 +146,18 @@ pub fn decode_channel(topo: TopologyKind, id: u32, vcs: usize) -> (usize, usize,
 
 /// Enumerate every route of `cfg.routing` over `cfg.topology`, reporting
 /// each to `visitor`. See the module docs for the exact semantics per
-/// routing kind. Routes are walked with the engine's own
+/// routing kind. Adaptive routes are walked with the engine's own
 /// `candidates`/`advance` over a [`RouteLut`] built here from the
-/// topology; deterministic and oblivious routes read their ports from a
+/// topology; deterministic and oblivious routes read their links from a
 /// next-hop table filled once per call by the same `candidates` (module
 /// docs).
-pub fn enumerate_routes(cfg: &NetConfig, visitor: &mut dyn RouteVisitor) -> Enumeration {
+pub fn enumerate_routes<V: RouteVisitor + ?Sized>(cfg: &NetConfig, visitor: &mut V) -> Enumeration {
     let (topo, routing) = (cfg.topology, cfg.routing);
     let lut = &RouteLut::new(topo);
     let n = topo.num_nodes();
     if routing != RoutingKind::MinAdaptive {
         let next = NextHop::new(topo, lut, routing);
-        let walk = |src, dst, init, hops: &mut Vec<Hop>| next.walk(lut, src, dst, init, hops);
+        let walk = |src, dst, init, visitor: &mut V| next.walk(src, dst, init, visitor);
         return visit_paths(topo, lut, routing, visitor, walk);
     }
     // Adaptive traversability depends on the VC partition: a non-DOR
@@ -158,22 +175,22 @@ pub fn enumerate_routes(cfg: &NetConfig, visitor: &mut dyn RouteVisitor) -> Enum
     Enumeration { routes, exact: false }
 }
 
-/// Report every exact path of a deterministic or oblivious `routing`
+/// Report every exact route of a deterministic or oblivious `routing`
 /// to `visitor`, in the one visit order every consumer's float sums
 /// depend on: pairs row-major by `(src, dst)`, and per pair the direct
 /// route first, then one route per intermediate in ascending node
-/// order (Valiant) or in [`minimal_box`] order (ROMM). `walk` fills
-/// `hops` with the route from `src` to `dst` starting in state `init`.
-fn visit_paths(
+/// order (Valiant) or in [`minimal_box`] order (ROMM). `walk` reports
+/// the links of the route from `src` to `dst` starting in state `init`,
+/// and runs only for the routes the visitor does not decline.
+fn visit_paths<V: RouteVisitor + ?Sized>(
     topo: TopologyKind,
     lut: &RouteLut,
     routing: RoutingKind,
-    visitor: &mut dyn RouteVisitor,
-    mut walk: impl FnMut(usize, usize, RouteState, &mut Vec<Hop>),
+    visitor: &mut V,
+    mut walk: impl FnMut(usize, usize, RouteState, &mut V),
 ) -> Enumeration {
     let n = topo.num_nodes();
     let mut routes = 0u64;
-    let mut hops: Vec<Hop> = Vec::new();
     for src in 0..n {
         for dst in 0..n {
             if src == dst {
@@ -191,14 +208,16 @@ fn visit_paths(
                 }
                 _ => (1.0, Vec::new()),
             };
-            walk(src, dst, RouteState::direct(), &mut hops);
-            visitor.path(src, dst, w, &hops);
-            routes += 1;
+            let mut offer = |init| {
+                if visitor.route(src, dst, w, init) {
+                    walk(src, dst, init, visitor);
+                }
+                routes += 1;
+            };
+            offer(RouteState::direct());
             for mid in mids {
                 if mid != src {
-                    walk(src, dst, RouteState::via(mid), &mut hops);
-                    visitor.path(src, dst, w, &hops);
-                    routes += 1;
+                    offer(RouteState::via(mid));
                 }
             }
         }
@@ -212,7 +231,6 @@ fn visit_paths(
 /// `target` takes, and the router that port leads to.
 struct NextHop {
     n: usize,
-    routing: RoutingKind,
     /// `step[target * n + v]`: `(port, neighbor)`; the diagonal is
     /// never read (a packet at its target ejects).
     step: Vec<(u8, u32)>,
@@ -242,29 +260,29 @@ impl NextHop {
                 });
             }
         }
-        Self { n, routing, step }
+        Self { n, step }
     }
 
-    /// Walk one route into `hops` (cleared first). A route's effective
-    /// target changes only where the packet reaches its intermediate,
-    /// so it is one row per phase; `advance` threads the state through
-    /// every hop as the router does.
-    fn walk(&self, lut: &RouteLut, src: usize, dst: usize, init: RouteState, hops: &mut Vec<Hop>) {
-        hops.clear();
+    /// Report the links of one route to `visitor`. A route's effective
+    /// target changes only where the packet reaches its intermediate, so
+    /// it is the row of `init`'s effective target and then the row of
+    /// `dst` (the same row twice for a direct route, whose second pass
+    /// is empty).
+    fn walk<V: RouteVisitor + ?Sized>(
+        &self,
+        src: usize,
+        dst: usize,
+        init: RouteState,
+        visitor: &mut V,
+    ) {
         let mut cur = src;
-        let mut state = init;
-        let mut target = state.effective_target(cur, dst);
-        while cur != target {
+        for target in [init.effective_target(src, dst), dst] {
             let row = &self.step[target * self.n..][..self.n];
             while cur != target {
                 let (port, next) = row[cur];
-                let port = port as usize;
-                let ns = self.routing.advance(lut, cur, port, &state);
-                hops.push(Hop { node: cur, port, state: ns });
+                visitor.link(cur, port as usize);
                 cur = next as usize;
-                state = ns;
             }
-            target = state.effective_target(cur, dst);
         }
     }
 }
@@ -310,14 +328,14 @@ type StateKey = (usize, bool, u8); // (node, dateline, last_dim)
 /// predecessors of a state are strictly farther from `dst`), and each
 /// state splits its accumulated weight equally over its candidate
 /// ports.
-fn adaptive_flows(
+fn adaptive_flows<V: RouteVisitor + ?Sized>(
     topo: TopologyKind,
     lut: &RouteLut,
     routing: &dyn RoutingAlgorithm,
     book: Option<&VcBook>,
     src: usize,
     dst: usize,
-    visitor: &mut dyn RouteVisitor,
+    visitor: &mut V,
 ) {
     let mut state_ix: HashMap<StateKey, usize> = HashMap::new();
     let mut states: Vec<StateKey> = Vec::new();
@@ -391,36 +409,47 @@ pub struct CdgBuild {
     pub exact: bool,
 }
 
-/// Accumulates CDG edges from exact path enumeration: consecutive hops
-/// contribute the cross-product of their legal VC masks.
+/// Accumulates CDG edges from exact route enumeration: consecutive links
+/// contribute the cross-product of their legal VC masks. The packet's
+/// state is threaded from each route's `init` by the router's own
+/// `advance`, link by link.
 struct CdgVisitor<'a> {
     topo: TopologyKind,
+    routing: RoutingKind,
+    lut: &'a RouteLut,
     book: &'a VcBook,
     cdg: &'a mut Cdg,
+    /// The current route's state after its latest link.
+    state: RouteState,
+    /// Channels of the current route's previous link.
     prev: Vec<u32>,
     here: Vec<u32>,
 }
 
 impl RouteVisitor for CdgVisitor<'_> {
-    fn path(&mut self, _src: usize, _dst: usize, _weight: f64, hops: &[Hop]) {
-        let vcs = self.book.vcs();
+    fn route(&mut self, _src: usize, _dst: usize, _weight: f64, init: RouteState) -> bool {
+        self.state = init;
         self.prev.clear();
-        for hop in hops {
-            let mask = self.book.allowed(0, hop.state.phase as usize, hop.state.dateline, false);
-            self.here.clear();
-            let mut bits = mask;
-            while bits != 0 {
-                let vc = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.here.push(channel_id(self.topo, hop.node, hop.port, vc, vcs));
-            }
-            for &a in &self.prev {
-                for &b in &self.here {
-                    self.cdg.add_edge(a, b);
-                }
-            }
-            std::mem::swap(&mut self.prev, &mut self.here);
+        true
+    }
+
+    fn link(&mut self, node: usize, port: usize) {
+        self.state = self.routing.advance(self.lut, node, port, &self.state);
+        let vcs = self.book.vcs();
+        let mask = self.book.allowed(0, self.state.phase as usize, self.state.dateline, false);
+        self.here.clear();
+        let mut bits = mask;
+        while bits != 0 {
+            let vc = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.here.push(channel_id(self.topo, node, port, vc, vcs));
         }
+        for &a in &self.prev {
+            for &b in &self.here {
+                self.cdg.add_edge(a, b);
+            }
+        }
+        std::mem::swap(&mut self.prev, &mut self.here);
     }
 }
 
@@ -429,10 +458,10 @@ pub fn build_cdg(cfg: &NetConfig, book: &VcBook) -> CdgBuild {
     let topo = cfg.topology;
     let vcs = book.vcs();
     let mut cdg = Cdg::new(topo.num_nodes() * (topo.num_ports() - 1) * vcs);
+    let lut = RouteLut::new(topo);
     if cfg.routing == RoutingKind::MinAdaptive {
         // Duato's criterion needs the escape sub-network's extended
         // dependency graph, not expected flow — built separately.
-        let lut = RouteLut::new(topo);
         let n = topo.num_nodes();
         let mut routes = 0u64;
         for src in 0..n {
@@ -445,7 +474,16 @@ pub fn build_cdg(cfg: &NetConfig, book: &VcBook) -> CdgBuild {
         }
         return CdgBuild { cdg, routes, exact: false };
     }
-    let mut visitor = CdgVisitor { topo, book, cdg: &mut cdg, prev: Vec::new(), here: Vec::new() };
+    let mut visitor = CdgVisitor {
+        topo,
+        routing: cfg.routing,
+        lut: &lut,
+        book,
+        cdg: &mut cdg,
+        state: RouteState::direct(),
+        prev: Vec::new(),
+        here: Vec::new(),
+    };
     let e = enumerate_routes(cfg, &mut visitor);
     CdgBuild { cdg, routes: e.routes, exact: e.exact }
 }
@@ -600,7 +638,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Collects paths/flows for assertions.
+    /// Collects routes (with their link counts) and flows for assertions.
     #[derive(Default)]
     struct Collect {
         paths: Vec<(usize, usize, f64, usize)>,
@@ -608,8 +646,13 @@ mod tests {
     }
 
     impl RouteVisitor for Collect {
-        fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
-            self.paths.push((src, dst, weight, hops.len()));
+        fn route(&mut self, src: usize, dst: usize, weight: f64, _init: RouteState) -> bool {
+            self.paths.push((src, dst, weight, 0));
+            true
+        }
+
+        fn link(&mut self, _node: usize, _port: usize) {
+            self.paths.last_mut().expect("a link belongs to a route").3 += 1;
         }
 
         fn flow(&mut self, src: usize, dst: usize, weight: f64, hop: Hop) {
@@ -696,31 +739,62 @@ mod tests {
         }
     }
 
-    /// One visitor call, exactly as the visitor saw it.
-    type Visit = (usize, usize, u64, Vec<Hop>);
+    /// One route, exactly as a visitor saw it: `src`, `dst`, the weight
+    /// as bits, `init`, and its links as hops with their states.
+    type Visit = (usize, usize, u64, RouteState, Vec<Hop>);
 
-    /// Records every path call (weight as bits, hops with their states).
+    /// The reference transcript: `route` calls as offered, each route's
+    /// hops (states included) written by the hop-by-hop `walk_path`.
     #[derive(Default)]
     struct Transcript(Vec<Visit>);
 
     impl RouteVisitor for Transcript {
-        fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
-            self.0.push((src, dst, weight.to_bits(), hops.to_vec()));
+        fn route(&mut self, src: usize, dst: usize, weight: f64, init: RouteState) -> bool {
+            self.0.push((src, dst, weight.to_bits(), init, Vec::new()));
+            true
+        }
+
+        fn link(&mut self, _node: usize, _port: usize) {
+            unreachable!("the reference walk writes its own hops")
         }
     }
 
-    /// Replays a transcript and fails at the first call that differs.
+    /// Replays a transcript against the link-by-link protocol and fails
+    /// at the first route that differs. It threads each route's state
+    /// from `init` with the router's `advance`, as the CDG builder does,
+    /// so the states are compared too.
     struct Replay {
         want: std::vec::IntoIter<Visit>,
-        calls: usize,
+        got: Option<Visit>,
+        routing: RoutingKind,
+        lut: RouteLut,
+        routes: usize,
+    }
+
+    impl Replay {
+        /// Compare the route reported so far, if any, with the next one
+        /// the reference walked.
+        fn check(&mut self) {
+            if let Some(got) = self.got.take() {
+                let want = self.want.next().expect("more routes than the reference walked");
+                assert_eq!(got, want, "route {}", self.routes);
+                self.routes += 1;
+            }
+        }
     }
 
     impl RouteVisitor for Replay {
-        fn path(&mut self, src: usize, dst: usize, weight: f64, hops: &[Hop]) {
-            let want = self.want.next().expect("more paths than the reference walked");
-            let got = (src, dst, weight.to_bits(), hops.to_vec());
-            assert_eq!(got, want, "path call {}", self.calls);
-            self.calls += 1;
+        fn route(&mut self, src: usize, dst: usize, weight: f64, init: RouteState) -> bool {
+            self.check();
+            self.got = Some((src, dst, weight.to_bits(), init, Vec::new()));
+            true
+        }
+
+        fn link(&mut self, node: usize, port: usize) {
+            let (.., init, hops) = self.got.as_mut().expect("a link belongs to a route");
+            let state = hops.last().map_or(*init, |hop| hop.state);
+            let state = self.routing.advance(&self.lut, node, port, &state);
+            hops.push(Hop { node, port, state });
         }
     }
 
@@ -735,20 +809,25 @@ mod tests {
     }
 
     /// The table walk is the reference walk: `enumerate_routes` tells the
-    /// visitor exactly what the hop-by-hop `walk_path` does — same calls,
-    /// same order, same weight bits, same hops and states.
+    /// visitor exactly what the hop-by-hop `walk_path` does — same routes,
+    /// same order, same weight bits and `init`, same links — and the
+    /// states `advance` threads from `init` over those links are the
+    /// reference walk's states.
     fn assert_table_walk_matches_the_reference_walk(topo: TopologyKind, routing: RoutingKind) {
         let lut = RouteLut::new(topo);
         let mut reference = Transcript::default();
-        let walk = |src, dst, init, hops: &mut Vec<Hop>| {
+        let walk = |src, dst, init, t: &mut Transcript| {
+            let hops = &mut t.0.last_mut().expect("walked after its route call").4;
             walk_path(topo, &lut, &routing, src, dst, init, hops)
         };
         let want = visit_paths(topo, &lut, routing, &mut reference, walk);
         let cfg = NetConfig::baseline().with_topology(topo).with_routing(routing);
-        let mut replay = Replay { want: reference.0.into_iter(), calls: 0 };
+        let mut replay =
+            Replay { want: reference.0.into_iter(), got: None, routing, lut, routes: 0 };
         let got = enumerate_routes(&cfg, &mut replay);
+        replay.check();
         assert_eq!(got, want);
-        assert!(replay.want.next().is_none(), "fewer paths than the reference walked");
+        assert!(replay.want.next().is_none(), "fewer routes than the reference walked");
     }
 
     proptest! {

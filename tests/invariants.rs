@@ -481,3 +481,64 @@ fn hostile_topologies_are_refused_before_any_geometry() {
         assert_eq!((finding.severity, finding.check), (Severity::Error, "config"), "{topo:?}");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `AnalyticModel::of` and `noc_verify::verify` on the four small
+    /// topologies with every other field drawn from a wide range, hostile
+    /// values included: the model answers `Ok` exactly when the network,
+    /// the pattern and the size rules all pass, and otherwise the first
+    /// of those rules' errors, in that order; the verifier always
+    /// answers a report. Neither panics.
+    #[test]
+    fn the_model_and_the_verifier_answer_any_config(
+        topology in prop_oneof![
+            Just(TopologyKind::Mesh2D { k: 4 }),
+            Just(TopologyKind::Torus2D { k: 4 }),
+            Just(TopologyKind::FoldedTorus2D { k: 4 }),
+            Just(TopologyKind::Ring { n: 8 }),
+        ],
+        routing in routing_strategy(),
+        arbitration in prop_oneof![Just(Arbitration::RoundRobin), Just(Arbitration::AgeBased)],
+        vcs in 0usize..=70,
+        classes in 0usize..=4,
+        vc_buf in 0usize..=300,
+        router_delay in 0u32..=8,
+        pattern in prop_oneof![
+            Just(PatternKind::Uniform),
+            Just(PatternKind::Transpose),
+            Just(PatternKind::BitComplement),
+            (0usize..40).prop_map(|node| PatternKind::Hotspot { node, frac: 0.25 }),
+            Just(PatternKind::Hotspot { node: 5, frac: f64::NAN }),
+        ],
+        size in prop_oneof![
+            Just(SizeKind::Fixed(1)),
+            Just(SizeKind::Fixed(4)),
+            Just(SizeKind::Bimodal { short: 1, long: 8, p_long: 0.5 }),
+            Just(SizeKind::Fixed(0)),
+            Just(SizeKind::Bimodal { short: 1, long: 8, p_long: 2.0 }),
+            Just(SizeKind::Bimodal { short: 1, long: 8, p_long: f64::NAN }),
+        ],
+    ) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let net = NetConfig {
+            topology,
+            routing,
+            vcs,
+            vc_buf,
+            router_delay,
+            arbitration,
+            classes,
+            ..NetConfig::baseline()
+        };
+        let case = format!("{net:?} {pattern:?} {size:?}");
+        let model = catch_unwind(AssertUnwindSafe(|| AnalyticModel::of(&net, pattern, size)))
+            .map_err(|_| TestCaseError::fail(format!("AnalyticModel::of panicked on {case}")))?;
+        let rules = net.validate().and(pattern.validate(&topology)).and(size.validate());
+        prop_assert_eq!(model.map(drop), rules, "{}", case);
+        let report = catch_unwind(AssertUnwindSafe(|| noc_verify::verify(&net).to_string()));
+        prop_assert!(report.is_ok(), "verify panicked on {}", case);
+    }
+}
