@@ -4,7 +4,7 @@
 //!
 //! Long paper-scale grids previously ran silent for minutes; the only
 //! sign of life was the journal file growing. [`Progress`] gives the
-//! robust and journal runners a heartbeat without touching results:
+//! robust grid runner a heartbeat without touching results:
 //! it only *counts* completions, so enabling or disabling it cannot
 //! change what a sweep computes.
 //!

@@ -30,7 +30,7 @@
 //! flits, credits, and the sanitizer's conservation laws) live in
 //! [`noc_sim::network::fault`]; the static counterpart (certifying
 //! that a surviving topology is still routable, over the same
-//! `SurvivorTable` the engine reroutes by) is
+//! `FaultLedger` and `SurvivorTable` the engine reroutes by) is
 //! `noc_verify::check_fault_connectivity`, which returns the
 //! simulator's `ConfigError` for an event outside the topology.
 
@@ -263,20 +263,10 @@ impl FaultSchedule {
         1.0 - self.scheduled_downtime(horizon) as f64 / (channels * horizon) as f64
     }
 
-    /// Package the scenario as a simulator [`FaultPlan`], optionally
-    /// with end-to-end retransmission.
-    pub fn plan(&self, retx: Option<RetxPolicy>) -> FaultPlan {
-        self.plan_with(retx, None)
-    }
-
-    /// Package the scenario as a simulator [`FaultPlan`] with both
-    /// recovery knobs explicit: end-to-end retransmission and/or
-    /// link-level retry.
-    pub fn plan_with(
-        &self,
-        retx: Option<RetxPolicy>,
-        link_retry: Option<LinkRetryPolicy>,
-    ) -> FaultPlan {
+    /// Package the scenario as a simulator [`FaultPlan`] with the given
+    /// recovery: end-to-end retransmission and/or link-level retry
+    /// (`None` leaves that machinery off).
+    pub fn plan(&self, retx: Option<RetxPolicy>, link_retry: Option<LinkRetryPolicy>) -> FaultPlan {
         FaultPlan {
             events: self.events.clone(),
             corrupt_rate: self.corrupt_rate,

@@ -20,7 +20,7 @@
 use noc_exp::{derive_seed, run_grid_robust, Diverged, PointOutcome};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::error::ConfigError;
-use noc_sim::network::fault::{LinkRetryPolicy, RetxPolicy};
+use noc_sim::network::fault::{FaultPlan, LinkRetryPolicy, RetxPolicy};
 use noc_sim::network::Network;
 use noc_stats::Ratio;
 
@@ -194,7 +194,9 @@ fn eval_point(
     let availability = schedule.link_availability(topo, flap.horizon);
 
     let (retx, link_retry) = cfg.recovery.split(cfg.retx, cfg.link_retry);
-    net.set_fault_plan(schedule.plan_with(retx, link_retry));
+    if let Err(e) = net.set_fault_plan(schedule.plan(retx, link_retry)) {
+        return Ok(Err(e));
+    }
     let (net, b) = run_gated(net, &base, cfg.settle_max)?;
 
     let fs = net.fault_stats().expect("fault plan installed above").clone();
@@ -216,8 +218,9 @@ fn eval_point(
 }
 
 /// Measure the resilience curve: one point per `(mtbf, mttr)` pair, in
-/// parallel, each isolated by the robust grid. An invalid `base`, or an
-/// axis pair no flap timeline can use, is refused before any point
+/// parallel, each isolated by the robust grid. An invalid `base`, an
+/// axis pair no flap timeline can use, or a corruption rate or armed
+/// recovery policy no fault plan accepts is refused before any point
 /// runs. Output is bit-identical across runs and thread counts.
 pub fn resilience_sweep(
     cfg: &ResilienceConfig,
@@ -226,6 +229,11 @@ pub fn resilience_sweep(
     for &(mtbf, mttr) in &cfg.axis {
         FlapConfig { mtbf, mttr, ..cfg.flap }.validate()?;
     }
+    // every point arms this plan, less its events; a policy the
+    // recovery mode leaves off is not judged
+    let (retx, link_retry) = cfg.recovery.split(cfg.retx, cfg.link_retry);
+    FaultPlan { corrupt_rate: cfg.flap.corrupt_rate, retx, link_retry, ..FaultPlan::default() }
+        .validate()?;
     let ks: Vec<usize> = (0..cfg.axis.len()).collect();
     let outcomes = run_grid_robust(&ks, |_, &k| eval_point(cfg, k));
     outcomes.into_iter().map(PointOutcome::transpose).collect()
@@ -262,6 +270,29 @@ mod tests {
             Err(ConfigError::Parameter { name: "mttr", .. }) => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn invalid_armed_policy_is_one_error_before_any_point_runs() {
+        let zero_timeout = RetxPolicy { timeout: 0, ..RetxPolicy::default() };
+        let no_replays = LinkRetryPolicy { max_replays: 0, ..LinkRetryPolicy::default() };
+        let combined = quick_cfg(RecoveryMode::Combined);
+        let link_level = quick_cfg(RecoveryMode::LinkLevel);
+        for (cfg, field) in [
+            (ResilienceConfig { retx: zero_timeout, ..combined }, "retx.timeout"),
+            (
+                ResilienceConfig { link_retry: no_replays, ..link_level.clone() },
+                "link_retry.max_replays",
+            ),
+        ] {
+            match resilience_sweep(&cfg) {
+                Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // a policy the mode leaves off is not judged
+        let out = resilience_sweep(&ResilienceConfig { retx: zero_timeout, ..link_level }).unwrap();
+        assert!(matches!(out[..], [PointOutcome::Ok(_)]), "{out:?}");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! abandoned). Only then is the delivered fraction exact rather than a
 //! snapshot.
 //!
-//! An invalid base config is one [`ConfigError`] before any point
-//! runs. Points run through [`noc_exp::run_grid_robust`]: a scenario
-//! that panics the engine reports `Panicked`, one that fails to settle
-//! within [`DegradationConfig::settle_max`] reports `Diverged`, and
-//! the rest of the curve survives. Results are bit-identical across
-//! runs and thread counts — point `k` always runs
+//! An invalid base config, or a corruption rate or retransmission
+//! policy no fault plan accepts, is one [`ConfigError`] before any
+//! point runs. Points run through [`noc_exp::run_grid_robust`]: a
+//! scenario that panics the engine reports `Panicked`, one that fails
+//! to settle within [`DegradationConfig::settle_max`] reports
+//! `Diverged`, and the rest of the curve survives. Results are
+//! bit-identical across runs and thread counts — point `k` always runs
 //! [`OpenLoopConfig::point`]`(k, ..)` for traffic and an independently
 //! derived scenario seed for faults, regardless of which worker
 //! evaluates it (`NOC_THREADS=1` is the reference; see
@@ -164,25 +165,27 @@ pub(crate) fn run_gated(
 /// set (rather than a seeded sweep axis) call it directly.
 /// `failed_links` only labels the returned point.
 ///
-/// # Panics
-///
-/// On a `base` that fails [`OpenLoopConfig::validate`] (the sweep
-/// refuses one before any point runs).
+/// # Errors
+/// The [`ConfigError`] of a `base` that fails
+/// [`OpenLoopConfig::validate`] or of a `plan` that
+/// [`Network::set_fault_plan`] refuses. A run that does not settle
+/// within `settle_max` cycles past its window is `Ok(Err(Diverged))`.
 pub fn run_faulted(
     base: &OpenLoopConfig,
     plan: FaultPlan,
     failed_links: usize,
     settle_max: u64,
-) -> Result<DegradationPoint, Diverged> {
-    let mut net = base
-        .validate()
-        .and_then(|()| Network::new(base.net.clone()))
-        .unwrap_or_else(|e| panic!("faulted base config must be valid: {e}"));
-    net.set_fault_plan(plan);
-    let (net, b) = run_gated(net, base, settle_max)?;
+) -> Result<Result<DegradationPoint, Diverged>, ConfigError> {
+    base.validate()?;
+    let mut net = Network::new(base.net.clone())?;
+    net.set_fault_plan(plan)?;
+    let (net, b) = match run_gated(net, base, settle_max) {
+        Ok(run) => run,
+        Err(d) => return Ok(Err(d)),
+    };
     let nodes = net.num_nodes();
     let fs = net.fault_stats().expect("fault plan installed above").clone();
-    Ok(DegradationPoint {
+    Ok(Ok(DegradationPoint {
         failed_links,
         delivered: Ratio::new(fs.transfers_delivered, fs.transfers_started),
         retransmissions: fs.retransmissions,
@@ -192,11 +195,14 @@ pub fn run_faulted(
         throughput: b.inner.window_flits as f64 / base.measure as f64 / nodes as f64,
         digest: net.stats().delivery_digest,
         cycles: net.cycle(),
-    })
+    }))
 }
 
 /// Evaluate degradation point `k` (that many failed links).
-fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Diverged> {
+fn eval_point(
+    cfg: &DegradationConfig,
+    k: usize,
+) -> Result<Result<DegradationPoint, ConfigError>, Diverged> {
     // per-point traffic seed, as every other grid in this workspace
     let base = cfg.base.point(k, cfg.base.load);
 
@@ -210,19 +216,27 @@ fn eval_point(cfg: &DegradationConfig, k: usize) -> Result<DegradationPoint, Div
         corrupt_rate: cfg.corrupt_rate,
     };
     let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
-    run_faulted(&base, schedule.plan(cfg.retx), k, cfg.settle_max)
+    match run_faulted(&base, schedule.plan(cfg.retx, None), k, cfg.settle_max) {
+        Ok(point) => point.map(Ok),
+        Err(e) => Ok(Err(e)),
+    }
 }
 
 /// Measure the degradation curve: one point per failed-link count in
 /// `0..=max_failed_links`, in parallel, each isolated by the robust
-/// grid. An invalid `base` is refused before any point runs. Output is
-/// bit-identical across runs and thread counts.
+/// grid. An invalid `base`, corruption rate or retransmission policy
+/// is refused before any point runs. Output is bit-identical across
+/// runs and thread counts.
 pub fn degradation_sweep(
     cfg: &DegradationConfig,
 ) -> Result<Vec<PointOutcome<DegradationPoint>>, ConfigError> {
     cfg.base.validate()?;
+    // every point arms this plan, less its events
+    FaultPlan { corrupt_rate: cfg.corrupt_rate, retx: cfg.retx, ..FaultPlan::default() }
+        .validate()?;
     let ks: Vec<usize> = (0..=cfg.max_failed_links).collect();
-    Ok(run_grid_robust(&ks, |_, &k| eval_point(cfg, k)))
+    let outcomes = run_grid_robust(&ks, |_, &k| eval_point(cfg, k));
+    outcomes.into_iter().map(PointOutcome::transpose).collect()
 }
 
 #[cfg(test)]
@@ -272,6 +286,21 @@ mod tests {
         match degradation_sweep(&cfg) {
             Err(ConfigError::Parameter { name: "measure", .. }) => {}
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_plan_is_one_error_before_any_point_runs() {
+        let zero_timeout = RetxPolicy { timeout: 0, ..RetxPolicy::default() };
+        for (cfg, field) in [
+            (DegradationConfig { corrupt_rate: f64::NAN, ..quick_cfg(3) }, "corrupt_rate"),
+            (DegradationConfig { corrupt_rate: 2.0, ..quick_cfg(3) }, "corrupt_rate"),
+            (DegradationConfig { retx: Some(zero_timeout), ..quick_cfg(3) }, "retx.timeout"),
+        ] {
+            match degradation_sweep(&cfg) {
+                Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                other => panic!("{field}: {other:?}"),
+            }
         }
     }
 

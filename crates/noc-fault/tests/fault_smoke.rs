@@ -41,7 +41,8 @@ fn fault_smoke_two_dead_links_full_delivery() {
     let lint = noc_verify::check_fault_connectivity(&base.net, &schedule.events).unwrap();
     assert!(lint.is_certified(), "{lint}");
 
-    let p = run_faulted(&base, schedule.plan(Some(Default::default())), 2, 100_000)
+    let p = run_faulted(&base, schedule.plan(Some(Default::default()), None), 2, 100_000)
+        .expect("valid plan")
         .expect("smoke scenario must settle");
     assert!(
         p.delivered.is_complete(),
@@ -104,7 +105,8 @@ fn fault_smoke_replays_bit_identically() {
     };
     let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
     let run = || {
-        run_faulted(&base, schedule.plan(Some(Default::default())), 3, 100_000)
+        run_faulted(&base, schedule.plan(Some(Default::default()), None), 3, 100_000)
+            .expect("valid plan")
             .expect("scenario must settle")
     };
     assert_eq!(run(), run(), "same schedule, same traffic, different outcome");

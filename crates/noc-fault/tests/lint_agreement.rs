@@ -40,7 +40,8 @@ fn certified_fault_set_simulates_to_full_delivery() {
         .find(|s| check_fault_connectivity(&base.net, &s.events).unwrap().is_certified())
         .expect("some 3-link scenario on a 4x4 mesh must be survivable");
 
-    let p = run_faulted(&base, schedule.plan(Some(Default::default())), 3, 100_000)
+    let p = run_faulted(&base, schedule.plan(Some(Default::default()), None), 3, 100_000)
+        .expect("valid plan")
         .expect("certified scenario must settle");
     assert!(
         p.delivered.is_complete(),
@@ -70,7 +71,9 @@ fn refuted_fault_set_simulates_to_partial_delivery() {
         retx: Some(Default::default()),
         link_retry: None,
     };
-    let p = run_faulted(&base, plan, 3, 200_000).expect("partitioned scenario must still settle");
+    let p = run_faulted(&base, plan, 3, 200_000)
+        .expect("valid plan")
+        .expect("partitioned scenario must still settle");
     assert!(!p.delivered.is_complete(), "traffic across the cut cannot be delivered");
     assert!(p.abandoned > 0, "cross-cut transfers must be abandoned, not lost track of");
     assert_eq!(
@@ -102,7 +105,7 @@ impl NodeBehavior for Idle {
 /// Returns the lint's verdicts (true = certified).
 fn engine_and_lint_agree(net_cfg: &NetConfig, events: &[FaultEvent]) -> Vec<bool> {
     let mut net = Network::new(net_cfg.clone()).unwrap();
-    net.set_fault_plan(FaultPlan { events: events.to_vec(), ..FaultPlan::default() });
+    net.set_fault_plan(FaultPlan { events: events.to_vec(), ..FaultPlan::default() }).unwrap();
     let mut cycles: Vec<Cycle> = events.iter().map(FaultEvent::cycle).collect();
     cycles.sort_unstable();
     cycles.dedup();
@@ -132,11 +135,13 @@ fn engine_and_lint_agree(net_cfg: &NetConfig, events: &[FaultEvent]) -> Vec<bool
     verdicts
 }
 
-/// After the lint reads the engine's own `SurvivorTable`, its replay of
-/// events into an end state is the one piece of fault logic it still
-/// mirrors: pin it against the engine over permanent schedules (1-6
-/// links, 0-1 routers, 8 seeds) and one intermittent timeline checked at
-/// every cycle it changes, on a mesh and a torus.
+/// The lint applies events to the engine's own `FaultLedger` and reads
+/// the engine's own `SurvivorTable`; this checks its verdicts against a
+/// `Network` stepped through the same plan, whose event ordering, epoch
+/// bookkeeping and table lifetime the lint does not share, over
+/// permanent schedules (1-6 links, 0-1 routers, 8 seeds) and one
+/// intermittent timeline checked at every cycle it changes, on a mesh
+/// and a torus.
 #[test]
 fn lint_end_state_matches_the_engine_survivor_table() {
     let mut verdicts = Vec::new();

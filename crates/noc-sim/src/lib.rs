@@ -58,7 +58,7 @@ pub use error::ConfigError;
 pub use flit::{Cycle, Delivered, PacketSpec};
 pub use metrics::{ChannelMetrics, MetricsSnapshot, RouterMetrics};
 pub use network::fault::{
-    FaultEvent, FaultPlan, FaultStats, LinkRetryPolicy, RetxPolicy, SurvivorTable,
+    FaultEvent, FaultLedger, FaultPlan, FaultStats, LinkRetryPolicy, RetxPolicy, SurvivorTable,
 };
 pub use network::{NetStats, Network, NodeBehavior};
 pub use trace::{trace_route, TraceError};

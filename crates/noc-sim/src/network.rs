@@ -463,11 +463,6 @@ impl Network {
         out
     }
 
-    fn link_idx(&self, router: usize, port: usize) -> usize {
-        debug_assert!(port >= 1);
-        router * self.eng.ports1 + (port - 1)
-    }
-
     /// Advance one cycle (possibly fast-forwarding, see
     /// [`Network::try_step`]).
     ///
@@ -1029,12 +1024,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Index of the link arriving at the `(router, in_port)` slot `li`
-    /// (links and their upstream table share one indexing).
-    pub(crate) fn up_link(&self, li: usize) -> Option<usize> {
-        self.up[li].map(|u| u.router as usize * self.ports1 + (u.port as usize - 1))
-    }
 }
 
 /// Hand an arrived credit to the output VC it belongs to.
@@ -1459,7 +1448,8 @@ mod tests {
             net.set_fault_plan(FaultPlan {
                 events: vec![FaultEvent::RouterFail { cycle: 1, router: 5 }],
                 ..FaultPlan::default()
-            });
+            })
+            .unwrap();
             // node 5 injects one flit at cycle 0; its other two packets
             // are still in the source queue when the router dies
             let mut b = Script::new(vec![(0, 0, 3, 1), (0, 5, 6, 1), (0, 5, 6, 1), (0, 5, 6, 1)]);
@@ -1548,7 +1538,8 @@ mod tests {
                 ],
                 retx: Some(RetxPolicy { timeout: 64, backoff_cap: 256, max_attempts: 0 }),
                 ..FaultPlan::default()
-            });
+            })
+            .unwrap();
             let mut b = Probe { inner: Script::new(sends), protocols: vec![], polled: vec![] };
             let mut steps = 0u64;
             while !(net.is_idle() && b.quiescent() && net.fault_settled()) {
@@ -1621,7 +1612,8 @@ mod tests {
                 corrupt_seed,
                 link_retry: Some(LinkRetryPolicy { replay_rtt: 300, max_replays: 1, buf_depth: 0 }),
                 ..FaultPlan::default()
-            });
+            })
+            .unwrap();
             let mut b = Script::new(vec![(0, 0, 1, 2), (second, 0, 1, 2)]);
             let mut steps = 0;
             while b.delivered.len() < 2 {

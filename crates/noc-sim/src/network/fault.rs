@@ -7,10 +7,10 @@
 //! undelivered packets, and a hop-level [`LinkRetryPolicy`] under which
 //! CRC-detected corruption is replayed from a per-link retry buffer
 //! instead of being dropped. Install the plan with
-//! [`Network::set_fault_plan`] (or the validating
-//! [`Network::try_set_fault_plan`]) before stepping; a network without
-//! a plan behaves exactly as before (the fault hooks are a single
-//! `Option` check per cycle).
+//! [`Network::set_fault_plan`], which refuses a malformed plan with a
+//! typed error, before stepping; a network without a plan behaves
+//! exactly as before (the fault hooks are a single `Option` check per
+//! cycle).
 //!
 //! # Fault semantics
 //!
@@ -43,18 +43,18 @@
 //! Topology state changes in **epochs**: each cycle whose due events
 //! net-change the surviving graph closes one epoch
 //! ([`FaultStats::epochs`] counts them) and triggers one in-place
-//! [`SurvivorTable::rebuild`] at the boundary. Direct link failures
-//! ([`FaultEvent::LinkFail`]) are tracked separately from the
-//! *effective* dead set, so a channel stays dead while either its own
-//! failure is unrepaired or either endpoint router is down, and
-//! [`FaultEvent::LinkRepair`] / [`FaultEvent::RouterRepair`] restore
-//! exactly the channels whose every cause has cleared. When an epoch
-//! leaves the topology fully healed the survivor table is dropped
-//! entirely — routing re-converges online to the configured algorithm.
-//! A packet mid-swallow keeps draining into the channel that took its
-//! head even if that channel is repaired mid-packet (the pinning in
-//! `dooming` is by link, not by link state), so wormhole framing holds
-//! across repair boundaries.
+//! [`SurvivorTable::rebuild`] at the boundary. A [`FaultLedger`] tracks
+//! the causes (direct [`FaultEvent::LinkFail`]s, dead routers)
+//! separately from the *effective* dead set, so a channel stays dead
+//! while either its own failure is unrepaired or either endpoint router
+//! is down, and [`FaultEvent::LinkRepair`] /
+//! [`FaultEvent::RouterRepair`] restore exactly the channels whose
+//! every cause has cleared. When an epoch leaves the topology fully
+//! healed the survivor table is dropped entirely — routing re-converges
+//! online to the configured algorithm. A packet mid-swallow keeps
+//! draining into the channel that took its head even if that channel is
+//! repaired mid-packet (the pinning in `dooming` is by link, not by
+//! link state), so wormhole framing holds across repair boundaries.
 //!
 //! # Rerouting
 //!
@@ -97,7 +97,7 @@
 //! Everything is bookkept per `(config, seed, plan)` — replays are
 //! bit-identical, including the delivery digest.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use crate::config::TopologyKind;
 use crate::error::{ConfigError, SimError};
@@ -363,6 +363,148 @@ pub struct FaultStats {
     pub replay_buf_stalls: u64,
 }
 
+/// The fault state of one topology: which causes are set, and which
+/// directed channels they kill.
+///
+/// One rule defines it: a channel is dead while its own
+/// [`FaultEvent::LinkFail`] is unrepaired or either endpoint router is
+/// down. The engine applies its plan's events here as they fall due,
+/// `noc-verify`'s connectivity lint applies a whole timeline to reach
+/// its end state, and both build their [`SurvivorTable`] from the
+/// result. Channels are indexed like the engine's link array
+/// (`router * (ports-1) + (port-1)`).
+#[derive(Debug, Clone)]
+pub struct FaultLedger {
+    topo: TopologyKind,
+    /// Channels whose own `LinkFail` is unrepaired (a cause).
+    link_failed: Vec<bool>,
+    /// Routers that are down, NI included (a cause).
+    dead_router: Vec<bool>,
+    /// Effectively dead channels (the effect).
+    dead_link: Vec<bool>,
+    /// Population counts of `dead_link` / `dead_router`, so "fully
+    /// healed" is an O(1) question.
+    dead_links: usize,
+    dead_routers: usize,
+}
+
+/// What one [`FaultLedger::apply`] changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Applied {
+    /// The event flipped its own cause: it failed a live link or
+    /// router, or repaired a failed one.
+    pub cause_flipped: bool,
+    /// The surviving graph changed: any router flip, or a link event
+    /// that flipped its channel's effective state.
+    pub graph_changed: bool,
+}
+
+impl FaultLedger {
+    /// `topo` with no cause set and nothing dead.
+    pub fn new(topo: TopologyKind) -> Self {
+        let n = topo.num_nodes();
+        let channels = n * (topo.num_ports() - 1);
+        Self {
+            topo,
+            link_failed: vec![false; channels],
+            dead_router: vec![false; n],
+            dead_link: vec![false; channels],
+            dead_links: 0,
+            dead_routers: 0,
+        }
+    }
+
+    /// Apply one event. An event on a port with no link behind it
+    /// changes nothing.
+    ///
+    /// # Panics
+    /// On an event outside the topology, which [`validate_events`]
+    /// refuses.
+    pub fn apply(&mut self, ev: &FaultEvent) -> Applied {
+        match *ev {
+            FaultEvent::LinkFail { router, port, .. } => self.set_link(router, port, true),
+            FaultEvent::LinkRepair { router, port, .. } => self.set_link(router, port, false),
+            FaultEvent::RouterFail { router, .. } => self.set_router(router, true),
+            FaultEvent::RouterRepair { router, .. } => self.set_router(router, false),
+        }
+    }
+
+    fn set_link(&mut self, router: usize, port: usize, failed: bool) -> Applied {
+        let Some((dst, _)) = self.topo.neighbor(router, port) else {
+            return Applied::default();
+        };
+        let li = self.channel(router, port);
+        let cause_flipped = self.link_failed[li] != failed;
+        self.link_failed[li] = failed;
+        Applied { cause_flipped, graph_changed: self.recompute(li, router, dst) }
+    }
+
+    fn set_router(&mut self, router: usize, down: bool) -> Applied {
+        if self.dead_router[router] == down {
+            return Applied::default();
+        }
+        self.dead_router[router] = down;
+        if down {
+            self.dead_routers += 1;
+        } else {
+            self.dead_routers -= 1;
+        }
+        // every incident channel, both directions (links are symmetric)
+        for p in 1..self.topo.num_ports() {
+            if let Some((v, vp)) = self.topo.neighbor(router, p) {
+                self.recompute(self.channel(router, p), router, v);
+                self.recompute(self.channel(v, vp), v, router);
+            }
+        }
+        Applied { cause_flipped: true, graph_changed: true }
+    }
+
+    /// Re-derive channel `li` (`src -> dst`) from its causes; true when
+    /// its effective state flipped.
+    fn recompute(&mut self, li: usize, src: usize, dst: usize) -> bool {
+        let dead = self.link_failed[li] || self.dead_router[src] || self.dead_router[dst];
+        if self.dead_link[li] == dead {
+            return false;
+        }
+        self.dead_link[li] = dead;
+        if dead {
+            self.dead_links += 1;
+        } else {
+            self.dead_links -= 1;
+        }
+        true
+    }
+
+    fn channel(&self, router: usize, port: usize) -> usize {
+        router * (self.topo.num_ports() - 1) + (port - 1)
+    }
+
+    /// True when channel `li` is effectively dead.
+    pub fn link_dead(&self, li: usize) -> bool {
+        self.dead_link[li]
+    }
+
+    /// True when `router` (and its NI) is down.
+    pub fn router_dead(&self, router: usize) -> bool {
+        self.dead_router[router]
+    }
+
+    /// Effectively dead channels.
+    pub fn dead_links(&self) -> usize {
+        self.dead_links
+    }
+
+    /// Routers that are down.
+    pub fn dead_routers(&self) -> usize {
+        self.dead_routers
+    }
+
+    /// True when nothing is dead: the full topology survives.
+    pub fn is_healed(&self) -> bool {
+        self.dead_links == 0 && self.dead_routers == 0
+    }
+}
+
 /// Per-destination next hops over the surviving topology.
 ///
 /// Built by reverse breadth-first search from every live destination
@@ -383,11 +525,9 @@ pub struct SurvivorTable {
 }
 
 impl SurvivorTable {
-    /// Build the table for the given dead-channel / dead-router sets.
-    /// `dead_link` is indexed like the engine's link array
-    /// (`router * (ports-1) + (port-1)`).
-    pub fn build(topo: TopologyKind, dead_link: &[bool], dead_router: &[bool]) -> Self {
-        let n = topo.num_nodes();
+    /// Build the table over the channels `ledger` leaves alive.
+    pub fn build(ledger: &FaultLedger) -> Self {
+        let n = ledger.topo.num_nodes();
         let mut t = Self {
             n,
             table: vec![PortSet::new(); n * n],
@@ -395,16 +535,18 @@ impl SurvivorTable {
             dist: vec![u32::MAX; n],
             queue: VecDeque::new(),
         };
-        t.rebuild(topo, dead_link, dead_router);
+        t.rebuild(ledger);
         t
     }
 
-    /// Recompute the table in place for new dead sets, reusing every
-    /// allocation (table, adjacency, BFS scratch) — the per-epoch
-    /// incremental rebuild, so a flapping timeline costs no steady
-    /// allocator traffic after its first epoch.
-    pub fn rebuild(&mut self, topo: TopologyKind, dead_link: &[bool], dead_router: &[bool]) {
+    /// Recompute the table in place for `ledger`'s current state,
+    /// reusing every allocation (table, adjacency, BFS scratch) — the
+    /// per-epoch incremental rebuild, so a flapping timeline costs no
+    /// steady allocator traffic after its first epoch. A dead router's
+    /// channels are all dead, so it is neither reached nor routed from.
+    pub fn rebuild(&mut self, ledger: &FaultLedger) {
         let n = self.n;
+        let topo = ledger.topo;
         debug_assert_eq!(n, topo.num_nodes(), "survivor table bound to one topology");
         let ports = topo.num_ports();
         self.table.iter_mut().for_each(|s| *s = PortSet::new());
@@ -412,19 +554,16 @@ impl SurvivorTable {
         // channels (v --p--> u)
         self.rev.iter_mut().for_each(Vec::clear);
         for v in 0..n {
-            if dead_router[v] {
-                continue;
-            }
             for p in 1..ports {
                 if let Some((u, _)) = topo.neighbor(v, p) {
-                    if !dead_link[v * (ports - 1) + (p - 1)] && !dead_router[u] {
+                    if !ledger.dead_link[ledger.channel(v, p)] {
                         self.rev[u].push(v as u32);
                     }
                 }
             }
         }
         for dst in 0..n {
-            if dead_router[dst] {
+            if ledger.dead_router[dst] {
                 continue;
             }
             self.dist.fill(u32::MAX);
@@ -441,14 +580,13 @@ impl SurvivorTable {
                 }
             }
             for cur in 0..n {
-                if cur == dst || dead_router[cur] || self.dist[cur] == u32::MAX {
+                if cur == dst || self.dist[cur] == u32::MAX {
                     continue;
                 }
                 let mut set = PortSet::new();
                 for p in 1..ports {
                     if let Some((w, _)) = topo.neighbor(cur, p) {
-                        if !dead_link[cur * (ports - 1) + (p - 1)]
-                            && !dead_router[w]
+                        if !ledger.dead_link[ledger.channel(cur, p)]
                             && self.dist[w] != u32::MAX
                             && self.dist[w] + 1 == self.dist[cur]
                         {
@@ -478,10 +616,8 @@ impl SurvivorTable {
 struct PendingTx {
     node: usize,
     spec: PacketSpec,
-    xfer: u64,
     deadline: Cycle,
     attempt: u32,
-    done: bool,
 }
 
 /// Mutable fault-injection runtime owned by the network.
@@ -490,20 +626,8 @@ pub(super) struct FaultState {
     plan: FaultPlan,
     /// Next unapplied index into `plan.events`.
     next_event: usize,
-    /// *Effectively* dead directed channels (directly failed, or either
-    /// endpoint router down), indexed like `Network::links`.
-    pub(super) dead_link: Vec<bool>,
-    /// Directly failed channels (`LinkFail` not yet repaired) — the
-    /// cause ledger behind `dead_link`, so router repairs only revive
-    /// channels with no independent failure of their own.
-    pub(super) link_failed: Vec<bool>,
-    /// Dead routers/NIs.
-    pub(super) dead_router: Vec<bool>,
-    /// Population counts of `dead_link` / `dead_router`, so an epoch
-    /// that fully heals the topology can drop the survivor table in
-    /// O(1) instead of rescanning.
-    pub(super) dead_links_count: usize,
-    pub(super) dead_routers_count: usize,
+    /// Which links and routers are down, and which channels that kills.
+    ledger: FaultLedger,
     /// Per-link earliest admissible push time under link-level retry:
     /// replays delay the wire, and the FIFO link must keep later flits
     /// behind them. Empty unless `plan.link_retry` is set.
@@ -519,12 +643,10 @@ pub(super) struct FaultState {
     /// `transfers_delivered + transfers_abandoned` partitions
     /// retransmission-tracked transfers exactly.
     resolved: HashSet<u64>,
-    /// Retransmission ledger, in registration order.
-    pending: Vec<PendingTx>,
-    /// Open-transfer index: xfer id -> `pending` slot.
-    pending_idx: HashMap<u64, u32>,
-    /// Ledger entries not yet done.
-    pending_open: usize,
+    /// Open transfers by id. Uids are handed out in increasing order
+    /// and a transfer is registered right after its first attempt's
+    /// uid, so key order is registration order.
+    pending: BTreeMap<u64, PendingTx>,
     /// Earliest deadline of any open ledger entry (scan gate; may be
     /// stale-early, never stale-late).
     next_deadline: Cycle,
@@ -561,7 +683,7 @@ impl FaultState {
             // took its head; elsewhere its flits forward normally
             Some(&at) => at as usize == li,
             None if w.flit.seq != 0 => false,
-            None if self.dead_link[li] => true, // dead wire: nothing to replay from
+            None if self.ledger.link_dead(li) => true, // dead wire: nothing to replay from
             None => {
                 if self.plan.corrupt_rate > 0.0 && self.rng.chance(self.plan.corrupt_rate) {
                     match self.plan.link_retry {
@@ -631,30 +753,10 @@ impl FaultState {
         Ok(None)
     }
 
-    /// Close the ledger entry of `xfer`, if one is open.
-    fn close_pending(&mut self, xfer: u64) -> bool {
-        if let Some(i) = self.pending_idx.remove(&xfer) {
-            let p = &mut self.pending[i as usize];
-            if !p.done {
-                p.done = true;
-                self.pending_open -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Drop closed entries once they dominate the ledger, so timeout
-    /// scans stay proportional to *open* transfers.
-    fn compact_pending(&mut self) {
-        if self.pending.len() < 64 || self.pending_open * 2 >= self.pending.len() {
-            return;
-        }
-        self.pending.retain(|p| !p.done);
-        self.pending_idx.clear();
-        for (i, p) in self.pending.iter().enumerate() {
-            self.pending_idx.insert(p.xfer, i as u32);
-        }
+    /// Count transfer `xfer`, just closed undelivered, as abandoned.
+    fn abandon(&mut self, xfer: u64) {
+        self.stats.transfers_abandoned += 1;
+        self.resolved.insert(xfer);
     }
 }
 
@@ -662,31 +764,19 @@ impl Network {
     /// Install a fault plan. Must be called before the first step of
     /// the run; events are applied at the start of their cycle.
     ///
-    /// # Panics
-    /// If the network has already stepped, an event names a router or
-    /// port outside the topology, or the plan fails
-    /// [`FaultPlan::validate`]. Use [`Network::try_set_fault_plan`] to
-    /// observe plan problems as typed errors instead.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        if let Err(e) = self.try_set_fault_plan(plan) {
-            panic!("invalid fault plan: {e}");
-        }
-    }
-
-    /// Validating twin of [`Network::set_fault_plan`]: probability and
-    /// policy parameters plus event ranges are checked up front.
-    ///
     /// # Errors
-    /// [`ConfigError::Parameter`] naming the offending plan field.
+    /// [`ConfigError::Parameter`] naming the offending plan field: a
+    /// probability or policy parameter [`FaultPlan::validate`] refuses,
+    /// or an event naming a router or port outside the topology
+    /// ([`validate_events`]).
     ///
     /// # Panics
     /// If the network has already stepped (a usage error, not a plan
     /// problem).
-    pub fn try_set_fault_plan(&mut self, mut plan: FaultPlan) -> Result<(), ConfigError> {
+    pub fn set_fault_plan(&mut self, mut plan: FaultPlan) -> Result<(), ConfigError> {
         assert_eq!(self.cycle, 0, "install the fault plan before stepping");
         plan.validate()?;
         validate_events(&plan.events, self.cfg.topology)?;
-        let n = self.num_nodes();
         plan.events.sort_by_cached_key(FaultEvent::cycle); // stable: ties keep plan order
         let rng = SimRng::new(plan.corrupt_seed);
         let link_lag =
@@ -694,19 +784,13 @@ impl Network {
         self.fault = Some(Box::new(FaultState {
             plan,
             next_event: 0,
-            dead_link: vec![false; self.eng.links.len()],
-            link_failed: vec![false; self.eng.links.len()],
-            dead_router: vec![false; n],
-            dead_links_count: 0,
-            dead_routers_count: 0,
+            ledger: FaultLedger::new(self.cfg.topology),
             link_lag,
             rng,
             dooming: HashMap::new(),
             xfer_of: HashMap::new(),
             resolved: HashSet::new(),
-            pending: Vec::new(),
-            pending_idx: HashMap::new(),
-            pending_open: 0,
+            pending: BTreeMap::new(),
             next_deadline: Cycle::MAX,
             stats: FaultStats::default(),
         }));
@@ -722,7 +806,7 @@ impl Network {
     /// `is_idle() && fault_settled()` means the run has fully resolved:
     /// every transfer was delivered or abandoned.
     pub fn fault_settled(&self) -> bool {
-        self.fault.as_ref().is_none_or(|f| f.pending_open == 0)
+        self.fault.as_ref().is_none_or(|f| f.pending.is_empty())
     }
 
     /// The rerouting table, present once a permanent fault has fired.
@@ -745,118 +829,60 @@ impl Network {
     pub(super) fn fault_next_wake(&self) -> Option<Cycle> {
         let f = self.fault.as_ref()?;
         let mut next = f.plan.events.get(f.next_event).map(FaultEvent::cycle);
-        if f.pending_open > 0 {
+        if !f.pending.is_empty() {
             let d = f.next_deadline;
             next = Some(next.map_or(d, |n| n.min(d)));
         }
         next
     }
 
-    /// Apply every event due by `t`. A batch that net-changes the
-    /// surviving graph closes one epoch: the survivor table is rebuilt
-    /// in place at the boundary (or dropped entirely when the epoch
-    /// heals the last fault, handing routing back to the configured
-    /// algorithm).
+    /// Apply every event due by `t` to the ledger. A batch that
+    /// net-changes the surviving graph closes one epoch: the survivor
+    /// table is rebuilt in place at the boundary (or dropped entirely
+    /// when the epoch heals the last fault, handing routing back to the
+    /// configured algorithm).
     fn fault_apply_events(&mut self, t: Cycle) {
         let mut changed = false;
         loop {
-            let ev = {
-                let f = self.fault.as_ref().expect("fault state present");
-                match f.plan.events.get(f.next_event) {
-                    Some(&ev) if ev.cycle() <= t => ev,
-                    _ => break,
-                }
+            let f = self.fault.as_mut().expect("fault state present");
+            let ev = match f.plan.events.get(f.next_event) {
+                Some(&ev) if ev.cycle() <= t => ev,
+                _ => break,
             };
-            self.fault.as_mut().expect("fault state present").next_event += 1;
-            match ev {
-                FaultEvent::LinkFail { router, port, .. } => {
-                    let li = self.link_idx(router, port);
-                    if self.eng.links[li].is_some() {
-                        let f = self.fault.as_mut().expect("fault state present");
-                        if !f.link_failed[li] {
-                            f.link_failed[li] = true;
-                            f.stats.links_failed += 1;
-                        }
-                        changed |= self.fault_recompute_link(li);
-                    }
-                }
-                FaultEvent::LinkRepair { router, port, .. } => {
-                    let li = self.link_idx(router, port);
-                    if self.eng.links[li].is_some() {
-                        let f = self.fault.as_mut().expect("fault state present");
-                        if f.link_failed[li] {
-                            f.link_failed[li] = false;
-                            f.stats.links_repaired += 1;
-                        }
-                        changed |= self.fault_recompute_link(li);
-                    }
-                }
-                FaultEvent::RouterFail { router, .. } => {
-                    changed |= self.fault_kill_router(router);
-                }
-                FaultEvent::RouterRepair { router, .. } => {
-                    changed |= self.fault_repair_router(router);
-                }
+            f.next_event += 1;
+            let applied = f.ledger.apply(&ev);
+            changed |= applied.graph_changed;
+            if !applied.cause_flipped {
+                continue;
+            }
+            let counter = match ev {
+                FaultEvent::LinkFail { .. } => &mut f.stats.links_failed,
+                FaultEvent::LinkRepair { .. } => &mut f.stats.links_repaired,
+                FaultEvent::RouterFail { .. } => &mut f.stats.routers_failed,
+                FaultEvent::RouterRepair { .. } => &mut f.stats.routers_repaired,
+            };
+            *counter += 1;
+            if let FaultEvent::RouterFail { router, .. } = ev {
+                self.fault_kill_router(router);
             }
         }
         if changed {
             let f = self.fault.as_mut().expect("fault state present");
             f.stats.epochs += 1;
-            if f.dead_links_count == 0 && f.dead_routers_count == 0 {
+            if f.ledger.is_healed() {
                 // fully healed: back to the configured routing function
                 self.survivors = None;
             } else if let Some(s) = self.survivors.as_deref_mut() {
-                s.rebuild(self.cfg.topology, &f.dead_link, &f.dead_router);
+                s.rebuild(&f.ledger);
             } else {
-                self.survivors = Some(Box::new(SurvivorTable::build(
-                    self.cfg.topology,
-                    &f.dead_link,
-                    &f.dead_router,
-                )));
+                self.survivors = Some(Box::new(SurvivorTable::build(&f.ledger)));
             }
         }
     }
 
-    /// Re-derive channel `li`'s effective liveness from its cause
-    /// ledger (own failure, endpoint routers); true when it flipped.
-    fn fault_recompute_link(&mut self, li: usize) -> bool {
-        let Some(link) = self.eng.links[li].as_ref() else { return false };
-        let src = li / self.eng.ports1;
-        let dst = link.dst_router;
-        let f = self.fault.as_mut().expect("fault state present");
-        let dead = f.link_failed[li] || f.dead_router[src] || f.dead_router[dst];
-        if f.dead_link[li] == dead {
-            return false;
-        }
-        f.dead_link[li] = dead;
-        if dead {
-            f.dead_links_count += 1;
-        } else {
-            f.dead_links_count -= 1;
-        }
-        true
-    }
-
-    /// Fail-stop `router`: kill incident channels and its NI, discard
-    /// its queued source packets.
-    fn fault_kill_router(&mut self, router: usize) -> bool {
-        {
-            let f = self.fault.as_mut().expect("fault state present");
-            if f.dead_router[router] {
-                return false;
-            }
-            f.dead_router[router] = true;
-            f.dead_routers_count += 1;
-            f.stats.routers_failed += 1;
-        }
-        let ports = self.cfg.topology.num_ports();
-        for p in 1..ports {
-            let li = self.link_idx(router, p);
-            self.fault_recompute_link(li);
-            if let Some(ui) = self.eng.up_link(li) {
-                self.fault_recompute_link(ui);
-            }
-        }
+    /// The engine's half of a router failure: discard the packets still
+    /// queued at its now-dead NI.
+    fn fault_kill_router(&mut self, router: usize) {
         // will this router come back? if so, its open transfers stay
         // open for the retransmission protocol to recover after repair
         let revives = {
@@ -865,128 +891,77 @@ impl Network {
                 .iter()
                 .any(|ev| matches!(*ev, FaultEvent::RouterRepair { router: r, .. } if r == router))
         };
-        // discard packets still queued at the dead NI (none of their
-        // flits exist yet, so flit conservation is untouched); their
-        // transfers are abandoned immediately unless a repair of this
-        // router is still scheduled — then somebody IS left to
-        // retransmit them, and the ledger keeps them open
+        // none of their flits exist yet, so flit conservation is
+        // untouched; their transfers are abandoned immediately unless a
+        // repair of this router is still scheduled — then somebody IS
+        // left to retransmit them, and the ledger keeps them open
         for c in 0..self.cfg.classes {
             while let Some(pid) = self.eng.nis[router].class_q[c].pop_front() {
                 self.eng.packets.remove(pid);
                 let f = self.fault.as_mut().expect("fault state present");
                 f.stats.packets_dropped += 1;
                 if let Some(x) = f.xfer_of.remove(&pid) {
-                    if !revives && f.close_pending(x) {
-                        f.stats.transfers_abandoned += 1;
-                        f.resolved.insert(x);
+                    if !revives && f.pending.remove(&x).is_some() {
+                        f.abandon(x);
                     }
                 }
             }
         }
-        true
     }
 
-    /// Revive `router`: its NI resumes pulling and accepting packets,
-    /// and incident channels with no independent failure come back.
-    fn fault_repair_router(&mut self, router: usize) -> bool {
-        {
-            let f = self.fault.as_mut().expect("fault state present");
-            if !f.dead_router[router] {
-                return false;
-            }
-            f.dead_router[router] = false;
-            f.dead_routers_count -= 1;
-            f.stats.routers_repaired += 1;
-        }
-        let ports = self.cfg.topology.num_ports();
-        for p in 1..ports {
-            let li = self.link_idx(router, p);
-            self.fault_recompute_link(li);
-            if let Some(ui) = self.eng.up_link(li) {
-                self.fault_recompute_link(ui);
-            }
-        }
-        true
-    }
-
-    /// Scan the retransmission ledger for due deadlines.
+    /// Scan the retransmission ledger for due deadlines, in
+    /// registration order.
     fn fault_retx_scan(&mut self, t: Cycle) {
-        let Some(policy) = self.fault.as_ref().and_then(|f| f.plan.retx) else { return };
-        {
-            let f = self.fault.as_mut().expect("fault state present");
-            if f.pending_open == 0 || t < f.next_deadline {
-                return;
-            }
-            f.compact_pending();
+        let Some(f) = self.fault.as_mut() else { return };
+        let Some(policy) = f.plan.retx else { return };
+        if f.pending.is_empty() || t < f.next_deadline {
+            return;
         }
-        let len = self.fault.as_ref().expect("fault state present").pending.len();
+        // while the plan still holds unapplied events, a repair may
+        // restore a path: defer instead of abandoning
+        let more_events = f.next_event < f.plan.events.len();
+        let mut pending = std::mem::take(&mut f.pending);
         let mut next_deadline = Cycle::MAX;
-        for idx in 0..len {
-            let (node, spec, xfer, attempt) = {
-                let f = self.fault.as_ref().expect("fault state present");
-                let p = &f.pending[idx];
-                if p.done {
-                    continue;
-                }
-                if p.deadline > t {
-                    next_deadline = next_deadline.min(p.deadline);
-                    continue;
-                }
-                (p.node, p.spec, p.xfer, p.attempt)
-            };
-            let unreachable =
-                {
-                    let f = self.fault.as_ref().expect("fault state present");
-                    f.dead_router[node] || f.dead_router[spec.dst]
-                } || self.survivors.as_ref().is_some_and(|s| !s.reachable(node, spec.dst));
-            if unreachable {
-                // while the plan still holds unapplied events, a repair
-                // may restore the path: defer instead of abandoning
-                // (deferral is not an attempt, so the budget is kept)
-                let more_events = {
-                    let f = self.fault.as_ref().expect("fault state present");
-                    f.next_event < f.plan.events.len()
-                };
-                let f = self.fault.as_mut().expect("fault state present");
-                if more_events {
-                    let p = &mut f.pending[idx];
-                    p.deadline = t + policy.timeout;
-                    next_deadline = next_deadline.min(p.deadline);
-                } else if f.close_pending(xfer) {
-                    f.stats.transfers_abandoned += 1;
-                    f.resolved.insert(xfer);
-                }
-                continue;
+        pending.retain(|&xfer, p| {
+            if p.deadline > t {
+                next_deadline = next_deadline.min(p.deadline);
+                return true;
             }
-            if policy.max_attempts > 0 && attempt >= policy.max_attempts {
+            let unreachable = self.fault_node_dead(p.node)
+                || self.fault_node_dead(p.spec.dst)
+                || self.survivors.as_ref().is_some_and(|s| !s.reachable(p.node, p.spec.dst));
+            let exhausted = policy.max_attempts > 0 && p.attempt >= policy.max_attempts;
+            if unreachable && more_events {
+                // deferral is not an attempt, so the budget is kept
+                p.deadline = t + policy.timeout;
+            } else if unreachable || exhausted {
+                self.fault.as_mut().expect("fault state present").abandon(xfer);
+                return false;
+            } else {
+                // retransmit: a fresh packet carrying the same spec
+                let pid = self.enqueue_packet(p.node, p.spec, t);
                 let f = self.fault.as_mut().expect("fault state present");
-                if f.close_pending(xfer) {
-                    f.stats.transfers_abandoned += 1;
-                    f.resolved.insert(xfer);
-                }
-                continue;
+                f.xfer_of.insert(pid, xfer);
+                f.stats.retransmissions += 1;
+                p.attempt += 1;
+                p.deadline = t + policy.timeout_for(p.attempt);
             }
-            // retransmit: a fresh packet carrying the same spec
-            let pid = self.enqueue_packet(node, spec, t);
-            let f = self.fault.as_mut().expect("fault state present");
-            f.xfer_of.insert(pid, xfer);
-            f.stats.retransmissions += 1;
-            let p = &mut f.pending[idx];
-            p.attempt += 1;
-            p.deadline = t + policy.timeout_for(p.attempt);
             next_deadline = next_deadline.min(p.deadline);
-        }
-        self.fault.as_mut().expect("fault state present").next_deadline = next_deadline;
+            true
+        });
+        let f = self.fault.as_mut().expect("fault state present");
+        f.pending = pending;
+        f.next_deadline = next_deadline;
     }
 
     /// True when `node`'s NI is dead (no pulls, deliveries lost).
     pub(super) fn fault_node_dead(&self, node: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.dead_router[node])
+        self.fault.as_ref().is_some_and(|f| f.ledger.router_dead(node))
     }
 
     /// True while at least one NI is dead.
     pub(super) fn fault_any_node_dead(&self) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.dead_routers_count > 0)
+        self.fault.as_ref().is_some_and(|f| f.ledger.dead_routers() > 0)
     }
 
     /// Open a transfer for a freshly pulled non-self packet.
@@ -1003,9 +978,7 @@ impl Network {
         f.xfer_of.insert(pid, uid);
         if let Some(policy) = f.plan.retx {
             let deadline = t + policy.timeout;
-            f.pending_idx.insert(uid, f.pending.len() as u32);
-            f.pending.push(PendingTx { node, spec, xfer: uid, deadline, attempt: 1, done: false });
-            f.pending_open += 1;
+            f.pending.insert(uid, PendingTx { node, spec, deadline, attempt: 1 });
             f.next_deadline = f.next_deadline.min(deadline);
         }
     }
@@ -1016,7 +989,7 @@ impl Network {
     pub(super) fn fault_on_tail(&mut self, node: usize, pid: PacketId) -> bool {
         let Some(f) = self.fault.as_mut() else { return true };
         let xfer = f.xfer_of.remove(&pid);
-        if f.dead_router[node] {
+        if f.ledger.router_dead(node) {
             f.stats.packets_dropped += 1;
             return false;
         }
@@ -1026,23 +999,25 @@ impl Network {
                 return false;
             }
             f.stats.transfers_delivered += 1;
-            f.close_pending(x);
+            f.pending.remove(&x);
         }
         true
     }
 
     /// Fault-layer consistency laws, re-derived from scratch for the
-    /// runtime sanitizer: every effective dead-channel bit must equal
-    /// its cause ledger (own failure OR either endpoint router down),
-    /// and the cached population counts must match the bit vectors.
+    /// runtime sanitizer: every effective dead-channel bit of the
+    /// ledger must equal its causes (own failure OR either endpoint
+    /// router down) over the engine's own link array, and the cached
+    /// population counts must match the bit vectors.
     #[cfg(feature = "sanitize")]
     pub(super) fn sanitize_fault_consistency(&self, t: Cycle) -> Result<(), SimError> {
         let Some(f) = self.fault.as_ref() else { return Ok(()) };
+        let l = &f.ledger;
         let ports1 = self.cfg.topology.num_ports() - 1;
         let mut dead_links = 0usize;
         for (li, link) in self.eng.links.iter().enumerate() {
             let Some(link) = link.as_ref() else {
-                if f.dead_link[li] || f.link_failed[li] {
+                if l.dead_link[li] || l.link_failed[li] {
                     return Err(SimError::Invariant {
                         cycle: t,
                         check: "fault consistency",
@@ -1052,8 +1027,8 @@ impl Network {
                 continue;
             };
             let src = li / ports1;
-            let expect = f.link_failed[li] || f.dead_router[src] || f.dead_router[link.dst_router];
-            if f.dead_link[li] != expect {
+            let expect = l.link_failed[li] || l.dead_router[src] || l.dead_router[link.dst_router];
+            if l.dead_link[li] != expect {
                 return Err(SimError::Invariant {
                     cycle: t,
                     check: "fault consistency",
@@ -1061,29 +1036,29 @@ impl Network {
                         "channel {li} (router {src} -> {}): effective dead={} but cause \
                          ledger says {} (failed={}, src dead={}, dst dead={})",
                         link.dst_router,
-                        f.dead_link[li],
+                        l.dead_link[li],
                         expect,
-                        f.link_failed[li],
-                        f.dead_router[src],
-                        f.dead_router[link.dst_router],
+                        l.link_failed[li],
+                        l.dead_router[src],
+                        l.dead_router[link.dst_router],
                     ),
                 });
             }
-            dead_links += f.dead_link[li] as usize;
+            dead_links += l.dead_link[li] as usize;
         }
-        let dead_routers = f.dead_router.iter().filter(|&&d| d).count();
-        if dead_links != f.dead_links_count || dead_routers != f.dead_routers_count {
+        let dead_routers = l.dead_router.iter().filter(|&&d| d).count();
+        if dead_links != l.dead_links || dead_routers != l.dead_routers {
             return Err(SimError::Invariant {
                 cycle: t,
                 check: "fault consistency",
                 detail: format!(
                     "population counts drifted: {dead_links} dead channels (cached {}), \
                      {dead_routers} dead routers (cached {})",
-                    f.dead_links_count, f.dead_routers_count
+                    l.dead_links, l.dead_routers
                 ),
             });
         }
-        if (f.dead_links_count > 0 || f.dead_routers_count > 0) != self.survivors.is_some() {
+        if l.is_healed() == self.survivors.is_some() {
             return Err(SimError::Invariant {
                 cycle: t,
                 check: "fault consistency",
@@ -1091,8 +1066,8 @@ impl Network {
                     "survivor table presence ({}) disagrees with dead sets ({} links, \
                      {} routers)",
                     self.survivors.is_some(),
-                    f.dead_links_count,
-                    f.dead_routers_count
+                    l.dead_links,
+                    l.dead_routers
                 ),
             });
         }
@@ -1104,6 +1079,89 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::{NetConfig, TopologyKind};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The ledger is its own definition: after every `apply` over a
+        /// random fail/repair sequence (links, routers, and ports with
+        /// no link behind them), each channel's effective bit and both
+        /// counts equal a from-scratch derivation from the causes, and
+        /// `graph_changed` holds exactly when the effective graph or
+        /// the live-router set differs from before.
+        #[test]
+        fn ledger_matches_a_from_scratch_derivation_after_every_event(
+            kind in 0usize..4,
+            ops in prop::collection::vec((0u8..4, 0usize..1 << 16, 0usize..1 << 16), 1..80),
+        ) {
+            let topo = [
+                TopologyKind::Mesh2D { k: 4 },
+                TopologyKind::FoldedTorus2D { k: 4 },
+                TopologyKind::Torus2D { k: 3 },
+                TopologyKind::Ring { n: 8 },
+            ][kind];
+            let (n, ports) = (topo.num_nodes(), topo.num_ports());
+            // the causes, kept naively: a link's own failure only
+            // exists where a link does
+            let mut failed = vec![false; n * ports];
+            let mut down = vec![false; n];
+            let effect = |failed: &[bool], down: &[bool]| -> Vec<bool> {
+                (0..n * (ports - 1))
+                    .map(|li| {
+                        let (r, p) = (li / (ports - 1), li % (ports - 1) + 1);
+                        topo.neighbor(r, p)
+                            .is_some_and(|(v, _)| failed[r * ports + p] || down[r] || down[v])
+                    })
+                    .collect()
+            };
+            let mut ledger = FaultLedger::new(topo);
+            let mut before = effect(&failed, &down);
+            for (op, r, p) in ops {
+                let (router, port) = (r % n, 1 + p % (ports - 1));
+                let was_down = down.clone();
+                let (ev, cause_flipped) = match op {
+                    0 | 1 => {
+                        let fail = op == 0;
+                        let exists = topo.neighbor(router, port).is_some();
+                        let flipped = exists && failed[router * ports + port] != fail;
+                        failed[router * ports + port] = exists && fail;
+                        let ev = if fail {
+                            FaultEvent::LinkFail { cycle: 0, router, port }
+                        } else {
+                            FaultEvent::LinkRepair { cycle: 0, router, port }
+                        };
+                        (ev, flipped)
+                    }
+                    _ => {
+                        let fail = op == 2;
+                        let flipped = down[router] != fail;
+                        down[router] = fail;
+                        let ev = if fail {
+                            FaultEvent::RouterFail { cycle: 0, router }
+                        } else {
+                            FaultEvent::RouterRepair { cycle: 0, router }
+                        };
+                        (ev, flipped)
+                    }
+                };
+                let applied = ledger.apply(&ev);
+                let after = effect(&failed, &down);
+                for (li, &dead) in after.iter().enumerate() {
+                    prop_assert_eq!(ledger.link_dead(li), dead, "channel {} after {:?}", li, ev);
+                }
+                for (r, &d) in down.iter().enumerate() {
+                    prop_assert_eq!(ledger.router_dead(r), d);
+                }
+                prop_assert_eq!(ledger.dead_links(), after.iter().filter(|&&d| d).count());
+                prop_assert_eq!(ledger.dead_routers(), down.iter().filter(|&&d| d).count());
+                prop_assert_eq!(applied.cause_flipped, cause_flipped, "{:?}", ev);
+                let changed = after != before || down != was_down;
+                prop_assert_eq!(applied.graph_changed, changed, "{:?}", ev);
+                before = after;
+            }
+        }
+    }
 
     #[test]
     fn timeout_for_is_shift_safe_for_huge_attempt_counts() {
@@ -1146,19 +1204,19 @@ mod tests {
     }
 
     #[test]
-    fn try_set_fault_plan_surfaces_range_errors_as_config_errors() {
+    fn set_fault_plan_surfaces_range_errors_as_config_errors() {
         let mut net =
             Network::new(NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 4 }))
                 .unwrap();
         let err = net
-            .try_set_fault_plan(FaultPlan {
+            .set_fault_plan(FaultPlan {
                 events: vec![FaultEvent::LinkRepair { cycle: 0, router: 99, port: 1 }],
                 ..FaultPlan::default()
             })
             .unwrap_err();
         assert!(matches!(err, ConfigError::Parameter { name: "events", .. }), "{err}");
         let err = net
-            .try_set_fault_plan(FaultPlan { corrupt_rate: 2.0, ..FaultPlan::default() })
+            .set_fault_plan(FaultPlan { corrupt_rate: 2.0, ..FaultPlan::default() })
             .unwrap_err();
         assert!(matches!(err, ConfigError::Parameter { name: "corrupt_rate", .. }), "{err}");
     }
@@ -1176,7 +1234,8 @@ mod tests {
                 FaultEvent::LinkRepair { cycle: 30, router: 5, port: 1 },
             ],
             ..FaultPlan::default()
-        });
+        })
+        .unwrap();
         struct Idle;
         impl crate::network::NodeBehavior for Idle {
             fn pull(&mut self, _: usize, _: Cycle) -> Option<PacketSpec> {

@@ -91,6 +91,11 @@ impl Sanitizer {
 }
 
 impl Network {
+    fn link_idx(&self, router: usize, port: usize) -> usize {
+        debug_assert!(port >= 1);
+        router * self.eng.ports1 + (port - 1)
+    }
+
     /// Sanitizer counters (how many checks have run so far).
     pub fn sanitize_stats(&self) -> &SanitizeStats {
         &self.san.stats

@@ -316,7 +316,7 @@ fn simulate(row: &Row) -> (Golden, u64, Option<FaultStats>) {
     }
     let mut net = Network::new(cfg).unwrap_or_else(|e| panic!("{}: {e}", row.name));
     if let Some(plan) = plan_for(row) {
-        net.set_fault_plan(plan);
+        net.set_fault_plan(plan).unwrap();
     }
     let nodes = net.num_nodes();
     let mean_size = match row.size {

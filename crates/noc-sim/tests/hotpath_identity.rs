@@ -197,7 +197,7 @@ fn run(s: &Scenario, reference: bool) -> (u64, DeliveryLog, Cycle, u64, u64, u64
     }
     let mut net = Network::new(cfg).unwrap();
     let with_fault = if let Some(plan) = plan_for(s) {
-        net.set_fault_plan(plan);
+        net.set_fault_plan(plan).unwrap();
         true
     } else {
         false

@@ -6,21 +6,21 @@
 //! every live node can still reach every other live node over the
 //! surviving directed channel graph *at the end of the timeline*:
 //! events are applied in cycle order, so a repair un-kills what an
-//! earlier fault killed. Reachability is read from the simulator's own
-//! [`SurvivorTable`], built over that end state: a router failure kills
-//! all its incident channels in both directions, a link failure kills
-//! one directed channel. The replay of events into the end state is the
-//! one piece mirrored from the engine, and `noc-fault`'s
-//! `lint_agreement` tests pin it against a `Network` that ran the same
-//! plan. A `Certified` fault set must also simulate to a 100% delivered
-//! fraction under retransmission, and a `Refuted` one must abandon
-//! exactly the cut-off pairs.
+//! earlier fault killed. The lint owns no fault rule of its own: it
+//! applies the events to the simulator's [`FaultLedger`] (a router
+//! failure kills all its incident channels in both directions, a link
+//! failure kills one directed channel) and reads reachability from the
+//! simulator's [`SurvivorTable`] built over that end state.
+//! `noc-fault`'s `lint_agreement` tests check its verdicts against a
+//! `Network` that ran the same plan: a `Certified` fault set must
+//! simulate to a 100% delivered fraction under retransmission, and a
+//! `Refuted` one must abandon exactly the cut-off pairs.
 
 use std::fmt;
 
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_sim::error::ConfigError;
-use noc_sim::network::fault::{validate_events, FaultEvent, SurvivorTable};
+use noc_sim::network::fault::{validate_events, FaultEvent, FaultLedger, SurvivorTable};
 
 /// A concrete unreachable pair proving the surviving topology is
 /// partitioned.
@@ -103,7 +103,7 @@ impl fmt::Display for FaultReport {
 /// # Errors
 /// The [`ConfigError`] the simulator gives for the same input: an
 /// unbuildable topology, or an event naming a router or port outside
-/// it (the text of `Network::try_set_fault_plan`).
+/// it (the text of `Network::set_fault_plan`).
 pub fn check_fault_connectivity(
     cfg: &NetConfig,
     events: &[FaultEvent],
@@ -111,37 +111,15 @@ pub fn check_fault_connectivity(
     cfg.topology.validate()?;
     let topo = cfg.topology;
     validate_events(events, topo)?;
-    let n = topo.num_nodes();
-    let ports1 = topo.num_ports() - 1;
-
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    order.sort_by_key(|&i| events[i].cycle());
-
-    // the end state, indexed like the engine's link array
-    let mut dead_router = vec![false; n];
-    let mut link_failed = vec![false; n * ports1];
-    for &i in &order {
-        match events[i] {
-            FaultEvent::LinkFail { router, port, .. } => {
-                link_failed[router * ports1 + port - 1] = true
-            }
-            FaultEvent::LinkRepair { router, port, .. } => {
-                link_failed[router * ports1 + port - 1] = false
-            }
-            FaultEvent::RouterFail { router, .. } => dead_router[router] = true,
-            FaultEvent::RouterRepair { router, .. } => dead_router[router] = false,
-        }
+    let mut order = events.to_vec();
+    order.sort_by_key(FaultEvent::cycle); // stable, as the simulator's sort
+    let mut ledger = FaultLedger::new(topo);
+    for ev in &order {
+        ledger.apply(ev);
     }
-    // a channel is dead while its own failure or either endpoint is
-    let channels_failed = (0..n * ports1)
-        .filter(|&li| {
-            let r = li / ports1;
-            topo.neighbor(r, li % ports1 + 1)
-                .is_some_and(|(v, _)| link_failed[li] || dead_router[r] || dead_router[v])
-        })
-        .count();
-
-    let live: Vec<usize> = (0..n).filter(|&r| !dead_router[r]).collect();
+    let n = topo.num_nodes();
+    let channels_failed = ledger.dead_links();
+    let live: Vec<usize> = (0..n).filter(|&r| !ledger.router_dead(r)).collect();
     let scenario = format!(
         "{} with {} fault event(s), {}/{} routers live",
         topo.name(),
@@ -150,8 +128,7 @@ pub fn check_fault_connectivity(
         n
     );
 
-    // the table itself drops every channel of a dead router
-    let survivors = SurvivorTable::build(topo, &link_failed, &dead_router);
+    let survivors = SurvivorTable::build(&ledger);
     for &src in &live {
         let mut cut = live.iter().filter(|&&d| !survivors.reachable(src, d));
         if let Some(&dst) = cut.next() {
@@ -294,7 +271,7 @@ mod tests {
             let mut net = noc_sim::Network::new(mesh4()).unwrap();
             let plan =
                 noc_sim::network::fault::FaultPlan { events: vec![ev], ..Default::default() };
-            assert_eq!(net.try_set_fault_plan(plan), Err(err), "same text as the simulator");
+            assert_eq!(net.set_fault_plan(plan), Err(err), "same text as the simulator");
         }
         let unbuildable = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: 1 });
         assert!(check_fault_connectivity(&unbuildable, &[]).is_err());

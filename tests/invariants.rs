@@ -334,6 +334,111 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every fault entry point — `Network::set_fault_plan`,
+    /// `run_faulted`, `degradation_sweep` and `resilience_sweep` — on a
+    /// plan drawn from small valid sets plus hostile values (probabilities
+    /// outside [0, 1], zero timeouts and replay budgets, events naming a
+    /// router or port outside the topology) either answers `Ok`, with no
+    /// `Panicked` sweep point, or refuses with a typed error naming one of
+    /// the hostile fields drawn. On the plan's events alone the fault lint
+    /// refuses exactly as the simulator does.
+    #[test]
+    fn fault_runners_refuse_or_finish(
+        raw in prop::collection::vec(0u64..1 << 32, 18..19),
+        seed in 0u64..1000,
+    ) {
+        use noc_exp::PointOutcome;
+        use noc_fault::{DegradationConfig, RecoveryMode, ResilienceConfig};
+        use noc_sim::network::fault::{FaultEvent, FaultPlan, LinkRetryPolicy, RetxPolicy};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut d = Draws { raw: raw.into_iter(), hostile: Vec::new() };
+        let topologies = [
+            TopologyKind::Mesh2D { k: 4 },
+            TopologyKind::Torus2D { k: 4 },
+            TopologyKind::Ring { n: 8 },
+        ];
+        let topology = d.pick("topology", &topologies, &[]);
+        let (n, ports) = (topology.num_nodes(), topology.num_ports());
+        let corrupt_rate = d.pick("corrupt_rate", &[0.0, 1e-3, 1.0], &[f64::NAN, -0.5, 2.0]);
+        let timeout = d.pick("retx.timeout", &[64], &[0]);
+        let retx = RetxPolicy { timeout, ..RetxPolicy::default() };
+        let link_retry = LinkRetryPolicy {
+            replay_rtt: d.pick("link_retry.replay_rtt", &[3], &[0]),
+            max_replays: d.pick("link_retry.max_replays", &[3], &[0]),
+            ..LinkRetryPolicy::default()
+        };
+        let recovery = d.pick("recovery", &RecoveryMode::ALL, &[]);
+        let routers: Vec<usize> = (0..n).collect();
+        let link_ports: Vec<usize> = (1..ports).collect();
+        let mut events = Vec::new();
+        for cycle in [100, 200, 300, 400] {
+            let kind = d.pick("kind", &[0, 1, 2, 3], &[]);
+            let router = d.pick("events", &routers, &[n, n + 7, usize::MAX]);
+            events.push(match kind {
+                0 | 1 => {
+                    let port = d.pick("events", &link_ports, &[0, ports, 99]);
+                    if kind == 0 {
+                        FaultEvent::LinkFail { cycle, router, port }
+                    } else {
+                        FaultEvent::LinkRepair { cycle, router, port }
+                    }
+                }
+                2 => FaultEvent::RouterFail { cycle, router },
+                _ => FaultEvent::RouterRepair { cycle, router },
+            });
+        }
+        let h = d.hostile.clone();
+        let (armed_retx, armed_link_retry) = recovery.split(retx, link_retry);
+        let plan = FaultPlan {
+            events: events.clone(),
+            corrupt_rate,
+            corrupt_seed: seed,
+            retx: armed_retx,
+            link_retry: armed_link_retry,
+        };
+        let net = NetConfig::baseline().with_topology(topology).with_seed(seed);
+        let windows = OpenLoopConfig { warmup: 200, measure: 600, ..OpenLoopConfig::default() };
+        let base = OpenLoopConfig { net: net.clone(), ..windows }.with_load(0.1);
+        let settle_max = 4_000;
+
+        let mut fresh = Network::new(net.clone()).unwrap();
+        let installed = catch_unwind(AssertUnwindSafe(|| fresh.set_fault_plan(plan.clone())));
+        refuse_or_finish("set_fault_plan", &h, installed, |_| true)?;
+        // a point that does not settle in time is an answer, not a failure
+        let faulted = catch_unwind(|| noc_fault::run_faulted(&base, plan.clone(), 0, settle_max));
+        refuse_or_finish("run_faulted", &h, faulted, |_| true)?;
+        fn no_panics<R>(points: &[PointOutcome<R>]) -> bool {
+            !points.iter().any(|p| matches!(p, PointOutcome::Panicked { .. }))
+        }
+        let degradation = DegradationConfig {
+            corrupt_rate,
+            retx: armed_retx,
+            settle_max,
+            ..DegradationConfig::new(base.clone(), 1)
+        };
+        let swept = catch_unwind(|| noc_fault::degradation_sweep(&degradation));
+        refuse_or_finish("degradation_sweep", &h, swept, |p| no_panics(p))?;
+        let mut resilience = ResilienceConfig {
+            retx,
+            link_retry,
+            settle_max,
+            ..ResilienceConfig::new(base, vec![(400, 60)]).with_recovery(recovery)
+        };
+        resilience.flap.corrupt_rate = corrupt_rate;
+        let swept = catch_unwind(|| noc_fault::resilience_sweep(&resilience));
+        refuse_or_finish("resilience_sweep", &h, swept, |p| no_panics(p))?;
+
+        // the lint refuses the plan's events exactly as the simulator does
+        let lint = noc_verify::check_fault_connectivity(&net, &events).map(drop);
+        let events_only = FaultPlan { events, ..FaultPlan::default() };
+        prop_assert_eq!(lint, Network::new(net).unwrap().set_fault_plan(events_only));
+    }
+}
+
 /// Every pattern on square and ring topologies, power-of-two and not:
 /// each pair `validate` accepts draws in-range destinations (a bijection
 /// for the permutations) with an exact matrix whose rows sum to 1, and
