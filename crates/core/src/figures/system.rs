@@ -4,7 +4,6 @@
 
 use cmp_sim::{run_cmp, run_ideal, CmpConfig};
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-use noc_sim::routing::RoutingAlgorithm;
 use noc_sim::trace_route;
 use noc_workloads::{all_benchmarks, lu_app_matrix, matrix_to_ascii, ClockFreq};
 
@@ -21,29 +20,17 @@ pub struct Fig12 {
     pub val: Vec<Vec<usize>>,
     /// The (src, dst) pair traced.
     pub pair: (usize, usize),
-    /// Trace failures, rendered instead of the missing route. Empty for
-    /// the built-in algorithms; populated only if a routing function
-    /// misbehaves ([`noc_sim::TraceError`]).
-    pub errors: Vec<String>,
 }
 
 /// Run Fig 12: the transpose worst-case pair (7,0) <-> (0,7), i.e.
-/// nodes 7 and 56 on the 8x8 mesh.
+/// nodes 7 and 56 on the 8x8 mesh, each route [`trace_route`]'s walk
+/// of the engine's own routing function.
 pub fn fig12() -> Fig12 {
     let topo = TopologyKind::Mesh2D { k: 8 };
     let (src, dst) = (7usize, 56usize);
-    let mut errors = Vec::new();
-    // a failed trace degrades to the bare source node and is reported in
-    // the rendered figure instead of aborting the whole repro run
-    let mut trace = |routing: RoutingKind, seed: u64| {
-        trace_route(topo, &routing, src, dst, seed).unwrap_or_else(|e| {
-            errors.push(format!("{} seed {seed}: {e}", routing.name()));
-            vec![src]
-        })
-    };
-    let dor = trace(RoutingKind::Dor, 0);
-    let val = (1..=4).map(|seed| trace(RoutingKind::Valiant, seed)).collect();
-    Fig12 { dor, val, pair: (src, dst), errors }
+    let dor = trace_route(topo, RoutingKind::Dor, src, dst, 0);
+    let val = (1..=4).map(|seed| trace_route(topo, RoutingKind::Valiant, src, dst, seed)).collect();
+    Fig12 { dor, val, pair: (src, dst) }
 }
 
 impl Fig12 {
@@ -60,9 +47,6 @@ impl Fig12 {
         );
         for (i, v) in self.val.iter().enumerate() {
             out.push_str(&format!("VAL#{} ({} hops): {}\n", i + 1, v.len() - 1, fmt(v)));
-        }
-        for e in &self.errors {
-            out.push_str(&format!("trace FAILED: {e}\n"));
         }
         out.push_str(
             "note: DOR's corner-to-corner route is the worst case either way;\n\

@@ -3,7 +3,7 @@
 
 use noc_sim::config::NetConfig;
 use noc_sim::routing::RouteState;
-use noc_verify::routes::{enumerate_routes, Hop, RouteVisitor};
+use noc_verify::routes::{enumerate_routes, RouteVisitor};
 
 use crate::matrix::TrafficMatrix;
 
@@ -75,10 +75,10 @@ impl RouteVisitor for Accumulate<'_> {
         self.add(node, port, self.p);
     }
 
-    fn flow(&mut self, src: usize, dst: usize, weight: f64, hop: Hop) {
+    fn flow(&mut self, src: usize, dst: usize, weight: f64, node: usize, port: usize) {
         let p = self.matrix.prob(src, dst) * weight;
         if p > 0.0 {
-            self.add(hop.node, hop.port, p);
+            self.add(node, port, p);
         }
     }
 }
@@ -174,10 +174,7 @@ impl LoadMap {
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))?;
-        if g <= 0.0 {
-            return None;
-        }
-        Some(ChannelLoad { node: i / (self.ports - 1), port: i % (self.ports - 1) + 1, load: g })
+        (g > 0.0).then(|| self.channel(i, g))
     }
 
     /// Every channel with nonzero load, unsorted.
@@ -186,12 +183,13 @@ impl LoadMap {
             .iter()
             .enumerate()
             .filter(|&(_, &g)| g > 0.0)
-            .map(|(i, &g)| ChannelLoad {
-                node: i / (self.ports - 1),
-                port: i % (self.ports - 1) + 1,
-                load: g,
-            })
+            .map(|(i, &g)| self.channel(i, g))
             .collect()
+    }
+
+    /// The channel at index `i` of `gamma`, carrying `load`.
+    fn channel(&self, i: usize, load: f64) -> ChannelLoad {
+        ChannelLoad { node: i / (self.ports - 1), port: i % (self.ports - 1) + 1, load }
     }
 
     /// Per-router peak outgoing load, for `k x k` heatmaps (same shape

@@ -75,9 +75,10 @@ impl TopologyKind {
 }
 
 /// The routing algorithm: both the named selector stored in
-/// [`NetConfig`] and the implementation itself — this `Copy` enum is the
-/// built-in [`crate::routing::RoutingAlgorithm`], which the engine holds
-/// by value and the analysis crates pass by reference.
+/// [`NetConfig`] and the routing function itself — this `Copy` enum
+/// carries [`candidates`](RoutingKind::candidates) and
+/// [`advance`](RoutingKind::advance) (in [`crate::routing`]), and the
+/// engine and the analysis crates all hold it by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
     /// Dimension-ordered routing.
@@ -159,7 +160,7 @@ impl NetConfig {
                 why: "metrics bin width must be >= 1 cycle".into(),
             });
         }
-        VcBook::new(self.vcs, self.classes, &self.routing, self.topology)
+        VcBook::new(self.vcs, self.classes, self.routing, self.topology)
     }
 
     /// Builder-style setters for sweep ergonomics.

@@ -61,4 +61,4 @@ pub use network::fault::{
     FaultEvent, FaultLedger, FaultPlan, FaultStats, LinkRetryPolicy, RetxPolicy, SurvivorTable,
 };
 pub use network::{NetStats, Network, NodeBehavior};
-pub use trace::{trace_route, TraceError};
+pub use trace::trace_route;

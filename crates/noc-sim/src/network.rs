@@ -42,7 +42,7 @@ use crate::flit::{Cycle, Delivered, Flit, Packet, PacketId, PacketSlab, PacketSp
 use crate::interface::{InjStream, Ni};
 use crate::rng::SimRng;
 use crate::router::{RouterCtx, RouterSlab, SaWin};
-use crate::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
+use crate::routing::{RouteLut, RouteState, VcBook};
 use crate::topology::LOCAL_PORT;
 
 /// A workload driving the network.

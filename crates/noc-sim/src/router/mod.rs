@@ -44,7 +44,7 @@ use crate::config::{Arbitration, RoutingKind};
 use crate::error::SimError;
 use crate::flit::{Flit, PacketSlab, NO_PACKET};
 use crate::network::fault::SurvivorTable;
-use crate::routing::{PortSet, RouteLut, RoutingAlgorithm, VcBook};
+use crate::routing::{PortSet, RouteLut, VcBook};
 use crate::topology::LOCAL_PORT;
 
 /// Most ports a router may have: `2 * MAX_DIMS + 1 = 9` today; the
@@ -875,7 +875,7 @@ mod tests {
         fn new() -> Self {
             let topo = TopologyKind::Mesh2D { k: 4 };
             let lut = RouteLut::new(topo);
-            let book = VcBook::new(2, 1, &RoutingKind::Dor, topo).unwrap();
+            let book = VcBook::new(2, 1, RoutingKind::Dor, topo).unwrap();
             Self { lut, book, packets: PacketSlab::new() }
         }
     }

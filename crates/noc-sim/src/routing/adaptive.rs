@@ -11,7 +11,7 @@ mod tests {
     use crate::config::RoutingKind::MinAdaptive;
     use crate::config::TopologyKind;
     use crate::rng::SimRng;
-    use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
+    use crate::routing::{RouteLut, RouteState};
 
     #[test]
     fn ma_candidates_are_minimal_and_dor_first() {

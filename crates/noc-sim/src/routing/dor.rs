@@ -7,7 +7,7 @@ mod tests {
     use crate::config::RoutingKind::Dor;
     use crate::config::TopologyKind;
     use crate::rng::SimRng;
-    use crate::routing::{RouteLut, RouteState, RoutingAlgorithm};
+    use crate::routing::{RouteLut, RouteState};
     use crate::topology::port_plus;
 
     /// Walk a packet from src to dst taking the first candidate each hop.

@@ -1,7 +1,7 @@
 //! Routing algorithms and virtual-channel partitioning.
 //!
-//! Implemented algorithms (Table I of the paper), all variants of
-//! [`RoutingKind`], the one built-in [`RoutingAlgorithm`]:
+//! Implemented algorithms (Table I of the paper), the four variants of
+//! [`RoutingKind`], which is the routing function itself:
 //! * [`RoutingKind::Dor`] — dimension-ordered routing (X then Y),
 //!   deterministic minimal;
 //! * [`RoutingKind::Valiant`] — VAL: route to a uniformly random
@@ -140,52 +140,18 @@ impl PortSet {
     }
 }
 
-/// A routing algorithm.
-///
-/// The router calls [`candidates`](RoutingAlgorithm::candidates) for the
-/// head flit of each packet waiting for VC allocation, then
-/// [`advance`](RoutingAlgorithm::advance) once a hop has been committed to
+/// The routing function itself: the router calls
+/// [`candidates`](RoutingKind::candidates) for the head flit of each
+/// packet waiting for VC allocation, then
+/// [`advance`](RoutingKind::advance) once a hop has been committed to
 /// update phase/dateline state. Both read geometry from a [`RouteLut`];
 /// the engine, [`crate::trace_route`], the `noc-verify` route enumerator
-/// and (through it) the `noc-analytic` load model all call this one pair.
-///
-/// [`RoutingKind`] is the built-in implementor and what the engine holds
-/// by value, so its per-flit calls are a `match` over inlinable bodies;
-/// the trait exists so tests can substitute misbehaving fakes.
-pub trait RoutingAlgorithm: Send + Sync {
+/// and (through it) the `noc-analytic` load model all call this one pair
+/// on a `RoutingKind` they hold by value, so every per-flit call is a
+/// `match` over inlinable bodies.
+impl RoutingKind {
     /// Short name (`"DOR"`, `"VAL"`, ...).
-    fn name(&self) -> &'static str;
-
-    /// Number of routing phases (1 or 2); determines VC partitioning.
-    fn num_phases(&self) -> usize;
-
-    /// True if the algorithm routes adaptively and therefore needs escape
-    /// VCs restricted to the DOR output.
-    fn is_adaptive(&self) -> bool;
-
-    /// Initialize per-packet state at injection (chooses the intermediate
-    /// node for two-phase algorithms). `lut` must be built from `topo`.
-    fn init(
-        &self,
-        topo: TopologyKind,
-        lut: &RouteLut,
-        src: usize,
-        dst: usize,
-        rng: &mut SimRng,
-    ) -> RouteState;
-
-    /// Candidate output ports at router `cur` for a packet with state
-    /// `state` destined to `dst`. The first candidate is the DOR port.
-    /// Returns an empty set iff the packet should be ejected here.
-    fn candidates(&self, lut: &RouteLut, cur: usize, dst: usize, state: &RouteState) -> PortSet;
-
-    /// State after taking `port` out of `cur` (phase transition at the
-    /// intermediate node, dateline crossing, dimension change).
-    fn advance(&self, lut: &RouteLut, cur: usize, port: usize, state: &RouteState) -> RouteState;
-}
-
-impl RoutingAlgorithm for RoutingKind {
-    fn name(&self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         match self {
             RoutingKind::Dor => "DOR",
             RoutingKind::Valiant => "VAL",
@@ -194,18 +160,23 @@ impl RoutingAlgorithm for RoutingKind {
         }
     }
 
-    fn num_phases(&self) -> usize {
+    /// Number of routing phases (1 or 2); determines VC partitioning.
+    pub fn num_phases(&self) -> usize {
         match self {
             RoutingKind::Dor | RoutingKind::MinAdaptive => 1,
             RoutingKind::Valiant | RoutingKind::Romm => 2,
         }
     }
 
-    fn is_adaptive(&self) -> bool {
+    /// True if the algorithm routes adaptively and therefore needs escape
+    /// VCs restricted to the DOR output.
+    pub fn is_adaptive(&self) -> bool {
         *self == RoutingKind::MinAdaptive
     }
 
-    fn init(
+    /// Initialize per-packet state at injection (chooses the intermediate
+    /// node for two-phase algorithms). `lut` must be built from `topo`.
+    pub fn init(
         &self,
         topo: TopologyKind,
         lut: &RouteLut,
@@ -226,8 +197,17 @@ impl RoutingAlgorithm for RoutingKind {
         }
     }
 
+    /// Candidate output ports at router `cur` for a packet with state
+    /// `state` destined to `dst`. The first candidate is the DOR port.
+    /// Returns an empty set iff the packet should be ejected here.
     #[inline]
-    fn candidates(&self, lut: &RouteLut, cur: usize, dst: usize, state: &RouteState) -> PortSet {
+    pub fn candidates(
+        &self,
+        lut: &RouteLut,
+        cur: usize,
+        dst: usize,
+        state: &RouteState,
+    ) -> PortSet {
         let target = state.effective_target(cur, dst);
         if *self == RoutingKind::MinAdaptive {
             return lut.minimal_ports(cur, target);
@@ -240,8 +220,16 @@ impl RoutingAlgorithm for RoutingKind {
         set
     }
 
+    /// State after taking `port` out of `cur` (phase transition at the
+    /// intermediate node, dateline crossing, dimension change).
     #[inline]
-    fn advance(&self, lut: &RouteLut, cur: usize, port: usize, state: &RouteState) -> RouteState {
+    pub fn advance(
+        &self,
+        lut: &RouteLut,
+        cur: usize,
+        port: usize,
+        state: &RouteState,
+    ) -> RouteState {
         use crate::topology::port_dim;
         let mut next = *state;
         // phase transition happens when the packet leaves its intermediate:
@@ -454,7 +442,7 @@ impl VcBook {
     pub fn new(
         vcs: usize,
         classes: usize,
-        routing: &dyn RoutingAlgorithm,
+        routing: RoutingKind,
         topo: TopologyKind,
     ) -> Result<Self, ConfigError> {
         let (book, deficiencies) = Self::relaxed(vcs, classes, routing, topo)?;
@@ -476,11 +464,12 @@ impl VcBook {
     ///
     /// # Errors
     /// Only when no layout exists: more than 64 VCs (the mask width), a
-    /// zero count, or fewer VCs than `(class, phase)` blocks.
+    /// zero `vcs` or `classes` (a [`ConfigError::Parameter`] naming it),
+    /// or fewer VCs than `(class, phase)` blocks.
     pub fn relaxed(
         vcs: usize,
         classes: usize,
-        routing: &dyn RoutingAlgorithm,
+        routing: RoutingKind,
         topo: TopologyKind,
     ) -> Result<(Self, Vec<ConfigError>), ConfigError> {
         let phases = routing.num_phases();
@@ -490,11 +479,10 @@ impl VcBook {
                 why: "at most 64 VCs supported (bitmask width)".into(),
             });
         }
-        if classes == 0 || phases == 0 || vcs == 0 {
-            return Err(ConfigError::Parameter {
-                name: "vcs/classes/phases",
-                why: "must all be positive".into(),
-            });
+        for (name, count) in [("vcs", vcs), ("classes", classes)] {
+            if count == 0 {
+                return Err(ConfigError::Parameter { name, why: "must be positive".into() });
+            }
         }
         let blocks = classes.saturating_mul(phases);
         if vcs < blocks {
@@ -731,7 +719,7 @@ mod tests {
     fn vcbook_single_class_mesh() {
         let t = TopologyKind::Mesh2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(2, 1, &dor, t).unwrap();
+        let book = VcBook::new(2, 1, dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b11);
         assert_eq!(book.injection(0), 0b11);
     }
@@ -740,7 +728,7 @@ mod tests {
     fn vcbook_two_classes() {
         let t = TopologyKind::Mesh2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(4, 2, &dor, t).unwrap();
+        let book = VcBook::new(4, 2, dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0011);
         assert_eq!(book.allowed(1, 0, false, false), 0b1100);
     }
@@ -749,7 +737,7 @@ mod tests {
     fn vcbook_torus_dateline_split() {
         let t = TopologyKind::Torus2D { k: 4 };
         let dor = RoutingKind::Dor;
-        let book = VcBook::new(4, 2, &dor, t).unwrap();
+        let book = VcBook::new(4, 2, dor, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b0001);
         assert_eq!(book.allowed(0, 0, true, false), 0b0010);
         assert_eq!(book.allowed(1, 0, false, false), 0b0100);
@@ -760,7 +748,7 @@ mod tests {
     fn vcbook_valiant_phases() {
         let t = TopologyKind::Mesh2D { k: 4 };
         let val = RoutingKind::Valiant;
-        let book = VcBook::new(2, 1, &val, t).unwrap();
+        let book = VcBook::new(2, 1, val, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, false), 0b01);
         assert_eq!(book.allowed(0, 1, false, false), 0b10);
     }
@@ -769,7 +757,7 @@ mod tests {
     fn vcbook_adaptive_escape() {
         let t = TopologyKind::Mesh2D { k: 4 };
         let ma = RoutingKind::MinAdaptive;
-        let book = VcBook::new(2, 1, &ma, t).unwrap();
+        let book = VcBook::new(2, 1, ma, t).unwrap();
         assert_eq!(book.allowed(0, 0, false, true), 0b01, "escape VC");
         assert_eq!(book.allowed(0, 0, false, false), 0b10, "adaptive VC");
         assert!(book.is_escape(0));
@@ -782,18 +770,24 @@ mod tests {
         let t = TopologyKind::Torus2D { k: 4 };
         let dor = RoutingKind::Dor;
         // torus with 2 classes needs 4 VCs: 2 is rejected
-        assert!(VcBook::new(2, 2, &dor, t).is_err());
+        assert!(VcBook::new(2, 2, dor, t).is_err());
         // indivisible
         let m = TopologyKind::Mesh2D { k: 4 };
-        assert!(VcBook::new(3, 2, &dor, m).is_err());
+        assert!(VcBook::new(3, 2, dor, m).is_err());
         // adaptive torus needs 3 per block
         let ma = RoutingKind::MinAdaptive;
-        assert!(VcBook::new(2, 1, &ma, t).is_err());
-        assert!(VcBook::new(3, 1, &ma, t).is_ok());
-        // zero anything, or more VCs than the mask has bits
-        assert!(VcBook::new(0, 1, &dor, m).is_err());
-        assert!(VcBook::new(65, 1, &dor, m).is_err());
-        assert!(VcBook::new(64, 1, &dor, m).is_ok());
+        assert!(VcBook::new(2, 1, ma, t).is_err());
+        assert!(VcBook::new(3, 1, ma, t).is_ok());
+        // a zero count, or more VCs than the mask has bits, names its field
+        let refused = |vcs, classes| match VcBook::new(vcs, classes, dor, m) {
+            Err(ConfigError::Parameter { name, .. }) => name,
+            other => panic!("({vcs}, {classes}) not refused by name: {other:?}"),
+        };
+        assert_eq!(refused(0, 1), "vcs");
+        assert_eq!(refused(2, 0), "classes");
+        assert_eq!(refused(0, 0), "vcs");
+        assert_eq!(refused(65, 1), "vcs");
+        assert!(VcBook::new(64, 1, dor, m).is_ok());
     }
 
     #[test]

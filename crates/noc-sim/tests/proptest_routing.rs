@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 
-use noc_sim::config::RoutingKind::{self, Dor, MinAdaptive, Romm, Valiant};
+use noc_sim::config::RoutingKind::{Dor, MinAdaptive, Romm, Valiant};
 use noc_sim::config::TopologyKind;
 use noc_sim::rng::SimRng;
-use noc_sim::routing::{crosses_dateline, RouteLut, RouteState, RoutingAlgorithm, VcBook};
+use noc_sim::routing::{crosses_dateline, RouteLut, RouteState, VcBook};
 use noc_sim::topology::{port_minus, port_plus};
+use noc_sim::trace_route;
 
 /// The four variants: k in 2..=7, ring n in 2..=16.
 fn topo_strategy() -> impl Strategy<Value = TopologyKind> {
@@ -19,32 +20,35 @@ fn topo_strategy() -> impl Strategy<Value = TopologyKind> {
     })
 }
 
-/// Walk a route taking candidate index `pick % len` at each hop.
-fn walk(
-    topo: TopologyKind,
-    algo: RoutingKind,
-    src: usize,
-    dst: usize,
-    seed: u64,
-    adversarial_pick: bool,
-) -> Vec<usize> {
+/// Walk a minimal-adaptive route taking candidate `step % len` at each
+/// hop, as an adversarial allocator might.
+fn adversarial_ma_walk(topo: TopologyKind, src: usize, dst: usize, seed: u64) -> Vec<usize> {
     let lut = RouteLut::new(topo);
-    let mut rng = SimRng::new(seed);
-    let mut state = algo.init(topo, &lut, src, dst, &mut rng);
+    let mut state = MinAdaptive.init(topo, &lut, src, dst, &mut SimRng::new(seed));
     let mut cur = src;
     let mut path = vec![cur];
     for step in 0..4 * topo.num_nodes() {
-        let cands = algo.candidates(&lut, cur, dst, &state);
+        let cands = MinAdaptive.candidates(&lut, cur, dst, &state);
         if cands.is_empty() {
             break;
         }
-        let idx = if adversarial_pick { step % cands.len() } else { 0 };
-        let port = cands.get(idx);
-        state = algo.advance(&lut, cur, port, &state);
+        let port = cands.get(step % cands.len());
+        state = MinAdaptive.advance(&lut, cur, port, &state);
         cur = topo.neighbor(cur, port).expect("candidate port connected").0;
         path.push(cur);
     }
     path
+}
+
+/// A traced path runs from `src` to `dst` over links of `topo`.
+fn assert_is_walk(topo: TopologyKind, path: &[usize], src: usize, dst: usize) {
+    assert_eq!(path.first(), Some(&src), "{}: path starts at {src}", topo.name());
+    assert_eq!(path.last(), Some(&dst), "{}: path ends at {dst}", topo.name());
+    for hop in path.windows(2) {
+        let linked = (1..topo.num_ports())
+            .any(|port| topo.neighbor(hop[0], port).map(|l| l.0) == Some(hop[1]));
+        assert!(linked, "{}: {} -> {} is not a link", topo.name(), hop[0], hop[1]);
+    }
 }
 
 /// Independent geometric oracle for the one routing geometry the engine,
@@ -126,8 +130,8 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let src = rng.below(n);
         let dst = rng.below(n);
-        let path = walk(topo, Dor, src, dst, seed, false);
-        prop_assert_eq!(*path.last().unwrap(), dst);
+        let path = trace_route(topo, Dor, src, dst, seed);
+        assert_is_walk(topo, &path, src, dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
 
@@ -142,10 +146,10 @@ proptest! {
         let dst = rng.below(n);
         let lut = RouteLut::new(topo);
         for algo in [Valiant, Romm] {
-            let mut init_rng = SimRng::new(seed);
-            let state = algo.init(topo, &lut, src, dst, &mut init_rng);
-            let path = walk(topo, algo, src, dst, seed, false);
-            prop_assert_eq!(*path.last().unwrap(), dst, "{} must reach dst", algo.name());
+            // trace_route seeds the intermediate's draw the same way
+            let state = algo.init(topo, &lut, src, dst, &mut SimRng::new(seed));
+            let path = trace_route(topo, algo, src, dst, seed);
+            assert_is_walk(topo, &path, src, dst);
             if state.intermediate != usize::MAX {
                 prop_assert!(path.contains(&state.intermediate),
                     "{} must pass its intermediate", algo.name());
@@ -163,7 +167,7 @@ proptest! {
         let src = rng.below(n);
         let dst = rng.below(n);
         // even when an adversary picks among candidates, MA stays minimal
-        let path = walk(topo, MinAdaptive, src, dst, seed, true);
+        let path = adversarial_ma_walk(topo, src, dst, seed);
         prop_assert_eq!(*path.last().unwrap(), dst);
         prop_assert_eq!(path.len() - 1, topo.min_hops(src, dst));
     }
@@ -208,7 +212,7 @@ proptest! {
         let need = if topo.has_wrap() { 2 } else { 1 };
         let block = vcs_per_block.max(need);
         let vcs = classes * block;
-        let book = match VcBook::new(vcs, classes, &Dor, topo) {
+        let book = match VcBook::new(vcs, classes, Dor, topo) {
             Ok(b) => b,
             Err(_) => return Ok(()), // undersized combos are rejected, fine
         };
@@ -237,7 +241,7 @@ proptest! {
     ) {
         let topo = TopologyKind::Torus2D { k };
         let vcs = classes * 2;
-        let book = VcBook::new(vcs, classes, &Dor, topo).unwrap();
+        let book = VcBook::new(vcs, classes, Dor, topo).unwrap();
         for c in 0..classes {
             let lo = book.allowed(c, 0, false, false);
             let hi = book.allowed(c, 0, true, false);

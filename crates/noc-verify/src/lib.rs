@@ -9,8 +9,9 @@
 //!    produce — per `(source, destination)` pair, and per intermediate
 //!    node for the two-phase algorithms — threading the exact per-packet
 //!    VC-selection state (routing phase, dateline flag) through the
-//!    `candidates`/`advance` pair the simulator's routers call, over the
-//!    same `RouteLut` geometry (`noc_sim::routing::RoutingAlgorithm`).
+//!    `candidates`/`advance` pair the simulator's routers call on the
+//!    same [`RoutingKind`](noc_sim::config::RoutingKind), over the same
+//!    `RouteLut` geometry.
 //! 2. Each consecutive pair of hops contributes dependency edges
 //!    between the (link, VC) channels the packet may occupy, forming
 //!    the channel dependency graph of Dally & Towles. For minimal
@@ -63,11 +64,11 @@ pub use fault::{check_fault_connectivity, FaultReport, FaultVerdict, PartitionWi
 pub use report::{CdgStats, ChannelRef, CycleWitness, Finding, Severity, Verdict, VerifyReport};
 
 use noc_sim::config::NetConfig;
-use noc_sim::routing::{RoutingAlgorithm, VcBook};
+use noc_sim::routing::VcBook;
 
 /// Analyze `cfg` and return the full verification report.
 pub fn verify(cfg: &NetConfig) -> VerifyReport {
-    let routing = &cfg.routing;
+    let routing = cfg.routing;
     let desc = |topo: &str| {
         format!(
             "{} on {topo}, {} VC(s) x {}-flit buffers, {} class(es)",

@@ -17,7 +17,7 @@
 //!   propagates expected flow through the exact reachable
 //!   `(node, dateline, last_dim)` state DAG, splitting each state's
 //!   weight equally over its candidate ports, and delivers one
-//!   [`RouteVisitor::flow`] hop per state transition. This is an
+//!   [`RouteVisitor::flow`] link per state transition. This is an
 //!   approximation of the runtime behavior (flagged by
 //!   [`Enumeration::exact`] = false), but hop weights still conserve
 //!   flow: per `(src, dst)` pair, one unit enters at `src` and one unit
@@ -55,7 +55,9 @@
 //! hops). Packet state is threaded exactly through every reachable
 //! path, so escape VC selection is precise; only the waiting relation
 //! is over-approximated, hence a cycle there yields `Unknown`, not
-//! `Refuted`.
+//! `Refuted`. Both adaptive passes read one state DAG per pair, built
+//! by the same exploration (`StateDag`): the flow pass propagates
+//! weight over it, the CDG pass escape-hop reachability.
 //!
 //! Analysis covers message class 0 only. `VcBook` gives every class a
 //! disjoint, identically-shaped block of the VC space (by construction,
@@ -63,29 +65,12 @@
 //! class iff it exists in class 0.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-use noc_sim::routing::{RouteLut, RouteState, RoutingAlgorithm, VcBook};
+use noc_sim::routing::{RouteLut, RouteState, VcBook};
 
 use crate::cdg::Cdg;
-
-/// One committed hop of a route: the packet leaves `node` through
-/// output `port`, landing in the routing state `state`. Adaptive routing
-/// reports its expected flow in these ([`RouteVisitor::flow`]); exact
-/// routes reach their visitor as bare links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hop {
-    /// Router the packet departs from.
-    pub node: usize,
-    /// Output port taken (1-based; port 0 is the local port and never
-    /// appears on a route).
-    pub port: usize,
-    /// Routing state *after* the hop commits (phase, dateline, last
-    /// dimension) — the return value of the same
-    /// [`RoutingAlgorithm::advance`] the router calls, so VC-mask replay
-    /// through [`VcBook::allowed`] is bit-exact.
-    pub state: RouteState,
-}
 
 /// Size and exactness of one [`enumerate_routes`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,13 +103,13 @@ pub trait RouteVisitor {
     /// `node` through output `port` (1-based; never the local port).
     fn link(&mut self, node: usize, port: usize);
 
-    /// One expected-flow hop of an adaptive route set: a packet from
-    /// `src` to `dst` traverses `hop` an expected `weight` times
-    /// (equal-split approximation over candidate ports). The default
-    /// implementation ignores flow hops, which is correct for visitors
-    /// that only consume exact paths.
-    fn flow(&mut self, src: usize, dst: usize, weight: f64, hop: Hop) {
-        let _ = (src, dst, weight, hop);
+    /// One expected-flow link of an adaptive route set: a packet from
+    /// `src` to `dst` leaves `node` through output `port` an expected
+    /// `weight` times (equal-split approximation over candidate ports).
+    /// The default implementation ignores flow, which is correct for
+    /// visitors that only consume exact paths.
+    fn flow(&mut self, src: usize, dst: usize, weight: f64, node: usize, port: usize) {
+        let _ = (src, dst, weight, node, port);
     }
 }
 
@@ -133,6 +118,24 @@ fn channel_id(topo: TopologyKind, cur: usize, port: usize, vc: usize, vcs: usize
     debug_assert!(port >= 1);
     let link = cur * (topo.num_ports() - 1) + (port - 1);
     (link * vcs + vc) as u32
+}
+
+/// Append the ids of the channels of link `cur --port-->` whose VC is
+/// in `mask` to `out`, lowest VC first.
+fn push_channels(
+    out: &mut Vec<u32>,
+    topo: TopologyKind,
+    cur: usize,
+    port: usize,
+    mask: u64,
+    vcs: usize,
+) {
+    let mut bits = mask;
+    while bits != 0 {
+        let vc = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        out.push(channel_id(topo, cur, port, vc, vcs));
+    }
 }
 
 /// Decode a channel id back to `(router, port, vc)`.
@@ -162,12 +165,12 @@ pub fn enumerate_routes<V: RouteVisitor + ?Sized>(cfg: &NetConfig, visitor: &mut
     }
     // Adaptive traversability depends on the VC partition: a non-DOR
     // candidate is only usable when an adaptive VC exists for it.
-    let book = VcBook::relaxed(cfg.vcs, cfg.classes, &routing, topo).ok().map(|(book, _)| book);
+    let book = VcBook::relaxed(cfg.vcs, cfg.classes, routing, topo).ok().map(|(book, _)| book);
     let mut routes = 0u64;
     for src in 0..n {
         for dst in 0..n {
             if src != dst {
-                adaptive_flows(topo, lut, &routing, book.as_ref(), src, dst, visitor);
+                adaptive_flows(topo, lut, routing, book.as_ref(), src, dst, visitor);
                 routes += 1;
             }
         }
@@ -287,113 +290,121 @@ impl NextHop {
     }
 }
 
-/// Walk one deterministic route into `hops` (cleared first), asking
-/// the routing function and the topology at every hop: the reference
-/// twin [`NextHop::walk`] is tested against.
-#[cfg(test)]
-fn walk_path(
-    topo: TopologyKind,
-    lut: &RouteLut,
-    routing: &dyn RoutingAlgorithm,
-    src: usize,
-    dst: usize,
-    init: RouteState,
-    hops: &mut Vec<Hop>,
-) {
-    hops.clear();
-    let mut cur = src;
-    let mut state = init;
-    loop {
-        let cands = routing.candidates(lut, cur, dst, &state);
-        if cands.is_empty() {
-            return; // ejected
-        }
-        // Deterministic/oblivious routing emits exactly one candidate.
-        let port = cands.get(0);
-        let ns = routing.advance(lut, cur, port, &state);
-        hops.push(Hop { node: cur, port, state: ns });
-        cur = topo.neighbor(cur, port).expect("routing produced a dead port").0;
-        state = ns;
-    }
-}
-
 /// Packet state relevant to routing decisions at a router.
 type StateKey = (usize, bool, u8); // (node, dateline, last_dim)
 
-/// Explore the exact reachable state DAG of a minimal adaptive route
-/// set and emit equal-split expected-flow hops.
+/// One transition of a [`StateDag`]: the packet leaves `node` through
+/// output `port` and lands in state `to`.
+struct DagHop {
+    node: usize,
+    port: usize,
+    /// Routing state after the hop, as `advance` returns it.
+    state: RouteState,
+    to: usize,
+    /// The hop is the DOR candidate, which the escape sub-network may
+    /// take.
+    dor: bool,
+}
+
+/// The exact reachable `(node, dateline, last_dim)` state DAG of one
+/// `(src, dst)` pair of a minimal adaptive routing function, which both
+/// adaptive passes read: [`adaptive_flows`] propagates expected flow
+/// over it, [`escape_dependencies`] escape-hop reachability.
 ///
-/// Every hop strictly decreases the distance to `dst`, so states form a
-/// DAG; weights are propagated in order of decreasing distance (all
-/// predecessors of a state are strictly farther from `dst`), and each
-/// state splits its accumulated weight equally over its candidate
-/// ports.
+/// Every hop strictly decreases the distance to `dst`, so the states
+/// form a DAG. States are numbered as they are discovered (state 0 is
+/// `src`) and explored depth first, last discovered first; `hops` holds
+/// every transition in that exploration order, each state's own hops
+/// together and in candidate order.
+struct StateDag {
+    states: Vec<StateKey>,
+    hops: Vec<DagHop>,
+    /// `out[s]`: the range of `hops` leaving state `s` (empty for `dst`).
+    out: Vec<Range<usize>>,
+}
+
+impl StateDag {
+    /// Explore from `src`. A non-DOR candidate is traversable only when
+    /// `book` gives it an adaptive VC; the DOR candidate always is, via
+    /// the escape sub-network. Without a book every candidate is.
+    fn explore(
+        topo: TopologyKind,
+        lut: &RouteLut,
+        routing: RoutingKind,
+        book: Option<&VcBook>,
+        src: usize,
+        dst: usize,
+    ) -> Self {
+        let init = RouteState::direct();
+        let start: StateKey = (src, init.dateline, init.last_dim);
+        let mut state_ix: HashMap<StateKey, usize> = HashMap::from([(start, 0)]);
+        let mut dag = Self { states: vec![start], hops: Vec::new(), out: vec![Range::default()] };
+        let mut frontier = vec![0usize];
+        while let Some(si) = frontier.pop() {
+            let (node, dateline, last_dim) = dag.states[si];
+            if node == dst {
+                continue;
+            }
+            let first = dag.hops.len();
+            let state = RouteState { dateline, last_dim, ..RouteState::direct() };
+            let cands = routing.candidates(lut, node, dst, &state);
+            for (ci, port) in cands.iter().enumerate() {
+                let ns = routing.advance(lut, node, port, &state);
+                let next_node =
+                    topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
+                let dor = ci == 0;
+                let no_adaptive_vc =
+                    |book: &VcBook| book.allowed(0, ns.phase as usize, ns.dateline, false) == 0;
+                if !dor && book.is_some_and(no_adaptive_vc) {
+                    continue;
+                }
+                let key: StateKey = (next_node, ns.dateline, ns.last_dim);
+                let to = *state_ix.entry(key).or_insert_with(|| {
+                    dag.states.push(key);
+                    dag.out.push(Range::default());
+                    frontier.push(dag.states.len() - 1);
+                    dag.states.len() - 1
+                });
+                dag.hops.push(DagHop { node, port, state: ns, to, dor });
+            }
+            dag.out[si] = first..dag.hops.len();
+        }
+        dag
+    }
+}
+
+/// Emit the equal-split expected-flow links of one `(src, dst)` pair of
+/// a minimal adaptive route set.
+///
+/// Weights are propagated over the pair's [`StateDag`] in order of
+/// decreasing distance (all predecessors of a state are strictly
+/// farther from `dst`), and each state splits its accumulated weight
+/// equally over its hops.
 fn adaptive_flows<V: RouteVisitor + ?Sized>(
     topo: TopologyKind,
     lut: &RouteLut,
-    routing: &dyn RoutingAlgorithm,
+    routing: RoutingKind,
     book: Option<&VcBook>,
     src: usize,
     dst: usize,
     visitor: &mut V,
 ) {
-    let mut state_ix: HashMap<StateKey, usize> = HashMap::new();
-    let mut states: Vec<StateKey> = Vec::new();
-    // per state: (output port, post-hop state, successor state index)
-    let mut hops: Vec<Vec<(usize, RouteState, usize)>> = Vec::new();
-
-    let init = RouteState::direct();
-    let start: StateKey = (src, init.dateline, init.last_dim);
-    state_ix.insert(start, 0);
-    states.push(start);
-    hops.push(Vec::new());
-
-    let mut frontier = vec![0usize];
-    while let Some(si) = frontier.pop() {
-        let (node, dateline, last_dim) = states[si];
-        if node == dst {
-            continue;
-        }
-        let state = RouteState { dateline, last_dim, ..RouteState::direct() };
-        let cands = routing.candidates(lut, node, dst, &state);
-        for (ci, port) in cands.iter().enumerate() {
-            let ns = routing.advance(lut, node, port, &state);
-            let next_node =
-                topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
-            // Same traversability rule as the CDG builder: adaptively
-            // via any adaptive VC, or via the escape sub-network on the
-            // DOR candidate (ci == 0).
-            if let Some(book) = book {
-                if ci != 0 && book.allowed(0, ns.phase as usize, ns.dateline, false) == 0 {
-                    continue;
-                }
-            }
-            let key: StateKey = (next_node, ns.dateline, ns.last_dim);
-            let ti = *state_ix.entry(key).or_insert_with(|| {
-                states.push(key);
-                hops.push(Vec::new());
-                frontier.push(states.len() - 1);
-                states.len() - 1
-            });
-            hops[si].push((port, ns, ti));
-        }
-    }
-
+    let dag = StateDag::explore(topo, lut, routing, book, src, dst);
     // Propagate weight in order of decreasing distance to dst; ties in
     // distance never depend on each other (every hop moves closer).
-    let mut order: Vec<usize> = (0..states.len()).collect();
-    order.sort_by_key(|&s| std::cmp::Reverse((topo.min_hops(states[s].0, dst), s)));
-    let mut weight = vec![0.0f64; states.len()];
+    let mut order: Vec<usize> = (0..dag.states.len()).collect();
+    order.sort_by_key(|&s| std::cmp::Reverse((topo.min_hops(dag.states[s].0, dst), s)));
+    let mut weight = vec![0.0f64; dag.states.len()];
     weight[0] = 1.0;
     for s in order {
-        let w = weight[s];
-        if w <= 0.0 || hops[s].is_empty() {
+        let (w, out) = (weight[s], &dag.hops[dag.out[s].clone()]);
+        if w <= 0.0 || out.is_empty() {
             continue;
         }
-        let share = w / hops[s].len() as f64;
-        for &(port, ns, ti) in &hops[s] {
-            visitor.flow(src, dst, share, Hop { node: states[s].0, port, state: ns });
-            weight[ti] += share;
+        let share = w / out.len() as f64;
+        for hop in out {
+            visitor.flow(src, dst, share, hop.node, hop.port);
+            weight[hop.to] += share;
         }
     }
 }
@@ -438,12 +449,7 @@ impl RouteVisitor for CdgVisitor<'_> {
         let vcs = self.book.vcs();
         let mask = self.book.allowed(0, self.state.phase as usize, self.state.dateline, false);
         self.here.clear();
-        let mut bits = mask;
-        while bits != 0 {
-            let vc = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.here.push(channel_id(self.topo, node, port, vc, vcs));
-        }
+        push_channels(&mut self.here, self.topo, node, port, mask, vcs);
         for &a in &self.prev {
             for &b in &self.here {
                 self.cdg.add_edge(a, b);
@@ -467,7 +473,7 @@ pub fn build_cdg(cfg: &NetConfig, book: &VcBook) -> CdgBuild {
         for src in 0..n {
             for dst in 0..n {
                 if src != dst {
-                    escape_dependencies(topo, &lut, &cfg.routing, book, &mut cdg, src, dst);
+                    escape_dependencies(topo, &lut, cfg.routing, book, &mut cdg, src, dst);
                     routes += 1;
                 }
             }
@@ -512,9 +518,9 @@ pub fn minimal_box(topo: TopologyKind, lut: &RouteLut, src: usize, dst: usize) -
     nodes.iter().map(|c| topo.node_at(c)).collect()
 }
 
-/// One escape hop observed during journey exploration.
+/// One escape hop of a pair's [`StateDag`].
 struct EscapeHop {
-    /// State index the hop departs from.
+    /// State index the hop lands in.
     head_state: usize,
     /// Channel ids (escape VCs) the hop occupies.
     channels: Vec<u32>,
@@ -523,9 +529,8 @@ struct EscapeHop {
 /// Build the extended escape-network dependency graph for one
 /// `(src, dst)` pair of a minimal adaptive routing function.
 ///
-/// Explores every reachable `(node, dateline, last_dim)` state along
-/// minimal paths. Each hop strictly decreases the distance to `dst`, so
-/// the state graph is a DAG; a reverse pass then computes, for each
+/// Every DOR hop of the pair's [`StateDag`] is an escape hop, numbered
+/// in exploration order. A reverse pass over the DAG computes, for each
 /// state, the set of escape hops reachable from it, and every escape
 /// hop gains an edge to every escape hop reachable beyond it (the
 /// transitive closure of direct + adaptive-bridged dependencies, which
@@ -533,83 +538,38 @@ struct EscapeHop {
 fn escape_dependencies(
     topo: TopologyKind,
     lut: &RouteLut,
-    routing: &dyn RoutingAlgorithm,
+    routing: RoutingKind,
     book: &VcBook,
     cdg: &mut Cdg,
     src: usize,
     dst: usize,
 ) {
     let vcs = book.vcs();
-    let mut state_ix: HashMap<StateKey, usize> = HashMap::new();
-    let mut states: Vec<StateKey> = Vec::new();
-    // per state: (successor state, Some(escape hop id) if the hop is
-    // the DOR escape hop)
-    let mut hops: Vec<Vec<(usize, Option<usize>)>> = Vec::new();
+    let dag = StateDag::explore(topo, lut, routing, Some(book), src, dst);
     let mut escapes: Vec<EscapeHop> = Vec::new();
-
-    let init = RouteState::direct();
-    let start: StateKey = (src, init.dateline, init.last_dim);
-    state_ix.insert(start, 0);
-    states.push(start);
-    hops.push(Vec::new());
-
-    let mut frontier = vec![0usize];
-    while let Some(si) = frontier.pop() {
-        let (node, dateline, last_dim) = states[si];
-        if node == dst {
-            continue;
-        }
-        let state = RouteState { dateline, last_dim, ..RouteState::direct() };
-        let cands = routing.candidates(lut, node, dst, &state);
-        for (ci, port) in cands.iter().enumerate() {
-            let ns = routing.advance(lut, node, port, &state);
-            let next_node =
-                topo.neighbor(node, port).expect("adaptive candidate must be a live port").0;
-            let adaptive_mask = book.allowed(0, ns.phase as usize, ns.dateline, false);
-            let is_dor = ci == 0;
-            // A hop is traversable adaptively (any adaptive VC) or, on
-            // the DOR candidate, via the escape sub-network.
-            if adaptive_mask == 0 && !is_dor {
-                continue;
-            }
-            let key: StateKey = (next_node, ns.dateline, ns.last_dim);
-            let ti = *state_ix.entry(key).or_insert_with(|| {
-                states.push(key);
-                hops.push(Vec::new());
-                frontier.push(states.len() - 1);
-                states.len() - 1
-            });
-            let escape_id = if is_dor {
-                let emask = book.allowed(0, ns.phase as usize, ns.dateline, true);
-                let mut channels = Vec::new();
-                let mut bits = emask;
-                while bits != 0 {
-                    let vc = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    channels.push(channel_id(topo, node, port, vc, vcs));
-                }
-                escapes.push(EscapeHop { head_state: ti, channels });
-                Some(escapes.len() - 1)
-            } else {
-                None
-            };
-            hops[si].push((ti, escape_id));
-        }
+    // per hop: its escape hop id, if it is a DOR hop
+    let mut escape_of = vec![None; dag.hops.len()];
+    for (h, hop) in dag.hops.iter().enumerate().filter(|(_, hop)| hop.dor) {
+        let emask = book.allowed(0, hop.state.phase as usize, hop.state.dateline, true);
+        let mut channels = Vec::new();
+        push_channels(&mut channels, topo, hop.node, hop.port, emask, vcs);
+        escape_of[h] = Some(escapes.len());
+        escapes.push(EscapeHop { head_state: hop.to, channels });
     }
 
     // reach[s] = bitset of escape hops reachable from state s; computed
     // in order of increasing distance to dst (all successors first).
     let words = escapes.len().div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; states.len()];
-    let mut order: Vec<usize> = (0..states.len()).collect();
-    order.sort_by_key(|&s| topo.min_hops(states[s].0, dst));
+    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; dag.states.len()];
+    let mut order: Vec<usize> = (0..dag.states.len()).collect();
+    order.sort_by_key(|&s| topo.min_hops(dag.states[s].0, dst));
     for s in order {
         let mut acc = vec![0u64; words];
-        for &(t, esc) in &hops[s] {
-            for (a, &r) in acc.iter_mut().zip(&reach[t]) {
+        for h in dag.out[s].clone() {
+            for (a, &r) in acc.iter_mut().zip(&reach[dag.hops[h].to]) {
                 *a |= r;
             }
-            if let Some(e) = esc {
+            if let Some(e) = escape_of[h] {
                 acc[e / 64] |= 1 << (e % 64);
             }
         }
@@ -638,11 +598,49 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One committed hop of a route: the packet leaves `node` through
+    /// output `port`, landing in the routing state `state`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Hop {
+        node: usize,
+        port: usize,
+        state: RouteState,
+    }
+
+    /// Walk one deterministic route into `hops` (cleared first), asking
+    /// the routing function and the topology at every hop: the reference
+    /// twin [`NextHop::walk`] is tested against.
+    fn walk_path(
+        topo: TopologyKind,
+        lut: &RouteLut,
+        routing: RoutingKind,
+        src: usize,
+        dst: usize,
+        init: RouteState,
+        hops: &mut Vec<Hop>,
+    ) {
+        hops.clear();
+        let mut cur = src;
+        let mut state = init;
+        loop {
+            let cands = routing.candidates(lut, cur, dst, &state);
+            if cands.is_empty() {
+                return; // ejected
+            }
+            // Deterministic/oblivious routing emits exactly one candidate.
+            let port = cands.get(0);
+            let ns = routing.advance(lut, cur, port, &state);
+            hops.push(Hop { node: cur, port, state: ns });
+            cur = topo.neighbor(cur, port).expect("routing produced a dead port").0;
+            state = ns;
+        }
+    }
+
     /// Collects routes (with their link counts) and flows for assertions.
     #[derive(Default)]
     struct Collect {
         paths: Vec<(usize, usize, f64, usize)>,
-        flows: Vec<(usize, usize, f64, Hop)>,
+        flows: Vec<(usize, usize, f64, usize, usize)>,
     }
 
     impl RouteVisitor for Collect {
@@ -655,8 +653,8 @@ mod tests {
             self.paths.last_mut().expect("a link belongs to a route").3 += 1;
         }
 
-        fn flow(&mut self, src: usize, dst: usize, weight: f64, hop: Hop) {
-            self.flows.push((src, dst, weight, hop));
+        fn flow(&mut self, src: usize, dst: usize, weight: f64, node: usize, port: usize) {
+            self.flows.push((src, dst, weight, node, port));
         }
     }
 
@@ -719,12 +717,12 @@ mod tests {
         // -1 at src and +1 at dst
         let (src, dst) = (0usize, 15usize);
         let mut net = [0.0f64; 16];
-        for &(s, d, w, hop) in &v.flows {
+        for &(s, d, w, node, port) in &v.flows {
             if (s, d) != (src, dst) {
                 continue;
             }
-            net[hop.node] -= w;
-            let to = topo.neighbor(hop.node, hop.port).unwrap().0;
+            net[node] -= w;
+            let to = topo.neighbor(node, port).unwrap().0;
             net[to] += w;
         }
         for (node, &flux) in net.iter().enumerate() {
@@ -818,7 +816,7 @@ mod tests {
         let mut reference = Transcript::default();
         let walk = |src, dst, init, t: &mut Transcript| {
             let hops = &mut t.0.last_mut().expect("walked after its route call").4;
-            walk_path(topo, &lut, &routing, src, dst, init, hops)
+            walk_path(topo, &lut, routing, src, dst, init, hops)
         };
         let want = visit_paths(topo, &lut, routing, &mut reference, walk);
         let cfg = NetConfig::baseline().with_topology(topo).with_routing(routing);

@@ -2,7 +2,7 @@
 //! on the configurations the theory decides unambiguously.
 
 use noc_sim::config::{NetConfig, RoutingKind, TopologyKind};
-use noc_sim::routing::{RoutingAlgorithm, VcBook};
+use noc_sim::routing::VcBook;
 use noc_verify::{Severity, Verdict, VerifyReport};
 
 fn cfg(topo: TopologyKind, routing: RoutingKind, vcs: usize) -> NetConfig {
@@ -137,9 +137,9 @@ fn vcbook_new_is_relaxed_with_its_first_deficiency_as_the_error() {
                 let even = (1..=4).map(|block| blocks * block);
                 for vcs in even.flat_map(|vcs| [vcs, vcs + 1]).chain([0, 65]) {
                     let at = format!("{topo:?} {routing_kind:?} vcs={vcs} classes={classes}");
-                    let strict = VcBook::new(vcs, classes, &routing_kind, topo);
+                    let strict = VcBook::new(vcs, classes, routing_kind, topo);
                     let (book, deficiencies) =
-                        match VcBook::relaxed(vcs, classes, &routing_kind, topo) {
+                        match VcBook::relaxed(vcs, classes, routing_kind, topo) {
                             Ok(relaxed) => relaxed,
                             Err(e) => {
                                 assert_eq!(strict.unwrap_err(), e, "{at}");

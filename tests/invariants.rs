@@ -259,7 +259,7 @@ proptest! {
         let topologies =
             [TopologyKind::Mesh2D { k: 4 }, TopologyKind::Ring { n: 8 }, TopologyKind::Torus2D { k: 4 }];
         let topology = d.pick("topology", &topologies, &[]);
-        let vcs = d.pick("vcs", &[4, 8], &[1]);
+        let vcs = d.pick("vcs", &[4, 8], &[1, 0]);
         let net = NetConfig::baseline().with_topology(topology).with_vcs(vcs).with_seed(seed);
         let patterns = [PatternKind::Uniform, PatternKind::BitComplement, PatternKind::Transpose];
         let pattern = d.pick("pattern", &patterns, &[]);
