@@ -1,240 +1,1 @@
-//! Minimal in-tree shim for the `rand` crate.
-//!
-//! Implements the exact API surface this workspace uses: a seedable
-//! small PRNG ([`rngs::SmallRng`], here xoshiro256++), uniform value
-//! generation via [`Rng::gen`], and range sampling via
-//! [`Rng::gen_range`]. The generated stream differs from upstream
-//! `rand`'s, but every consumer in this workspace only relies on
-//! determinism and statistical quality, not on exact values.
-
-#![warn(missing_docs)]
-
-use std::ops::Range;
-
-/// A random number generator core: everything is derived from
-/// [`RngCore::next_u64`].
-pub trait RngCore {
-    /// The next 64 uniformly random bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// The next 32 uniformly random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
-/// Types a uniform value can be drawn for with [`Rng::gen`].
-pub trait Standard: Sized {
-    /// Draw a uniform value from `rng`.
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self;
-}
-
-impl Standard for u64 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Standard for u32 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl Standard for usize {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as usize
-    }
-}
-
-impl Standard for bool {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-impl Standard for f64 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        // 53 uniform mantissa bits in [0, 1)
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
-/// Types that can be sampled uniformly from a half-open range.
-pub trait SampleUniform: Sized {
-    /// Uniform value in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// If the range is empty.
-    fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self;
-}
-
-/// Widening-multiply bounded sampling (Lemire); bias is < 2^-64 per
-/// draw, far below anything the simulator's statistics can resolve.
-fn bounded<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
-    ((rng.next_u64() as u128 * n as u128) >> 64) as u64
-}
-
-macro_rules! impl_sample_uniform_int {
-    ($($t:ty),*) => {$(
-        impl SampleUniform for $t {
-            fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
-                assert!(lo < hi, "gen_range: empty range");
-                let span = (hi as i128 - lo as i128) as u64;
-                (lo as i128 + bounded(rng, span) as i128) as $t
-            }
-        }
-    )*};
-}
-
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl SampleUniform for f64 {
-    fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
-        assert!(lo < hi, "gen_range: empty range");
-        let u: f64 = Standard::draw(rng);
-        lo + u * (hi - lo)
-    }
-}
-
-/// Convenience extension trait mirroring `rand::Rng`.
-pub trait Rng: RngCore {
-    /// A uniform value of type `T`.
-    fn gen<T: Standard>(&mut self) -> T
-    where
-        Self: Sized,
-    {
-        T::draw(self)
-    }
-
-    /// A uniform value in the half-open `range`.
-    fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T
-    where
-        Self: Sized,
-    {
-        T::sample_range(self, range.start, range.end)
-    }
-
-    /// A Bernoulli trial with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        let u: f64 = Standard::draw(self);
-        u < p
-    }
-}
-
-impl<R: RngCore + ?Sized> Rng for R {}
-
-/// Mirrors `rand::SeedableRng` for the constructors this workspace uses.
-pub trait SeedableRng: Sized {
-    /// Construct from a 64-bit seed.
-    fn seed_from_u64(seed: u64) -> Self;
-}
-
-/// Small, fast PRNGs.
-pub mod rngs {
-    use super::{RngCore, SeedableRng};
-
-    /// xoshiro256++ — the same family upstream `rand 0.8` uses for
-    /// `SmallRng` on 64-bit targets.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct SmallRng {
-        s: [u64; 4],
-    }
-
-    /// SplitMix64, used to expand a 64-bit seed into the full state.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    impl SeedableRng for SmallRng {
-        fn seed_from_u64(seed: u64) -> Self {
-            let mut sm = seed;
-            let mut s = [0u64; 4];
-            for slot in &mut s {
-                *slot = splitmix64(&mut sm);
-            }
-            // xoshiro must not start from the all-zero state
-            if s == [0; 4] {
-                s = [0x9e37_79b9_7f4a_7c15, 1, 2, 3];
-            }
-            Self { s }
-        }
-    }
-
-    impl RngCore for SmallRng {
-        fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
-            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = s[3].rotate_left(45);
-            result
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
-
-    #[test]
-    fn deterministic_per_seed() {
-        let mut a = SmallRng::seed_from_u64(7);
-        let mut b = SmallRng::seed_from_u64(7);
-        for _ in 0..64 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-        let mut c = SmallRng::seed_from_u64(8);
-        assert_ne!(a.gen::<u64>(), c.gen::<u64>());
-    }
-
-    #[test]
-    fn unit_floats_in_range() {
-        let mut r = SmallRng::seed_from_u64(1);
-        for _ in 0..10_000 {
-            let x: f64 = r.gen();
-            assert!((0.0..1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn gen_range_respects_bounds() {
-        let mut r = SmallRng::seed_from_u64(2);
-        for _ in 0..10_000 {
-            let v = r.gen_range(3usize..9);
-            assert!((3..9).contains(&v));
-            let f = r.gen_range(-2.5f64..1.5);
-            assert!((-2.5..1.5).contains(&f));
-        }
-    }
-
-    #[test]
-    fn rough_uniformity() {
-        let mut r = SmallRng::seed_from_u64(3);
-        let mut buckets = [0u32; 8];
-        for _ in 0..80_000 {
-            buckets[r.gen_range(0usize..8)] += 1;
-        }
-        for &b in &buckets {
-            assert!((9_000..11_000).contains(&b), "bucket skew: {buckets:?}");
-        }
-    }
-}
+//! Patch target for `benchmark/Cargo.toml` only, deleted with its `[patch]` lines (shims/README.md).

@@ -1,20 +1,1 @@
-//! No-op `#[derive(Serialize, Deserialize)]` macros.
-//!
-//! The workspace only *decorates* types with these derives (no code
-//! actually serializes), and the shim `serde` crate provides blanket
-//! trait impls, so the derives can expand to nothing. `#[serde(...)]`
-//! helper attributes are accepted and ignored.
-
-use proc_macro::TokenStream;
-
-/// No-op stand-in for `serde_derive::Serialize`.
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// No-op stand-in for `serde_derive::Deserialize`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Patch target for `benchmark/Cargo.toml` only, deleted with its `[patch]` lines (shims/README.md).

@@ -1,36 +1,1 @@
-//! Minimal in-tree shim for `serde`.
-//!
-//! The workspace derives `Serialize`/`Deserialize` on config and result
-//! types for forward compatibility but never actually serializes, so
-//! the traits are markers with blanket impls and the derives (re-exported
-//! from the shim `serde_derive`) expand to nothing.
-
-#![warn(missing_docs)]
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker stand-in for `serde::Serialize`; blanket-implemented.
-pub trait Serialize {}
-
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker stand-in for `serde::Deserialize`; blanket-implemented.
-pub trait Deserialize<'de> {}
-
-impl<'de, T: ?Sized> Deserialize<'de> for T {}
-
-/// Marker stand-in for `serde::de::DeserializeOwned`.
-pub trait DeserializeOwned {}
-
-impl<T: ?Sized> DeserializeOwned for T {}
-
-/// Stand-in for the `serde::de` module.
-pub mod de {
-    pub use super::{Deserialize, DeserializeOwned};
-}
-
-/// Stand-in for the `serde::ser` module.
-pub mod ser {
-    pub use super::Serialize;
-}
+//! Patch target for `benchmark/Cargo.toml` only, deleted with its `[patch]` lines (shims/README.md).

@@ -1,44 +1,1 @@
-//! Minimal in-tree shim for `serde_json`.
-//!
-//! Nothing in this workspace currently serializes to JSON; the shim
-//! exists only so `Cargo.toml` dependency declarations resolve without
-//! registry access. The entry points are *honest stubs*: they return
-//! [`Error::Unsupported`] instead of fabricating output, so any future
-//! caller fails loudly rather than silently producing garbage.
-
-#![warn(missing_docs)]
-
-use std::fmt;
-
-/// Error type for the stubbed serialization entry points.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// The shim does not implement real JSON serialization.
-    Unsupported,
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "serde_json shim: JSON serialization is not available in this build \
-             (see shims/README.md)"
-        )
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Result alias matching `serde_json::Result`.
-pub type Result<T> = std::result::Result<T, Error>;
-
-/// Stub for `serde_json::to_string`; always returns [`Error::Unsupported`].
-pub fn to_string<T: serde::Serialize + ?Sized>(_value: &T) -> Result<String> {
-    Err(Error::Unsupported)
-}
-
-/// Stub for `serde_json::to_string_pretty`; always returns
-/// [`Error::Unsupported`].
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(_value: &T) -> Result<String> {
-    Err(Error::Unsupported)
-}
+//! Patch target for `benchmark/Cargo.toml` only, deleted with its `[patch]` lines (shims/README.md).
