@@ -362,3 +362,42 @@ fn metrics_document_is_pinned() {
     );
     assert_eq!(parsed.channels, vec![(0, 1, 1, 5), (1, 2, 0, 0)]);
 }
+
+/// The result-cache / WAL key of a point: every journal and cache file
+/// is indexed by these bytes, so a descriptor edit that changes them
+/// orphans every record written before it. Pinned for a mesh, torus
+/// and ring point, `budget` set and unset, a hotspot pattern and the
+/// smallest subnormal load.
+#[test]
+fn point_keys_are_pinned() {
+    let mesh = point();
+    let mut torus = point();
+    torus.net = NetConfig::baseline().with_topology(TopologyKind::Torus2D { k: 8 }).with_seed(7);
+    torus.pattern = PatternKind::Hotspot { node: 5, frac: 0.25 };
+    torus.packet_size = 4;
+    torus.budget = None;
+    let mut ring = point();
+    ring.net = NetConfig {
+        topology: TopologyKind::Ring { n: 16 },
+        routing: RoutingKind::Valiant,
+        arbitration: Arbitration::AgeBased,
+        seed: u64::MAX,
+        ..NetConfig::baseline()
+    };
+    ring.pattern = PatternKind::BitComplement;
+    ring.load = 5e-324;
+    ring.budget = Some(0);
+    let points = [mesh, torus, ring];
+    let keys: Vec<String> = points.iter().map(PointRequest::key).collect();
+    assert_eq!(
+        keys,
+        [
+            "8953fc1cb31ab408:000000000000002a",
+            "bf3ecf607e44ad3e:0000000000000007",
+            "fc3a0d341bf689b3:ffffffffffffffff",
+        ]
+    );
+    for (p, key) in points.iter().zip(&keys) {
+        assert_eq!(&p.key_from(&p.digest_prefix()), key);
+    }
+}
