@@ -180,7 +180,7 @@ fn ext_patterns(e: &Effort) -> String {
 /// `quick` rows.
 fn ext_degradation(e: &Effort) -> String {
     use noc_exp::PointOutcome;
-    use noc_fault::{degradation_sweep, DegradationConfig};
+    use noc_fault::{fault_sweep, DegradationConfig};
     use noc_openloop::OpenLoopConfig;
     use noc_sim::config::{NetConfig, TopologyKind};
 
@@ -195,23 +195,24 @@ fn ext_degradation(e: &Effort) -> String {
         ..OpenLoopConfig::default()
     };
     let max_links = if quick { 4 } else { 8 };
-    let cfg = DegradationConfig::new(base, max_links);
+    let plans = DegradationConfig::new(base.clone(), max_links).plans();
 
     let mut out = format!(
         "== graceful degradation: {k}x{k} mesh, uniform, load 0.15 ==\n\
          links  delivered            retx     abandoned  dropped  latency   thruput"
     );
-    for outcome in degradation_sweep(&cfg).expect("valid sweep config") {
+    let outcomes = plans.and_then(|plans| fault_sweep(&base, &plans, base.drain_max));
+    for (links, outcome) in outcomes.expect("valid sweep config").into_iter().enumerate() {
         out.push('\n');
         let _ = match outcome {
             PointOutcome::Ok(p) => write!(
                 out,
                 "{:<6} {:<20} {:<8} {:<10} {:<8} {:<9.2} {:.4}",
-                p.failed_links,
-                p.delivered.to_string(),
-                p.retransmissions,
-                p.abandoned,
-                p.packets_dropped,
+                links,
+                p.delivered().to_string(),
+                p.stats.retransmissions,
+                p.stats.transfers_abandoned,
+                p.stats.packets_dropped,
                 p.avg_latency,
                 p.throughput
             ),

@@ -105,7 +105,6 @@ pub fn correlate_open_batch(
             warmup: effort.warmup,
             measure: effort.measure,
             drain_max: effort.drain,
-            percentiles: false,
         };
         Ok((batch, measure(&ocfg)?))
     });

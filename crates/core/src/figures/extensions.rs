@@ -51,7 +51,6 @@ pub fn ext_pktsize(effort: &Effort) -> ExtPktSize {
             warmup: effort.warmup,
             measure: effort.measure,
             drain_max: effort.drain,
-            percentiles: false,
         })
         .expect("valid config")
         .avg_latency

@@ -18,7 +18,6 @@ fn base_openloop(net: NetConfig, pattern: PatternKind, effort: &Effort) -> OpenL
         warmup: effort.warmup,
         measure: effort.measure,
         drain_max: effort.drain,
-        percentiles: false,
     }
 }
 

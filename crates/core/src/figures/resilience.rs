@@ -1,44 +1,49 @@
 //! The resilience figure: delivered fraction and recovery latency vs.
 //! link availability under intermittent fault-and-repair timelines,
-//! with one curve per [`RecoveryMode`] — so the link-level-retry vs.
+//! with one curve per recovery arm (none, end-to-end retransmission,
+//! link-level retry, both) — so the link-level-retry vs.
 //! end-to-end-retransmission trade-off is a single picture. Rendered
 //! by `repro ext_resilience`; it has no file export.
 
 use noc_exp::PointOutcome;
-use noc_fault::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
+use noc_fault::{fault_sweep, last_repair_cycle, link_availability, FaultPoint, ResilienceConfig};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_sim::network::fault::FaultPlan;
 
 use super::{render_curves, Curve};
 use crate::effort::Effort;
 use crate::report::render_table;
 
-/// One recovery mode's resilience curve.
+/// One recovery arm's resilience curve.
 #[derive(Debug, Clone)]
 pub struct ResilienceCurve {
-    /// Stable mode label (`none`, `e2e`, `link`, `combined`).
+    /// Stable label of the armed recovery (`none`, `e2e`, `link`,
+    /// `combined`).
     pub mode: String,
-    /// Successful sweep points, one per `(mtbf, mttr)` axis entry.
-    pub points: Vec<ResiliencePoint>,
-    /// One message per axis entry that diverged or panicked instead
-    /// of settling.
-    pub failed: Vec<String>,
+    /// One outcome per `(mtbf, mttr)` axis entry.
+    pub outcomes: Vec<PointOutcome<FaultPoint>>,
 }
 
-/// The resilience showcase: all four recovery modes swept over the
+/// The resilience showcase: all four recovery arms swept over the
 /// same MTBF axis on the same flapping 8x8 mesh.
 #[derive(Debug, Clone)]
 pub struct ResilienceFigure {
-    /// One curve per recovery mode, in [`RecoveryMode::ALL`] order.
+    /// One curve per recovery arm: none, end-to-end, link-level, both.
     pub curves: Vec<ResilienceCurve>,
     /// The `(mtbf, mttr)` axis shared by every curve.
     pub axis: Vec<(u64, u64)>,
+    /// Scheduled fraction of directed-channel-cycles up over the flap
+    /// horizon, per axis entry (every curve runs the same timelines).
+    pub availability: Vec<f64>,
+    /// The cycle of each axis entry's last repair, if it has one.
+    pub last_repair: Vec<Option<u64>>,
 }
 
 /// Run the resilience figure: a mesh with flapping links, MTBF swept
 /// from frequent to rare outages at a fixed MTBF/MTTR ratio, each
-/// recovery mode measured over the identical traffic and flap seeds
-/// (the mode only changes the recovery machinery, never the workload).
+/// recovery arm measured over the identical traffic and flap seeds
+/// (the arm only changes the recovery machinery, never the workload).
 pub fn resilience_figure(effort: &Effort) -> ResilienceFigure {
     let k = if effort.warmup < 5_000 { 4 } else { 8 };
     let base = OpenLoopConfig {
@@ -60,60 +65,79 @@ pub fn resilience_figure(effort: &Effort) -> ResilienceFigure {
         })
         .collect();
 
-    let curves = RecoveryMode::ALL
-        .iter()
-        .map(|&mode| {
-            let cfg = ResilienceConfig::new(base.clone(), axis.clone()).with_recovery(mode);
-            let mut points = Vec::new();
-            let mut failed = Vec::new();
-            let outcomes = resilience_sweep(&cfg).expect("valid sweep config");
-            for (o, (mtbf, _)) in outcomes.into_iter().zip(&axis) {
-                match o {
-                    PointOutcome::Ok(p) => points.push(p),
-                    PointOutcome::Panicked { message } => {
-                        failed.push(format!("mtbf {mtbf} PANICKED: {message}"))
-                    }
-                    PointOutcome::Diverged { budget } => {
-                        failed.push(format!("mtbf {mtbf} DIVERGED (budget {budget} cycles)"))
-                    }
-                }
-            }
-            ResilienceCurve { mode: mode.label().into(), points, failed }
+    let cfg = ResilienceConfig::new(base, axis.clone());
+    let plans = cfg.plans().expect("valid sweep config");
+    let (retx, link_retry) = (cfg.retx, cfg.link_retry);
+    let arms = [
+        ("none", None, None),
+        ("e2e", retx, None),
+        ("link", None, link_retry),
+        ("combined", retx, link_retry),
+    ];
+    let curves = arms
+        .into_iter()
+        .map(|(mode, retx, link_retry)| {
+            let armed: Vec<FaultPlan> =
+                plans.iter().map(|p| FaultPlan { retx, link_retry, ..p.clone() }).collect();
+            let outcomes = fault_sweep(&cfg.base, &armed, cfg.base.drain_max);
+            ResilienceCurve { mode: mode.into(), outcomes: outcomes.expect("valid sweep config") }
         })
         .collect();
-    ResilienceFigure { curves, axis }
+    let topo = cfg.base.net.topology;
+    ResilienceFigure {
+        curves,
+        axis,
+        availability: plans
+            .iter()
+            .map(|p| link_availability(&p.events, topo, cfg.flap.horizon))
+            .collect(),
+        last_repair: plans.iter().map(|p| last_repair_cycle(&p.events)).collect(),
+    }
 }
 
 impl ResilienceFigure {
-    /// Delivered-fraction-vs-MTBF curves, one per mode.
-    pub fn delivered_curves(&self) -> Vec<Curve> {
+    /// The settled points of `curve`, each with its axis index.
+    fn settled<'a>(
+        &self,
+        curve: &'a ResilienceCurve,
+    ) -> impl Iterator<Item = (usize, &'a FaultPoint)> {
+        curve.outcomes.iter().enumerate().filter_map(|(k, o)| match o {
+            PointOutcome::Ok(p) => Some((k, p)),
+            _ => None,
+        })
+    }
+
+    /// Cycles from axis entry `k`'s last repair until its point `p`
+    /// fully settled (0 when it settled before the last repair).
+    fn recovery_cycles(&self, k: usize, p: &FaultPoint) -> u64 {
+        self.last_repair[k].map_or(0, |r| p.cycles.saturating_sub(r))
+    }
+
+    /// One curve per arm, of `y` against MTBF over its settled points.
+    fn curves_of(&self, y: impl Fn(usize, &FaultPoint) -> f64) -> Vec<Curve> {
         self.curves
             .iter()
             .map(|c| Curve {
                 label: c.mode.clone(),
-                points: c.points.iter().map(|p| (p.mtbf as f64, p.delivered.fraction())).collect(),
+                points: self.settled(c).map(|(k, p)| (self.axis[k].0 as f64, y(k, p))).collect(),
             })
             .collect()
+    }
+
+    /// Delivered-fraction-vs-MTBF curves, one per arm.
+    pub fn delivered_curves(&self) -> Vec<Curve> {
+        self.curves_of(|_, p| p.delivered().fraction())
     }
 
     /// Recovery-latency-vs-MTBF curves (cycles from the last repair to
-    /// full settlement), one per mode.
+    /// full settlement), one per arm.
     pub fn recovery_curves(&self) -> Vec<Curve> {
-        self.curves
-            .iter()
-            .map(|c| Curve {
-                label: c.mode.clone(),
-                points: c
-                    .points
-                    .iter()
-                    .map(|p| (p.mtbf as f64, p.recovery_cycles as f64))
-                    .collect(),
-            })
-            .collect()
+        self.curves_of(|k, p| self.recovery_cycles(k, p) as f64)
     }
 
-    /// Text report: the delivered and recovery plots plus a per-mode
-    /// table of the headline counters.
+    /// Text report: the delivered and recovery plots plus a per-arm
+    /// table of the headline counters, then one line per axis entry
+    /// that diverged or panicked instead of settling.
     pub fn render(&self) -> String {
         let mut out = render_curves(
             "resilience: delivered fraction vs link MTBF (cycles)",
@@ -125,17 +149,18 @@ impl ResilienceFigure {
         ));
         let mut rows = Vec::new();
         for c in &self.curves {
-            for p in &c.points {
+            for (k, p) in self.settled(c) {
+                let (mtbf, mttr) = self.axis[k];
                 rows.push(vec![
                     c.mode.clone(),
-                    p.mtbf.to_string(),
-                    p.mttr.to_string(),
-                    format!("{:.4}", p.availability),
-                    p.delivered.to_string(),
-                    p.retransmissions.to_string(),
-                    p.link_replays.to_string(),
-                    p.epochs.to_string(),
-                    p.recovery_cycles.to_string(),
+                    mtbf.to_string(),
+                    mttr.to_string(),
+                    format!("{:.4}", self.availability[k]),
+                    p.delivered().to_string(),
+                    p.stats.retransmissions.to_string(),
+                    p.stats.link_replays.to_string(),
+                    p.stats.epochs.to_string(),
+                    self.recovery_cycles(k, p).to_string(),
                     format!("{:.2}", p.avg_latency),
                 ]);
             }
@@ -158,8 +183,17 @@ impl ResilienceFigure {
             &rows,
         ));
         for c in &self.curves {
-            for message in &c.failed {
-                out.push_str(&format!("{}: {message}\n", c.mode));
+            for (o, (mtbf, _)) in c.outcomes.iter().zip(&self.axis) {
+                match o {
+                    PointOutcome::Ok(_) => {}
+                    PointOutcome::Panicked { message } => {
+                        out.push_str(&format!("{}: mtbf {mtbf} PANICKED: {message}\n", c.mode))
+                    }
+                    PointOutcome::Diverged { budget } => out.push_str(&format!(
+                        "{}: mtbf {mtbf} DIVERGED (budget {budget} cycles)\n",
+                        c.mode
+                    )),
+                }
             }
         }
         out
@@ -181,19 +215,19 @@ mod tests {
         let fig = quick_figure();
         assert_eq!(fig.curves.len(), 4);
         for c in &fig.curves {
-            assert_eq!(c.points.len() + c.failed.len(), fig.axis.len(), "{}", c.mode);
+            assert_eq!(c.outcomes.len(), fig.axis.len(), "{}", c.mode);
         }
         // every point's availability is a probability and < 1 (it flaps)
-        for c in &fig.curves {
-            for p in &c.points {
-                assert!((0.0..1.0).contains(&p.availability), "{}: {}", c.mode, p.availability);
-            }
+        for a in &fig.availability {
+            assert!((0.0..1.0).contains(a), "{a}");
         }
-        // modes with an end-to-end ledger deliver everything after heal
+        // arms with an end-to-end ledger deliver everything after heal
         for mode in ["e2e", "combined"] {
             let c = fig.curves.iter().find(|c| c.mode == mode).unwrap();
             assert!(
-                c.points.iter().all(|p| p.delivered.is_complete()),
+                c.outcomes
+                    .iter()
+                    .all(|o| matches!(o, PointOutcome::Ok(p) if p.delivered().is_complete())),
                 "{mode} must fully recover on a connected flapping mesh"
             );
         }
@@ -211,14 +245,17 @@ mod tests {
         let mut lines = text.lines().skip_while(|l| !l.starts_with("mode "));
         let header = lines.next().expect("table header");
         let at = |name| header.find(name).expect("column header");
-        let points: Vec<_> = fig.curves.iter().flat_map(|c| &c.points).collect();
+        let points: Vec<_> = fig.curves.iter().flat_map(|c| fig.settled(c)).collect();
         let rows: Vec<&str> = lines.skip(1).take(points.len()).collect();
         assert_eq!(rows.len(), points.len());
-        assert!(points.iter().any(|p| p.delivered.is_complete()));
-        for (p, row) in points.iter().zip(rows) {
-            assert!(row[at("avail")..].starts_with(&format!("{:.4} ", p.availability)), "{row}");
-            assert!(row[at("retx")..].starts_with(&format!("{} ", p.retransmissions)), "{row}");
-            assert!(row[at("recovery")..].starts_with(&format!("{} ", p.recovery_cycles)), "{row}");
+        assert!(points.iter().any(|(_, p)| p.delivered().is_complete()));
+        for ((k, p), row) in points.into_iter().zip(rows) {
+            let avail = format!("{:.4} ", fig.availability[k]);
+            assert!(row[at("avail")..].starts_with(&avail), "{row}");
+            let retx = format!("{} ", p.stats.retransmissions);
+            assert!(row[at("retx")..].starts_with(&retx), "{row}");
+            let recovery = format!("{} ", fig.recovery_cycles(k, p));
+            assert!(row[at("recovery")..].starts_with(&recovery), "{row}");
             assert!(row[at("latency")..].starts_with(&format!("{:.2}", p.avg_latency)), "{row}");
         }
     }

@@ -230,7 +230,6 @@ impl PointRequest {
             warmup: self.warmup,
             measure: self.measure,
             drain_max: self.drain_max,
-            percentiles: false,
         }
     }
 
@@ -239,30 +238,12 @@ impl PointRequest {
     /// [`PointRequest::key`] is `(config digest, seed)` and repeated
     /// queries deduplicate across batches.
     pub fn digest(&self) -> u64 {
-        let desc = format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            topology_name(self.net.topology),
-            routing_name(self.net.routing),
-            arb_name(self.net.arbitration),
-            self.net.vcs,
-            self.net.vc_buf,
-            self.net.router_delay,
-            self.pattern,
-            self.packet_size,
-            self.load.to_bits(),
-            self.warmup,
-            self.measure,
-            self.drain_max,
-            self.budget.map(|b| b as i128).unwrap_or(-1),
-        );
-        let mut h = Fnv::default();
-        let _ = h.write_str(&desc);
-        h.0
+        self.digest_from(&self.digest_prefix())
     }
 
     /// Result-cache / WAL key: `"{config digest:016x}:{seed:016x}"`.
     pub fn key(&self) -> String {
-        format!("{:016x}:{:016x}", self.digest(), self.net.seed)
+        self.key_from(&self.digest_prefix())
     }
 
     /// The digest's state after the descriptor's shared prefix, the
@@ -289,6 +270,12 @@ impl PointRequest {
     /// of `prefix`, which must be [`PointRequest::digest_prefix`] of a
     /// point sharing this one's prefix fields. The bytes are the same.
     pub fn key_from(&self, prefix: &DigestPrefix) -> String {
+        format!("{:016x}:{:016x}", self.digest_from(prefix), self.net.seed)
+    }
+
+    /// The digest: `prefix` extended by the descriptor's suffix, the
+    /// point's own fields from `load` through `budget`.
+    fn digest_from(&self, prefix: &DigestPrefix) -> u64 {
         let mut h = prefix.0;
         let _ = write!(
             h,
@@ -299,7 +286,7 @@ impl PointRequest {
             self.drain_max,
             self.budget.map(|b| b as i128).unwrap_or(-1),
         );
-        format!("{:016x}:{:016x}", h.0, self.net.seed)
+        h.0
     }
 
     /// Emit the request as one `noc-eval/serve/v1` line.
@@ -1524,6 +1511,5 @@ mod tests {
         assert_eq!(cfg.warmup, 1_000);
         assert_eq!(cfg.measure, 3_000);
         assert_eq!(cfg.drain_max, 20_000);
-        assert!(!cfg.percentiles);
     }
 }

@@ -53,7 +53,7 @@ pub fn sweep_pruned(
 }
 
 /// Model-synthesized stand-in for a skipped measurement. Fields a
-/// static model cannot know (percentiles, queue decomposition, metrics)
+/// static model cannot know (per-node latency, queue decomposition, metrics)
 /// are zeroed or absent; `measured_packets == 0` marks the point as
 /// analytic.
 fn synthesize(model: &AnalyticModel, load: f64, sat: f64, latency_cap: f64) -> OpenLoopResult {
@@ -70,7 +70,6 @@ fn synthesize(model: &AnalyticModel, load: f64, sat: f64, latency_cap: f64) -> O
         node_avg_latency: Vec::new(),
         worst_node_latency: latency,
         throughput: if stable { load } else { sat },
-        latency_percentiles: None,
         latency_ci95: 0.0,
         avg_queue_time: 0.0,
         avg_network_time: latency,

@@ -2,29 +2,30 @@
 //!
 //! The paper's scenarios all assume a perfect fabric; this crate asks
 //! the next question — *what does the latency/throughput curve look
-//! like when links or routers die?* It provides:
+//! like when links or routers die?* A fault scenario is one object, the
+//! simulator's [`FaultPlan`], and every sweep runs a list of them:
 //!
-//! * [`FaultSchedule`]: a seeded, replayable fault scenario generator.
-//!   From a `(seed, topology)` pair it samples which physical channels
-//!   and routers fail (SplitMix64-derived sub-seeds per decision
-//!   family, so link choice, router choice, and transient corruption
-//!   draw from independent deterministic streams). Same seed, same
-//!   topology ⇒ bit-identical events, always. Besides permanent
-//!   fail-stop scenarios ([`FaultSchedule::generate`]), it samples
-//!   *intermittent* fault-and-repair timelines
-//!   ([`FaultSchedule::try_generate_intermittent`]): a set of flapping
-//!   links, each cycling down/up from an independent per-link
-//!   sub-seed, with every outage repaired before the horizon.
-//! * [`sweep::degradation_sweep`]: the degradation curve — delivered
-//!   fraction, retransmissions, and post-fault latency/throughput as a
-//!   function of the number of failed links — evaluated through
-//!   `noc-exp`'s crash-proof grid so a pathological fault scenario
-//!   reports [`noc_exp::PointOutcome::Diverged`] instead of hanging
-//!   the sweep.
-//! * [`resilience::resilience_sweep`]: the resilience curve —
-//!   availability, delivered fraction, and recovery latency vs.
-//!   MTBF/MTTR under a selectable [`resilience::RecoveryMode`]
-//!   (end-to-end retransmission, link-level retry, both, or neither).
+//! * [`FaultConfig::plan`] and [`FlapConfig::plan`]: seeded, replayable
+//!   plan generators. From a `(seed, topology)` pair they sample which
+//!   physical channels and routers fail (SplitMix64-derived sub-seeds
+//!   per decision family, so link choice, router choice, and transient
+//!   corruption draw from independent deterministic streams). Same
+//!   seed, same topology ⇒ bit-identical events, always.
+//!   [`FaultConfig`] describes permanent fail-stop scenarios;
+//!   [`FlapConfig`] describes *intermittent* fault-and-repair
+//!   timelines: a set of flapping links, each cycling down/up from an
+//!   independent per-link sub-seed, with every outage repaired before
+//!   the horizon. Both leave recovery off; a caller arms it with struct
+//!   update (`FaultPlan { retx, link_retry, ..flap.plan(topo)? }`).
+//! * [`fault_sweep`]: the one runner. Point `k` runs the base traffic
+//!   of point `k` under the `k`-th plan and settles, through `noc-exp`'s
+//!   crash-proof grid, so a pathological fault scenario reports
+//!   [`noc_exp::PointOutcome::Diverged`] instead of hanging the sweep.
+//!   Every point is a [`FaultPoint`].
+//! * [`DegradationConfig`] and [`ResilienceConfig`]: the two curves'
+//!   plan lists — permanent failures vs. the number of failed links,
+//!   and flapping links vs. MTBF/MTTR under any of end-to-end
+//!   retransmission, link-level retry, both, or neither.
 //!
 //! The simulator-side fault semantics (what a dead channel does to
 //! flits, credits, and the sanitizer's conservation laws) live in
@@ -39,12 +40,12 @@
 pub mod resilience;
 pub mod sweep;
 
-pub use resilience::{resilience_sweep, RecoveryMode, ResilienceConfig, ResiliencePoint};
-pub use sweep::{degradation_sweep, run_faulted, DegradationConfig, DegradationPoint};
+pub use resilience::ResilienceConfig;
+pub use sweep::{fault_sweep, run_faulted, DegradationConfig, FaultPoint};
 
 use noc_sim::config::TopologyKind;
 use noc_sim::error::ConfigError;
-use noc_sim::network::fault::{FaultEvent, FaultPlan, LinkRetryPolicy, RetxPolicy};
+use noc_sim::network::fault::{FaultEvent, FaultPlan};
 use noc_sim::rng::SimRng;
 
 /// What to break, and when.
@@ -67,6 +68,45 @@ impl Default for FaultConfig {
         Self { seed: 1, link_failures: 0, router_failures: 0, fail_at: 0, corrupt_rate: 0.0 }
     }
 }
+
+impl FaultConfig {
+    /// Sample a permanent scenario for `topo` from `self.seed`, with no
+    /// recovery armed.
+    ///
+    /// Physical links are enumerated in deterministic `(router, port)`
+    /// order, deduplicated to one entry per bidirectional pair, and
+    /// sampled by a partial Fisher–Yates shuffle; routers are sampled
+    /// the same way from an independent sub-seed. Requests for more
+    /// failures than exist are clamped to "all of them". The events
+    /// list both directions of each failed link, then the routers.
+    pub fn plan(&self, topo: TopologyKind) -> FaultPlan {
+        let mut edges = physical_links(topo);
+        let picks =
+            sample_front(&mut edges, self.link_failures, noc_exp::derive_seed(self.seed, 0));
+        let mut routers: Vec<usize> = (0..topo.num_nodes()).collect();
+        let rpicks =
+            sample_front(&mut routers, self.router_failures, noc_exp::derive_seed(self.seed, 1));
+
+        let mut events = Vec::with_capacity(2 * picks + rpicks);
+        for &(r, p, v, vp) in &edges[..picks] {
+            events.push(FaultEvent::LinkFail { cycle: self.fail_at, router: r, port: p });
+            events.push(FaultEvent::LinkFail { cycle: self.fail_at, router: v, port: vp });
+        }
+        for &r in &routers[..rpicks] {
+            events.push(FaultEvent::RouterFail { cycle: self.fail_at, router: r });
+        }
+        unarmed_plan(events, self.corrupt_rate, self.seed)
+    }
+}
+
+/// Most outages a valid [`FlapConfig`] can schedule, counted at the
+/// worst case: every flapping link's outages each last the minimum 2
+/// cycles (one down, one up), so `links * (horizon - start) / 2` of
+/// them fit. Each outage is four 32-byte events (on 64-bit targets), so
+/// this bounds a generated plan to 128 MiB and its generation loop to
+/// as many draws; real timelines, with means of hundreds of cycles,
+/// are orders of magnitude smaller.
+pub const MAX_FLAP_OUTAGES: u64 = 1 << 20;
 
 /// An intermittent ("flapping") fault scenario: which links flap, how
 /// often, and for how long.
@@ -110,7 +150,9 @@ impl Default for FlapConfig {
 }
 
 impl FlapConfig {
-    /// Reject parameter values that cannot describe a timeline.
+    /// Reject parameter values that cannot describe a timeline, or
+    /// whose timeline could overflow a cycle count or schedule more
+    /// than [`MAX_FLAP_OUTAGES`] outages.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.mtbf == 0 {
             return Err(ConfigError::Parameter { name: "mtbf", why: "must be >= 1 cycle".into() });
@@ -130,78 +172,62 @@ impl FlapConfig {
                 why: format!("{} is not a probability", self.corrupt_rate),
             });
         }
+        // an interval is drawn below twice its mean, and the last draw
+        // starts before `horizon`: every cycle computed is below
+        // `horizon + 2 * mtbf + 2 * mttr`
+        let span = |name, mean: u64| {
+            let span = mean.checked_mul(2).filter(|&w| usize::try_from(w).is_ok());
+            span.ok_or_else(|| ConfigError::Parameter {
+                name,
+                why: format!("{mean} cycles overflows the interval draw"),
+            })
+        };
+        let (up, down) = (span("mtbf", self.mtbf)?, span("mttr", self.mttr)?);
+        if self.horizon.checked_add(up).and_then(|c| c.checked_add(down)).is_none() {
+            return Err(ConfigError::Parameter {
+                name: "horizon",
+                why: format!("horizon {} + 2 * mtbf + 2 * mttr overflows a cycle", self.horizon),
+            });
+        }
+        let outages = (self.links as u64).saturating_mul((self.horizon - self.start) / 2);
+        if outages > MAX_FLAP_OUTAGES {
+            return Err(ConfigError::Parameter {
+                name: "horizon",
+                why: format!(
+                    "{} links over cycles {}..{} may schedule {outages} outages, \
+                     more than {MAX_FLAP_OUTAGES}",
+                    self.links, self.start, self.horizon
+                ),
+            });
+        }
         Ok(())
     }
-}
 
-/// A concrete, replayable fault scenario: the resolved event list plus
-/// the transient-corruption parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSchedule {
-    /// Permanent fault events (both directions of each failed physical
-    /// link, plus router failures), in a deterministic order.
-    pub events: Vec<FaultEvent>,
-    /// Transient corruption probability per head flit per channel.
-    pub corrupt_rate: f64,
-    /// Seed of the simulator's dedicated corruption RNG.
-    pub corrupt_seed: u64,
-}
-
-impl FaultSchedule {
-    /// Sample a scenario for `topo` from `cfg.seed`.
-    ///
-    /// Physical links are enumerated in deterministic `(router, port)`
-    /// order, deduplicated to one entry per bidirectional pair, and
-    /// sampled by a partial Fisher–Yates shuffle; routers are sampled
-    /// the same way from an independent sub-seed. Requests for more
-    /// failures than exist are clamped to "all of them".
-    pub fn generate(cfg: &FaultConfig, topo: TopologyKind) -> Self {
-        let mut edges = physical_links(topo);
-        let picks = sample_front(&mut edges, cfg.link_failures, noc_exp::derive_seed(cfg.seed, 0));
-        let mut routers: Vec<usize> = (0..topo.num_nodes()).collect();
-        let rpicks =
-            sample_front(&mut routers, cfg.router_failures, noc_exp::derive_seed(cfg.seed, 1));
-
-        let mut events = Vec::with_capacity(2 * picks + rpicks);
-        for &(r, p, v, vp) in &edges[..picks] {
-            events.push(FaultEvent::LinkFail { cycle: cfg.fail_at, router: r, port: p });
-            events.push(FaultEvent::LinkFail { cycle: cfg.fail_at, router: v, port: vp });
-        }
-        for &r in &routers[..rpicks] {
-            events.push(FaultEvent::RouterFail { cycle: cfg.fail_at, router: r });
-        }
-
-        Self {
-            events,
-            corrupt_rate: cfg.corrupt_rate,
-            corrupt_seed: noc_exp::derive_seed(cfg.seed, 2),
-        }
-    }
-
-    /// Sample an intermittent fault-and-repair timeline for `topo`.
+    /// Sample an intermittent fault-and-repair timeline for `topo`,
+    /// with no recovery armed.
     ///
     /// Flapping links are picked by the same partial Fisher–Yates
-    /// sampling as [`FaultSchedule::generate`] (from its own sub-seed),
-    /// then each link's down/up timeline is drawn from an independent
+    /// sampling as [`FaultConfig::plan`] (from its own sub-seed), then
+    /// each link's down/up timeline is drawn from an independent
     /// per-link sub-seed — so adding a flapping link never perturbs the
     /// timelines of the others. Events cover both directions of each
     /// physical link and come out stably sorted by cycle.
-    pub fn try_generate_intermittent(
-        cfg: &FlapConfig,
-        topo: TopologyKind,
-    ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+    ///
+    /// # Errors
+    /// The [`ConfigError`] of [`FlapConfig::validate`].
+    pub fn plan(&self, topo: TopologyKind) -> Result<FaultPlan, ConfigError> {
+        self.validate()?;
         let mut edges = physical_links(topo);
-        let picks = sample_front(&mut edges, cfg.links, noc_exp::derive_seed(cfg.seed, 3));
+        let picks = sample_front(&mut edges, self.links, noc_exp::derive_seed(self.seed, 3));
 
         let mut events = Vec::new();
         for (i, &(r, p, v, vp)) in edges[..picks].iter().enumerate() {
-            let mut rng = SimRng::new(noc_exp::derive_seed(cfg.seed, 0x100 + i as u64));
-            let mut t = cfg.start;
+            let mut rng = SimRng::new(noc_exp::derive_seed(self.seed, 0x100 + i as u64));
+            let mut t = self.start;
             loop {
-                let down = t + 1 + rng.below(2 * cfg.mtbf as usize) as u64;
-                let up = down + 1 + rng.below(2 * cfg.mttr as usize) as u64;
-                if up >= cfg.horizon {
+                let down = t + 1 + rng.below(2 * self.mtbf as usize) as u64;
+                let up = down + 1 + rng.below(2 * self.mttr as usize) as u64;
+                if up >= self.horizon {
                     break; // an outage only happens if its repair fits
                 }
                 events.push(FaultEvent::LinkFail { cycle: down, router: r, port: p });
@@ -212,69 +238,61 @@ impl FaultSchedule {
             }
         }
         events.sort_by_key(FaultEvent::cycle);
-
-        Ok(Self {
-            events,
-            corrupt_rate: cfg.corrupt_rate,
-            corrupt_seed: noc_exp::derive_seed(cfg.seed, 2),
-        })
+        Ok(unarmed_plan(events, self.corrupt_rate, self.seed))
     }
+}
 
-    /// The cycle of the last repair event, if the scenario has any.
-    pub fn last_repair_cycle(&self) -> Option<u64> {
-        self.events.iter().filter(|e| e.is_repair()).map(FaultEvent::cycle).max()
+/// A plan of `events` with the scenario's transient corruption (its
+/// RNG seeded from the scenario `seed`) and no recovery armed.
+fn unarmed_plan(events: Vec<FaultEvent>, corrupt_rate: f64, seed: u64) -> FaultPlan {
+    FaultPlan {
+        events,
+        corrupt_rate,
+        corrupt_seed: noc_exp::derive_seed(seed, 2),
+        ..FaultPlan::default()
     }
+}
 
-    /// Scheduled downtime summed over *directed* channels, clipped to
-    /// `horizon`: the denominator-free half of a link-availability
-    /// figure. Outages still open at `horizon` (only possible for
-    /// permanent scenarios) count until `horizon`.
-    pub fn scheduled_downtime(&self, horizon: u64) -> u64 {
-        let mut open: std::collections::HashMap<(usize, usize), u64> =
-            std::collections::HashMap::new();
-        let mut down = 0u64;
-        for e in &self.events {
-            match *e {
-                FaultEvent::LinkFail { cycle, router, port } => {
-                    open.entry((router, port)).or_insert(cycle.min(horizon));
-                }
-                FaultEvent::LinkRepair { cycle, router, port } => {
-                    if let Some(from) = open.remove(&(router, port)) {
-                        down += cycle.min(horizon).saturating_sub(from);
-                    }
-                }
-                _ => {}
+/// The cycle of the last repair among `events`, if there is one.
+pub fn last_repair_cycle(events: &[FaultEvent]) -> Option<u64> {
+    events.iter().filter(|e| e.is_repair()).map(FaultEvent::cycle).max()
+}
+
+/// Scheduled downtime of `events` summed over *directed* channels,
+/// clipped to `horizon`. Outages still open at `horizon` (only
+/// possible for permanent scenarios) count until `horizon`.
+fn scheduled_downtime(events: &[FaultEvent], horizon: u64) -> u64 {
+    let mut open: std::collections::HashMap<(usize, usize), u64> = std::collections::HashMap::new();
+    let mut down = 0u64;
+    for e in events {
+        match *e {
+            FaultEvent::LinkFail { cycle, router, port } => {
+                open.entry((router, port)).or_insert(cycle.min(horizon));
             }
+            FaultEvent::LinkRepair { cycle, router, port } => {
+                if let Some(from) = open.remove(&(router, port)) {
+                    down += cycle.min(horizon).saturating_sub(from);
+                }
+            }
+            _ => {}
         }
-        for (_, from) in open {
-            down += horizon.saturating_sub(from);
-        }
-        down
     }
+    for (_, from) in open {
+        down += horizon.saturating_sub(from);
+    }
+    down
+}
 
-    /// Fraction of directed-channel-cycles up over `[0, horizon)` —
-    /// the "availability" axis of the resilience figures.
-    pub fn link_availability(&self, topo: TopologyKind, horizon: u64) -> f64 {
-        // every physical link is two directed channels
-        let channels = 2 * physical_links(topo).len() as u64;
-        if channels == 0 || horizon == 0 {
-            return 1.0;
-        }
-        1.0 - self.scheduled_downtime(horizon) as f64 / (channels * horizon) as f64
+/// Fraction of `topo`'s directed-channel-cycles up over `[0, horizon)`
+/// under the link events of `events` — the "availability" axis of the
+/// resilience figures.
+pub fn link_availability(events: &[FaultEvent], topo: TopologyKind, horizon: u64) -> f64 {
+    // every physical link is two directed channels
+    let channels = 2 * physical_links(topo).len() as u64;
+    if channels == 0 || horizon == 0 {
+        return 1.0;
     }
-
-    /// Package the scenario as a simulator [`FaultPlan`] with the given
-    /// recovery: end-to-end retransmission and/or link-level retry
-    /// (`None` leaves that machinery off).
-    pub fn plan(&self, retx: Option<RetxPolicy>, link_retry: Option<LinkRetryPolicy>) -> FaultPlan {
-        FaultPlan {
-            events: self.events.clone(),
-            corrupt_rate: self.corrupt_rate,
-            corrupt_seed: self.corrupt_seed,
-            retx,
-            link_retry,
-        }
-    }
+    1.0 - scheduled_downtime(events, horizon) as f64 / (channels * horizon) as f64
 }
 
 /// One `(router, port, neighbor, neighbor port)` entry per physical
@@ -333,29 +351,22 @@ mod tests {
             fail_at: 500,
             corrupt_rate: 1e-3,
         };
-        let a = FaultSchedule::generate(&cfg, MESH4);
-        let b = FaultSchedule::generate(&cfg, MESH4);
+        let a = cfg.plan(MESH4);
+        let b = cfg.plan(MESH4);
         assert_eq!(a, b);
         assert_eq!(a.events.len(), 2 * 3 + 1, "both directions per link plus the router");
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mk = |seed| {
-            FaultSchedule::generate(
-                &FaultConfig { seed, link_failures: 4, ..FaultConfig::default() },
-                MESH4,
-            )
-        };
+        let mk =
+            |seed| FaultConfig { seed, link_failures: 4, ..FaultConfig::default() }.plan(MESH4);
         assert_ne!(mk(1).events, mk(2).events);
     }
 
     #[test]
     fn link_events_come_in_matched_pairs() {
-        let s = FaultSchedule::generate(
-            &FaultConfig { seed: 7, link_failures: 5, ..FaultConfig::default() },
-            MESH4,
-        );
+        let s = FaultConfig { seed: 7, link_failures: 5, ..FaultConfig::default() }.plan(MESH4);
         for pair in s.events.chunks(2) {
             let [FaultEvent::LinkFail { router: r, port: p, .. }, FaultEvent::LinkFail { router: v, port: vp, .. }] =
                 pair
@@ -369,8 +380,8 @@ mod tests {
     #[test]
     fn intermittent_same_seed_same_timeline() {
         let cfg = FlapConfig { seed: 9, links: 3, mtbf: 300, mttr: 40, ..FlapConfig::default() };
-        let a = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
-        let b = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
+        let a = cfg.plan(MESH4).unwrap();
+        let b = cfg.plan(MESH4).unwrap();
         assert_eq!(a, b);
         assert!(!a.events.is_empty(), "a 20k-cycle horizon at mtbf 300 must flap");
     }
@@ -378,7 +389,7 @@ mod tests {
     #[test]
     fn intermittent_timelines_end_healed_and_sorted() {
         let cfg = FlapConfig { seed: 5, links: 4, mtbf: 500, mttr: 60, ..FlapConfig::default() };
-        let s = FaultSchedule::try_generate_intermittent(&cfg, MESH4).unwrap();
+        let s = cfg.plan(MESH4).unwrap();
 
         // sorted by cycle, all within (start, horizon)
         let cycles: Vec<u64> = s.events.iter().map(FaultEvent::cycle).collect();
@@ -404,8 +415,8 @@ mod tests {
             }
         }
         assert!(state.values().all(|&d| !d), "a link is still down at the horizon");
-        assert_eq!(s.scheduled_downtime(cfg.horizon) > 0, !s.events.is_empty());
-        let avail = s.link_availability(MESH4, cfg.horizon);
+        assert_eq!(scheduled_downtime(&s.events, cfg.horizon) > 0, !s.events.is_empty());
+        let avail = link_availability(&s.events, MESH4, cfg.horizon);
         assert!((0.0..1.0).contains(&avail), "availability {avail} out of range");
     }
 
@@ -418,24 +429,49 @@ mod tests {
             FlapConfig { corrupt_rate: f64::NAN, ..FlapConfig::default() },
             FlapConfig { corrupt_rate: 1.5, ..FlapConfig::default() },
         ] {
-            assert!(
-                FaultSchedule::try_generate_intermittent(&bad, MESH4).is_err(),
-                "accepted {bad:?}"
-            );
+            assert!(bad.plan(MESH4).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// A timeline whose arithmetic could overflow a cycle count, or
+    /// whose worst case schedules more than `MAX_FLAP_OUTAGES` outages,
+    /// is refused naming its field before any draw; the bound itself is
+    /// accepted.
+    #[test]
+    fn flap_timelines_that_could_overflow_or_never_end_are_refused() {
+        let window = 2 * MAX_FLAP_OUTAGES;
+        for (bad, field) in [
+            (FlapConfig { mtbf: u64::MAX, ..FlapConfig::default() }, "mtbf"),
+            (FlapConfig { mttr: u64::MAX, ..FlapConfig::default() }, "mttr"),
+            (FlapConfig { mtbf: u64::MAX / 2, ..FlapConfig::default() }, "horizon"),
+            (
+                FlapConfig { start: u64::MAX - 2, horizon: u64::MAX, ..FlapConfig::default() },
+                "horizon",
+            ),
+            (FlapConfig { start: 0, horizon: window + 2, ..FlapConfig::default() }, "horizon"),
+            (FlapConfig { links: usize::MAX, ..FlapConfig::default() }, "horizon"),
+        ] {
+            match bad.plan(MESH4) {
+                Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                other => panic!("{bad:?}: {other:?}"),
+            }
+        }
+        let edge = FlapConfig { start: 0, horizon: window + 1, ..FlapConfig::default() };
+        assert_eq!(edge.validate(), Ok(()));
+        let idle =
+            FlapConfig { links: 0, start: 0, horizon: u64::MAX / 2, ..FlapConfig::default() };
+        assert_eq!(idle.plan(MESH4).map(|p| p.events.len()), Ok(0));
     }
 
     #[test]
     fn oversized_requests_are_clamped() {
-        let s = FaultSchedule::generate(
-            &FaultConfig {
-                seed: 3,
-                link_failures: 10_000,
-                router_failures: 10_000,
-                ..FaultConfig::default()
-            },
-            MESH4,
-        );
+        let s = FaultConfig {
+            seed: 3,
+            link_failures: 10_000,
+            router_failures: 10_000,
+            ..FaultConfig::default()
+        }
+        .plan(MESH4);
         // 4x4 mesh: 24 physical links, 16 routers
         assert_eq!(s.events.len(), 2 * 24 + 16);
     }

@@ -6,7 +6,7 @@
 //! across commits and thread counts.
 
 use noc_exp::PointOutcome;
-use noc_fault::{degradation_sweep, DegradationConfig};
+use noc_fault::{fault_sweep, DegradationConfig};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
 
@@ -29,16 +29,17 @@ fn quick_degradation_table_is_pinned() {
         drain_max: 30_000,
         ..OpenLoopConfig::default()
     };
+    let plans = DegradationConfig::new(base.clone(), 4).plans().expect("valid base");
     let mut table = String::new();
-    for outcome in degradation_sweep(&DegradationConfig::new(base, 4)).expect("valid base") {
+    for (links, outcome) in fault_sweep(&base, &plans, base.drain_max).unwrap().iter().enumerate() {
         let PointOutcome::Ok(p) = outcome else { panic!("quick point must settle: {outcome:?}") };
         table.push_str(&format!(
             "{:<6} {:<20} {:<8} {:<10} {:<8} {:<9.2} {:.4}\n",
-            p.failed_links,
-            p.delivered.to_string(),
-            p.retransmissions,
-            p.abandoned,
-            p.packets_dropped,
+            links,
+            p.delivered().to_string(),
+            p.stats.retransmissions,
+            p.stats.transfers_abandoned,
+            p.stats.packets_dropped,
             p.avg_latency,
             p.throughput
         ));

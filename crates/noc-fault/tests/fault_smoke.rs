@@ -7,11 +7,10 @@
 //! has healed the fabric.
 
 use noc_exp::PointOutcome;
-use noc_fault::{
-    resilience_sweep, run_faulted, FaultConfig, FaultSchedule, RecoveryMode, ResilienceConfig,
-};
+use noc_fault::{fault_sweep, link_availability, run_faulted, FaultConfig, ResilienceConfig};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
+use noc_sim::network::fault::{FaultPlan, RetxPolicy};
 
 fn base() -> OpenLoopConfig {
     OpenLoopConfig {
@@ -35,25 +34,27 @@ fn fault_smoke_two_dead_links_full_delivery() {
         corrupt_rate: 2e-3,
         ..FaultConfig::default()
     };
-    let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
+    let plan = fault_cfg.plan(base.net.topology);
 
     // the scenario must be survivable before we demand full delivery
-    let lint = noc_verify::check_fault_connectivity(&base.net, &schedule.events).unwrap();
+    let lint = noc_verify::check_fault_connectivity(&base.net, &plan.events).unwrap();
     assert!(lint.is_certified(), "{lint}");
 
-    let p = run_faulted(&base, schedule.plan(Some(Default::default()), None), 2, 100_000)
+    let retx = Some(RetxPolicy::default());
+    let p = run_faulted(&base, FaultPlan { retx, ..plan }, 100_000)
         .expect("valid plan")
         .expect("smoke scenario must settle");
+    let s = &p.stats;
     assert!(
-        p.delivered.is_complete(),
+        p.delivered().is_complete(),
         "delivered {} with {} abandoned, {} dropped",
-        p.delivered,
-        p.abandoned,
-        p.packets_dropped
+        p.delivered(),
+        s.transfers_abandoned,
+        s.packets_dropped
     );
-    assert_eq!(p.abandoned, 0);
-    assert!(p.packets_dropped > 0, "the corruption rate must actually swallow packets");
-    assert!(p.retransmissions > 0, "recovering dropped packets requires retransmission");
+    assert_eq!(s.transfers_abandoned, 0);
+    assert!(s.packets_dropped > 0, "the corruption rate must actually swallow packets");
+    assert!(s.retransmissions > 0, "recovering dropped packets requires retransmission");
 }
 
 /// The robustness acceptance scenario: links flap up and down through
@@ -66,28 +67,31 @@ fn fault_smoke_two_dead_links_full_delivery() {
 #[test]
 fn fault_smoke_intermittent_full_delivery_after_final_repair() {
     let base = base();
-    for mode in [RecoveryMode::EndToEnd, RecoveryMode::Combined] {
-        let cfg = ResilienceConfig {
-            settle_max: 100_000,
-            ..ResilienceConfig::new(base.clone(), vec![(500, 80)])
-        }
-        .with_recovery(mode);
-        let out = resilience_sweep(&cfg).expect("valid sweep config");
+    let combined = ResilienceConfig::new(base.clone(), vec![(500, 80)]);
+    let e2e = ResilienceConfig { link_retry: None, ..combined.clone() };
+    for (mode, cfg) in [("e2e", e2e), ("combined", combined)] {
+        let plans = cfg.plans().expect("valid sweep config");
+        let out = fault_sweep(&cfg.base, &plans, 100_000).expect("valid sweep config");
         let PointOutcome::Ok(p) = &out[0] else {
-            panic!("intermittent smoke point must settle ({mode:?}): {out:?}")
+            panic!("intermittent smoke point must settle ({mode}): {out:?}")
         };
-        assert!(p.availability < 1.0, "the timeline must actually flap ({mode:?})");
-        assert!(p.epochs >= 2, "outage + repair must each close an epoch ({mode:?})");
+        let s = &p.stats;
+        let availability = link_availability(&plans[0].events, base.net.topology, cfg.flap.horizon);
+        assert!(availability < 1.0, "the timeline must actually flap ({mode})");
+        assert!(s.epochs >= 2, "outage + repair must each close an epoch ({mode})");
         assert!(
-            p.delivered.is_complete(),
-            "{mode:?}: delivered {} with {} abandoned after the final repair epoch",
-            p.delivered,
-            p.abandoned
+            p.delivered().is_complete(),
+            "{mode}: delivered {} with {} abandoned after the final repair epoch",
+            p.delivered(),
+            s.transfers_abandoned
         );
-        assert_eq!(p.abandoned, 0, "{mode:?}: nothing may be abandoned once the fabric heals");
-        if mode == RecoveryMode::Combined {
+        assert_eq!(
+            s.transfers_abandoned, 0,
+            "{mode}: nothing may be abandoned once the fabric heals"
+        );
+        if cfg.link_retry.is_some() {
             assert!(
-                p.link_replays > 0,
+                s.link_replays > 0,
                 "combined recovery must exercise the link-level replay path"
             );
         }
@@ -103,11 +107,11 @@ fn fault_smoke_replays_bit_identically() {
         fail_at: base.warmup / 2,
         ..FaultConfig::default()
     };
-    let schedule = FaultSchedule::generate(&fault_cfg, base.net.topology);
+    let plan = FaultPlan { retx: Some(RetxPolicy::default()), ..fault_cfg.plan(base.net.topology) };
     let run = || {
-        run_faulted(&base, schedule.plan(Some(Default::default()), None), 3, 100_000)
+        run_faulted(&base, plan.clone(), 100_000)
             .expect("valid plan")
             .expect("scenario must settle")
     };
-    assert_eq!(run(), run(), "same schedule, same traffic, different outcome");
+    assert_eq!(run(), run(), "same plan, same traffic, different outcome");
 }

@@ -3,10 +3,10 @@
 //! retransmission, and a Refuted (partitioned) one abandons exactly the
 //! traffic crossing the cut — while still settling cleanly.
 
-use noc_fault::{run_faulted, FaultConfig, FaultSchedule, FlapConfig};
+use noc_fault::{run_faulted, FaultConfig, FlapConfig};
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
-use noc_sim::network::fault::{FaultEvent, FaultPlan};
+use noc_sim::network::fault::{FaultEvent, FaultPlan, RetxPolicy};
 use noc_sim::{Cycle, Delivered, Network, NodeBehavior, PacketSpec};
 use noc_verify::{check_fault_connectivity, fault::isolate_node_events, FaultVerdict};
 
@@ -25,30 +25,23 @@ fn certified_fault_set_simulates_to_full_delivery() {
     let topo = base.net.topology;
     // scan seeds for a certified 3-link scenario (most are; take the
     // first so the test does not depend on any one seed's luck)
-    let schedule = (0..64)
+    let plan = (0..64)
         .map(|seed| {
-            FaultSchedule::generate(
-                &FaultConfig {
-                    seed,
-                    link_failures: 3,
-                    fail_at: base.warmup,
-                    ..FaultConfig::default()
-                },
-                topo,
-            )
+            FaultConfig { seed, link_failures: 3, fail_at: base.warmup, ..FaultConfig::default() }
+                .plan(topo)
         })
-        .find(|s| check_fault_connectivity(&base.net, &s.events).unwrap().is_certified())
+        .find(|p| check_fault_connectivity(&base.net, &p.events).unwrap().is_certified())
         .expect("some 3-link scenario on a 4x4 mesh must be survivable");
 
-    let p = run_faulted(&base, schedule.plan(Some(Default::default()), None), 3, 100_000)
+    let p = run_faulted(&base, FaultPlan { retx: Some(RetxPolicy::default()), ..plan }, 100_000)
         .expect("valid plan")
         .expect("certified scenario must settle");
     assert!(
-        p.delivered.is_complete(),
+        p.delivered().is_complete(),
         "lint certified the survivors but simulation delivered only {}",
-        p.delivered
+        p.delivered()
     );
-    assert_eq!(p.abandoned, 0);
+    assert_eq!(p.stats.transfers_abandoned, 0);
 }
 
 #[test]
@@ -64,26 +57,21 @@ fn refuted_fault_set_simulates_to_partial_delivery() {
 
     // ...and the simulation must abandon exactly the cross-cut traffic
     // yet still settle (abandonment, not a hang)
-    let plan = noc_sim::network::fault::FaultPlan {
-        events,
-        corrupt_rate: 0.0,
-        corrupt_seed: 0,
-        retx: Some(Default::default()),
-        link_retry: None,
-    };
-    let p = run_faulted(&base, plan, 3, 200_000)
+    let plan = FaultPlan { events, retx: Some(RetxPolicy::default()), ..FaultPlan::default() };
+    let p = run_faulted(&base, plan, 200_000)
         .expect("valid plan")
         .expect("partitioned scenario must still settle");
-    assert!(!p.delivered.is_complete(), "traffic across the cut cannot be delivered");
-    assert!(p.abandoned > 0, "cross-cut transfers must be abandoned, not lost track of");
+    let (delivered, abandoned) = (p.delivered(), p.stats.transfers_abandoned);
+    assert!(!delivered.is_complete(), "traffic across the cut cannot be delivered");
+    assert!(abandoned > 0, "cross-cut transfers must be abandoned, not lost track of");
     assert_eq!(
-        p.delivered.num + p.abandoned,
-        p.delivered.den,
+        delivered.num + abandoned,
+        delivered.den,
         "every transfer must resolve to delivered or abandoned"
     );
     // uniform traffic from 15 live nodes mostly stays on the big side:
     // the delivered fraction should remain high
-    assert!(p.delivered.fraction() > 0.5, "degradation should be graceful: {}", p.delivered);
+    assert!(delivered.fraction() > 0.5, "degradation should be graceful: {delivered}");
 }
 
 /// No traffic: a run only applies the plan's events.
@@ -115,7 +103,7 @@ fn engine_and_lint_agree(net_cfg: &NetConfig, events: &[FaultEvent]) -> Vec<bool
         now = c + 1;
         let applied: Vec<FaultEvent> = events.iter().copied().filter(|e| e.cycle() <= c).collect();
         let report = check_fault_connectivity(net_cfg, &applied).unwrap();
-        // the schedule generators never repair a router
+        // the plan generators never repair a router
         let dead = |r| {
             applied
                 .iter()
@@ -139,7 +127,7 @@ fn engine_and_lint_agree(net_cfg: &NetConfig, events: &[FaultEvent]) -> Vec<bool
 /// the engine's own `SurvivorTable`; this checks its verdicts against a
 /// `Network` stepped through the same plan, whose event ordering, epoch
 /// bookkeeping and table lifetime the lint does not share, over
-/// permanent schedules (1-6 links, 0-1 routers, 8 seeds) and one
+/// permanent plans (1-6 links, 0-1 routers, 8 seeds) and one
 /// intermittent timeline checked at every cycle it changes, on a mesh
 /// and a torus.
 #[test]
@@ -157,8 +145,8 @@ fn lint_end_state_matches_the_engine_survivor_table() {
                         fail_at: 10,
                         ..FaultConfig::default()
                     };
-                    let s = FaultSchedule::generate(&cfg, topology);
-                    verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
+                    let plan = cfg.plan(topology);
+                    verdicts.extend(engine_and_lint_agree(&net_cfg, &plan.events));
                 }
             }
         }
@@ -171,9 +159,9 @@ fn lint_end_state_matches_the_engine_survivor_table() {
             horizon: 600,
             ..FlapConfig::default()
         };
-        let s = FaultSchedule::try_generate_intermittent(&flap, topology).unwrap();
-        assert!(s.events.iter().any(FaultEvent::is_repair), "the timeline must repair");
-        verdicts.extend(engine_and_lint_agree(&net_cfg, &s.events));
+        let plan = flap.plan(topology).unwrap();
+        assert!(plan.events.iter().any(FaultEvent::is_repair), "the timeline must repair");
+        verdicts.extend(engine_and_lint_agree(&net_cfg, &plan.events));
     }
     let certified = verdicts.iter().filter(|&&c| c).count();
     assert!(0 < certified && certified < verdicts.len(), "both verdicts exercised: {verdicts:?}");

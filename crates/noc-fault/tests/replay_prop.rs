@@ -1,12 +1,11 @@
 //! Property tests for fault-scenario replay and crash-proof grids:
-//! permanent schedules, intermittent fault-and-repair timelines, and
+//! permanent fault plans, intermittent fault-and-repair timelines, and
 //! full resilience measurements must all be bit-identical functions of
 //! their seeds, independent of run count or worker thread count.
 
 use noc_exp::{run_grid_robust, PointOutcome};
 use noc_fault::{
-    degradation_sweep, resilience_sweep, DegradationConfig, FaultConfig, FaultSchedule, FlapConfig,
-    RecoveryMode, ResilienceConfig,
+    fault_sweep, last_repair_cycle, DegradationConfig, FaultConfig, FlapConfig, ResilienceConfig,
 };
 use noc_openloop::OpenLoopConfig;
 use noc_sim::config::{NetConfig, TopologyKind};
@@ -16,11 +15,11 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Same (seed, topology, request) -> bit-identical fault schedule,
+    /// Same (seed, topology, request) -> bit-identical fault plan,
     /// for any seed, any failure counts (including oversized), and
     /// every supported topology family.
     #[test]
-    fn fault_schedule_replays_bit_identically(
+    fn fault_plan_replays_bit_identically(
         seed in 0u64..u64::MAX,
         links in 0usize..64,
         routers in 0usize..32,
@@ -33,8 +32,8 @@ proptest! {
         ],
     ) {
         let cfg = FaultConfig { seed, link_failures: links, router_failures: routers, fail_at, corrupt_rate: 1e-4 };
-        let a = FaultSchedule::generate(&cfg, kind);
-        let b = FaultSchedule::generate(&cfg, kind);
+        let a = cfg.plan(kind);
+        let b = cfg.plan(kind);
         prop_assert_eq!(&a, &b);
         // every event fires at the configured cycle, and link failures
         // never exceed twice the request (both directions per link)
@@ -64,8 +63,8 @@ proptest! {
         ],
     ) {
         let cfg = FlapConfig { seed, links, mtbf, mttr, start: 64, horizon: 16_384, corrupt_rate: 1e-4 };
-        let a = FaultSchedule::try_generate_intermittent(&cfg, kind).unwrap();
-        let b = FaultSchedule::try_generate_intermittent(&cfg, kind).unwrap();
+        let a = cfg.plan(kind).unwrap();
+        let b = cfg.plan(kind).unwrap();
         prop_assert_eq!(&a, &b);
 
         let cycles: Vec<u64> = a.events.iter().map(FaultEvent::cycle).collect();
@@ -84,7 +83,7 @@ proptest! {
             }
         }
         prop_assert!(down.values().all(|&d| !d), "timeline must end healed");
-        prop_assert!(a.last_repair_cycle().is_none() == a.events.is_empty());
+        prop_assert!(last_repair_cycle(&a.events).is_none() == a.events.is_empty());
     }
 
     /// A grid with one panicking point reports `Panicked` for exactly
@@ -130,12 +129,7 @@ proptest! {
         seed in 0u64..10_000,
         mtbf in 200u64..1_500,
         mttr in 20u64..200,
-        mode in prop_oneof![
-            Just(RecoveryMode::None),
-            Just(RecoveryMode::EndToEnd),
-            Just(RecoveryMode::LinkLevel),
-            Just(RecoveryMode::Combined),
-        ],
+        (e2e, link) in (prop::bool::ANY, prop::bool::ANY),
     ) {
         let base = OpenLoopConfig {
             net: NetConfig::baseline()
@@ -145,12 +139,11 @@ proptest! {
         }
         .quick()
         .with_load(0.08);
-        let cfg = ResilienceConfig {
-            settle_max: 60_000,
-            ..ResilienceConfig::new(base, vec![(mtbf, mttr), (2 * mtbf, mttr)])
-        }
-        .with_recovery(mode);
-        prop_assert_eq!(resilience_sweep(&cfg), resilience_sweep(&cfg), "replay diverged for {:?}", mode);
+        let mut cfg = ResilienceConfig::new(base, vec![(mtbf, mttr), (2 * mtbf, mttr)]);
+        cfg.retx = cfg.retx.filter(|_| e2e);
+        cfg.link_retry = cfg.link_retry.filter(|_| link);
+        let run = || fault_sweep(&cfg.base, &cfg.plans()?, 60_000);
+        prop_assert_eq!(run(), run(), "replay diverged for e2e {} link {}", e2e, link);
     }
 }
 
@@ -165,17 +158,15 @@ fn fault_sweeps_are_bit_identical_at_every_width() {
     }
     .quick()
     .with_load(0.1);
-    let degradation =
-        DegradationConfig { settle_max: 60_000, ..DegradationConfig::new(base.clone(), 3) };
-    let resilience = ResilienceConfig {
-        settle_max: 60_000,
-        ..ResilienceConfig::new(base, vec![(300, 40), (600, 80), (1200, 160)])
-    };
+    let degradation = DegradationConfig::new(base.clone(), 3).plans().unwrap();
+    let resilience = ResilienceConfig::new(base.clone(), vec![(300, 40), (600, 80), (1200, 160)])
+        .plans()
+        .unwrap();
     let at_width = |width: &str| {
         std::env::set_var("NOC_THREADS", width);
         (
-            format!("{:?}", degradation_sweep(&degradation)),
-            format!("{:?}", resilience_sweep(&resilience)),
+            format!("{:?}", fault_sweep(&base, &degradation, 60_000)),
+            format!("{:?}", fault_sweep(&base, &resilience, 60_000)),
         )
     };
     let (ser_deg, ser_res) = at_width("1");

@@ -4,7 +4,7 @@
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
 use noc_sim::network::NodeBehavior;
 use noc_sim::rng::{Coin, SimRng};
-use noc_stats::{OnlineStats, Summary};
+use noc_stats::OnlineStats;
 use noc_traffic::{InjectionProcess, Pattern, SizeDist};
 
 /// Payload tag marking packets generated inside the measurement window.
@@ -44,10 +44,6 @@ pub struct OpenLoopBehavior {
     pub network_time: OnlineStats,
     /// Per-source-node latency of marked packets.
     pub node_latency: Vec<OnlineStats>,
-    /// Raw marked latencies per source, for exact percentiles (bounded:
-    /// only collected when `keep_samples` is set).
-    pub samples: Summary,
-    keep_samples: bool,
     /// Flits delivered during the measurement window.
     pub window_flits: u64,
     /// Packets generated (all phases).
@@ -88,17 +84,9 @@ impl OpenLoopBehavior {
             queue_time: OnlineStats::new(),
             network_time: OnlineStats::new(),
             node_latency: vec![OnlineStats::new(); nodes],
-            samples: Summary::new(),
-            keep_samples: false,
             window_flits: 0,
             generated: 0,
         }
-    }
-
-    /// Retain raw marked latency samples for exact percentiles
-    /// (memory grows with measured packet count).
-    pub fn keep_samples(&mut self) {
-        self.keep_samples = true;
     }
 
     fn in_window(&self, cycle: Cycle) -> bool {
@@ -142,9 +130,6 @@ impl NodeBehavior for OpenLoopBehavior {
             self.queue_time.push((d.inject - d.birth) as f64);
             self.network_time.push((cycle - d.inject) as f64);
             self.node_latency[d.src].push(lat);
-            if self.keep_samples {
-                self.samples.push(lat);
-            }
         }
     }
 

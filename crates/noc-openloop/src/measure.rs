@@ -26,9 +26,6 @@ pub struct OpenLoopConfig {
     pub measure: u64,
     /// Maximum drain cycles after the window.
     pub drain_max: u64,
-    /// Retain raw latency samples for exact percentiles (p50/p95/p99 in
-    /// the result); costs memory proportional to measured packets.
-    pub percentiles: bool,
 }
 
 impl Default for OpenLoopConfig {
@@ -41,7 +38,6 @@ impl Default for OpenLoopConfig {
             warmup: 10_000,
             measure: 20_000,
             drain_max: 100_000,
-            percentiles: false,
         }
     }
 }
@@ -141,7 +137,7 @@ impl OpenLoopConfig {
         let p = self.load / self.size.mean();
         let topo = self.net.topology;
         let nodes = topo.num_nodes();
-        let mut b = OpenLoopBehavior::new(
+        OpenLoopBehavior::new(
             nodes,
             self.pattern.build(nodes, topo.radix(0)),
             self.size.build(),
@@ -149,11 +145,7 @@ impl OpenLoopConfig {
             self.net.seed,
             self.warmup,
             self.window_end(),
-        );
-        if self.percentiles {
-            b.keep_samples();
-        }
-        b
+        )
     }
 }
 
@@ -173,9 +165,6 @@ pub struct OpenLoopResult {
     pub worst_node_latency: f64,
     /// Accepted throughput during the window (flits/cycle/node).
     pub throughput: f64,
-    /// Latency percentiles `(p50, p95, p99)` when
-    /// [`OpenLoopConfig::percentiles`] was set.
-    pub latency_percentiles: Option<(f64, f64, f64)>,
     /// 95% confidence half-width on the average latency.
     pub latency_ci95: f64,
     /// Average source-queue wait (generation to injection) — queueing
@@ -274,13 +263,6 @@ fn measure_impl(
     let node_avg_latency: Vec<f64> = b.node_latency.iter().map(|s| s.mean()).collect();
     let worst = node_avg_latency.iter().cloned().fold(0.0, f64::max);
     let throughput = b.window_flits as f64 / cfg.measure as f64 / nodes as f64;
-    let latency_percentiles = cfg.percentiles.then(|| {
-        (
-            b.samples.percentile(50.0).unwrap_or(0.0),
-            b.samples.percentile(95.0).unwrap_or(0.0),
-            b.samples.percentile(99.0).unwrap_or(0.0),
-        )
-    });
     let loads: Vec<u64> = net.link_loads().iter().map(|&(_, c)| c).filter(|&c| c > 0).collect();
     let channel_imbalance = if loads.is_empty() {
         0.0
@@ -296,7 +278,6 @@ fn measure_impl(
         worst_node_latency: worst,
         node_avg_latency,
         throughput,
-        latency_percentiles,
         latency_ci95: b.latency.ci95_half_width(),
         avg_queue_time: b.queue_time.mean(),
         avg_network_time: b.network_time.mean(),
@@ -416,20 +397,6 @@ mod tests {
         // past saturation the source queue dominates
         let over = measure(&quick(0.9)).unwrap();
         assert!(over.avg_queue_time > over.avg_network_time);
-    }
-
-    #[test]
-    fn percentiles_available_when_requested() {
-        let mut cfg = quick(0.1);
-        cfg.percentiles = true;
-        let r = measure(&cfg).unwrap();
-        let (p50, p95, p99) = r.latency_percentiles.unwrap();
-        assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99);
-        assert!(p99 >= r.avg_latency, "tail above mean");
-        assert!(r.latency_ci95 > 0.0);
-        // without the flag, no samples are kept
-        let r2 = measure(&quick(0.1)).unwrap();
-        assert!(r2.latency_percentiles.is_none());
     }
 
     #[test]

@@ -324,7 +324,7 @@ pub fn validate_events(events: &[FaultEvent], topo: TopologyKind) -> Result<(), 
 }
 
 /// Degradation counters maintained while a fault plan is installed.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
     /// Transfers opened (non-self packet pulls at live NIs).
     pub transfers_started: u64,

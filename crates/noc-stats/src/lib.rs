@@ -13,13 +13,11 @@ pub mod histogram;
 pub mod online;
 pub mod ratio;
 pub mod series;
-pub mod summary;
 
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use ratio::Ratio;
 pub use series::TimeSeries;
-pub use summary::Summary;
 
 /// Pearson product-moment correlation coefficient of two equal-length
 /// samples.

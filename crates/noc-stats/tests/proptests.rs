@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use noc_stats::{linear_fit, pearson, percentile, Histogram, OnlineStats, Summary, TimeSeries};
+use noc_stats::{linear_fit, pearson, percentile, Histogram, OnlineStats, TimeSeries};
 
 proptest! {
     #[test]
@@ -109,18 +109,6 @@ proptest! {
         if !v.is_empty() {
             prop_assert!((frac_sum - binned as f64 / v.len() as f64).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn summary_percentiles_bracket_mean(
-        v in prop::collection::vec(-1e4f64..1e4, 1..200),
-    ) {
-        let s = Summary::from_samples(v);
-        let min = s.min().unwrap();
-        let max = s.max().unwrap();
-        prop_assert!(s.mean() >= min - 1e-9 && s.mean() <= max + 1e-9);
-        prop_assert_eq!(s.percentile(0.0).unwrap(), min);
-        prop_assert_eq!(s.percentile(100.0).unwrap(), max);
     }
 
     #[test]

@@ -338,20 +338,21 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Every fault entry point — `Network::set_fault_plan`,
-    /// `run_faulted`, `degradation_sweep` and `resilience_sweep` — on a
-    /// plan drawn from small valid sets plus hostile values (probabilities
-    /// outside [0, 1], zero timeouts and replay budgets, events naming a
-    /// router or port outside the topology) either answers `Ok`, with no
-    /// `Panicked` sweep point, or refuses with a typed error naming one of
-    /// the hostile fields drawn. On the plan's events alone the fault lint
-    /// refuses exactly as the simulator does.
+    /// `run_faulted`, `fault_sweep`, and `fault_sweep` over the plans of
+    /// `DegradationConfig` and `ResilienceConfig` — on a plan drawn from
+    /// small valid sets plus hostile values (probabilities outside
+    /// [0, 1], zero timeouts and replay budgets, events naming a router
+    /// or port outside the topology) either answers `Ok`, with no
+    /// `Panicked` sweep point, or refuses with a typed error naming one
+    /// of the hostile fields drawn. On the plan's events alone the fault
+    /// lint refuses exactly as the simulator does.
     #[test]
     fn fault_runners_refuse_or_finish(
         raw in prop::collection::vec(0u64..1 << 32, 18..19),
         seed in 0u64..1000,
     ) {
         use noc_exp::PointOutcome;
-        use noc_fault::{DegradationConfig, RecoveryMode, ResilienceConfig};
+        use noc_fault::{fault_sweep, DegradationConfig, ResilienceConfig};
         use noc_sim::network::fault::{FaultEvent, FaultPlan, LinkRetryPolicy, RetxPolicy};
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -371,7 +372,14 @@ proptest! {
             max_replays: d.pick("link_retry.max_replays", &[3], &[0]),
             ..LinkRetryPolicy::default()
         };
-        let recovery = d.pick("recovery", &RecoveryMode::ALL, &[]);
+        // none, end-to-end, link-level, both
+        let recovery = [
+            (None, None),
+            (Some(retx), None),
+            (None, Some(link_retry)),
+            (Some(retx), Some(link_retry)),
+        ];
+        let (armed_retx, armed_link_retry) = d.pick("recovery", &recovery, &[]);
         let routers: Vec<usize> = (0..n).collect();
         let link_ports: Vec<usize> = (1..ports).collect();
         let mut events = Vec::new();
@@ -392,7 +400,6 @@ proptest! {
             });
         }
         let h = d.hostile.clone();
-        let (armed_retx, armed_link_retry) = recovery.split(retx, link_retry);
         let plan = FaultPlan {
             events: events.clone(),
             corrupt_rate,
@@ -409,28 +416,32 @@ proptest! {
         let installed = catch_unwind(AssertUnwindSafe(|| fresh.set_fault_plan(plan.clone())));
         refuse_or_finish("set_fault_plan", &h, installed, |_| true)?;
         // a point that does not settle in time is an answer, not a failure
-        let faulted = catch_unwind(|| noc_fault::run_faulted(&base, plan.clone(), 0, settle_max));
+        let faulted = catch_unwind(|| noc_fault::run_faulted(&base, plan.clone(), settle_max));
         refuse_or_finish("run_faulted", &h, faulted, |_| true)?;
         fn no_panics<R>(points: &[PointOutcome<R>]) -> bool {
             !points.iter().any(|p| matches!(p, PointOutcome::Panicked { .. }))
         }
+        let swept = catch_unwind(|| fault_sweep(&base, std::slice::from_ref(&plan), settle_max));
+        refuse_or_finish("fault_sweep", &h, swept, |p| no_panics(p))?;
         let degradation = DegradationConfig {
             corrupt_rate,
             retx: armed_retx,
-            settle_max,
             ..DegradationConfig::new(base.clone(), 1)
         };
-        let swept = catch_unwind(|| noc_fault::degradation_sweep(&degradation));
-        refuse_or_finish("degradation_sweep", &h, swept, |p| no_panics(p))?;
+        let swept = catch_unwind(|| {
+            degradation.plans().and_then(|plans| fault_sweep(&base, &plans, settle_max))
+        });
+        refuse_or_finish("degradation fault_sweep", &h, swept, |p| no_panics(p))?;
         let mut resilience = ResilienceConfig {
-            retx,
-            link_retry,
-            settle_max,
-            ..ResilienceConfig::new(base, vec![(400, 60)]).with_recovery(recovery)
+            retx: armed_retx,
+            link_retry: armed_link_retry,
+            ..ResilienceConfig::new(base.clone(), vec![(400, 60)])
         };
         resilience.flap.corrupt_rate = corrupt_rate;
-        let swept = catch_unwind(|| noc_fault::resilience_sweep(&resilience));
-        refuse_or_finish("resilience_sweep", &h, swept, |p| no_panics(p))?;
+        let swept = catch_unwind(|| {
+            resilience.plans().and_then(|plans| fault_sweep(&base, &plans, settle_max))
+        });
+        refuse_or_finish("resilience fault_sweep", &h, swept, |p| no_panics(p))?;
 
         // the lint refuses the plan's events exactly as the simulator does
         let lint = noc_verify::check_fault_connectivity(&net, &events).map(drop);
@@ -522,10 +533,10 @@ fn one_pattern_rule_matches_the_generator_and_every_runner() {
 /// Every library entry point refuses a topology `TopologyKind::validate`
 /// refuses with that identical error, and never panics: the simulator,
 /// the open-loop and analytic paths, every closed-loop runner, both
-/// fault sweeps and the fault lint. `verify` answers `Unknown` with one
-/// `config` error finding instead. This runs with overflow checks on,
-/// so geometry computed before validation (`k * k` at `usize::MAX`)
-/// would panic.
+/// fault-plan builders, the fault sweep and the fault lint. `verify`
+/// answers `Unknown` with one `config` error finding instead. This runs
+/// with overflow checks on, so geometry computed before validation
+/// (`k * k` at `usize::MAX`) would panic.
 #[test]
 fn hostile_topologies_are_refused_before_any_geometry() {
     use noc_verify::{Severity, Verdict};
@@ -556,7 +567,7 @@ fn hostile_topologies_are_refused_before_any_geometry() {
         let cmp = CmpConfig { net: net.clone(), ..CmpConfig::table2(profile) };
         let degradation = noc_fault::DegradationConfig::new(open.clone(), 2);
         let resilience = noc_fault::ResilienceConfig::new(open.clone(), vec![(400, 60)]);
-        let entries: [Entry; 12] = [
+        let entries: [Entry; 13] = [
             ("Network::new", &|| Network::new(net.clone()).map(drop)),
             ("measure", &|| noc_openloop::measure(&open).map(drop)),
             ("measure_budgeted", &|| noc_openloop::measure_budgeted(&open, 1 << 20).map(drop)),
@@ -568,8 +579,12 @@ fn hostile_topologies_are_refused_before_any_geometry() {
             ("record_batch", &|| noc_trace::record_batch(&batch).map(drop)),
             ("run_barrier", &|| noc_closedloop::run_barrier(&barrier).map(drop)),
             ("run_cmp", &|| cmp_sim::run_cmp(&cmp).map(drop)),
-            ("degradation_sweep", &|| noc_fault::degradation_sweep(&degradation).map(drop)),
-            ("resilience_sweep", &|| noc_fault::resilience_sweep(&resilience).map(drop)),
+            ("DegradationConfig::plans", &|| degradation.plans().map(drop)),
+            ("ResilienceConfig::plans", &|| resilience.plans().map(drop)),
+            ("fault_sweep", &|| {
+                let plan = noc_sim::network::fault::FaultPlan::default();
+                noc_fault::fault_sweep(&open, &[plan], 1).map(drop)
+            }),
             ("check_fault_connectivity", &|| {
                 noc_verify::check_fault_connectivity(&net, &[]).map(drop)
             }),
