@@ -16,7 +16,9 @@ use crate::model::{AnalyticModel, Confidence};
 ///
 /// Simulated points are **bit-identical** to a full
 /// [`noc_openloop::sweep`] over the same `loads`: each evaluates at its
-/// original grid index, so the per-point derived RNG seed is unchanged.
+/// original grid index, so the per-point derived RNG seed is unchanged,
+/// and, as in the full sweep, they start in longest-first order of
+/// [`OpenLoopConfig::work`].
 /// Skipped points are marked in [`PrunedGrid::skipped`] and carry
 /// model-synthesized results (zero `measured_packets`, no metrics).
 ///
@@ -49,7 +51,8 @@ pub fn sweep_pruned(
         let result = measure(&base.point(i, load)).expect("sweep point must be a valid config");
         SweepPoint { load, result }
     };
-    Ok(noc_exp::run_grid_pruned(loads, prune, eval))
+    let work = |&load: &f64| base.clone().with_load(load).work();
+    Ok(noc_exp::run_grid_pruned(loads, prune, work, eval))
 }
 
 /// Model-synthesized stand-in for a skipped measurement. Fields a

@@ -15,6 +15,11 @@
 //!   `i` with `derive_seed(base, i)` in both their serial and parallel
 //!   paths, which (a) decorrelates points that previously shared one
 //!   seed and (b) makes determinism independent of evaluation order.
+//! * [`run_grid_longest_first`] is the same grid for points whose cost
+//!   a caller can bound up front: with two or more workers, points
+//!   start in [`longest_first`] order, so a sweep's most expensive point
+//!   starts first instead of last. Only start order changes, so results
+//!   are unchanged.
 //! * [`run_grid_pruned`] adds a cheap serial pre-pass (e.g. the
 //!   `noc-analytic` model) that can answer points outright; only the
 //!   remaining points are simulated, each under its original index so
@@ -105,8 +110,56 @@ where
 /// that manage their own pool width (the evaluation service's
 /// `--workers`). `workers` is clamped to at least 1;
 /// results are bit-identical to serial execution for any width, exactly
-/// as for [`run_grid`].
+/// as for [`run_grid`]. Workers start points in index order.
 pub fn run_grid_with<T, R, F>(points: &[T], workers: usize, eval: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    dispatch(points, workers, None, eval)
+}
+
+/// [`run_grid_with`], but with two or more workers the points *start*
+/// in [`longest_first`] order of `cost(&points[i])`, so the most
+/// expensive point is not the one left running alone at the end.
+/// Results are still returned in point order and are bit-identical to
+/// [`run_grid_with`]'s; one worker runs inline in index order, where
+/// order cannot change the total time.
+pub fn run_grid_longest_first<T, R, C, F>(points: &[T], workers: usize, cost: C, eval: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    C: Fn(&T) -> u64,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    dispatch(points, workers, Some(&cost), eval)
+}
+
+/// The order in which to start jobs of the given costs: indices by
+/// descending cost, equal costs in index order. Starting the longest
+/// job first is the classic LPT rule: with `w` workers the makespan is
+/// at most `(4/3 - 1/(3w))` times the optimum, whereas index order can
+/// leave the costliest job to start last.
+pub fn longest_first(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    // a stable sort: ties keep index order
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    order
+}
+
+/// The grid's one worker loop: workers claim the `k`-th point to start
+/// from a shared atomic counter (work stealing at point granularity,
+/// so an expensive point never serializes the cheap ones behind it),
+/// where the `k`-th point is `k` itself, or `longest_first`'s `k`-th
+/// index when a `cost` is given. With one worker (or one point) no
+/// threads are spawned and the loop runs inline, in index order.
+fn dispatch<T, R, F>(
+    points: &[T],
+    workers: usize,
+    cost: Option<&dyn Fn(&T) -> u64>,
+    eval: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -117,6 +170,7 @@ where
     if workers <= 1 {
         return points.iter().enumerate().map(|(i, p)| eval(i, p)).collect();
     }
+    let order = cost.map(|c| longest_first(&points.iter().map(c).collect::<Vec<_>>()));
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|s| {
@@ -124,10 +178,11 @@ where
             s.spawn(|| {
                 let mut local = Vec::new();
                 loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if k >= n {
                         break;
                     }
+                    let i = order.as_ref().map_or(k, |o| o[k]);
                     local.push((i, eval(i, &points[i])));
                 }
                 // merge under the lock only after all work is done, so
@@ -184,15 +239,16 @@ impl<R> PrunedGrid<R> {
 /// `prune(i, &points[i])` runs serially first (it is expected to cost
 /// microseconds — e.g. an analytic model); every `Some(result)` answers
 /// that point outright. Only the `None` points are then evaluated via
-/// [`run_grid`], **with their original point indices**, so an evaluated
-/// point's result is bit-identical to what the unpruned grid would have
-/// produced for it (seed derivation keys on the index, not on the
-/// schedule).
-pub fn run_grid_pruned<T, R, P, F>(points: &[T], prune: P, eval: F) -> PrunedGrid<R>
+/// [`run_grid_longest_first`] by `cost` at the [`threads`] width, **with
+/// their original point indices**, so an evaluated point's result is
+/// bit-identical to what the unpruned grid would have produced for it
+/// (seed derivation keys on the index, not on the schedule).
+pub fn run_grid_pruned<T, R, P, C, F>(points: &[T], prune: P, cost: C, eval: F) -> PrunedGrid<R>
 where
     T: Sync,
     R: Send,
     P: Fn(usize, &T) -> Option<R>,
+    C: Fn(&T) -> u64,
     F: Fn(usize, &T) -> R + Sync,
 {
     let mut slots: Vec<Option<R>> = points.iter().map(|_| None).collect();
@@ -207,7 +263,12 @@ where
             None => to_eval.push(i),
         }
     }
-    let evaluated = run_grid(&to_eval, |_, &i| eval(i, &points[i]));
+    let evaluated = run_grid_longest_first(
+        &to_eval,
+        threads(),
+        |&i| cost(&points[i]),
+        |_, &i| eval(i, &points[i]),
+    );
     for (&i, r) in to_eval.iter().zip(evaluated) {
         slots[i] = Some(r);
     }
@@ -284,6 +345,7 @@ mod tests {
         let pruned = run_grid_pruned(
             &points,
             |_, &p| (p % 2 == 0).then_some(u64::MAX - p),
+            |&p| p,
             |i, &p| (i as u64) * 1000 + p,
         );
         assert_eq!(pruned.skipped_count(), 25);
@@ -302,10 +364,10 @@ mod tests {
     #[test]
     fn pruned_grid_handles_all_and_none_skipped() {
         let points: Vec<u32> = (0..9).collect();
-        let all = run_grid_pruned(&points, |_, &p| Some(p), |_, &p| p + 100);
+        let all = run_grid_pruned(&points, |_, &p| Some(p), |_| 0, |_, &p| p + 100);
         assert_eq!(all.skipped_count(), 9);
         assert_eq!(all.results, points);
-        let none = run_grid_pruned(&points, |_, _| None::<u32>, |_, &p| p + 100);
+        let none = run_grid_pruned(&points, |_, _| None::<u32>, |&p| p.into(), |_, &p| p + 100);
         assert_eq!(none.skipped_count(), 0);
         assert!(none.results.iter().zip(&points).all(|(&r, &p)| r == p + 100));
     }
@@ -317,6 +379,76 @@ mod tests {
         for workers in [0, 1, 2, 3, 8, 64] {
             assert_eq!(run_grid_with(&points, workers, |_, &p| p * 7 + 3), serial);
         }
+    }
+
+    #[test]
+    fn longest_first_is_descending_and_stable_on_ties() {
+        assert_eq!(longest_first(&[3, 9, 1, 9, 3, 0]), vec![1, 3, 0, 4, 2, 5]);
+        assert_eq!(longest_first(&[5; 4]), vec![0, 1, 2, 3], "all ties keep index order");
+        assert_eq!(longest_first(&[1, 2, 3]), vec![2, 1, 0]);
+        assert!(longest_first(&[]).is_empty());
+    }
+
+    /// `eval` that notes the position at which point `i` started, and
+    /// returns only once `workers - 1` later points have started too (or
+    /// every point has), so no worker can run ahead while another holds
+    /// a claimed point it has not started: start positions then follow
+    /// the claim order up to the workers' race for the shared counter.
+    fn start_positions(
+        n: usize,
+        workers: usize,
+        grid: impl FnOnce(&(dyn Fn(usize, &u64) -> u64 + Sync)) -> Vec<u64>,
+    ) -> Vec<usize> {
+        use std::sync::Condvar;
+        let started = (Mutex::new(0usize), Condvar::new());
+        let at = Mutex::new(vec![usize::MAX; n]);
+        let eval = |i: usize, &p: &u64| {
+            let (count, moved) = &started;
+            let mut c = count.lock().unwrap();
+            at.lock().unwrap()[i] = *c;
+            let release = (*c + workers).min(n);
+            *c += 1;
+            moved.notify_all();
+            while *c < release {
+                c = moved.wait(c).unwrap();
+            }
+            p * 2
+        };
+        let out = grid(&eval);
+        assert_eq!(out, (0..n as u64).map(|p| p * 2).collect::<Vec<_>>(), "point order");
+        at.into_inner().unwrap()
+    }
+
+    #[test]
+    fn two_or_more_workers_start_points_longest_first() {
+        let points: Vec<u64> = (0..24).collect();
+        // cheap first, as a load sweep is: the order is the reverse
+        let cost = |&p: &u64| p / 3;
+        let order = longest_first(&points.iter().map(cost).collect::<Vec<_>>());
+        assert_eq!(order[..4], [21, 22, 23, 18]);
+        for workers in [2, 3] {
+            let at = start_positions(points.len(), workers, |eval| {
+                run_grid_longest_first(&points, workers, cost, eval)
+            });
+            for (place, &i) in order.iter().enumerate() {
+                assert!(
+                    at[i].abs_diff(place) < workers,
+                    "{workers} workers: point {i} started at {}, its place is {place}",
+                    at[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_and_run_grid_with_start_points_in_index_order() {
+        let points: Vec<u64> = (0..10).collect();
+        let at = start_positions(points.len(), 1, |eval| {
+            run_grid_longest_first(&points, 1, |&p| p, eval)
+        });
+        assert_eq!(at, (0..10).collect::<Vec<_>>());
+        let at = start_positions(points.len(), 2, |eval| run_grid_with(&points, 2, eval));
+        assert!(at.iter().enumerate().all(|(i, &k)| k.abs_diff(i) < 2), "{at:?}");
     }
 
     #[test]

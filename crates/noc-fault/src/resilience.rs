@@ -91,6 +91,7 @@ mod tests {
     use super::*;
     use crate::{fault_sweep, last_repair_cycle, link_availability, FaultPoint};
     use noc_exp::PointOutcome;
+    use noc_openloop::MAX_WINDOW_CYCLES;
     use noc_sim::config::{NetConfig, TopologyKind};
 
     const SETTLE_MAX: u64 = 60_000;
@@ -132,17 +133,23 @@ mod tests {
         }
     }
 
-    /// A base whose window ends near `u64::MAX` passes its own
-    /// validation, but its flap horizon leaves the timeline unbounded:
-    /// the plans refuse it.
+    /// A base whose window ends near `u64::MAX` is refused by its own
+    /// validation, naming the window. A base at the window ceiling
+    /// passes it, but its flap horizon still leaves the timeline
+    /// unbounded: the plans refuse that one naming the horizon.
     #[test]
     fn an_unbounded_flap_horizon_is_refused() {
-        let base = OpenLoopConfig { warmup: u64::MAX - 10, ..quick_cfg().base };
-        assert_eq!(base.validate(), Ok(()));
-        match ResilienceConfig::new(base, vec![(400, 60)]).plans() {
-            Err(ConfigError::Parameter { name: "horizon", .. }) => {}
+        let named = |r: Result<(), ConfigError>| match r {
+            Err(ConfigError::Parameter { name, .. }) => name,
             other => panic!("{other:?}"),
-        }
+        };
+        let plans = |base| ResilienceConfig::new(base, vec![(400, 60)]).plans().map(drop);
+        let past = OpenLoopConfig { warmup: u64::MAX - 10, ..quick_cfg().base };
+        assert_eq!(named(past.validate()), "warmup");
+        assert_eq!(named(plans(past)), "warmup");
+        let ceiling = OpenLoopConfig { warmup: MAX_WINDOW_CYCLES, ..quick_cfg().base };
+        assert_eq!(ceiling.validate(), Ok(()));
+        assert_eq!(named(plans(ceiling)), "horizon");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! ([`OpenLoopConfig::validate`]), its source
 //! ([`OpenLoopConfig::source`]) and its per-index seed in a grid
 //! ([`OpenLoopConfig::point`]); every other crate that runs a point
-//! goes through those three. [`measure`] produces one point of the
+//! goes through those three. Parallel schedulers start the costliest
+//! points first by its work bound ([`OpenLoopConfig::work`]). [`measure`] produces one point of the
 //! latency–load curve (Fig 1); [`sweep`] produces the whole curve
 //! (Figs 3, 6a, 9); and [`saturation_throughput`] bisects for the
 //! saturation point.
@@ -31,5 +32,6 @@ mod sweep;
 pub use behavior::OpenLoopBehavior;
 pub use measure::{
     measure, measure_budgeted, zero_load_latency_bound, OpenLoopConfig, OpenLoopResult,
+    MAX_WINDOW_CYCLES,
 };
 pub use sweep::{saturation_throughput, sweep, validate_latency_cap, SweepPoint};

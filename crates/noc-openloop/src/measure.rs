@@ -9,6 +9,15 @@ use noc_traffic::{Bernoulli, PatternKind, SizeKind};
 
 use crate::behavior::OpenLoopBehavior;
 
+/// The longest `warmup`, `measure` or `drain_max` an open-loop point
+/// may ask for: 2^39 cycles, days of simulation for the smallest
+/// network, where the longest window any figure runs is 150 000 cycles.
+/// Every cycle count a point derives from its windows (`window_end`,
+/// the drain's end, a fault horizon, [`OpenLoopConfig::work`]) then
+/// stays far from `u64::MAX`, and no run can be asked to step ~2^64
+/// cycles.
+pub const MAX_WINDOW_CYCLES: u64 = 1 << 39;
+
 /// One open-loop experiment point.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -72,10 +81,42 @@ impl OpenLoopConfig {
         self.warmup.saturating_add(self.measure)
     }
 
+    /// A deterministic bound on the engine work of this point, computed
+    /// from its own fields alone, to start the costliest points of a
+    /// parallel batch first ([`noc_exp::longest_first`]): router-cycles
+    /// plus offered flit-hops over the warmup and measurement windows,
+    ///
+    /// `work = nodes · (warmup + measure) · (1 + min(load, 1) · diameter)`
+    ///
+    /// with the topology's `nodes` and `diameter` (its largest minimal
+    /// hop count: `k - 1` per mesh dimension, `⌊k / 2⌋` per wrapping
+    /// one). The load is capped at 1 because a node injects at most one
+    /// flit a cycle. The bound is monotone non-decreasing in the load,
+    /// the window length and the node count, so a sweep's points (which
+    /// differ only in load and seed) order by load. On a config
+    /// [`OpenLoopConfig::validate`] accepts it cannot overflow: `nodes ≤
+    /// 2^12`, `warmup + measure ≤ 2^40` ([`MAX_WINDOW_CYCLES`]) and `1 +
+    /// diameter ≤ 2^11 + 1`. A topology
+    /// [`TopologyKind::validate`](noc_sim::config::TopologyKind::validate)
+    /// refuses costs 0: such a point is refused before its first cycle.
+    pub fn work(&self) -> u64 {
+        let topo = self.net.topology;
+        if topo.validate().is_err() {
+            return 0;
+        }
+        let router_cycles = (topo.num_nodes() as u64).saturating_mul(self.window_end());
+        let reach = |d| if topo.wraps(d) { topo.radix(d) / 2 } else { topo.radix(d) - 1 };
+        let diameter: usize = (0..topo.dims()).map(reach).sum();
+        let hops_per_cycle = 1.0 + self.load.clamp(0.0, 1.0) * diameter as f64;
+        // a float-to-int `as` saturates (and takes a NaN load's NaN to 0)
+        (router_cycles as f64 * hops_per_cycle) as u64
+    }
+
     /// Every rule a measurement of `self` must pass: a valid network, a
     /// pattern defined on its topology, packets of at least one flit, a
     /// load that is non-negative and needs a per-node generation
-    /// probability of at most 1, and a non-empty measurement window.
+    /// probability of at most 1, a non-empty measurement window, and no
+    /// window longer than [`MAX_WINDOW_CYCLES`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.validate_budgeted(u64::MAX)
     }
@@ -103,11 +144,14 @@ impl OpenLoopConfig {
     }
 
     /// The rest of [`OpenLoopConfig::validate_budgeted`]: the point's own
-    /// load and measurement window. Meaningful once
+    /// load and windows. Meaningful once
     /// [`OpenLoopConfig::validate_shape`] passed.
     pub fn validate_load(&self) -> Result<(), ConfigError> {
         let (load, mean) = (self.load, self.size.mean());
         let p = load / mean;
+        let windows =
+            [("warmup", self.warmup), ("measure", self.measure), ("drain_max", self.drain_max)];
+        let too_long = windows.into_iter().find(|&(_, cycles)| cycles > MAX_WINDOW_CYCLES);
         let (name, why) = if load < 0.0 {
             ("load", format!("load {load} is negative; offered load is flits/cycle/node, >= 0"))
         } else if p.is_nan() || p > 1.0 {
@@ -123,6 +167,8 @@ impl OpenLoopConfig {
                 "measurement window must be >= 1 cycle; throughput over an empty window is 0/0"
                     .into(),
             )
+        } else if let Some((name, cycles)) = too_long {
+            (name, format!("{cycles} cycles is past the {MAX_WINDOW_CYCLES}-cycle window ceiling"))
         } else {
             return Ok(());
         };
@@ -372,6 +418,91 @@ mod tests {
         cfg.measure = 0;
         let err = measure(&cfg).unwrap_err();
         assert!(matches!(err, ConfigError::Parameter { name: "measure", .. }), "{err}");
+    }
+
+    /// A window no run could finish is refused naming its field, before
+    /// any cycle; the ceiling itself is accepted (validated, never run).
+    #[test]
+    fn windows_past_the_ceiling_are_refused() {
+        for field in ["warmup", "measure", "drain_max"] {
+            for cycles in [MAX_WINDOW_CYCLES + 1, u64::MAX - 10, u64::MAX] {
+                let mut cfg = quick(0.1);
+                *match field {
+                    "warmup" => &mut cfg.warmup,
+                    "measure" => &mut cfg.measure,
+                    _ => &mut cfg.drain_max,
+                } = cycles;
+                match cfg.validate() {
+                    Err(ConfigError::Parameter { name, .. }) if name == field => {}
+                    other => panic!("{field} = {cycles}: {other:?}"),
+                }
+            }
+        }
+        let edge = OpenLoopConfig {
+            warmup: MAX_WINDOW_CYCLES,
+            measure: MAX_WINDOW_CYCLES,
+            drain_max: MAX_WINDOW_CYCLES,
+            ..quick(0.1)
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    fn work_follows_its_formula_and_is_monotone() {
+        // 16 nodes, diameter 6: 16 * 4 000 * (1 + 0.25 * 6)
+        assert_eq!(quick(0.25).work(), 160_000);
+        assert_eq!(quick(0.0).work(), 64_000, "router-cycles alone at zero load");
+        // a node injects at most one flit a cycle
+        assert_eq!(quick(4.0).work(), quick(1.0).work());
+        let loads = [0.0, 0.01, 0.1, 0.3, 0.38, 0.9, 1.0, 2.0];
+        let work: Vec<u64> = loads.iter().map(|&l| quick(l).work()).collect();
+        assert!(work.windows(2).all(|w| w[0] <= w[1]), "{work:?}");
+        let longer = OpenLoopConfig { measure: 3_001, ..quick(0.25) };
+        assert!(longer.work() > quick(0.25).work());
+        let bigger = |k| {
+            let net = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k });
+            OpenLoopConfig { net, ..quick(0.25) }.work()
+        };
+        assert!((2..20).all(|k| bigger(k) < bigger(k + 1)));
+        let hostile = NetConfig::baseline().with_topology(TopologyKind::Mesh2D { k: usize::MAX });
+        assert_eq!(OpenLoopConfig { net: hostile, ..quick(0.25) }.work(), 0);
+    }
+
+    /// The hop term is the diameter: the largest minimal hop count.
+    #[test]
+    fn work_counts_the_topologys_diameter() {
+        let kinds = |k| {
+            [
+                TopologyKind::Mesh2D { k },
+                TopologyKind::Torus2D { k },
+                TopologyKind::FoldedTorus2D { k },
+                TopologyKind::Ring { n: k * k },
+            ]
+        };
+        for topo in (2..=7).flat_map(kinds) {
+            let n = topo.num_nodes();
+            let farthest = (0..n).flat_map(|a| (0..n).map(move |b| topo.min_hops(a, b))).max();
+            let net = NetConfig::baseline().with_topology(topo);
+            let at = |load| OpenLoopConfig { net: net.clone(), ..quick(load) }.work();
+            assert_eq!(Some(at(1.0) / at(0.0) - 1), farthest.map(|d| d as u64), "{topo:?}");
+        }
+    }
+
+    /// The largest point `validate` accepts: the most nodes, the longest
+    /// windows, the longest distance and full load stay below `u64::MAX`.
+    #[test]
+    fn work_cannot_overflow_on_an_accepted_config() {
+        let net = NetConfig::baseline()
+            .with_topology(TopologyKind::Ring { n: noc_sim::config::MAX_NODES });
+        let cfg = OpenLoopConfig {
+            net,
+            warmup: MAX_WINDOW_CYCLES,
+            measure: MAX_WINDOW_CYCLES,
+            ..OpenLoopConfig::default()
+        }
+        .with_load(1.0);
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.work(), (1 << 52) * 2049);
     }
 
     #[test]

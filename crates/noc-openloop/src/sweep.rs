@@ -1,11 +1,13 @@
 //! Load sweeps and saturation search.
 //!
 //! Sweep points are embarrassingly parallel (each builds a fresh
-//! network), so [`sweep`] fans them out through [`noc_exp::run_grid`].
-//! Output is bit-identical at every width, `NOC_THREADS=1` (the serial
-//! reference) included: point `i` always runs [`OpenLoopConfig::point`],
-//! seeded `derive_seed(base.net.seed, i)`, regardless of which worker
-//! evaluates it or in what order.
+//! network), so [`sweep`] fans them out through
+//! [`noc_exp::run_grid_longest_first`], starting the points with the
+//! largest [`OpenLoopConfig::work`] first: the highest loads, whose
+//! simulation costs the most. Output is bit-identical at every width,
+//! `NOC_THREADS=1` (the serial reference) included: point `i` always
+//! runs [`OpenLoopConfig::point`], seeded `derive_seed(base.net.seed,
+//! i)`, regardless of which worker evaluates it or in what order.
 
 use noc_sim::error::ConfigError;
 
@@ -24,10 +26,15 @@ pub struct SweepPoint {
 /// parallel. Points are measured independently (fresh network and
 /// derived seed each), so they can be compared across configurations.
 pub fn sweep(base: &OpenLoopConfig, loads: &[f64]) -> Vec<SweepPoint> {
-    noc_exp::run_grid(loads, |i, &load| {
-        let result = measure(&base.point(i, load)).expect("sweep point must be a valid config");
-        SweepPoint { load, result }
-    })
+    noc_exp::run_grid_longest_first(
+        loads,
+        noc_exp::threads(),
+        |&load| base.clone().with_load(load).work(),
+        |i, &load| {
+            let result = measure(&base.point(i, load)).expect("sweep point must be a valid config");
+            SweepPoint { load, result }
+        },
+    )
 }
 
 /// The latency cap rule shared by every saturation judgement: positive
@@ -46,8 +53,9 @@ pub fn validate_latency_cap(latency_cap: f64) -> Result<(), ConfigError> {
 /// below `latency_cap` cycles.
 ///
 /// A parallel coarse pre-scan (one ladder of probe loads through
-/// [`noc_exp::run_grid`]) first brackets the saturation point, then a
-/// serial bisection narrows the bracket below `tol`. Degenerate
+/// [`noc_exp::run_grid_longest_first`], the full-bandwidth probe
+/// started first) brackets the saturation point, then a serial
+/// bisection narrows the bracket below `tol`. Degenerate
 /// configurations where even a near-zero load is unstable return
 /// `(0.0, first_unstable_load)` instead of bisecting noise; a network
 /// that absorbs full injection bandwidth returns `(1.0, 1.0)`.
@@ -82,7 +90,12 @@ pub fn saturation_throughput(
     let mut probes = vec![eps];
     probes.extend((1..=6).map(|i| i as f64 / 7.0));
     probes.push(1.0);
-    let verdicts = noc_exp::run_grid(&probes, |_, &load| stable_at(load));
+    let verdicts = noc_exp::run_grid_longest_first(
+        &probes,
+        noc_exp::threads(),
+        |&load| base.clone().with_load(load).work(),
+        |_, &load| stable_at(load),
+    );
 
     let Some(first_bad) = verdicts.iter().position(|&ok| !ok) else {
         // stable across the whole ladder including load 1.0: the network

@@ -54,10 +54,11 @@
 //! runs on the service's one [`Pool`] of `workers` long-lived threads,
 //! so `workers` bounds concurrent evaluations however many connections
 //! submit batches. A `run` answers its cache hits on the calling thread
-//! with no thread hop, submits the rest to the pool, and emits results
-//! through a per-batch reorder buffer: a line goes out as soon as every
-//! lower sequence number has gone out, so the bytes stay in submission
-//! order while streaming point by point. The WAL serializes internally
+//! with no thread hop, submits the rest to the pool (with two or more
+//! workers, the costliest first: see `Service::start_order`), and emits
+//! results through a per-batch reorder buffer: a line goes out as soon
+//! as every lower sequence number has gone out, so the bytes stay in
+//! submission order while streaming point by point. The WAL serializes internally
 //! ([`noc_exp::Wal`] appends are single `write(2)` calls on an
 //! `O_APPEND` descriptor); counters are atomics. Two clients racing the
 //! same `(config digest, seed)` key may both evaluate it, but the
@@ -88,7 +89,7 @@ use noc_eval::serve::{
     ServeOutcome, ServeRequest, ServeResponse, SweepRequest,
 };
 use noc_exp::robust::panic_message;
-use noc_exp::{threads, Wal};
+use noc_exp::{longest_first, threads, Wal};
 use noc_openloop::measure_budgeted;
 use noc_sim::error::ConfigError;
 
@@ -602,8 +603,8 @@ impl Service {
     /// Evaluate every queued point of `batch` and emit results in
     /// submission order, then a `batch-done` marker. Cache hits are
     /// answered here, on the calling thread, from their rendered tails;
-    /// the rest go to the pool and come back through the reorder buffer
-    /// in [`Self::emit_in_order`]. The state lock is held only to
+    /// the rest go to the pool, in [`Self::start_order`], and come back
+    /// through the reorder buffer in [`Self::emit_in_order`]. The state lock is held only to
     /// extract the batch and look its keys up, never across evaluation
     /// or client IO.
     fn run_batch(
@@ -642,22 +643,29 @@ impl Service {
             abandoned: AtomicBool::new(false),
         });
 
-        let (reply, arrivals) = mpsc::channel::<(usize, Arc<Answer>)>();
         let mut slots = Vec::with_capacity(items.len());
-        for (slot, (Queued { seq, point: p, key }, cached)) in items.into_iter().enumerate() {
+        let mut jobs = Vec::new();
+        for (slot, (Queued { seq, point, key }, cached)) in items.into_iter().enumerate() {
             if cached.is_some() {
                 sh.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             } else {
-                let (sh, ctx, reply) = (Arc::clone(sh), Arc::clone(&ctx), reply.clone());
-                self.pool.submit(move || {
-                    if !ctx.abandoned.load(Ordering::SeqCst) {
-                        // the receiver is gone only if the batch was
-                        // abandoned after this check: nothing to tell
-                        let _ = reply.send((slot, sh.eval_job(&p, key, &ctx)));
-                    }
-                });
+                jobs.push((slot, point, key));
             }
             slots.push((seq, cached));
+        }
+        let order = self.start_order(&jobs);
+        let mut jobs: Vec<_> = jobs.into_iter().map(Some).collect();
+        let (reply, arrivals) = mpsc::channel::<(usize, Arc<Answer>)>();
+        for j in order {
+            let (slot, p, key) = jobs[j].take().expect("the start order is a permutation");
+            let (sh, ctx, reply) = (Arc::clone(sh), Arc::clone(&ctx), reply.clone());
+            self.pool.submit(move || {
+                if !ctx.abandoned.load(Ordering::SeqCst) {
+                    // the receiver is gone only if the batch was
+                    // abandoned after this check: nothing to tell
+                    let _ = reply.send((slot, sh.eval_job(&p, key, &ctx)));
+                }
+            });
         }
         drop(reply);
         let tally = self.emit_in_order(batch, slots, &arrivals, out).inspect_err(|_| {
@@ -676,6 +684,20 @@ impl Service {
             },
         )?;
         Ok(tally)
+    }
+
+    /// The order in which `run_batch` submits a batch's uncached points
+    /// (indices into `jobs`). With two or more workers the points with
+    /// the largest [`noc_openloop::OpenLoopConfig::work`] go first, so a
+    /// sweep's costliest rung is not the one left running alone at the
+    /// end; results still leave in slot order. With one worker order
+    /// cannot change the batch's total time, and submission order
+    /// streams the results best, so it stays.
+    fn start_order(&self, jobs: &[(usize, PointRequest, String)]) -> Vec<usize> {
+        if self.workers < 2 {
+            return (0..jobs.len()).collect();
+        }
+        longest_first(&jobs.iter().map(|(_, p, _)| p.open_loop().work()).collect::<Vec<_>>())
     }
 
     /// The per-batch reorder buffer: `slots[i]` is point `i`'s sequence
@@ -1017,6 +1039,29 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn two_or_more_workers_start_the_costliest_point_first_and_one_keeps_slot_order() {
+        // a sweep rung by rung, cheapest first, with one longer window
+        let jobs: Vec<_> = [0.05, 0.3, 0.1, 0.3, 0.2]
+            .into_iter()
+            .enumerate()
+            .map(|(slot, load)| {
+                let p =
+                    PointRequest { load, measure: if slot == 2 { 900 } else { 300 }, ..point(1) };
+                (slot, p, String::new())
+            })
+            .collect();
+        let at = |workers| {
+            Service::new(ServeConfig { workers, ..ServeConfig::default() })
+                .unwrap()
+                .start_order(&jobs)
+        };
+        assert_eq!(at(1), [0, 1, 2, 3, 4], "one worker: slot order");
+        // equal costs (slots 1 and 3) keep slot order
+        assert_eq!(at(2), [2, 1, 3, 4, 0]);
+        assert_eq!(at(3), at(2));
     }
 
     #[test]

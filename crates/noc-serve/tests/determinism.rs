@@ -5,7 +5,8 @@
 //! a client can send costs the service more than one typed response.
 
 use noc_eval::serve::{
-    parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
+    parse_request, parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse,
+    ServeResult,
 };
 use noc_openloop::measure;
 use noc_serve::{ServeConfig, Service};
@@ -114,7 +115,9 @@ proptest! {
     /// Hostile input: arbitrary text, and a valid request with one byte
     /// flipped, inserted or deleted, never panics the service and is
     /// answered with exactly one response line that `parse_response`
-    /// accepts (nothing at all for a blank line).
+    /// accepts (nothing at all for a blank line). A line that is not a
+    /// valid point, sweep or run request leaves nothing behind: no
+    /// cached result and no queued point.
     #[test]
     fn any_line_gets_exactly_one_typed_response(
         raw in prop::collection::vec(0u8..=255u8, 0..64),
@@ -133,6 +136,8 @@ proptest! {
         }
         let line = nasty_string(&bytes);
         let svc = Service::new(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+        let retained = |svc: &Service| (svc.cached_results(), svc.snapshot().queue_depth);
+        let before = retained(&svc);
         let mut out = Vec::new();
         prop_assert!(svc.handle_line(&line, &mut out).unwrap(), "only `shutdown` ends the loop");
         let text = String::from_utf8(out).unwrap();
@@ -140,6 +145,13 @@ proptest! {
         prop_assert_eq!(text.lines().count(), want, "{:?} -> {:?}", line, text);
         for resp in text.lines() {
             prop_assert!(parse_response(resp).is_ok(), "{:?} -> {:?}", line, resp);
+        }
+        let work = matches!(
+            parse_request(&line),
+            Ok(ServeRequest::Point(_) | ServeRequest::Sweep(_) | ServeRequest::Run { .. })
+        );
+        if !work {
+            prop_assert_eq!(retained(&svc), before, "{:?} left state behind", line);
         }
     }
 }

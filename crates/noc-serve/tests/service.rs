@@ -6,7 +6,7 @@ use noc_eval::serve::{
     parse_response, PointRequest, ServeOutcome, ServeRequest, ServeResponse, ServeResult,
     SweepRequest,
 };
-use noc_openloop::measure_budgeted;
+use noc_openloop::{measure_budgeted, MAX_WINDOW_CYCLES};
 use noc_serve::{ServeConfig, Service};
 use noc_sim::config::{NetConfig, TopologyKind};
 use noc_traffic::PatternKind;
@@ -300,7 +300,7 @@ fn cycle_budget_timeout_is_deterministic_and_cached() {
 fn a_point_cannot_buy_more_than_the_operators_budget() {
     let mut svc = Service::new(quick_cfg()).unwrap();
     let mut greedy = point("b1", 6, 0.1);
-    greedy.warmup = u64::MAX;
+    greedy.warmup = MAX_WINDOW_CYCLES;
     greedy.measure = 2;
     greedy.budget = Some(u64::MAX);
     let reqs = [
@@ -365,6 +365,11 @@ fn invalid_configs_are_rejected_at_admission() {
             }),
             Some("pattern"),
         ),
+        // windows no run can finish: each used to be admitted, and the
+        // window's end saturated near `u64::MAX`
+        (with(16, 0.1, &|p| p.warmup = u64::MAX - 10), Some("warmup")),
+        (with(17, 0.1, &|p| p.measure = MAX_WINDOW_CYCLES + 1), Some("measure")),
+        (with(18, 0.1, &|p| p.drain_max = u64::MAX), Some("drain_max")),
         (with(11, 0.1, &|_| {}), None),
     ];
     let budget_cap = quick_cfg().default_budget;

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use cmp_sim::CmpConfig;
 use noc_analytic::{AnalyticModel, TrafficMatrix};
 use noc_closedloop::{BarrierConfig, BatchConfig, KernelModel, ReplyModel};
-use noc_openloop::OpenLoopConfig;
+use noc_openloop::{OpenLoopConfig, MAX_WINDOW_CYCLES};
 use noc_sim::config::{Arbitration, NetConfig, RoutingKind, TopologyKind};
 use noc_sim::error::ConfigError;
 use noc_sim::flit::{Cycle, Delivered, PacketSpec};
@@ -339,16 +339,17 @@ proptest! {
 
     /// Every fault entry point — `Network::set_fault_plan`,
     /// `run_faulted`, `fault_sweep`, and `fault_sweep` over the plans of
-    /// `DegradationConfig` and `ResilienceConfig` — on a plan drawn from
-    /// small valid sets plus hostile values (probabilities outside
-    /// [0, 1], zero timeouts and replay budgets, events naming a router
-    /// or port outside the topology) either answers `Ok`, with no
-    /// `Panicked` sweep point, or refuses with a typed error naming one
-    /// of the hostile fields drawn. On the plan's events alone the fault
-    /// lint refuses exactly as the simulator does.
+    /// `DegradationConfig` and `ResilienceConfig` — and the unfaulted
+    /// `measure`, on a plan drawn from small valid sets plus hostile
+    /// values (probabilities outside [0, 1], zero timeouts and replay
+    /// budgets, events naming a router or port outside the topology, a
+    /// warmup no run can finish) either answers `Ok`, with no `Panicked`
+    /// sweep point, or refuses with a typed error naming one of the
+    /// hostile fields drawn. On the plan's events alone the fault lint
+    /// refuses exactly as the simulator does.
     #[test]
     fn fault_runners_refuse_or_finish(
-        raw in prop::collection::vec(0u64..1 << 32, 18..19),
+        raw in prop::collection::vec(0u64..1 << 32, 19..20),
         seed in 0u64..1000,
     ) {
         use noc_exp::PointOutcome;
@@ -399,6 +400,9 @@ proptest! {
                 _ => FaultEvent::RouterRepair { cycle, router },
             });
         }
+        // past the window ceiling the unbudgeted runners would step
+        // ~2^64 cycles: they must refuse before the first
+        let warmup = d.pick("warmup", &[200], &[MAX_WINDOW_CYCLES + 1, u64::MAX - 10]);
         let h = d.hostile.clone();
         let plan = FaultPlan {
             events: events.clone(),
@@ -408,13 +412,15 @@ proptest! {
             link_retry: armed_link_retry,
         };
         let net = NetConfig::baseline().with_topology(topology).with_seed(seed);
-        let windows = OpenLoopConfig { warmup: 200, measure: 600, ..OpenLoopConfig::default() };
+        let windows = OpenLoopConfig { warmup, measure: 600, ..OpenLoopConfig::default() };
         let base = OpenLoopConfig { net: net.clone(), ..windows }.with_load(0.1);
         let settle_max = 4_000;
 
         let mut fresh = Network::new(net.clone()).unwrap();
         let installed = catch_unwind(AssertUnwindSafe(|| fresh.set_fault_plan(plan.clone())));
         refuse_or_finish("set_fault_plan", &h, installed, |_| true)?;
+        let measured = catch_unwind(|| noc_openloop::measure(&base));
+        refuse_or_finish("measure", &h, measured, |_| true)?;
         // a point that does not settle in time is an answer, not a failure
         let faulted = catch_unwind(|| noc_fault::run_faulted(&base, plan.clone(), settle_max));
         refuse_or_finish("run_faulted", &h, faulted, |_| true)?;
